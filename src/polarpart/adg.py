@@ -177,6 +177,32 @@ class ADGSpec:
                 return False
         return True
 
+    # -- bulk incidence: coordinates are m int16 arrays that broadcast -------
+
+    def line_through_bulk(self, pvals, l1):
+        """line_through on arrays; the result has the broadcast shape."""
+        sub = _bulk_tables(self.ctx)["sub"]
+        lv = [l1]
+        for j, f in enumerate(self.fs):
+            lv.append(sub[eval_expr_bulk(f, self.ctx, lv, pvals), pvals[j + 1]])
+        return _np().broadcast_arrays(*lv)
+
+    def point_on_bulk(self, lvals, p1):
+        """point_on on arrays; the result has the broadcast shape."""
+        sub = _bulk_tables(self.ctx)["sub"]
+        pv = [p1]
+        for j, f in enumerate(self.fs):
+            pv.append(sub[eval_expr_bulk(f, self.ctx, lvals, pv), lvals[j + 1]])
+        return _np().broadcast_arrays(*pv)
+
+    def incident_bulk(self, pvals, lvals):
+        """incident on arrays: a bool array of the broadcast shape."""
+        add = _bulk_tables(self.ctx)["add"]
+        ok = True
+        for j, f in enumerate(self.fs):
+            ok = ok & (add[lvals[j + 1], pvals[j + 1]] == eval_expr_bulk(f, self.ctx, lvals, pvals))
+        return ok
+
     # -- vertex ids: mixed radix, big-endian, points before lines ------------
 
     def coords_to_id(self, coords):
@@ -193,6 +219,26 @@ class ADGSpec:
             out[i] = n % q
             n //= q
         return tuple(out)
+
+    def coords_to_ids(self, coords):
+        """coords_to_id on arrays: m coordinate arrays -> int64 ids."""
+        np = _np()
+        q = self.ctx.order
+        ids = np.zeros(np.shape(coords[0]), dtype=np.int64)
+        for c in coords:
+            ids = ids * q + c
+        return ids
+
+    def ids_to_coords(self, ids):
+        """id_to_coords on arrays: int ids -> m int16 coordinate arrays."""
+        np = _np()
+        q = self.ctx.order
+        rest = np.asarray(ids, dtype=np.int64)
+        out = [None] * self.m
+        for i in range(self.m - 1, -1, -1):
+            out[i] = (rest % q).astype(np.int16)
+            rest = rest // q
+        return out
 
     @property
     def side_size(self):
@@ -235,6 +281,14 @@ class PolaritySpec:
     def apply_line(self, ctx, lvals):
         return tuple(ctx.frob_table(j)[lvals[src]] for src, j in self.line_to_point)
 
+    def polar(self, ctx, pvals):
+        """apply_point on coordinate arrays."""
+        return [_frob_vector(ctx, j)[pvals[src]] for src, j in self.point_to_line]
+
+    def polar_line(self, ctx, lvals):
+        """apply_line on coordinate arrays."""
+        return [_frob_vector(ctx, j)[lvals[src]] for src, j in self.line_to_point]
+
     def to_json(self):
         return {
             "point_to_line": [list(r) for r in self.point_to_line],
@@ -264,27 +318,44 @@ class PolarityCheck:
         }
 
 
+# Fewer incidences than this are checked point by point: that takes well
+# under a second, and loading numpy for it would cost more memory than the
+# check itself uses.
+BULK_MIN_INCIDENCES = 1 << 16
+
+
 def check_polarity(spec: ADGSpec, pol: PolaritySpec, mode="exhaustive",
                    samples=100_000, seed=0) -> PolarityCheck:
     """Verify pi swaps sides, squares to the identity, preserves adjacency.
 
     Exhaustive mode walks every point and every incidence; sampled mode
-    draws `samples` random incidences with the given seed.
+    draws `samples` random incidences with the given seed.  Checks of at
+    least BULK_MIN_INCIDENCES incidences over a table-backed field run on
+    the bulk kernel; both paths report the same witness.
     """
-    ctx = spec.ctx
     m = spec.m
     if len(pol.point_to_line) != m or len(pol.line_to_point) != m:
         raise ValueError("polarity dimension mismatch")
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    incidences = samples if mode == "sampled" else spec.side_size * spec.ctx.order
+    if has_tables(spec.ctx) and incidences >= BULK_MIN_INCIDENCES:
+        return _check_polarity_bulk(spec, pol, mode, samples, seed)
+    return _check_polarity_scalar(spec, pol, mode, samples, seed)
+
+
+def _check_polarity_scalar(spec, pol, mode, samples, seed):
+    """Point-by-point check_polarity; the reference for the bulk path."""
+    ctx = spec.ctx
+    m = spec.m
     swaps = True  # structural: apply_point emits line coords and vice versa
 
     if mode == "exhaustive":
         points = spec.all_coords()
-    elif mode == "sampled":
+    else:
         rng = random.Random(seed)
         q = ctx.order
         points = (tuple(rng.randrange(q) for _ in range(m)) for _ in range(samples))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     involution = True
     preserves = True
@@ -319,6 +390,53 @@ def check_polarity(spec: ADGSpec, pol: PolaritySpec, mode="exhaustive",
     return PolarityCheck(ok, mode, swaps, involution, preserves, checked, witness)
 
 
+def _check_polarity_bulk(spec, pol, mode, samples, seed):
+    """check_polarity on the bulk kernel, a chunk of points at a time.
+
+    Sampled mode draws the same points and first line coordinates as the
+    scalar loop; the first failing point gives the scalar witness and count.
+    The scalar loop's inverse-direction check on the polar line holds at
+    every point that passes the first involution check, so it is not
+    repeated here.
+    """
+    np = _np()
+    ctx = spec.ctx
+    q, m = ctx.order, spec.m
+    if mode == "exhaustive":
+        n = spec.side_size
+        step = max(1, (1 << 18) // q)
+        every_l1 = np.arange(q, dtype=np.int16)[None, :]
+        chunks = ((spec.ids_to_coords(np.arange(lo, min(lo + step, n))), every_l1)
+                  for lo in range(0, n, step))
+    else:
+        rng = random.Random(seed)
+        flat = np.array([rng.randrange(q) for _ in range(samples * m)], dtype=np.int16)
+        rng2 = random.Random(seed + 1)
+        l1 = np.array([rng2.randrange(q) for _ in range(samples)], dtype=np.int16)
+        chunks = [(list(flat.reshape(samples, m).T), l1[:, None])]
+    checked = 0
+    for pv, l1 in chunks:
+        l_img = pol.polar(ctx, pv)
+        back = pol.polar_line(ctx, l_img)
+        involution = _rows_equal(back, pv)
+        lines = spec.line_through_bulk([c[:, None] for c in pv], l1)
+        preserves = spec.incident_bulk(pol.polar_line(ctx, lines), [c[:, None] for c in l_img])
+        bad = ~(involution & preserves.all(axis=1))
+        width = preserves.shape[1]
+        if not bad.any():
+            checked += len(bad) * width
+            continue
+        i = int(bad.argmax())
+        checked += i * width
+        p = _row(pv, i)
+        if not involution[i]:
+            return PolarityCheck(False, mode, True, False, True, checked, ("involution", p))
+        j = int(preserves[i].argmin())
+        witness = ("adjacency", p, _row([c[i] for c in lines], j))
+        return PolarityCheck(False, mode, True, True, False, checked + j + 1, witness)
+    return PolarityCheck(True, mode, True, True, True, checked, None)
+
+
 class PolarityGraph:
     """Polarity graph on the point side: p ~ r iff r lies on pi(p).
 
@@ -338,6 +456,44 @@ class PolarityGraph:
     def is_absolute(self, pvals):
         lv = self.pol.apply_point(self.spec.ctx, pvals)
         return self.spec.incident(pvals, lv)
+
+    def neighbors_bulk(self, pvals):
+        """neighbors_coords for N points at once.
+
+        Returns the q points on each polar line as m arrays of shape (N, q),
+        by ascending first coordinate, and the (N, q) mask that is False
+        where that point is the vertex itself.
+        """
+        np = _np()
+        ctx = self.spec.ctx
+        lv = [c[:, None] for c in self.pol.polar(ctx, pvals)]
+        rv = self.spec.point_on_bulk(lv, np.arange(ctx.order, dtype=np.int16)[None, :])
+        return rv, ~_rows_equal(rv, [c[:, None] for c in pvals])
+
+    def absolute_ids(self, chunk=1 << 20):
+        """Sorted int64 ids of every absolute point, by an exact scan (cached).
+
+        incident_bulk(p, polar(p)) one equation at a time: a point leaves
+        the scan at the first equation it fails.
+        """
+        ids = getattr(self, "_absolute_ids", None)
+        if ids is None:
+            np = _np()
+            spec = self.spec
+            add = _bulk_tables(spec.ctx)["add"]
+            found = []
+            for lo in range(0, self.n, chunk):
+                block = np.arange(lo, min(lo + chunk, self.n), dtype=np.int64)
+                pv = spec.ids_to_coords(block)
+                lv = self.pol.polar(spec.ctx, pv)
+                for j, f in enumerate(spec.fs):
+                    keep = add[lv[j + 1], pv[j + 1]] == eval_expr_bulk(f, spec.ctx, lv, pv)
+                    block = block[keep]
+                    pv = [c[keep] for c in pv]
+                    lv = [c[keep] for c in lv]
+                found.append(block)
+            ids = self._absolute_ids = np.concatenate(found)
+        return ids
 
     def degree_of(self, pvals):
         return len(self.neighbors_coords(pvals))
@@ -367,19 +523,27 @@ def build_polarity_graph(spec: ADGSpec, pol: PolaritySpec, mode="exhaustive",
     return PolarityGraph(spec, pol)
 
 
-# -- bulk (vectorized) adjacency ----------------------------------------------
+# -- bulk (vectorized) incidence kernel ----------------------------------------
+# The *_bulk methods above, polar/polar_line and absolute_ids run on the
+# field's lookup tables as numpy arrays.  They exist only for table-backed
+# fields; the scalar methods are the reference they are tested against.
 
 def _np():
     import numpy
     return numpy
 
 
+def has_tables(ctx: FieldCtx) -> bool:
+    return ctx._add_t is not None
+
+
 def _bulk_tables(ctx: FieldCtx):
+    """Lookup arrays for add/sub/mul/neg, plus pow and Frobenius vectors
+    filled in on first use."""
     np = _np()
     cached = getattr(ctx, "_np_tables", None)
     if cached is None:
-        q = ctx.order
-        if ctx._add_t is None:
+        if not has_tables(ctx):
             raise ValueError("bulk evaluation needs a table-backed field")
         cached = {
             "add": np.array(ctx._add_t, dtype=np.int16),
@@ -389,6 +553,35 @@ def _bulk_tables(ctx: FieldCtx):
         }
         ctx._np_tables = cached
     return cached
+
+
+def _pow_vector(ctx, n):
+    t = _bulk_tables(ctx)
+    vec = t.get(("pow", n))
+    if vec is None:
+        vec = t[("pow", n)] = _np().array([ctx.pow(u, n) for u in range(ctx.order)],
+                                          dtype=_np().int16)
+    return vec
+
+
+def _frob_vector(ctx, j):
+    t = _bulk_tables(ctx)
+    vec = t.get(("frob", j))
+    if vec is None:
+        vec = t[("frob", j)] = _np().array(ctx.frob_table(j), dtype=_np().int16)
+    return vec
+
+
+def _rows_equal(a, b):
+    """Elementwise equality of two coordinate-array lists, all coordinates."""
+    ok = True
+    for x, y in zip(a, b):
+        ok = ok & (x == y)
+    return ok
+
+
+def _row(arrays, i):
+    return tuple(int(c[i]) for c in arrays)
 
 
 def eval_expr_bulk(e, ctx, lv, pv):
@@ -404,41 +597,15 @@ def eval_expr_bulk(e, ctx, lv, pv):
     if op == "neg":
         return t["neg"][eval_expr_bulk(e[1], ctx, lv, pv)]
     if op == "pow":
-        vec = np.array([ctx.pow(u, e[2]) for u in range(ctx.order)], dtype=np.int16)
-        return vec[eval_expr_bulk(e[1], ctx, lv, pv)]
+        return _pow_vector(ctx, e[2])[eval_expr_bulk(e[1], ctx, lv, pv)]
     a = eval_expr_bulk(e[1], ctx, lv, pv)
     b = eval_expr_bulk(e[2], ctx, lv, pv)
     return t[op][a, b]
 
 
 def count_absolute_bulk(pg: PolarityGraph, chunk=1 << 20) -> int:
-    """Absolute-point count by a vectorized scan over all q^m points."""
-    np = _np()
-    spec, pol = pg.spec, pg.pol
-    ctx = spec.ctx
-    t = _bulk_tables(ctx)
-    q = ctx.order
-    m = spec.m
-    frobs = {j: np.array(ctx.frob_table(j), dtype=np.int16)
-             for j in {j for _, j in pol.point_to_line}}
-    total = 0
-    n = spec.side_size
-    for lo in range(0, n, chunk):
-        ids = np.arange(lo, min(lo + chunk, n), dtype=np.int64)
-        pv = []
-        rest = ids
-        for i in range(m - 1, -1, -1):
-            pv.append((rest % q).astype(np.int16))
-            rest = rest // q
-        pv.reverse()
-        lv = [frobs[j][pv[src]] for src, j in pol.point_to_line]
-        mask = np.ones(len(ids), dtype=bool)
-        for j, f in enumerate(spec.fs):
-            lhs = t["add"][lv[j + 1], pv[j + 1]]
-            rhs = np.broadcast_to(eval_expr_bulk(f, ctx, lv, pv), lhs.shape)
-            mask &= lhs == rhs
-        total += int(mask.sum())
-    return total
+    """Absolute-point count by the exact vectorized scan over all q^m points."""
+    return len(pg.absolute_ids(chunk))
 
 
 # -- the concrete families -----------------------------------------------------

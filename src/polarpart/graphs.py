@@ -249,6 +249,80 @@ def find_even_cycle(g: Graph, k: int):
     return None
 
 
+# parents expanded at a time in the last layer of even_cycle_through
+LAYER_CHUNK = 1 << 15
+
+
+def even_cycle_through(root, k, neighbors, n):
+    """Witness 2k-cycle through `root`, or None, by layered walk collision.
+
+    `neighbors(ids)` maps an int array of N vertex ids to an (N, d) array
+    of neighbour ids, -1 where absent.  Simple length-k walks from the
+    root are built one layer at a time (the last layer LAYER_CHUNK parents
+    at a time, as endpoint and parent-index arrays); walks sharing an
+    endpoint are grouped by sorting, and two of them close a 2k-cycle when
+    their interiors are disjoint (meet in the middle, after Yuster & Zwick,
+    "Finding even cycles even faster", 1997).
+
+    The witness is the one a depth-first search taking neighbours in
+    column order reports first: the earliest walk that closes with an
+    earlier one, followed by the reversed interior of the earliest such
+    partner.  Ids and parent indices are int32 while n allows it.
+    """
+    import numpy as np
+
+    if k < 2:
+        raise ValueError("cycle length below 4")
+    dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+
+    def step(paths):
+        """(parent row, neighbour id) of every simple one-step extension."""
+        nb = neighbors(paths[:, -1]).astype(dtype, copy=False)
+        keep = nb >= 0
+        for col in paths.T:
+            keep &= nb != col[:, None]
+        rows, cols = np.nonzero(keep)
+        return rows, nb[rows, cols]
+
+    paths = np.array([[root]], dtype=dtype)  # one row per walk: root..tip
+    for _ in range(k - 1):
+        rows, tips = step(paths)
+        paths = np.column_stack([paths[rows], tips])
+    if not len(paths):
+        return None
+    ends, parents = [], []
+    for lo in range(0, len(paths), LAYER_CHUNK):
+        rows, tips = step(paths[lo:lo + LAYER_CHUNK])
+        ends.append(tips)
+        parents.append((rows + lo).astype(dtype))
+    ends = np.concatenate(ends)
+    parents = np.concatenate(parents)
+
+    sorted_ends = np.sort(ends)
+    shared = sorted_ends[1:][sorted_ends[1:] == sorted_ends[:-1]]
+    del sorted_ends
+    if not len(shared):
+        return None
+    # walks whose endpoint is shared, grouped by endpoint, in walk order
+    walks = np.flatnonzero(np.isin(ends, shared))
+    walks = walks[np.argsort(ends[walks], kind="stable")]
+    group_start = np.searchsorted(ends[walks], ends[walks])
+    # pair every walk with each earlier walk of its group
+    earlier = np.arange(len(walks)) - group_start
+    later_pos = np.repeat(np.arange(len(walks)), earlier)
+    offset = np.arange(len(later_pos)) - np.repeat(np.cumsum(earlier) - earlier, earlier)
+    later, partner = walks[later_pos], walks[np.repeat(group_start, earlier) + offset]
+    inner_later = paths[parents[later], 1:]
+    inner_partner = paths[parents[partner], 1:]
+    meets = (inner_later[:, :, None] == inner_partner[:, None, :]).any(axis=(1, 2))
+    if meets.all():
+        return None
+    j = later[~meets].min()
+    i = partner[~meets & (later == j)].min()
+    walk = [int(v) for v in paths[parents[j]]] + [int(ends[j])]
+    return tuple(walk + [int(v) for v in paths[parents[i], :0:-1]])
+
+
 def even_cycle_free_upto(g: Graph, kmax: int):
     """Shortest even-cycle witness of length <= 2*kmax, or None (exact)."""
     if kmax not in (2, 3, 4, 5):

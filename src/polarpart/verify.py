@@ -16,8 +16,8 @@ from . import adg, partitions as parts
 from .gf import prime_power
 from .graphs import (
     Graph, Partition, contains_C4, degree, degree_multiset, edge_count,
-    even_cycle_free_upto, find_even_cycle, girth, loop_count, materialize,
-    pair_edge_matrix,
+    even_cycle_free_upto, even_cycle_through, find_even_cycle, girth,
+    loop_count, materialize, pair_edge_matrix,
 )
 
 ORACLE_MAX_N = 12
@@ -297,7 +297,6 @@ def family_bundle(family, *, q=None, e=None, allow_small_e=False, spec_json=None
 
 def expected_degree_spectrum(scheme, q):
     """vertex-degree -> count for the polarity graph of each family."""
-    n = None
     if scheme.family == "plane":
         return {q * q: q ** 4 - q ** 3, q * q - 1: q ** 3}
     if scheme.family == "gq":
@@ -334,13 +333,14 @@ def _check_unique_edges(g: Graph, spec, scheme):
 def verify_family_exhaustive(family, *, q=None, e=None, seed=0,
                              materialize_limit=DEFAULT_MATERIALIZE_LIMIT,
                              allow_small_e=False, spec_json=None,
-                             with_luw=True, graph=None, partition=None):
+                             with_luw=True, graph=None, partition=None, bundle=None):
     """Full verification of a materializable family instance.
 
     When graph/partition are supplied (from files) they are verified in
-    place of freshly constructed ones, so tampering is detectable.
+    place of freshly constructed ones, so tampering is detectable.  A
+    prebuilt family_bundle result may be passed as `bundle`.
     """
-    spec, pol, scheme, params = family_bundle(
+    spec, pol, scheme, params = bundle or family_bundle(
         family, q=q, e=e, allow_small_e=allow_small_e, spec_json=spec_json)
     ctx = spec.ctx
     qq = params.get("q", ctx.order)
@@ -442,28 +442,48 @@ def verify_family_exhaustive(family, *, q=None, e=None, seed=0,
 # sampled (streaming) verification for instances too large to materialize
 # ---------------------------------------------------------------------------
 
+def _predraw(rng, count, draw):
+    """Draw `count` samples with `draw(rng)` ahead of a phase that stops at
+    its first failure; `rewind(i)` leaves rng just after sample i, where
+    drawing one sample at a time would have left it."""
+    state = rng.getstate()
+    samples = [draw(rng) for _ in range(count)]
+
+    def rewind(i):
+        rng.setstate(state)
+        for _ in range(i + 1):
+            draw(rng)
+
+    return samples, rewind
+
+
+def _columns(tuples, width):
+    """Equal-length int tuples -> `width` int16 arrays, one per position."""
+    np = adg._np()
+    return list(np.array(tuples, dtype=np.int16).reshape(len(tuples), width).T)
+
+
+def _first(bad):
+    """Index of the first True, or None."""
+    return int(bad.argmax()) if bad.any() else None
+
+
 def _sampled_even_cycle(pg: adg.PolarityGraph, k, num_roots, rng):
-    """Meet-in-the-middle 2k-cycle search from randomly chosen roots."""
+    """2k-cycle search through randomly chosen roots, on the bulk kernel."""
     spec = pg.spec
     q = spec.ctx.order
     m = spec.m
+
+    def neighbors(ids):
+        # descending first coordinate: the order a stack-based DFS pops them
+        rv, not_self = pg.neighbors_bulk(spec.ids_to_coords(ids))
+        return adg._np().where(not_self, spec.coords_to_ids(rv), -1)[:, ::-1]
+
     for _ in range(num_roots):
         root = tuple(rng.randrange(q) for _ in range(m))
-        by_end = {}
-        stack = [(root, (root,))]
-        while stack:
-            v, path = stack.pop()
-            if len(path) == k + 1:
-                inner = path[1:-1]
-                bucket = by_end.setdefault(v, [])
-                for other in bucket:
-                    if not set(inner) & set(other):
-                        return path + tuple(reversed(other))
-                bucket.append(inner)
-                continue
-            for u in pg.neighbors_coords(v):
-                if u not in path:
-                    stack.append((u, path + (u,)))
+        w = even_cycle_through(spec.coords_to_id(root), k, neighbors, pg.n)
+        if w is not None:
+            return tuple(spec.id_to_coords(v) for v in w)
     return None
 
 
@@ -473,15 +493,17 @@ def verify_family_sampled(family, *, e=None, seed=0,
                           within_samples=SAMPLED_WITHIN,
                           degree_samples=SAMPLED_DEGREES,
                           cycle_roots=None,
-                          allow_small_e=False):
+                          allow_small_e=False, bundle=None):
     """Seeded streaming verification of a gh-sized instance.
 
     Closed-form unique edges are confirmed by direct substitution on
     sampled class pairs plus full one-edge sweeps on a subsample; within-
     class and degree checks are sampled; the absolute-point count is an
-    exact vectorized scan over all points.
+    exact vectorized scan over all points.  Every phase runs on the bulk
+    incidence kernel; `bundle` is as in verify_family_exhaustive.
     """
-    spec, pol, scheme, params = family_bundle(family, e=e, allow_small_e=allow_small_e)
+    spec, pol, scheme, params = bundle or family_bundle(
+        family, e=e, allow_small_e=allow_small_e)
     ctx = spec.ctx
     q = ctx.order
     m = spec.m
@@ -504,9 +526,11 @@ def verify_family_sampled(family, *, e=None, seed=0,
         report["witnesses"].append(("polarity", pol_check.witness))
         return report
 
+    np = adg._np()
     pg = adg.PolarityGraph(spec, pol)
     n = spec.side_size
     n_pi = adg.count_absolute_bulk(pg)
+    absolute = set(pg.absolute_ids().tolist())
     incidences = n * q  # each point lies on exactly q lines (forward solve)
     edges = (incidences - n_pi) // 2
     report["counts"] = {
@@ -517,100 +541,123 @@ def verify_family_sampled(family, *, e=None, seed=0,
         "edge_count_method": "derived",
     }
 
+    # Each phase below draws all its samples first, in the order a loop
+    # over samples would, checks them on the bulk kernel, and on the first
+    # failing sample rewinds rng to where that loop would have stopped.
+    r = scheme.r
+    key_len = len(scheme.class_key(0))
+
+    def draw_pair(g):
+        return g.randrange(r), g.randrange(r)
+
     # loop vertices: the formula output must be absolute, for every class
-    loops_ok = n_pi == scheme.r
+    loops_ok = n_pi == r
     loop_formula_ok = True
-    for cid in range(scheme.r):
+    for cid in range(r):
         lvtx = scheme.loop_vertex(cid)
-        if scheme.class_of_coords(lvtx) != cid or not pg.is_absolute(lvtx):
+        if scheme.class_of_coords(lvtx) != cid or spec.coords_to_id(lvtx) not in absolute:
             loop_formula_ok = False
             report["witnesses"].append(("loop_vertex", cid))
             break
 
     # sampled unique-edge substitution
-    adjacency_ok = True
-    substitution_checked = 0
-    for _ in range(class_pair_samples):
-        c1 = rng.randrange(scheme.r)
-        c2 = rng.randrange(scheme.r)
+    pairs, rewind = _predraw(rng, class_pair_samples, draw_pair)
+    formula_ok = []
+    edge_rows, ends_a, ends_b = [], [], []
+    for i, (c1, c2) in enumerate(pairs):
         if c1 == c2:
-            vtx = scheme.loop_vertex(c1)
-            if not pg.is_absolute(vtx):
-                adjacency_ok = False
-                report["witnesses"].append(("loop_not_absolute", c1))
-                break
-        else:
-            a, b = scheme.unique_edge(c1, c2)
-            lv = pol.apply_point(ctx, a)
-            if (scheme.class_of_coords(a) != c1 or scheme.class_of_coords(b) != c2
-                    or not spec.incident(b, lv)):
-                adjacency_ok = False
-                report["witnesses"].append(("unique_edge_formula", c1, c2))
-                break
-        substitution_checked += 1
+            formula_ok.append(spec.coords_to_id(scheme.loop_vertex(c1)) in absolute)
+            continue
+        a, b = scheme.unique_edge(c1, c2)
+        formula_ok.append(scheme.class_of_coords(a) == c1 and scheme.class_of_coords(b) == c2)
+        if formula_ok[-1]:
+            edge_rows.append(i)
+            ends_a.append(a)
+            ends_b.append(b)
+    formula_ok = np.array(formula_ok, dtype=bool)
+    if edge_rows:
+        formula_ok[edge_rows] = spec.incident_bulk(
+            _columns(ends_b, m), pol.polar(ctx, _columns(ends_a, m)))
+    i = _first(~formula_ok)
+    adjacency_ok = i is None
+    substitution_checked = len(pairs) if adjacency_ok else i
+    if not adjacency_ok:
+        rewind(i)
+        c1, c2 = pairs[i]
+        report["witnesses"].append(
+            ("loop_not_absolute", c1) if c1 == c2 else ("unique_edge_formula", c1, c2))
 
     # full one-edge sweeps on a subsample of class pairs
     sweep_ok = True
     sweeps_done = 0
-    for _ in range(full_sweeps):
-        c1 = rng.randrange(scheme.r)
-        c2 = rng.randrange(scheme.r)
+    pairs, rewind = _predraw(rng, full_sweeps, draw_pair)
+    for i, (c1, c2) in enumerate(pairs):
         if c1 == c2:
             continue
         expected = scheme.unique_edge(c1, c2)
         key2 = scheme.class_key(c2)
-        found = []
-        for member in scheme.class_members(c1):
-            for nb in pg.neighbors_coords(member):
-                if nb[:len(key2)] == key2:
-                    found.append((member, nb))
+        members = scheme.class_members(c1)
+        nbs, not_self = pg.neighbors_bulk(_columns(members, m))
+        rows, cols = np.nonzero(not_self & adg._rows_equal(nbs, key2))
+        found = [(members[a], tuple(int(c[a, b]) for c in nbs)) for a, b in zip(rows, cols)]
         if found != [expected]:
             sweep_ok = False
             report["witnesses"].append(("sweep_pair", c1, c2, len(found)))
+            rewind(i)
             break
         sweeps_done += 1
 
     # within-class sampling: no non-loop edges inside a class
-    within_ok = True
-    for _ in range(within_samples):
-        cid = rng.randrange(scheme.r)
-        members = scheme.class_members(cid)
-        v = members[rng.randrange(len(members))]
-        key = scheme.class_key(cid)
-        for nb in pg.neighbors_coords(v):
-            if nb[:len(key)] == key:
-                within_ok = False
-                report["witnesses"].append(("within_edge", cid, v, nb))
-                break
-        if not within_ok:
-            break
+    draws, rewind = _predraw(
+        rng, within_samples, lambda g: (g.randrange(r), g.randrange(scheme.class_size)))
+    vs = [scheme.class_members(cid)[j] for cid, j in draws]
+    keys = [scheme.class_key(cid) for cid, _ in draws]
+    nbs, not_self = pg.neighbors_bulk(_columns(vs, m))
+    inside = not_self & adg._rows_equal(nbs, [c[:, None] for c in _columns(keys, key_len)])
+    i = _first(inside.any(axis=1))
+    within_ok = i is None
+    if not within_ok:
+        rewind(i)
+        nb = adg._row([c[i] for c in nbs], int(inside[i].argmax()))
+        report["witnesses"].append(("within_edge", draws[i][0], vs[i], nb))
 
     # degree spot checks against the two-value spectrum
-    spectrum_ok = True
-    seen_degrees = {}
-    for _ in range(degree_samples):
-        v = tuple(rng.randrange(q) for _ in range(m))
-        d = pg.degree_of(v)
-        seen_degrees[d] = seen_degrees.get(d, 0) + 1
-        expect = q - 1 if pg.is_absolute(v) else q
-        if d != expect:
-            spectrum_ok = False
-            report["witnesses"].append(("degree", v, d, expect))
-            break
+    def draw_vertex(g):
+        return tuple(g.randrange(q) for _ in range(m))
+
+    vs, rewind = _predraw(rng, degree_samples, draw_vertex)
+    pv = _columns(vs, m)
+    degrees = pg.neighbors_bulk(pv)[1].sum(axis=1)
+    expect = q - np.isin(spec.coords_to_ids(pv), pg.absolute_ids())
+    i = _first(degrees != expect)
+    spectrum_ok = i is None
+    tallied = degrees if spectrum_ok else degrees[:i + 1]
+    seen_degrees = {int(d): int(c) for d, c in zip(*np.unique(tallied, return_counts=True))}
+    if not spectrum_ok:
+        rewind(i)
+        report["witnesses"].append(("degree", vs[i], int(degrees[i]), int(expect[i])))
     report["degree_multiset"] = {str(k): v for k, v in sorted(seen_degrees.items())}
 
     # sampled adjacency symmetry of the implicit graph
-    symmetry_ok = True
-    for _ in range(SAMPLED_SYMMETRY):
-        v = tuple(rng.randrange(q) for _ in range(m))
-        nbs = pg.neighbors_coords(v)
-        if not nbs:
-            continue
-        u = nbs[rng.randrange(len(nbs))]
-        if v not in pg.neighbors_coords(u):
-            symmetry_ok = False
-            report["witnesses"].append(("symmetry", v, u))
-            break
+    def draw_edge(g):
+        v = draw_vertex(g)
+        degree = q - (spec.coords_to_id(v) in absolute)
+        return v, g.randrange(degree) if degree else -1
+
+    draws, rewind = _predraw(rng, SAMPLED_SYMMETRY, draw_edge)
+    vs = [v for v, _ in draws]
+    pick = np.array([j for _, j in draws], dtype=np.int64)
+    pv = _columns(vs, m)
+    nbs, not_self = pg.neighbors_bulk(pv)
+    col = (np.cumsum(not_self, axis=1) > pick[:, None]).argmax(axis=1)
+    uv = [c[np.arange(len(col)), col] for c in nbs]
+    back, back_not_self = pg.neighbors_bulk(uv)
+    returns = (back_not_self & adg._rows_equal(back, [c[:, None] for c in pv])).any(axis=1)
+    i = _first(~returns & (pick >= 0))
+    symmetry_ok = i is None
+    if not symmetry_ok:
+        rewind(i)
+        report["witnesses"].append(("symmetry", vs[i], adg._row(uv, i)))
 
     cycles = {}
     cycles_ok = True
@@ -678,8 +725,9 @@ def verify_family(family, *, q=None, e=None, mode=None, seed=0,
     mode=None picks exhaustive when the vertex set fits under the
     materialization ceiling and sampled otherwise.
     """
-    spec, _, _, _ = family_bundle(family, q=q, e=e, allow_small_e=allow_small_e,
-                                  spec_json=spec_json)
+    bundle = family_bundle(family, q=q, e=e, allow_small_e=allow_small_e,
+                           spec_json=spec_json)
+    spec = bundle[0]
     fits = spec.side_size <= materialize_limit
     if mode is None:
         mode = "exhaustive" if fits else "sampled"
@@ -691,13 +739,13 @@ def verify_family(family, *, q=None, e=None, mode=None, seed=0,
         return verify_family_exhaustive(
             family, q=q, e=e, seed=seed, materialize_limit=materialize_limit,
             allow_small_e=allow_small_e, spec_json=spec_json, with_luw=with_luw,
-            graph=graph, partition=partition)
+            graph=graph, partition=partition, bundle=bundle)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     if family not in ("gh",):
         raise ValueError(f"sampled mode is only wired for the gh family, not {family}")
-    return verify_family_sampled(family, e=e, seed=seed,
-                                 allow_small_e=allow_small_e, **sampled_kwargs)
+    return verify_family_sampled(family, e=e, seed=seed, allow_small_e=allow_small_e,
+                                 bundle=bundle, **sampled_kwargs)
 
 
 # ---------------------------------------------------------------------------

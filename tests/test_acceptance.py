@@ -35,6 +35,9 @@ from polarpart.verify import (
 )
 
 RESULTS = []
+# seconds spent building each shared report, charged to the criterion
+# whose budget covers that work
+FIXTURE_SECONDS = {}
 
 
 def record(num, desc, t0, budget, ok):
@@ -53,7 +56,10 @@ def gq_report():
 
 @pytest.fixture(scope="module")
 def gh_report():
-    return verify_family("gh", e=1, mode="sampled", seed=0)
+    t0 = time.monotonic()
+    rep = verify_family("gh", e=1, mode="sampled", seed=0)
+    FIXTURE_SECONDS["gh_report"] = time.monotonic() - t0
+    return rep
 
 
 def test_criterion_1_plane_q2():
@@ -123,7 +129,8 @@ def test_criterion_4_lemma1():
 
 
 def test_criterion_5_gh27(gh_report):
-    t0 = time.monotonic()
+    # the budget covers building the report, which happens in the fixture
+    t0 = time.monotonic() - FIXTURE_SECONDS["gh_report"]
     rep = gh_report
     checks = rep["checks"]
     ok = (

@@ -308,3 +308,142 @@ def test_degree_relation_exhaustive_plane_and_gq():
         for p in spec.all_coords():
             expect = q - 1 if pg.is_absolute(p) else q
             assert pg.degree_of(p) == expect
+
+
+# -- bulk kernel against the scalar reference ---------------------------------
+
+BULK_FAMILIES = {
+    "plane q=3": lambda: plane_family(3),
+    "gq e=1": lambda: gq_family(1),
+    "gh e=1": lambda: gh_family(1),
+}
+
+
+def _arrays(points):
+    import numpy as np
+    return [np.array(c, dtype=np.int16) for c in zip(*points)]
+
+
+def _sample_points(pg, count, seed):
+    """Random points followed by 20 absolute ones, found by the scalar test."""
+    spec = pg.spec
+    rng = random.Random(seed)
+
+    def draw():
+        return tuple(rng.randrange(spec.ctx.order) for _ in range(spec.m))
+
+    points = [draw() for _ in range(count)]
+    absolute = []
+    while len(absolute) < 20:
+        p = draw()
+        if pg.is_absolute(p):
+            absolute.append(p)
+    return points + absolute
+
+
+@pytest.mark.parametrize("family", sorted(BULK_FAMILIES))
+def test_neighbors_bulk_matches_scalar(family):
+    spec, pol = BULK_FAMILIES[family]()
+    pg = adg.PolarityGraph(spec, pol)
+    q = spec.ctx.order
+    points = _sample_points(pg, 200, seed=3)
+    pv = _arrays(points)
+    assert spec.coords_to_ids(pv).tolist() == [spec.coords_to_id(p) for p in points]
+    assert [c.tolist() for c in spec.ids_to_coords(spec.coords_to_ids(pv))] == \
+        [c.tolist() for c in pv]
+    nbs, not_self = pg.neighbors_bulk(pv)
+    assert nbs[0].shape == not_self.shape == (len(points), q)
+    absolute_seen = 0
+    for i, p in enumerate(points):
+        bulk = [tuple(int(c[i, j]) for c in nbs) for j in range(q) if not_self[i, j]]
+        assert bulk == pg.neighbors_coords(p)
+        assert (not not_self[i].all()) == pg.is_absolute(p)
+        absolute_seen += pg.is_absolute(p)
+    assert absolute_seen >= 20
+
+
+@pytest.mark.parametrize("family", sorted(BULK_FAMILIES))
+def test_incident_bulk_matches_scalar(family):
+    spec, pol = BULK_FAMILIES[family]()
+    pg = adg.PolarityGraph(spec, pol)
+    ctx = spec.ctx
+    q = ctx.order
+    rng = random.Random(5)
+    points = _sample_points(pg, 300, seed=4)
+    lines = []
+    for i, p in enumerate(points):
+        if i % 3 == 0:
+            lines.append(spec.line_through(p, rng.randrange(q)))
+        elif i % 3 == 1:
+            lines.append(pol.apply_point(ctx, p))
+        else:
+            lines.append(tuple(rng.randrange(q) for _ in range(spec.m)))
+    pv, lv = _arrays(points), _arrays(lines)
+    assert [adg._row(pol.polar(ctx, pv), i) for i in range(len(points))] == \
+        [pol.apply_point(ctx, p) for p in points]
+    assert [adg._row(pol.polar_line(ctx, lv), i) for i in range(len(lines))] == \
+        [pol.apply_line(ctx, lv_) for lv_ in lines]
+    l1 = _arrays([(lv_[0],) for lv_ in lines])[0]
+    through = spec.line_through_bulk(pv, l1)
+    assert [adg._row(through, i) for i in range(len(points))] == \
+        [spec.line_through(p, lv_[0]) for p, lv_ in zip(points, lines)]
+    bulk = spec.incident_bulk(pv, lv).tolist()
+    scalar = [spec.incident(p, lv_) for p, lv_ in zip(points, lines)]
+    assert bulk == scalar
+    assert True in scalar and False in scalar
+
+
+def test_absolute_ids_match_scalar_scan():
+    for make_family in (lambda: plane_family(3), lambda: gq_family(1)):
+        spec, pol = make_family()
+        pg = adg.PolarityGraph(spec, pol)
+        ids = pg.absolute_ids(chunk=100).tolist()
+        assert ids == [spec.coords_to_id(p) for p in pg.absolute_points()]
+
+
+BROKEN_POLARITIES = {
+    # twists that are not involutions (the witness kind differs by mode)
+    "gq twisted": (lambda: gq_family(1)[0],
+                   PolaritySpec(((0, 1), (2, 2), (1, 1)), ((0, 1), (2, 2), (1, 1)))),
+    "gq swapped": (lambda: gq_family(1)[0],
+                   PolaritySpec(((0, 2), (1, 2), (2, 1)), ((0, 1), (1, 1), (2, 2)))),
+    # an involution that breaks adjacency
+    "gh identity": (lambda: gh_family(0, allow_small_e=True)[0],
+                    PolaritySpec(tuple((i, 0) for i in range(5)), tuple((i, 0) for i in range(5)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_POLARITIES))
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_check_polarity_bulk_matches_scalar_on_broken_polarity(name, mode):
+    build_spec, bad = BROKEN_POLARITIES[name]
+    spec = build_spec()
+    bulk = adg._check_polarity_bulk(spec, bad, mode, 500, 7)
+    assert not bulk.ok
+    assert bulk == adg._check_polarity_scalar(spec, bad, mode, 500, 7)
+
+
+def test_check_polarity_bulk_matches_scalar_on_intact_polarity():
+    for make_family in (lambda: plane_family(3), lambda: gq_family(1)):
+        spec, pol = make_family()
+        for mode in ("exhaustive", "sampled"):
+            assert adg._check_polarity_bulk(spec, pol, mode, 500, 0) == \
+                adg._check_polarity_scalar(spec, pol, mode, 500, 0)
+
+
+def test_check_polarity_picks_the_path_by_size(monkeypatch):
+    spec, pol = gq_family(1)  # 4096 incidences
+    calls = []
+    monkeypatch.setattr(adg, "_check_polarity_bulk", lambda *a: calls.append("bulk"))
+    monkeypatch.setattr(adg, "_check_polarity_scalar", lambda *a: calls.append("scalar"))
+    check_polarity(spec, pol, mode="exhaustive")
+    check_polarity(spec, pol, mode="sampled", samples=adg.BULK_MIN_INCIDENCES)
+    check_polarity(spec, pol, mode="sampled", samples=adg.BULK_MIN_INCIDENCES - 1)
+    assert calls == ["scalar", "bulk", "scalar"]
+
+
+def test_check_polarity_without_tables_runs_scalar():
+    spec, pol = plane_family(23)  # GF(529) is above the table limit
+    assert not adg.has_tables(spec.ctx)
+    chk = check_polarity(spec, pol, mode="sampled", samples=50)
+    assert chk.ok and chk.checked_incidences == 50

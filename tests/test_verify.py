@@ -1,19 +1,28 @@
 """Verdicts, bounds, LUW relations, oracles, reports."""
 
+import hashlib
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from polarpart.adg import build_polarity_graph, gq_family, plane_family
+import polarpart
+from polarpart import adg, verify
+from polarpart.adg import build_polarity_graph, gh_family, gq_family, plane_family
+from polarpart.cli import _jsonable
 from polarpart.graphs import (
-    Graph, Partition, edge_count, materialize,
+    Graph, Partition, edge_count, even_cycle_through, find_even_cycle, materialize,
 )
-from polarpart.partitions import GQScheme, PlaneScheme, scheme_partition
+from polarpart.partitions import GHScheme, GQScheme, PlaneScheme, scheme_partition
 from polarpart.verify import (
-    binom_upper_bound, brute_force_chi_a, brute_force_psi, chromatic_number,
-    luw_report, proposition_bound, ratio_eq6, verdict, verify_family,
-    verify_gh_original, witness_record, _psi_chi_a,
+    _sampled_even_cycle, binom_upper_bound, brute_force_chi_a, brute_force_psi,
+    chromatic_number, luw_report, proposition_bound, ratio_eq6, verdict,
+    verify_family, verify_gh_original, witness_record, _psi_chi_a,
 )
 
 
@@ -275,3 +284,148 @@ def test_witness_record_requires_complete():
     rep = {"verdicts": {"complete": False}}
     with pytest.raises(ValueError):
         witness_record("plane", report=rep)
+
+
+# -- layered even-cycle search against the depth-first reference --------------
+
+def _reference_dfs(root, k, neighbors):
+    """The depth-first 2k-cycle search the layered one replaced, kept as its
+    reference: neighbours are pushed in list order, so popped last first."""
+    by_end = {}
+    stack = [(root, (root,))]
+    while stack:
+        v, path = stack.pop()
+        if len(path) == k + 1:
+            inner = path[1:-1]
+            bucket = by_end.setdefault(v, [])
+            for other in bucket:
+                if not set(inner) & set(other):
+                    return path + tuple(reversed(other))
+            bucket.append(inner)
+            continue
+        for u in neighbors(v):
+            if u not in path:
+                stack.append((u, path + (u,)))
+    return None
+
+
+def _reference_sampled_even_cycle(pg, k, num_roots, rng):
+    spec = pg.spec
+    for _ in range(num_roots):
+        root = tuple(rng.randrange(spec.ctx.order) for _ in range(spec.m))
+        w = _reference_dfs(root, k, pg.neighbors_coords)
+        if w is not None:
+            return w
+    return None
+
+
+def _polarity_graph(spec, pol):
+    return materialize(adg.PolarityGraph(spec, pol).implicit(), 10 ** 4)
+
+
+CYCLE_GRAPHS = {
+    "plane q=2": lambda: _polarity_graph(*plane_family(2)),
+    "plane q=3": lambda: _polarity_graph(*plane_family(3)),
+    "gq e=1": lambda: _polarity_graph(*gq_family(1)),
+    "gh e=0": lambda: _polarity_graph(*gh_family(0, allow_small_e=True)),
+    "gnp n=40": lambda: seeded_gnp(40, 0.15, seed=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLE_GRAPHS))
+def test_layered_cycle_search_matches_dfs_on_every_root(name):
+    import numpy as np
+
+    g = CYCLE_GRAPHS[name]()
+    table = np.full((g.n, max(len(a) for a in g.adj)), -1, dtype=np.int64)
+    for v, a in enumerate(g.adj):
+        table[v, :len(a)] = a
+    on_cycle = 0
+    for k in (2, 3, 4):
+        first = None
+        for root in range(g.n):
+            w = even_cycle_through(root, k, lambda ids: table[ids][:, ::-1], g.n)
+            assert w == _reference_dfs(root, k, lambda v: g.adj[v])
+            on_cycle += w is not None
+            if first is None:
+                first = even_cycle_through(root, k, lambda ids: table[ids], g.n)
+        # the exhaustive search takes neighbours in ascending order
+        assert first == find_even_cycle(g, k)
+    assert on_cycle > 0 or name == "gh e=0"
+
+
+@pytest.mark.parametrize("make_family,k", [
+    (lambda: plane_family(3), 2), (lambda: plane_family(3), 3),
+    (lambda: gq_family(1), 3), (lambda: gq_family(1), 4),
+    (lambda: gh_family(0, allow_small_e=True), 4),
+])
+def test_sampled_even_cycle_matches_dfs_reference(make_family, k):
+    pg = adg.PolarityGraph(*make_family())
+    for seed in range(3):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert _sampled_even_cycle(pg, k, 5, rng) == \
+            _reference_sampled_even_cycle(pg, k, 5, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def test_one_c10_root_at_q27_is_bounded():
+    code = textwrap.dedent("""
+        import random, resource, time
+        from polarpart import adg, verify
+        pg = adg.PolarityGraph(*adg.gh_family(1))
+        t0 = time.monotonic()
+        w = verify._sampled_even_cycle(pg, 5, 1, random.Random(0))
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(w is None, time.monotonic() - t0, peak_mb)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(polarpart.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout.split()
+    assert out[0] == "True"
+    assert float(out[1]) < 30.0
+    assert float(out[2]) < 500.0
+
+
+# -- golden report digests of the sampled protocol ----------------------------
+
+GOLDEN_SAMPLES = {"class_pair_samples": 2000, "full_sweeps": 20, "within_samples": 500,
+                  "degree_samples": 500, "cycle_roots": {2: 10, 3: 3, 4: 1, 5: 0}}
+# SHA-256 of the report bytes (as `cli` writes them) at seed 0, recorded
+# with the point-by-point protocol the bulk kernel replaced
+GOLDEN_DIGESTS = {
+    "intact": "6f045af679aa3f9dafa1661067f3993efc2f4f1b1b0c98486d8438f911490f92",
+    "unique_edge": "f751a6cdde6f2b97b680a138ab2bce823e2eb53e314820650a0ec07deda54c3c",
+    "class_members": "2b182fa866ce32fa4916a82f6b645e800e783ccd02ff059ff0992ef3a6473324",
+}
+
+
+def _tamper(monkeypatch, method):
+    """Break one closed form of the hexagon scheme, so that the report
+    carries first-failure witnesses."""
+    unique_edge, class_members = GHScheme.unique_edge, GHScheme.class_members
+
+    def bad_unique_edge(self, c1, c2):
+        out = unique_edge(self, c1, c2)
+        if c1 == c2 or c1 % 5:
+            return out
+        a, b = out
+        return a, b[:4] + ((b[4] + 1) % self.q,)
+
+    def bad_class_members(self, cid):
+        return class_members(self, (cid + 1) % self.r)
+
+    if method == "unique_edge":
+        monkeypatch.setattr(GHScheme, "unique_edge", bad_unique_edge)
+    elif method == "class_members":
+        monkeypatch.setattr(GHScheme, "class_members", bad_class_members)
+
+
+@pytest.mark.parametrize("tamper", sorted(GOLDEN_DIGESTS))
+def test_sampled_report_golden_digest(tamper, monkeypatch):
+    monkeypatch.setattr(verify, "SAMPLED_INCIDENCES", 2000)
+    monkeypatch.setattr(verify, "SAMPLED_SYMMETRY", 500)
+    _tamper(monkeypatch, tamper)
+    rep = verify_family("gh", e=1, mode="sampled", seed=0, **GOLDEN_SAMPLES)
+    text = json.dumps(rep, indent=2, sort_keys=True, default=_jsonable) + "\n"
+    assert rep["ok"] == (tamper == "intact")
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[tamper]
