@@ -470,6 +470,12 @@ class PolarityGraph:
         rv = self.spec.point_on_bulk(lv, np.arange(ctx.order, dtype=np.int16)[None, :])
         return rv, ~_rows_equal(rv, [c[:, None] for c in pvals])
 
+    def neighbor_ids(self, ids):
+        """neighbors_bulk on int ids: the (N, q) neighbour ids, by ascending
+        first coordinate, with -1 where that point is the vertex itself."""
+        rv, not_self = self.neighbors_bulk(self.spec.ids_to_coords(ids))
+        return _np().where(not_self, self.spec.coords_to_ids(rv), -1)
+
     def absolute_ids(self, chunk=1 << 20):
         """Sorted int64 ids of every absolute point, by an exact scan (cached).
 
@@ -507,7 +513,11 @@ class PolarityGraph:
         def is_loop(v):
             return self.is_absolute(spec.id_to_coords(v))
 
-        return ImplicitGraph(self.n, neighbors, is_loop)
+        def arrays():
+            return self.neighbor_ids(_np().arange(self.n)), self.absolute_ids()
+
+        return ImplicitGraph(self.n, neighbors, is_loop,
+                             arrays if has_tables(spec.ctx) else None)
 
     def absolute_points(self):
         """Exhaustive absolute-point scan; only sensible when n is small."""

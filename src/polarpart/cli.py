@@ -35,7 +35,6 @@ class RunConfig:
     e: int | None
     mode: str | None
     seed: int
-    workers: int
     out: str
     spec_path: str | None
     edges_path: str | None
@@ -59,8 +58,6 @@ def _parser():
         sp.add_argument("--mode", choices=("exhaustive", "sampled"),
                         help="verification mode; default picks by instance size")
         sp.add_argument("--seed", type=int, default=0, help="seed for all sampling")
-        sp.add_argument("--workers", type=int, default=1,
-                        help="worker count flag; execution is currently single-process")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--spec", dest="spec_path", help="JSON spec file (generic family)")
         sp.add_argument("--override-small-e", action="store_true",
@@ -89,7 +86,6 @@ def _config(args) -> RunConfig:
         e=getattr(args, "e", None),
         mode=getattr(args, "mode", None),
         seed=args.seed,
-        workers=getattr(args, "workers", 1),
         out=args.out,
         spec_path=getattr(args, "spec_path", None),
         edges_path=getattr(args, "edges_path", None),
@@ -255,9 +251,6 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     cfg = _config(args)
-    if cfg.workers < 1:
-        print("workers must be >= 1", file=sys.stderr)
-        return 2
     os.makedirs(cfg.out, exist_ok=True)
     try:
         return COMMANDS[cfg.subcommand](cfg)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 
 class Graph:
@@ -26,6 +27,8 @@ class Graph:
         self.adj = [sorted(neigh) for neigh in adjacency]
         self.loops = frozenset(loops)
         for v, neigh in enumerate(self.adj):
+            if neigh and not (0 <= neigh[0] and neigh[-1] < n):
+                raise ValueError(f"neighbor of vertex {v} out of range 0..{n - 1}")
             if len(set(neigh)) != len(neigh):
                 raise ValueError(f"duplicate neighbor at vertex {v}")
             if v in neigh:
@@ -105,23 +108,29 @@ class ImplicitGraph:
 
     neighbors(v) must yield each neighbor of v exactly once, never v
     itself, and be symmetric as a relation.  Vertices are ints 0..n-1.
+    The optional array rule `arrays()` gives the same graph at once: an
+    (n, d) numpy array of neighbour ids, -1 where absent, and the loop ids.
     """
 
-    def __init__(self, n, neighbors, is_loop=None):
+    def __init__(self, n, neighbors, is_loop=None, arrays=None):
         self.n = n
         self.neighbors = neighbors
         self.is_loop = is_loop or (lambda v: False)
+        self.arrays = arrays
 
 
 def materialize(ig: ImplicitGraph, limit: int) -> Graph:
-    """Expand an implicit graph, asserting symmetry along the way."""
+    """Expand an implicit graph (by its array rule when it has one),
+    asserting symmetry along the way."""
     if ig.n > limit:
         raise ValueError(f"{ig.n} vertices exceed materialization ceiling {limit}")
-    adjacency = []
-    for v in range(ig.n):
-        neigh = sorted(ig.neighbors(v))
-        adjacency.append(neigh)
-    loops = [v for v in range(ig.n) if ig.is_loop(v)]
+    if ig.arrays is None:
+        adjacency = [ig.neighbors(v) for v in range(ig.n)]
+        loops = [v for v in range(ig.n) if ig.is_loop(v)]
+    else:
+        nb, loops = ig.arrays()
+        adjacency = [[u for u in row if u >= 0] for row in nb.tolist()]
+        loops = loops.tolist()
     g = Graph(ig.n, adjacency, loops)
     g.check_symmetric()
     return g
@@ -198,23 +207,72 @@ def pair_edge_matrix(g: Graph, part: Partition) -> PairEdgeMatrix:
 # cycles
 # ---------------------------------------------------------------------------
 
-def contains_C4(g: Graph):
-    """4-cycle witness via common-neighbor counting, or None.
+# length-2 paths encoded at a time by contains_C4
+PAIR_CHUNK = 1 << 20
 
-    A C4 exists iff some vertex pair has two common neighbors; scanning
-    the length-2 paths through every middle vertex finds it.
+
+def _pair_codes(g: Graph, dtype):
+    """(mids, codes) blocks covering every length-2 path a - mid - b, a < b.
+
+    codes[r, c] = a * n + b for the c-th neighbour pair of mids[r], pairs
+    in np.triu_indices order (lexicographic in positions); mids of one
+    degree go together, at most PAIR_CHUNK codes per block.
     """
-    seen = {}
-    for mid in range(g.n):
-        neigh = g.adj[mid]
-        for i in range(len(neigh)):
-            for j in range(i + 1, len(neigh)):
-                pair = (neigh[i], neigh[j])
-                other = seen.get(pair)
-                if other is not None and other != mid:
-                    return (pair[0], other, pair[1], mid)
-                seen[pair] = mid
-    return None
+    import numpy as np
+
+    deg = np.fromiter(map(len, g.adj), dtype=np.int64, count=g.n)
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    indices = np.fromiter(chain.from_iterable(g.adj), dtype=dtype, count=int(indptr[-1]))
+    for d in np.unique(deg[deg >= 2]):
+        mids = np.flatnonzero(deg == d)
+        iu, ju = np.triu_indices(d, 1)
+        rows = max(1, PAIR_CHUNK // len(iu))
+        for lo in range(0, len(mids), rows):
+            block = mids[lo:lo + rows]
+            nb = indices[indptr[block][:, None] + np.arange(d)]
+            yield block, nb[:, iu] * dtype(g.n) + nb[:, ju]
+
+
+def contains_C4(g: Graph):
+    """4-cycle witness via common-neighbour counting, or None.
+
+    A C4 exists iff some vertex pair has two common neighbours, i.e. iff
+    two length-2 paths share their end pair.  Every path is encoded as the
+    int pair code a * n + b (int32 while n * n fits) in one array, which is
+    sorted in place: a C4 exists iff two codes are equal.
+
+    The witness is (a, first_mid, b, second_mid) for the pair whose second
+    path comes first when mids ascend and each mid's pairs run in
+    lexicographic order, rebuilt from the paths whose code repeats.
+    """
+    import numpy as np
+
+    dtype = np.int32 if g.n * g.n < 2 ** 31 else np.int64
+    total = sum(len(a) * (len(a) - 1) // 2 for a in g.adj)
+    codes = np.empty(total, dtype=dtype)
+    pos = 0
+    for _, block in _pair_codes(g, dtype):
+        codes[pos:pos + block.size] = block.ravel()
+        pos += block.size
+    codes.sort()
+    repeated = np.unique(codes[1:][codes[1:] == codes[:-1]])
+    del codes
+    if not len(repeated):
+        return None
+    mids, cols, found = [], [], []
+    for block_mids, block in _pair_codes(g, dtype):
+        rows, c = np.nonzero(np.isin(block, repeated))
+        mids.append(block_mids[rows])
+        cols.append(c)
+        found.append(block[rows, c])
+    mids, cols, found = (np.concatenate(x) for x in (mids, cols, found))
+    order = np.lexsort((cols, mids, found))  # by code, then scan order
+    mids, cols, found = mids[order], cols[order], found[order]
+    first = np.searchsorted(found, found)
+    later = np.flatnonzero(first != np.arange(len(found)))
+    j = later[np.lexsort((cols[later], mids[later]))[0]]
+    a, b = divmod(int(found[j]), g.n)
+    return (a, int(mids[first[j]]), b, int(mids[j]))
 
 
 def find_even_cycle(g: Graph, k: int):
@@ -383,17 +441,46 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(what, i, ln, fields, count):
+    """`count` integers from a line's fields, else ValueError naming the line."""
+    try:
+        vals = [int(x) for x in fields]
+    except ValueError:
+        vals = []
+    if len(vals) != count:
+        raise ValueError(f"{what} line {i}: expected {count} integers: {ln!r}")
+    return vals
+
+
 def read_edge_list(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    n, m, nloops = map(int, lines[0].split())
-    edges = []
-    loops = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "L":
-            loops.append(int(parts[1]))
+    """Parse write_edge_list's format strictly: every vertex in 0..n-1, no
+    repeated edge or loop line, and the header's counts match the body."""
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines:
+        raise ValueError("edge list is empty")
+    i, ln = lines[0]
+    n, m, nloops = _ints("edge list", i, ln, ln.split(), 3)
+    edges, loops, seen = [], [], set()
+    for i, ln in lines[1:]:
+        fields = ln.split()
+        if fields[0] == "L":
+            vs = _ints("edge list", i, ln, fields[1:], 1)
+            key = ("L", vs[0])
         else:
-            edges.append((int(parts[0]), int(parts[1])))
+            vs = _ints("edge list", i, ln, fields, 2)
+            key = (min(vs), max(vs))
+            if vs[0] == vs[1]:
+                raise ValueError(f"edge list line {i}: loop written as an edge: {ln!r}")
+        for v in vs:
+            if not 0 <= v < n:
+                raise ValueError(f"edge list line {i}: vertex {v} outside 0..{n - 1}: {ln!r}")
+        if key in seen:
+            raise ValueError(f"edge list line {i}: repeated: {ln!r}")
+        seen.add(key)
+        if fields[0] == "L":
+            loops.append(vs[0])
+        else:
+            edges.append(key)
     if len(edges) != m or len(loops) != nloops:
         raise ValueError("edge list header does not match body")
     return Graph.from_edges(n, edges, loops)
@@ -406,10 +493,21 @@ def write_partition(part: Partition) -> str:
 
 
 def read_partition(text: str) -> Partition:
-    pairs = {}
-    for ln in text.splitlines():
+    """Parse write_partition's format strictly: each vertex of 0..N-1 on
+    exactly one line, N the number of lines, classes non-negative."""
+    class_of, line_of = {}, {}
+    for i, ln in enumerate(text.splitlines(), 1):
         if ln.strip():
-            v, c = map(int, ln.split())
-            pairs[v] = c
-    class_of = [pairs[v] for v in range(len(pairs))]
-    return Partition(class_of, max(class_of) + 1)
+            v, c = _ints("partition", i, ln, ln.split(), 2)
+            if v in class_of:
+                raise ValueError(f"partition line {i}: vertex {v} already on line {line_of[v]}: {ln!r}")
+            if c < 0:
+                raise ValueError(f"partition line {i}: negative class: {ln!r}")
+            class_of[v], line_of[v] = c, i
+    if not class_of:
+        raise ValueError("partition is empty")
+    n = len(class_of)
+    for v, i in line_of.items():
+        if not 0 <= v < n:
+            raise ValueError(f"partition line {i}: vertex {v} outside 0..{n - 1} ({n} lines)")
+    return Partition([class_of[v] for v in range(n)], max(class_of.values()) + 1)

@@ -476,8 +476,7 @@ def _sampled_even_cycle(pg: adg.PolarityGraph, k, num_roots, rng):
 
     def neighbors(ids):
         # descending first coordinate: the order a stack-based DFS pops them
-        rv, not_self = pg.neighbors_bulk(spec.ids_to_coords(ids))
-        return adg._np().where(not_self, spec.coords_to_ids(rv), -1)[:, ::-1]
+        return pg.neighbor_ids(ids)[:, ::-1]
 
     for _ in range(num_roots):
         root = tuple(rng.randrange(q) for _ in range(m))

@@ -17,7 +17,9 @@ from polarpart.adg import (
     gh_original_family, gq_family, mul, plane_family, powi, sub, var_l, var_p,
 )
 from polarpart.gf import make_field
-from polarpart.graphs import degree_multiset, edge_count, loop_count, materialize
+from polarpart.graphs import (
+    ImplicitGraph, degree_multiset, edge_count, loop_count, materialize,
+)
 
 
 def test_expr_json_round_trip():
@@ -391,6 +393,27 @@ def test_incident_bulk_matches_scalar(family):
     scalar = [spec.incident(p, lv_) for p, lv_ in zip(points, lines)]
     assert bulk == scalar
     assert True in scalar and False in scalar
+
+
+@pytest.mark.parametrize("name,make_family", [
+    ("plane q=2", lambda: plane_family(2)),
+    ("plane q=3", lambda: plane_family(3)),
+    ("gq e=1", lambda: gq_family(1)),
+    ("gh e=0", lambda: gh_family(0, allow_small_e=True)),
+])
+def test_materialize_by_array_rule_matches_scalar_rule(name, make_family):
+    spec, pol = make_family()
+    ig = adg.PolarityGraph(spec, pol).implicit()
+    assert ig.arrays is not None
+    bulk = materialize(ig, ig.n)
+    scalar = materialize(ImplicitGraph(ig.n, ig.neighbors, ig.is_loop), ig.n)
+    assert bulk.adj == scalar.adj
+    assert bulk.loops == scalar.loops and len(bulk.loops) > 0
+
+
+def test_implicit_without_tables_has_no_array_rule():
+    spec, pol = plane_family(23)  # GF(529) is above the table limit
+    assert adg.PolarityGraph(spec, pol).implicit().arrays is None
 
 
 def test_absolute_ids_match_scalar_scan():

@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 
@@ -57,6 +58,53 @@ def test_verify_tampered_edge_list(tmp_path, capsys):
     assert "missing_pair" in out
 
 
+# sha256 of the report and its C4 witness, recorded before contains_C4
+# ran on sorted pair codes
+TAMPERED_C4_GOLDEN = {
+    2: ("0b6394e757ba4d730d22a089d7e0cd6864ed3269e68e084e2e96caf2eb990a5c", [0, 1, 5, 4]),
+    3: ("651283f3eb92ee60e46b741f97a598ee83788150fb9d6d7a7b2eaf69784751b3", [0, 1, 20, 9]),
+}
+
+
+@pytest.mark.parametrize("q", sorted(TAMPERED_C4_GOLDEN))
+def test_verify_edge_list_with_a_c4_closing_edge(tmp_path, q):
+    assert run(["build", "plane", "--q", str(q), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / f"plane_q{q}.edges").read_text().splitlines()
+    n, m, nl = lines[0].split()
+    edges = [ln for ln in lines[1:] if not ln.startswith("L")]
+    assert "0 1" not in edges  # 0 and 1 are at distance 2
+    tampered = tmp_path / "tampered.edges"
+    tampered.write_text("\n".join([f"{n} {int(m) + 1} {nl}", "0 1"] + lines[1:]) + "\n")
+    rc = run(["verify", "plane", "--q", str(q), "--edges", str(tampered),
+              "--out", str(tmp_path)])
+    assert rc == 1
+    text = (tmp_path / f"plane_q{q}.report.json").read_bytes()
+    digest, witness = TAMPERED_C4_GOLDEN[q]
+    report = json.loads(text)
+    assert report["cycles"] == {"C4": "fail"}
+    assert ["C4", witness] in report["witnesses"]
+    assert hashlib.sha256(text).hexdigest() == digest
+
+
+@pytest.mark.parametrize("edges,partition", [
+    ("3 1 0\n0 5\n", None),
+    ("3 1 0\n-1 1\n", None),
+    ("3 2 0\n0 1\n0 1\n", None),
+    (None, "0 0\n2 1\n"),
+    (None, "0 0\n1 0\n1 1\n"),
+])
+def test_verify_malformed_input_exits_2(tmp_path, capsys, edges, partition):
+    args = ["verify", "plane", "--q", "2", "--out", str(tmp_path)]
+    if edges is not None:
+        (tmp_path / "bad.edges").write_text(edges)
+        args += ["--edges", str(tmp_path / "bad.edges")]
+    if partition is not None:
+        (tmp_path / "bad.partition").write_text(partition)
+        args += ["--partition", str(tmp_path / "bad.partition")]
+    assert run(args) == 2
+    assert "line" in capsys.readouterr().err
+
+
 def test_oracle_c4(tmp_path, capsys):
     edges = tmp_path / "c4.txt"
     edges.write_text("4 4 0\n0 1\n1 2\n2 3\n0 3\n")
@@ -112,11 +160,6 @@ def test_generic_spec_roundtrip(tmp_path):
     report = json.loads((tmp_path / "generic.report.json").read_text())
     assert report["verdicts"]["optimally_complete"]
     assert report["partition"]["r"] == 8
-
-
-def test_workers_validation(tmp_path):
-    assert run(["report", "plane", "--q", "2", "--workers", "0",
-                "--out", str(tmp_path)]) == 2
 
 
 def test_small_e_override_flow(tmp_path):

@@ -10,12 +10,29 @@ import random
 import networkx as nx
 import pytest
 
+from polarpart import graphs
 from polarpart.graphs import (
     Graph, ImplicitGraph, Partition, contains_C4, degree, edge_count,
     even_cycle_free_upto, find_even_cycle, girth, loop_count, materialize,
     pair_edge_matrix, read_edge_list, read_partition, write_edge_list,
     write_partition,
 )
+
+
+def _reference_contains_C4(g):
+    """The scalar C4 check that contains_C4 replaced: every length-2 path
+    goes into a dict keyed by its end pair; the first repeat is a C4."""
+    seen = {}
+    for mid in range(g.n):
+        neigh = g.adj[mid]
+        for i in range(len(neigh)):
+            for j in range(i + 1, len(neigh)):
+                pair = (neigh[i], neigh[j])
+                other = seen.get(pair)
+                if other is not None and other != mid:
+                    return (pair[0], other, pair[1], mid)
+                seen[pair] = mid
+    return None
 
 
 def cycle_graph(n):
@@ -53,6 +70,56 @@ def test_k22_contains_c4():
     a, b, c, d = w
     for u, v in ((a, b), (b, c), (c, d), (d, a)):
         assert g.has_edge(u, v)
+
+
+def test_contains_c4_witness_matches_scalar_reference():
+    k23 = Graph.from_edges(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
+    # C4s on pairs (5, 6) via mids 0, 1 and (0, 1) via mids 5, 6, plus
+    # (2, 3) via mids 4, 7: the first repeat in scan order is code 5*8+6,
+    # not the smallest repeated code 0*8+1
+    several = Graph.from_edges(8, [(0, 5), (0, 6), (1, 5), (1, 6),
+                                   (4, 2), (4, 3), (7, 2), (7, 3)])
+    # isolated vertices 0 and 7, degree-1 vertex 6, a C4 on 1..4 and a tail
+    sparse = Graph.from_edges(8, [(1, 2), (2, 3), (3, 4), (4, 1), (4, 5), (5, 6)])
+    # mixed degrees: a hub of degree 5 over a triangle and a path, a lone edge
+    mixed = Graph.from_edges(9, [(0, v) for v in range(1, 6)]
+                             + [(1, 2), (2, 3), (3, 1), (4, 6), (6, 5), (7, 8)])
+    cases = {
+        "k22": (Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)]), (2, 0, 3, 1)),
+        "k23": (k23, (2, 0, 3, 1)),
+        "several": (several, (5, 0, 6, 1)),
+        "sparse": (sparse, (2, 1, 4, 3)),
+        "mixed": (mixed, (2, 0, 3, 1)),
+        "path": (path_graph(5), None),
+        "edgeless": (Graph(3, [[], [], []]), None),
+        "c6": (cycle_graph(6), None),
+    }
+    for name, (g, expected) in cases.items():
+        assert contains_C4(g) == _reference_contains_C4(g) == expected, name
+
+
+def test_contains_c4_matches_scalar_reference_on_random_graphs(monkeypatch):
+    rng = random.Random(7)
+    graphs_ = [seeded_gnp(rng.randrange(1, 30), rng.uniform(0.02, 0.4), seed=t)
+               for t in range(300)]
+    expected = [_reference_contains_C4(g) for g in graphs_]
+    assert sum(w is None for w in expected) > 30
+    assert sum(w is not None for w in expected) > 30
+    assert [contains_C4(g) for g in graphs_] == expected
+    monkeypatch.setattr(graphs, "PAIR_CHUNK", 3)  # many blocks per degree
+    assert [contains_C4(g) for g in graphs_] == expected
+
+
+def test_contains_c4_wide_codes():
+    # n * n >= 2**31: the pair codes are int64
+    n = 50_000
+    adjacency = [[] for _ in range(n)]
+    for u, v in ((49_990, 49_992), (49_990, 49_993), (49_991, 49_992),
+                 (49_991, 49_993), (10, 49_999)):
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    g = Graph(n, adjacency)
+    assert contains_C4(g) == _reference_contains_C4(g) == (49_992, 49_990, 49_993, 49_991)
 
 
 def test_c6_detection_and_kmax_window():
@@ -176,6 +243,12 @@ def test_graph_rejects_adjacency_loop():
         Graph(2, [[0, 1], [0]])
 
 
+def test_graph_rejects_neighbor_out_of_range():
+    for adjacency in ([[2], []], [[-1], []], [[1, 5], [0]]):
+        with pytest.raises(ValueError, match="out of range"):
+            Graph(2, adjacency)
+
+
 def test_edge_list_round_trip():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 4)], loops=[2, 3])
     text = write_edge_list(g)
@@ -188,6 +261,42 @@ def test_edge_list_round_trip():
 def test_edge_list_header_mismatch():
     with pytest.raises(ValueError):
         read_edge_list("2 1 0\n")
+
+
+MALFORMED_EDGE_LISTS = {
+    "endpoint past n": ("3 1 0\n0 5\n", "line 2"),
+    "negative endpoint": ("3 1 0\n-1 1\n", "line 2"),
+    "repeated edge": ("3 2 0\n0 1\n0 1\n", "line 3"),
+    "repeated reversed edge": ("3 2 0\n0 1\n\n1 0\n", "line 4"),
+    "loop written as an edge": ("3 1 0\n1 1\n", "line 2"),
+    "loop vertex past n": ("3 0 1\nL 3\n", "line 2"),
+    "repeated loop": ("3 0 2\nL 1\nL 1\n", "line 3"),
+    "three fields": ("3 1 0\n0 1 2\n", "line 2"),
+    "not a number": ("3 1 0\n0 x\n", "line 2"),
+    "short header": ("3 1\n0 1\n", "line 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_EDGE_LISTS))
+def test_edge_list_rejects_malformed_line(name):
+    text, where = MALFORMED_EDGE_LISTS[name]
+    with pytest.raises(ValueError, match=where):
+        read_edge_list(text)
+
+
+MALFORMED_PARTITIONS = {
+    "vertex past the line count": ("0 0\n2 1\n", "line 2"),
+    "repeated vertex": ("0 0\n1 0\n1 1\n", "line 3"),
+    "negative class": ("0 0\n1 -1\n", "line 2"),
+    "one field": ("0 0\n1\n", "line 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_PARTITIONS))
+def test_partition_rejects_malformed_line(name):
+    text, where = MALFORMED_PARTITIONS[name]
+    with pytest.raises(ValueError, match=where):
+        read_partition(text)
 
 
 def test_partition_round_trip():
