@@ -94,10 +94,6 @@ def compile_expr(e, ctx: FieldCtx):
     return lambda lv, pv: o(f(lv, pv), g(lv, pv))
 
 
-def eval_expr(e, ctx, lvals, pvals):
-    return compile_expr(e, ctx)(lvals, pvals)
-
-
 def max_var_index(e):
     if e[0] == "var":
         return e[2]
@@ -318,28 +314,21 @@ class PolarityCheck:
         }
 
 
-# Fewer incidences than this are checked point by point: that takes well
-# under a second, and loading numpy for it would cost more memory than the
-# check itself uses.
-BULK_MIN_INCIDENCES = 1 << 16
-
-
 def check_polarity(spec: ADGSpec, pol: PolaritySpec, mode="exhaustive",
                    samples=100_000, seed=0) -> PolarityCheck:
     """Verify pi swaps sides, squares to the identity, preserves adjacency.
 
     Exhaustive mode walks every point and every incidence; sampled mode
-    draws `samples` random incidences with the given seed.  Checks of at
-    least BULK_MIN_INCIDENCES incidences over a table-backed field run on
-    the bulk kernel; both paths report the same witness.
+    draws `samples` random incidences with the given seed.  Checks over a
+    table-backed field run on the bulk kernel, others point by point; both
+    paths report the same witness.
     """
     m = spec.m
     if len(pol.point_to_line) != m or len(pol.line_to_point) != m:
         raise ValueError("polarity dimension mismatch")
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    incidences = samples if mode == "sampled" else spec.side_size * spec.ctx.order
-    if has_tables(spec.ctx) and incidences >= BULK_MIN_INCIDENCES:
+    if has_tables(spec.ctx):
         return _check_polarity_bulk(spec, pol, mode, samples, seed)
     return _check_polarity_scalar(spec, pol, mode, samples, seed)
 

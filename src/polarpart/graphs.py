@@ -52,11 +52,17 @@ class Graph:
         return cls(n, adjacency, loops)
 
     def check_symmetric(self):
-        adjsets = [set(a) for a in self.adj]
-        for v, neigh in enumerate(self.adj):
-            for u in neigh:
-                if v not in adjsets[u]:
-                    raise ValueError(f"asymmetric edge ({v}, {u})")
+        """Raise on the first arc (v, u), v then u ascending, without (u, v)."""
+        import numpy as np
+
+        dtype = np.int32 if self.n * self.n < 2 ** 31 else np.int64
+        deg, _, heads = _csr(self, dtype)
+        tails = np.repeat(np.arange(self.n, dtype=dtype), deg)
+        arcs = tails * dtype(self.n) + heads  # ascending: rows are sorted
+        back = heads * dtype(self.n) + tails
+        if not np.array_equal(arcs, np.sort(back)):
+            i = int(np.isin(back, arcs, invert=True).argmax())
+            raise ValueError(f"asymmetric edge ({tails[i]}, {heads[i]})")
 
     def edges(self):
         for u, neigh in enumerate(self.adj):
@@ -211,6 +217,16 @@ def pair_edge_matrix(g: Graph, part: Partition) -> PairEdgeMatrix:
 PAIR_CHUNK = 1 << 20
 
 
+def _csr(g: Graph, dtype):
+    """(deg, indptr, indices): g.adj as CSR arrays, neighbour ids of `dtype`."""
+    import numpy as np
+
+    deg = np.fromiter(map(len, g.adj), dtype=np.int64, count=g.n)
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    indices = np.fromiter(chain.from_iterable(g.adj), dtype=dtype, count=int(indptr[-1]))
+    return deg, indptr, indices
+
+
 def _pair_codes(g: Graph, dtype):
     """(mids, codes) blocks covering every length-2 path a - mid - b, a < b.
 
@@ -220,9 +236,7 @@ def _pair_codes(g: Graph, dtype):
     """
     import numpy as np
 
-    deg = np.fromiter(map(len, g.adj), dtype=np.int64, count=g.n)
-    indptr = np.concatenate(([0], np.cumsum(deg)))
-    indices = np.fromiter(chain.from_iterable(g.adj), dtype=dtype, count=int(indptr[-1]))
+    deg, indptr, indices = _csr(g, dtype)
     for d in np.unique(deg[deg >= 2]):
         mids = np.flatnonzero(deg == d)
         iu, ju = np.triu_indices(d, 1)
@@ -276,62 +290,46 @@ def contains_C4(g: Graph):
 
 
 def find_even_cycle(g: Graph, k: int):
-    """Witness cycle of length exactly 2k, or None.
+    """Witness cycle of length exactly 2k, or None: even_cycle from every
+    root, on the adjacency as a padded table (ascending rows)."""
+    import numpy as np
 
-    Meets in the middle: a 2k-cycle is two internally disjoint length-k
-    paths between an antipodal vertex pair, so all simple length-k paths
-    from each root are enumerated and grouped by endpoint.  Deterministic:
-    roots ascend and neighbor lists are sorted, so the witness is stable.
-    """
-    if k < 2:
-        raise ValueError("cycle length below 4")
-    adj = g.adj
-    for root in range(g.n):
-        by_end = {}
-        # iterative DFS over simple paths of length k starting at root
-        stack = [(root, (root,))]
-        while stack:
-            v, path = stack.pop()
-            if len(path) == k + 1:
-                inner = path[1:-1]
-                bucket = by_end.setdefault(v, [])
-                for other in bucket:
-                    if not set(inner) & set(other):
-                        # other was recorded reversed-ready: both run root -> v
-                        return path + tuple(reversed(other))
-                bucket.append(inner)
-                continue
-            for u in reversed(adj[v]):
-                if u not in path:
-                    stack.append((u, path + (u,)))
-    return None
+    deg, _, indices = _csr(g, np.int64)
+    table = np.full((g.n, int(deg.max(initial=0))), -1, dtype=np.int64)
+    table[np.arange(table.shape[1]) < deg[:, None]] = indices
+    hit = even_cycle(np.arange(g.n), k, lambda ids: table[ids], g.n)
+    return None if hit is None else hit[1]
 
 
-# parents expanded at a time in the last layer of even_cycle_through
+# final-layer walks per root block of even_cycle; parents expanded at a
+# time in its last layer
 LAYER_CHUNK = 1 << 15
 
 
-def even_cycle_through(root, k, neighbors, n):
-    """Witness 2k-cycle through `root`, or None, by layered walk collision.
+def even_cycle(roots, k, neighbors, n):
+    """(i, witness) for the first roots[i] on a 2k-cycle, or None.
 
-    `neighbors(ids)` maps an int array of N vertex ids to an (N, d) array
-    of neighbour ids, -1 where absent.  Simple length-k walks from the
-    root are built one layer at a time (the last layer LAYER_CHUNK parents
-    at a time, as endpoint and parent-index arrays); walks sharing an
-    endpoint are grouped by sorting, and two of them close a 2k-cycle when
-    their interiors are disjoint (meet in the middle, after Yuster & Zwick,
-    "Finding even cycles even faster", 1997).
-
-    The witness is the one a depth-first search taking neighbours in
-    column order reports first: the earliest walk that closes with an
-    earlier one, followed by the reversed interior of the earliest such
-    partner.  Ids and parent indices are int32 while n allows it.
+    `neighbors(ids)` maps N vertex ids to an (N, d) array of neighbour ids,
+    -1 where absent.  Roots go in blocks of LAYER_CHUNK // d**k; a block's
+    simple length-k walks are built layer by layer (the last layer
+    LAYER_CHUNK parents at a time), grouped by root position and endpoint,
+    and two walks of a group close a 2k-cycle when their interiors are
+    disjoint (meet in the middle, after Yuster & Zwick, "Finding even
+    cycles even faster", 1997).  Walks are numbered root by root, each
+    root's in depth-first order over columns, so the earliest walk that
+    closes with an earlier one, plus the reversed interior of its earliest
+    partner, is the depth-first witness from the first root on a cycle.
     """
     import numpy as np
 
     if k < 2:
         raise ValueError("cycle length below 4")
-    dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    dtype = np.int32 if n < 2 ** 31 else np.int64
+    roots = np.asarray(roots, dtype=dtype)
+    if not len(roots):
+        return None
+    width = neighbors(roots[:1]).shape[1]
+    size = max(1, LAYER_CHUNK // max(width, 1) ** k)
 
     def step(paths):
         """(parent row, neighbour id) of every simple one-step extension."""
@@ -342,43 +340,49 @@ def even_cycle_through(root, k, neighbors, n):
         rows, cols = np.nonzero(keep)
         return rows, nb[rows, cols]
 
-    paths = np.array([[root]], dtype=dtype)  # one row per walk: root..tip
-    for _ in range(k - 1):
-        rows, tips = step(paths)
-        paths = np.column_stack([paths[rows], tips])
-    if not len(paths):
-        return None
-    ends, parents = [], []
-    for lo in range(0, len(paths), LAYER_CHUNK):
-        rows, tips = step(paths[lo:lo + LAYER_CHUNK])
-        ends.append(tips)
-        parents.append((rows + lo).astype(dtype))
-    ends = np.concatenate(ends)
-    parents = np.concatenate(parents)
+    for first in range(0, len(roots), size):
+        paths = roots[first:first + size, None]  # one row per walk: root..tip
+        pos = np.arange(len(paths), dtype=dtype)  # each walk's root position
+        key_dtype = np.int32 if len(paths) * n < 2 ** 31 else np.int64
+        for _ in range(k - 1):
+            rows, tips = step(paths)
+            paths, pos = np.column_stack([paths[rows], tips]), pos[rows]
+        if not len(paths):
+            continue
+        keys, parents = [], []  # keys: root position * n + endpoint
+        for lo in range(0, len(paths), LAYER_CHUNK):
+            rows, tips = step(paths[lo:lo + LAYER_CHUNK])
+            rows += lo
+            keys.append(pos[rows].astype(key_dtype) * key_dtype(n) + tips)
+            parents.append(rows.astype(dtype))
+        keys = np.concatenate(keys)
+        parents = np.concatenate(parents)
 
-    sorted_ends = np.sort(ends)
-    shared = sorted_ends[1:][sorted_ends[1:] == sorted_ends[:-1]]
-    del sorted_ends
-    if not len(shared):
-        return None
-    # walks whose endpoint is shared, grouped by endpoint, in walk order
-    walks = np.flatnonzero(np.isin(ends, shared))
-    walks = walks[np.argsort(ends[walks], kind="stable")]
-    group_start = np.searchsorted(ends[walks], ends[walks])
-    # pair every walk with each earlier walk of its group
-    earlier = np.arange(len(walks)) - group_start
-    later_pos = np.repeat(np.arange(len(walks)), earlier)
-    offset = np.arange(len(later_pos)) - np.repeat(np.cumsum(earlier) - earlier, earlier)
-    later, partner = walks[later_pos], walks[np.repeat(group_start, earlier) + offset]
-    inner_later = paths[parents[later], 1:]
-    inner_partner = paths[parents[partner], 1:]
-    meets = (inner_later[:, :, None] == inner_partner[:, None, :]).any(axis=(1, 2))
-    if meets.all():
-        return None
-    j = later[~meets].min()
-    i = partner[~meets & (later == j)].min()
-    walk = [int(v) for v in paths[parents[j]]] + [int(ends[j])]
-    return tuple(walk + [int(v) for v in paths[parents[i], :0:-1]])
+        sorted_keys = np.sort(keys)
+        shared = sorted_keys[1:][sorted_keys[1:] == sorted_keys[:-1]]
+        del sorted_keys
+        if not len(shared):
+            continue
+        # walks whose key is shared, grouped by key, in walk order
+        walks = np.flatnonzero(np.isin(keys, shared))
+        walks = walks[np.argsort(keys[walks], kind="stable")]
+        group_start = np.searchsorted(keys[walks], keys[walks])
+        # pair every walk with each earlier walk of its group
+        earlier = np.arange(len(walks)) - group_start
+        later_pos = np.repeat(np.arange(len(walks)), earlier)
+        offset = np.arange(len(later_pos)) - np.repeat(np.cumsum(earlier) - earlier, earlier)
+        later, partner = walks[later_pos], walks[np.repeat(group_start, earlier) + offset]
+        inner_later = paths[parents[later], 1:]
+        inner_partner = paths[parents[partner], 1:]
+        meets = (inner_later[:, :, None] == inner_partner[:, None, :]).any(axis=(1, 2))
+        if meets.all():
+            continue
+        j = later[~meets].min()
+        i = partner[~meets & (later == j)].min()
+        walk = [int(v) for v in paths[parents[j]]] + [int(keys[j]) % n]
+        walk += [int(v) for v in paths[parents[i], :0:-1]]
+        return first + int(pos[parents[j]]), tuple(walk)
+    return None
 
 
 def even_cycle_free_upto(g: Graph, kmax: int):

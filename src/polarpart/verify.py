@@ -16,7 +16,7 @@ from . import adg, partitions as parts
 from .gf import prime_power
 from .graphs import (
     Graph, Partition, contains_C4, degree, degree_multiset, edge_count,
-    even_cycle_free_upto, even_cycle_through, find_even_cycle, girth,
+    even_cycle, even_cycle_free_upto, find_even_cycle, girth,
     loop_count, materialize, pair_edge_matrix,
 )
 
@@ -478,12 +478,12 @@ def _sampled_even_cycle(pg: adg.PolarityGraph, k, num_roots, rng):
         # descending first coordinate: the order a stack-based DFS pops them
         return pg.neighbor_ids(ids)[:, ::-1]
 
-    for _ in range(num_roots):
-        root = tuple(rng.randrange(q) for _ in range(m))
-        w = even_cycle_through(spec.coords_to_id(root), k, neighbors, pg.n)
-        if w is not None:
-            return tuple(spec.id_to_coords(v) for v in w)
-    return None
+    roots, rewind = _predraw(rng, num_roots, lambda g: tuple(g.randrange(q) for _ in range(m)))
+    hit = even_cycle([spec.coords_to_id(r) for r in roots], k, neighbors, pg.n)
+    if hit is None:
+        return None
+    rewind(hit[0])
+    return tuple(spec.id_to_coords(v) for v in hit[1])
 
 
 def verify_family_sampled(family, *, e=None, seed=0,

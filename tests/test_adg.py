@@ -454,15 +454,15 @@ def test_check_polarity_bulk_matches_scalar_on_intact_polarity():
                 adg._check_polarity_scalar(spec, pol, mode, 500, 0)
 
 
-def test_check_polarity_picks_the_path_by_size(monkeypatch):
-    spec, pol = gq_family(1)  # 4096 incidences
+def test_check_polarity_takes_the_bulk_path_at_every_size(monkeypatch):
     calls = []
     monkeypatch.setattr(adg, "_check_polarity_bulk", lambda *a: calls.append("bulk"))
     monkeypatch.setattr(adg, "_check_polarity_scalar", lambda *a: calls.append("scalar"))
-    check_polarity(spec, pol, mode="exhaustive")
-    check_polarity(spec, pol, mode="sampled", samples=adg.BULK_MIN_INCIDENCES)
-    check_polarity(spec, pol, mode="sampled", samples=adg.BULK_MIN_INCIDENCES - 1)
-    assert calls == ["scalar", "bulk", "scalar"]
+    for spec, pol in (plane_family(2), gq_family(1)):  # 64 and 4096 incidences
+        check_polarity(spec, pol, mode="exhaustive")
+        for samples in (1, 1000, 1 << 16):
+            check_polarity(spec, pol, mode="sampled", samples=samples)
+    assert calls == ["bulk"] * 8
 
 
 def test_check_polarity_without_tables_runs_scalar():

@@ -236,6 +236,10 @@ def test_materialize_rejects_asymmetric_rule():
     ig = ImplicitGraph(2, lambda v: [1] if v == 0 else [])
     with pytest.raises(ValueError):
         materialize(ig, 10)
+    # even degree sum: the first arc (v, u) without (u, v), in (v, u) order
+    rows = {0: [1, 3], 1: [0, 2], 2: [], 3: [], 4: [2, 3]}
+    with pytest.raises(ValueError, match=r"^asymmetric edge \(0, 3\)$"):
+        materialize(ImplicitGraph(5, lambda v: rows[v]), 10)
 
 
 def test_graph_rejects_adjacency_loop():

@@ -8,15 +8,16 @@ import random
 import subprocess
 import sys
 import textwrap
+import types
 
 import pytest
 
 import polarpart
-from polarpart import adg, verify
+from polarpart import adg, graphs, verify
 from polarpart.adg import build_polarity_graph, gh_family, gq_family, plane_family
 from polarpart.cli import _jsonable
 from polarpart.graphs import (
-    Graph, Partition, edge_count, even_cycle_through, find_even_cycle, materialize,
+    Graph, Partition, edge_count, even_cycle, find_even_cycle, materialize,
 )
 from polarpart.partitions import GHScheme, GQScheme, PlaneScheme, scheme_partition
 from polarpart.verify import (
@@ -309,6 +310,16 @@ def _reference_dfs(root, k, neighbors):
     return None
 
 
+def _reference_find_even_cycle(g, k):
+    """The exhaustive search find_even_cycle replaced: the depth-first one
+    from every root in ascending order, neighbours popped in ascending order."""
+    for root in range(g.n):
+        w = _reference_dfs(root, k, lambda v: g.adj[v][::-1])
+        if w is not None:
+            return w
+    return None
+
+
 def _reference_sampled_even_cycle(pg, k, num_roots, rng):
     spec = pg.spec
     for _ in range(num_roots):
@@ -321,6 +332,23 @@ def _reference_sampled_even_cycle(pg, k, num_roots, rng):
 
 def _polarity_graph(spec, pol):
     return materialize(adg.PolarityGraph(spec, pol).implicit(), 10 ** 4)
+
+
+def _neighbor_table(g):
+    import numpy as np
+
+    table = np.full((g.n, max(len(a) for a in g.adj)), -1, dtype=np.int64)
+    for v, a in enumerate(g.adj):
+        table[v, :len(a)] = a
+    return table
+
+
+def _networkx_test_graphs():
+    """The random graphs of the networkx cross-check in test_graphs."""
+    rng = random.Random(42)
+    for trial in range(100):
+        n = rng.randrange(4, 21)
+        yield seeded_gnp(n, rng.uniform(0.1, 0.35), seed=trial)
 
 
 CYCLE_GRAPHS = {
@@ -337,21 +365,38 @@ def test_layered_cycle_search_matches_dfs_on_every_root(name):
     import numpy as np
 
     g = CYCLE_GRAPHS[name]()
-    table = np.full((g.n, max(len(a) for a in g.adj)), -1, dtype=np.int64)
-    for v, a in enumerate(g.adj):
-        table[v, :len(a)] = a
+    table = _neighbor_table(g)
+    descending = lambda ids: table[ids][:, ::-1]  # noqa: E731
     on_cycle = 0
     for k in (2, 3, 4):
         first = None
         for root in range(g.n):
-            w = even_cycle_through(root, k, lambda ids: table[ids][:, ::-1], g.n)
-            assert w == _reference_dfs(root, k, lambda v: g.adj[v])
+            hit = even_cycle([root], k, descending, g.n)
+            w = _reference_dfs(root, k, lambda v: g.adj[v])
+            assert hit == (None if w is None else (0, w))
             on_cycle += w is not None
-            if first is None:
-                first = even_cycle_through(root, k, lambda ids: table[ids], g.n)
-        # the exhaustive search takes neighbours in ascending order
-        assert first == find_even_cycle(g, k)
+            if first is None and w is not None:
+                first = (root, w)
+        # all roots at once, in blocks: the first root on a cycle, same witness
+        assert even_cycle(np.arange(g.n), k, descending, g.n) == first
     assert on_cycle > 0 or name == "gh e=0"
+
+
+@pytest.mark.parametrize("layer_chunk", [1, 50, graphs.LAYER_CHUNK])
+def test_find_even_cycle_matches_dfs_reference(layer_chunk, monkeypatch):
+    monkeypatch.setattr(graphs, "LAYER_CHUNK", layer_chunk)
+    later_block = 0
+    cases = [(g, k) for g in _networkx_test_graphs() for k in (2, 3, 4, 5)]
+    cases += [(make(), k) for make in CYCLE_GRAPHS.values() for k in (2, 3, 4)]
+    for g, k in cases:
+        w = _reference_find_even_cycle(g, k)
+        assert find_even_cycle(g, k) == w
+        if w is not None:  # witnesses start at their root
+            width = max(len(a) for a in g.adj)
+            later_block += w[0] >= max(1, layer_chunk // width ** k)
+    # small chunks split the roots into blocks, and some first cycle roots
+    # then lie past block 0
+    assert later_block > 0 or layer_chunk == graphs.LAYER_CHUNK
 
 
 @pytest.mark.parametrize("make_family,k", [
@@ -362,10 +407,47 @@ def test_layered_cycle_search_matches_dfs_on_every_root(name):
 def test_sampled_even_cycle_matches_dfs_reference(make_family, k):
     pg = adg.PolarityGraph(*make_family())
     for seed in range(3):
-        rng, ref_rng = random.Random(seed), random.Random(seed)
-        assert _sampled_even_cycle(pg, k, 5, rng) == \
-            _reference_sampled_even_cycle(pg, k, 5, ref_rng)
-        assert rng.getstate() == ref_rng.getstate()
+        for num_roots in (0, 5):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            assert _sampled_even_cycle(pg, k, num_roots, rng) == \
+                _reference_sampled_even_cycle(pg, k, num_roots, ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
+
+
+class _StoredPolarityGraph:
+    """A stored graph on q * q vertices behind the interface that
+    _sampled_even_cycle and its reference use (ids are base-q coordinate
+    pairs), so that sampled roots repeat and only some lie on a cycle."""
+
+    def __init__(self, g, q):
+        self.n, self.adj, self.table = g.n, g.adj, _neighbor_table(g)
+        self.spec = types.SimpleNamespace(
+            ctx=types.SimpleNamespace(order=q), m=2,
+            coords_to_id=lambda c: c[0] * q + c[1], id_to_coords=lambda v: divmod(v, q))
+
+    def neighbor_ids(self, ids):
+        return self.table[ids]
+
+    def neighbors_coords(self, coords):
+        return [self.spec.id_to_coords(u) for u in self.adj[self.spec.coords_to_id(coords)]]
+
+
+def test_sampled_even_cycle_with_repeated_roots():
+    q, num_roots = 4, 12
+    repeated_before_hit = 0
+    for seed in range(20):
+        pg = _StoredPolarityGraph(seeded_gnp(q * q, 0.2, seed=seed), q)
+        for k in (2, 3):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            w = _sampled_even_cycle(pg, k, num_roots, rng)
+            assert w == _reference_sampled_even_cycle(pg, k, num_roots, ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
+            if w is not None:
+                draw = random.Random(seed)
+                roots = [(draw.randrange(q), draw.randrange(q)) for _ in range(num_roots)]
+                i = roots.index(w[0])
+                repeated_before_hit += len(set(roots[:i])) < i
+    assert repeated_before_hit > 0
 
 
 def test_one_c10_root_at_q27_is_bounded():
