@@ -254,7 +254,16 @@ class ADGSpec:
             lv = self.id_to_coords(v - ns)
             return [self.coords_to_id(p) for p in self.neighbors_of_line(lv)]
 
-        return ImplicitGraph(2 * ns, neighbors)
+        def arrays():
+            np = _np()
+            coords = [c[:, None] for c in self.ids_to_coords(np.arange(ns))]
+            first = np.arange(self.ctx.order, dtype=np.int16)[None, :]
+            lines = ns + self.coords_to_ids(self.line_through_bulk(coords, first))
+            points = self.coords_to_ids(self.point_on_bulk(coords, first))
+            return np.concatenate([lines, points]), np.empty(0, dtype=np.int64)
+
+        return ImplicitGraph(2 * ns, neighbors,
+                             arrays=arrays if has_tables(self.ctx) else None)
 
 
 # -- polarities ---------------------------------------------------------------
@@ -677,6 +686,25 @@ def gh_family(e: int, allow_small_e=False):
     return spec, pol
 
 
+class CoordinateMap:
+    """A change of coordinates written per side as expression trees over
+    var_p: phi(side, coords) maps one tuple, phi.bulk(side, coords) maps
+    coordinate arrays (table-backed fields only)."""
+
+    def __init__(self, ctx: FieldCtx, points: tuple, lines: tuple):
+        self.ctx = ctx
+        self.exprs = {"P": points, "L": lines}
+        self._fns = {side: [compile_expr(e, ctx) for e in es] for side, es in self.exprs.items()}
+
+    def __call__(self, side, coords):
+        if side not in self._fns:
+            raise ValueError(f"side must be 'P' or 'L', got {side!r}")
+        return tuple(f((), coords) for f in self._fns[side])
+
+    def bulk(self, side, coords):
+        return [eval_expr_bulk(e, self.ctx, (), coords) for e in self.exprs[side]]
+
+
 def gh_original_family(q: int):
     """The hexagon system with the cross-term last equation, plus the
     change-of-coordinates phi onto gh_adjacency_spec(q).
@@ -695,22 +723,11 @@ def gh_original_family(q: int):
         mul(var_p(1), var_l(3)),
         sub(mul(var_p(2), var_l(3)), mul(var_p(3), var_l(2))),
     ))
-
-    def phi(side, coords):
-        c1, c2, c3, c4, c5 = coords
-        if side == "P":
-            return (
-                c1,
-                c2,
-                ctx.add(c3, ctx.mul(c1, c2)),
-                ctx.add(c4, ctx.add(ctx.mul(c1, c3), ctx.mul(ctx.mul(c1, c1), c2))),
-                ctx.add(ctx.neg(c5), ctx.sub(ctx.mul(ctx.mul(c2, c2), c1), ctx.mul(c2, c3))),
-            )
-        if side == "L":
-            return (c1, c2, c3, c4, ctx.add(ctx.neg(c5), ctx.mul(c2, c3)))
-        raise ValueError(f"side must be 'P' or 'L', got {side!r}")
-
-    return spec, phi
+    c1, c2, c3, c4, c5 = (var_p(i) for i in range(1, 6))
+    points = (c1, c2, add(c3, mul(c1, c2)), add(c4, add(mul(c1, c3), mul(mul(c1, c1), c2))),
+              add(neg(c5), sub(mul(mul(c2, c2), c1), mul(c2, c3))))
+    lines = (c1, c2, c3, c4, add(neg(c5), mul(c2, c3)))
+    return spec, CoordinateMap(ctx, points, lines)
 
 
 def generic_conjugation_polarity(spec: ADGSpec) -> PolaritySpec:

@@ -289,14 +289,22 @@ def contains_C4(g: Graph):
     return (a, int(mids[first[j]]), b, int(mids[j]))
 
 
-def find_even_cycle(g: Graph, k: int):
-    """Witness cycle of length exactly 2k, or None: even_cycle from every
-    root, on the adjacency as a padded table (ascending rows)."""
+def _table(g: Graph):
+    """g.adj as an (n, max degree) int64 array, rows padded with -1."""
     import numpy as np
 
     deg, _, indices = _csr(g, np.int64)
     table = np.full((g.n, int(deg.max(initial=0))), -1, dtype=np.int64)
     table[np.arange(table.shape[1]) < deg[:, None]] = indices
+    return table
+
+
+def find_even_cycle(g: Graph, k: int):
+    """Witness cycle of length exactly 2k, or None: even_cycle from every
+    root, on the adjacency as a padded table (ascending rows)."""
+    import numpy as np
+
+    table = _table(g)
     hit = even_cycle(np.arange(g.n), k, lambda ids: table[ids], g.n)
     return None if hit is None else hit[1]
 
@@ -396,38 +404,78 @@ def even_cycle_free_upto(g: Graph, kmax: int):
     return None
 
 
+# (root, vertex) slots plus neighbour-table cells a girth root block may use
+GIRTH_CHUNK = 1 << 20
+
+
+def _has_odd_cycle(table):
+    """2-colour every component by level-synchronous BFS; True on a clash."""
+    import numpy as np
+
+    colour = np.full(len(table), -1, dtype=np.int8)
+    for s in np.flatnonzero(table[:, 0] >= 0):
+        if colour[s] >= 0:
+            continue
+        frontier, c = np.array([s]), 0
+        colour[s] = 0
+        while len(frontier):
+            heads = table[frontier]
+            heads = heads[heads >= 0]
+            if (colour[heads] == c).any():
+                return True
+            c ^= 1
+            frontier = np.unique(heads[colour[heads] < 0])
+            colour[frontier] = c
+    return False
+
+
 def girth(g: Graph):
     """Length of the shortest cycle (loops excluded); math.inf for forests.
 
-    BFS from every vertex; the first non-tree edge seen from root v closes
-    a shortest cycle through v, and the minimum over roots is exact.
+    Level-synchronous BFS from blocks of roots, each (root, vertex) pair a
+    slot of one flat array.  Expanding level d, an arc into level d closes
+    a cycle of length 2d+1 and a new vertex reached twice (found by scatter
+    and read-back) one of length 2d+2; arcs back to level d - 1, the parent
+    arcs among them, are dropped.  The minimum over all roots is exact.
+    Level d runs only while 2d+1 < best, or 2d+2 < best when the whole
+    graph has no odd cycle.  The first block is one root, so best is known
+    before the blocks of GIRTH_CHUNK // (n (1 + max degree)) roots run.
     """
-    best = math.inf
-    adj = g.adj
-    for root in range(g.n):
-        dist = {root: 0}
-        parent = {root: -1}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            stop = False
-            for v in frontier:
-                dv = dist[v]
-                if 2 * dv + 1 >= best:
-                    stop = True
-                    break
-                for u in adj[v]:
-                    if u not in dist:
-                        dist[u] = dv + 1
-                        parent[u] = v
-                        nxt.append(u)
-                    elif u != parent[v] and dist[u] >= dv:
-                        cand = dv + dist[u] + 1
-                        if cand < best:
-                            best = cand
-            if stop:
+    import numpy as np
+
+    n = g.n
+    if not g._m:
+        return math.inf
+    table = _table(g)
+    slack = 1 if _has_odd_cycle(table) else 2
+    size = min(n, max(1, GIRTH_CHUNK // (n + table.size)))
+    level, owner = np.empty(size * n, dtype=np.int64), np.empty(size * n, dtype=np.int64)
+    best, first, block = math.inf, 0, 1
+    while first < n:
+        pos = np.arange(min(block, n - first))
+        tips = first + pos
+        first, block = first + len(pos), size
+        level[:len(pos) * n] = -1
+        level[pos * n + tips] = 0
+        d = 0
+        while len(tips) and 2 * d + slack < best:
+            nb = table[tips]
+            rows, cols = np.nonzero(nb >= 0)
+            keys = pos[rows] * n + nb[rows, cols]
+            seen = level[keys]  # the parent arc lands on level d - 1
+            if slack == 1 and (seen == d).any():
+                best = 2 * d + 1
                 break
-            frontier = nxt
+            keys = keys[seen < 0]
+            arc = np.arange(len(keys))
+            owner[keys] = arc
+            once = owner[keys] == arc
+            if not once.all():
+                best = 2 * d + 2
+            keys = keys[once]
+            d += 1
+            level[keys] = d
+            pos, tips = np.divmod(keys, n)
     return best
 
 

@@ -7,6 +7,7 @@ vertex-pair sweeps at small q.
 
 import random
 
+import numpy as np
 import pytest
 
 from polarpart import adg
@@ -18,7 +19,7 @@ from polarpart.adg import (
 )
 from polarpart.gf import make_field
 from polarpart.graphs import (
-    ImplicitGraph, degree_multiset, edge_count, loop_count, materialize,
+    ImplicitGraph, degree_multiset, edge_count, girth, loop_count, materialize,
 )
 
 
@@ -234,6 +235,19 @@ def test_phi_edge_mapping_exhaustive_q3():
     assert count == 3 ** 6
 
 
+def test_phi_bulk_matches_scalar():
+    _, phi = gh_original_family(9)
+    rng = random.Random(3)
+    rows = [tuple(rng.randrange(9) for _ in range(5)) for _ in range(200)]
+    coords = [np.array(c, dtype=np.int16) for c in zip(*rows)]
+    for side in "PL":
+        bulk = phi.bulk(side, coords)
+        assert [tuple(int(c[i]) for c in bulk) for i in range(len(rows))] == \
+            [phi(side, r) for r in rows]
+    with pytest.raises(ValueError):
+        phi("X", rows[0])
+
+
 def test_gh_original_rejects_non_power_of_three():
     with pytest.raises(ValueError):
         gh_original_family(4)
@@ -411,9 +425,32 @@ def test_materialize_by_array_rule_matches_scalar_rule(name, make_family):
     assert bulk.loops == scalar.loops and len(bulk.loops) > 0
 
 
+@pytest.mark.parametrize("name,make_spec", [
+    ("plane q=2", lambda: plane_family(2)[0]),
+    ("plane q=3", lambda: plane_family(3)[0]),
+    ("gq e=1", lambda: gq_family(1)[0]),
+    ("gh e=0", lambda: gh_family(0, allow_small_e=True)[0]),
+    ("gh-original q=3", lambda: gh_original_family(3)[0]),
+])
+def test_bipartite_array_rule_matches_scalar_rule(name, make_spec):
+    ig = make_spec().bipartite_graph()
+    assert ig.arrays is not None
+    bulk = materialize(ig, ig.n)
+    scalar = materialize(ImplicitGraph(ig.n, ig.neighbors, ig.is_loop), ig.n)
+    assert bulk.adj == scalar.adj
+    assert bulk.loops == scalar.loops == frozenset()
+
+
+def test_plane_q7_girths():
+    spec, pol = plane_family(7)
+    assert girth(materialize(spec.bipartite_graph(), 10 ** 4)) == 6
+    assert girth(materialize(build_polarity_graph(spec, pol).implicit(), 10 ** 4)) == 3
+
+
 def test_implicit_without_tables_has_no_array_rule():
     spec, pol = plane_family(23)  # GF(529) is above the table limit
     assert adg.PolarityGraph(spec, pol).implicit().arrays is None
+    assert spec.bipartite_graph().arrays is None
 
 
 def test_absolute_ids_match_scalar_scan():

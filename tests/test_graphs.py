@@ -35,6 +35,45 @@ def _reference_contains_C4(g):
     return None
 
 
+def _reference_girth(g):
+    """The dict-based BFS from every root that girth replaced."""
+    best = math.inf
+    adj = g.adj
+    for root in range(g.n):
+        dist = {root: 0}
+        parent = {root: -1}
+        frontier = [root]
+        while frontier:
+            nxt = []
+            stop = False
+            for v in frontier:
+                dv = dist[v]
+                if 2 * dv + 1 >= best:
+                    stop = True
+                    break
+                for u in adj[v]:
+                    if u not in dist:
+                        dist[u] = dv + 1
+                        parent[u] = v
+                        nxt.append(u)
+                    elif u != parent[v] and dist[u] >= dv:
+                        cand = dv + dist[u] + 1
+                        if cand < best:
+                            best = cand
+            if stop:
+                break
+            frontier = nxt
+    return best
+
+
+def disjoint_union(*gs):
+    edges, base = [], 0
+    for g in gs:
+        edges += [(u + base, v + base) for u, v in g.edges()]
+        base += g.n
+    return Graph.from_edges(base, edges)
+
+
 def cycle_graph(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -170,6 +209,50 @@ def test_girth_and_even_cycles_against_networkx():
                 for i in range(2 * k):
                     assert g.has_edge(w[i], w[(i + 1) % (2 * k)])
                 assert len(set(w)) == 2 * k
+
+
+def _girth_block_sizes(g):
+    """GIRTH_CHUNK values that make girth's root blocks 1, 2, 3 and 7 wide."""
+    width = max(map(len, g.adj), default=0)
+    return [b * g.n * (1 + width) for b in (1, 2, 3, 7)]
+
+
+def test_girth_matches_reference_on_random_graphs(monkeypatch):
+    rng = random.Random(7)
+    for trial in range(300):
+        n = rng.randrange(2, 40)
+        g = seeded_gnp(n, rng.uniform(0.02, 0.3), seed=1000 + trial)
+        expected = _reference_girth(g)
+        assert girth(g) == expected, trial
+        for chunk in [1] + _girth_block_sizes(g):
+            monkeypatch.setattr(graphs, "GIRTH_CHUNK", chunk)
+            assert girth(g) == expected, (trial, chunk)
+        monkeypatch.undo()
+
+
+def test_girth_of_forests_and_tiny_graphs():
+    assert girth(Graph(0, [])) == math.inf == _reference_girth(Graph(0, []))
+    assert girth(Graph(1, [[]], loops=[0])) == math.inf
+    star = Graph.from_edges(6, [(0, v) for v in range(1, 6)])
+    forest = disjoint_union(path_graph(4), star, Graph(3, [[], [], []]), path_graph(1))
+    for g in (path_graph(2), star, forest):
+        assert girth(g) == math.inf == _reference_girth(g)
+
+
+@pytest.mark.parametrize("parts,expected", [
+    ((8, 5), 5),   # a bipartite component first, a shorter odd cycle second
+    ((5, 8), 5),
+    ((6, 5), 5),   # the odd cycle is longer than a parity-blind stop allows
+    ((6, 7), 6),
+    ((4, 9), 4),
+    ((10, 11), 10),
+])
+def test_girth_decides_parity_over_every_component(monkeypatch, parts, expected):
+    g = disjoint_union(*(cycle_graph(k) for k in parts))
+    assert _reference_girth(g) == expected
+    for chunk in [1 << 20, 1] + _girth_block_sizes(g):
+        monkeypatch.setattr(graphs, "GIRTH_CHUNK", chunk)
+        assert girth(g) == expected, chunk
 
 
 def test_witness_implies_girth_bound():

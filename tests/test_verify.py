@@ -273,6 +273,101 @@ def test_gh_original_report_q3():
     assert rep["bijective_points"] and rep["bijective_lines"]
 
 
+def _reference_verify_gh_original(q, materialize_limit=verify.DEFAULT_MATERIALIZE_LIMIT):
+    """The scalar loop that verify_gh_original replaced: image sets per
+    side, then every incidence through phi, point by point."""
+    spec_orig, phi = adg.gh_original_family(q)
+    spec_gh = adg.gh_adjacency_spec(q)
+    ns = spec_orig.side_size
+    point_images = set()
+    line_images = set()
+    for coords in spec_orig.all_coords():
+        point_images.add(phi("P", coords))
+        line_images.add(phi("L", coords))
+    bijective = len(point_images) == ns and len(line_images) == ns
+    preserved = True
+    witness = None
+    edges_checked = 0
+    for p in spec_orig.all_coords():
+        fp = phi("P", p)
+        for lv in spec_orig.neighbors_of_point(p):
+            if not spec_gh.incident(fp, phi("L", lv)):
+                preserved = False
+                witness = (p, lv)
+                break
+            edges_checked += 1
+        if not preserved:
+            break
+    report = {
+        "family": "gh-original",
+        "params": {"q": q},
+        "mode": "exhaustive",
+        "field": spec_orig.ctx.to_json(),
+        "counts": {"n": 2 * ns, "edges": edges_checked, "loops": 0, "absolute": 0,
+                   "edge_count_method": "exact"},
+        "bijective_points": len(point_images) == ns,
+        "bijective_lines": len(line_images) == ns,
+        "edges_checked": edges_checked,
+        "edges_expected": q ** 6,
+        "adjacency_preserved": preserved,
+        "witnesses": [] if witness is None else [("phi_edge", witness)],
+        "seeds": [],
+    }
+    if 2 * ns <= 1000:
+        ig = spec_orig.bipartite_graph()
+        gv = graphs.girth(materialize(graphs.ImplicitGraph(ig.n, ig.neighbors), materialize_limit))
+        report["girth"] = gv if gv != math.inf else "inf"
+    report["ok"] = bijective and preserved and edges_checked == q ** 6
+    return report
+
+
+def _tampered_phi(monkeypatch, tamper):
+    """Make gh_original_family return phi with its expressions tampered."""
+    family = adg.gh_original_family
+
+    def tampered(q):
+        spec, phi = family(q)
+        points, lines = tamper(phi.exprs["P"], phi.exprs["L"])
+        return spec, adg.CoordinateMap(spec.ctx, points, lines)
+
+    monkeypatch.setattr(adg, "gh_original_family", tampered)
+
+
+c1, c2, c3, c4, c5 = (adg.var_p(i) for i in range(1, 6))
+PHI_TAMPERS = {
+    "intact": None,
+    # shifts the point image's fifth coordinate where c1 c2 c4 != 0: still
+    # bijective, and the first broken edge is far into the sweep
+    "edge": lambda P, L: (P[:4] + (adg.add(P[4], adg.mul(adg.mul(c1, c2), c4)),), L),
+    # shifts the line image's fifth coordinate where l1 != 0: still
+    # bijective, and the first broken edge is the second line through 0
+    "edge-line": lambda P, L: (P, L[:4] + (adg.add(L[4], adg.mul(c1, c1)),)),
+    # drops c5 from the line image's fifth coordinate: not bijective on lines
+    "bijective": lambda P, L: (P, L[:4] + (adg.mul(c2, c3),)),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(PHI_TAMPERS))
+@pytest.mark.parametrize("q", [3, 9])
+def test_gh_original_matches_scalar_reference(monkeypatch, q, tamper):
+    if PHI_TAMPERS[tamper] is not None:
+        _tampered_phi(monkeypatch, PHI_TAMPERS[tamper])
+    expected = _reference_verify_gh_original(q)
+    assert expected["ok"] == (tamper == "intact")
+    assert verify_gh_original(q) == expected
+    for points_per_block in (1, 100) if q == 3 else (100,):
+        monkeypatch.setattr(verify, "SWEEP_CHUNK", points_per_block * q)
+        assert verify_gh_original(q) == expected
+    if tamper.startswith("edge"):
+        assert expected["bijective_points"] and expected["bijective_lines"]
+    if tamper == "edge":
+        assert expected["edges_checked"] == q * (q ** 4 + q ** 3 + q)  # point (1, 1, 0, 1, 0)
+    if tamper == "edge-line":
+        assert expected["edges_checked"] == 1
+    if tamper == "bijective":
+        assert expected["bijective_points"] and not expected["bijective_lines"]
+
+
 def test_witness_record_plane():
     rec = witness_record("plane", q=2)
     assert (rec["r"], rec["k"]) == (8, 2)
