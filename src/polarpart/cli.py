@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import adg, partitions as parts, verify as ver
 from .graphs import (
-    materialize, read_edge_list, read_partition, write_edge_list,
+    edge_count, materialize, read_edge_list, read_partition, write_edge_list,
     write_partition,
 )
 
@@ -162,7 +162,7 @@ def cmd_build(cfg: RunConfig) -> int:
     g, _, _ = _build_graph(cfg)
     path = os.path.join(cfg.out, _stem(cfg) + ".edges")
     _write(path, write_edge_list(g))
-    print(f"wrote {path} ({g.n} vertices, {len(list(g.edges()))} edges)")
+    print(f"wrote {path} ({g.n} vertices, {edge_count(g)} edges)")
     return 0
 
 

@@ -56,7 +56,7 @@ class Graph:
         import numpy as np
 
         dtype = np.int32 if self.n * self.n < 2 ** 31 else np.int64
-        deg, _, heads = _csr(self, dtype)
+        deg, heads = _csr(self, dtype)
         tails = np.repeat(np.arange(self.n, dtype=dtype), deg)
         arcs = tails * dtype(self.n) + heads  # ascending: rows are sorted
         back = heads * dtype(self.n) + tails
@@ -213,87 +213,20 @@ def pair_edge_matrix(g: Graph, part: Partition) -> PairEdgeMatrix:
 # cycles
 # ---------------------------------------------------------------------------
 
-# length-2 paths encoded at a time by contains_C4
-PAIR_CHUNK = 1 << 20
-
-
 def _csr(g: Graph, dtype):
-    """(deg, indptr, indices): g.adj as CSR arrays, neighbour ids of `dtype`."""
+    """(deg, indices): g.adj as CSR arrays, neighbour ids of `dtype`."""
     import numpy as np
 
     deg = np.fromiter(map(len, g.adj), dtype=np.int64, count=g.n)
-    indptr = np.concatenate(([0], np.cumsum(deg)))
-    indices = np.fromiter(chain.from_iterable(g.adj), dtype=dtype, count=int(indptr[-1]))
-    return deg, indptr, indices
-
-
-def _pair_codes(g: Graph, dtype):
-    """(mids, codes) blocks covering every length-2 path a - mid - b, a < b.
-
-    codes[r, c] = a * n + b for the c-th neighbour pair of mids[r], pairs
-    in np.triu_indices order (lexicographic in positions); mids of one
-    degree go together, at most PAIR_CHUNK codes per block.
-    """
-    import numpy as np
-
-    deg, indptr, indices = _csr(g, dtype)
-    for d in np.unique(deg[deg >= 2]):
-        mids = np.flatnonzero(deg == d)
-        iu, ju = np.triu_indices(d, 1)
-        rows = max(1, PAIR_CHUNK // len(iu))
-        for lo in range(0, len(mids), rows):
-            block = mids[lo:lo + rows]
-            nb = indices[indptr[block][:, None] + np.arange(d)]
-            yield block, nb[:, iu] * dtype(g.n) + nb[:, ju]
-
-
-def contains_C4(g: Graph):
-    """4-cycle witness via common-neighbour counting, or None.
-
-    A C4 exists iff some vertex pair has two common neighbours, i.e. iff
-    two length-2 paths share their end pair.  Every path is encoded as the
-    int pair code a * n + b (int32 while n * n fits) in one array, which is
-    sorted in place: a C4 exists iff two codes are equal.
-
-    The witness is (a, first_mid, b, second_mid) for the pair whose second
-    path comes first when mids ascend and each mid's pairs run in
-    lexicographic order, rebuilt from the paths whose code repeats.
-    """
-    import numpy as np
-
-    dtype = np.int32 if g.n * g.n < 2 ** 31 else np.int64
-    total = sum(len(a) * (len(a) - 1) // 2 for a in g.adj)
-    codes = np.empty(total, dtype=dtype)
-    pos = 0
-    for _, block in _pair_codes(g, dtype):
-        codes[pos:pos + block.size] = block.ravel()
-        pos += block.size
-    codes.sort()
-    repeated = np.unique(codes[1:][codes[1:] == codes[:-1]])
-    del codes
-    if not len(repeated):
-        return None
-    mids, cols, found = [], [], []
-    for block_mids, block in _pair_codes(g, dtype):
-        rows, c = np.nonzero(np.isin(block, repeated))
-        mids.append(block_mids[rows])
-        cols.append(c)
-        found.append(block[rows, c])
-    mids, cols, found = (np.concatenate(x) for x in (mids, cols, found))
-    order = np.lexsort((cols, mids, found))  # by code, then scan order
-    mids, cols, found = mids[order], cols[order], found[order]
-    first = np.searchsorted(found, found)
-    later = np.flatnonzero(first != np.arange(len(found)))
-    j = later[np.lexsort((cols[later], mids[later]))[0]]
-    a, b = divmod(int(found[j]), g.n)
-    return (a, int(mids[first[j]]), b, int(mids[j]))
+    indices = np.fromiter(chain.from_iterable(g.adj), dtype=dtype, count=int(deg.sum()))
+    return deg, indices
 
 
 def _table(g: Graph):
     """g.adj as an (n, max degree) int64 array, rows padded with -1."""
     import numpy as np
 
-    deg, _, indices = _csr(g, np.int64)
+    deg, indices = _csr(g, np.int64)
     table = np.full((g.n, int(deg.max(initial=0))), -1, dtype=np.int64)
     table[np.arange(table.shape[1]) < deg[:, None]] = indices
     return table
@@ -307,6 +240,11 @@ def find_even_cycle(g: Graph, k: int):
     table = _table(g)
     hit = even_cycle(np.arange(g.n), k, lambda ids: table[ids], g.n)
     return None if hit is None else hit[1]
+
+
+def contains_C4(g: Graph):
+    """4-cycle witness or None: find_even_cycle(g, 2)."""
+    return find_even_cycle(g, 2)
 
 
 # final-layer walks per root block of even_cycle; parents expanded at a
@@ -327,6 +265,11 @@ def even_cycle(roots, k, neighbors, n):
     root's in depth-first order over columns, so the earliest walk that
     closes with an earlier one, plus the reversed interior of its earliest
     partner, is the depth-first witness from the first root on a cycle.
+
+    When roots are 0..len-1, a walk keeps only neighbours above its root.
+    That is exact, and keeps the witness: a 2k-cycle through roots[i] and
+    an earlier root would have been found at that root.  Other calls keep
+    every walk.
     """
     import numpy as np
 
@@ -338,11 +281,16 @@ def even_cycle(roots, k, neighbors, n):
         return None
     width = neighbors(roots[:1]).shape[1]
     size = max(1, LAYER_CHUNK // max(width, 1) ** k)
+    if np.array_equal(roots, np.arange(len(roots))):
+        floor = roots
+    else:
+        floor = np.full_like(roots, -1)
 
-    def step(paths):
-        """(parent row, neighbour id) of every simple one-step extension."""
+    def step(paths, floors):
+        """(parent row, neighbour id) of every simple one-step extension
+        that stays above its walk's floor."""
         nb = neighbors(paths[:, -1]).astype(dtype, copy=False)
-        keep = nb >= 0
+        keep = nb > floors[:, None]
         for col in paths.T:
             keep &= nb != col[:, None]
         rows, cols = np.nonzero(keep)
@@ -353,13 +301,13 @@ def even_cycle(roots, k, neighbors, n):
         pos = np.arange(len(paths), dtype=dtype)  # each walk's root position
         key_dtype = np.int32 if len(paths) * n < 2 ** 31 else np.int64
         for _ in range(k - 1):
-            rows, tips = step(paths)
+            rows, tips = step(paths, floor[first + pos])
             paths, pos = np.column_stack([paths[rows], tips]), pos[rows]
         if not len(paths):
             continue
         keys, parents = [], []  # keys: root position * n + endpoint
         for lo in range(0, len(paths), LAYER_CHUNK):
-            rows, tips = step(paths[lo:lo + LAYER_CHUNK])
+            rows, tips = step(paths[lo:lo + LAYER_CHUNK], floor[first + pos[lo:lo + LAYER_CHUNK]])
             rows += lo
             keys.append(pos[rows].astype(key_dtype) * key_dtype(n) + tips)
             parents.append(rows.astype(dtype))

@@ -15,9 +15,8 @@ import random
 from . import adg, partitions as parts
 from .gf import prime_power
 from .graphs import (
-    Graph, Partition, contains_C4, degree, degree_multiset, edge_count,
-    even_cycle, even_cycle_free_upto, find_even_cycle, girth,
-    loop_count, materialize, pair_edge_matrix,
+    Graph, Partition, degree, degree_multiset, edge_count, even_cycle,
+    find_even_cycle, girth, loop_count, materialize, pair_edge_matrix,
 )
 
 ORACLE_MAX_N = 12
@@ -202,12 +201,13 @@ def brute_force_chi_a(g: Graph) -> int:
 # LUW relation checks (materialized graphs)
 # ---------------------------------------------------------------------------
 
-def luw_report(g_bip: Graph, gp: Graph, absolute_ids, kmax=3):
+def luw_report(g_bip: Graph, gp: Graph, absolute_ids, gp_cycles):
     """Degree relation, incidence reconciliation, cycle transfer, and girth
     halving between a bipartite graph and its polarity graph.
 
     Point v of the polarity graph is vertex v of the bipartite graph (the
-    point side comes first in the id layout).
+    point side comes first in the id layout).  `gp_cycles` maps each k of
+    2..kmax to find_even_cycle(gp, k), which the caller has already run.
     """
     absolute = set(absolute_ids)
     n_pi = len(absolute)
@@ -224,10 +224,9 @@ def luw_report(g_bip: Graph, gp: Graph, absolute_ids, kmax=3):
     reconciled = e_bip == 2 * e_gp + n_pi
     literal = e_gp == e_bip - n_pi
     transfers = {}
-    for k in range(2, kmax + 1):
+    for k, gp_witness in sorted(gp_cycles.items()):
         bip_witness = find_even_cycle(g_bip, k)
         if bip_witness is None:
-            gp_witness = find_even_cycle(gp, k)
             transfers[2 * k] = {
                 "bipartite_free": True,
                 "polarity_free": gp_witness is None,
@@ -377,9 +376,10 @@ def verify_family_exhaustive(family, *, q=None, e=None, seed=0,
         "absolute": n_pi,
         "edge_count_method": "exact",
     }
-    report["degree_multiset"] = {str(k): v for k, v in sorted(degree_multiset(g).items())}
+    degrees = degree_multiset(g)
+    report["degree_multiset"] = {str(k): v for k, v in sorted(degrees.items())}
     spectrum = expected_degree_spectrum(scheme, qq)
-    degrees_ok = spectrum is None or degree_multiset(g) == spectrum
+    degrees_ok = spectrum is None or degrees == spectrum
     verd, witnesses, mat = verdict(g, part)
     report["partition"] = {"r": part.r, "class_size": getattr(scheme, "class_size", None)}
     report["verdicts"] = verd
@@ -393,10 +393,13 @@ def verify_family_exhaustive(family, *, q=None, e=None, seed=0,
         loops_per_class[part.class_of[v]] += 1
     loops_ok = all(c == 1 for c in loops_per_class) and n_pi == scheme.r
 
+    # one search per k, shared by the forbidden-cycle checks and LUW
+    luw_ks = range(2, min(max(FORBIDDEN[family], default=2), 3) + 1) if with_luw else ()
+    found = {k: find_even_cycle(g, k) for k in sorted({*FORBIDDEN[family], *luw_ks})}
     cycles = {}
     cycles_ok = True
     for k in FORBIDDEN[family]:
-        w = contains_C4(g) if k == 2 else find_even_cycle(g, k)
+        w = found[k]
         cycles[f"C{2 * k}"] = "pass" if w is None else "fail"
         if w is not None:
             cycles_ok = False
@@ -424,8 +427,7 @@ def verify_family_exhaustive(family, *, q=None, e=None, seed=0,
     }
     if with_luw:
         g_bip = materialize(spec.bipartite_graph(), 4 * materialize_limit)
-        kmax = max(FORBIDDEN[family], default=2)
-        report["luw"] = luw_report(g_bip, g, sorted(g.loops), kmax=min(kmax, 3))
+        report["luw"] = luw_report(g_bip, g, sorted(g.loops), {k: found[k] for k in luw_ks})
     else:
         report["luw"] = None
 

@@ -20,8 +20,8 @@ from polarpart.adg import (
 from polarpart.cli import main as cli_main
 from polarpart.gf import make_field
 from polarpart.graphs import (
-    Graph, Partition, contains_C4, degree_multiset, edge_count, girth,
-    loop_count, materialize,
+    Graph, Partition, contains_C4, degree_multiset, edge_count,
+    find_even_cycle, girth, loop_count, materialize,
 )
 from polarpart.partitions import (
     PlaneScheme, general_even_partition, general_odd_partition,
@@ -158,7 +158,8 @@ def test_criterion_6_luw():
         spec, pol = builder()
         gp = materialize(build_polarity_graph(spec, pol).implicit(), 10 ** 6)
         g_bip = materialize(spec.bipartite_graph(), 10 ** 6)
-        rep = luw_report(g_bip, gp, sorted(gp.loops), kmax=kmax)
+        rep = luw_report(g_bip, gp, sorted(gp.loops),
+                         {k: find_even_cycle(gp, k) for k in range(2, kmax + 1)})
         ok = ok and rep["ok"] and rep["degree_relation_ok"] and rep["reconciled_ok"]
         ok = ok and rep["polarity_girth"] >= rep["bipartite_girth"] / 2
         ok = ok and rep["cycle_transfer_ok"]

@@ -7,6 +7,8 @@ import os
 import pytest
 
 from polarpart.cli import main
+from polarpart.graphs import read_edge_list
+from test_verify import _reference_find_even_cycle
 
 
 def run(args):
@@ -58,11 +60,11 @@ def test_verify_tampered_edge_list(tmp_path, capsys):
     assert "missing_pair" in out
 
 
-# sha256 of the report and its C4 witness, recorded before contains_C4
-# ran on sorted pair codes
+# sha256 of the report and its C4 witness, the depth-first one from the
+# first root on a C4
 TAMPERED_C4_GOLDEN = {
-    2: ("0b6394e757ba4d730d22a089d7e0cd6864ed3269e68e084e2e96caf2eb990a5c", [0, 1, 5, 4]),
-    3: ("651283f3eb92ee60e46b741f97a598ee83788150fb9d6d7a7b2eaf69784751b3", [0, 1, 20, 9]),
+    2: ("ac87236f8b4c3289db69e8471da3d8dc8440b92a00330bd09b6c068c5d8853cf", [0, 4, 5, 1]),
+    3: ("aea81c4c6915a12664cf49a41261ae20032ab0a76d7c14ab2ae178ffef2bbbc2", [0, 9, 20, 1]),
 }
 
 
@@ -84,6 +86,8 @@ def test_verify_edge_list_with_a_c4_closing_edge(tmp_path, q):
     assert report["cycles"] == {"C4": "fail"}
     assert ["C4", witness] in report["witnesses"]
     assert hashlib.sha256(text).hexdigest() == digest
+    g = read_edge_list(tampered.read_text())
+    assert list(_reference_find_even_cycle(g, 2)) == witness
 
 
 @pytest.mark.parametrize("edges,partition", [

@@ -17,6 +17,7 @@ from polarpart.graphs import (
     pair_edge_matrix, read_edge_list, read_partition, write_edge_list,
     write_partition,
 )
+from test_verify import _reference_find_even_cycle
 
 
 def _reference_contains_C4(g):
@@ -111,11 +112,18 @@ def test_k22_contains_c4():
         assert g.has_edge(u, v)
 
 
+def _check_c4(g):
+    """contains_C4's witness is the depth-first one, and it exists exactly
+    when the scalar pair scan finds a repeated end pair."""
+    w = contains_C4(g)
+    assert w == _reference_find_even_cycle(g, 2)
+    assert (w is None) == (_reference_contains_C4(g) is None)
+    return w
+
+
 def test_contains_c4_witness_matches_scalar_reference():
     k23 = Graph.from_edges(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
-    # C4s on pairs (5, 6) via mids 0, 1 and (0, 1) via mids 5, 6, plus
-    # (2, 3) via mids 4, 7: the first repeat in scan order is code 5*8+6,
-    # not the smallest repeated code 0*8+1
+    # C4s on 0, 5, 1, 6 and on 4, 2, 7, 3: the first root, 0, gives the witness
     several = Graph.from_edges(8, [(0, 5), (0, 6), (1, 5), (1, 6),
                                    (4, 2), (4, 3), (7, 2), (7, 3)])
     # isolated vertices 0 and 7, degree-1 vertex 6, a C4 on 1..4 and a tail
@@ -124,33 +132,35 @@ def test_contains_c4_witness_matches_scalar_reference():
     mixed = Graph.from_edges(9, [(0, v) for v in range(1, 6)]
                              + [(1, 2), (2, 3), (3, 1), (4, 6), (6, 5), (7, 8)])
     cases = {
-        "k22": (Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)]), (2, 0, 3, 1)),
-        "k23": (k23, (2, 0, 3, 1)),
-        "several": (several, (5, 0, 6, 1)),
-        "sparse": (sparse, (2, 1, 4, 3)),
-        "mixed": (mixed, (2, 0, 3, 1)),
+        "k22": (Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)]), (0, 3, 1, 2)),
+        "k23": (k23, (0, 3, 1, 2)),
+        "several": (several, (0, 6, 1, 5)),
+        "sparse": (sparse, (1, 4, 3, 2)),
+        "mixed": (mixed, (0, 2, 3, 1)),
         "path": (path_graph(5), None),
         "edgeless": (Graph(3, [[], [], []]), None),
         "c6": (cycle_graph(6), None),
     }
     for name, (g, expected) in cases.items():
-        assert contains_C4(g) == _reference_contains_C4(g) == expected, name
+        assert _check_c4(g) == expected, name
 
 
 def test_contains_c4_matches_scalar_reference_on_random_graphs(monkeypatch):
     rng = random.Random(7)
     graphs_ = [seeded_gnp(rng.randrange(1, 30), rng.uniform(0.02, 0.4), seed=t)
                for t in range(300)]
-    expected = [_reference_contains_C4(g) for g in graphs_]
-    assert sum(w is None for w in expected) > 30
-    assert sum(w is not None for w in expected) > 30
-    assert [contains_C4(g) for g in graphs_] == expected
-    monkeypatch.setattr(graphs, "PAIR_CHUNK", 3)  # many blocks per degree
-    assert [contains_C4(g) for g in graphs_] == expected
+    found = [_check_c4(g) is not None for g in graphs_]
+    assert 30 < sum(found) < 270
+    for block_roots in (1, 3):  # LAYER_CHUNK // d**2 roots per block
+        for g in graphs_:
+            width = max(map(len, g.adj), default=0)
+            monkeypatch.setattr(graphs, "LAYER_CHUNK", block_roots * max(width, 1) ** 2)
+            _check_c4(g)
 
 
-def test_contains_c4_wide_codes():
-    # n * n >= 2**31: the pair codes are int64
+def test_contains_c4_wide_codes(monkeypatch):
+    # n = 50,000: with every root in one block, the walk keys
+    # root position * n + endpoint pass 2**31 and are int64
     n = 50_000
     adjacency = [[] for _ in range(n)]
     for u, v in ((49_990, 49_992), (49_990, 49_993), (49_991, 49_992),
@@ -158,7 +168,10 @@ def test_contains_c4_wide_codes():
         adjacency[u].append(v)
         adjacency[v].append(u)
     g = Graph(n, adjacency)
-    assert contains_C4(g) == _reference_contains_C4(g) == (49_992, 49_990, 49_993, 49_991)
+    expected = (49_990, 49_993, 49_991, 49_992)
+    assert _check_c4(g) == expected
+    monkeypatch.setattr(graphs, "LAYER_CHUNK", 4 * n)  # 4 = max degree ** 2
+    assert _check_c4(g) == expected
 
 
 def test_c6_detection_and_kmax_window():
@@ -200,7 +213,11 @@ def test_girth_and_even_cycles_against_networkx():
         expected = nx.girth(h)
         got = girth(g)
         assert got == expected or (got == math.inf and expected == math.inf), trial
-        cycle_lengths = {len(c) for c in nx.simple_cycles(h, length_bound=10)}
+        cycle_lengths = set()
+        for c in nx.simple_cycles(h, length_bound=10):
+            cycle_lengths.add(len(c))
+            if cycle_lengths >= {4, 6, 8, 10}:
+                break
         for k in (2, 3, 4, 5):
             w = find_even_cycle(g, k)
             assert (w is not None) == (2 * k in cycle_lengths), (trial, k)

@@ -119,11 +119,15 @@ def test_ratio_eq6_validation():
 
 # -- LUW -----------------------------------------------------------------------
 
+def _gp_cycles(gp, kmax):
+    return {k: find_even_cycle(gp, k) for k in range(2, kmax + 1)}
+
+
 def test_luw_plane_q2():
     spec, pol = plane_family(2)
     gp = materialize(build_polarity_graph(spec, pol).implicit(), 10 ** 4)
     g_bip = materialize(spec.bipartite_graph(), 10 ** 4)
-    rep = luw_report(g_bip, gp, sorted(gp.loops), kmax=2)
+    rep = luw_report(g_bip, gp, sorted(gp.loops), _gp_cycles(gp, 2))
     assert rep["ok"]
     assert rep["incidences"] == 64 and rep["polarity_edges"] == 28 and rep["absolute"] == 8
     assert rep["reconciled_ok"]
@@ -135,7 +139,7 @@ def test_luw_gq():
     spec, pol = gq_family(1)
     gp = materialize(build_polarity_graph(spec, pol).implicit(), 10 ** 5)
     g_bip = materialize(spec.bipartite_graph(), 10 ** 5)
-    rep = luw_report(g_bip, gp, sorted(gp.loops), kmax=3)
+    rep = luw_report(g_bip, gp, sorted(gp.loops), _gp_cycles(gp, 3))
     assert rep["ok"]
     assert rep["bipartite_girth"] == 8
     assert rep["cycle_transfer"][4]["bipartite_free"]
@@ -148,7 +152,7 @@ def test_luw_degree_relation_plane_q3():
     spec, pol = plane_family(3)
     gp = materialize(build_polarity_graph(spec, pol).implicit(), 10 ** 4)
     g_bip = materialize(spec.bipartite_graph(), 10 ** 4)
-    rep = luw_report(g_bip, gp, sorted(gp.loops), kmax=2)
+    rep = luw_report(g_bip, gp, sorted(gp.loops), _gp_cycles(gp, 2))
     assert rep["degree_relation_ok"]
     assert rep["ok"]
 
@@ -160,7 +164,7 @@ def test_luw_catches_tampering():
     # drop one polarity edge: degree relation and reconciliation both break
     edges = list(gp.edges())[1:]
     tampered = Graph.from_edges(gp.n, edges, gp.loops)
-    rep = luw_report(g_bip, tampered, sorted(gp.loops), kmax=2)
+    rep = luw_report(g_bip, tampered, sorted(gp.loops), _gp_cycles(tampered, 2))
     assert not rep["ok"]
     assert not rep["degree_relation_ok"] or not rep["reconciled_ok"]
 
@@ -245,6 +249,26 @@ def test_verify_family_certifies_gq():
     assert rep["bounds"]["psi"] == 64 and rep["bounds"]["chi_a"] == 64
     assert rep["bounds"]["prop1_fails_at_r_plus_1"]
     assert rep["cycles"] == {"C4": "pass", "C6": "pass"}
+
+
+@pytest.mark.parametrize("family,kwargs,ks", [
+    ("plane", {"q": 3}, [2]),
+    ("gq", {"e": 1}, [2, 3]),
+], ids=["plane q=3", "gq e=1"])
+def test_exhaustive_protocol_searches_each_graph_once(monkeypatch, family, kwargs, ks):
+    searched = []  # (graph, k); holding the graphs keeps their ids distinct
+
+    def counting(g, k):
+        searched.append((g, k))
+        return find_even_cycle(g, k)
+
+    monkeypatch.setattr(verify, "find_even_cycle", counting)
+    rep = verify_family(family, with_luw=True, **kwargs)
+    assert rep["ok"] and rep["luw"]["ok"]
+    calls = sorted((id(g), k) for g, k in searched)
+    graph_ids = sorted({g_id for g_id, _ in calls})
+    assert len(graph_ids) == 2  # the polarity graph and the bipartite graph
+    assert calls == [(g_id, k) for g_id in graph_ids for k in ks]
 
 
 def test_verify_family_detects_missing_edge():
@@ -492,6 +516,27 @@ def test_find_even_cycle_matches_dfs_reference(layer_chunk, monkeypatch):
     # small chunks split the roots into blocks, and some first cycle roots
     # then lie past block 0
     assert later_block > 0 or layer_chunk == graphs.LAYER_CHUNK
+
+
+def test_every_root_search_walks_only_above_its_root():
+    import numpy as np
+
+    g = _polarity_graph(*plane_family(3))  # C4-free: every root is searched
+    table = _neighbor_table(g)
+    rows = []
+
+    def neighbors(ids):
+        rows.append(len(ids))
+        return table[ids]
+
+    # roots 0..n-1: each root, then each higher neighbour, is expanded once
+    # (the first call reads the table width)
+    assert even_cycle(np.arange(g.n), 2, neighbors, g.n) is None
+    assert sum(rows) == 1 + g.n + edge_count(g)
+    # other root orders keep every walk: each arc is expanded
+    rows.clear()
+    assert even_cycle(np.arange(g.n)[::-1], 2, neighbors, g.n) is None
+    assert sum(rows) == 1 + g.n + 2 * edge_count(g)
 
 
 @pytest.mark.parametrize("make_family,k", [
