@@ -580,6 +580,32 @@ def _frob_vector(ctx, j):
     return vec
 
 
+def _beta_vectors(basis):
+    """(subfield, index, decompose, recompose): a QuadBasis as int16 lookup
+    vectors, cached per beta.  subfield[i] is the i-th subfield element and
+    index its inverse (-1 off the subfield); u = subfield[i]*beta +
+    subfield[j]*beta^q has decompose[u] = i*q + j and recompose[i*q + j] = u.
+    """
+    np = _np()
+    ctx, q = basis.ctx, basis.q
+    t = _bulk_tables(ctx)
+    vecs = t.get(("beta", basis.beta))
+    if vecs is None:
+        subfield = np.array(basis.subfield, dtype=np.int16)
+        index = np.full(ctx.order, -1, dtype=np.int16)
+        index[subfield] = np.arange(q)
+        u = np.arange(ctx.order)
+        uq = _frob_vector(ctx, basis.sub_degree)
+        add, mul, c1, c2 = t["add"], t["mul"], basis._dec_c1, basis._dec_c2
+        s = add[mul[u, c1], mul[uq, c2]]
+        s_q = add[mul[uq, c1], mul[u, c2]]
+        decompose = index[s] * q + index[s_q]
+        recompose = np.empty_like(decompose)
+        recompose[decompose] = u
+        vecs = t[("beta", basis.beta)] = subfield, index, decompose, recompose
+    return vecs
+
+
 def _rows_equal(a, b):
     """Elementwise equality of two coordinate-array lists, all coordinates."""
     ok = True

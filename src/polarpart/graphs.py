@@ -9,7 +9,7 @@ rule for instances too large to materialize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 
@@ -55,11 +55,10 @@ class Graph:
         """Raise on the first arc (v, u), v then u ascending, without (u, v)."""
         import numpy as np
 
-        dtype = np.int32 if self.n * self.n < 2 ** 31 else np.int64
-        deg, heads = _csr(self, dtype)
-        tails = np.repeat(np.arange(self.n, dtype=dtype), deg)
-        arcs = tails * dtype(self.n) + heads  # ascending: rows are sorted
-        back = heads * dtype(self.n) + tails
+        tails, heads = _arcs(self)
+        n = heads.dtype.type(self.n)
+        arcs = tails * n + heads  # ascending: rows are sorted
+        back = heads * n + tails
         if not np.array_equal(arcs, np.sort(back)):
             i = int(np.isin(back, arcs, invert=True).argmax())
             raise ValueError(f"asymmetric edge ({tails[i]}, {heads[i]})")
@@ -172,39 +171,40 @@ class Partition:
 
 @dataclass
 class PairEdgeMatrix:
-    """Edge counts of a partitioned graph: between classes, within, loops."""
+    """Edge counts of a partitioned graph: between classes (a symmetric
+    r x r numpy array), within each class, and loops in each class."""
 
     r: int
-    cross: list[list[int]]
+    cross: object
     within: list[int]
     loops_within: list[int]
 
     def total_cross(self):
-        return sum(self.cross[i][j] for i in range(self.r) for j in range(i + 1, self.r))
+        return int(self.cross.sum()) // 2
 
     def total_within(self):
         return sum(self.within)
 
 
 def pair_edge_matrix(g: Graph, part: Partition) -> PairEdgeMatrix:
-    """Single pass over the edges tallying cross/within/loop counts."""
+    """Cross/within/loop tallies: one bincount of the class-pair codes
+    class(u) * r + class(v) of every arc (u, v); the diagonal counts each
+    within-class edge twice."""
+    import numpy as np
+
     if len(part.class_of) != g.n:
         raise ValueError("partition does not cover the graph")
     r = part.r
-    cls = part.class_of
-    cross = [[0] * r for _ in range(r)]
-    within = [0] * r
-    for u, v in g.edges():
-        cu, cv = cls[u], cls[v]
-        if cu == cv:
-            within[cu] += 1
-        else:
-            cross[cu][cv] += 1
-            cross[cv][cu] += 1
-    loops_within = [0] * r
-    for v in g.loops:
-        loops_within[cls[v]] += 1
-    m = PairEdgeMatrix(r, cross, within, loops_within)
+    cls = np.asarray(part.class_of, dtype=np.int64)
+    deg, heads = _csr(g, np.int32)
+    codes = cls[heads]
+    del heads
+    codes += np.repeat(cls * r, deg)
+    cross = np.bincount(codes, minlength=r * r).reshape(r, r)
+    within = np.diagonal(cross) // 2
+    np.fill_diagonal(cross, 0)
+    loops_within = np.bincount(cls[sorted(g.loops)], minlength=r)
+    m = PairEdgeMatrix(r, cross, within.tolist(), loops_within.tolist())
     assert m.total_cross() + m.total_within() == edge_count(g)
     return m
 
@@ -220,6 +220,23 @@ def _csr(g: Graph, dtype):
     deg = np.fromiter(map(len, g.adj), dtype=np.int64, count=g.n)
     indices = np.fromiter(chain.from_iterable(g.adj), dtype=dtype, count=int(deg.sum()))
     return deg, indices
+
+
+def _arcs(g: Graph):
+    """(tails, heads): every arc (u, v), both directions, ascending by
+    (u, v) since adjacency rows are sorted; int32 while n * n fits."""
+    import numpy as np
+
+    dtype = np.int32 if g.n * g.n < 2 ** 31 else np.int64
+    deg, heads = _csr(g, dtype)
+    return np.repeat(np.arange(g.n, dtype=dtype), deg), heads
+
+
+def arc_codes(g: Graph):
+    """Ascending codes u * n + v of every arc (u, v), both directions, of
+    _arcs' dtype."""
+    tails, heads = _arcs(g)
+    return tails * heads.dtype.type(g.n) + heads
 
 
 def _table(g: Graph):

@@ -15,7 +15,7 @@ import random
 from . import adg, partitions as parts
 from .gf import prime_power
 from .graphs import (
-    Graph, Partition, degree, degree_multiset, edge_count, even_cycle,
+    Graph, Partition, arc_codes, degree, degree_multiset, edge_count, even_cycle,
     find_even_cycle, girth, loop_count, materialize, pair_edge_matrix,
 )
 
@@ -63,20 +63,14 @@ def verdict(g: Graph, part: Partition):
     Loops never count as within-class edges.  Witnesses name the first
     failing pair or within-class edge so reports stay actionable.
     """
+    np = adg._np()
     mat = pair_edge_matrix(g, part)
-    r = part.r
-    witnesses = []
-    complete = True
-    all_single = True
-    for i in range(r):
-        row = mat.cross[i]
-        for j in range(i + 1, r):
-            if row[j] == 0:
-                complete = False
-                witnesses.append(("missing_pair", i, j))
-            elif row[j] > 1:
-                all_single = False
-                witnesses.append(("multi_edge_pair", i, j, row[j]))
+    rows, cols = np.nonzero(np.triu(mat.cross != 1, 1))  # row-major
+    counts = mat.cross[rows, cols]
+    complete = bool(counts.all())
+    all_single = bool((counts <= 1).all())
+    witnesses = [("missing_pair", i, j) if c == 0 else ("multi_edge_pair", i, j, c)
+                 for i, j, c in zip(rows.tolist(), cols.tolist(), counts.tolist())]
     within_total = mat.total_within()
     if within_total:
         cls = part.class_of
@@ -87,7 +81,7 @@ def verdict(g: Graph, part: Partition):
     achromatic = complete and within_total == 0
     optimally_complete = (
         complete and all_single and within_total == 0
-        and edge_count(g) == r * (r - 1) // 2
+        and edge_count(g) == part.r * (part.r - 1) // 2
     )
     return {
         "complete": complete,
@@ -309,23 +303,54 @@ def expected_degree_spectrum(scheme, q):
 # exhaustive (materialized) family verification
 # ---------------------------------------------------------------------------
 
+# class pairs per block of _check_unique_edges
+UNIQUE_EDGE_BLOCK = 1 << 16
+
+
+def _in_sorted(x, values):
+    """Whether each entry of x occurs in the ascending array `values`."""
+    np = adg._np()
+    if not len(values):
+        return np.zeros(np.shape(x), dtype=bool)
+    return values[np.minimum(np.searchsorted(values, x), len(values) - 1)] == x
+
+
 def _check_unique_edges(g: Graph, spec, scheme):
-    """Closed-form cross edge and loop vertex against the real graph."""
+    """Closed-form cross edge and loop vertex against the real graph.
+
+    One pass over the class pairs c1 < c2 in row-major order on the
+    scheme's bulk forms, whole c1 rows a block of at most UNIQUE_EDGE_BLOCK
+    pairs.  An edge is looked up among the sorted arc codes u*n + v, a loop
+    vertex among the sorted loops.  The witness is the first failure in the
+    order: for each c1, its loop vertex's class, the loop vertex being
+    absolute, then for each c2 > c1 the endpoint classes and the edge.
+    """
     if not hasattr(scheme, "unique_edge"):
         return True, None  # general construction: verdicts carry the proof
-    r = scheme.r
-    for c1 in range(r):
-        lv = scheme.loop_vertex(c1)
-        if scheme.class_of_coords(lv) != c1:
-            return False, ("loop_vertex_class", c1)
-        if spec.coords_to_id(lv) not in g.loops:
-            return False, ("loop_vertex_not_absolute", c1)
-        for c2 in range(c1 + 1, r):
-            a, b = scheme.unique_edge(c1, c2)
-            if scheme.class_of_coords(a) != c1 or scheme.class_of_coords(b) != c2:
-                return False, ("edge_endpoint_class", c1, c2)
-            if not g.has_edge(spec.coords_to_id(a), spec.coords_to_id(b)):
-                return False, ("edge_formula_not_edge", c1, c2)
+    np = adg._np()
+    n, r = g.n, scheme.r
+    arcs = arc_codes(g)
+    loops = np.array(sorted(g.loops), dtype=np.int64)
+    rows = max(1, UNIQUE_EDGE_BLOCK // max(r - 1, 1))
+    for lo in range(0, r, rows):
+        c1 = np.arange(lo, min(lo + rows, r))
+        lv = scheme.loop_vertex_bulk(c1)
+        lv_class = scheme.class_of_ids(lv) != c1
+        bad_c1 = lv_class | ~_in_sorted(lv, loops)
+        width = r - 1 - c1  # pairs (c1, c2 > c1) per row
+        p1 = np.repeat(c1, width)
+        p2 = p1 + 1 + np.arange(len(p1)) - np.repeat(np.cumsum(width) - width, width)
+        a, b = scheme.unique_edge_bulk(p1, p2)
+        bad_class = (scheme.class_of_ids(a) != p1) | (scheme.class_of_ids(b) != p2)
+        on_graph = (a < n) & (b < n) & _in_sorted((a * n + b).astype(arcs.dtype), arcs)
+        bad_pair = bad_class | ~on_graph
+        i, j = _first(bad_c1), _first(bad_pair)
+        if j is not None and (i is None or p1[j] < lo + i):
+            kind = "edge_endpoint_class" if bad_class[j] else "edge_formula_not_edge"
+            return False, (kind, int(p1[j]), int(p2[j]))
+        if i is not None:
+            kind = "loop_vertex_class" if lv_class[i] else "loop_vertex_not_absolute"
+            return False, (kind, lo + i)
     return True, None
 
 
@@ -380,7 +405,7 @@ def verify_family_exhaustive(family, *, q=None, e=None, seed=0,
     report["degree_multiset"] = {str(k): v for k, v in sorted(degrees.items())}
     spectrum = expected_degree_spectrum(scheme, qq)
     degrees_ok = spectrum is None or degrees == spectrum
-    verd, witnesses, mat = verdict(g, part)
+    verd, witnesses, _ = verdict(g, part)
     report["partition"] = {"r": part.r, "class_size": getattr(scheme, "class_size", None)}
     report["verdicts"] = verd
     report["witnesses"].extend(witnesses[:20])
@@ -388,10 +413,10 @@ def verify_family_exhaustive(family, *, q=None, e=None, seed=0,
     unique_ok, unique_witness = _check_unique_edges(g, spec, scheme)
     if not unique_ok:
         report["witnesses"].append(unique_witness)
-    loops_per_class = [0] * scheme.r
-    for v in g.loops:
-        loops_per_class[part.class_of[v]] += 1
-    loops_ok = all(c == 1 for c in loops_per_class) and n_pi == scheme.r
+    np = adg._np()
+    loops_per_class = np.bincount(np.asarray(part.class_of)[sorted(g.loops)],
+                                  minlength=scheme.r)
+    loops_ok = bool((loops_per_class == 1).all()) and n_pi == scheme.r
 
     # one search per k, shared by the forbidden-cycle checks and LUW
     luw_ks = range(2, min(max(FORBIDDEN[family], default=2), 3) + 1) if with_luw else ()
@@ -470,6 +495,18 @@ def _first(bad):
     return int(bad.argmax()) if bad.any() else None
 
 
+def _class_member(scheme, cids, picks):
+    """Vertex id of member picks[i] of class cids[i], in class_members
+    order, from class_members_bulk on UNIQUE_EDGE_BLOCK ids at a time."""
+    np = adg._np()
+    step = max(1, UNIQUE_EDGE_BLOCK // scheme.class_size)
+    out = np.empty(len(cids), dtype=np.int64)
+    for lo in range(0, len(cids), step):
+        block = scheme.class_members_bulk(cids[lo:lo + step])
+        out[lo:lo + step] = block[np.arange(len(block)), picks[lo:lo + step]]
+    return out
+
+
 def _sampled_even_cycle(pg: adg.PolarityGraph, k, num_roots, rng):
     """2k-cycle search through randomly chosen roots, on the bulk kernel."""
     spec = pg.spec
@@ -531,7 +568,8 @@ def verify_family_sampled(family, *, e=None, seed=0,
     pg = adg.PolarityGraph(spec, pol)
     n = spec.side_size
     n_pi = adg.count_absolute_bulk(pg)
-    absolute = set(pg.absolute_ids().tolist())
+    absolute_ids = pg.absolute_ids()
+    absolute = set(absolute_ids.tolist())
     incidences = n * q  # each point lies on exactly q lines (forward solve)
     edges = (incidences - n_pi) // 2
     report["counts"] = {
@@ -546,39 +584,29 @@ def verify_family_sampled(family, *, e=None, seed=0,
     # over samples would, checks them on the bulk kernel, and on the first
     # failing sample rewinds rng to where that loop would have stopped.
     r = scheme.r
-    key_len = len(scheme.class_key(0))
 
     def draw_pair(g):
         return g.randrange(r), g.randrange(r)
 
     # loop vertices: the formula output must be absolute, for every class
     loops_ok = n_pi == r
-    loop_formula_ok = True
-    for cid in range(r):
-        lvtx = scheme.loop_vertex(cid)
-        if scheme.class_of_coords(lvtx) != cid or spec.coords_to_id(lvtx) not in absolute:
-            loop_formula_ok = False
-            report["witnesses"].append(("loop_vertex", cid))
-            break
+    cids = np.arange(r)
+    lv = scheme.loop_vertex_bulk(cids)
+    i = _first((scheme.class_of_ids(lv) != cids) | ~_in_sorted(lv, absolute_ids))
+    loop_formula_ok = i is None
+    if not loop_formula_ok:
+        report["witnesses"].append(("loop_vertex", i))
 
     # sampled unique-edge substitution
     pairs, rewind = _predraw(rng, class_pair_samples, draw_pair)
-    formula_ok = []
-    edge_rows, ends_a, ends_b = [], [], []
-    for i, (c1, c2) in enumerate(pairs):
-        if c1 == c2:
-            formula_ok.append(spec.coords_to_id(scheme.loop_vertex(c1)) in absolute)
-            continue
-        a, b = scheme.unique_edge(c1, c2)
-        formula_ok.append(scheme.class_of_coords(a) == c1 and scheme.class_of_coords(b) == c2)
-        if formula_ok[-1]:
-            edge_rows.append(i)
-            ends_a.append(a)
-            ends_b.append(b)
-    formula_ok = np.array(formula_ok, dtype=bool)
-    if edge_rows:
-        formula_ok[edge_rows] = spec.incident_bulk(
-            _columns(ends_b, m), pol.polar(ctx, _columns(ends_a, m)))
+    c1, c2 = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2).T
+    formula_ok = np.zeros(len(pairs), dtype=bool)
+    same = c1 == c2
+    formula_ok[same] = _in_sorted(scheme.loop_vertex_bulk(c1[same]), absolute_ids)
+    a, b = scheme.unique_edge_bulk(c1[~same], c2[~same])
+    in_class = (scheme.class_of_ids(a) == c1[~same]) & (scheme.class_of_ids(b) == c2[~same])
+    formula_ok[~same] = in_class & spec.incident_bulk(
+        spec.ids_to_coords(b), pol.polar(ctx, spec.ids_to_coords(a)))
     i = _first(~formula_ok)
     adjacency_ok = i is None
     substitution_checked = len(pairs) if adjacency_ok else i
@@ -596,11 +624,11 @@ def verify_family_sampled(family, *, e=None, seed=0,
         if c1 == c2:
             continue
         expected = scheme.unique_edge(c1, c2)
-        key2 = scheme.class_key(c2)
-        members = scheme.class_members(c1)
-        nbs, not_self = pg.neighbors_bulk(_columns(members, m))
-        rows, cols = np.nonzero(not_self & adg._rows_equal(nbs, key2))
-        found = [(members[a], tuple(int(c[a, b]) for c in nbs)) for a, b in zip(rows, cols)]
+        members = spec.ids_to_coords(scheme.class_members_bulk([c1])[0])
+        nbs, not_self = pg.neighbors_bulk(members)
+        rows, cols = np.nonzero(not_self & (scheme.class_of_ids(spec.coords_to_ids(nbs)) == c2))
+        found = [(adg._row(members, a), tuple(int(c[a, b]) for c in nbs))
+                 for a, b in zip(rows, cols)]
         if found != [expected]:
             sweep_ok = False
             report["witnesses"].append(("sweep_pair", c1, c2, len(found)))
@@ -611,16 +639,16 @@ def verify_family_sampled(family, *, e=None, seed=0,
     # within-class sampling: no non-loop edges inside a class
     draws, rewind = _predraw(
         rng, within_samples, lambda g: (g.randrange(r), g.randrange(scheme.class_size)))
-    vs = [scheme.class_members(cid)[j] for cid, j in draws]
-    keys = [scheme.class_key(cid) for cid, _ in draws]
-    nbs, not_self = pg.neighbors_bulk(_columns(vs, m))
-    inside = not_self & adg._rows_equal(nbs, [c[:, None] for c in _columns(keys, key_len)])
+    cids, picks = np.array(draws, dtype=np.int64).reshape(len(draws), 2).T
+    vs = spec.ids_to_coords(_class_member(scheme, cids, picks))
+    nbs, not_self = pg.neighbors_bulk(vs)
+    inside = not_self & (scheme.class_of_ids(spec.coords_to_ids(nbs)) == cids[:, None])
     i = _first(inside.any(axis=1))
     within_ok = i is None
     if not within_ok:
         rewind(i)
         nb = adg._row([c[i] for c in nbs], int(inside[i].argmax()))
-        report["witnesses"].append(("within_edge", draws[i][0], vs[i], nb))
+        report["witnesses"].append(("within_edge", draws[i][0], adg._row(vs, i), nb))
 
     # degree spot checks against the two-value spectrum
     def draw_vertex(g):

@@ -3,6 +3,7 @@ cross-part scans, loop vertices, and the general constructions."""
 
 import random
 
+import numpy as np
 import pytest
 
 from polarpart import adg
@@ -17,7 +18,7 @@ from polarpart.partitions import (
     general_even_partition, general_odd_partition, general_polarity_partition,
     is_point_line_symmetric, scheme_partition,
 )
-from polarpart.verify import verdict
+from polarpart.verify import family_bundle, verdict, verify_family
 
 
 def brute_force_cross_edges(g, spec, scheme, cid1, cid2):
@@ -338,3 +339,100 @@ def test_general_polarity_rejects_asymmetric():
     spec = ADGSpec(ctx, 2, (mul(powi(var_l(1), 2), var_p(1)),))
     with pytest.raises(ValueError):
         general_polarity_partition(spec)
+
+
+# -- bulk forms against the scalar formulas ---------------------------------------
+
+def _scheme(family, **kwargs):
+    spec, _, scheme, _ = family_bundle(family, **kwargs)
+    return spec, scheme
+
+
+BULK_SCHEMES = {
+    "plane q=2": lambda: _scheme("plane", q=2),
+    "plane q=3": lambda: _scheme("plane", q=3),
+    "plane q=4": lambda: _scheme("plane", q=4),
+    "plane q=5": lambda: _scheme("plane", q=5),
+    "gq e=1": lambda: _scheme("gq", e=1),
+    "gh e=0": lambda: _scheme("gh", e=0, allow_small_e=True),
+}
+
+
+def _ids(spec, vertices):
+    return [spec.coords_to_id(v) for v in vertices]
+
+
+def _assert_bulk_matches_scalar(spec, scheme, ids, cids, c1, c2):
+    assert scheme.class_of_ids(ids).tolist() == [
+        scheme.class_of_coords(spec.id_to_coords(v)) for v in ids.tolist()]
+    assert scheme.class_members_bulk(cids).tolist() == [
+        _ids(spec, scheme.class_members(c)) for c in cids.tolist()]
+    assert scheme.loop_vertex_bulk(cids).tolist() == _ids(
+        spec, [scheme.unique_edge(c, c) for c in cids.tolist()])
+    a, b = scheme.unique_edge_bulk(c1, c2)
+    edges = [scheme.unique_edge(x, y) for x, y in zip(c1.tolist(), c2.tolist())]
+    assert a.tolist() == _ids(spec, [e[0] for e in edges])
+    assert b.tolist() == _ids(spec, [e[1] for e in edges])
+
+
+@pytest.mark.parametrize("name", sorted(BULK_SCHEMES))
+def test_bulk_forms_match_scalar_on_every_pair(name):
+    spec, scheme = BULK_SCHEMES[name]()
+    c1, c2 = np.nonzero(~np.eye(scheme.r, dtype=bool))  # every ordered pair c1 != c2
+    _assert_bulk_matches_scalar(spec, scheme, np.arange(spec.side_size),
+                                np.arange(scheme.r), c1, c2)
+
+
+def test_bulk_forms_match_scalar_on_sampled_gh_pairs():
+    spec, scheme = _scheme("gh", e=1)
+    rng = np.random.default_rng(5)
+    c1, c2 = rng.integers(0, scheme.r, size=(2, 20_000))
+    c2 = np.where(c1 == c2, (c2 + 1) % scheme.r, c2)
+    _assert_bulk_matches_scalar(spec, scheme, rng.integers(0, spec.side_size, size=5000),
+                                rng.integers(0, scheme.r, size=500), c1, c2)
+
+
+def test_bulk_forms_keep_the_shape_of_their_input():
+    spec, scheme = _scheme("plane", q=3)
+    ids = np.arange(spec.side_size).reshape(9, 9)
+    assert scheme.class_of_ids(ids).shape == (9, 9)
+    assert scheme.class_members_bulk(np.arange(4)).shape == (4, scheme.class_size)
+    empty = np.zeros(0, dtype=np.int64)
+    assert [len(x) for x in scheme.unique_edge_bulk(empty, empty)] == [0, 0]
+
+
+def test_bulk_forms_without_tables_match_the_table_path(monkeypatch):
+    spec, scheme = _scheme("plane", q=3)
+    ids, cids = np.arange(spec.side_size), np.arange(scheme.r)
+    c1, c2 = np.nonzero(~np.eye(scheme.r, dtype=bool))
+
+    def forms():
+        return (scheme.class_of_ids(ids), scheme.class_members_bulk(cids),
+                scheme.loop_vertex_bulk(cids), *scheme.unique_edge_bulk(c1, c2))
+
+    by_table = forms()
+    calls = []
+    loop_vertex = scheme.loop_vertex
+    scheme.loop_vertex = lambda cid: calls.append(cid) or loop_vertex(cid)
+    monkeypatch.setattr(adg, "has_tables", lambda ctx: False)
+    by_scalar = forms()
+    assert calls == list(range(scheme.r))  # the scalar formula ran
+    for x, y in zip(by_table, by_scalar):
+        assert x.dtype == y.dtype and x.tolist() == y.tolist()
+
+
+def test_plane_report_without_tables_matches_the_table_path(monkeypatch):
+    expected = verify_family("plane", q=3)
+    monkeypatch.setattr(adg, "has_tables", lambda ctx: False)
+    assert verify_family("plane", q=3) == expected
+
+
+def test_scheme_partition_matches_class_of_coords():
+    cases = [BULK_SCHEMES[name]() for name in sorted(BULK_SCHEMES)]
+    m4 = ADGSpec(make_field(2, 2), 4, (mul(var_p(1), var_l(1)), mul(var_p(2), var_l(2)),
+                                       mul(var_p(3), var_l(3))))
+    for spec in (plane_family(3)[0], m4):
+        cases.append((spec, GeneralPolarityScheme(spec)))
+    for spec, scheme in cases:
+        part = scheme_partition(scheme, spec)
+        assert part.class_of == [scheme.class_of_coords(c) for c in spec.all_coords()]

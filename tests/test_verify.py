@@ -10,6 +10,7 @@ import sys
 import textwrap
 import types
 
+import numpy as np
 import pytest
 
 import polarpart
@@ -622,9 +623,10 @@ GOLDEN_DIGESTS = {
 
 
 def _tamper(monkeypatch, method):
-    """Break one closed form of the hexagon scheme, so that the report
-    carries first-failure witnesses."""
+    """Break one closed form of the hexagon scheme, scalar and bulk form
+    alike, so that the report carries first-failure witnesses."""
     unique_edge, class_members = GHScheme.unique_edge, GHScheme.class_members
+    unique_edge_bulk, class_members_bulk = GHScheme.unique_edge_bulk, GHScheme.class_members_bulk
 
     def bad_unique_edge(self, c1, c2):
         out = unique_edge(self, c1, c2)
@@ -633,13 +635,23 @@ def _tamper(monkeypatch, method):
         a, b = out
         return a, b[:4] + ((b[4] + 1) % self.q,)
 
+    def bad_unique_edge_bulk(self, c1, c2):
+        a, b = unique_edge_bulk(self, c1, c2)
+        last = b % self.q  # the fifth coordinate
+        return a, np.where(c1 % 5 == 0, b - last + (last + 1) % self.q, b)
+
     def bad_class_members(self, cid):
         return class_members(self, (cid + 1) % self.r)
 
+    def bad_class_members_bulk(self, cids):
+        return class_members_bulk(self, (np.asarray(cids) + 1) % self.r)
+
     if method == "unique_edge":
         monkeypatch.setattr(GHScheme, "unique_edge", bad_unique_edge)
+        monkeypatch.setattr(GHScheme, "unique_edge_bulk", bad_unique_edge_bulk)
     elif method == "class_members":
         monkeypatch.setattr(GHScheme, "class_members", bad_class_members)
+        monkeypatch.setattr(GHScheme, "class_members_bulk", bad_class_members_bulk)
 
 
 @pytest.mark.parametrize("tamper", sorted(GOLDEN_DIGESTS))
@@ -651,3 +663,178 @@ def test_sampled_report_golden_digest(tamper, monkeypatch):
     text = json.dumps(rep, indent=2, sort_keys=True, default=_jsonable) + "\n"
     assert rep["ok"] == (tamper == "intact")
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[tamper]
+
+
+# -- the blocked unique-edge pass against the scalar loop it replaced ----------
+
+def _reference_check_unique_edges(g, spec, scheme):
+    """The scalar loop _check_unique_edges replaced, kept as its oracle."""
+    if not hasattr(scheme, "unique_edge"):
+        return True, None
+    r = scheme.r
+    for c1 in range(r):
+        lv = scheme.loop_vertex(c1)
+        if scheme.class_of_coords(lv) != c1:
+            return False, ("loop_vertex_class", c1)
+        if spec.coords_to_id(lv) not in g.loops:
+            return False, ("loop_vertex_not_absolute", c1)
+        for c2 in range(c1 + 1, r):
+            a, b = scheme.unique_edge(c1, c2)
+            if scheme.class_of_coords(a) != c1 or scheme.class_of_coords(b) != c2:
+                return False, ("edge_endpoint_class", c1, c2)
+            if not g.has_edge(spec.coords_to_id(a), spec.coords_to_id(b)):
+                return False, ("edge_formula_not_edge", c1, c2)
+    return True, None
+
+
+# tampered classes c1; an edge tamper also needs c2 > c1 + 2, so it fails
+# neither at the first class nor at the first pair of its row
+TAMPERED_C1 = (7, 11)
+
+
+def _next_member(scheme, cid, v):
+    members = scheme.class_members(cid)
+    return members[(members.index(v) + 1) % len(members)]
+
+
+def _next_member_bulk(scheme, cids, ids):
+    members = scheme.class_members_bulk(cids)
+    at = (members == ids[:, None]).argmax(axis=1)
+    return members[np.arange(len(ids)), (at + 1) % members.shape[1]]
+
+
+def _tamper_scheme(scheme, kind):
+    """Break one closed form of `scheme`, its scalar and bulk forms alike,
+    at the classes TAMPERED_C1."""
+    loop_vertex, loop_vertex_bulk = scheme.loop_vertex, scheme.loop_vertex_bulk
+    unique_edge, unique_edge_bulk = scheme.unique_edge, scheme.unique_edge_bulk
+    r = scheme.r
+    if kind == "loop_vertex_class":  # the next class's loop vertex
+        scheme.loop_vertex = lambda c: loop_vertex((c + 1) % r if c in TAMPERED_C1 else c)
+        scheme.loop_vertex_bulk = lambda cids: loop_vertex_bulk(
+            np.where(np.isin(cids, TAMPERED_C1), (cids + 1) % r, cids))
+    elif kind == "loop_vertex_not_absolute":  # another member of the class
+        scheme.loop_vertex = lambda c: (_next_member(scheme, c, loop_vertex(c))
+                                        if c in TAMPERED_C1 else loop_vertex(c))
+        scheme.loop_vertex_bulk = lambda cids: np.where(
+            np.isin(cids, TAMPERED_C1),
+            _next_member_bulk(scheme, cids, loop_vertex_bulk(cids)), loop_vertex_bulk(cids))
+    else:
+        def hit(c1, c2):
+            return np.isin(c1, TAMPERED_C1) & (c2 > c1 + 2)
+
+        def bad_a(c1, c2, a):
+            if kind == "edge_endpoint_class":  # a vertex of class c2
+                return scheme.loop_vertex(c2)
+            return _next_member(scheme, c1, a)  # edge_formula_not_edge
+
+        def bad_a_bulk(c1, c2, a):
+            if kind == "edge_endpoint_class":
+                return scheme.loop_vertex_bulk(c2)
+            return _next_member_bulk(scheme, c1, a)
+
+        def tampered(c1, c2):
+            a, b = unique_edge(c1, c2)
+            return (bad_a(c1, c2, a) if c1 != c2 and hit(c1, c2) else a), b
+
+        def tampered_bulk(c1, c2):
+            a, b = unique_edge_bulk(c1, c2)
+            return np.where(hit(c1, c2), bad_a_bulk(c1, c2, a), a), b
+
+        scheme.unique_edge, scheme.unique_edge_bulk = tampered, tampered_bulk
+
+
+UNIQUE_EDGE_FAMILIES = {
+    "plane q=3": lambda: verify.family_bundle("plane", q=3),
+    "gq e=1": lambda: verify.family_bundle("gq", e=1),
+    "gh e=0": lambda: verify.family_bundle("gh", e=0, allow_small_e=True),
+}
+# "+" joins tampers; in one row the loop-vertex checks come first
+UNIQUE_EDGE_TAMPERS = ["intact", "loop_vertex_class", "loop_vertex_not_absolute",
+                       "edge_endpoint_class", "edge_formula_not_edge",
+                       "edge_endpoint_class+loop_vertex_not_absolute",
+                       "edge_formula_not_edge+loop_vertex_class"]
+
+
+@pytest.mark.parametrize("tamper", UNIQUE_EDGE_TAMPERS)
+@pytest.mark.parametrize("family", sorted(UNIQUE_EDGE_FAMILIES))
+def test_check_unique_edges_matches_scalar_reference(monkeypatch, family, tamper):
+    spec, pol, scheme, _ = UNIQUE_EDGE_FAMILIES[family]()
+    g = _polarity_graph(spec, pol)
+    kinds = tamper.split("+")
+    for kind in kinds if tamper != "intact" else ():
+        _tamper_scheme(scheme, kind)
+    expected = _reference_check_unique_edges(g, spec, scheme)
+    if tamper == "intact":
+        assert expected == (True, None)
+    else:  # the first tampered class, past the first 3-row block
+        assert expected[0] is False and expected[1][:2] == (kinds[-1], TAMPERED_C1[0])
+        if kinds[-1].startswith("edge"):
+            assert expected[1][2] == TAMPERED_C1[0] + 3
+    assert verify._check_unique_edges(g, spec, scheme) == expected
+    for rows in (1, 3):
+        monkeypatch.setattr(verify, "UNIQUE_EDGE_BLOCK", rows * (scheme.r - 1))
+        assert verify._check_unique_edges(g, spec, scheme) == expected
+
+
+def test_check_unique_edges_blocks_stay_within_the_bound(monkeypatch):
+    spec, pol, scheme, _ = verify.family_bundle("gq", e=1)
+    g = _polarity_graph(spec, pol)
+    sizes = []
+    unique_edge_bulk = scheme.unique_edge_bulk
+    scheme.unique_edge_bulk = lambda c1, c2: sizes.append(len(c1)) or unique_edge_bulk(c1, c2)
+    monkeypatch.setattr(verify, "UNIQUE_EDGE_BLOCK", 500)
+    assert verify._check_unique_edges(g, spec, scheme) == (True, None)
+    assert max(sizes) <= 500 and sum(sizes) == scheme.r * (scheme.r - 1) // 2
+    assert len(sizes) == -(-scheme.r // (500 // (scheme.r - 1)))
+
+
+# -- verdict against the per-edge loop it replaced -------------------------------
+
+def _reference_verdict(g, part):
+    """The r x r list tally and the upper-triangle scan verdict replaced."""
+    r, cls = part.r, part.class_of
+    cross = [[0] * r for _ in range(r)]
+    within = [0] * r
+    for u, v in g.edges():
+        if cls[u] == cls[v]:
+            within[cls[u]] += 1
+        else:
+            cross[cls[u]][cls[v]] += 1
+            cross[cls[v]][cls[u]] += 1
+    witnesses = []
+    for i in range(r):
+        for j in range(i + 1, r):
+            if cross[i][j] == 0:
+                witnesses.append(("missing_pair", i, j))
+            elif cross[i][j] > 1:
+                witnesses.append(("multi_edge_pair", i, j, cross[i][j]))
+    return cross, within, witnesses
+
+
+def test_verdict_matches_the_list_tally():
+    rng = random.Random(8)
+    for trial in range(60):
+        n = rng.randrange(2, 30)
+        g = seeded_gnp(n, rng.uniform(0.1, 0.9), seed=2000 + trial)
+        r = rng.randrange(1, n + 1)
+        part = Partition(list(range(r)) + [rng.randrange(r) for _ in range(n - r)], r)
+        cross, within, witnesses = _reference_verdict(g, part)
+        _, got, mat = verdict(g, part)
+        assert mat.cross.tolist() == cross and mat.within == within
+        assert [w for w in got if w[0] != "within_edge"] == witnesses
+        assert all(type(x) is int for w in got for x in w[1:])  # JSON bytes as before
+
+
+# -- the sampled protocol on a scheme whose classes are not coordinate prefixes --
+
+@pytest.mark.parametrize("family,kwargs", [("plane", {"q": 3}), ("gq", {"e": 1})])
+def test_sampled_protocol_agrees_with_exhaustive_off_gh(family, kwargs):
+    bundle = verify.family_bundle(family, **kwargs)
+    sampled = verify.verify_family_sampled(
+        family, bundle=bundle, class_pair_samples=2000, full_sweeps=50,
+        within_samples=500, degree_samples=500)
+    exhaustive = verify_family(family, with_luw=False, **kwargs)
+    assert sampled["ok"] and exhaustive["ok"]
+    assert sampled["witnesses"] == [] and sampled["checks"]["full_sweeps"] > 0
+    assert {k: sampled["verdicts"][k] for k in exhaustive["verdicts"]} == exhaustive["verdicts"]
