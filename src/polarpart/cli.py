@@ -148,28 +148,30 @@ def _jsonable(x):
     raise TypeError(f"not JSON-serializable: {x!r}")
 
 
-def _build_graph(cfg: RunConfig):
-    spec, pol, scheme, params = _bundle(cfg)
-    if cfg.family == "gh-original":
-        return materialize(spec.bipartite_graph(), cfg.limit), spec, scheme
+def _gh_original_q(cfg: RunConfig) -> int:
+    if cfg.q is None:
+        raise ConfigError("gh-original needs --q")
+    return cfg.q
+
+
+def _polarity_graph(cfg: RunConfig, bundle):
+    """Check the bundle's polarity, then materialize its graph."""
+    spec, pol, _, _ = bundle
     pg = adg.build_polarity_graph(spec, pol, mode="exhaustive"
                                   if spec.side_size <= cfg.limit else "sampled",
                                   seed=cfg.seed)
-    return materialize(pg.implicit(), cfg.limit), spec, scheme
+    return materialize(pg.implicit(), cfg.limit)
 
 
-def cmd_build(cfg: RunConfig) -> int:
-    g, _, _ = _build_graph(cfg)
+def _write_graph(cfg: RunConfig, g):
     path = os.path.join(cfg.out, _stem(cfg) + ".edges")
     _write(path, write_edge_list(g))
     print(f"wrote {path} ({g.n} vertices, {edge_count(g)} edges)")
-    return 0
 
 
-def cmd_partition(cfg: RunConfig) -> int:
-    spec, pol, scheme, params = _bundle(cfg)
-    if cfg.family == "gh-original" or scheme is None:
-        raise ConfigError(f"family {cfg.family} has no vertex partition")
+def _write_partition(cfg: RunConfig, bundle):
+    """The scheme's partition, written with its class-key sidecar."""
+    spec, _, scheme, _ = bundle
     if spec.side_size > cfg.limit:
         raise ConfigError(
             f"{spec.side_size} vertices exceed the ceiling {cfg.limit}; "
@@ -180,15 +182,40 @@ def cmd_partition(cfg: RunConfig) -> int:
     _write_json(os.path.join(cfg.out, stem + ".classes.json"),
                 parts.class_key_sidecar(scheme))
     print(f"wrote {stem}.partition ({part.r} classes) and {stem}.classes.json")
+    return part
+
+
+def _write_report(cfg: RunConfig, report) -> int:
+    stem = _stem(cfg)
+    path = os.path.join(cfg.out, stem + ".report.json")
+    _write_json(path, report)
+    ok = report["ok"]
+    print(f"{'PASS' if ok else 'FAIL'} {stem}: report at {path}")
+    if not ok and report.get("witnesses"):
+        print(f"  first witness: {report['witnesses'][0]}")
+    return 0 if ok else 1
+
+
+def cmd_build(cfg: RunConfig) -> int:
+    if cfg.family == "gh-original":
+        spec, _ = adg.gh_original_family(_gh_original_q(cfg))
+        g = materialize(spec.bipartite_graph(), cfg.limit)
+    else:
+        g = _polarity_graph(cfg, _bundle(cfg))
+    _write_graph(cfg, g)
+    return 0
+
+
+def cmd_partition(cfg: RunConfig) -> int:
+    if cfg.family == "gh-original":
+        raise ConfigError(f"family {cfg.family} has no vertex partition")
+    _write_partition(cfg, _bundle(cfg))
     return 0
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    stem = _stem(cfg)
     if cfg.family == "gh-original":
-        if cfg.q is None:
-            raise ConfigError("gh-original needs --q")
-        report = ver.verify_gh_original(cfg.q, materialize_limit=cfg.limit)
+        report = ver.verify_gh_original(_gh_original_q(cfg), materialize_limit=cfg.limit)
     else:
         graph = partition = None
         if cfg.edges_path:
@@ -199,31 +226,26 @@ def cmd_verify(cfg: RunConfig) -> int:
                 partition = read_partition(fh.read())
         report = ver.verify_family(cfg.family, mode=cfg.mode, graph=graph,
                                    partition=partition, **_family_kwargs(cfg))
-    path = os.path.join(cfg.out, stem + ".report.json")
-    _write_json(path, report)
-    ok = report["ok"]
-    print(f"{'PASS' if ok else 'FAIL'} {stem}: report at {path}")
-    if not ok and report.get("witnesses"):
-        print(f"  first witness: {report['witnesses'][0]}")
-    return 0 if ok else 1
+    return _write_report(cfg, report)
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    spec, pol, scheme, params = _bundle(cfg)
-    if cfg.family != "gh-original" and scheme is not None and spec.side_size <= cfg.limit:
-        rc = cmd_build(cfg)
-        if rc:
-            return rc
-        rc = cmd_partition(cfg)
-        if rc:
-            return rc
-    elif cfg.family == "gh-original":
-        rc = cmd_build(cfg)
-        if rc:
-            return rc
-    else:
+    """build, partition and verify, each object built once: the bundle,
+    the polarity graph and the partition are written, then verified."""
+    if cfg.family == "gh-original":
+        return cmd_build(cfg) or cmd_verify(cfg)
+    bundle = _bundle(cfg)
+    if bundle[0].side_size > cfg.limit:
         print(f"{_stem(cfg)}: instance too large to materialize; verification only")
-    return cmd_verify(cfg)
+        return cmd_verify(cfg)
+    g = _polarity_graph(cfg, bundle)
+    _write_graph(cfg, g)
+    part = _write_partition(cfg, bundle)
+    if cfg.mode == "sampled":
+        return cmd_verify(cfg)
+    return _write_report(cfg, ver.verify_family_exhaustive(
+        cfg.family, seed=cfg.seed, materialize_limit=cfg.limit, graph=g,
+        partition=part, bundle=bundle))
 
 
 def cmd_oracle(cfg: RunConfig) -> int:

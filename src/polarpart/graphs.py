@@ -10,36 +10,60 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
+
+import numpy as np
 
 
 class Graph:
-    """Explicit undirected graph on vertices 0..n-1 with sorted adjacency.
+    """Explicit undirected graph on vertices 0..n-1, stored as CSR arrays.
 
-    Adjacency must be symmetric and duplicate-free; loops are kept in
-    their own set and never appear in adjacency lists.
+    Row v of the adjacency, indices[indptr[v]:indptr[v + 1]], holds v's
+    neighbours in ascending order; ids are int32 while n * n fits in one,
+    else int64.  Loops are kept in their own frozenset and never appear in
+    the rows.  The constructor checks every neighbour is in range, no row
+    holds its own vertex or a repeat, and the adjacency is symmetric.
     """
 
     def __init__(self, n, adjacency, loops=()):
+        """adjacency: n neighbour collections in any order, or an (n, d)
+        array of neighbour ids padded with -1 (an array rule's table)."""
         if len(adjacency) != n:
             raise ValueError("adjacency length != n")
+        if isinstance(adjacency, np.ndarray):
+            keep = adjacency != -1
+            deg, heads = keep.sum(axis=1), adjacency[keep].astype(np.int64, copy=False)
+        else:
+            deg = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
+            heads = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64,
+                                count=int(deg.sum()))
+        tails = np.repeat(np.arange(n, dtype=np.int64), deg)
+        bad = (heads < 0) | (heads >= n)
+        if bad.any():
+            raise ValueError(f"neighbor of vertex {tails[bad.argmax()]} out of range 0..{n - 1}")
+        bad = heads == tails
+        if bad.any():
+            raise ValueError(f"loop {tails[bad.argmax()]} stored in adjacency")
+        codes = tails * n + heads  # ascending once every row is
+        if (codes[1:] < codes[:-1]).any():
+            codes.sort()
+            heads = codes - tails * n
+        bad = codes[1:] == codes[:-1]
+        if bad.any():
+            raise ValueError(f"duplicate neighbor at vertex {tails[bad.argmax()]}")
+        back = heads * n + tails
+        if not np.array_equal(codes, np.sort(back)):
+            i = np.isin(back, codes, invert=True).argmax()
+            raise ValueError(f"asymmetric edge ({tails[i]}, {heads[i]})")
+        loop_ids = np.fromiter(loops, dtype=np.int64)
+        bad = (loop_ids < 0) | (loop_ids >= n)
+        if bad.any():
+            raise ValueError(f"loop vertex {loop_ids[bad.argmax()]} out of range")
         self.n = n
-        self.adj = [sorted(neigh) for neigh in adjacency]
-        self.loops = frozenset(loops)
-        for v, neigh in enumerate(self.adj):
-            if neigh and not (0 <= neigh[0] and neigh[-1] < n):
-                raise ValueError(f"neighbor of vertex {v} out of range 0..{n - 1}")
-            if len(set(neigh)) != len(neigh):
-                raise ValueError(f"duplicate neighbor at vertex {v}")
-            if v in neigh:
-                raise ValueError(f"loop {v} stored in adjacency")
-        for v in self.loops:
-            if not 0 <= v < n:
-                raise ValueError(f"loop vertex {v} out of range")
-        self._m = sum(len(a) for a in self.adj)
-        if self._m % 2 != 0:
-            raise ValueError("adjacency is not symmetric (odd degree sum)")
-        self._m //= 2
+        self.indptr = np.concatenate([[0], np.cumsum(deg)]).astype(np.int64)
+        self.indices = heads.astype(np.int32 if n * n < 2 ** 31 else np.int64)
+        self.loops = frozenset(loop_ids.tolist())
 
     @classmethod
     def from_edges(cls, n, edges, loops=()):
@@ -51,46 +75,39 @@ class Graph:
             adjacency[v].add(u)
         return cls(n, adjacency, loops)
 
-    def check_symmetric(self):
-        """Raise on the first arc (v, u), v then u ascending, without (u, v)."""
-        import numpy as np
-
-        tails, heads = _arcs(self)
-        n = heads.dtype.type(self.n)
-        arcs = tails * n + heads  # ascending: rows are sorted
-        back = heads * n + tails
-        if not np.array_equal(arcs, np.sort(back)):
-            i = int(np.isin(back, arcs, invert=True).argmax())
-            raise ValueError(f"asymmetric edge ({tails[i]}, {heads[i]})")
+    @cached_property
+    def adj(self):
+        """The rows as n ascending lists: the view the small oracles read."""
+        ids, ptr = self.indices.tolist(), self.indptr.tolist()
+        return [ids[ptr[v]:ptr[v + 1]] for v in range(self.n)]
 
     def edges(self):
-        for u, neigh in enumerate(self.adj):
-            for v in neigh:
-                if u < v:
-                    yield (u, v)
+        """Every edge (u, v), u < v, ascending."""
+        tails, heads = arcs(self)
+        up = tails < heads
+        return zip(tails[up].tolist(), heads[up].tolist())
 
     def has_edge(self, u, v):
-        a = self.adj[u]
-        lo, hi = 0, len(a)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if a[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(a) and a[lo] == v
+        row = self.indices[self.indptr[u]:self.indptr[u + 1]]
+        i = row.searchsorted(v)
+        return bool(i < len(row) and row[i] == v)
+
+
+def degrees(g: Graph):
+    """Every vertex's degree, loops excluded, as an int64 array."""
+    return np.diff(g.indptr)
 
 
 def degree(g: Graph, v: int) -> int:
     """Degree of v, loops excluded."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    return len(g.adj[v])
+    return int(g.indptr[v + 1] - g.indptr[v])
 
 
 def edge_count(g: Graph) -> int:
     """Number of non-loop edges."""
-    return g._m
+    return len(g.indices) // 2
 
 
 def loop_count(g: Graph) -> int:
@@ -98,10 +115,8 @@ def loop_count(g: Graph) -> int:
 
 
 def degree_multiset(g: Graph) -> dict[int, int]:
-    out = {}
-    for a in g.adj:
-        out[len(a)] = out.get(len(a), 0) + 1
-    return out
+    values, counts = np.unique(degrees(g), return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -125,20 +140,14 @@ class ImplicitGraph:
 
 
 def materialize(ig: ImplicitGraph, limit: int) -> Graph:
-    """Expand an implicit graph (by its array rule when it has one),
-    asserting symmetry along the way."""
+    """Expand an implicit graph, by its array rule when it has one; Graph
+    sorts the rows and checks symmetry."""
     if ig.n > limit:
         raise ValueError(f"{ig.n} vertices exceed materialization ceiling {limit}")
     if ig.arrays is None:
-        adjacency = [ig.neighbors(v) for v in range(ig.n)]
-        loops = [v for v in range(ig.n) if ig.is_loop(v)]
-    else:
-        nb, loops = ig.arrays()
-        adjacency = [[u for u in row if u >= 0] for row in nb.tolist()]
-        loops = loops.tolist()
-    g = Graph(ig.n, adjacency, loops)
-    g.check_symmetric()
-    return g
+        return Graph(ig.n, [ig.neighbors(v) for v in range(ig.n)],
+                     [v for v in range(ig.n) if ig.is_loop(v)])
+    return Graph(ig.n, *ig.arrays())
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +199,12 @@ def pair_edge_matrix(g: Graph, part: Partition) -> PairEdgeMatrix:
     """Cross/within/loop tallies: one bincount of the class-pair codes
     class(u) * r + class(v) of every arc (u, v); the diagonal counts each
     within-class edge twice."""
-    import numpy as np
-
     if len(part.class_of) != g.n:
         raise ValueError("partition does not cover the graph")
     r = part.r
     cls = np.asarray(part.class_of, dtype=np.int64)
-    deg, heads = _csr(g, np.int32)
-    codes = cls[heads]
-    del heads
-    codes += np.repeat(cls * r, deg)
+    codes = cls[g.indices]
+    codes += np.repeat(cls * r, degrees(g))
     cross = np.bincount(codes, minlength=r * r).reshape(r, r)
     within = np.diagonal(cross) // 2
     np.fill_diagonal(cross, 0)
@@ -213,47 +218,32 @@ def pair_edge_matrix(g: Graph, part: Partition) -> PairEdgeMatrix:
 # cycles
 # ---------------------------------------------------------------------------
 
-def _csr(g: Graph, dtype):
-    """(deg, indices): g.adj as CSR arrays, neighbour ids of `dtype`."""
-    import numpy as np
-
-    deg = np.fromiter(map(len, g.adj), dtype=np.int64, count=g.n)
-    indices = np.fromiter(chain.from_iterable(g.adj), dtype=dtype, count=int(deg.sum()))
-    return deg, indices
-
-
-def _arcs(g: Graph):
+def arcs(g: Graph):
     """(tails, heads): every arc (u, v), both directions, ascending by
-    (u, v) since adjacency rows are sorted; int32 while n * n fits."""
-    import numpy as np
-
-    dtype = np.int32 if g.n * g.n < 2 ** 31 else np.int64
-    deg, heads = _csr(g, dtype)
-    return np.repeat(np.arange(g.n, dtype=dtype), deg), heads
+    (u, v), of the indices' dtype."""
+    dtype = g.indices.dtype
+    return np.repeat(np.arange(g.n, dtype=dtype), degrees(g)), g.indices
 
 
 def arc_codes(g: Graph):
     """Ascending codes u * n + v of every arc (u, v), both directions, of
-    _arcs' dtype."""
-    tails, heads = _arcs(g)
+    the indices' dtype (int32 while n * n fits)."""
+    tails, heads = arcs(g)
     return tails * heads.dtype.type(g.n) + heads
 
 
 def _table(g: Graph):
-    """g.adj as an (n, max degree) int64 array, rows padded with -1."""
-    import numpy as np
-
-    deg, indices = _csr(g, np.int64)
-    table = np.full((g.n, int(deg.max(initial=0))), -1, dtype=np.int64)
-    table[np.arange(table.shape[1]) < deg[:, None]] = indices
+    """The rows as an (n, max degree) array of the indices' dtype, padded
+    with -1."""
+    deg = degrees(g)
+    table = np.full((g.n, int(deg.max(initial=0))), -1, dtype=g.indices.dtype)
+    table[np.arange(table.shape[1]) < deg[:, None]] = g.indices
     return table
 
 
 def find_even_cycle(g: Graph, k: int):
     """Witness cycle of length exactly 2k, or None: even_cycle from every
     root, on the adjacency as a padded table (ascending rows)."""
-    import numpy as np
-
     table = _table(g)
     hit = even_cycle(np.arange(g.n), k, lambda ids: table[ids], g.n)
     return None if hit is None else hit[1]
@@ -288,8 +278,6 @@ def even_cycle(roots, k, neighbors, n):
     an earlier root would have been found at that root.  Other calls keep
     every walk.
     """
-    import numpy as np
-
     if k < 2:
         raise ValueError("cycle length below 4")
     dtype = np.int32 if n < 2 ** 31 else np.int64
@@ -375,8 +363,6 @@ GIRTH_CHUNK = 1 << 20
 
 def _has_odd_cycle(table):
     """2-colour every component by level-synchronous BFS; True on a clash."""
-    import numpy as np
-
     colour = np.full(len(table), -1, dtype=np.int8)
     for s in np.flatnonzero(table[:, 0] >= 0):
         if colour[s] >= 0:
@@ -406,10 +392,8 @@ def girth(g: Graph):
     graph has no odd cycle.  The first block is one root, so best is known
     before the blocks of GIRTH_CHUNK // (n (1 + max degree)) roots run.
     """
-    import numpy as np
-
     n = g.n
-    if not g._m:
+    if not len(g.indices):
         return math.inf
     table = _table(g)
     slack = 1 if _has_odd_cycle(table) else 2
@@ -451,10 +435,8 @@ def girth(g: Graph):
 def write_edge_list(g: Graph) -> str:
     """Plain-text edge list: `n m loops`, then `u v` (u < v), then `L v`."""
     lines = [f"{g.n} {edge_count(g)} {loop_count(g)}"]
-    for u, v in g.edges():
-        lines.append(f"{u} {v}")
-    for v in sorted(g.loops):
-        lines.append(f"L {v}")
+    lines += [f"{u} {v}" for u, v in g.edges()]
+    lines += [f"L {v}" for v in sorted(g.loops)]
     return "\n".join(lines) + "\n"
 
 

@@ -10,7 +10,6 @@ formulas; it checks them against the graphs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import adg
 from .gf import FieldCtx, QuadBasis, find_normal_element
@@ -376,15 +375,6 @@ def _mixed_radix(coords, base):
     for c in coords:
         n = n * base + c
     return n
-
-
-@dataclass
-class BipartitePairing:
-    """Point-class and line-class keys paired into joint classes."""
-
-    r: int
-    point_class: object  # coords -> class id
-    line_class: object
 
 
 def general_odd_partition(spec: ADGSpec, pairing=None):

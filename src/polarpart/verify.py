@@ -15,8 +15,8 @@ import random
 from . import adg, partitions as parts
 from .gf import prime_power
 from .graphs import (
-    Graph, Partition, arc_codes, degree, degree_multiset, edge_count, even_cycle,
-    find_even_cycle, girth, loop_count, materialize, pair_edge_matrix,
+    Graph, Partition, arc_codes, arcs, degree_multiset, degrees, edge_count,
+    even_cycle, find_even_cycle, girth, loop_count, materialize, pair_edge_matrix,
 )
 
 ORACLE_MAX_N = 12
@@ -73,11 +73,11 @@ def verdict(g: Graph, part: Partition):
                  for i, j, c in zip(rows.tolist(), cols.tolist(), counts.tolist())]
     within_total = mat.total_within()
     if within_total:
-        cls = part.class_of
-        for u, v in g.edges():
-            if cls[u] == cls[v]:
-                witnesses.append(("within_edge", cls[u], u, v))
-                break
+        cls = np.asarray(part.class_of)
+        tails, heads = arcs(g)
+        i = _first((tails < heads) & (cls[tails] == cls[heads]))
+        u, v = int(tails[i]), int(heads[i])
+        witnesses.append(("within_edge", int(cls[u]), u, v))
     achromatic = complete and within_total == 0
     optimally_complete = (
         complete and all_single and within_total == 0
@@ -195,24 +195,22 @@ def brute_force_chi_a(g: Graph) -> int:
 # LUW relation checks (materialized graphs)
 # ---------------------------------------------------------------------------
 
-def luw_report(g_bip: Graph, gp: Graph, absolute_ids, gp_cycles):
+def luw_report(g_bip: Graph, gp: Graph, gp_cycles):
     """Degree relation, incidence reconciliation, cycle transfer, and girth
     halving between a bipartite graph and its polarity graph.
 
     Point v of the polarity graph is vertex v of the bipartite graph (the
-    point side comes first in the id layout).  `gp_cycles` maps each k of
-    2..kmax to find_even_cycle(gp, k), which the caller has already run.
+    point side comes first in the id layout), and gp's loops are the
+    absolute points.  `gp_cycles` maps each k of 2..kmax to
+    find_even_cycle(gp, k), which the caller has already run.
     """
-    absolute = set(absolute_ids)
-    n_pi = len(absolute)
-    degree_ok = True
-    degree_witness = None
-    for v in range(gp.n):
-        expect = degree(g_bip, v) - (1 if v in absolute else 0)
-        if degree(gp, v) != expect:
-            degree_ok = False
-            degree_witness = (v, degree(gp, v), expect)
-            break
+    n_pi = loop_count(gp)
+    expect = degrees(g_bip)[:gp.n]
+    expect[list(gp.loops)] -= 1
+    got = degrees(gp)
+    v = _first(got != expect)
+    degree_ok = v is None
+    degree_witness = None if degree_ok else (v, int(got[v]), int(expect[v]))
     e_bip = edge_count(g_bip)
     e_gp = edge_count(gp)
     reconciled = e_bip == 2 * e_gp + n_pi
@@ -401,11 +399,11 @@ def verify_family_exhaustive(family, *, q=None, e=None, seed=0,
         "absolute": n_pi,
         "edge_count_method": "exact",
     }
-    degrees = degree_multiset(g)
-    report["degree_multiset"] = {str(k): v for k, v in sorted(degrees.items())}
+    tally = degree_multiset(g)
+    report["degree_multiset"] = {str(k): v for k, v in sorted(tally.items())}
     spectrum = expected_degree_spectrum(scheme, qq)
-    degrees_ok = spectrum is None or degrees == spectrum
-    verd, witnesses, _ = verdict(g, part)
+    degrees_ok = spectrum is None or tally == spectrum
+    verd, witnesses, mat = verdict(g, part)
     report["partition"] = {"r": part.r, "class_size": getattr(scheme, "class_size", None)}
     report["verdicts"] = verd
     report["witnesses"].extend(witnesses[:20])
@@ -413,10 +411,7 @@ def verify_family_exhaustive(family, *, q=None, e=None, seed=0,
     unique_ok, unique_witness = _check_unique_edges(g, spec, scheme)
     if not unique_ok:
         report["witnesses"].append(unique_witness)
-    np = adg._np()
-    loops_per_class = np.bincount(np.asarray(part.class_of)[sorted(g.loops)],
-                                  minlength=scheme.r)
-    loops_ok = bool((loops_per_class == 1).all()) and n_pi == scheme.r
+    loops_ok = all(c == 1 for c in mat.loops_within) and n_pi == scheme.r
 
     # one search per k, shared by the forbidden-cycle checks and LUW
     luw_ks = range(2, min(max(FORBIDDEN[family], default=2), 3) + 1) if with_luw else ()
@@ -432,7 +427,7 @@ def verify_family_exhaustive(family, *, q=None, e=None, seed=0,
     report["cycles"] = cycles
 
     e_g = edge_count(g)
-    dmax = max((len(a) for a in g.adj), default=0)
+    dmax = max(tally, default=0)
     bub = binom_upper_bound(e_g)
     prop_next = proposition_bound(g.n, dmax, part.r + 1)
     certified = verd["complete"] and (bub == part.r or not prop_next)
@@ -452,7 +447,7 @@ def verify_family_exhaustive(family, *, q=None, e=None, seed=0,
     }
     if with_luw:
         g_bip = materialize(spec.bipartite_graph(), 4 * materialize_limit)
-        report["luw"] = luw_report(g_bip, g, sorted(g.loops), {k: found[k] for k in luw_ks})
+        report["luw"] = luw_report(g_bip, g, {k: found[k] for k in luw_ks})
     else:
         report["luw"] = None
 

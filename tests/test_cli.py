@@ -6,8 +6,10 @@ import os
 
 import pytest
 
+from polarpart import cli, partitions, verify
+from polarpart.adg import gh_original_family
 from polarpart.cli import main
-from polarpart.graphs import read_edge_list
+from polarpart.graphs import materialize, read_edge_list
 from test_verify import _reference_find_even_cycle
 
 
@@ -150,6 +152,55 @@ def test_gh_original_verify(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "gh-original_q3.report.json").read_text())
     assert report["ok"] and report["girth"] == 12
+
+
+def test_report_gh_original_builds_then_verifies(tmp_path, capsys):
+    rep, ver = tmp_path / "report", tmp_path / "verify"
+    assert run(["report", "gh-original", "--q", "3", "--out", str(rep)]) == 0
+    assert run(["verify", "gh-original", "--q", "3", "--out", str(ver)]) == 0
+    name = "gh-original_q3.report.json"
+    assert (rep / name).read_bytes() == (ver / name).read_bytes()
+    g = read_edge_list((rep / "gh-original_q3.edges").read_text())
+    assert (g.n, len(list(g.edges()))) == (486, 729)
+    assert g.adj == materialize(gh_original_family(3)[0].bipartite_graph(), g.n).adj
+    assert run(["build", "gh-original", "--q", "3", "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "b" / "gh-original_q3.edges").read_bytes() == \
+        (rep / "gh-original_q3.edges").read_bytes()
+
+
+def test_gh_original_refusals_exit_2(tmp_path, capsys):
+    for sub in ("build", "report", "verify"):
+        assert run([sub, "gh-original", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: gh-original needs --q\n"
+    assert run(["partition", "gh-original", "--q", "3", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: family gh-original has no vertex partition\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_report_builds_each_object_once(tmp_path, monkeypatch):
+    calls = []
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[0].n) if name == "materialize" else name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (cli, verify):
+        count(module, "materialize")
+    count(verify, "family_bundle")
+    count(partitions, "scheme_partition")
+    assert run(["report", "plane", "--q", "3", "--out", str(tmp_path / "r")]) == 0
+    # one bundle, one partition, the polarity graph (81) and the LUW bipartite graph (162)
+    assert sorted(map(str, calls)) == [
+        "('materialize', 162)", "('materialize', 81)", "family_bundle", "scheme_partition"]
+    monkeypatch.undo()
+    assert run(["verify", "plane", "--q", "3", "--out", str(tmp_path / "v")]) == 0
+    name = "plane_q3.report.json"
+    assert (tmp_path / "r" / name).read_bytes() == (tmp_path / "v" / name).read_bytes()
 
 
 def test_generic_spec_roundtrip(tmp_path):

@@ -8,6 +8,7 @@ import math
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from polarpart import graphs
@@ -345,6 +346,45 @@ def test_materialize_rejects_asymmetric_rule():
 def test_graph_rejects_adjacency_loop():
     with pytest.raises(ValueError):
         Graph(2, [[0, 1], [0]])
+
+
+@pytest.mark.parametrize("adjacency,loops,message", [
+    # even degree sum, yet (0, 2) has no (2, 0)
+    ([[1, 2], [0], [1]], (), r"^asymmetric edge \(0, 2\)$"),
+    ([[1, 2], [0], []], (), r"^asymmetric edge \(0, 2\)$"),
+    ([[1, 1], [0, 0], []], (), r"^duplicate neighbor at vertex 0$"),
+    ([[1], [0, 2, 2], [1, 1]], (), r"^duplicate neighbor at vertex 1$"),
+    ([[0, 1], [0], []], (), r"^loop 0 stored in adjacency$"),
+    ([[1], [0], [3]], (), r"^neighbor of vertex 2 out of range 0\.\.2$"),
+    ([[1], [0], []], (3,), r"^loop vertex 3 out of range$"),
+    ([[1], [0], []], (-1,), r"^loop vertex -1 out of range$"),
+])
+def test_graph_constructor_validates(adjacency, loops, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(len(adjacency), adjacency, loops)
+
+
+def test_graph_stores_ascending_csr_rows():
+    g = Graph(4, [[3, 1, 2], [0], [0, 3], (2, 0)], loops={3, 1})
+    assert g.indptr.tolist() == [0, 3, 4, 6, 8]
+    assert g.indices.tolist() == [1, 2, 3, 0, 0, 3, 0, 2]
+    assert g.adj == [[1, 2, 3], [0], [0, 3], [0, 2]]
+    assert list(g.edges()) == [(0, 1), (0, 2), (0, 3), (2, 3)]
+    assert g.loops == frozenset({1, 3})
+    assert [degree(g, v) for v in range(4)] == [3, 1, 2, 2]
+    assert graphs.degree_multiset(g) == {1: 1, 2: 2, 3: 1}
+    assert g.has_edge(2, 3) and not g.has_edge(1, 2) and not g.has_edge(3, 1)
+
+
+@pytest.mark.parametrize("n,dtype", [(46_340, np.int32), (46_341, np.int64), (50_000, np.int64)])
+def test_ids_widen_to_int64_once_n_squared_passes_int32(n, dtype):
+    # arc codes u * n + v of the last vertex's arcs pass 2**31 from n = 46,341
+    edges = [(0, n - 1), (n - 2, n - 1)]
+    g = Graph.from_edges(n, edges)
+    codes = graphs.arc_codes(g)
+    assert g.indices.dtype == codes.dtype == dtype
+    arcs = edges + [(v, u) for u, v in edges]
+    assert codes.tolist() == sorted(u * n + v for u, v in arcs)
 
 
 def test_graph_rejects_neighbor_out_of_range():

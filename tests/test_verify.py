@@ -18,7 +18,7 @@ from polarpart import adg, graphs, verify
 from polarpart.adg import build_polarity_graph, gh_family, gq_family, plane_family
 from polarpart.cli import _jsonable
 from polarpart.graphs import (
-    Graph, Partition, edge_count, even_cycle, find_even_cycle, materialize,
+    Graph, Partition, degree, edge_count, even_cycle, find_even_cycle, materialize,
 )
 from polarpart.partitions import GHScheme, GQScheme, PlaneScheme, scheme_partition
 from polarpart.verify import (
@@ -128,7 +128,7 @@ def test_luw_plane_q2():
     spec, pol = plane_family(2)
     gp = materialize(build_polarity_graph(spec, pol).implicit(), 10 ** 4)
     g_bip = materialize(spec.bipartite_graph(), 10 ** 4)
-    rep = luw_report(g_bip, gp, sorted(gp.loops), _gp_cycles(gp, 2))
+    rep = luw_report(g_bip, gp, _gp_cycles(gp, 2))
     assert rep["ok"]
     assert rep["incidences"] == 64 and rep["polarity_edges"] == 28 and rep["absolute"] == 8
     assert rep["reconciled_ok"]
@@ -140,7 +140,7 @@ def test_luw_gq():
     spec, pol = gq_family(1)
     gp = materialize(build_polarity_graph(spec, pol).implicit(), 10 ** 5)
     g_bip = materialize(spec.bipartite_graph(), 10 ** 5)
-    rep = luw_report(g_bip, gp, sorted(gp.loops), _gp_cycles(gp, 3))
+    rep = luw_report(g_bip, gp, _gp_cycles(gp, 3))
     assert rep["ok"]
     assert rep["bipartite_girth"] == 8
     assert rep["cycle_transfer"][4]["bipartite_free"]
@@ -153,7 +153,7 @@ def test_luw_degree_relation_plane_q3():
     spec, pol = plane_family(3)
     gp = materialize(build_polarity_graph(spec, pol).implicit(), 10 ** 4)
     g_bip = materialize(spec.bipartite_graph(), 10 ** 4)
-    rep = luw_report(g_bip, gp, sorted(gp.loops), _gp_cycles(gp, 2))
+    rep = luw_report(g_bip, gp, _gp_cycles(gp, 2))
     assert rep["degree_relation_ok"]
     assert rep["ok"]
 
@@ -165,9 +165,38 @@ def test_luw_catches_tampering():
     # drop one polarity edge: degree relation and reconciliation both break
     edges = list(gp.edges())[1:]
     tampered = Graph.from_edges(gp.n, edges, gp.loops)
-    rep = luw_report(g_bip, tampered, sorted(gp.loops), _gp_cycles(tampered, 2))
+    rep = luw_report(g_bip, tampered, _gp_cycles(tampered, 2))
     assert not rep["ok"]
     assert not rep["degree_relation_ok"] or not rep["reconciled_ok"]
+
+
+def _reference_degree_witness(g_bip, gp):
+    """The per-vertex loop the LUW degree relation replaced."""
+    for v in range(gp.n):
+        expect = degree(g_bip, v) - (1 if v in gp.loops else 0)
+        if degree(gp, v) != expect:
+            return (v, degree(gp, v), expect)
+    return None
+
+
+def test_luw_degree_witness_is_the_first_mismatch():
+    spec, pol = gq_family(1)
+    gp = materialize(build_polarity_graph(spec, pol).implicit(), 10 ** 4)
+    g_bip = materialize(spec.bipartite_graph(), 10 ** 4)
+    edges = list(gp.edges())
+    loops = sorted(gp.loops)
+    cases = [
+        gp,
+        Graph.from_edges(gp.n, edges[:300] + edges[301:], gp.loops),  # one edge less
+        Graph.from_edges(gp.n, edges, loops[:7] + loops[8:]),  # one absolute point less
+        Graph.from_edges(gp.n, edges[:-1], loops[1:]),  # both, the loop first
+    ]
+    for g in cases:
+        got = luw_report(g_bip, g, {})["degree_witness"]
+        assert got == _reference_degree_witness(g_bip, g)
+        assert got is None or all(type(x) is int for x in got)
+    assert [luw_report(g_bip, g, {})["degree_relation_ok"] for g in cases] == [
+        True, False, False, False]
 
 
 # -- oracles ---------------------------------------------------------------------
@@ -792,11 +821,13 @@ def test_check_unique_edges_blocks_stay_within_the_bound(monkeypatch):
 # -- verdict against the per-edge loop it replaced -------------------------------
 
 def _reference_verdict(g, part):
-    """The r x r list tally and the upper-triangle scan verdict replaced."""
+    """The r x r list tally, the upper-triangle scan and the first
+    within-class edge (u < v ascending, from the adj lists) verdict replaced."""
     r, cls = part.r, part.class_of
     cross = [[0] * r for _ in range(r)]
     within = [0] * r
-    for u, v in g.edges():
+    edges = [(u, v) for u in range(g.n) for v in g.adj[u] if u < v]
+    for u, v in edges:
         if cls[u] == cls[v]:
             within[cls[u]] += 1
         else:
@@ -809,6 +840,7 @@ def _reference_verdict(g, part):
                 witnesses.append(("missing_pair", i, j))
             elif cross[i][j] > 1:
                 witnesses.append(("multi_edge_pair", i, j, cross[i][j]))
+    witnesses += [("within_edge", cls[u], u, v) for u, v in edges if cls[u] == cls[v]][:1]
     return cross, within, witnesses
 
 
@@ -822,7 +854,7 @@ def test_verdict_matches_the_list_tally():
         cross, within, witnesses = _reference_verdict(g, part)
         _, got, mat = verdict(g, part)
         assert mat.cross.tolist() == cross and mat.within == within
-        assert [w for w in got if w[0] != "within_edge"] == witnesses
+        assert got == witnesses
         assert all(type(x) is int for w in got for x in w[1:])  # JSON bytes as before
 
 
