@@ -94,10 +94,15 @@ def compile_expr(e, ctx: FieldCtx):
     return lambda lv, pv: o(f(lv, pv), g(lv, pv))
 
 
-def max_var_index(e):
+def expr_vars(e):
+    """Every coordinate reference ("p"|"l", i) an expression reads."""
     if e[0] == "var":
-        return e[2]
-    return max((max_var_index(x) for x in e[1:] if isinstance(x, tuple)), default=0)
+        return {e[1:]}
+    return set().union(*(expr_vars(x) for x in e[1:] if isinstance(x, tuple)))
+
+
+def max_var_index(e):
+    return max((i for _, i in expr_vars(e)), default=0)
 
 
 # -- specs -------------------------------------------------------------------
@@ -407,10 +412,8 @@ def _check_polarity_bulk(spec, pol, mode, samples, seed):
         chunks = ((spec.ids_to_coords(np.arange(lo, min(lo + step, n))), every_l1)
                   for lo in range(0, n, step))
     else:
-        rng = random.Random(seed)
-        flat = np.array([rng.randrange(q) for _ in range(samples * m)], dtype=np.int16)
-        rng2 = random.Random(seed + 1)
-        l1 = np.array([rng2.randrange(q) for _ in range(samples)], dtype=np.int16)
+        flat = randrange_bulk(random.Random(seed), q, samples * m)[0].astype(np.int16)
+        l1 = randrange_bulk(random.Random(seed + 1), q, samples)[0].astype(np.int16)
         chunks = [(list(flat.reshape(samples, m).T), l1[:, None])]
     checked = 0
     for pv, l1 in chunks:
@@ -439,13 +442,15 @@ class PolarityGraph:
     """Polarity graph on the point side: p ~ r iff r lies on pi(p).
 
     The self-incidence (absolute point) is excluded from neighbor lists
-    and recorded as a loop instead.
+    and recorded as a loop instead.  `check` is the PolarityCheck that
+    build_polarity_graph ran, None when the graph was built without it.
     """
 
     def __init__(self, spec: ADGSpec, pol: PolaritySpec):
         self.spec = spec
         self.pol = pol
         self.n = spec.side_size
+        self.check = None
 
     def neighbors_coords(self, pvals):
         lv = self.pol.apply_point(self.spec.ctx, pvals)
@@ -474,29 +479,67 @@ class PolarityGraph:
         rv, not_self = self.neighbors_bulk(self.spec.ids_to_coords(ids))
         return _np().where(not_self, self.spec.coords_to_ids(rv), -1)
 
+    def scan_stages(self):
+        """The absolute-point scan's order: (coordinate index, equations)
+        pairs, one per point coordinate, 0-based.
+
+        Once l = polar(p), equation j reads the point coordinates behind
+        the l_i of fs[j] (l_i is p_src for point_to_line[i - 1] = (src, _)),
+        the p_i of fs[j], p_{j+2} and the source of l_{j+2}.  The next
+        coordinate bound is the one that completes an equation soonest,
+        ties by index; each equation is listed at the step that completes
+        its support.  Coordinates no equation reads come last.
+        """
+        src = [s for s, _ in self.pol.point_to_line]
+        supports = [{i - 1 if side == "p" else src[i - 1] for side, i in expr_vars(f)}
+                    | {j + 1, src[j + 1]} for j, f in enumerate(self.spec.fs)]
+        bound, stages, pending = set(), [], list(range(len(supports)))
+        while pending:
+            _, c = min((len(supports[j] - bound), i) for j in pending for i in supports[j] - bound)
+            bound.add(c)
+            stages.append((c, [j for j in pending if supports[j] <= bound]))
+            pending = [j for j in pending if j not in stages[-1][1]]
+        return stages + [(c, []) for c in range(self.spec.m) if c not in bound]
+
     def absolute_ids(self, chunk=1 << 20):
         """Sorted int64 ids of every absolute point, by an exact scan (cached).
 
-        incident_bulk(p, polar(p)) one equation at a time: a point leaves
-        the scan at the first equation it fails.
+        The scan binds one point coordinate at a time in scan_stages order,
+        expanding the surviving candidates by its q values, at most `chunk`
+        candidates a block; it tests incident(p, polar(p)) one equation at
+        a time as soon as the equation's support is bound, and a candidate
+        leaves at the first equation it fails.  Unbound coordinates read 0.
         """
         ids = getattr(self, "_absolute_ids", None)
         if ids is None:
             np = _np()
-            spec = self.spec
-            add = _bulk_tables(spec.ctx)["add"]
-            found = []
-            for lo in range(0, self.n, chunk):
-                block = np.arange(lo, min(lo + chunk, self.n), dtype=np.int64)
-                pv = spec.ids_to_coords(block)
-                lv = self.pol.polar(spec.ctx, pv)
-                for j, f in enumerate(spec.fs):
-                    keep = add[lv[j + 1], pv[j + 1]] == eval_expr_bulk(f, spec.ctx, lv, pv)
-                    block = block[keep]
-                    pv = [c[keep] for c in pv]
-                    lv = [c[keep] for c in lv]
-                found.append(block)
-            ids = self._absolute_ids = np.concatenate(found)
+            spec, ctx, q = self.spec, self.spec.ctx, self.spec.ctx.order
+            add = _bulk_tables(ctx)["add"]
+            stages, found = self.scan_stages(), []
+            values = np.arange(q, dtype=np.int16)
+
+            def scan(depth, pv):
+                if depth == len(stages):
+                    found.append(spec.coords_to_ids(pv))
+                    return
+                c, eqs = stages[depth]
+                flat = len(pv[0]) * q
+                for lo in range(0, flat, chunk):
+                    hi = min(lo + chunk, flat)
+                    rows = slice(lo // q, -(-hi // q))  # the rows candidates lo..hi-1 extend
+                    cut = slice(lo % q, hi - rows.start * q)
+                    block = [np.repeat(x[rows], q)[cut] for x in pv]
+                    block[c] = np.tile(values, rows.stop - rows.start)[cut]
+                    lv = self.pol.polar(ctx, block)
+                    for j in eqs:
+                        keep = add[lv[j + 1], block[j + 1]] == eval_expr_bulk(
+                            spec.fs[j], ctx, lv, block)
+                        block = [x[keep] for x in block]
+                        lv = [x[keep] for x in lv]
+                    scan(depth + 1, block)
+
+            scan(0, [np.zeros(1, dtype=np.int16)] * spec.m)
+            ids = self._absolute_ids = np.sort(np.concatenate(found))
         return ids
 
     def degree_of(self, pvals):
@@ -528,7 +571,9 @@ def build_polarity_graph(spec: ADGSpec, pol: PolaritySpec, mode="exhaustive",
     chk = check_polarity(spec, pol, mode=mode, seed=seed)
     if not chk.ok:
         raise ValueError(f"polarity check failed: {chk.witness}")
-    return PolarityGraph(spec, pol)
+    pg = PolarityGraph(spec, pol)
+    pg.check = chk
+    return pg
 
 
 # -- bulk (vectorized) incidence kernel ----------------------------------------
@@ -606,6 +651,33 @@ def _beta_vectors(basis):
     return vecs
 
 
+def randrange_bulk(rng, n, count):
+    """`count` calls of rng.randrange(n) at once: (values, words_through),
+    int64 arrays where words_through[i] counts the 32-bit words drawn
+    through call i.  rng ends in the state the calls would leave.
+
+    Exact for random.Random and 1 <= n < 2^32: its MT19937 hands each
+    randrange attempt one word, whose top n.bit_length() bits are rejected
+    while >= n, and getrandbits(32 * w) returns the next w words, first
+    word lowest.  Each round draws as many words as values are missing,
+    so no word past the last accepted one is drawn.
+    """
+    np = _np()
+    k = n.bit_length()
+    if n < 1 or k > 32:
+        raise ValueError(f"bulk randrange needs 1 <= n < 2**32, got {n}")
+    values, through = [np.empty(0, dtype=np.uint32)], [np.empty(0, dtype=np.int64)]
+    drawn, need = 0, count
+    while need:
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"),
+                              dtype="<u4") >> (32 - k)
+        hit = np.flatnonzero(words < n)
+        values.append(words[hit])
+        through.append(drawn + 1 + hit)
+        drawn, need = drawn + need, need - len(hit)
+    return np.concatenate(values).astype(np.int64), np.concatenate(through)
+
+
 def _rows_equal(a, b):
     """Elementwise equality of two coordinate-array lists, all coordinates."""
     ok = True
@@ -638,7 +710,7 @@ def eval_expr_bulk(e, ctx, lv, pv):
 
 
 def count_absolute_bulk(pg: PolarityGraph, chunk=1 << 20) -> int:
-    """Absolute-point count by the exact vectorized scan over all q^m points."""
+    """Absolute-point count by PolarityGraph.absolute_ids' exact staged scan."""
     return len(pg.absolute_ids(chunk))
 
 

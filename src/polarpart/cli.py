@@ -155,12 +155,13 @@ def _gh_original_q(cfg: RunConfig) -> int:
 
 
 def _polarity_graph(cfg: RunConfig, bundle):
-    """Check the bundle's polarity, then materialize its graph."""
+    """Check the bundle's polarity, then materialize its graph: (graph,
+    the PolarityCheck)."""
     spec, pol, _, _ = bundle
     pg = adg.build_polarity_graph(spec, pol, mode="exhaustive"
                                   if spec.side_size <= cfg.limit else "sampled",
                                   seed=cfg.seed)
-    return materialize(pg.implicit(), cfg.limit)
+    return materialize(pg.implicit(), cfg.limit), pg.check
 
 
 def _write_graph(cfg: RunConfig, g):
@@ -201,7 +202,7 @@ def cmd_build(cfg: RunConfig) -> int:
         spec, _ = adg.gh_original_family(_gh_original_q(cfg))
         g = materialize(spec.bipartite_graph(), cfg.limit)
     else:
-        g = _polarity_graph(cfg, _bundle(cfg))
+        g = _polarity_graph(cfg, _bundle(cfg))[0]
     _write_graph(cfg, g)
     return 0
 
@@ -231,21 +232,22 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_report(cfg: RunConfig) -> int:
     """build, partition and verify, each object built once: the bundle,
-    the polarity graph and the partition are written, then verified."""
+    the polarity graph and the partition are written, then verified with
+    the polarity check that built the graph."""
     if cfg.family == "gh-original":
         return cmd_build(cfg) or cmd_verify(cfg)
     bundle = _bundle(cfg)
     if bundle[0].side_size > cfg.limit:
         print(f"{_stem(cfg)}: instance too large to materialize; verification only")
         return cmd_verify(cfg)
-    g = _polarity_graph(cfg, bundle)
+    g, pol_check = _polarity_graph(cfg, bundle)
     _write_graph(cfg, g)
     part = _write_partition(cfg, bundle)
     if cfg.mode == "sampled":
         return cmd_verify(cfg)
     return _write_report(cfg, ver.verify_family_exhaustive(
         cfg.family, seed=cfg.seed, materialize_limit=cfg.limit, graph=g,
-        partition=part, bundle=bundle))
+        partition=part, bundle=bundle, pol_check=pol_check))
 
 
 def cmd_oracle(cfg: RunConfig) -> int:

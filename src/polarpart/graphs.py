@@ -81,6 +81,15 @@ class Graph:
         ids, ptr = self.indices.tolist(), self.indptr.tolist()
         return [ids[ptr[v]:ptr[v + 1]] for v in range(self.n)]
 
+    @cached_property
+    def table(self):
+        """The rows as an (n, max degree) array of the indices' dtype,
+        padded with -1: the view the cycle searches read."""
+        deg = degrees(self)
+        table = np.full((self.n, int(deg.max(initial=0))), -1, dtype=self.indices.dtype)
+        table[np.arange(table.shape[1]) < deg[:, None]] = self.indices
+        return table
+
     def edges(self):
         """Every edge (u, v), u < v, ascending."""
         tails, heads = arcs(self)
@@ -232,19 +241,10 @@ def arc_codes(g: Graph):
     return tails * heads.dtype.type(g.n) + heads
 
 
-def _table(g: Graph):
-    """The rows as an (n, max degree) array of the indices' dtype, padded
-    with -1."""
-    deg = degrees(g)
-    table = np.full((g.n, int(deg.max(initial=0))), -1, dtype=g.indices.dtype)
-    table[np.arange(table.shape[1]) < deg[:, None]] = g.indices
-    return table
-
-
 def find_even_cycle(g: Graph, k: int):
     """Witness cycle of length exactly 2k, or None: even_cycle from every
     root, on the adjacency as a padded table (ascending rows)."""
-    table = _table(g)
+    table = g.table
     hit = even_cycle(np.arange(g.n), k, lambda ids: table[ids], g.n)
     return None if hit is None else hit[1]
 
@@ -395,7 +395,7 @@ def girth(g: Graph):
     n = g.n
     if not len(g.indices):
         return math.inf
-    table = _table(g)
+    table = g.table
     slack = 1 if _has_odd_cycle(table) else 2
     size = min(n, max(1, GIRTH_CHUNK // (n + table.size)))
     level, owner = np.empty(size * n, dtype=np.int64), np.empty(size * n, dtype=np.int64)

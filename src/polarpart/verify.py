@@ -355,18 +355,22 @@ def _check_unique_edges(g: Graph, spec, scheme):
 def verify_family_exhaustive(family, *, q=None, e=None, seed=0,
                              materialize_limit=DEFAULT_MATERIALIZE_LIMIT,
                              allow_small_e=False, spec_json=None,
-                             with_luw=True, graph=None, partition=None, bundle=None):
+                             with_luw=True, graph=None, partition=None, bundle=None,
+                             pol_check=None):
     """Full verification of a materializable family instance.
 
     When graph/partition are supplied (from files) they are verified in
     place of freshly constructed ones, so tampering is detectable.  A
-    prebuilt family_bundle result may be passed as `bundle`.
+    prebuilt family_bundle result may be passed as `bundle`, and the
+    exhaustive check_polarity result on its spec and polarity as
+    `pol_check`.
     """
     spec, pol, scheme, params = bundle or family_bundle(
         family, q=q, e=e, allow_small_e=allow_small_e, spec_json=spec_json)
     ctx = spec.ctx
     qq = params.get("q", ctx.order)
-    pol_check = adg.check_polarity(spec, pol, mode="exhaustive")
+    if pol_check is None:
+        pol_check = adg.check_polarity(spec, pol, mode="exhaustive")
     report = {
         "family": family,
         "params": params,
@@ -465,16 +469,32 @@ def verify_family_exhaustive(family, *, q=None, e=None, seed=0,
 # ---------------------------------------------------------------------------
 
 def _predraw(rng, count, draw):
-    """Draw `count` samples with `draw(rng)` ahead of a phase that stops at
-    its first failure; `rewind(i)` leaves rng just after sample i, where
-    drawing one sample at a time would have left it."""
+    """Draw `count` samples ahead of a phase that stops at its first
+    failure; `rewind(i)` leaves rng just after sample i, where drawing one
+    sample at a time would have left it.
+
+    `draw` is a callable, one sample per `draw(rng)`, or (width, bound)
+    for samples of `width` rng.randrange(bound) draws each, drawn by
+    adg.randrange_bulk into a (count, width) int64 array.
+    """
     state = rng.getstate()
-    samples = [draw(rng) for _ in range(count)]
+    if callable(draw):
+        samples = [draw(rng) for _ in range(count)]
+
+        def replay(i):
+            for _ in range(i + 1):
+                draw(rng)
+    else:
+        width, bound = draw
+        values, words_through = adg.randrange_bulk(rng, bound, count * width)
+        samples = values.reshape(count, width)
+
+        def replay(i):
+            rng.getrandbits(32 * int(words_through[(i + 1) * width - 1]))
 
     def rewind(i):
         rng.setstate(state)
-        for _ in range(i + 1):
-            draw(rng)
+        replay(i)
 
     return samples, rewind
 
@@ -505,15 +525,13 @@ def _class_member(scheme, cids, picks):
 def _sampled_even_cycle(pg: adg.PolarityGraph, k, num_roots, rng):
     """2k-cycle search through randomly chosen roots, on the bulk kernel."""
     spec = pg.spec
-    q = spec.ctx.order
-    m = spec.m
 
     def neighbors(ids):
         # descending first coordinate: the order a stack-based DFS pops them
         return pg.neighbor_ids(ids)[:, ::-1]
 
-    roots, rewind = _predraw(rng, num_roots, lambda g: tuple(g.randrange(q) for _ in range(m)))
-    hit = even_cycle([spec.coords_to_id(r) for r in roots], k, neighbors, pg.n)
+    roots, rewind = _predraw(rng, num_roots, (spec.m, spec.ctx.order))
+    hit = even_cycle([spec.coords_to_id(r) for r in roots.tolist()], k, neighbors, pg.n)
     if hit is None:
         return None
     rewind(hit[0])
@@ -580,9 +598,6 @@ def verify_family_sampled(family, *, e=None, seed=0,
     # failing sample rewinds rng to where that loop would have stopped.
     r = scheme.r
 
-    def draw_pair(g):
-        return g.randrange(r), g.randrange(r)
-
     # loop vertices: the formula output must be absolute, for every class
     loops_ok = n_pi == r
     cids = np.arange(r)
@@ -593,8 +608,8 @@ def verify_family_sampled(family, *, e=None, seed=0,
         report["witnesses"].append(("loop_vertex", i))
 
     # sampled unique-edge substitution
-    pairs, rewind = _predraw(rng, class_pair_samples, draw_pair)
-    c1, c2 = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2).T
+    pairs, rewind = _predraw(rng, class_pair_samples, (2, r))
+    c1, c2 = pairs.T
     formula_ok = np.zeros(len(pairs), dtype=bool)
     same = c1 == c2
     formula_ok[same] = _in_sorted(scheme.loop_vertex_bulk(c1[same]), absolute_ids)
@@ -607,15 +622,15 @@ def verify_family_sampled(family, *, e=None, seed=0,
     substitution_checked = len(pairs) if adjacency_ok else i
     if not adjacency_ok:
         rewind(i)
-        c1, c2 = pairs[i]
+        c1, c2 = pairs[i].tolist()
         report["witnesses"].append(
             ("loop_not_absolute", c1) if c1 == c2 else ("unique_edge_formula", c1, c2))
 
     # full one-edge sweeps on a subsample of class pairs
     sweep_ok = True
     sweeps_done = 0
-    pairs, rewind = _predraw(rng, full_sweeps, draw_pair)
-    for i, (c1, c2) in enumerate(pairs):
+    pairs, rewind = _predraw(rng, full_sweeps, (2, r))
+    for i, (c1, c2) in enumerate(pairs.tolist()):
         if c1 == c2:
             continue
         expected = scheme.unique_edge(c1, c2)
@@ -646,11 +661,8 @@ def verify_family_sampled(family, *, e=None, seed=0,
         report["witnesses"].append(("within_edge", draws[i][0], adg._row(vs, i), nb))
 
     # degree spot checks against the two-value spectrum
-    def draw_vertex(g):
-        return tuple(g.randrange(q) for _ in range(m))
-
-    vs, rewind = _predraw(rng, degree_samples, draw_vertex)
-    pv = _columns(vs, m)
+    vs, rewind = _predraw(rng, degree_samples, (m, q))
+    pv = list(vs.T.astype(np.int16))
     degrees = pg.neighbors_bulk(pv)[1].sum(axis=1)
     expect = q - np.isin(spec.coords_to_ids(pv), pg.absolute_ids())
     i = _first(degrees != expect)
@@ -659,12 +671,13 @@ def verify_family_sampled(family, *, e=None, seed=0,
     seen_degrees = {int(d): int(c) for d, c in zip(*np.unique(tallied, return_counts=True))}
     if not spectrum_ok:
         rewind(i)
-        report["witnesses"].append(("degree", vs[i], int(degrees[i]), int(expect[i])))
+        report["witnesses"].append(("degree", tuple(vs[i].tolist()), int(degrees[i]),
+                                    int(expect[i])))
     report["degree_multiset"] = {str(k): v for k, v in sorted(seen_degrees.items())}
 
     # sampled adjacency symmetry of the implicit graph
     def draw_edge(g):
-        v = draw_vertex(g)
+        v = tuple(g.randrange(q) for _ in range(m))
         degree = q - (spec.coords_to_id(v) in absolute)
         return v, g.randrange(degree) if degree else -1
 

@@ -461,12 +461,102 @@ def test_implicit_without_tables_has_no_array_rule():
     assert spec.bipartite_graph().arrays is None
 
 
+def _reference_absolute_ids(pg, chunk=1 << 20):
+    """The full scan the staged one replaced, kept as its reference: every
+    point id in blocks of `chunk`, one equation at a time."""
+    spec = pg.spec
+    add = adg._bulk_tables(spec.ctx)["add"]
+    found = []
+    for lo in range(0, pg.n, chunk):
+        block = np.arange(lo, min(lo + chunk, pg.n), dtype=np.int64)
+        pv = spec.ids_to_coords(block)
+        lv = pg.pol.polar(spec.ctx, pv)
+        for j, f in enumerate(spec.fs):
+            keep = add[lv[j + 1], pv[j + 1]] == eval_expr_bulk(f, spec.ctx, lv, pv)
+            block = block[keep]
+            pv = [c[keep] for c in pv]
+            lv = [c[keep] for c in lv]
+        found.append(block)
+    return np.concatenate(found)
+
+
+def _scalar_absolute_ids(pg):
+    return [pg.spec.coords_to_id(p) for p in pg.absolute_points()]
+
+
 def test_absolute_ids_match_scalar_scan():
-    for make_family in (lambda: plane_family(3), lambda: gq_family(1)):
+    families = [lambda q=q: plane_family(q) for q in (2, 3, 4, 5)]
+    families += [lambda: gq_family(1), lambda: gh_family(0, allow_small_e=True)]
+    for make_family in families:
         spec, pol = make_family()
-        pg = adg.PolarityGraph(spec, pol)
-        ids = pg.absolute_ids(chunk=100).tolist()
-        assert ids == [spec.coords_to_id(p) for p in pg.absolute_points()]
+        expected = _scalar_absolute_ids(adg.PolarityGraph(spec, pol))
+        for chunk in (1, spec.ctx.order, 100, None):
+            pg = adg.PolarityGraph(spec, pol)
+            ids = pg.absolute_ids() if chunk is None else pg.absolute_ids(chunk)
+            assert ids.dtype == np.int64
+            assert ids.tolist() == expected
+
+
+def test_absolute_ids_match_full_scan_gh_e1():
+    pg = adg.PolarityGraph(*gh_family(1))
+    ids = pg.absolute_ids()
+    assert len(ids) == 27 ** 3
+    assert np.array_equal(ids, _reference_absolute_ids(pg))
+
+
+def test_absolute_ids_with_a_coordinate_no_equation_reads():
+    # f_2 = 0 reads nothing, f_3 = p_2 l_2: once l = polar(p), no equation
+    # reads p_1, so the scan binds it last and tests nothing there
+    spec = ADGSpec.from_json({"field": {"p": 3, "k": 2}, "m": 3, "fs": [
+        ["const", 0], ["mul", ["var", "p", 2], ["var", "l", 2]]]})
+    pol = generic_conjugation_polarity(spec)
+    pg = adg.PolarityGraph(spec, pol)
+    assert pg.scan_stages() == [(1, [0]), (2, [1]), (0, [])]
+    for chunk in (1, 5, 100):
+        ids = adg.PolarityGraph(spec, pol).absolute_ids(chunk).tolist()
+        assert ids == _scalar_absolute_ids(pg)
+    assert len(pg.absolute_points()) == 9 * 3 * 3  # p_1 free, then 3 p_2 and 3 p_3 each
+
+
+# coordinate sources of hexagon polarities: a permutation of the point
+# coordinates moves which ones each equation reads
+GH_TWISTS = {
+    "gh": (0, 3, 4, 1, 2),
+    "identity": (0, 1, 2, 3, 4),
+    "reversed": (4, 3, 2, 1, 0),
+    "rotated": (1, 2, 3, 4, 0),
+}
+
+
+def test_absolute_ids_follow_the_polarity_twist():
+    spec = gh_family(0, allow_small_e=True)[0]
+    orders = set()
+    for name, src in GH_TWISTS.items():
+        rules = tuple((s, j % 2) for j, s in enumerate(src))
+        pg = adg.PolarityGraph(spec, PolaritySpec(rules, rules))
+        orders.add(repr(pg.scan_stages()))
+        for chunk in (1, 3, 100):
+            ids = adg.PolarityGraph(spec, pg.pol).absolute_ids(chunk).tolist()
+            assert ids == _scalar_absolute_ids(pg), (name, chunk)
+    assert len(orders) == len(GH_TWISTS)
+
+
+@pytest.mark.parametrize("chunk", [1 << 20, 1 << 12])
+def test_absolute_scan_work_is_bounded(monkeypatch, chunk):
+    # every block of candidates passes through polar once
+    blocks = []
+    polar = PolaritySpec.polar
+
+    def counting_polar(self, ctx, pvals):
+        blocks.append(len(pvals[0]))
+        return polar(self, ctx, pvals)
+
+    monkeypatch.setattr(PolaritySpec, "polar", counting_polar)
+    pg = adg.PolarityGraph(*gh_family(1))
+    assert pg.scan_stages() == [(0, []), (1, []), (3, [0, 2]), (2, []), (4, [1, 3])]
+    assert len(pg.absolute_ids(chunk)) == 27 ** 3
+    assert sum(blocks) <= 600_000  # of 27^5 = 14,348,907 points
+    assert max(blocks) <= chunk
 
 
 BROKEN_POLARITIES = {
@@ -515,3 +605,35 @@ def test_check_polarity_without_tables_runs_scalar():
     assert not adg.has_tables(spec.ctx)
     chk = check_polarity(spec, pol, mode="sampled", samples=50)
     assert chk.ok and chk.checked_incidences == 50
+
+
+# -- bulk replay of random.Random's randrange --------------------------------
+
+REPLAY_BOUNDS = [1, 2, 3, 26, 27, 729, 19683, 2 ** 31, 2 ** 32 - 1]  # bit lengths 1..32
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20231117])
+def test_randrange_bulk_replays_random(seed):
+    for n in REPLAY_BOUNDS:
+        for count in (0, 1, 7, 5000):
+            rng, ref = random.Random(seed), random.Random(seed)
+            values, words_through = adg.randrange_bulk(rng, n, count)
+            assert values.dtype == np.int64 and words_through.dtype == np.int64
+            assert values.tolist() == [ref.randrange(n) for _ in range(count)]
+            assert rng.getstate() == ref.getstate()
+            # the words through call i leave the state i + 1 calls leave
+            for i in sorted({0, 1, count // 2, count - 1} & set(range(count))):
+                rng, ref = random.Random(seed), random.Random(seed)
+                rng.getrandbits(32 * int(words_through[i]))
+                for _ in range(i + 1):
+                    ref.randrange(n)
+                assert rng.getstate() == ref.getstate(), (n, count, i)
+
+
+def test_randrange_bulk_rejects_bounds_past_32_bits():
+    for n in (0, -3, 2 ** 32, 2 ** 32 + 1, 2 ** 40):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError):
+            adg.randrange_bulk(rng, n, 5)
+        assert rng.getstate() == state

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from polarpart import cli, partitions, verify
+from polarpart import adg, cli, partitions, verify
 from polarpart.adg import gh_original_family
 from polarpart.cli import main
 from polarpart.graphs import materialize, read_edge_list
@@ -193,10 +193,13 @@ def test_report_builds_each_object_once(tmp_path, monkeypatch):
         count(module, "materialize")
     count(verify, "family_bundle")
     count(partitions, "scheme_partition")
+    count(adg, "check_polarity")
     assert run(["report", "plane", "--q", "3", "--out", str(tmp_path / "r")]) == 0
-    # one bundle, one partition, the polarity graph (81) and the LUW bipartite graph (162)
+    # one bundle, one polarity check, one partition, the polarity graph (81)
+    # and the LUW bipartite graph (162)
     assert sorted(map(str, calls)) == [
-        "('materialize', 162)", "('materialize', 81)", "family_bundle", "scheme_partition"]
+        "('materialize', 162)", "('materialize', 81)", "check_polarity", "family_bundle",
+        "scheme_partition"]
     monkeypatch.undo()
     assert run(["verify", "plane", "--q", "3", "--out", str(tmp_path / "v")]) == 0
     name = "plane_q3.report.json"

@@ -292,13 +292,22 @@ def test_exhaustive_protocol_searches_each_graph_once(monkeypatch, family, kwarg
         searched.append((g, k))
         return find_even_cycle(g, k)
 
+    table, tabled = Graph.table.func, []
+
+    def counting_table(g):
+        tabled.append(g)
+        return table(g)
+
     monkeypatch.setattr(verify, "find_even_cycle", counting)
+    monkeypatch.setattr(Graph.table, "func", counting_table)
     rep = verify_family(family, with_luw=True, **kwargs)
     assert rep["ok"] and rep["luw"]["ok"]
     calls = sorted((id(g), k) for g, k in searched)
     graph_ids = sorted({g_id for g_id, _ in calls})
     assert len(graph_ids) == 2  # the polarity graph and the bipartite graph
     assert calls == [(g_id, k) for g_id in graph_ids for k in ks]
+    # one padded table per graph, shared by its cycle searches and girth
+    assert sorted(map(id, tabled)) == graph_ids
 
 
 def test_verify_family_detects_missing_edge():
@@ -618,6 +627,26 @@ def test_sampled_even_cycle_with_repeated_roots():
                 i = roots.index(w[0])
                 repeated_before_hit += len(set(roots[:i])) < i
     assert repeated_before_hit > 0
+
+
+@pytest.mark.parametrize("width,bound", [(1, 1), (2, 3), (5, 27), (2, 19683), (3, 2 ** 31)])
+def test_predraw_in_bulk_rewinds_like_scalar_draws(width, bound):
+    def draw(g):
+        return tuple(g.randrange(bound) for _ in range(width))
+
+    for seed in (0, 1, 20231117):
+        count = 40
+        rng = random.Random(seed)
+        samples, rewind = verify._predraw(rng, count, (width, bound))
+        ref = random.Random(seed)
+        assert [tuple(s) for s in samples.tolist()] == [draw(ref) for _ in range(count)]
+        assert rng.getstate() == ref.getstate()
+        for i in (0, 1, 17, count - 1):
+            rewind(i)
+            ref = random.Random(seed)
+            for _ in range(i + 1):
+                draw(ref)
+            assert rng.getstate() == ref.getstate(), (seed, i)
 
 
 def test_one_c10_root_at_q27_is_bounded():
