@@ -180,28 +180,62 @@ class ADGSpec:
 
     # -- bulk incidence: coordinates are m int16 arrays that broadcast -------
 
+    def tables(self):
+        """Per-equation lookup tables, built on first use: entry j is (a, F)
+        with F[u, t] = fs[j] at l_{a+1} = u, p_1 = t, for an equation that
+        reads p_1 and at most one line coordinate (the families' form
+        p_{j+2} + l_{j+2} = f(p_1, l_a)); None for any other equation, which
+        f_bulk hands to the expression evaluator."""
+        tabs = getattr(self, "_tables", None)
+        if tabs is None:
+            np = _np()
+            q = self.ctx.order
+            grid = np.arange(q, dtype=np.int16)
+            lv, pv = [grid[:, None]] * self.m, [grid[None, :]] * self.m
+            tabs = []
+            for f in self.fs:
+                reads = expr_vars(f) - {("p", 1)}
+                if len(reads) > 1 or any(side == "p" for side, _ in reads):
+                    tabs.append(None)
+                    continue
+                a = next(iter(reads))[1] - 1 if reads else 0
+                tabs.append((a, np.broadcast_to(eval_expr_bulk(f, self.ctx, lv, pv),
+                                                (q, q)).astype(np.int16)))
+            object.__setattr__(self, "_tables", tabs)
+        return tabs
+
+    def f_bulk(self, j, lvals, pvals):
+        """fs[j] on coordinate arrays: a gather from its table where tables()
+        has one, the expression evaluator otherwise."""
+        tab = self.tables()[j]
+        if tab is None:
+            return eval_expr_bulk(self.fs[j], self.ctx, lvals, pvals)
+        a, table = tab
+        return table[lvals[a], pvals[0]]
+
     def line_through_bulk(self, pvals, l1):
         """line_through on arrays; the result has the broadcast shape."""
         sub = _bulk_tables(self.ctx)["sub"]
         lv = [l1]
-        for j, f in enumerate(self.fs):
-            lv.append(sub[eval_expr_bulk(f, self.ctx, lv, pvals), pvals[j + 1]])
+        for j in range(self.m - 1):
+            lv.append(sub[self.f_bulk(j, lv, pvals), pvals[j + 1]])
         return _np().broadcast_arrays(*lv)
 
     def point_on_bulk(self, lvals, p1):
-        """point_on on arrays; the result has the broadcast shape."""
+        """point_on on arrays: the points with first coordinate p1 on the
+        lines lvals, as m arrays of the broadcast shape."""
         sub = _bulk_tables(self.ctx)["sub"]
         pv = [p1]
-        for j, f in enumerate(self.fs):
-            pv.append(sub[eval_expr_bulk(f, self.ctx, lvals, pv), lvals[j + 1]])
+        for j in range(self.m - 1):
+            pv.append(sub[self.f_bulk(j, lvals, pv), lvals[j + 1]])
         return _np().broadcast_arrays(*pv)
 
     def incident_bulk(self, pvals, lvals):
         """incident on arrays: a bool array of the broadcast shape."""
         add = _bulk_tables(self.ctx)["add"]
         ok = True
-        for j, f in enumerate(self.fs):
-            ok = ok & (add[lvals[j + 1], pvals[j + 1]] == eval_expr_bulk(f, self.ctx, lvals, pvals))
+        for j in range(self.m - 1):
+            ok = ok & (add[lvals[j + 1], pvals[j + 1]] == self.f_bulk(j, lvals, pvals))
         return ok
 
     # -- vertex ids: mixed radix, big-endian, points before lines ------------
@@ -460,24 +494,48 @@ class PolarityGraph:
         lv = self.pol.apply_point(self.spec.ctx, pvals)
         return self.spec.incident(pvals, lv)
 
-    def neighbors_bulk(self, pvals):
-        """neighbors_coords for N points at once.
+    def neighbor_ids(self, ids):
+        """neighbors_coords on int ids: the (N, q) int64 ids of the points
+        on each vertex's polar line l, by ascending first coordinate t, with
+        -1 where that point is the vertex itself.
 
-        Returns the q points on each polar line as m arrays of shape (N, q),
-        by ascending first coordinate, and the (N, q) mask that is False
-        where that point is the vertex itself.
+        Point t on l has id t*q^(m-1) + sum_j sub[f_j, l_{j+2}]*q^(m-2-j).
+        When every equation has a table (spec.tables()), f_j for all q
+        values of t is the table row F_j[l_a], and the j-th term is one
+        gather from sub scaled by q^(m-2-j), so no coordinates are built.
+        Otherwise point_on_bulk solves the points on coordinates.
         """
         np = _np()
-        ctx = self.spec.ctx
-        lv = [c[:, None] for c in self.pol.polar(ctx, pvals)]
-        rv = self.spec.point_on_bulk(lv, np.arange(ctx.order, dtype=np.int16)[None, :])
-        return rv, ~_rows_equal(rv, [c[:, None] for c in pvals])
+        spec, ctx = self.spec, self.spec.ctx
+        q, m = ctx.order, spec.m
+        ids = np.asarray(ids, dtype=np.int64)
+        lv = self.pol.polar(ctx, spec.ids_to_coords(ids))
+        kernel = self._id_kernel()
+        if kernel is None:
+            t = np.arange(q, dtype=np.int16)[None, :]
+            nb = spec.coords_to_ids(spec.point_on_bulk([c[:, None] for c in lv], t))
+        else:
+            nb = np.arange(0, q ** m, q ** (m - 1), dtype=np.int64)
+            for j, (a, rows, scaled) in enumerate(kernel):
+                index = rows[lv[a]]
+                index += lv[j + 1][:, None]
+                term = scaled.take(index)
+                term += nb
+                nb = term
+        nb[nb == ids[:, None]] = -1
+        return nb
 
-    def neighbor_ids(self, ids):
-        """neighbors_bulk on int ids: the (N, q) neighbour ids, by ascending
-        first coordinate, with -1 where that point is the vertex itself."""
-        rv, not_self = self.neighbors_bulk(self.spec.ids_to_coords(ids))
-        return _np().where(not_self, self.spec.coords_to_ids(rv), -1)
+    def _id_kernel(self):
+        """Per equation (a, F_j * q as int32, sub flattened and scaled by
+        q^(m-2-j) as int64), cached; None unless every equation has a table."""
+        if not hasattr(self, "_kernel"):
+            np = _np()
+            q, m, tabs = self.spec.ctx.order, self.spec.m, self.spec.tables()
+            sub = _bulk_tables(self.spec.ctx)["sub"].ravel().astype(np.int64)
+            self._kernel = None if None in tabs else [
+                (a, table.astype(np.int32) * q, sub * q ** (m - 2 - j))
+                for j, (a, table) in enumerate(tabs)]
+        return self._kernel
 
     def scan_stages(self):
         """The absolute-point scan's order: (coordinate index, equations)
@@ -532,8 +590,7 @@ class PolarityGraph:
                     block[c] = np.tile(values, rows.stop - rows.start)[cut]
                     lv = self.pol.polar(ctx, block)
                     for j in eqs:
-                        keep = add[lv[j + 1], block[j + 1]] == eval_expr_bulk(
-                            spec.fs[j], ctx, lv, block)
+                        keep = add[lv[j + 1], block[j + 1]] == spec.f_bulk(j, lv, block)
                         block = [x[keep] for x in block]
                         lv = [x[keep] for x in lv]
                     scan(depth + 1, block)

@@ -214,7 +214,9 @@ def cmd_partition(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig, bundle=None) -> int:
+    """Verify a family instance; `bundle` is a family_bundle result already
+    built for cfg, or None to build it."""
     if cfg.family == "gh-original":
         report = ver.verify_gh_original(_gh_original_q(cfg), materialize_limit=cfg.limit)
     else:
@@ -226,7 +228,8 @@ def cmd_verify(cfg: RunConfig) -> int:
             with open(cfg.partition_path) as fh:
                 partition = read_partition(fh.read())
         report = ver.verify_family(cfg.family, mode=cfg.mode, graph=graph,
-                                   partition=partition, **_family_kwargs(cfg))
+                                   partition=partition, bundle=bundle,
+                                   **_family_kwargs(cfg))
     return _write_report(cfg, report)
 
 
@@ -239,12 +242,12 @@ def cmd_report(cfg: RunConfig) -> int:
     bundle = _bundle(cfg)
     if bundle[0].side_size > cfg.limit:
         print(f"{_stem(cfg)}: instance too large to materialize; verification only")
-        return cmd_verify(cfg)
+        return cmd_verify(cfg, bundle)
     g, pol_check = _polarity_graph(cfg, bundle)
     _write_graph(cfg, g)
     part = _write_partition(cfg, bundle)
     if cfg.mode == "sampled":
-        return cmd_verify(cfg)
+        return cmd_verify(cfg, bundle)
     return _write_report(cfg, ver.verify_family_exhaustive(
         cfg.family, seed=cfg.seed, materialize_limit=cfg.limit, graph=g,
         partition=part, bundle=bundle, pol_check=pol_check))

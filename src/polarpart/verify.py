@@ -499,12 +499,6 @@ def _predraw(rng, count, draw):
     return samples, rewind
 
 
-def _columns(tuples, width):
-    """Equal-length int tuples -> `width` int16 arrays, one per position."""
-    np = adg._np()
-    return list(np.array(tuples, dtype=np.int16).reshape(len(tuples), width).T)
-
-
 def _first(bad):
     """Index of the first True, or None."""
     return int(bad.argmax()) if bad.any() else None
@@ -545,13 +539,16 @@ def verify_family_sampled(family, *, e=None, seed=0,
                           degree_samples=SAMPLED_DEGREES,
                           cycle_roots=None,
                           allow_small_e=False, bundle=None):
-    """Seeded streaming verification of a gh-sized instance.
+    """Seeded streaming verification of an instance too large to materialize.
 
     Closed-form unique edges are confirmed by direct substitution on
     sampled class pairs plus full one-edge sweeps on a subsample; within-
-    class and degree checks are sampled; the absolute-point count is an
-    exact vectorized scan over all points.  Every phase runs on the bulk
-    incidence kernel; `bundle` is as in verify_family_exhaustive.
+    class, degree and adjacency-symmetry checks are sampled, and even
+    cycles are searched from sampled roots.  The absolute-point count is
+    exact, from PolarityGraph.absolute_ids' staged scan.  Every phase reads
+    neighbours as ids from PolarityGraph.neighbor_ids and classes from the
+    scheme's class_of_ids; coordinates are built only for witnesses.
+    `bundle` is as in verify_family_exhaustive.
     """
     spec, pol, scheme, params = bundle or family_bundle(
         family, e=e, allow_small_e=allow_small_e)
@@ -633,12 +630,11 @@ def verify_family_sampled(family, *, e=None, seed=0,
     for i, (c1, c2) in enumerate(pairs.tolist()):
         if c1 == c2:
             continue
-        expected = scheme.unique_edge(c1, c2)
-        members = spec.ids_to_coords(scheme.class_members_bulk([c1])[0])
-        nbs, not_self = pg.neighbors_bulk(members)
-        rows, cols = np.nonzero(not_self & (scheme.class_of_ids(spec.coords_to_ids(nbs)) == c2))
-        found = [(adg._row(members, a), tuple(int(c[a, b]) for c in nbs))
-                 for a, b in zip(rows, cols)]
+        expected = tuple(spec.coords_to_id(x) for x in scheme.unique_edge(c1, c2))
+        members = scheme.class_members_bulk([c1])[0]
+        nb = pg.neighbor_ids(members)
+        rows, cols = np.nonzero((nb >= 0) & (scheme.class_of_ids(nb) == c2))
+        found = list(zip(members[rows].tolist(), nb[rows, cols].tolist()))
         if found != [expected]:
             sweep_ok = False
             report["witnesses"].append(("sweep_pair", c1, c2, len(found)))
@@ -650,21 +646,22 @@ def verify_family_sampled(family, *, e=None, seed=0,
     draws, rewind = _predraw(
         rng, within_samples, lambda g: (g.randrange(r), g.randrange(scheme.class_size)))
     cids, picks = np.array(draws, dtype=np.int64).reshape(len(draws), 2).T
-    vs = spec.ids_to_coords(_class_member(scheme, cids, picks))
-    nbs, not_self = pg.neighbors_bulk(vs)
-    inside = not_self & (scheme.class_of_ids(spec.coords_to_ids(nbs)) == cids[:, None])
+    vs = _class_member(scheme, cids, picks)
+    nb = pg.neighbor_ids(vs)
+    inside = (nb >= 0) & (scheme.class_of_ids(nb) == cids[:, None])
     i = _first(inside.any(axis=1))
     within_ok = i is None
     if not within_ok:
         rewind(i)
-        nb = adg._row([c[i] for c in nbs], int(inside[i].argmax()))
-        report["witnesses"].append(("within_edge", draws[i][0], adg._row(vs, i), nb))
+        u = int(nb[i, inside[i].argmax()])
+        report["witnesses"].append(("within_edge", draws[i][0], spec.id_to_coords(int(vs[i])),
+                                    spec.id_to_coords(u)))
 
     # degree spot checks against the two-value spectrum
     vs, rewind = _predraw(rng, degree_samples, (m, q))
-    pv = list(vs.T.astype(np.int16))
-    degrees = pg.neighbors_bulk(pv)[1].sum(axis=1)
-    expect = q - np.isin(spec.coords_to_ids(pv), pg.absolute_ids())
+    ids = spec.coords_to_ids(vs.T)
+    degrees = (pg.neighbor_ids(ids) >= 0).sum(axis=1)
+    expect = q - _in_sorted(ids, absolute_ids)
     i = _first(degrees != expect)
     spectrum_ok = i is None
     tallied = degrees if spectrum_ok else degrees[:i + 1]
@@ -677,24 +674,22 @@ def verify_family_sampled(family, *, e=None, seed=0,
 
     # sampled adjacency symmetry of the implicit graph
     def draw_edge(g):
-        v = tuple(g.randrange(q) for _ in range(m))
-        degree = q - (spec.coords_to_id(v) in absolute)
+        v = spec.coords_to_id([g.randrange(q) for _ in range(m)])
+        degree = q - (v in absolute)
         return v, g.randrange(degree) if degree else -1
 
     draws, rewind = _predraw(rng, SAMPLED_SYMMETRY, draw_edge)
-    vs = [v for v, _ in draws]
-    pick = np.array([j for _, j in draws], dtype=np.int64)
-    pv = _columns(vs, m)
-    nbs, not_self = pg.neighbors_bulk(pv)
-    col = (np.cumsum(not_self, axis=1) > pick[:, None]).argmax(axis=1)
-    uv = [c[np.arange(len(col)), col] for c in nbs]
-    back, back_not_self = pg.neighbors_bulk(uv)
-    returns = (back_not_self & adg._rows_equal(back, [c[:, None] for c in pv])).any(axis=1)
+    vs, pick = np.array(draws, dtype=np.int64).reshape(len(draws), 2).T
+    nb = pg.neighbor_ids(vs)
+    col = (np.cumsum(nb >= 0, axis=1) > pick[:, None]).argmax(axis=1)
+    uv = nb[np.arange(len(col)), col]
+    returns = (pg.neighbor_ids(uv) == vs[:, None]).any(axis=1)
     i = _first(~returns & (pick >= 0))
     symmetry_ok = i is None
     if not symmetry_ok:
         rewind(i)
-        report["witnesses"].append(("symmetry", vs[i], adg._row(uv, i)))
+        report["witnesses"].append(("symmetry", spec.id_to_coords(int(vs[i])),
+                                    spec.id_to_coords(int(uv[i]))))
 
     cycles = {}
     cycles_ok = True
@@ -756,14 +751,15 @@ def verify_family_sampled(family, *, e=None, seed=0,
 def verify_family(family, *, q=None, e=None, mode=None, seed=0,
                   materialize_limit=DEFAULT_MATERIALIZE_LIMIT,
                   allow_small_e=False, spec_json=None, with_luw=True,
-                  graph=None, partition=None, **sampled_kwargs):
+                  graph=None, partition=None, bundle=None, **sampled_kwargs):
     """Dispatch to the exhaustive or sampled protocol.
 
     mode=None picks exhaustive when the vertex set fits under the
-    materialization ceiling and sampled otherwise.
+    materialization ceiling and sampled otherwise.  `bundle` is as in
+    verify_family_exhaustive; it is built here when not passed.
     """
-    bundle = family_bundle(family, q=q, e=e, allow_small_e=allow_small_e,
-                           spec_json=spec_json)
+    bundle = bundle or family_bundle(family, q=q, e=e, allow_small_e=allow_small_e,
+                                     spec_json=spec_json)
     spec = bundle[0]
     fits = spec.side_size <= materialize_limit
     if mode is None:

@@ -357,6 +357,27 @@ def _sample_points(pg, count, seed):
     return points + absolute
 
 
+def _reference_neighbors_bulk(pg, pvals):
+    """The coordinate-form neighbour kernel neighbor_ids replaced, kept as
+    its reference: the q points on each polar line as m arrays of shape
+    (N, q), by ascending first coordinate, and the (N, q) mask that is False
+    where that point is the vertex itself."""
+    ctx = pg.spec.ctx
+    lv = [c[:, None] for c in pg.pol.polar(ctx, pvals)]
+    rv = pg.spec.point_on_bulk(lv, np.arange(ctx.order, dtype=np.int16)[None, :])
+    return rv, ~adg._rows_equal(rv, [c[:, None] for c in pvals])
+
+
+def _scalar_neighbor_ids(pg, p):
+    """neighbor_ids' row for point p from the scalar neighbors_coords: the
+    vertex itself has first coordinate p_1 on its polar line, so an
+    absolute point's -1 sits at position p_1."""
+    row = [pg.spec.coords_to_id(r) for r in pg.neighbors_coords(p)]
+    if pg.is_absolute(p):
+        row.insert(p[0], -1)
+    return row
+
+
 @pytest.mark.parametrize("family", sorted(BULK_FAMILIES))
 def test_neighbors_bulk_matches_scalar(family):
     spec, pol = BULK_FAMILIES[family]()
@@ -364,18 +385,93 @@ def test_neighbors_bulk_matches_scalar(family):
     q = spec.ctx.order
     points = _sample_points(pg, 200, seed=3)
     pv = _arrays(points)
-    assert spec.coords_to_ids(pv).tolist() == [spec.coords_to_id(p) for p in points]
-    assert [c.tolist() for c in spec.ids_to_coords(spec.coords_to_ids(pv))] == \
-        [c.tolist() for c in pv]
-    nbs, not_self = pg.neighbors_bulk(pv)
-    assert nbs[0].shape == not_self.shape == (len(points), q)
+    ids = spec.coords_to_ids(pv)
+    assert ids.tolist() == [spec.coords_to_id(p) for p in points]
+    assert [c.tolist() for c in spec.ids_to_coords(ids)] == [c.tolist() for c in pv]
+    nb = pg.neighbor_ids(ids)
+    assert nb.dtype == np.int64 and nb.shape == (len(points), q)
+    nbs, not_self = _reference_neighbors_bulk(pg, pv)
+    assert np.array_equal(nb, np.where(not_self, spec.coords_to_ids(nbs), -1))
     absolute_seen = 0
     for i, p in enumerate(points):
-        bulk = [tuple(int(c[i, j]) for c in nbs) for j in range(q) if not_self[i, j]]
-        assert bulk == pg.neighbors_coords(p)
-        assert (not not_self[i].all()) == pg.is_absolute(p)
+        assert nb[i].tolist() == _scalar_neighbor_ids(pg, p)
+        assert [tuple(int(c[i, j]) for c in nbs) for j in range(q) if not_self[i, j]] == \
+            pg.neighbors_coords(p)
         absolute_seen += pg.is_absolute(p)
     assert absolute_seen >= 20
+
+
+# the m=4 toy of acceptance criterion 7 over GF(4) (f_3 = p_2 l_2 and
+# f_4 = p_3 l_3 read a point coordinate past p_1), and a GF(9) spec whose
+# f_2 = 0 has a table and whose f_3 = p_2 l_2 has none
+GF4_TOY = ADGSpec(make_field(2, 2), 4, (mul(var_p(1), var_l(1)), mul(var_p(2), var_l(2)),
+                                        mul(var_p(3), var_l(3))))
+GF9_SPEC = ADGSpec.from_json({"field": {"p": 3, "k": 2}, "m": 3, "fs": [
+    ["const", 0], ["mul", ["var", "p", 2], ["var", "l", 2]]]})
+
+# name -> (family, which equations have a table)
+KERNEL_FAMILIES = {
+    **{f"plane q={q}": (lambda q=q: plane_family(q), [True]) for q in (2, 3, 4, 5)},
+    "gq e=1": (lambda: gq_family(1), [True] * 2),
+    "gh e=0": (lambda: gh_family(0, allow_small_e=True), [True] * 4),
+    "GF(4) m=4 toy": (lambda: (GF4_TOY, generic_conjugation_polarity(GF4_TOY)),
+                      [True, False, False]),
+    "GF(9) f_3 = p_2 l_2": (lambda: (GF9_SPEC, generic_conjugation_polarity(GF9_SPEC)),
+                            [True, False]),
+}
+
+
+@pytest.mark.parametrize("name,make_spec,rows", [
+    ("plane q=3", lambda: plane_family(3)[0], [0]),
+    ("gq e=1", lambda: gq_family(1)[0], [0, 0]),
+    ("gh q=27", lambda: gh_adjacency_spec(27), [0] * 4),
+    # the cross term p_2 l_3 - p_3 l_2 has no table
+    ("gh-original q=9", lambda: gh_original_family(9)[0], [0, 1, 2, None]),
+    ("GF(4) m=4 toy", lambda: GF4_TOY, [0, None, None]),
+    ("GF(9) f_3 = p_2 l_2", lambda: GF9_SPEC, [0, None]),
+])
+def test_equation_tables_match_the_evaluator(name, make_spec, rows):
+    spec = make_spec()
+    q = spec.ctx.order
+    assert [None if tab is None else tab[0] for tab in spec.tables()] == rows
+    u, t = np.meshgrid(np.arange(q, dtype=np.int16), np.arange(q, dtype=np.int16),
+                       indexing="ij")
+    rng = np.random.default_rng(0)
+    for j, (f, tab) in enumerate(zip(spec.fs, spec.tables())):
+        if tab is None:
+            continue
+        a, table = tab
+        assert table.dtype == np.int16 and table.shape == (q, q)
+        # every other coordinate random: the table may not depend on it
+        lv = [rng.integers(0, q, (q, q)).astype(np.int16) for _ in range(spec.m)]
+        pv = [rng.integers(0, q, (q, q)).astype(np.int16) for _ in range(spec.m)]
+        lv[a], pv[0] = u, t
+        assert np.array_equal(table, np.broadcast_to(eval_expr_bulk(f, spec.ctx, lv, pv),
+                                                     (q, q)))
+        assert np.array_equal(spec.f_bulk(j, lv, pv), table)
+    assert spec.tables() is spec.tables()  # built once
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FAMILIES))
+def test_neighbor_ids_match_scalar_on_every_id(name):
+    make_family, tabulated = KERNEL_FAMILIES[name]
+    spec, pol = make_family()
+    assert [tab is not None for tab in spec.tables()] == tabulated
+    pg = adg.PolarityGraph(spec, pol)
+    assert (pg._id_kernel() is None) == (not all(tabulated))
+    nb = pg.neighbor_ids(np.arange(pg.n))
+    assert nb.shape == (pg.n, spec.ctx.order)
+    assert nb.tolist() == [_scalar_neighbor_ids(pg, p) for p in spec.all_coords()]
+
+
+def test_neighbor_ids_match_coordinate_kernel_gh_e1():
+    pg = adg.PolarityGraph(*gh_family(1))
+    ids = np.random.default_rng(20231117).integers(0, pg.n, 20_000)
+    ids[:100] = pg.absolute_ids()[:100]
+    nbs, not_self = _reference_neighbors_bulk(pg, pg.spec.ids_to_coords(ids))
+    nb = pg.neighbor_ids(ids)
+    assert np.array_equal(nb, np.where(not_self, pg.spec.coords_to_ids(nbs), -1))
+    assert (nb == -1).sum() >= 100
 
 
 @pytest.mark.parametrize("family", sorted(BULK_FAMILIES))

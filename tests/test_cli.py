@@ -206,6 +206,27 @@ def test_report_builds_each_object_once(tmp_path, monkeypatch):
     assert (tmp_path / "r" / name).read_bytes() == (tmp_path / "v" / name).read_bytes()
 
 
+@pytest.mark.parametrize("extra", [["--limit", "100"], ["--mode", "sampled"]],
+                         ids=["too large to materialize", "sampled mode"])
+def test_sampled_report_builds_the_bundle_once(tmp_path, monkeypatch, extra):
+    calls = []
+    family_bundle = verify.family_bundle
+
+    def counting_bundle(*args, **kwargs):
+        calls.append(args)
+        return family_bundle(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "family_bundle", counting_bundle)
+    argv = ["report", "gh", "--e", "0", "--override-small-e"] + extra
+    assert run(argv + ["--out", str(tmp_path / "r")]) == 0
+    assert calls == [("gh",)]
+    monkeypatch.undo()
+    assert run(["verify", "gh", "--e", "0", "--override-small-e", "--mode", "sampled",
+                "--out", str(tmp_path / "v")]) == 0
+    name = "gh_e0.report.json"
+    assert (tmp_path / "r" / name).read_bytes() == (tmp_path / "v" / name).read_bytes()
+
+
 def test_generic_spec_roundtrip(tmp_path):
     spec_file = tmp_path / "toy.json"
     spec_file.write_text(json.dumps({
