@@ -16,7 +16,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .gf import FieldCtx, make_field, prime_power
+import numpy as np
+
+from .gf import TABLE_SIDE, FieldCtx, make_field, prime_power
 from .graphs import ImplicitGraph
 
 # -- expression trees --------------------------------------------------------
@@ -25,6 +27,8 @@ from .graphs import ImplicitGraph
 # ("add"|"sub"|"mul", a, b)
 # ("neg", a)
 # ("pow", a, n)         integer n >= 0
+
+ARITY = {"var": 2, "const": 1, "add": 2, "sub": 2, "mul": 2, "neg": 1, "pow": 2}
 
 
 def var_p(i):
@@ -64,7 +68,34 @@ def expr_to_json(e):
 
 
 def expr_from_json(obj):
-    return tuple(expr_from_json(x) if isinstance(x, list) else x for x in obj)
+    return tuple(map(expr_from_json, obj)) if isinstance(obj, list) else obj
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_expr(e, ctx: FieldCtx):
+    """Raise ValueError unless e is a well-formed expression over ctx: known
+    ops with their arity, var sides p or l with index >= 1, constants that
+    are elements of the field, pow exponents >= 0."""
+    if not (isinstance(e, tuple) and e and isinstance(e[0], str) and e[0] in ARITY
+            and len(e) == 1 + ARITY[e[0]]):
+        raise ValueError(f"malformed expression {e!r}: ops and arities are {ARITY}")
+    op, args = e[0], e[1:]
+    if op == "var":
+        if args[0] not in ("p", "l") or not _is_int(args[1]) or args[1] < 1:
+            raise ValueError(f"bad coordinate {e!r}: side must be 'p' or 'l', index >= 1")
+    elif op == "const":
+        if not _is_int(args[0]) or not 0 <= args[0] < ctx.order:
+            raise ValueError(f"constant {args[0]!r} is not an element of {ctx!r}")
+    elif op == "pow":
+        check_expr(args[0], ctx)
+        if not _is_int(args[1]) or args[1] < 0:
+            raise ValueError(f"pow exponent {args[1]!r} must be an int >= 0")
+    else:
+        for a in args:
+            check_expr(a, ctx)
 
 
 def compile_expr(e, ctx: FieldCtx):
@@ -77,7 +108,6 @@ def compile_expr(e, ctx: FieldCtx):
         return lambda lv, pv: pv[i]
     if op == "const":
         c = e[1]
-        ctx._chk(c)
         return lambda lv, pv: c
     if op == "neg":
         f = compile_expr(e[1], ctx)
@@ -116,11 +146,12 @@ class ADGSpec:
     fs: tuple  # fs[i] is the expression for f_{i+2}
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("dimension must be >= 2")
+        if not _is_int(self.m) or self.m < 2:
+            raise ValueError(f"dimension m must be an int >= 2, got {self.m!r}")
         if len(self.fs) != self.m - 1:
             raise ValueError(f"need {self.m - 1} adjacency functions, got {len(self.fs)}")
         for i, f in enumerate(self.fs):
+            check_expr(f, self.ctx)
             if max_var_index(f) > i + 1:
                 raise ValueError(f"f_{i + 2} reads coordinates past index {i + 1}")
 
@@ -140,9 +171,14 @@ class ADGSpec:
 
     @classmethod
     def from_json(cls, obj):
-        fj = obj["field"]
-        ctx = make_field(fj["p"], fj["k"])
-        return cls(ctx, obj["m"], tuple(expr_from_json(f) for f in obj["fs"]))
+        """Inverse of to_json; malformed input raises ValueError."""
+        try:
+            p, k, m, fs = obj["field"]["p"], obj["field"]["k"], obj["m"], obj["fs"]
+        except (KeyError, TypeError):
+            raise ValueError('a spec is an object {"field": {"p", "k"}, "m", "fs"}') from None
+        if not (_is_int(p) and _is_int(k) and isinstance(fs, list)):
+            raise ValueError("spec field p and k must be ints and fs a list")
+        return cls(make_field(p, k), m, tuple(map(expr_from_json, fs)))
 
     # -- incidence ----------------------------------------------------------
 
@@ -178,29 +214,29 @@ class ADGSpec:
                 return False
         return True
 
-    # -- bulk incidence: coordinates are m int16 arrays that broadcast -------
+    # -- bulk incidence: coordinates are m arrays of ctx.dtype that broadcast -
 
     def tables(self):
         """Per-equation lookup tables, built on first use: entry j is (a, F)
         with F[u, t] = fs[j] at l_{a+1} = u, p_1 = t, for an equation that
         reads p_1 and at most one line coordinate (the families' form
-        p_{j+2} + l_{j+2} = f(p_1, l_a)); None for any other equation, which
-        f_bulk hands to the expression evaluator."""
+        p_{j+2} + l_{j+2} = f(p_1, l_a)); None for any other equation, and
+        for every equation when q > TABLE_SIDE, which f_bulk hands to the
+        expression evaluator."""
         tabs = getattr(self, "_tables", None)
         if tabs is None:
-            np = _np()
-            q = self.ctx.order
-            grid = np.arange(q, dtype=np.int16)
+            q, dtype = self.ctx.order, self.ctx.dtype
+            grid = np.arange(q, dtype=dtype)
             lv, pv = [grid[:, None]] * self.m, [grid[None, :]] * self.m
             tabs = []
             for f in self.fs:
                 reads = expr_vars(f) - {("p", 1)}
-                if len(reads) > 1 or any(side == "p" for side, _ in reads):
+                if q > TABLE_SIDE or len(reads) > 1 or any(side == "p" for side, _ in reads):
                     tabs.append(None)
                     continue
                 a = next(iter(reads))[1] - 1 if reads else 0
                 tabs.append((a, np.broadcast_to(eval_expr_bulk(f, self.ctx, lv, pv),
-                                                (q, q)).astype(np.int16)))
+                                                (q, q)).astype(dtype)))
             object.__setattr__(self, "_tables", tabs)
         return tabs
 
@@ -215,27 +251,25 @@ class ADGSpec:
 
     def line_through_bulk(self, pvals, l1):
         """line_through on arrays; the result has the broadcast shape."""
-        sub = _bulk_tables(self.ctx)["sub"]
         lv = [l1]
         for j in range(self.m - 1):
-            lv.append(sub[self.f_bulk(j, lv, pvals), pvals[j + 1]])
-        return _np().broadcast_arrays(*lv)
+            lv.append(self.ctx.sub_bulk(self.f_bulk(j, lv, pvals), pvals[j + 1]))
+        return np.broadcast_arrays(*lv)
 
     def point_on_bulk(self, lvals, p1):
         """point_on on arrays: the points with first coordinate p1 on the
         lines lvals, as m arrays of the broadcast shape."""
-        sub = _bulk_tables(self.ctx)["sub"]
         pv = [p1]
         for j in range(self.m - 1):
-            pv.append(sub[self.f_bulk(j, lvals, pv), lvals[j + 1]])
-        return _np().broadcast_arrays(*pv)
+            pv.append(self.ctx.sub_bulk(self.f_bulk(j, lvals, pv), lvals[j + 1]))
+        return np.broadcast_arrays(*pv)
 
     def incident_bulk(self, pvals, lvals):
         """incident on arrays: a bool array of the broadcast shape."""
-        add = _bulk_tables(self.ctx)["add"]
         ok = True
         for j in range(self.m - 1):
-            ok = ok & (add[lvals[j + 1], pvals[j + 1]] == self.f_bulk(j, lvals, pvals))
+            ok = ok & (self.ctx.add_bulk(lvals[j + 1], pvals[j + 1])
+                       == self.f_bulk(j, lvals, pvals))
         return ok
 
     # -- vertex ids: mixed radix, big-endian, points before lines ------------
@@ -257,7 +291,6 @@ class ADGSpec:
 
     def coords_to_ids(self, coords):
         """coords_to_id on arrays: m coordinate arrays -> int64 ids."""
-        np = _np()
         q = self.ctx.order
         ids = np.zeros(np.shape(coords[0]), dtype=np.int64)
         for c in coords:
@@ -265,13 +298,12 @@ class ADGSpec:
         return ids
 
     def ids_to_coords(self, ids):
-        """id_to_coords on arrays: int ids -> m int16 coordinate arrays."""
-        np = _np()
+        """id_to_coords on arrays: int ids -> m coordinate arrays of ctx.dtype."""
         q = self.ctx.order
         rest = np.asarray(ids, dtype=np.int64)
         out = [None] * self.m
         for i in range(self.m - 1, -1, -1):
-            out[i] = (rest % q).astype(np.int16)
+            out[i] = (rest % q).astype(self.ctx.dtype)
             rest = rest // q
         return out
 
@@ -294,15 +326,13 @@ class ADGSpec:
             return [self.coords_to_id(p) for p in self.neighbors_of_line(lv)]
 
         def arrays():
-            np = _np()
             coords = [c[:, None] for c in self.ids_to_coords(np.arange(ns))]
-            first = np.arange(self.ctx.order, dtype=np.int16)[None, :]
+            first = np.arange(self.ctx.order, dtype=self.ctx.dtype)[None, :]
             lines = ns + self.coords_to_ids(self.line_through_bulk(coords, first))
             points = self.coords_to_ids(self.point_on_bulk(coords, first))
             return np.concatenate([lines, points]), np.empty(0, dtype=np.int64)
 
-        return ImplicitGraph(2 * ns, neighbors,
-                             arrays=arrays if has_tables(self.ctx) else None)
+        return ImplicitGraph(2 * ns, neighbors, arrays=arrays)
 
 
 # -- polarities ---------------------------------------------------------------
@@ -327,11 +357,11 @@ class PolaritySpec:
 
     def polar(self, ctx, pvals):
         """apply_point on coordinate arrays."""
-        return [_frob_vector(ctx, j)[pvals[src]] for src, j in self.point_to_line]
+        return [ctx.frob_vector(j)[pvals[src]] for src, j in self.point_to_line]
 
     def polar_line(self, ctx, lvals):
         """apply_line on coordinate arrays."""
-        return [_frob_vector(ctx, j)[lvals[src]] for src, j in self.line_to_point]
+        return [ctx.frob_vector(j)[lvals[src]] for src, j in self.line_to_point]
 
     def to_json(self):
         return {
@@ -367,87 +397,28 @@ def check_polarity(spec: ADGSpec, pol: PolaritySpec, mode="exhaustive",
     """Verify pi swaps sides, squares to the identity, preserves adjacency.
 
     Exhaustive mode walks every point and every incidence; sampled mode
-    draws `samples` random incidences with the given seed.  Checks over a
-    table-backed field run on the bulk kernel, others point by point; both
-    paths report the same witness.
+    draws `samples` random points (seed) and one random line through each
+    (seed + 1).  Chunks of points run on the bulk kernel; the first failing
+    point in loop order gives the witness and the incidence count that the
+    point-by-point loop the tests keep as reference gives.  That loop's
+    second involution check, on the polar line, holds wherever the first
+    does, so it is not repeated.  Swapping sides is structural.
     """
-    m = spec.m
-    if len(pol.point_to_line) != m or len(pol.line_to_point) != m:
+    if len(pol.point_to_line) != spec.m or len(pol.line_to_point) != spec.m:
         raise ValueError("polarity dimension mismatch")
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    if has_tables(spec.ctx):
-        return _check_polarity_bulk(spec, pol, mode, samples, seed)
-    return _check_polarity_scalar(spec, pol, mode, samples, seed)
-
-
-def _check_polarity_scalar(spec, pol, mode, samples, seed):
-    """Point-by-point check_polarity; the reference for the bulk path."""
-    ctx = spec.ctx
-    m = spec.m
-    swaps = True  # structural: apply_point emits line coords and vice versa
-
-    if mode == "exhaustive":
-        points = spec.all_coords()
-    else:
-        rng = random.Random(seed)
-        q = ctx.order
-        points = (tuple(rng.randrange(q) for _ in range(m)) for _ in range(samples))
-
-    involution = True
-    preserves = True
-    witness = None
-    checked = 0
-    if mode == "sampled":
-        rng2 = random.Random(seed + 1)
-    for p in points:
-        l_img = pol.apply_point(ctx, p)
-        if pol.apply_line(ctx, l_img) != p:
-            involution = False
-            witness = ("involution", p)
-            break
-        if mode == "exhaustive":
-            lines = spec.neighbors_of_point(p)
-        else:
-            lines = [spec.line_through(p, rng2.randrange(ctx.order))]
-        for lv in lines:
-            checked += 1
-            if not spec.incident(pol.apply_line(ctx, lv), pol.apply_point(ctx, p)):
-                preserves = False
-                witness = ("adjacency", p, lv)
-                break
-        if not preserves:
-            break
-        # inverse-direction involution, on the polar line
-        if pol.apply_point(ctx, pol.apply_line(ctx, l_img)) != l_img:
-            involution = False
-            witness = ("involution-line", l_img)
-            break
-    ok = swaps and involution and preserves
-    return PolarityCheck(ok, mode, swaps, involution, preserves, checked, witness)
-
-
-def _check_polarity_bulk(spec, pol, mode, samples, seed):
-    """check_polarity on the bulk kernel, a chunk of points at a time.
-
-    Sampled mode draws the same points and first line coordinates as the
-    scalar loop; the first failing point gives the scalar witness and count.
-    The scalar loop's inverse-direction check on the polar line holds at
-    every point that passes the first involution check, so it is not
-    repeated here.
-    """
-    np = _np()
     ctx = spec.ctx
     q, m = ctx.order, spec.m
     if mode == "exhaustive":
         n = spec.side_size
         step = max(1, (1 << 18) // q)
-        every_l1 = np.arange(q, dtype=np.int16)[None, :]
+        every_l1 = np.arange(q, dtype=ctx.dtype)[None, :]
         chunks = ((spec.ids_to_coords(np.arange(lo, min(lo + step, n))), every_l1)
                   for lo in range(0, n, step))
     else:
-        flat = randrange_bulk(random.Random(seed), q, samples * m)[0].astype(np.int16)
-        l1 = randrange_bulk(random.Random(seed + 1), q, samples)[0].astype(np.int16)
+        flat = randrange_bulk(random.Random(seed), q, samples * m)[0].astype(ctx.dtype)
+        l1 = randrange_bulk(random.Random(seed + 1), q, samples)[0].astype(ctx.dtype)
         chunks = [(list(flat.reshape(samples, m).T), l1[:, None])]
     checked = 0
     for pv, l1 in chunks:
@@ -470,6 +441,13 @@ def _check_polarity_bulk(spec, pol, mode, samples, seed):
         witness = ("adjacency", p, _row([c[i] for c in lines], j))
         return PolarityCheck(False, mode, True, True, False, checked + j + 1, witness)
     return PolarityCheck(True, mode, True, True, True, checked, None)
+
+
+# Candidate tests PolarityGraph.absolute_ids may make.  On the hexagon spec
+# its scan makes about q^(m-1): 571,563 at q = 27, about 3.5e9 (200 s) at
+# q = 243 (e = 2), and about 2.3e13 at q = 2187 (e = 3), which would not
+# finish.
+ABSOLUTE_SCAN_LIMIT = 10 ** 10
 
 
 class PolarityGraph:
@@ -505,14 +483,13 @@ class PolarityGraph:
         gather from sub scaled by q^(m-2-j), so no coordinates are built.
         Otherwise point_on_bulk solves the points on coordinates.
         """
-        np = _np()
         spec, ctx = self.spec, self.spec.ctx
         q, m = ctx.order, spec.m
         ids = np.asarray(ids, dtype=np.int64)
         lv = self.pol.polar(ctx, spec.ids_to_coords(ids))
         kernel = self._id_kernel()
         if kernel is None:
-            t = np.arange(q, dtype=np.int16)[None, :]
+            t = np.arange(q, dtype=ctx.dtype)[None, :]
             nb = spec.coords_to_ids(spec.point_on_bulk([c[:, None] for c in lv], t))
         else:
             nb = np.arange(0, q ** m, q ** (m - 1), dtype=np.int64)
@@ -526,15 +503,18 @@ class PolarityGraph:
         return nb
 
     def _id_kernel(self):
-        """Per equation (a, F_j * q as int32, sub flattened and scaled by
-        q^(m-2-j) as int64), cached; None unless every equation has a table."""
+        """Per equation (a, F_j * q as int32, the q x q subtraction table
+        flattened and scaled by q^(m-2-j) as int64), cached; None unless
+        every equation has a table."""
         if not hasattr(self, "_kernel"):
-            np = _np()
-            q, m, tabs = self.spec.ctx.order, self.spec.m, self.spec.tables()
-            sub = _bulk_tables(self.spec.ctx)["sub"].ravel().astype(np.int64)
-            self._kernel = None if None in tabs else [
-                (a, table.astype(np.int32) * q, sub * q ** (m - 2 - j))
-                for j, (a, table) in enumerate(tabs)]
+            ctx, m, tabs = self.spec.ctx, self.spec.m, self.spec.tables()
+            q = ctx.order
+            self._kernel = None
+            if None not in tabs:
+                grid = np.arange(q)
+                sub = ctx.sub_bulk(grid[:, None], grid[None, :]).ravel().astype(np.int64)
+                self._kernel = [(a, table.astype(np.int32) * q, sub * q ** (m - 2 - j))
+                                for j, (a, table) in enumerate(tabs)]
         return self._kernel
 
     def scan_stages(self):
@@ -559,6 +539,16 @@ class PolarityGraph:
             pending = [j for j in pending if j not in stages[-1][1]]
         return stages + [(c, []) for c in range(self.spec.m) if c not in bound]
 
+    def check_scan_bound(self):
+        """Raise ValueError when absolute_ids could not finish: its scan makes
+        about q^(m-1) candidate tests on the hexagon spec, and this refuses
+        more than ABSOLUTE_SCAN_LIMIT of them."""
+        work = self.spec.ctx.order ** (self.spec.m - 1)
+        if work > ABSOLUTE_SCAN_LIMIT:
+            raise ValueError(
+                f"the absolute-point scan needs about q^(m-1) = {work:.2e} candidate "
+                f"tests, above the bound {ABSOLUTE_SCAN_LIMIT:.0e}")
+
     def absolute_ids(self, chunk=1 << 20):
         """Sorted int64 ids of every absolute point, by an exact scan (cached).
 
@@ -567,14 +557,14 @@ class PolarityGraph:
         candidates a block; it tests incident(p, polar(p)) one equation at
         a time as soon as the equation's support is bound, and a candidate
         leaves at the first equation it fails.  Unbound coordinates read 0.
+        check_scan_bound runs first.
         """
         ids = getattr(self, "_absolute_ids", None)
         if ids is None:
-            np = _np()
+            self.check_scan_bound()
             spec, ctx, q = self.spec, self.spec.ctx, self.spec.ctx.order
-            add = _bulk_tables(ctx)["add"]
             stages, found = self.scan_stages(), []
-            values = np.arange(q, dtype=np.int16)
+            values = np.arange(q, dtype=ctx.dtype)
 
             def scan(depth, pv):
                 if depth == len(stages):
@@ -590,12 +580,12 @@ class PolarityGraph:
                     block[c] = np.tile(values, rows.stop - rows.start)[cut]
                     lv = self.pol.polar(ctx, block)
                     for j in eqs:
-                        keep = add[lv[j + 1], block[j + 1]] == spec.f_bulk(j, lv, block)
+                        keep = ctx.add_bulk(lv[j + 1], block[j + 1]) == spec.f_bulk(j, lv, block)
                         block = [x[keep] for x in block]
                         lv = [x[keep] for x in lv]
                     scan(depth + 1, block)
 
-            scan(0, [np.zeros(1, dtype=np.int16)] * spec.m)
+            scan(0, [np.zeros(1, dtype=ctx.dtype)] * spec.m)
             ids = self._absolute_ids = np.sort(np.concatenate(found))
         return ids
 
@@ -612,10 +602,9 @@ class PolarityGraph:
             return self.is_absolute(spec.id_to_coords(v))
 
         def arrays():
-            return self.neighbor_ids(_np().arange(self.n)), self.absolute_ids()
+            return self.neighbor_ids(np.arange(self.n)), self.absolute_ids()
 
-        return ImplicitGraph(self.n, neighbors, is_loop,
-                             arrays if has_tables(spec.ctx) else None)
+        return ImplicitGraph(self.n, neighbors, is_loop, arrays)
 
     def absolute_points(self):
         """Exhaustive absolute-point scan; only sensible when n is small."""
@@ -634,79 +623,10 @@ def build_polarity_graph(spec: ADGSpec, pol: PolaritySpec, mode="exhaustive",
 
 
 # -- bulk (vectorized) incidence kernel ----------------------------------------
-# The *_bulk methods above, polar/polar_line and absolute_ids run on the
-# field's lookup tables as numpy arrays.  They exist only for table-backed
-# fields; the scalar methods are the reference they are tested against.
-
-def _np():
-    import numpy
-    return numpy
-
-
-def has_tables(ctx: FieldCtx) -> bool:
-    return ctx._add_t is not None
-
-
-def _bulk_tables(ctx: FieldCtx):
-    """Lookup arrays for add/sub/mul/neg, plus pow and Frobenius vectors
-    filled in on first use."""
-    np = _np()
-    cached = getattr(ctx, "_np_tables", None)
-    if cached is None:
-        if not has_tables(ctx):
-            raise ValueError("bulk evaluation needs a table-backed field")
-        cached = {
-            "add": np.array(ctx._add_t, dtype=np.int16),
-            "sub": np.array(ctx._sub_t, dtype=np.int16),
-            "mul": np.array(ctx._mul_t, dtype=np.int16),
-            "neg": np.array(ctx._neg_t, dtype=np.int16),
-        }
-        ctx._np_tables = cached
-    return cached
-
-
-def _pow_vector(ctx, n):
-    t = _bulk_tables(ctx)
-    vec = t.get(("pow", n))
-    if vec is None:
-        vec = t[("pow", n)] = _np().array([ctx.pow(u, n) for u in range(ctx.order)],
-                                          dtype=_np().int16)
-    return vec
-
-
-def _frob_vector(ctx, j):
-    t = _bulk_tables(ctx)
-    vec = t.get(("frob", j))
-    if vec is None:
-        vec = t[("frob", j)] = _np().array(ctx.frob_table(j), dtype=_np().int16)
-    return vec
-
-
-def _beta_vectors(basis):
-    """(subfield, index, decompose, recompose): a QuadBasis as int16 lookup
-    vectors, cached per beta.  subfield[i] is the i-th subfield element and
-    index its inverse (-1 off the subfield); u = subfield[i]*beta +
-    subfield[j]*beta^q has decompose[u] = i*q + j and recompose[i*q + j] = u.
-    """
-    np = _np()
-    ctx, q = basis.ctx, basis.q
-    t = _bulk_tables(ctx)
-    vecs = t.get(("beta", basis.beta))
-    if vecs is None:
-        subfield = np.array(basis.subfield, dtype=np.int16)
-        index = np.full(ctx.order, -1, dtype=np.int16)
-        index[subfield] = np.arange(q)
-        u = np.arange(ctx.order)
-        uq = _frob_vector(ctx, basis.sub_degree)
-        add, mul, c1, c2 = t["add"], t["mul"], basis._dec_c1, basis._dec_c2
-        s = add[mul[u, c1], mul[uq, c2]]
-        s_q = add[mul[uq, c1], mul[u, c2]]
-        decompose = index[s] * q + index[s_q]
-        recompose = np.empty_like(decompose)
-        recompose[decompose] = u
-        vecs = t[("beta", basis.beta)] = subfield, index, decompose, recompose
-    return vecs
-
+# The *_bulk methods above, polar/polar_line and absolute_ids evaluate many
+# points at once on numpy arrays, through the field's *_bulk operations and
+# lookup vectors, at every order.  The scalar methods are the reference the
+# tests hold them to.
 
 def randrange_bulk(rng, n, count):
     """`count` calls of rng.randrange(n) at once: (values, words_through),
@@ -719,7 +639,6 @@ def randrange_bulk(rng, n, count):
     word lowest.  Each round draws as many words as values are missing,
     so no word past the last accepted one is drawn.
     """
-    np = _np()
     k = n.bit_length()
     if n < 1 or k > 32:
         raise ValueError(f"bulk randrange needs 1 <= n < 2**32, got {n}")
@@ -749,21 +668,19 @@ def _row(arrays, i):
 
 def eval_expr_bulk(e, ctx, lv, pv):
     """Evaluate an expression on numpy coordinate arrays."""
-    np = _np()
-    t = _bulk_tables(ctx)
     op = e[0]
     if op == "var":
         arr = lv if e[1] == "l" else pv
         return arr[e[2] - 1]
     if op == "const":
-        return np.int16(e[1])
+        return ctx.dtype.type(e[1])
     if op == "neg":
-        return t["neg"][eval_expr_bulk(e[1], ctx, lv, pv)]
+        return ctx.neg_bulk(eval_expr_bulk(e[1], ctx, lv, pv))
     if op == "pow":
-        return _pow_vector(ctx, e[2])[eval_expr_bulk(e[1], ctx, lv, pv)]
+        return ctx.pow_vector(e[2])[eval_expr_bulk(e[1], ctx, lv, pv)]
     a = eval_expr_bulk(e[1], ctx, lv, pv)
     b = eval_expr_bulk(e[2], ctx, lv, pv)
-    return t[op][a, b]
+    return {"add": ctx.add_bulk, "sub": ctx.sub_bulk, "mul": ctx.mul_bulk}[op](a, b)
 
 
 def count_absolute_bulk(pg: PolarityGraph, chunk=1 << 20) -> int:
@@ -844,7 +761,7 @@ def gh_family(e: int, allow_small_e=False):
 class CoordinateMap:
     """A change of coordinates written per side as expression trees over
     var_p: phi(side, coords) maps one tuple, phi.bulk(side, coords) maps
-    coordinate arrays (table-backed fields only)."""
+    coordinate arrays."""
 
     def __init__(self, ctx: FieldCtx, points: tuple, lines: tuple):
         self.ctx = ctx

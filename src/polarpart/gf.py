@@ -4,7 +4,10 @@ An element with polynomial coordinates (c_0, ..., c_{k-1}) over GF(p) is
 encoded as the integer sum(c_i * p**i), so equality of elements is equality
 of ints and every field of order p^k is the range 0..p^k-1.  A FieldCtx
 fixes the (deterministically chosen) irreducible modulus and provides all
-arithmetic; small fields run on precomputed lookup tables.
+arithmetic, at every order, on one set of numpy lookup tables that grows
+linearly with the order: log/antilog vectors (Lidl & Niederreiter, Finite
+Fields, ch. 10), a negation vector and an addition table over blocks of
+base-p digits.  Scalar and bulk operations read the same tables.
 
 Quadratic extensions GF(q^2) over GF(q) additionally get a QuadBasis: a
 normal pair {beta, beta^q} and an element mu with {1, mu} a basis, plus the
@@ -13,15 +16,23 @@ coordinate decompositions the partition constructions are built on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-# Full add/mul/inv tables are built only up to this order; larger fields
-# fall back to per-operation polynomial arithmetic.
-TABLE_MAX = 512
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+# Side of the largest square lookup table any layer builds: a digit
+# block's add/sub tables, ADGSpec.tables() and the neighbour-id kernel stay
+# within TABLE_SIDE**2 cells at every order.
+TABLE_SIDE = 512
 
 # Hard ceiling on p^k (well above the 3^10 the constructions need).
 ORDER_CEILING = 1 << 20
+
+# Element arrays are int16 up to this order and int32 above it.
+INT16_ORDER = 1 << 15
 
 
 def is_prime(n: int) -> bool:
@@ -88,15 +99,6 @@ def _poly_mod(poly, divisor, p):
     return rem[:dd]
 
 
-def _poly_mul_mod(a, b, modulus, p):
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_mod(prod, modulus, p)
-
-
 def _find_modulus(p: int, k: int) -> tuple[int, ...]:
     """Smallest-by-encoding monic irreducible of degree k over GF(p).
 
@@ -128,22 +130,48 @@ class FieldCtx:
     is immutable after construction and safe to share between threads.
     Use make_field() to construct (it canonicalizes the modulus and caches
     contexts so the same (p, k) is the same object).
+
+    Every operation reads one set of tables, O(order) entries in all.
+    a*b = exp[log a + log b] over a generator of the multiplicative group;
+    log 0 = 2(q-1) lands past every sum of two nonzero logs, in a tail of
+    zeros.  Powers, inverses and Frobenius are exp of a multiple of log,
+    and -u is u times the element p - 1.  Addition and subtraction go per
+    block of base-p digits, through B x B tables add[x, y] and sub[x, y]
+    over the B values of a block; for one-digit blocks these are views of
+    vectors of 2p - 1 entries, since (x +- y) mod p depends on x +- y
+    only.  A field of order at most TABLE_SIDE is one block.  Scalar
+    operations index the tables through memoryviews, the *_bulk ones as
+    arrays of `dtype`.
     """
 
     def __init__(self, p, k, modulus):
         self.p = p
         self.k = k
         self.modulus = tuple(modulus)
-        self.order = p ** k
+        self.order = q = p ** k
+        self.dtype = np.dtype(np.int16 if q <= INT16_ORDER else np.int32)
+        self._pow_v = {}
         self._frob_t = {}
-        if self.order <= TABLE_MAX:
-            self._build_tables()
+        n = q - 1
+        exp = self._exp = np.zeros(4 * n + 1, dtype=self.dtype)
+        exp[:n] = exp[n:2 * n] = self._powers(self._find_generator(), n)
+        self._log = np.empty(q, dtype=np.int32)
+        self._log[exp[:n]] = np.arange(n)
+        self._log[0] = 2 * n
+        self._neg = self.mul_bulk(np.arange(q), p - 1)
+        digits = max(d for d in range(1, k + 1) if d == 1 or p ** d <= TABLE_SIDE)
+        self._block, self._blocks = p ** digits, -(-k // digits)
+        if digits == 1:  # add[x, y] = vec[x + y], sub[x, y] = vec'[x + p-1 - y]
+            vec = np.arange(2 * p - 1)
+            self._add = sliding_window_view((vec % p).astype(self.dtype), p)
+            self._sub = sliding_window_view(((vec - p + 1) % p).astype(self.dtype), p)[:, ::-1]
         else:
-            self._mul_t = None
-            self._add_t = None
-            self._sub_t = None
-            self._neg_t = None
-            self._inv_t = None
+            d = np.arange(self._block)[:, None] // p ** np.arange(digits) % p
+            weights = p ** np.arange(digits)
+            self._add = ((d[:, None] + d) % p @ weights).astype(self.dtype)
+            self._sub = ((d[:, None] - d) % p @ weights).astype(self.dtype)
+        self._exp_v, self._log_v, self._neg_v, self._add_v, self._sub_v = map(
+            memoryview, (exp, self._log, self._neg, self._add, self._sub))
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, k={self.k}, order={self.order})"
@@ -177,54 +205,57 @@ class FieldCtx:
             if not 0 <= u < self.order:
                 raise ValueError(f"element {u} out of range for {self!r}")
 
+    def _blockwise(self, t, a, b):
+        """t applied to each digit block of a and b."""
+        size, r, scale = self._block, 0, 1
+        for _ in range(self._blocks):
+            a, x = divmod(a, size)
+            b, y = divmod(b, size)
+            r += t[x, y] * scale
+            scale *= size
+        return r
+
+    # the binary ops test the range inline: they run millions of times in
+    # the scalar reference paths, and _chk only raises the error
     def add(self, a: int, b: int) -> int:
-        self._chk(a, b)
-        if self._add_t is not None:
-            return self._add_t[a][b]
-        return self._add_slow(a, b)
+        if not (0 <= a < self.order and 0 <= b < self.order):
+            self._chk(a, b)
+        if self._blocks == 1:
+            return self._add_v[a, b]
+        return self._blockwise(self._add_v, a, b)
 
     def sub(self, a: int, b: int) -> int:
-        self._chk(a, b)
-        if self._sub_t is not None:
-            return self._sub_t[a][b]
-        return self._add_slow(a, self._neg_slow(b))
+        if not (0 <= a < self.order and 0 <= b < self.order):
+            self._chk(a, b)
+        if self._blocks == 1:
+            return self._sub_v[a, b]
+        return self._blockwise(self._sub_v, a, b)
 
     def neg(self, a: int) -> int:
         self._chk(a)
-        if self._neg_t is not None:
-            return self._neg_t[a]
-        return self._neg_slow(a)
+        return self._neg_v[a]
 
     def mul(self, a: int, b: int) -> int:
-        self._chk(a, b)
-        if self._mul_t is not None:
-            return self._mul_t[a][b]
-        return self._mul_slow(a, b)
+        if not (0 <= a < self.order and 0 <= b < self.order):
+            self._chk(a, b)
+        log = self._log_v
+        return self._exp_v[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         self._chk(a)
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        if self._inv_t is not None:
-            return self._inv_t[a]
-        return self._pow_slow(a, self.order - 2)
+        return self._exp_v[-self._log_v[a] % (self.order - 1)]
 
     def pow(self, a: int, n: int) -> int:
-        """a**n by square-and-multiply; negative n inverts first."""
+        """a**n; negative n inverts first."""
         self._chk(a)
         if n < 0:
             a = self.inv(a)
             n = -n
-        if self._mul_t is not None:
-            mul = self._mul_t
-            r = 1
-            while n:
-                if n & 1:
-                    r = mul[r][a]
-                a = mul[a][a]
-                n >>= 1
-            return r
-        return self._pow_slow(a, n)
+        if a == 0:
+            return 0 if n else 1
+        return self._exp_v[self._log_v[a] * n % (self.order - 1)]
 
     def frobenius(self, a: int, j: int) -> int:
         """a**(p**j)."""
@@ -232,98 +263,94 @@ class FieldCtx:
         return self.frob_table(j)[a]
 
     def frob_table(self, j: int):
-        """Lookup vector for u -> u**(p**j) (cached per exponent)."""
-        if j < 0:
-            raise ValueError("frobenius exponent must be >= 0")
+        """frob_vector(j) as a memoryview, for scalar lookups (cached)."""
         t = self._frob_t.get(j)
         if t is None:
-            q = self.order
-            if q == 2:
-                t = [0, 1]
-            else:
-                # reduce the exponent in the order-(q-1) multiplicative
-                # group; gcd(p, q-1) = 1 keeps the residue nonzero
-                e = pow(self.p, j, q - 1)
-                t = [0] + [self._pow_slow(u, e) for u in range(1, q)]
-            self._frob_t[j] = t
+            t = self._frob_t[j] = memoryview(self.frob_vector(j))
         return t
 
-    # -- slow (table-free) paths ---------------------------------------------
+    # -- arithmetic on arrays -------------------------------------------------
+    # Operands are integer arrays (or scalars) that broadcast against each
+    # other; results have `dtype`.  Operands are not range-checked: numpy
+    # raises on an index past a table, and callers validate at their entry.
 
-    def _add_slow(self, a, b):
-        p = self.p
-        ca = _int_to_poly(a, p, self.k)
-        cb = _int_to_poly(b, p, self.k)
-        return _poly_to_int([(x + y) % p for x, y in zip(ca, cb)], p)
-
-    def _neg_slow(self, a):
-        p = self.p
-        return _poly_to_int([(-c) % p for c in _int_to_poly(a, p, self.k)], p)
-
-    def _mul_slow(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        pa = _int_to_poly(a, self.p, self.k)
-        pb = _int_to_poly(b, self.p, self.k)
-        return _poly_to_int(_poly_mul_mod(pa, pb, self.modulus, self.p), self.p)
-
-    def _pow_slow(self, a, n):
-        r = 1
-        while n:
-            if n & 1:
-                r = self._mul_slow(r, a)
-            a = self._mul_slow(a, a)
-            n >>= 1
+    def _blockwise_bulk(self, t, a, b):
+        if self._blocks == 1:
+            return t[a, b]
+        size, r = self._block, 0
+        for i in range(self._blocks):
+            s = size ** i
+            r = r + t[a // s % size, b // s % size] * s
         return r
 
-    # -- tables ---------------------------------------------------------------
+    def add_bulk(self, a, b):
+        return self._blockwise_bulk(self._add, a, b)
 
-    def _build_tables(self):
-        q = self.order
-        p = self.p
-        neg = [self._neg_slow(a) for a in range(q)]
-        add = [[0] * q for _ in range(q)]
-        for a in range(q):
-            ca = _int_to_poly(a, p, self.k)
-            row = add[a]
-            for b in range(q):
-                cb = _int_to_poly(b, p, self.k)
-                row[b] = _poly_to_int([(x + y) % p for x, y in zip(ca, cb)], p)
-        sub = [[add[a][neg[b]] for b in range(q)] for a in range(q)]
-        # multiplication through a discrete-log table over a generator
-        g = self._find_generator()
-        exp = [1] * (q - 1)
-        for i in range(1, q - 1):
-            exp[i] = self._mul_slow(exp[i - 1], g)
-        log = [0] * q
-        for i, u in enumerate(exp):
-            log[u] = i
-        mul = [[0] * q for _ in range(q)]
-        for a in range(1, q):
-            la = log[a]
-            row = mul[a]
-            for b in range(1, q):
-                row[b] = exp[(la + log[b]) % (q - 1)]
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = exp[(q - 1 - log[a]) % (q - 1)]
-        self._add_t = add
-        self._sub_t = sub
-        self._neg_t = neg
-        self._mul_t = mul
-        self._inv_t = inv
+    def sub_bulk(self, a, b):
+        return self._blockwise_bulk(self._sub, a, b)
+
+    def neg_bulk(self, a):
+        return self._neg[a]
+
+    def mul_bulk(self, a, b):
+        return self._exp[self._log[a] + self._log[b]]
+
+    def pow_vector(self, n: int):
+        """Lookup array for u -> u**n, n >= 0 (cached per exponent)."""
+        vec = self._pow_v.get(n)
+        if vec is None:
+            m = self.order - 1
+            vec = self._exp.take(self._log.astype(np.int64) * (n % m) % m)
+            vec[0] = 0 if n else 1
+            self._pow_v[n] = vec
+        return vec
+
+    def frob_vector(self, j: int):
+        """Lookup array for u -> u**(p**j)."""
+        if j < 0:
+            raise ValueError("frobenius exponent must be >= 0")
+        return self.pow_vector(self.p ** j)
+
+    # -- table construction ---------------------------------------------------
+
+    def _mul_matrix(self, u):
+        """k x k matrix over GF(p) whose row i is the digits of x^i * u, so
+        digits(v) @ M % p is the digits of v * u."""
+        p, tail = self.p, np.array(self.modulus[:-1])
+        rows = [np.array(_int_to_poly(u, p, self.k))]
+        for _ in range(self.k - 1):
+            r = rows[-1]
+            rows.append((np.concatenate(([0], r[:-1])) - r[-1] * tail) % p)
+        return np.array(rows, dtype=np.int64)
 
     def _find_generator(self):
-        q = self.order
-        for g in range(2, q):
-            u = g
-            n = 1
-            while u != 1:
-                u = self._mul_slow(u, g)
-                n += 1
-            if n == q - 1:
-                return g
-        return 1  # GF(2): trivial group
+        """Smallest u >= 1 whose powers fill the multiplicative group: no
+        u^((q-1)/r) is 1 for a prime r dividing q - 1."""
+        n = self.order - 1
+        primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+        one = np.eye(1, self.k, dtype=np.int64)[0]
+        for u in range(1, self.order):
+            mat = self._mul_matrix(u)
+            if all((_mat_pow(mat, n // r, self.p)[0] != one).any() for r in primes):
+                return u
+        raise AssertionError("no generator found")  # unreachable
+
+    def _powers(self, g, count):
+        """Encodings of g^0 .. g^(count-1): a first block of s powers one at
+        a time, then each next block as the last one times g^s."""
+        p, k = self.p, self.k
+        s = math.isqrt(count - 1) + 1
+        mat = self._mul_matrix(g)
+        rows = [np.eye(1, k, dtype=np.int64)[0]]
+        for _ in range(s):
+            rows.append(rows[-1] @ mat % p)
+        weights = p ** np.arange(k)
+        step = self._mul_matrix(int(rows.pop() @ weights))
+        block, out = np.array(rows), []
+        for _ in range(-(-count // s)):
+            out.append(block @ weights)
+            block = block @ step % p
+        return np.concatenate(out)[:count]
 
     # -- subfields -------------------------------------------------------------
 
@@ -333,6 +360,16 @@ class FieldCtx:
             raise ValueError(f"degree {d} does not divide {self.k}")
         t = self.frob_table(d)
         return tuple(u for u in range(self.order) if t[u] == u)
+
+
+def _mat_pow(mat, n, p):
+    r = np.eye(len(mat), dtype=np.int64)
+    while n:
+        if n & 1:
+            r = r @ mat % p
+        mat = mat @ mat % p
+        n >>= 1
+    return r
 
 
 @lru_cache(maxsize=None)
@@ -382,6 +419,30 @@ class QuadBasis:
             cache = {v: i for i, v in enumerate(self.subfield)}
             object.__setattr__(self, "_idx", cache)
         return cache[u]
+
+    def vectors(self):
+        """(subfield, index, decompose, recompose) as lookup arrays of
+        ctx.dtype, built on first use.  subfield[i] is the i-th subfield
+        element and index its inverse (-1 off the subfield); u =
+        subfield[i]*beta + subfield[j]*beta^q has decompose[u] = i*q + j and
+        recompose[i*q + j] = u."""
+        vecs = getattr(self, "_vectors", None)
+        if vecs is None:
+            ctx, q = self.ctx, self.q
+            subfield = np.array(self.subfield, dtype=ctx.dtype)
+            index = np.full(ctx.order, -1, dtype=ctx.dtype)
+            index[subfield] = np.arange(q)
+            u = np.arange(ctx.order)
+            uq = ctx.frob_vector(self.sub_degree)
+            c1, c2 = self._dec_c1, self._dec_c2
+            s = ctx.add_bulk(ctx.mul_bulk(u, c1), ctx.mul_bulk(uq, c2))
+            s_q = ctx.add_bulk(ctx.mul_bulk(uq, c1), ctx.mul_bulk(u, c2))
+            decompose = index[s] * q + index[s_q]
+            recompose = np.empty_like(decompose)
+            recompose[decompose] = u
+            vecs = subfield, index, decompose, recompose
+            object.__setattr__(self, "_vectors", vecs)
+        return vecs
 
     def conj(self, u: int) -> int:
         """u**q, the nontrivial GF(q)-automorphism of GF(q^2)."""

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 
-from . import adg
+import numpy as np
+
 from .gf import FieldCtx, QuadBasis, find_normal_element
 from .graphs import Partition
 from .adg import ADGSpec
@@ -28,61 +29,30 @@ class _BulkForms:
     """A family scheme's closed forms on int64 arrays of ids.
 
     Class ids and vertex ids (the spec's mixed-radix ids over `m`
-    coordinates) go in and out as int64 arrays.  Over a table-backed field
-    each form is the scheme's array formula (`_class_of_ids`,
-    `_unique_edge`, `_loop_vertex`, `_class_members`) on the lookup tables.
-    Over any other field it maps the scalar formula over the block; this
-    is the only loop over the scalar formulas, which stay the oracle the
-    array formulas are tested against.
+    coordinates) go in and out as int64 arrays.  Each form is the scheme's
+    array formula (`_class_of_ids`, `_unique_edge`, `_loop_vertex`,
+    `_class_members`) on the field's bulk operations; the scalar formulas
+    are the oracle the tests hold them to.
     """
 
     def class_of_ids(self, ids):
         """Class id of every vertex id, in the shape of `ids`."""
-        ids = _int64(ids)
-        if adg.has_tables(self.ctx):
-            return self._class_of_ids(ids)
-        flat = [self.class_of_coords(self._coords(v)) for v in ids.ravel().tolist()]
-        return _int64(flat).reshape(ids.shape)
+        return self._class_of_ids(_int64(ids))
 
     def unique_edge_bulk(self, c1, c2):
         """(a ids, b ids): unique_edge(c1[i], c2[i]) for classes c1[i] != c2[i]."""
-        c1, c2 = _int64(c1), _int64(c2)
-        if adg.has_tables(self.ctx):
-            return self._unique_edge(c1, c2)
-        edges = [self.unique_edge(x, y) for x, y in zip(c1.tolist(), c2.tolist())]
-        return self._ids([a for a, _ in edges]), self._ids([b for _, b in edges])
+        return self._unique_edge(_int64(c1), _int64(c2))
 
     def loop_vertex_bulk(self, cids):
         """Vertex id of loop_vertex(c) for every class id c."""
-        cids = _int64(cids)
-        if adg.has_tables(self.ctx):
-            return self._loop_vertex(cids)
-        return self._ids([self.loop_vertex(c) for c in cids.tolist()])
+        return self._loop_vertex(_int64(cids))
 
     def class_members_bulk(self, cids):
         """(len(cids), class_size) vertex ids, each row in class_members order."""
-        cids = _int64(cids)
-        if adg.has_tables(self.ctx):
-            return self._class_members(cids)
-        rows = [v for c in cids.tolist() for v in self.class_members(c)]
-        return self._ids(rows).reshape(len(cids), self.class_size)
-
-    def _coords(self, v):
-        out = []
-        for _ in range(self.m):
-            v, c = divmod(v, self.ctx.order)
-            out.append(c)
-        return tuple(reversed(out))
-
-    def _ids(self, coords):
-        ids = 0
-        for c in _int64(coords).reshape(len(coords), self.m).T:
-            ids = ids * self.ctx.order + c
-        return _int64(ids).reshape(len(coords))
+        return self._class_members(_int64(cids))
 
 
 def _int64(values):
-    np = adg._np()
     return np.asarray(values, dtype=np.int64)
 
 
@@ -135,37 +105,35 @@ class PlaneScheme(_BulkForms):
 
     # Array formulas.  A subfield element is handled by its index i in
     # basis.subfield; u = subfield[i]*beta + subfield[j]*beta^q has
-    # decompose[u] = i*q + j and recompose[i*q + j] = u (adg._beta_vectors).
+    # decompose[u] = i*q + j and recompose[i*q + j] = u (QuadBasis.vectors).
 
     def _class_of_ids(self, ids):
-        _, _, decompose, _ = adg._beta_vectors(self.basis)
+        _, _, decompose, _ = self.basis.vectors()
         x, u = divmod(ids, self.ctx.order)
         return x * self.q + decompose[u] % self.q
 
     def _class_members(self, cids):
-        _, _, _, recompose = adg._beta_vectors(self.basis)
+        _, _, _, recompose = self.basis.vectors()
         x, y = divmod(cids, self.q)
-        a = adg._np().arange(self.q)
+        a = np.arange(self.q)
         return x[:, None] * self.ctx.order + recompose[a * self.q + y[:, None]]
 
     def _loop_vertex(self, cids):
-        subfield, index, decompose, recompose = adg._beta_vectors(self.basis)
-        sub = adg._bulk_tables(self.ctx)["sub"]
+        subfield, index, decompose, recompose = self.basis.vectors()
         x, y = divmod(cids, self.q)
-        s_x = subfield[decompose[adg._pow_vector(self.ctx, self.q + 1)[x]] // self.q]
-        a = index[sub[s_x, subfield[y]]]
+        s_x = subfield[decompose[self.ctx.pow_vector(self.q + 1)[x]] // self.q]
+        a = index[self.ctx.sub_bulk(s_x, subfield[y])]
         return x * self.ctx.order + recompose[a * self.q + y]
 
     def _unique_edge(self, c1, c2):
-        subfield, index, decompose, recompose = adg._beta_vectors(self.basis)
-        tables = adg._bulk_tables(self.ctx)
-        sub, q, order = tables["sub"], self.q, self.ctx.order
-        conj = adg._frob_vector(self.ctx, self.basis.sub_degree)
+        subfield, index, decompose, recompose = self.basis.vectors()
+        ctx, q, order = self.ctx, self.q, self.ctx.order
+        conj = ctx.frob_vector(self.basis.sub_degree)
         x, y = divmod(c1, q)
         z, w = divmod(c2, q)
-        s, t = divmod(decompose[tables["mul"][x, conj[z]]], q)
-        a = index[sub[subfield[s], subfield[w]]]
-        b = index[sub[subfield[t], subfield[y]]]
+        s, t = divmod(decompose[ctx.mul_bulk(x, conj[z])], q)
+        a = index[ctx.sub_bulk(subfield[s], subfield[w])]
+        b = index[ctx.sub_bulk(subfield[t], subfield[y])]
         return x * order + recompose[a * q + y], z * order + recompose[b * q + w]
 
 
@@ -216,20 +184,20 @@ class GQScheme(_BulkForms):
         return ids // self.q
 
     def _class_members(self, cids):
-        return cids[:, None] * self.q + adg._np().arange(self.q)
+        return cids[:, None] * self.q + np.arange(self.q)
 
     def _loop_vertex(self, cids):
-        t, fe1 = adg._bulk_tables(self.ctx), adg._frob_vector(self.ctx, self.e + 1)
+        ctx, fe1 = self.ctx, self.ctx.frob_vector(self.e + 1)
         p1, p2 = divmod(cids, self.q)
-        return cids * self.q + t["add"][t["mul"][fe1[p1], t["mul"][p1, p1]], fe1[p2]]
+        return cids * self.q + ctx.add_bulk(ctx.mul_bulk(fe1[p1], ctx.mul_bulk(p1, p1)), fe1[p2])
 
     def _unique_edge(self, c1, c2):
-        t, fe1 = adg._bulk_tables(self.ctx), adg._frob_vector(self.ctx, self.e + 1)
-        add, mul = t["add"], t["mul"]
+        fe1 = self.ctx.frob_vector(self.e + 1)
+        add, mul = self.ctx.add_bulk, self.ctx.mul_bulk
         p1, p2 = divmod(c1, self.q)
         r1, r2 = divmod(c2, self.q)
-        a = add[mul[mul[p1, p1], fe1[r1]], fe1[r2]]
-        b = add[mul[fe1[p1], mul[r1, r1]], fe1[p2]]
+        a = add(mul(mul(p1, p1), fe1[r1]), fe1[r2])
+        b = add(mul(fe1[p1], mul(r1, r1)), fe1[p2])
         return c1 * self.q + a, c2 * self.q + b
 
 
@@ -291,33 +259,33 @@ class GHScheme(_BulkForms):
         return ids // self.class_size
 
     def _class_members(self, cids):
-        return cids[:, None] * self.class_size + adg._np().arange(self.class_size)
+        return cids[:, None] * self.class_size + np.arange(self.class_size)
 
     def _loop_vertex(self, cids):
-        tables, fe1 = adg._bulk_tables(self.ctx), adg._frob_vector(self.ctx, self.e + 1)
-        sub, mul, q = tables["sub"], tables["mul"], self.q
+        ctx, fe1, q = self.ctx, self.ctx.frob_vector(self.e + 1), self.q
+        sub, mul = ctx.sub_bulk, ctx.mul_bulk
         p1, p2, p3 = cids // (q * q), cids // q % q, cids % q
-        p13, f = adg._pow_vector(self.ctx, 3)[p1], fe1[p1]
-        a = sub[mul[p13, f], fe1[p2]]
-        b = sub[mul[p13, mul[f, f]], fe1[p3]]
+        p13, f = ctx.pow_vector(3)[p1], fe1[p1]
+        a = sub(mul(p13, f), fe1[p2])
+        b = sub(mul(p13, mul(f, f)), fe1[p3])
         return (cids * q + a) * q + b
 
     def _unique_edge(self, c1, c2):
-        tables, fe1 = adg._bulk_tables(self.ctx), adg._frob_vector(self.ctx, self.e + 1)
-        sub, mul, q = tables["sub"], tables["mul"], self.q
+        ctx, fe1, q = self.ctx, self.ctx.frob_vector(self.e + 1), self.q
+        sub, mul = ctx.sub_bulk, ctx.mul_bulk
         p1, p2, p3 = c1 // (q * q), c1 // q % q, c1 % q
         t = fe1[c2 // (q * q)]
-        p13 = adg._pow_vector(self.ctx, 3)[p1]
-        a = sub[mul[p13, t], fe1[c2 // q % q]]
-        b = sub[mul[p13, mul[t, t]], fe1[c2 % q]]
-        c = fe1[sub[mul[p1, t], p2]]
-        d = fe1[sub[mul[mul[p1, p1], t], p3]]
+        p13 = ctx.pow_vector(3)[p1]
+        a = sub(mul(p13, t), fe1[c2 // q % q])
+        b = sub(mul(p13, mul(t, t)), fe1[c2 % q])
+        c = fe1[sub(mul(p1, t), p2)]
+        d = fe1[sub(mul(mul(p1, p1), t), p3)]
         return (c1 * q + a) * q + b, (c2 * q + c) * q + d
 
 
 def scheme_partition(scheme, spec: ADGSpec) -> Partition:
     """Materialize a family scheme as a Partition over polarity-graph ids."""
-    return Partition(scheme.class_of_ids(adg._np().arange(spec.side_size)).tolist(), scheme.r)
+    return Partition(scheme.class_of_ids(np.arange(spec.side_size)).tolist(), scheme.r)
 
 
 def class_key_sidecar(scheme):
@@ -479,7 +447,7 @@ class GeneralPolarityScheme(_BulkForms):
         return n
 
     def _class_of_ids(self, ids):
-        _, _, decompose, _ = adg._beta_vectors(self.basis)
+        _, _, decompose, _ = self.basis.vectors()
         order = self.ctx.order
         cids = ids // order ** (self.m - 1)
         for i in range(self.m - 2, -1, -1):

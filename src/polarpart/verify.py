@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
+
 from . import adg, partitions as parts
 from .gf import prime_power
 from .graphs import (
@@ -63,7 +65,6 @@ def verdict(g: Graph, part: Partition):
     Loops never count as within-class edges.  Witnesses name the first
     failing pair or within-class edge so reports stay actionable.
     """
-    np = adg._np()
     mat = pair_edge_matrix(g, part)
     rows, cols = np.nonzero(np.triu(mat.cross != 1, 1))  # row-major
     counts = mat.cross[rows, cols]
@@ -307,7 +308,6 @@ UNIQUE_EDGE_BLOCK = 1 << 16
 
 def _in_sorted(x, values):
     """Whether each entry of x occurs in the ascending array `values`."""
-    np = adg._np()
     if not len(values):
         return np.zeros(np.shape(x), dtype=bool)
     return values[np.minimum(np.searchsorted(values, x), len(values) - 1)] == x
@@ -325,7 +325,6 @@ def _check_unique_edges(g: Graph, spec, scheme):
     """
     if not hasattr(scheme, "unique_edge"):
         return True, None  # general construction: verdicts carry the proof
-    np = adg._np()
     n, r = g.n, scheme.r
     arcs = arc_codes(g)
     loops = np.array(sorted(g.loops), dtype=np.int64)
@@ -507,7 +506,6 @@ def _first(bad):
 def _class_member(scheme, cids, picks):
     """Vertex id of member picks[i] of class cids[i], in class_members
     order, from class_members_bulk on UNIQUE_EDGE_BLOCK ids at a time."""
-    np = adg._np()
     step = max(1, UNIQUE_EDGE_BLOCK // scheme.class_size)
     out = np.empty(len(cids), dtype=np.int64)
     for lo in range(0, len(cids), step):
@@ -548,10 +546,14 @@ def verify_family_sampled(family, *, e=None, seed=0,
     exact, from PolarityGraph.absolute_ids' staged scan.  Every phase reads
     neighbours as ids from PolarityGraph.neighbor_ids and classes from the
     scheme's class_of_ids; coordinates are built only for witnesses.
-    `bundle` is as in verify_family_exhaustive.
+    `bundle` is as in verify_family_exhaustive.  An instance whose scan
+    PolarityGraph.check_scan_bound refuses raises ValueError before any
+    check runs.
     """
     spec, pol, scheme, params = bundle or family_bundle(
         family, e=e, allow_small_e=allow_small_e)
+    pg = adg.PolarityGraph(spec, pol)
+    pg.check_scan_bound()
     ctx = spec.ctx
     q = ctx.order
     m = spec.m
@@ -574,8 +576,6 @@ def verify_family_sampled(family, *, e=None, seed=0,
         report["witnesses"].append(("polarity", pol_check.witness))
         return report
 
-    np = adg._np()
-    pg = adg.PolarityGraph(spec, pol)
     n = spec.side_size
     n_pi = adg.count_absolute_bulk(pg)
     absolute_ids = pg.absolute_ids()
@@ -801,9 +801,8 @@ def verify_gh_original(q, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
     ns = spec_orig.side_size
     if 2 * ns > 2 * materialize_limit:
         raise ValueError(f"{2 * ns} vertices exceed the ceiling for the exhaustive map check")
-    np = adg._np()
     images = {"P": np.zeros(ns, dtype=bool), "L": np.zeros(ns, dtype=bool)}
-    first = np.arange(q, dtype=np.int16)[None, :]
+    first = np.arange(q, dtype=spec_orig.ctx.dtype)[None, :]
     step = max(1, SWEEP_CHUNK // q)
     witness = None
     edges_checked = 0

@@ -330,6 +330,7 @@ def test_degree_relation_exhaustive_plane_and_gq():
 
 BULK_FAMILIES = {
     "plane q=3": lambda: plane_family(3),
+    "plane q=23": lambda: plane_family(23),  # GF(529): two digit blocks, no tables()
     "gq e=1": lambda: gq_family(1),
     "gh e=1": lambda: gh_family(1),
 }
@@ -551,24 +552,25 @@ def test_plane_q7_girths():
     assert girth(materialize(build_polarity_graph(spec, pol).implicit(), 10 ** 4)) == 3
 
 
-def test_implicit_without_tables_has_no_array_rule():
-    spec, pol = plane_family(23)  # GF(529) is above the table limit
-    assert adg.PolarityGraph(spec, pol).implicit().arrays is None
-    assert spec.bipartite_graph().arrays is None
+def test_fields_above_table_side_keep_the_array_rules():
+    spec, pol = plane_family(23)  # GF(529): q > TABLE_SIDE
+    pg = adg.PolarityGraph(spec, pol)
+    assert spec.tables() == [None] and pg._id_kernel() is None
+    assert pg.implicit().arrays is not None
+    assert spec.bipartite_graph().arrays is not None
 
 
 def _reference_absolute_ids(pg, chunk=1 << 20):
     """The full scan the staged one replaced, kept as its reference: every
     point id in blocks of `chunk`, one equation at a time."""
     spec = pg.spec
-    add = adg._bulk_tables(spec.ctx)["add"]
     found = []
     for lo in range(0, pg.n, chunk):
         block = np.arange(lo, min(lo + chunk, pg.n), dtype=np.int64)
         pv = spec.ids_to_coords(block)
         lv = pg.pol.polar(spec.ctx, pv)
         for j, f in enumerate(spec.fs):
-            keep = add[lv[j + 1], pv[j + 1]] == eval_expr_bulk(f, spec.ctx, lv, pv)
+            keep = spec.ctx.add_bulk(lv[j + 1], pv[j + 1]) == eval_expr_bulk(f, spec.ctx, lv, pv)
             block = block[keep]
             pv = [c[keep] for c in pv]
             lv = [c[keep] for c in lv]
@@ -667,40 +669,71 @@ BROKEN_POLARITIES = {
 }
 
 
+def _scalar_check_polarity(spec, pol, mode, samples, seed):
+    """The point-by-point loop check_polarity replaced, kept as its
+    reference: the same points, lines, witness and incidence count."""
+    ctx = spec.ctx
+    m = spec.m
+    if mode == "exhaustive":
+        points = spec.all_coords()
+    else:
+        rng = random.Random(seed)
+        points = (tuple(rng.randrange(ctx.order) for _ in range(m)) for _ in range(samples))
+        rng2 = random.Random(seed + 1)
+    checked = 0
+    for p in points:
+        l_img = pol.apply_point(ctx, p)
+        if pol.apply_line(ctx, l_img) != p:
+            return adg.PolarityCheck(False, mode, True, False, True, checked, ("involution", p))
+        if mode == "exhaustive":
+            lines = spec.neighbors_of_point(p)
+        else:
+            lines = [spec.line_through(p, rng2.randrange(ctx.order))]
+        for lv in lines:
+            checked += 1
+            if not spec.incident(pol.apply_line(ctx, lv), pol.apply_point(ctx, p)):
+                return adg.PolarityCheck(False, mode, True, True, False, checked,
+                                         ("adjacency", p, lv))
+        # inverse-direction involution, on the polar line
+        if pol.apply_point(ctx, pol.apply_line(ctx, l_img)) != l_img:
+            return adg.PolarityCheck(False, mode, True, False, True, checked,
+                                     ("involution-line", l_img))
+    return adg.PolarityCheck(True, mode, True, True, True, checked, None)
+
+
 @pytest.mark.parametrize("name", sorted(BROKEN_POLARITIES))
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
 def test_check_polarity_bulk_matches_scalar_on_broken_polarity(name, mode):
     build_spec, bad = BROKEN_POLARITIES[name]
     spec = build_spec()
-    bulk = adg._check_polarity_bulk(spec, bad, mode, 500, 7)
+    bulk = check_polarity(spec, bad, mode, 500, 7)
     assert not bulk.ok
-    assert bulk == adg._check_polarity_scalar(spec, bad, mode, 500, 7)
+    assert bulk == _scalar_check_polarity(spec, bad, mode, 500, 7)
 
 
 def test_check_polarity_bulk_matches_scalar_on_intact_polarity():
     for make_family in (lambda: plane_family(3), lambda: gq_family(1)):
         spec, pol = make_family()
         for mode in ("exhaustive", "sampled"):
-            assert adg._check_polarity_bulk(spec, pol, mode, 500, 0) == \
-                adg._check_polarity_scalar(spec, pol, mode, 500, 0)
+            assert check_polarity(spec, pol, mode, 500, 0) == \
+                _scalar_check_polarity(spec, pol, mode, 500, 0)
 
 
-def test_check_polarity_takes_the_bulk_path_at_every_size(monkeypatch):
-    calls = []
-    monkeypatch.setattr(adg, "_check_polarity_bulk", lambda *a: calls.append("bulk"))
-    monkeypatch.setattr(adg, "_check_polarity_scalar", lambda *a: calls.append("scalar"))
-    for spec, pol in (plane_family(2), gq_family(1)):  # 64 and 4096 incidences
-        check_polarity(spec, pol, mode="exhaustive")
-        for samples in (1, 1000, 1 << 16):
-            check_polarity(spec, pol, mode="sampled", samples=samples)
-    assert calls == ["bulk"] * 8
+# name -> (family, twists of a broken polarity)
+ABOVE_TABLE_SIDE = {
+    "plane q=23": (lambda: plane_family(23), ((0, 1), (1, 0))),  # GF(529)
+    "gq e=5": (lambda: gq_family(5), ((0, 1), (2, 2), (1, 1))),  # GF(2048)
+}
 
 
-def test_check_polarity_without_tables_runs_scalar():
-    spec, pol = plane_family(23)  # GF(529) is above the table limit
-    assert not adg.has_tables(spec.ctx)
-    chk = check_polarity(spec, pol, mode="sampled", samples=50)
-    assert chk.ok and chk.checked_incidences == 50
+@pytest.mark.parametrize("name", sorted(ABOVE_TABLE_SIDE))
+def test_check_polarity_matches_scalar_above_table_side(name):
+    make_family, twists = ABOVE_TABLE_SIDE[name]
+    spec, pol = make_family()
+    for p, ok in ((pol, True), (PolaritySpec(twists, twists), False)):
+        chk = check_polarity(spec, p, "sampled", 300, 3)
+        assert chk.ok == ok
+        assert chk == _scalar_check_polarity(spec, p, "sampled", 300, 3)
 
 
 # -- bulk replay of random.Random's randrange --------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -109,6 +110,39 @@ def test_verify_malformed_input_exits_2(tmp_path, capsys, edges, partition):
         args += ["--partition", str(tmp_path / "bad.partition")]
     assert run(args) == 2
     assert "line" in capsys.readouterr().err
+
+
+GF4 = {"p": 2, "k": 2}
+P1L1 = ["mul", ["var", "p", 1], ["var", "l", 1]]
+
+
+@pytest.mark.parametrize("name,spec,message", [
+    ("empty object", {}, "a spec is an object"),
+    ("no fs", {"field": GF4, "m": 2}, "a spec is an object"),
+    ("top-level list", [GF4, 2, [P1L1]], "a spec is an object"),
+    ("unknown op", {"field": GF4, "m": 2, "fs": [["bogus", 1]]}, "malformed expression"),
+    ("m a string", {"field": GF4, "m": "2", "fs": [P1L1]}, "dimension m"),
+    ("negative pow", {"field": GF4, "m": 2, "fs": [["pow", ["var", "p", 1], -1]]},
+     "pow exponent"),
+    ("var index 0", {"field": GF4, "m": 2, "fs": [["mul", ["var", "p", 1], ["var", "l", 0]]]},
+     "bad coordinate"),
+    ("var side x", {"field": GF4, "m": 2, "fs": [["mul", ["var", "x", 1], ["var", "l", 1]]]},
+     "bad coordinate"),
+    ("const outside the field", {"field": GF4, "m": 2, "fs": [["const", 4]]}, "not an element"),
+])
+def test_verify_malformed_spec_exits_2(tmp_path, capsys, name, spec, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert run(["verify", "generic", "--spec", str(path), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_verify_gh_e3_is_refused_before_the_scan(tmp_path, capsys):
+    start = time.perf_counter()
+    assert run(["verify", "gh", "--e", "3", "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 10
+    assert "above the bound" in capsys.readouterr().err
+    adg.PolarityGraph(*adg.gh_family(2)).check_scan_bound()  # q = 243 is allowed
 
 
 def test_oracle_c4(tmp_path, capsys):

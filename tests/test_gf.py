@@ -2,10 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from polarpart.gf import (
-    FieldCtx, find_normal_element, is_prime, make_field, prime_power,
+    TABLE_SIDE, FieldCtx, find_normal_element, is_prime, make_field, prime_power,
     _poly_mod, _int_to_poly,
 )
 
@@ -101,6 +102,58 @@ def test_field_axioms_random_larger():
             assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
             if a:
                 assert ctx.mul(a, ctx.inv(a)) == 1
+
+
+def _reference_mul(ctx, a, b):
+    """Schoolbook product of the coefficient vectors, reduced by the modulus."""
+    p = ctx.p
+    prod = [0] * (2 * ctx.k - 1)
+    for i, x in enumerate(ctx.decode(a)):
+        for j, y in enumerate(ctx.decode(b)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    return ctx.encode(_poly_mod(prod, list(ctx.modulus), p))
+
+
+# one digit block up to order 512 and several above it; int16 element
+# arrays up to order 2^15 and int32 above it
+ACROSS_ORDERS = [(2, 1), (3, 3), (2, 9), (3, 7), (2, 15), (3, 10), (2, 20)]
+
+
+@pytest.mark.parametrize("p,k", ACROSS_ORDERS)
+def test_field_axioms_and_bulk_ops_across_orders(p, k):
+    ctx = make_field(p, k)
+    q = ctx.order
+    assert ctx.dtype == (np.int16 if q <= 1 << 15 else np.int32)
+    assert (ctx._blocks == 1) == (q <= TABLE_SIDE)
+    # add and sub are the only tables indexed by pairs of values
+    assert ctx._add.size <= TABLE_SIDE ** 2 and ctx._sub.size <= TABLE_SIDE ** 2
+    for vector in (ctx._exp, ctx._log, ctx._neg):
+        assert vector.ndim == 1 and vector.size <= 4 * q
+    rng = random.Random(k)
+    a, b, c = ([rng.randrange(q) for _ in range(2000)] for _ in range(3))
+    for x, y, z in list(zip(a, b, c))[:300]:
+        assert ctx.decode(ctx.add(x, y)) == tuple(
+            (u + v) % p for u, v in zip(ctx.decode(x), ctx.decode(y)))
+        assert ctx.mul(x, y) == _reference_mul(ctx, x, y)
+        assert ctx.add(ctx.sub(x, y), y) == x
+        assert ctx.mul(x, ctx.add(y, z)) == ctx.add(ctx.mul(x, y), ctx.mul(x, z))
+        assert ctx.mul(ctx.mul(x, y), z) == ctx.mul(x, ctx.mul(y, z))
+        if x:
+            assert ctx.mul(x, ctx.inv(x)) == 1
+    arr_a, arr_b = np.array(a, dtype=ctx.dtype), np.array(b, dtype=ctx.dtype)
+    for op in ("add", "sub", "mul"):
+        bulk = getattr(ctx, op + "_bulk")(arr_a, arr_b)
+        assert bulk.dtype == ctx.dtype
+        assert bulk.tolist() == [getattr(ctx, op)(x, y) for x, y in zip(a, b)]
+        grid = getattr(ctx, op + "_bulk")(arr_a[:30, None], arr_b[None, :40])
+        assert grid.tolist() == [[getattr(ctx, op)(x, y) for y in b[:40]] for x in a[:30]]
+    assert ctx.neg_bulk(arr_a).tolist() == [ctx.neg(x) for x in a]
+    nonzero = [x for x in a if x]
+    assert ctx.pow_vector(q - 2)[nonzero].tolist() == [ctx.inv(x) for x in nonzero]
+    for n in (0, 1, 2, 3, q, q + 1):
+        assert ctx.pow_vector(n)[arr_a].tolist() == [ctx.pow(x, n) for x in a]
+    for j in sorted({0, 1, k}):
+        assert ctx.frob_vector(j)[arr_a].tolist() == [ctx.frobenius(x, j) for x in a]
 
 
 def test_inv_zero_raises():

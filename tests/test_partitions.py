@@ -18,7 +18,7 @@ from polarpart.partitions import (
     general_even_partition, general_odd_partition, general_polarity_partition,
     is_point_line_symmetric, scheme_partition,
 )
-from polarpart.verify import family_bundle, verdict, verify_family
+from polarpart.verify import family_bundle, verdict
 
 
 def brute_force_cross_edges(g, spec, scheme, cid1, cid2):
@@ -383,13 +383,27 @@ def test_bulk_forms_match_scalar_on_every_pair(name):
                                 np.arange(scheme.r), c1, c2)
 
 
-def test_bulk_forms_match_scalar_on_sampled_gh_pairs():
-    spec, scheme = _scheme("gh", e=1)
+def _assert_bulk_matches_scalar_on_samples(spec, scheme, pairs, ids, classes):
     rng = np.random.default_rng(5)
-    c1, c2 = rng.integers(0, scheme.r, size=(2, 20_000))
+    c1, c2 = rng.integers(0, scheme.r, size=(2, pairs))
     c2 = np.where(c1 == c2, (c2 + 1) % scheme.r, c2)
-    _assert_bulk_matches_scalar(spec, scheme, rng.integers(0, spec.side_size, size=5000),
-                                rng.integers(0, scheme.r, size=500), c1, c2)
+    _assert_bulk_matches_scalar(spec, scheme, rng.integers(0, spec.side_size, size=ids),
+                                rng.integers(0, scheme.r, size=classes), c1, c2)
+
+
+def test_bulk_forms_match_scalar_on_sampled_gh_pairs():
+    _assert_bulk_matches_scalar_on_samples(*_scheme("gh", e=1), 20_000, 5000, 500)
+
+
+ABOVE_TABLE_SIDE = {
+    "plane q=23": lambda: _scheme("plane", q=23),  # GF(529): two digit blocks
+    "gq e=5": lambda: _scheme("gq", e=5),  # GF(2048)
+}
+
+
+@pytest.mark.parametrize("name", sorted(ABOVE_TABLE_SIDE))
+def test_bulk_forms_match_scalar_above_table_side(name):
+    _assert_bulk_matches_scalar_on_samples(*ABOVE_TABLE_SIDE[name](), 2000, 1000, 20)
 
 
 def test_bulk_forms_keep_the_shape_of_their_input():
@@ -399,32 +413,6 @@ def test_bulk_forms_keep_the_shape_of_their_input():
     assert scheme.class_members_bulk(np.arange(4)).shape == (4, scheme.class_size)
     empty = np.zeros(0, dtype=np.int64)
     assert [len(x) for x in scheme.unique_edge_bulk(empty, empty)] == [0, 0]
-
-
-def test_bulk_forms_without_tables_match_the_table_path(monkeypatch):
-    spec, scheme = _scheme("plane", q=3)
-    ids, cids = np.arange(spec.side_size), np.arange(scheme.r)
-    c1, c2 = np.nonzero(~np.eye(scheme.r, dtype=bool))
-
-    def forms():
-        return (scheme.class_of_ids(ids), scheme.class_members_bulk(cids),
-                scheme.loop_vertex_bulk(cids), *scheme.unique_edge_bulk(c1, c2))
-
-    by_table = forms()
-    calls = []
-    loop_vertex = scheme.loop_vertex
-    scheme.loop_vertex = lambda cid: calls.append(cid) or loop_vertex(cid)
-    monkeypatch.setattr(adg, "has_tables", lambda ctx: False)
-    by_scalar = forms()
-    assert calls == list(range(scheme.r))  # the scalar formula ran
-    for x, y in zip(by_table, by_scalar):
-        assert x.dtype == y.dtype and x.tolist() == y.tolist()
-
-
-def test_plane_report_without_tables_matches_the_table_path(monkeypatch):
-    expected = verify_family("plane", q=3)
-    monkeypatch.setattr(adg, "has_tables", lambda ctx: False)
-    assert verify_family("plane", q=3) == expected
 
 
 def test_scheme_partition_matches_class_of_coords():
