@@ -357,8 +357,8 @@ def even_cycle_free_upto(g: Graph, kmax: int):
     return None
 
 
-# (root, vertex) slots plus neighbour-table cells a girth root block may use
-GIRTH_CHUNK = 1 << 20
+# (root, vertex) slots of one girth root block
+GIRTH_CHUNK = 1 << 16
 
 
 def _has_odd_cycle(table):
@@ -384,39 +384,43 @@ def girth(g: Graph):
     """Length of the shortest cycle (loops excluded); math.inf for forests.
 
     Level-synchronous BFS from blocks of roots, each (root, vertex) pair a
-    slot of one flat array.  Expanding level d, an arc into level d closes
-    a cycle of length 2d+1 and a new vertex reached twice (found by scatter
-    and read-back) one of length 2d+2; arcs back to level d - 1, the parent
-    arcs among them, are dropped.  The minimum over all roots is exact.
+    slot of one flat array.  Root r expands only neighbours above r: a
+    shortest cycle is found from its minimum vertex over G[>= r] (Itai &
+    Rodeh, 1978), and no root reports less than the girth.  Expanding level
+    d, an arc into level d closes a cycle of length 2d+1 and a new vertex
+    reached twice (found by scatter and read-back) one of length 2d+2;
+    arcs back to level d - 1, the parent arcs among them, are dropped.
     Level d runs only while 2d+1 < best, or 2d+2 < best when the whole
-    graph has no odd cycle.  The first block is one root, so best is known
-    before the blocks of GIRTH_CHUNK // (n (1 + max degree)) roots run.
+    graph has no odd cycle, and roots run until best is 3 (4 with no odd
+    cycle).  The first block is one root, so best is known before the
+    blocks of GIRTH_CHUNK // n roots run; each block resets only the slots
+    it wrote.
     """
     n = g.n
     if not len(g.indices):
         return math.inf
     table = g.table
     slack = 1 if _has_odd_cycle(table) else 2
-    size = min(n, max(1, GIRTH_CHUNK // (n + table.size)))
-    level, owner = np.empty(size * n, dtype=np.int64), np.empty(size * n, dtype=np.int64)
+    size = min(n, max(1, GIRTH_CHUNK // n))
+    level = np.full(size * n, -1, dtype=np.int32)  # BFS depth reaches n / 2
+    owner = np.empty(size * n, dtype=np.int32)  # a level has under size * 2|E| < 2^31 arcs
     best, first, block = math.inf, 0, 1
-    while first < n:
-        pos = np.arange(min(block, n - first))
-        tips = first + pos
+    while first < n and best > 2 + slack:
+        pos = np.arange(min(block, n - first), dtype=np.int32)
+        start, tips = first, first + pos
         first, block = first + len(pos), size
-        level[:len(pos) * n] = -1
-        level[pos * n + tips] = 0
+        touched = [pos * n + tips]
+        level[touched[0]] = 0
         d = 0
         while len(tips) and 2 * d + slack < best:
             nb = table[tips]
-            rows, cols = np.nonzero(nb >= 0)
-            keys = pos[rows] * n + nb[rows, cols]
+            keys = ((pos * n)[:, None] + nb)[nb > (start + pos)[:, None]]  # above the root
             seen = level[keys]  # the parent arc lands on level d - 1
             if slack == 1 and (seen == d).any():
                 best = 2 * d + 1
                 break
             keys = keys[seen < 0]
-            arc = np.arange(len(keys))
+            arc = np.arange(len(keys), dtype=np.int32)
             owner[keys] = arc
             once = owner[keys] == arc
             if not once.all():
@@ -424,7 +428,9 @@ def girth(g: Graph):
             keys = keys[once]
             d += 1
             level[keys] = d
+            touched.append(keys)
             pos, tips = np.divmod(keys, n)
+        level[np.concatenate(touched)] = -1
     return best
 
 

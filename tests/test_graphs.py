@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from polarpart import graphs
+from polarpart.adg import plane_family
 from polarpart.graphs import (
     Graph, ImplicitGraph, Partition, contains_C4, degree, edge_count,
     even_cycle_free_upto, find_even_cycle, girth, loop_count, materialize,
@@ -231,8 +232,7 @@ def test_girth_and_even_cycles_against_networkx():
 
 def _girth_block_sizes(g):
     """GIRTH_CHUNK values that make girth's root blocks 1, 2, 3 and 7 wide."""
-    width = max(map(len, g.adj), default=0)
-    return [b * g.n * (1 + width) for b in (1, 2, 3, 7)]
+    return [b * g.n for b in (1, 2, 3, 7)]
 
 
 def test_girth_matches_reference_on_random_graphs(monkeypatch):
@@ -264,6 +264,10 @@ def test_girth_of_forests_and_tiny_graphs():
     ((6, 7), 6),
     ((4, 9), 4),
     ((10, 11), 10),
+    ((4, 3), 3),   # a stop at 4 regardless of parity would return 4
+    ((3, 4), 3),
+    ((7, 3), 3),   # the only shortest cycle's minimum vertex is in a later
+    ((8, 3), 3),   # block: first in it, or second in a 2- or 3-root block
 ])
 def test_girth_decides_parity_over_every_component(monkeypatch, parts, expected):
     g = disjoint_union(*(cycle_graph(k) for k in parts))
@@ -271,6 +275,69 @@ def test_girth_decides_parity_over_every_component(monkeypatch, parts, expected)
     for chunk in [1 << 20, 1] + _girth_block_sizes(g):
         monkeypatch.setattr(graphs, "GIRTH_CHUNK", chunk)
         assert girth(g) == expected, chunk
+
+
+@pytest.mark.parametrize("length", [300, 301])
+def test_girth_of_long_cycles_in_multi_root_blocks(monkeypatch, length):
+    g = cycle_graph(length)  # BFS depth reaches 150, past an int8 level
+    for chunk in [graphs.GIRTH_CHUNK] + _girth_block_sizes(g)[1:]:
+        monkeypatch.setattr(graphs, "GIRTH_CHUNK", chunk)
+        assert girth(g) == length, chunk
+
+
+class _RowLog(np.ndarray):
+    """A neighbour table that logs the rows of every read by an id array."""
+
+    def __getitem__(self, idx):
+        if isinstance(idx, np.ndarray):
+            self.log.append(sorted(idx.tolist()))
+        return np.asarray(self)[idx]
+
+
+def _pruned_bfs(g):
+    """(girth, [(root, frontier)]): a scalar BFS from each root over
+    G[>= root], one level per frontier, with girth's stop rules."""
+    h = nx.Graph(list(g.edges()))
+    slack = 2 if nx.is_bipartite(h) else 1
+    best, frontiers = math.inf, []
+    for root in range(g.n):
+        if best <= 2 + slack:
+            break
+        level, frontier, d = {root: 0}, [root], 0
+        while frontier and 2 * d + slack < best:
+            frontiers.append((root, sorted(frontier)))
+            reached, odd = {}, False
+            for v in frontier:
+                for u in g.adj[v]:
+                    if u <= root:
+                        continue
+                    if u in level:
+                        odd |= level[u] == d
+                    else:
+                        reached[u] = reached.get(u, 0) + 1
+            if slack == 1 and odd:
+                best = 2 * d + 1
+                break
+            if any(c > 1 for c in reached.values()):
+                best = 2 * d + 2
+            d += 1
+            level.update(dict.fromkeys(reached, d))
+            frontier = list(reached)
+    return best, frontiers
+
+
+def test_every_girth_root_reads_only_rows_above_it(monkeypatch):
+    g = materialize(plane_family(3)[0].bipartite_graph(), 10 ** 4)
+    expected, frontiers = _pruned_bfs(g)
+    assert all(min(rows) >= root for root, rows in frontiers)
+    # one root per block, and the parity pass reads the plain table
+    monkeypatch.setattr(graphs, "GIRTH_CHUNK", 1)
+    monkeypatch.setattr(graphs, "_has_odd_cycle",
+                        lambda table, f=graphs._has_odd_cycle: f(np.asarray(table)))
+    g.__dict__["table"] = table = g.table.view(_RowLog)
+    table.log = []
+    assert girth(g) == expected == 6
+    assert table.log == [rows for _, rows in frontiers]
 
 
 def test_witness_implies_girth_bound():

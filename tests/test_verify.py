@@ -650,13 +650,16 @@ def test_predraw_in_bulk_rewinds_like_scalar_draws(width, bound):
 
 
 def test_one_c10_root_at_q27_is_bounded():
+    # the child's own high-water mark: its ru_maxrss would start at the
+    # peak of the pytest process that started it
     code = textwrap.dedent("""
-        import random, resource, time
+        import random, re, time
         from polarpart import adg, verify
         pg = adg.PolarityGraph(*adg.gh_family(1))
         t0 = time.monotonic()
         w = verify._sampled_even_cycle(pg, 5, 1, random.Random(0))
-        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        with open("/proc/self/status") as f:
+            peak_mb = int(re.search(r"VmHWM:\\s+(\\d+) kB", f.read()).group(1)) / 1024
         print(w is None, time.monotonic() - t0, peak_mb)
     """)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(polarpart.__file__)))
