@@ -449,6 +449,16 @@ def check_polarity(spec: ADGSpec, pol: PolaritySpec, mode="exhaustive",
 # finish.
 ABSOLUTE_SCAN_LIMIT = 10 ** 10
 
+# Entries PolarityGraph._id_kernel's folded tables may hold, about 1 MB of
+# int32.  Above it (plane q >= 9, gq e >= 3, gh e >= 2) the tables keep the
+# q x q form: at m = 2 the folded table would hold q^3 = n*q entries, as
+# many as the whole neighbour table.
+FOLD_BUDGET = 1 << 18
+
+# Neighbour slots per block of PolarityGraph.neighbor_ids, few enough that
+# a block's partial sums, in the tables' dtype, stay in cache.
+ID_BLOCK = 1 << 16
+
 
 class PolarityGraph:
     """Polarity graph on the point side: p ~ r iff r lies on pi(p).
@@ -475,46 +485,68 @@ class PolarityGraph:
     def neighbor_ids(self, ids):
         """neighbors_coords on int ids: the (N, q) int64 ids of the points
         on each vertex's polar line l, by ascending first coordinate t, with
-        -1 where that point is the vertex itself.
+        -1 where that point is the vertex itself, which can only be at t = p_1.
 
         Point t on l has id t*q^(m-1) + sum_j sub[f_j, l_{j+2}]*q^(m-2-j).
         When every equation has a table (spec.tables()), f_j for all q
-        values of t is the table row F_j[l_a], and the j-th term is one
-        gather from sub scaled by q^(m-2-j), so no coordinates are built.
-        Otherwise point_on_bulk solves the points on coordinates.
+        values of t is the table row F_j[l_a], so each term is a gather
+        from _id_kernel's tables and no coordinates are built.  Otherwise
+        point_on_bulk solves the points on coordinates.  Vertices go in
+        blocks of ID_BLOCK // q.
         """
         spec, ctx = self.spec, self.spec.ctx
         q, m = ctx.order, spec.m
         ids = np.asarray(ids, dtype=np.int64)
-        lv = self.pol.polar(ctx, spec.ids_to_coords(ids))
         kernel = self._id_kernel()
-        if kernel is None:
-            t = np.arange(q, dtype=ctx.dtype)[None, :]
-            nb = spec.coords_to_ids(spec.point_on_bulk([c[:, None] for c in lv], t))
-        else:
-            nb = np.arange(0, q ** m, q ** (m - 1), dtype=np.int64)
-            for j, (a, rows, scaled) in enumerate(kernel):
-                index = rows[lv[a]]
-                index += lv[j + 1][:, None]
-                term = scaled.take(index)
-                term += nb
-                nb = term
-        nb[nb == ids[:, None]] = -1
+        nb = np.empty((len(ids), q), dtype=np.int64)
+        step = max(1, ID_BLOCK // q)
+        for lo in range(0, len(ids), step):
+            lv = self.pol.polar(ctx, spec.ids_to_coords(ids[lo:lo + step]))
+            if kernel is None:
+                t = np.arange(q, dtype=ctx.dtype)[None, :]
+                nb[lo:lo + step] = spec.coords_to_ids(spec.point_on_bulk([c[:, None] for c in lv], t))
+                continue
+            total = np.arange(0, q ** m, q ** (m - 1), dtype=kernel[0][2].dtype)  # t*q^(m-1)
+            for j, (a, index, table) in enumerate(kernel):
+                if index is None:  # folded: the row of (l_a, l_{j+2})
+                    term = table.take(lv[a].astype(np.intp) * q + lv[j + 1], axis=0)
+                else:
+                    term = index[lv[a]]
+                    term += lv[j + 1][:, None]
+                    term = table.take(term)
+                term += total
+                total = term
+            nb[lo:lo + step] = total
+        at = np.arange(0, nb.size, q) + ids // q ** (m - 1)
+        np.put(nb, at[nb.take(at) == ids], -1)
         return nb
 
     def _id_kernel(self):
-        """Per equation (a, F_j * q as int32, the q x q subtraction table
-        flattened and scaled by q^(m-2-j) as int64), cached; None unless
-        every equation has a table."""
+        """Per equation j, (a, index, table), cached; None unless every
+        equation has a table F_j, reading l_{a+1} (spec.tables()).  Table
+        entries are int32 while ids are, int64 otherwise.
+
+        Folded, while the (m-1)*q^3 entries fit FOLD_BUDGET, index is None
+        and table[l_a*q + l_{j+2}, t] = sub[F_j[l_a, t], l_{j+2}]*q^(m-2-j).
+        Otherwise index is F_j*q as int32 and table the q x q subtraction
+        table, flattened and scaled by q^(m-2-j).
+        """
         if not hasattr(self, "_kernel"):
             ctx, m, tabs = self.spec.ctx, self.spec.m, self.spec.tables()
             q = ctx.order
             self._kernel = None
             if None not in tabs:
                 grid = np.arange(q)
-                sub = ctx.sub_bulk(grid[:, None], grid[None, :]).ravel().astype(np.int64)
-                self._kernel = [(a, table.astype(np.int32) * q, sub * q ** (m - 2 - j))
-                                for j, (a, table) in enumerate(tabs)]
+                dtype = np.int32 if q ** m <= 2 ** 31 else np.int64
+                sub = ctx.sub_bulk(grid[:, None], grid[None, :]).astype(dtype)
+                self._kernel = []
+                for j, (a, table) in enumerate(tabs):
+                    scaled = sub * dtype(q ** (m - 2 - j))
+                    if (m - 1) * q ** 3 <= FOLD_BUDGET:  # [u, l, t] -> scaled[F_j[u, t], l]
+                        rows = scaled[table[:, None, :], grid[:, None]].reshape(q * q, q)
+                        self._kernel.append((a, None, rows))
+                    else:
+                        self._kernel.append((a, table.astype(np.int32) * q, scaled.ravel()))
         return self._kernel
 
     def scan_stages(self):
@@ -566,11 +598,8 @@ class PolarityGraph:
             stages, found = self.scan_stages(), []
             values = np.arange(q, dtype=ctx.dtype)
 
-            def scan(depth, pv):
-                if depth == len(stages):
-                    found.append(spec.coords_to_ids(pv))
-                    return
-                c, eqs = stages[depth]
+            def expand(c, eqs, pv):
+                """The survivors of pv extended by coordinate c, by blocks."""
                 flat = len(pv[0]) * q
                 for lo in range(0, flat, chunk):
                     hi = min(lo + chunk, flat)
@@ -583,9 +612,20 @@ class PolarityGraph:
                         keep = ctx.add_bulk(lv[j + 1], block[j + 1]) == spec.f_bulk(j, lv, block)
                         block = [x[keep] for x in block]
                         lv = [x[keep] for x in lv]
-                    scan(depth + 1, block)
+                    yield block
 
-            scan(0, [np.zeros(1, dtype=ctx.dtype)] * spec.m)
+            # depth first, levels[d] yielding the blocks with d stages bound:
+            # a loop, since a recursive closure would hold itself and self
+            # in a reference cycle that only the cyclic collector frees
+            levels = [iter([[np.zeros(1, dtype=ctx.dtype)] * spec.m])]
+            while levels:
+                pv = next(levels[-1], None)
+                if pv is None:
+                    levels.pop()
+                elif len(levels) > len(stages):
+                    found.append(spec.coords_to_ids(pv))
+                else:
+                    levels.append(expand(*stages[len(levels) - 1], pv))
             ids = self._absolute_ids = np.sort(np.concatenate(found))
         return ids
 

@@ -31,7 +31,7 @@ class _BulkForms:
     Class ids and vertex ids (the spec's mixed-radix ids over `m`
     coordinates) go in and out as int64 arrays.  Each form is the scheme's
     array formula (`_class_of_ids`, `_unique_edge`, `_loop_vertex`,
-    `_class_members`) on the field's bulk operations; the scalar formulas
+    `_class_member`) on the field's bulk operations; the scalar formulas
     are the oracle the tests hold them to.
     """
 
@@ -47,9 +47,14 @@ class _BulkForms:
         """Vertex id of loop_vertex(c) for every class id c."""
         return self._loop_vertex(_int64(cids))
 
+    def class_member_bulk(self, cids, picks):
+        """Vertex id of member picks[i] of class cids[i], in class_members
+        order; cids and picks broadcast."""
+        return self._class_member(_int64(cids), _int64(picks))
+
     def class_members_bulk(self, cids):
         """(len(cids), class_size) vertex ids, each row in class_members order."""
-        return self._class_members(_int64(cids))
+        return self._class_member(_int64(cids)[:, None], np.arange(self.class_size))
 
 
 def _int64(values):
@@ -112,11 +117,10 @@ class PlaneScheme(_BulkForms):
         x, u = divmod(ids, self.ctx.order)
         return x * self.q + decompose[u] % self.q
 
-    def _class_members(self, cids):
+    def _class_member(self, cids, picks):
         _, _, _, recompose = self.basis.vectors()
         x, y = divmod(cids, self.q)
-        a = np.arange(self.q)
-        return x[:, None] * self.ctx.order + recompose[a * self.q + y[:, None]]
+        return x * self.ctx.order + recompose[picks * self.q + y]
 
     def _loop_vertex(self, cids):
         subfield, index, decompose, recompose = self.basis.vectors()
@@ -183,8 +187,8 @@ class GQScheme(_BulkForms):
     def _class_of_ids(self, ids):
         return ids // self.q
 
-    def _class_members(self, cids):
-        return cids[:, None] * self.q + np.arange(self.q)
+    def _class_member(self, cids, picks):
+        return cids * self.q + picks
 
     def _loop_vertex(self, cids):
         ctx, fe1 = self.ctx, self.ctx.frob_vector(self.e + 1)
@@ -258,8 +262,8 @@ class GHScheme(_BulkForms):
     def _class_of_ids(self, ids):
         return ids // self.class_size
 
-    def _class_members(self, cids):
-        return cids[:, None] * self.class_size + np.arange(self.class_size)
+    def _class_member(self, cids, picks):
+        return cids * self.class_size + picks
 
     def _loop_vertex(self, cids):
         ctx, fe1, q = self.ctx, self.ctx.frob_vector(self.e + 1), self.q

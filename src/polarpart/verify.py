@@ -498,20 +498,51 @@ def _predraw(rng, count, draw):
     return samples, rewind
 
 
+def _predraw_edges(rng, count, spec, absolute_ids):
+    """The symmetry phase's `count` samples as drawing one at a time would
+    draw them: a vertex by m rng.randrange(q), then a position among its
+    neighbours by rng.randrange(q - [vertex absolute]).  Returns (vertex
+    ids, positions, rewind), rewind as in _predraw.
+
+    Every draw is read as randrange(q) by adg.randrange_bulk.  A
+    randrange(q - 1) reads the same words to the same value unless the
+    word it accepts reads q - 1, or q - 1 has fewer bits than q.  At the
+    first absolute vertex where that may happen, rng goes back to its
+    position draw, draws it by randrange(q - 1), and the bulk draw resumes.
+    """
+    q, m = spec.ctx.order, spec.m
+    state, drawn = rng.getstate(), 0
+    short = (q - 1).bit_length() < q.bit_length()
+    vs, picks, through = [], [], []  # through[i]: words drawn up to sample i
+    while count:
+        start = rng.getstate()
+        values, words = (x.reshape(count, m + 1)
+                         for x in adg.randrange_bulk(rng, q, count * (m + 1)))
+        v = spec.coords_to_ids(values[:, :m].T)
+        i = _first(_in_sorted(v, absolute_ids) & (short | (values[:, m] == q - 1)))
+        if i is None:
+            i = count - 1
+        else:
+            rng.setstate(start)
+            rng.getrandbits(32 * int(words[i, m - 1]))
+            value, word = adg.randrange_bulk(rng, q - 1, 1)
+            values[i, m], words[i, m] = value[0], words[i, m - 1] + word[0]
+        vs.append(v[:i + 1])
+        picks.append(values[:i + 1, m])
+        through.append(drawn + words[:i + 1, m])
+        drawn, count = int(through[-1][-1]), count - i - 1
+    through = np.concatenate(through)
+
+    def rewind(i):
+        rng.setstate(state)
+        rng.getrandbits(32 * int(through[i]))
+
+    return np.concatenate(vs), np.concatenate(picks), rewind
+
+
 def _first(bad):
     """Index of the first True, or None."""
     return int(bad.argmax()) if bad.any() else None
-
-
-def _class_member(scheme, cids, picks):
-    """Vertex id of member picks[i] of class cids[i], in class_members
-    order, from class_members_bulk on UNIQUE_EDGE_BLOCK ids at a time."""
-    step = max(1, UNIQUE_EDGE_BLOCK // scheme.class_size)
-    out = np.empty(len(cids), dtype=np.int64)
-    for lo in range(0, len(cids), step):
-        block = scheme.class_members_bulk(cids[lo:lo + step])
-        out[lo:lo + step] = block[np.arange(len(block)), picks[lo:lo + step]]
-    return out
 
 
 def _sampled_even_cycle(pg: adg.PolarityGraph, k, num_roots, rng):
@@ -579,7 +610,6 @@ def verify_family_sampled(family, *, e=None, seed=0,
     n = spec.side_size
     n_pi = adg.count_absolute_bulk(pg)
     absolute_ids = pg.absolute_ids()
-    absolute = set(absolute_ids.tolist())
     incidences = n * q  # each point lies on exactly q lines (forward solve)
     edges = (incidences - n_pi) // 2
     report["counts"] = {
@@ -646,7 +676,7 @@ def verify_family_sampled(family, *, e=None, seed=0,
     draws, rewind = _predraw(
         rng, within_samples, lambda g: (g.randrange(r), g.randrange(scheme.class_size)))
     cids, picks = np.array(draws, dtype=np.int64).reshape(len(draws), 2).T
-    vs = _class_member(scheme, cids, picks)
+    vs = scheme.class_member_bulk(cids, picks)
     nb = pg.neighbor_ids(vs)
     inside = (nb >= 0) & (scheme.class_of_ids(nb) == cids[:, None])
     i = _first(inside.any(axis=1))
@@ -673,18 +703,12 @@ def verify_family_sampled(family, *, e=None, seed=0,
     report["degree_multiset"] = {str(k): v for k, v in sorted(seen_degrees.items())}
 
     # sampled adjacency symmetry of the implicit graph
-    def draw_edge(g):
-        v = spec.coords_to_id([g.randrange(q) for _ in range(m)])
-        degree = q - (v in absolute)
-        return v, g.randrange(degree) if degree else -1
-
-    draws, rewind = _predraw(rng, SAMPLED_SYMMETRY, draw_edge)
-    vs, pick = np.array(draws, dtype=np.int64).reshape(len(draws), 2).T
+    vs, pick, rewind = _predraw_edges(rng, SAMPLED_SYMMETRY, spec, absolute_ids)
     nb = pg.neighbor_ids(vs)
     col = (np.cumsum(nb >= 0, axis=1) > pick[:, None]).argmax(axis=1)
     uv = nb[np.arange(len(col)), col]
     returns = (pg.neighbor_ids(uv) == vs[:, None]).any(axis=1)
-    i = _first(~returns & (pick >= 0))
+    i = _first(~returns)
     symmetry_ok = i is None
     if not symmetry_ok:
         rewind(i)

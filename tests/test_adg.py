@@ -5,7 +5,9 @@ independent closed forms (the displayed two-variable equations) on full
 vertex-pair sweeps at small q.
 """
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -463,6 +465,59 @@ def test_neighbor_ids_match_scalar_on_every_id(name):
     nb = pg.neighbor_ids(np.arange(pg.n))
     assert nb.shape == (pg.n, spec.ctx.order)
     assert nb.tolist() == [_scalar_neighbor_ids(pg, p) for p in spec.all_coords()]
+
+
+FOLD_BUDGET_ABOVE_ALL = 1 << 30
+
+
+@pytest.mark.parametrize("name,make_family,samples", [
+    *[(f"plane q={q}", lambda q=q: plane_family(q), None) for q in (2, 3, 4, 5)],
+    ("gq e=1", lambda: gq_family(1), None),
+    ("gh e=0", lambda: gh_family(0, allow_small_e=True), None),
+    ("gh e=1", lambda: gh_family(1), 20_000),
+])
+def test_folded_and_square_id_kernels_agree(name, make_family, samples, monkeypatch):
+    spec, pol = make_family()
+    q, n = spec.ctx.order, spec.side_size
+    ids = np.arange(n) if samples is None else np.random.default_rng(7).integers(0, n, samples)
+    out = {}
+    for budget, folded in ((0, False), (FOLD_BUDGET_ABOVE_ALL, True)):
+        monkeypatch.setattr(adg, "FOLD_BUDGET", budget)
+        pg = adg.PolarityGraph(spec, pol)
+        kernel = pg._id_kernel()
+        for _, index, table in kernel:
+            assert table.dtype == np.int32
+            if folded:
+                assert index is None and table.shape == (q * q, q)
+            else:
+                assert index.shape == (q, q) and table.shape == (q * q,)
+        out[folded] = pg.neighbor_ids(ids)
+    assert out[True].dtype == out[False].dtype == np.int64
+    assert np.array_equal(out[True], out[False])
+
+
+@pytest.mark.parametrize("name,make_family,folds", [
+    ("gh e=1", lambda: gh_family(1), True),
+    ("gq e=1", lambda: gq_family(1), True),
+    ("plane q=9", lambda: plane_family(9), False),
+])
+def test_which_specs_fold_their_id_tables(name, make_family, folds):
+    kernel = adg.PolarityGraph(*make_family())._id_kernel()
+    assert [index is None for _, index, _ in kernel] == [folds] * len(kernel)
+
+
+def test_absolute_scan_leaves_no_reference_cycle():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        pg = adg.PolarityGraph(*plane_family(3))
+        assert len(pg.absolute_ids()) == 27
+        ref = weakref.ref(pg)
+        del pg
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_neighbor_ids_match_coordinate_kernel_gh_e1():

@@ -367,6 +367,9 @@ def _assert_bulk_matches_scalar(spec, scheme, ids, cids, c1, c2):
         scheme.class_of_coords(spec.id_to_coords(v)) for v in ids.tolist()]
     assert scheme.class_members_bulk(cids).tolist() == [
         _ids(spec, scheme.class_members(c)) for c in cids.tolist()]
+    picks = (cids * 7 + 3) % scheme.class_size
+    assert scheme.class_member_bulk(cids, picks).tolist() == [
+        spec.coords_to_id(scheme.class_members(c)[i]) for c, i in zip(cids.tolist(), picks.tolist())]
     assert scheme.loop_vertex_bulk(cids).tolist() == _ids(
         spec, [scheme.unique_edge(c, c) for c in cids.tolist()])
     a, b = scheme.unique_edge_bulk(c1, c2)

@@ -649,6 +649,39 @@ def test_predraw_in_bulk_rewinds_like_scalar_draws(width, bound):
             assert rng.getstate() == ref.getstate(), (seed, i)
 
 
+@pytest.mark.parametrize("name,make_family,count", [
+    ("gh e=1", lambda: gh_family(1), 20_000),
+    ("gq e=1", lambda: gq_family(1), 2000),  # q = 8: every absolute vertex replays
+    ("plane q=3", lambda: plane_family(3), 2000),
+])
+def test_predraw_edges_match_scalar_draws_and_rewind(name, make_family, count):
+    spec, pol = make_family()
+    q, absolute_ids = spec.ctx.order, adg.PolarityGraph(spec, pol).absolute_ids()
+    absolute = set(absolute_ids.tolist())
+    short = (q - 1).bit_length() < q.bit_length()
+    replayed = 0
+    for seed in (0, 1, 20231117):
+        rng, ref = random.Random(seed), random.Random(seed)
+        vs, picks, rewind = verify._predraw_edges(rng, count, spec, absolute_ids)
+        draws, states, replays = [], {}, []
+        for i in range(count):  # the scalar draw_edge loop, with probes
+            v = spec.coords_to_id([ref.randrange(q) for _ in range(spec.m)])
+            probe = random.Random()
+            probe.setstate(ref.getstate())
+            if v in absolute and (short or probe.randrange(q) == q - 1):
+                replays.append(i)  # where a randrange(q) would read the word apart
+            draws.append((v, ref.randrange(q - (v in absolute))))
+            if i in (0, 1, count - 1) or v in absolute:
+                states[i] = ref.getstate()
+        replayed += len(replays)
+        assert list(zip(vs.tolist(), picks.tolist())) == draws
+        assert rng.getstate() == ref.getstate()
+        for i in sorted(states):
+            rewind(i)
+            assert rng.getstate() == states[i], (seed, i)
+    assert replayed  # some sample exercises the replay
+
+
 def test_one_c10_root_at_q27_is_bounded():
     # the child's own high-water mark: its ru_maxrss would start at the
     # peak of the pytest process that started it
@@ -680,14 +713,19 @@ GOLDEN_DIGESTS = {
     "intact": "6f045af679aa3f9dafa1661067f3993efc2f4f1b1b0c98486d8438f911490f92",
     "unique_edge": "f751a6cdde6f2b97b680a138ab2bce823e2eb53e314820650a0ec07deda54c3c",
     "class_members": "2b182fa866ce32fa4916a82f6b645e800e783ccd02ff059ff0992ef3a6473324",
+    # recorded with the symmetry samples drawn one at a time
+    "neighbor_ids": "a58f2f6483a3b1874cc247e6aa769e0403b347e7c863e04dd012d01e44d67317",
 }
 
 
 def _tamper(monkeypatch, method):
-    """Break one closed form of the hexagon scheme, scalar and bulk form
-    alike, so that the report carries first-failure witnesses."""
+    """Break one closed form of the hexagon scheme, scalar and bulk forms
+    alike, or hide some neighbours v < u from u's row of the polarity
+    graph but not u from v's, so that the report carries first-failure
+    witnesses."""
     unique_edge, class_members = GHScheme.unique_edge, GHScheme.class_members
     unique_edge_bulk, class_members_bulk = GHScheme.unique_edge_bulk, GHScheme.class_members_bulk
+    class_member_bulk, neighbor_ids = GHScheme.class_member_bulk, adg.PolarityGraph.neighbor_ids
 
     def bad_unique_edge(self, c1, c2):
         out = unique_edge(self, c1, c2)
@@ -707,12 +745,23 @@ def _tamper(monkeypatch, method):
     def bad_class_members_bulk(self, cids):
         return class_members_bulk(self, (np.asarray(cids) + 1) % self.r)
 
+    def bad_class_member_bulk(self, cids, picks):
+        return class_member_bulk(self, (np.asarray(cids) + 1) % self.r, picks)
+
+    def hiding_neighbor_ids(self, ids):
+        nb = neighbor_ids(self, ids)
+        u = np.asarray(ids, dtype=np.int64)[:, None]
+        return np.where((nb >= 0) & (nb < u) & ((nb + u) % 101 == 0), -1, nb)
+
     if method == "unique_edge":
         monkeypatch.setattr(GHScheme, "unique_edge", bad_unique_edge)
         monkeypatch.setattr(GHScheme, "unique_edge_bulk", bad_unique_edge_bulk)
     elif method == "class_members":
         monkeypatch.setattr(GHScheme, "class_members", bad_class_members)
         monkeypatch.setattr(GHScheme, "class_members_bulk", bad_class_members_bulk)
+        monkeypatch.setattr(GHScheme, "class_member_bulk", bad_class_member_bulk)
+    elif method == "neighbor_ids":
+        monkeypatch.setattr(adg.PolarityGraph, "neighbor_ids", hiding_neighbor_ids)
 
 
 @pytest.mark.parametrize("tamper", sorted(GOLDEN_DIGESTS))
