@@ -263,15 +263,17 @@ def even_cycle(roots, k, neighbors, n):
     """(i, witness) for the first roots[i] on a 2k-cycle, or None.
 
     `neighbors(ids)` maps N vertex ids to an (N, d) array of neighbour ids,
-    -1 where absent.  Roots go in blocks of LAYER_CHUNK // d**k; a block's
-    simple length-k walks are built layer by layer (the last layer
-    LAYER_CHUNK parents at a time), grouped by root position and endpoint,
-    and two walks of a group close a 2k-cycle when their interiors are
+    -1 where absent; no row may hold its own id.  Roots go in blocks of
+    LAYER_CHUNK // d**k; a block's simple length-k walks are built layer by
+    layer, each one boolean mask over the tips' rows compressed in C order
+    (the last layer LAYER_CHUNK parents at a time, its parent rows expanded
+    only in a block where two keys match), keyed by root position and
+    endpoint; two walks of a key close a 2k-cycle when their interiors are
     disjoint (meet in the middle, after Yuster & Zwick, "Finding even
     cycles even faster", 1997).  Walks are numbered root by root, each
-    root's in depth-first order over columns, so the earliest walk that
-    closes with an earlier one, plus the reversed interior of its earliest
-    partner, is the depth-first witness from the first root on a cycle.
+    root's depth-first over columns, so the earliest walk that closes with
+    an earlier one, plus the reversed interior of its earliest partner, is
+    the depth-first witness from the first root on a cycle.
 
     When roots are 0..len-1, a walk keeps only neighbours above its root.
     That is exact, and keeps the witness: a 2k-cycle through roots[i] and
@@ -286,44 +288,41 @@ def even_cycle(roots, k, neighbors, n):
         return None
     width = neighbors(roots[:1]).shape[1]
     size = max(1, LAYER_CHUNK // max(width, 1) ** k)
-    if np.array_equal(roots, np.arange(len(roots))):
-        floor = roots
-    else:
-        floor = np.full_like(roots, -1)
+    floor = roots if np.array_equal(roots, np.arange(len(roots))) else np.full_like(roots, -1)
 
     def step(paths, floors):
-        """(parent row, neighbour id) of every simple one-step extension
-        that stays above its walk's floor."""
+        """(count per parent row, neighbour ids in C order) of the simple
+        one-step extensions above each walk's floor (no row holds its tip)."""
         nb = neighbors(paths[:, -1]).astype(dtype, copy=False)
         keep = nb > floors[:, None]
-        for col in paths.T:
+        for col in paths.T[:-1]:
             keep &= nb != col[:, None]
-        rows, cols = np.nonzero(keep)
-        return rows, nb[rows, cols]
+        return keep.sum(axis=1), nb[keep]
 
     for first in range(0, len(roots), size):
         paths = roots[first:first + size, None]  # one row per walk: root..tip
         pos = np.arange(len(paths), dtype=dtype)  # each walk's root position
         key_dtype = np.int32 if len(paths) * n < 2 ** 31 else np.int64
         for _ in range(k - 1):
-            rows, tips = step(paths, floor[first + pos])
+            counts, tips = step(paths, floor[first + pos])
+            rows = np.repeat(np.arange(len(paths), dtype=dtype), counts)
             paths, pos = np.column_stack([paths[rows], tips]), pos[rows]
         if not len(paths):
             continue
-        keys, parents = [], []  # keys: root position * n + endpoint
+        base = pos.astype(key_dtype) * key_dtype(n)
+        keys, counts = [], []  # keys: root position * n + endpoint
         for lo in range(0, len(paths), LAYER_CHUNK):
-            rows, tips = step(paths[lo:lo + LAYER_CHUNK], floor[first + pos[lo:lo + LAYER_CHUNK]])
-            rows += lo
-            keys.append(pos[rows].astype(key_dtype) * key_dtype(n) + tips)
-            parents.append(rows.astype(dtype))
+            c, tips = step(paths[lo:lo + LAYER_CHUNK], floor[first + pos[lo:lo + LAYER_CHUNK]])
+            keys.append(np.repeat(base[lo:lo + LAYER_CHUNK], c) + tips)
+            counts.append(c)
         keys = np.concatenate(keys)
-        parents = np.concatenate(parents)
 
         sorted_keys = np.sort(keys)
         shared = sorted_keys[1:][sorted_keys[1:] == sorted_keys[:-1]]
         del sorted_keys
         if not len(shared):
             continue
+        parents = np.repeat(np.arange(len(paths), dtype=dtype), np.concatenate(counts))
         # walks whose key is shared, grouped by key, in walk order
         walks = np.flatnonzero(np.isin(keys, shared))
         walks = walks[np.argsort(keys[walks], kind="stable")]

@@ -530,6 +530,32 @@ def test_neighbor_ids_match_coordinate_kernel_gh_e1():
     assert (nb == -1).sum() >= 100
 
 
+def _holds_own_id(ids, rows):
+    return (rows == np.asarray(ids)[:, None]).any(axis=1)
+
+
+@pytest.mark.parametrize("name,make_family,samples", [
+    *[(f"plane q={q}", lambda q=q: plane_family(q), None) for q in (2, 3, 4, 5)],
+    ("gq e=1", lambda: gq_family(1), None),
+    ("gh e=0", lambda: gh_family(0, allow_small_e=True), None),
+    ("gh e=1", lambda: gh_family(1), 20_000),
+])
+def test_no_neighbour_row_holds_its_own_id(name, make_family, samples):
+    # graphs.even_cycle relies on it: a walk's tip is never compared
+    # against its own neighbour row
+    pg = adg.PolarityGraph(*make_family())
+    if samples is None:
+        ids = np.arange(pg.n)
+    else:
+        ids = np.random.default_rng(20231117).integers(0, pg.n, samples)
+        ids[:100] = pg.absolute_ids()[:100]
+    nb = pg.neighbor_ids(ids)
+    assert (nb == -1).any()  # absolute points: their own slot is written -1
+    assert not _holds_own_id(ids, nb).any()
+    if samples is None:
+        assert not _holds_own_id(ids, materialize(pg.implicit(), pg.n).table).any()
+
+
 @pytest.mark.parametrize("family", sorted(BULK_FAMILIES))
 def test_incident_bulk_matches_scalar(family):
     spec, pol = BULK_FAMILIES[family]()

@@ -176,6 +176,19 @@ def test_contains_c4_wide_codes(monkeypatch):
     assert _check_c4(g) == expected
 
 
+def test_c6_search_past_a_block_whose_shared_keys_all_meet(monkeypatch):
+    # root 0's walks 0-1-2-4 and 0-1-3-4 share an endpoint but meet at 1
+    # (the C4 1-2-4-3), so its block finds no C6; the first C6 root is 5
+    g = Graph.from_edges(11, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]
+                         + [(v, 5 + (v - 4) % 6) for v in range(5, 11)])
+    assert find_even_cycle(g, 2) == (1, 3, 4, 2)
+    expected = _reference_find_even_cycle(g, 3)
+    assert expected[0] == 5
+    assert find_even_cycle(g, 3) == expected
+    monkeypatch.setattr(graphs, "LAYER_CHUNK", 3 ** 3)  # one root per block: d = 3
+    assert find_even_cycle(g, 3) == expected
+
+
 def test_c6_detection_and_kmax_window():
     g = cycle_graph(6)
     w = even_cycle_free_upto(g, 3)

@@ -593,6 +593,17 @@ def test_sampled_even_cycle_matches_dfs_reference(make_family, k):
             assert rng.getstate() == ref_rng.getstate()
 
 
+@pytest.mark.parametrize("k,num_roots", [(2, 5), (3, 2)])
+def test_sampled_even_cycle_matches_dfs_reference_at_q27(k, num_roots):
+    # n = 27^5: the reversed neighbor_ids view, narrowed from int64 to int32
+    pg = adg.PolarityGraph(*gh_family(1))
+    for seed in (0, 1):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert _sampled_even_cycle(pg, k, num_roots, rng) == \
+            _reference_sampled_even_cycle(pg, k, num_roots, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+
+
 class _StoredPolarityGraph:
     """A stored graph on q * q vertices behind the interface that
     _sampled_even_cycle and its reference use (ids are base-q coordinate
