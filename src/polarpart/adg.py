@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import TABLE_SIDE, FieldCtx, make_field, prime_power
-from .graphs import ImplicitGraph
 
 # -- expression trees --------------------------------------------------------
 # ("var", "p"|"l", i)   1-based coordinate reference
@@ -315,24 +314,16 @@ class ADGSpec:
         for n in range(self.side_size):
             yield self.id_to_coords(n)
 
-    def bipartite_graph(self) -> ImplicitGraph:
-        """Implicit incidence graph: point ids 0..q^m-1, then line ids."""
+    def bipartite_arrays(self):
+        """The incidence graph's array rule (graphs.materialize): point ids
+        0..q^m-1, then line ids, each row by ascending first coordinate of
+        the neighbour; no loops."""
         ns = self.side_size
-
-        def neighbors(v):
-            if v < ns:
-                return [ns + self.coords_to_id(l) for l in self.neighbors_of_point(self.id_to_coords(v))]
-            lv = self.id_to_coords(v - ns)
-            return [self.coords_to_id(p) for p in self.neighbors_of_line(lv)]
-
-        def arrays():
-            coords = [c[:, None] for c in self.ids_to_coords(np.arange(ns))]
-            first = np.arange(self.ctx.order, dtype=self.ctx.dtype)[None, :]
-            lines = ns + self.coords_to_ids(self.line_through_bulk(coords, first))
-            points = self.coords_to_ids(self.point_on_bulk(coords, first))
-            return np.concatenate([lines, points]), np.empty(0, dtype=np.int64)
-
-        return ImplicitGraph(2 * ns, neighbors, arrays=arrays)
+        coords = [c[:, None] for c in self.ids_to_coords(np.arange(ns))]
+        first = np.arange(self.ctx.order, dtype=self.ctx.dtype)[None, :]
+        lines = ns + self.coords_to_ids(self.line_through_bulk(coords, first))
+        points = self.coords_to_ids(self.point_on_bulk(coords, first))
+        return np.concatenate([lines, points]), np.empty(0, dtype=np.int64)
 
 
 # -- polarities ---------------------------------------------------------------
@@ -632,19 +623,10 @@ class PolarityGraph:
     def degree_of(self, pvals):
         return len(self.neighbors_coords(pvals))
 
-    def implicit(self) -> ImplicitGraph:
-        spec = self.spec
-
-        def neighbors(v):
-            return [spec.coords_to_id(r) for r in self.neighbors_coords(spec.id_to_coords(v))]
-
-        def is_loop(v):
-            return self.is_absolute(spec.id_to_coords(v))
-
-        def arrays():
-            return self.neighbor_ids(np.arange(self.n)), self.absolute_ids()
-
-        return ImplicitGraph(self.n, neighbors, is_loop, arrays)
+    def arrays(self):
+        """The polarity graph's array rule (graphs.materialize): every
+        vertex's neighbor_ids row, and the absolute points as loops."""
+        return self.neighbor_ids(np.arange(self.n)), self.absolute_ids()
 
     def absolute_points(self):
         """Exhaustive absolute-point scan; only sensible when n is small."""

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import adg, partitions as parts, verify as ver
 from .graphs import (
@@ -27,32 +26,16 @@ from .graphs import (
 FAMILIES = ("plane", "gq", "gh", "gh-original", "generic")
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    family: str | None
-    q: int | None
-    e: int | None
-    mode: str | None
-    seed: int
-    out: str
-    spec_path: str | None
-    edges_path: str | None
-    partition_path: str | None
-    override_small_e: bool
-    limit: int
-
-
 def _parser():
     p = argparse.ArgumentParser(
         prog="polarpart",
         description="Construct polarity graphs over finite fields, build their "
                     "complete partitions in closed form, and verify every claim.")
     sub = p.add_subparsers(dest="subcommand", required=True)
+    p.set_defaults(edges_path=None, partition_path=None)  # report calls cmd_verify too
 
-    def add_common(sp, family=True):
-        if family:
-            sp.add_argument("family", choices=FAMILIES)
+    def add_common(sp):
+        sp.add_argument("family", choices=FAMILIES)
         sp.add_argument("--q", type=int, help="prime power parameter (plane, gh-original)")
         sp.add_argument("--e", type=int, help="exponent parameter (gq: q=2^(2e+1), gh: q=3^(2e+1))")
         sp.add_argument("--mode", choices=("exhaustive", "sampled"),
@@ -78,57 +61,33 @@ def _parser():
     return p
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        family=getattr(args, "family", None),
-        q=getattr(args, "q", None),
-        e=getattr(args, "e", None),
-        mode=getattr(args, "mode", None),
-        seed=args.seed,
-        out=args.out,
-        spec_path=getattr(args, "spec_path", None),
-        edges_path=getattr(args, "edges_path", None),
-        partition_path=getattr(args, "partition_path", None),
-        override_small_e=getattr(args, "override_small_e", False),
-        limit=getattr(args, "limit", ver.DEFAULT_MATERIALIZE_LIMIT),
-    )
-
-
-def _stem(cfg: RunConfig) -> str:
-    if cfg.family == "plane":
-        return f"plane_q{cfg.q}"
-    if cfg.family in ("gq", "gh"):
-        return f"{cfg.family}_e{cfg.e}"
-    if cfg.family == "gh-original":
-        return f"gh-original_q{cfg.q}"
+def _stem(args) -> str:
+    if args.family == "plane":
+        return f"plane_q{args.q}"
+    if args.family in ("gq", "gh"):
+        return f"{args.family}_e{args.e}"
+    if args.family == "gh-original":
+        return f"gh-original_q{args.q}"
     return "generic"
-
-
-def _family_kwargs(cfg: RunConfig):
-    kw = {"seed": cfg.seed, "materialize_limit": cfg.limit,
-          "allow_small_e": cfg.override_small_e}
-    if cfg.family == "plane":
-        kw["q"] = cfg.q
-    elif cfg.family in ("gq", "gh"):
-        kw["e"] = cfg.e
-    elif cfg.family == "generic":
-        if cfg.spec_path is None:
-            raise ConfigError("generic family needs --spec")
-        with open(cfg.spec_path) as fh:
-            kw["spec_json"] = json.load(fh)
-    return kw
 
 
 class ConfigError(Exception):
     pass
 
 
-def _bundle(cfg: RunConfig):
-    kw = _family_kwargs(cfg)
-    kw.pop("seed")
-    kw.pop("materialize_limit")
-    return ver.family_bundle(cfg.family, **kw)
+def _bundle(args):
+    """family_bundle for a family subcommand's arguments."""
+    kw = {"allow_small_e": args.override_small_e}
+    if args.family == "plane":
+        kw["q"] = args.q
+    elif args.family in ("gq", "gh"):
+        kw["e"] = args.e
+    elif args.family == "generic":
+        if args.spec_path is None:
+            raise ConfigError("generic family needs --spec")
+        with open(args.spec_path) as fh:
+            kw["spec_json"] = json.load(fh)
+    return ver.family_bundle(args.family, **kw)
 
 
 def _write(path, text):
@@ -148,47 +107,48 @@ def _jsonable(x):
     raise TypeError(f"not JSON-serializable: {x!r}")
 
 
-def _gh_original_q(cfg: RunConfig) -> int:
-    if cfg.q is None:
+def _gh_original_q(args) -> int:
+    if args.q is None:
         raise ConfigError("gh-original needs --q")
-    return cfg.q
+    return args.q
 
 
-def _polarity_graph(cfg: RunConfig, bundle):
-    """Check the bundle's polarity, then materialize its graph: (graph,
-    the PolarityCheck)."""
+def _polarity_graph(args, bundle):
+    """Refuse an instance above the ceiling, else check the bundle's
+    polarity exhaustively and materialize its graph: (graph, the
+    PolarityCheck)."""
     spec, pol, _, _ = bundle
-    pg = adg.build_polarity_graph(spec, pol, mode="exhaustive"
-                                  if spec.side_size <= cfg.limit else "sampled",
-                                  seed=cfg.seed)
-    return materialize(pg.implicit(), cfg.limit), pg.check
+    if spec.side_size > args.limit:
+        raise ConfigError(f"{spec.side_size} vertices exceed materialization ceiling {args.limit}")
+    pg = adg.build_polarity_graph(spec, pol)
+    return materialize(pg.n, pg.arrays, args.limit), pg.check
 
 
-def _write_graph(cfg: RunConfig, g):
-    path = os.path.join(cfg.out, _stem(cfg) + ".edges")
+def _write_graph(args, g):
+    path = os.path.join(args.out, _stem(args) + ".edges")
     _write(path, write_edge_list(g))
     print(f"wrote {path} ({g.n} vertices, {edge_count(g)} edges)")
 
 
-def _write_partition(cfg: RunConfig, bundle):
+def _write_partition(args, bundle):
     """The scheme's partition, written with its class-key sidecar."""
     spec, _, scheme, _ = bundle
-    if spec.side_size > cfg.limit:
+    if spec.side_size > args.limit:
         raise ConfigError(
-            f"{spec.side_size} vertices exceed the ceiling {cfg.limit}; "
+            f"{spec.side_size} vertices exceed the ceiling {args.limit}; "
             "the partition file would not be writable at desk scale")
     part = parts.scheme_partition(scheme, spec)
-    stem = _stem(cfg)
-    _write(os.path.join(cfg.out, stem + ".partition"), write_partition(part))
-    _write_json(os.path.join(cfg.out, stem + ".classes.json"),
+    stem = _stem(args)
+    _write(os.path.join(args.out, stem + ".partition"), write_partition(part))
+    _write_json(os.path.join(args.out, stem + ".classes.json"),
                 parts.class_key_sidecar(scheme))
     print(f"wrote {stem}.partition ({part.r} classes) and {stem}.classes.json")
     return part
 
 
-def _write_report(cfg: RunConfig, report) -> int:
-    stem = _stem(cfg)
-    path = os.path.join(cfg.out, stem + ".report.json")
+def _write_report(args, report) -> int:
+    stem = _stem(args)
+    path = os.path.join(args.out, stem + ".report.json")
     _write_json(path, report)
     ok = report["ok"]
     print(f"{'PASS' if ok else 'FAIL'} {stem}: report at {path}")
@@ -197,64 +157,65 @@ def _write_report(cfg: RunConfig, report) -> int:
     return 0 if ok else 1
 
 
-def cmd_build(cfg: RunConfig) -> int:
-    if cfg.family == "gh-original":
-        spec, _ = adg.gh_original_family(_gh_original_q(cfg))
-        g = materialize(spec.bipartite_graph(), cfg.limit)
+def cmd_build(args) -> int:
+    if args.family == "gh-original":
+        spec, _ = adg.gh_original_family(_gh_original_q(args))
+        g = materialize(2 * spec.side_size, spec.bipartite_arrays, args.limit)
     else:
-        g = _polarity_graph(cfg, _bundle(cfg))[0]
-    _write_graph(cfg, g)
+        g = _polarity_graph(args, _bundle(args))[0]
+    _write_graph(args, g)
     return 0
 
 
-def cmd_partition(cfg: RunConfig) -> int:
-    if cfg.family == "gh-original":
-        raise ConfigError(f"family {cfg.family} has no vertex partition")
-    _write_partition(cfg, _bundle(cfg))
+def cmd_partition(args) -> int:
+    if args.family == "gh-original":
+        raise ConfigError(f"family {args.family} has no vertex partition")
+    _write_partition(args, _bundle(args))
     return 0
 
 
-def cmd_verify(cfg: RunConfig, bundle=None) -> int:
+def cmd_verify(args, bundle=None) -> int:
     """Verify a family instance; `bundle` is a family_bundle result already
-    built for cfg, or None to build it."""
-    if cfg.family == "gh-original":
-        report = ver.verify_gh_original(_gh_original_q(cfg), materialize_limit=cfg.limit)
+    built for args, or None to build it."""
+    if args.family == "gh-original":
+        report = ver.verify_gh_original(_gh_original_q(args), materialize_limit=args.limit)
     else:
         graph = partition = None
-        if cfg.edges_path:
-            with open(cfg.edges_path) as fh:
+        if args.edges_path:
+            with open(args.edges_path) as fh:
                 graph = read_edge_list(fh.read())
-        if cfg.partition_path:
-            with open(cfg.partition_path) as fh:
+        if args.partition_path:
+            with open(args.partition_path) as fh:
                 partition = read_partition(fh.read())
-        report = ver.verify_family(cfg.family, mode=cfg.mode, graph=graph,
-                                   partition=partition, bundle=bundle,
-                                   **_family_kwargs(cfg))
-    return _write_report(cfg, report)
+        report = ver.verify_family(args.family, mode=args.mode, seed=args.seed,
+                                   materialize_limit=args.limit, graph=graph,
+                                   partition=partition, bundle=bundle or _bundle(args))
+    return _write_report(args, report)
 
 
-def cmd_report(cfg: RunConfig) -> int:
+def cmd_report(args) -> int:
     """build, partition and verify, each object built once: the bundle,
     the polarity graph and the partition are written, then verified with
     the polarity check that built the graph."""
-    if cfg.family == "gh-original":
-        return cmd_build(cfg) or cmd_verify(cfg)
-    bundle = _bundle(cfg)
-    if bundle[0].side_size > cfg.limit:
-        print(f"{_stem(cfg)}: instance too large to materialize; verification only")
-        return cmd_verify(cfg, bundle)
-    g, pol_check = _polarity_graph(cfg, bundle)
-    _write_graph(cfg, g)
-    part = _write_partition(cfg, bundle)
-    if cfg.mode == "sampled":
-        return cmd_verify(cfg, bundle)
-    return _write_report(cfg, ver.verify_family_exhaustive(
-        cfg.family, seed=cfg.seed, materialize_limit=cfg.limit, graph=g,
-        partition=part, bundle=bundle, pol_check=pol_check))
+    if args.family == "gh-original":
+        return cmd_build(args) or cmd_verify(args)
+    bundle = _bundle(args)
+    mode = ver.choose_protocol(bundle, args.mode, args.limit)  # before any file is written
+    if bundle[0].side_size > args.limit:
+        print(f"{_stem(args)}: instance too large to materialize; verification only")
+        return cmd_verify(args, bundle)
+    g, pol_check = _polarity_graph(args, bundle)
+    _write_graph(args, g)
+    part = _write_partition(args, bundle)
+    if mode == "sampled":
+        return cmd_verify(args, bundle)
+    return _write_report(args, ver.verify_family_exhaustive(
+        bundle, seed=args.seed, materialize_limit=args.limit, graph=g,
+        partition=part, pol_check=pol_check))
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    with open(cfg.edges_path) as fh:
+def cmd_oracle(args) -> int:
+    with open(args.edges_path) as fh:
         g = read_edge_list(fh.read())
     if g.n > ver.ORACLE_MAX_N:
         raise ConfigError(f"oracle ceiling is {ver.ORACLE_MAX_N} vertices, got {g.n}")
@@ -277,10 +238,9 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    cfg = _config(args)
-    os.makedirs(cfg.out, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     try:
-        return COMMANDS[cfg.subcommand](cfg)
+        return COMMANDS[args.subcommand](args)
     except (ConfigError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,8 +2,9 @@
 
 Graphs are loop-aware but loops live in a separate set: degrees, edge
 counts and cycle searches all exclude them, which is the convention the
-construction arithmetic needs.  ImplicitGraph wraps an on-the-fly neighbor
-rule for instances too large to materialize.
+construction arithmetic needs.  materialize builds a Graph from an array
+rule, such as adg's PolarityGraph.arrays and ADGSpec.bipartite_arrays, once
+the vertex count is under a ceiling.
 """
 
 from __future__ import annotations
@@ -128,35 +129,13 @@ def degree_multiset(g: Graph) -> dict[int, int]:
     return dict(zip(values.tolist(), counts.tolist()))
 
 
-# ---------------------------------------------------------------------------
-# implicit graphs
-# ---------------------------------------------------------------------------
-
-class ImplicitGraph:
-    """Graph given by a neighbor-enumeration rule instead of stored lists.
-
-    neighbors(v) must yield each neighbor of v exactly once, never v
-    itself, and be symmetric as a relation.  Vertices are ints 0..n-1.
-    The optional array rule `arrays()` gives the same graph at once: an
-    (n, d) numpy array of neighbour ids, -1 where absent, and the loop ids.
-    """
-
-    def __init__(self, n, neighbors, is_loop=None, arrays=None):
-        self.n = n
-        self.neighbors = neighbors
-        self.is_loop = is_loop or (lambda v: False)
-        self.arrays = arrays
-
-
-def materialize(ig: ImplicitGraph, limit: int) -> Graph:
-    """Expand an implicit graph, by its array rule when it has one; Graph
-    sorts the rows and checks symmetry."""
-    if ig.n > limit:
-        raise ValueError(f"{ig.n} vertices exceed materialization ceiling {limit}")
-    if ig.arrays is None:
-        return Graph(ig.n, [ig.neighbors(v) for v in range(ig.n)],
-                     [v for v in range(ig.n) if ig.is_loop(v)])
-    return Graph(ig.n, *ig.arrays())
+def materialize(n: int, rule, limit: int) -> Graph:
+    """The graph on n vertices that `rule()` gives as (an (n, d) array of
+    neighbour ids, -1 where absent; the loop ids), refused before the rule
+    runs when n is above `limit`.  Graph sorts the rows and checks symmetry."""
+    if n > limit:
+        raise ValueError(f"{n} vertices exceed materialization ceiling {limit}")
+    return Graph(n, *rule())
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from .gf import FieldCtx, QuadBasis, find_normal_element
 from .graphs import Partition
-from .adg import ADGSpec
+from .adg import ADGSpec, eval_expr_bulk, randrange_bulk
 
 SYMMETRY_EXHAUSTIVE_LIMIT = 1_000_000
 SYMMETRY_SAMPLES = 100_000
@@ -304,37 +304,33 @@ def class_key_sidecar(scheme):
 def is_point_line_symmetric(spec: ADGSpec, seed=0):
     """Whether every f_j is invariant under swapping l_i with p_i.
 
-    Exhaustive over the full domain per function while it stays below
-    SYMMETRY_EXHAUSTIVE_LIMIT tuples, sampled above.  Returns (ok, witness);
-    the witness is (j, lvals, pvals) for the first violation.
+    f_j runs on the bulk expression evaluator over its full domain while
+    that stays below SYMMETRY_EXHAUSTIVE_LIMIT tuples, and over
+    SYMMETRY_SAMPLES tuples drawn from random.Random(seed) above it.  A
+    domain tuple t reads l_1..l_k, p_1..p_k off t's base-q digits, lowest
+    first; a sample is k randrange(q) values of l, then k of p.  Returns
+    (ok, witness); the witness is (j, lvals, pvals) for the first violation.
     """
-    ctx = spec.ctx
-    q = ctx.order
-    fns = spec.compiled()
-    for i, fn in enumerate(fns):
+    ctx, q = spec.ctx, spec.ctx.order
+    for i, f in enumerate(spec.fs):
         nargs = i + 1  # f_{i+2} reads l_1..l_{i+1}, p_1..p_{i+1}
-        domain = q ** (2 * nargs)
-        if domain <= SYMMETRY_EXHAUSTIVE_LIMIT:
-            tuples = range(domain)
-
-            def decode(t):
-                vals = []
-                for _ in range(2 * nargs):
-                    vals.append(t % q)
-                    t //= q
-                return tuple(vals[:nargs]), tuple(vals[nargs:])
-
-            candidates = (decode(t) for t in tuples)
+        width = 2 * nargs
+        if q ** width <= SYMMETRY_EXHAUSTIVE_LIMIT:
+            # the domain as a broadcast grid: digit k on axis width-1-k, so
+            # the C-order position of a tuple is its index t
+            shape = (q,) * width
+            vals = [np.arange(q, dtype=ctx.dtype).reshape((q,) + (1,) * k) for k in range(width)]
         else:
-            rng = random.Random(seed)
-            candidates = (
-                (tuple(rng.randrange(q) for _ in range(nargs)),
-                 tuple(rng.randrange(q) for _ in range(nargs)))
-                for _ in range(SYMMETRY_SAMPLES)
-            )
-        for lv, pv in candidates:
-            if fn(lv, pv) != fn(pv, lv):
-                return False, (i + 2, lv, pv)
+            shape = (SYMMETRY_SAMPLES,)
+            draws = randrange_bulk(random.Random(seed), q, SYMMETRY_SAMPLES * width)[0]
+            vals = list(draws.astype(ctx.dtype).reshape(SYMMETRY_SAMPLES, width).T)
+        lv, pv = vals[:nargs], vals[nargs:]
+        bad = eval_expr_bulk(f, ctx, lv, pv) != eval_expr_bulk(f, ctx, pv, lv)
+        bad = np.broadcast_to(bad, shape)
+        if bad.any():
+            t = int(bad.argmax())
+            row = [int(np.broadcast_to(v, shape).flat[t]) for v in vals]
+            return False, (i + 2, tuple(row[:nargs]), tuple(row[nargs:]))
     return True, None
 
 

@@ -313,7 +313,7 @@ def _in_sorted(x, values):
     return values[np.minimum(np.searchsorted(values, x), len(values) - 1)] == x
 
 
-def _check_unique_edges(g: Graph, spec, scheme):
+def _check_unique_edges(g: Graph, scheme):
     """Closed-form cross edge and loop vertex against the real graph.
 
     One pass over the class pairs c1 < c2 in row-major order on the
@@ -351,21 +351,19 @@ def _check_unique_edges(g: Graph, spec, scheme):
     return True, None
 
 
-def verify_family_exhaustive(family, *, q=None, e=None, seed=0,
+def verify_family_exhaustive(bundle, *, seed=0,
                              materialize_limit=DEFAULT_MATERIALIZE_LIMIT,
-                             allow_small_e=False, spec_json=None,
-                             with_luw=True, graph=None, partition=None, bundle=None,
-                             pol_check=None):
-    """Full verification of a materializable family instance.
+                             with_luw=True, graph=None, partition=None, pol_check=None):
+    """Full verification of a materializable family instance, given as a
+    family_bundle result.
 
     When graph/partition are supplied (from files) they are verified in
-    place of freshly constructed ones, so tampering is detectable.  A
-    prebuilt family_bundle result may be passed as `bundle`, and the
-    exhaustive check_polarity result on its spec and polarity as
-    `pol_check`.
+    place of freshly constructed ones, so tampering is detectable.  The
+    exhaustive check_polarity result on the bundle's spec and polarity may
+    be passed as `pol_check`.
     """
-    spec, pol, scheme, params = bundle or family_bundle(
-        family, q=q, e=e, allow_small_e=allow_small_e, spec_json=spec_json)
+    spec, pol, scheme, params = bundle
+    family = scheme.family
     ctx = spec.ctx
     qq = params.get("q", ctx.order)
     if pol_check is None:
@@ -384,9 +382,9 @@ def verify_family_exhaustive(family, *, q=None, e=None, seed=0,
         report["witnesses"].append(("polarity", pol_check.witness))
         return report
 
-    pg = adg.PolarityGraph(spec, pol)
     if graph is None:
-        g = materialize(pg.implicit(), materialize_limit)
+        pg = adg.PolarityGraph(spec, pol)
+        g = materialize(pg.n, pg.arrays, materialize_limit)
     else:
         g = graph
     if partition is None:
@@ -411,7 +409,7 @@ def verify_family_exhaustive(family, *, q=None, e=None, seed=0,
     report["verdicts"] = verd
     report["witnesses"].extend(witnesses[:20])
 
-    unique_ok, unique_witness = _check_unique_edges(g, spec, scheme)
+    unique_ok, unique_witness = _check_unique_edges(g, scheme)
     if not unique_ok:
         report["witnesses"].append(unique_witness)
     loops_ok = all(c == 1 for c in mat.loops_within) and n_pi == scheme.r
@@ -449,7 +447,7 @@ def verify_family_exhaustive(family, *, q=None, e=None, seed=0,
         "loops_one_per_class": loops_ok,
     }
     if with_luw:
-        g_bip = materialize(spec.bipartite_graph(), 4 * materialize_limit)
+        g_bip = materialize(2 * spec.side_size, spec.bipartite_arrays, 4 * materialize_limit)
         report["luw"] = luw_report(g_bip, g, {k: found[k] for k in luw_ks})
     else:
         report["luw"] = None
@@ -561,14 +559,14 @@ def _sampled_even_cycle(pg: adg.PolarityGraph, k, num_roots, rng):
     return tuple(spec.id_to_coords(v) for v in hit[1])
 
 
-def verify_family_sampled(family, *, e=None, seed=0,
+def verify_family_sampled(bundle, *, seed=0,
                           class_pair_samples=SAMPLED_CLASS_PAIRS,
                           full_sweeps=SAMPLED_FULL_SWEEPS,
                           within_samples=SAMPLED_WITHIN,
                           degree_samples=SAMPLED_DEGREES,
-                          cycle_roots=None,
-                          allow_small_e=False, bundle=None):
-    """Seeded streaming verification of an instance too large to materialize.
+                          cycle_roots=None):
+    """Seeded streaming verification of a family_bundle result too large to
+    materialize.
 
     Closed-form unique edges are confirmed by direct substitution on
     sampled class pairs plus full one-edge sweeps on a subsample; within-
@@ -576,13 +574,12 @@ def verify_family_sampled(family, *, e=None, seed=0,
     cycles are searched from sampled roots.  The absolute-point count is
     exact, from PolarityGraph.absolute_ids' staged scan.  Every phase reads
     neighbours as ids from PolarityGraph.neighbor_ids and classes from the
-    scheme's class_of_ids; coordinates are built only for witnesses.
-    `bundle` is as in verify_family_exhaustive.  An instance whose scan
-    PolarityGraph.check_scan_bound refuses raises ValueError before any
-    check runs.
+    scheme's class_of_ids; coordinates are built only for witnesses.  An
+    instance whose scan PolarityGraph.check_scan_bound refuses raises
+    ValueError before any check runs.
     """
-    spec, pol, scheme, params = bundle or family_bundle(
-        family, e=e, allow_small_e=allow_small_e)
+    spec, pol, scheme, params = bundle
+    family = scheme.family
     pg = adg.PolarityGraph(spec, pol)
     pg.check_scan_bound()
     ctx = spec.ctx
@@ -772,37 +769,44 @@ def verify_family_sampled(family, *, e=None, seed=0,
     return report
 
 
+def choose_protocol(bundle, mode, materialize_limit):
+    """The protocol to run on a family_bundle result: `mode`, or when None
+    exhaustive if the vertex set fits under the materialization ceiling and
+    sampled otherwise.  Raises ValueError for a protocol the instance
+    cannot take."""
+    spec, scheme = bundle[0], bundle[2]
+    fits = spec.side_size <= materialize_limit
+    if mode is None:
+        mode = "exhaustive" if fits else "sampled"
+    if mode == "exhaustive" and not fits:
+        raise ValueError(
+            f"{spec.side_size} vertices exceed the materialization "
+            f"ceiling {materialize_limit}; use sampled mode")
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sampled" and scheme.family != "gh":
+        raise ValueError(f"sampled mode is only wired for the gh family, not {scheme.family}")
+    return mode
+
+
 def verify_family(family, *, q=None, e=None, mode=None, seed=0,
                   materialize_limit=DEFAULT_MATERIALIZE_LIMIT,
                   allow_small_e=False, spec_json=None, with_luw=True,
                   graph=None, partition=None, bundle=None, **sampled_kwargs):
-    """Dispatch to the exhaustive or sampled protocol.
-
-    mode=None picks exhaustive when the vertex set fits under the
-    materialization ceiling and sampled otherwise.  `bundle` is as in
-    verify_family_exhaustive; it is built here when not passed.
-    """
+    """Run the protocol choose_protocol picks on the family instance, or on
+    `bundle`, a family_bundle result already built for it.  A supplied
+    graph or partition is verified exhaustively; the sampled protocol
+    refuses it."""
     bundle = bundle or family_bundle(family, q=q, e=e, allow_small_e=allow_small_e,
                                      spec_json=spec_json)
-    spec = bundle[0]
-    fits = spec.side_size <= materialize_limit
-    if mode is None:
-        mode = "exhaustive" if fits else "sampled"
-    if mode == "exhaustive":
-        if not fits:
-            raise ValueError(
-                f"{spec.side_size} vertices exceed the materialization "
-                f"ceiling {materialize_limit}; use sampled mode")
+    if choose_protocol(bundle, mode, materialize_limit) == "exhaustive":
         return verify_family_exhaustive(
-            family, q=q, e=e, seed=seed, materialize_limit=materialize_limit,
-            allow_small_e=allow_small_e, spec_json=spec_json, with_luw=with_luw,
-            graph=graph, partition=partition, bundle=bundle)
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
-    if family not in ("gh",):
-        raise ValueError(f"sampled mode is only wired for the gh family, not {family}")
-    return verify_family_sampled(family, e=e, seed=seed, allow_small_e=allow_small_e,
-                                 bundle=bundle, **sampled_kwargs)
+            bundle, seed=seed, materialize_limit=materialize_limit, with_luw=with_luw,
+            graph=graph, partition=partition)
+    if graph is not None or partition is not None:
+        raise ValueError("the sampled protocol reads no edge list or partition; "
+                         "verify supplied files in exhaustive mode")
+    return verify_family_sampled(bundle, seed=seed, **sampled_kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +867,7 @@ def verify_gh_original(q, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
         "seeds": [],
     }
     if 2 * ns <= 1000:
-        g = materialize(spec_orig.bipartite_graph(), materialize_limit)
+        g = materialize(2 * ns, spec_orig.bipartite_arrays, materialize_limit)
         gv = girth(g)
         report["girth"] = gv if gv != math.inf else "inf"
     report["ok"] = (bijective_points and bijective_lines and witness is None
@@ -879,7 +883,7 @@ def verify_bipartite_partition(spec, part: Partition, r,
                                materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
     """Materialize the bipartite graph and check the partition is complete;
     reports the psi ratio from the verified counts."""
-    g = materialize(spec.bipartite_graph(), materialize_limit)
+    g = materialize(2 * spec.side_size, spec.bipartite_arrays, materialize_limit)
     verd, witnesses, mat = verdict(g, part)
     e_g = edge_count(g)
     return {

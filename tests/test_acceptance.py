@@ -82,7 +82,7 @@ def test_criterion_2_plane_q3():
     t0 = time.monotonic()
     rep = verify_family("plane", q=3, with_luw=False)
     spec, pol = plane_family(3)
-    g = materialize(build_polarity_graph(spec, pol).implicit(), 10 ** 5)
+    g = materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 5)
     ok = (
         rep["counts"]["n"] == 81
         and rep["counts"]["edges"] == 351 == 27 * 26 // 2
@@ -156,8 +156,8 @@ def test_criterion_6_luw():
                           (lambda: plane_family(3), 2),
                           (lambda: gq_family(1), 3)):
         spec, pol = builder()
-        gp = materialize(build_polarity_graph(spec, pol).implicit(), 10 ** 6)
-        g_bip = materialize(spec.bipartite_graph(), 10 ** 6)
+        gp = materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 6)
+        g_bip = materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 6)
         rep = luw_report(g_bip, gp, {k: find_even_cycle(gp, k) for k in range(2, kmax + 1)})
         ok = ok and rep["ok"] and rep["degree_relation_ok"] and rep["reconciled_ok"]
         ok = ok and rep["polarity_girth"] >= rep["bipartite_girth"] / 2
@@ -195,7 +195,7 @@ def test_criterion_7_theorem5():
     ]
     for tspec in toys:
         pol = adg.generic_conjugation_polarity(tspec)
-        g = materialize(build_polarity_graph(tspec, pol).implicit(), 10 ** 5)
+        g = materialize(tspec.side_size, build_polarity_graph(tspec, pol).arrays, 10 ** 5)
         tpart, tscheme = general_polarity_partition(tspec)
         verd, _, _ = verdict(g, tpart)
         ok = ok and verd["optimally_complete"]

@@ -21,7 +21,7 @@ from polarpart.adg import (
 )
 from polarpart.gf import make_field
 from polarpart.graphs import (
-    ImplicitGraph, degree_multiset, edge_count, girth, loop_count, materialize,
+    Graph, degree_multiset, edge_count, girth, loop_count, materialize,
 )
 
 
@@ -135,7 +135,7 @@ def test_plane_polarity_adjacency_closed_form():
         ctx = spec.ctx
         d = ctx.k // 2
         pg = build_polarity_graph(spec, pol)
-        g = materialize(pg.implicit(), 10 ** 5)
+        g = materialize(pg.n, pg.arrays, 10 ** 5)
         frob = ctx.frob_table(d)
         for pid in range(g.n):
             p = spec.id_to_coords(pid)
@@ -154,7 +154,7 @@ def test_gq_polarity_adjacency_closed_form():
     spec, pol = gq_family(e)
     ctx = spec.ctx
     pg = build_polarity_graph(spec, pol)
-    g = materialize(pg.implicit(), 10 ** 5)
+    g = materialize(pg.n, pg.arrays, 10 ** 5)
     fe = ctx.frob_table(e)
     fe1 = ctx.frob_table(e + 1)
     rng = random.Random(5)
@@ -178,7 +178,7 @@ def test_gh_polarity_adjacency_closed_form_small():
     spec, pol = gh_family(e, allow_small_e=True)
     ctx = spec.ctx
     pg = build_polarity_graph(spec, pol)
-    g = materialize(pg.implicit(), 10 ** 5)
+    g = materialize(pg.n, pg.arrays, 10 ** 5)
     fe = ctx.frob_table(e)
     fe1 = ctx.frob_table(e + 1)
     rng = random.Random(6)
@@ -261,8 +261,8 @@ def test_generic_conjugation_reproduces_plane():
     pol = generic_conjugation_polarity(spec)
     ref_spec, ref_pol = plane_family(2)
     assert pol.point_to_line == ref_pol.point_to_line
-    g = materialize(build_polarity_graph(spec, pol).implicit(), 10 ** 4)
-    h = materialize(build_polarity_graph(ref_spec, ref_pol).implicit(), 10 ** 4)
+    g = materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 4)
+    h = materialize(ref_spec.side_size, build_polarity_graph(ref_spec, ref_pol).arrays, 10 ** 4)
     assert g.adj == h.adj and g.loops == h.loops
 
 
@@ -553,7 +553,7 @@ def test_no_neighbour_row_holds_its_own_id(name, make_family, samples):
     assert (nb == -1).any()  # absolute points: their own slot is written -1
     assert not _holds_own_id(ids, nb).any()
     if samples is None:
-        assert not _holds_own_id(ids, materialize(pg.implicit(), pg.n).table).any()
+        assert not _holds_own_id(ids, materialize(pg.n, pg.arrays, pg.n).table).any()
 
 
 @pytest.mark.parametrize("family", sorted(BULK_FAMILIES))
@@ -587,15 +587,32 @@ def test_incident_bulk_matches_scalar(family):
     assert True in scalar and False in scalar
 
 
-def _materialize_both_ways(ig):
-    """(by the array rule, by the scalar rule); the array rule's CSR arrays
+def _scalar_polarity_rows(pg):
+    """The polarity graph's rows and loops from the scalar closures."""
+    spec, points = pg.spec, list(pg.spec.all_coords())
+    rows = [[spec.coords_to_id(r) for r in pg.neighbors_coords(p)] for p in points]
+    return rows, [v for v, p in enumerate(points) if pg.is_absolute(p)]
+
+
+def _scalar_bipartite_rows(spec):
+    """The incidence graph's rows (points, then lines) from the scalar
+    closures; it has no loops."""
+    ns, coords = spec.side_size, list(spec.all_coords())
+    rows = [[ns + spec.coords_to_id(lv) for lv in spec.neighbors_of_point(c)] for c in coords]
+    rows += [[spec.coords_to_id(p) for p in spec.neighbors_of_line(c)] for c in coords]
+    return rows, []
+
+
+def _materialize_both_ways(n, rule, scalar_rows):
+    """(by the array rule, by the scalar rows); the array rule's CSR arrays
     must be the ones the list constructor builds from the scalar rows."""
-    bulk = materialize(ig, ig.n)
-    scalar = materialize(ImplicitGraph(ig.n, ig.neighbors, ig.is_loop), ig.n)
+    bulk = materialize(n, rule, n)
+    rows, loops = scalar_rows
+    scalar = Graph(n, rows, loops)
     assert np.array_equal(bulk.indptr, scalar.indptr)
     assert bulk.indices.dtype == scalar.indices.dtype
     assert np.array_equal(bulk.indices, scalar.indices)
-    assert bulk.adj == [sorted(ig.neighbors(v)) for v in range(ig.n)]
+    assert bulk.adj == [sorted(row) for row in rows]
     return bulk, scalar
 
 
@@ -606,10 +623,8 @@ def _materialize_both_ways(ig):
     ("gh e=0", lambda: gh_family(0, allow_small_e=True)),
 ])
 def test_materialize_by_array_rule_matches_scalar_rule(name, make_family):
-    spec, pol = make_family()
-    ig = adg.PolarityGraph(spec, pol).implicit()
-    assert ig.arrays is not None
-    bulk, scalar = _materialize_both_ways(ig)
+    pg = adg.PolarityGraph(*make_family())
+    bulk, scalar = _materialize_both_ways(pg.n, pg.arrays, _scalar_polarity_rows(pg))
     assert bulk.loops == scalar.loops and len(bulk.loops) > 0
 
 
@@ -621,24 +636,24 @@ def test_materialize_by_array_rule_matches_scalar_rule(name, make_family):
     ("gh-original q=3", lambda: gh_original_family(3)[0]),
 ])
 def test_bipartite_array_rule_matches_scalar_rule(name, make_spec):
-    ig = make_spec().bipartite_graph()
-    assert ig.arrays is not None
-    bulk, scalar = _materialize_both_ways(ig)
+    spec = make_spec()
+    bulk, scalar = _materialize_both_ways(2 * spec.side_size, spec.bipartite_arrays,
+                                          _scalar_bipartite_rows(spec))
     assert bulk.loops == scalar.loops == frozenset()
 
 
 def test_plane_q7_girths():
     spec, pol = plane_family(7)
-    assert girth(materialize(spec.bipartite_graph(), 10 ** 4)) == 6
-    assert girth(materialize(build_polarity_graph(spec, pol).implicit(), 10 ** 4)) == 3
+    assert girth(materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 4)) == 6
+    assert girth(materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 4)) == 3
 
 
 def test_fields_above_table_side_keep_the_array_rules():
+    # materializing plane q=23 needs more than 1 GB, so only the kernels'
+    # fallback is checked here
     spec, pol = plane_family(23)  # GF(529): q > TABLE_SIDE
     pg = adg.PolarityGraph(spec, pol)
     assert spec.tables() == [None] and pg._id_kernel() is None
-    assert pg.implicit().arrays is not None
-    assert spec.bipartite_graph().arrays is not None
 
 
 def _reference_absolute_ids(pg, chunk=1 << 20):

@@ -169,8 +169,15 @@ def test_invalid_family_parameter(tmp_path):
     assert run(["verify", "gq", "--e", "0", "--out", str(tmp_path)]) == 2
 
 
-def test_build_refuses_oversize(tmp_path):
+def test_build_refuses_oversize(tmp_path, monkeypatch, capsys):
+    checks = []
+    check_polarity = adg.check_polarity
+    monkeypatch.setattr(adg, "check_polarity",
+                        lambda *a, **kw: checks.append(a) or check_polarity(*a, **kw))
     assert run(["build", "gh", "--e", "1", "--out", str(tmp_path)]) == 2
+    assert checks == []  # refused before any polarity check
+    assert "14348907 vertices exceed materialization ceiling" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_partition_gq(tmp_path):
@@ -196,7 +203,8 @@ def test_report_gh_original_builds_then_verifies(tmp_path, capsys):
     assert (rep / name).read_bytes() == (ver / name).read_bytes()
     g = read_edge_list((rep / "gh-original_q3.edges").read_text())
     assert (g.n, len(list(g.edges()))) == (486, 729)
-    assert g.adj == materialize(gh_original_family(3)[0].bipartite_graph(), g.n).adj
+    spec = gh_original_family(3)[0]
+    assert g.adj == materialize(g.n, spec.bipartite_arrays, g.n).adj
     assert run(["build", "gh-original", "--q", "3", "--out", str(tmp_path / "b")]) == 0
     assert (tmp_path / "b" / "gh-original_q3.edges").read_bytes() == \
         (rep / "gh-original_q3.edges").read_bytes()
@@ -219,7 +227,7 @@ def test_report_builds_each_object_once(tmp_path, monkeypatch):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls.append((name, args[0].n) if name == "materialize" else name)
+            calls.append((name, args[0]) if name == "materialize" else name)
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
@@ -259,6 +267,34 @@ def test_sampled_report_builds_the_bundle_once(tmp_path, monkeypatch, extra):
                 "--out", str(tmp_path / "v")]) == 0
     name = "gh_e0.report.json"
     assert (tmp_path / "r" / name).read_bytes() == (tmp_path / "v" / name).read_bytes()
+
+
+@pytest.mark.parametrize("extra", [["--mode", "sampled"], ["--limit", "100"]],
+                         ids=["sampled mode", "too large to materialize"])
+@pytest.mark.parametrize("option", ["--edges", "--partition"])
+def test_sampled_verify_refuses_supplied_files(tmp_path, capsys, extra, option):
+    path = tmp_path / "in" / "bogus"
+    path.parent.mkdir()
+    path.write_text("3 1 0\n0 1\n" if option == "--edges" else "0 0\n1 0\n")
+    argv = ["verify", "gh", "--e", "0", "--override-small-e", option, str(path)]
+    assert run(argv + extra + ["--out", str(tmp_path / "out")]) == 2
+    assert "the sampled protocol reads no edge list or partition" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("family,args", [
+    ("plane", ["--q", "2"]),
+    ("gq", ["--e", "1"]),
+    ("generic", ["--spec", "{spec}"]),
+])
+def test_sampled_report_off_gh_writes_nothing(tmp_path, capsys, family, args):
+    spec = tmp_path / "toy.json"
+    spec.write_text(json.dumps({"field": GF4, "m": 2, "fs": [P1L1]}))
+    out = tmp_path / "out"
+    argv = ["report", family, *[a.format(spec=spec) for a in args], "--mode", "sampled"]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert f"sampled mode is only wired for the gh family, not {family}" in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 def test_generic_spec_roundtrip(tmp_path):

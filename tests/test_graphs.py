@@ -14,7 +14,7 @@ import pytest
 from polarpart import graphs
 from polarpart.adg import plane_family
 from polarpart.graphs import (
-    Graph, ImplicitGraph, Partition, contains_C4, degree, edge_count,
+    Graph, Partition, contains_C4, degree, edge_count,
     even_cycle_free_upto, find_even_cycle, girth, loop_count, materialize,
     pair_edge_matrix, read_edge_list, read_partition, write_edge_list,
     write_partition,
@@ -340,7 +340,8 @@ def _pruned_bfs(g):
 
 
 def test_every_girth_root_reads_only_rows_above_it(monkeypatch):
-    g = materialize(plane_family(3)[0].bipartite_graph(), 10 ** 4)
+    spec = plane_family(3)[0]
+    g = materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 4)
     expected, frontiers = _pruned_bfs(g)
     assert all(min(rows) >= root for root, rows in frontiers)
     # one root per block, and the parity pass reads the plain table
@@ -401,26 +402,35 @@ def test_partition_validation():
         Partition([0, 5], 2)  # out of range
 
 
+def _rule(rows, loops=()):
+    """An array rule returning `rows` padded with -1, and `loops`."""
+    width = max(map(len, rows), default=0)
+    table = np.array([row + [-1] * (width - len(row)) for row in rows], dtype=np.int64)
+    return lambda: (table, np.array(loops, dtype=np.int64))
+
+
 def test_materialize_empty_rule():
-    ig = ImplicitGraph(5, lambda v: [])
-    g = materialize(ig, 10)
+    g = materialize(5, _rule([[]] * 5), 10)
     assert edge_count(g) == 0 and g.n == 5
 
 
 def test_materialize_ceiling():
-    ig = ImplicitGraph(100, lambda v: [])
-    with pytest.raises(ValueError):
-        materialize(ig, 50)
+    def rule():
+        raise AssertionError("the rule ran above the ceiling")
+
+    with pytest.raises(ValueError, match="100 vertices exceed materialization ceiling 50"):
+        materialize(100, rule, 50)
+    g = materialize(3, _rule([[1], [0], []], [2]), 3)  # at the ceiling: built
+    assert g.adj == [[1], [0], []] and g.loops == {2}
 
 
 def test_materialize_rejects_asymmetric_rule():
-    ig = ImplicitGraph(2, lambda v: [1] if v == 0 else [])
     with pytest.raises(ValueError):
-        materialize(ig, 10)
+        materialize(2, _rule([[1], []]), 10)
     # even degree sum: the first arc (v, u) without (u, v), in (v, u) order
-    rows = {0: [1, 3], 1: [0, 2], 2: [], 3: [], 4: [2, 3]}
+    rows = [[1, 3], [0, 2], [], [], [2, 3]]
     with pytest.raises(ValueError, match=r"^asymmetric edge \(0, 3\)$"):
-        materialize(ImplicitGraph(5, lambda v: rows[v]), 10)
+        materialize(5, _rule(rows), 10)
 
 
 def test_graph_rejects_adjacency_loop():

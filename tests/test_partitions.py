@@ -6,10 +6,10 @@ import random
 import numpy as np
 import pytest
 
-from polarpart import adg
+from polarpart import adg, partitions
 from polarpart.adg import (
-    ADGSpec, build_polarity_graph, gh_family, gq_family, mul, plane_family,
-    powi, var_l, var_p,
+    ADGSpec, add, build_polarity_graph, gh_adjacency_spec, gh_family, gq_family, mul,
+    plane_family, powi, var_l, var_p,
 )
 from polarpart.gf import find_normal_element, make_field
 from polarpart.graphs import Partition, edge_count, materialize, pair_edge_matrix
@@ -68,7 +68,7 @@ def test_plane_unique_edge_matches_exhaustive_scan():
         spec, pol = plane_family(q)
         scheme = PlaneScheme(spec.ctx)
         pg = build_polarity_graph(spec, pol)
-        g = materialize(pg.implicit(), 10 ** 5)
+        g = materialize(pg.n, pg.arrays, 10 ** 5)
         for cid1 in range(scheme.r):
             for cid2 in range(scheme.r):
                 if cid1 == cid2:
@@ -95,7 +95,7 @@ def test_plane_loops_one_per_class():
     spec, pol = plane_family(3)
     scheme = PlaneScheme(spec.ctx)
     pg = build_polarity_graph(spec, pol)
-    g = materialize(pg.implicit(), 10 ** 5)
+    g = materialize(pg.n, pg.arrays, 10 ** 5)
     part = scheme_partition(scheme, spec)
     mat = pair_edge_matrix(g, part)
     assert mat.loops_within == [1] * scheme.r
@@ -124,7 +124,7 @@ def test_gq_unique_edge_matches_exhaustive_scan():
     spec, pol = gq_family(1)
     scheme = GQScheme(spec.ctx, 1)
     pg = build_polarity_graph(spec, pol)
-    g = materialize(pg.implicit(), 10 ** 5)
+    g = materialize(pg.n, pg.arrays, 10 ** 5)
     rng = random.Random(1)
     pairs = {(rng.randrange(64), rng.randrange(64)) for _ in range(120)}
     for cid1, cid2 in pairs:
@@ -182,7 +182,7 @@ def test_gh_unique_edge_matches_exhaustive_scan_small():
     spec, pol = gh_family(0, allow_small_e=True)
     scheme = GHScheme(spec.ctx, 0)
     pg = build_polarity_graph(spec, pol)
-    g = materialize(pg.implicit(), 10 ** 5)
+    g = materialize(pg.n, pg.arrays, 10 ** 5)
     for cid1 in range(scheme.r):
         for cid2 in range(scheme.r):
             if cid1 == cid2:
@@ -237,6 +237,62 @@ def test_gh_system_is_not_point_line_symmetric():
     assert witness[0] == 3  # f_3 = p1^2 l1 already breaks the swap
 
 
+def _reference_is_point_line_symmetric(spec, seed=0):
+    """The scalar loop is_point_line_symmetric replaced, kept as its
+    reference: the compiled closures over each domain tuple, digits lowest
+    first, or over samples drawn one randrange at a time."""
+    q = spec.ctx.order
+    for i, fn in enumerate(spec.compiled()):
+        nargs = i + 1
+        domain = q ** (2 * nargs)
+        if domain <= partitions.SYMMETRY_EXHAUSTIVE_LIMIT:
+            def decode(t):
+                vals = []
+                for _ in range(2 * nargs):
+                    vals.append(t % q)
+                    t //= q
+                return tuple(vals[:nargs]), tuple(vals[nargs:])
+
+            candidates = (decode(t) for t in range(domain))
+        else:
+            rng = random.Random(seed)
+            candidates = ((tuple(rng.randrange(q) for _ in range(nargs)),
+                           tuple(rng.randrange(q) for _ in range(nargs)))
+                          for _ in range(partitions.SYMMETRY_SAMPLES))
+        for lv, pv in candidates:
+            if fn(lv, pv) != fn(pv, lv):
+                return False, (i + 2, lv, pv)
+    return True, None
+
+
+GF9 = make_field(3, 2)
+SYMMETRY_SPECS = {
+    # the CI spec: f_{j+1} = p_j l_j at GF(9), m = 4 (f_4's domain 9^6)
+    "diagonal GF(9) m=4": (True, lambda: ADGSpec(GF9, 4, tuple(
+        mul(var_p(j), var_l(j)) for j in (1, 2, 3)))),
+    "bilinear GF(4) m=2": (True, lambda: ADGSpec(make_field(2, 2), 2, (mul(var_p(1), var_l(1)),))),
+    # only f_4 breaks the swap: p_3 l_3 + p_1 l_2^2
+    "cross term GF(9) m=4": (False, lambda: ADGSpec(GF9, 4, (
+        mul(var_p(1), var_l(1)), mul(var_p(2), var_l(2)),
+        add(mul(var_p(3), var_l(3)), mul(var_p(1), powi(var_l(2), 2)))))),
+    "gh q=27": (False, lambda: gh_adjacency_spec(27)),
+}
+
+
+@pytest.mark.parametrize("domain", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("name", sorted(SYMMETRY_SPECS))
+def test_symmetry_matches_the_scalar_reference(monkeypatch, name, domain):
+    symmetric, make_spec = SYMMETRY_SPECS[name]
+    spec = make_spec()
+    if domain == "sampled":
+        monkeypatch.setattr(partitions, "SYMMETRY_EXHAUSTIVE_LIMIT", 0)
+        monkeypatch.setattr(partitions, "SYMMETRY_SAMPLES", 20_000)
+    for seed in (0, 7) if domain == "sampled" else (0,):
+        expected = _reference_is_point_line_symmetric(spec, seed)
+        assert expected[0] is symmetric
+        assert is_point_line_symmetric(spec, seed) == expected
+
+
 # -- general constructions ------------------------------------------------------
 
 def toy_odd_spec():
@@ -248,7 +304,7 @@ def test_general_odd_toy_exhaustive():
     spec = toy_odd_spec()
     part, r = general_odd_partition(spec)
     assert r == 4
-    g = materialize(spec.bipartite_graph(), 10 ** 4)
+    g = materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 4)
     verd, witnesses, mat = verdict(g, part)
     assert verd["complete"]
     assert part.class_sizes() == [4] * 4
@@ -259,7 +315,7 @@ def test_general_odd_gq_spec():
     part, r = general_odd_partition(spec)
     assert r == 64
     assert part.class_sizes() == [16] * 64
-    g = materialize(spec.bipartite_graph(), 10 ** 5)
+    g = materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 5)
     verd, _, _ = verdict(g, part)
     assert verd["complete"]
 
@@ -273,7 +329,7 @@ def test_general_odd_pairing_validation():
 def test_general_odd_nontrivial_pairing():
     spec = toy_odd_spec()
     part, r = general_odd_partition(spec, pairing=[3, 2, 1, 0])
-    g = materialize(spec.bipartite_graph(), 10 ** 4)
+    g = materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 4)
     assert verdict(g, part)[0]["complete"]
 
 
@@ -290,7 +346,7 @@ def test_general_even_m2():
         spec = ADGSpec(ctx, 2, (mul(var_p(1), var_l(1)),))
         part, r, basis = general_even_partition(spec)
         assert r == expected_r
-        g = materialize(spec.bipartite_graph(), 10 ** 4)
+        g = materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 4)
         verd, _, _ = verdict(g, part)
         assert verd["complete"]
 
@@ -326,7 +382,7 @@ def test_general_polarity_m4_toy():
     ))
     pol = adg.generic_conjugation_polarity(spec)
     pg = build_polarity_graph(spec, pol)
-    g = materialize(pg.implicit(), 10 ** 4)
+    g = materialize(pg.n, pg.arrays, 10 ** 4)
     part, scheme = general_polarity_partition(spec)
     assert scheme.r == 32
     assert part.class_sizes() == [8] * 32

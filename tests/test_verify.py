@@ -26,6 +26,7 @@ from polarpart.verify import (
     chromatic_number, luw_report, proposition_bound, ratio_eq6, verdict,
     verify_family, verify_gh_original, witness_record, _psi_chi_a,
 )
+from test_adg import _scalar_bipartite_rows
 
 
 def cycle_graph(n):
@@ -47,7 +48,7 @@ def seeded_gnp(n, prob, seed):
 
 def test_verdict_plane_q2():
     spec, pol = plane_family(2)
-    g = materialize(build_polarity_graph(spec, pol).implicit(), 10 ** 4)
+    g = materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 4)
     part = scheme_partition(PlaneScheme(spec.ctx), spec)
     verd, witnesses, mat = verdict(g, part)
     assert verd == {"complete": True, "achromatic": True, "optimally_complete": True}
@@ -126,8 +127,8 @@ def _gp_cycles(gp, kmax):
 
 def test_luw_plane_q2():
     spec, pol = plane_family(2)
-    gp = materialize(build_polarity_graph(spec, pol).implicit(), 10 ** 4)
-    g_bip = materialize(spec.bipartite_graph(), 10 ** 4)
+    gp = materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 4)
+    g_bip = materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 4)
     rep = luw_report(g_bip, gp, _gp_cycles(gp, 2))
     assert rep["ok"]
     assert rep["incidences"] == 64 and rep["polarity_edges"] == 28 and rep["absolute"] == 8
@@ -138,8 +139,8 @@ def test_luw_plane_q2():
 
 def test_luw_gq():
     spec, pol = gq_family(1)
-    gp = materialize(build_polarity_graph(spec, pol).implicit(), 10 ** 5)
-    g_bip = materialize(spec.bipartite_graph(), 10 ** 5)
+    gp = materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 5)
+    g_bip = materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 5)
     rep = luw_report(g_bip, gp, _gp_cycles(gp, 3))
     assert rep["ok"]
     assert rep["bipartite_girth"] == 8
@@ -151,8 +152,8 @@ def test_luw_gq():
 
 def test_luw_degree_relation_plane_q3():
     spec, pol = plane_family(3)
-    gp = materialize(build_polarity_graph(spec, pol).implicit(), 10 ** 4)
-    g_bip = materialize(spec.bipartite_graph(), 10 ** 4)
+    gp = materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 4)
+    g_bip = materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 4)
     rep = luw_report(g_bip, gp, _gp_cycles(gp, 2))
     assert rep["degree_relation_ok"]
     assert rep["ok"]
@@ -160,8 +161,8 @@ def test_luw_degree_relation_plane_q3():
 
 def test_luw_catches_tampering():
     spec, pol = plane_family(2)
-    gp = materialize(build_polarity_graph(spec, pol).implicit(), 10 ** 4)
-    g_bip = materialize(spec.bipartite_graph(), 10 ** 4)
+    gp = materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 4)
+    g_bip = materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 4)
     # drop one polarity edge: degree relation and reconciliation both break
     edges = list(gp.edges())[1:]
     tampered = Graph.from_edges(gp.n, edges, gp.loops)
@@ -181,8 +182,8 @@ def _reference_degree_witness(g_bip, gp):
 
 def test_luw_degree_witness_is_the_first_mismatch():
     spec, pol = gq_family(1)
-    gp = materialize(build_polarity_graph(spec, pol).implicit(), 10 ** 4)
-    g_bip = materialize(spec.bipartite_graph(), 10 ** 4)
+    gp = materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 4)
+    g_bip = materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 4)
     edges = list(gp.edges())
     loops = sorted(gp.loops)
     cases = [
@@ -312,7 +313,7 @@ def test_exhaustive_protocol_searches_each_graph_once(monkeypatch, family, kwarg
 
 def test_verify_family_detects_missing_edge():
     spec, pol = plane_family(2)
-    g = materialize(build_polarity_graph(spec, pol).implicit(), 10 ** 4)
+    g = materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 4)
     edges = list(g.edges())
     tampered = Graph.from_edges(g.n, edges[1:], g.loops)
     rep = verify_family("plane", q=2, graph=tampered, with_luw=False)
@@ -377,8 +378,8 @@ def _reference_verify_gh_original(q, materialize_limit=verify.DEFAULT_MATERIALIZ
         "seeds": [],
     }
     if 2 * ns <= 1000:
-        ig = spec_orig.bipartite_graph()
-        gv = graphs.girth(materialize(graphs.ImplicitGraph(ig.n, ig.neighbors), materialize_limit))
+        rows, loops = _scalar_bipartite_rows(spec_orig)
+        gv = graphs.girth(materialize(2 * ns, lambda: (np.array(rows), loops), materialize_limit))
         report["girth"] = gv if gv != math.inf else "inf"
     report["ok"] = bijective and preserved and edges_checked == q ** 6
     return report
@@ -489,7 +490,7 @@ def _reference_sampled_even_cycle(pg, k, num_roots, rng):
 
 
 def _polarity_graph(spec, pol):
-    return materialize(adg.PolarityGraph(spec, pol).implicit(), 10 ** 4)
+    return materialize(spec.side_size, adg.PolarityGraph(spec, pol).arrays, 10 ** 4)
 
 
 def _neighbor_table(g):
@@ -892,10 +893,10 @@ def test_check_unique_edges_matches_scalar_reference(monkeypatch, family, tamper
         assert expected[0] is False and expected[1][:2] == (kinds[-1], TAMPERED_C1[0])
         if kinds[-1].startswith("edge"):
             assert expected[1][2] == TAMPERED_C1[0] + 3
-    assert verify._check_unique_edges(g, spec, scheme) == expected
+    assert verify._check_unique_edges(g, scheme) == expected
     for rows in (1, 3):
         monkeypatch.setattr(verify, "UNIQUE_EDGE_BLOCK", rows * (scheme.r - 1))
-        assert verify._check_unique_edges(g, spec, scheme) == expected
+        assert verify._check_unique_edges(g, scheme) == expected
 
 
 def test_check_unique_edges_blocks_stay_within_the_bound(monkeypatch):
@@ -905,7 +906,7 @@ def test_check_unique_edges_blocks_stay_within_the_bound(monkeypatch):
     unique_edge_bulk = scheme.unique_edge_bulk
     scheme.unique_edge_bulk = lambda c1, c2: sizes.append(len(c1)) or unique_edge_bulk(c1, c2)
     monkeypatch.setattr(verify, "UNIQUE_EDGE_BLOCK", 500)
-    assert verify._check_unique_edges(g, spec, scheme) == (True, None)
+    assert verify._check_unique_edges(g, scheme) == (True, None)
     assert max(sizes) <= 500 and sum(sizes) == scheme.r * (scheme.r - 1) // 2
     assert len(sizes) == -(-scheme.r // (500 // (scheme.r - 1)))
 
@@ -956,7 +957,7 @@ def test_verdict_matches_the_list_tally():
 def test_sampled_protocol_agrees_with_exhaustive_off_gh(family, kwargs):
     bundle = verify.family_bundle(family, **kwargs)
     sampled = verify.verify_family_sampled(
-        family, bundle=bundle, class_pair_samples=2000, full_sweeps=50,
+        bundle, class_pair_samples=2000, full_sweeps=50,
         within_samples=500, degree_samples=500)
     exhaustive = verify_family(family, with_luw=False, **kwargs)
     assert sampled["ok"] and exhaustive["ok"]
