@@ -325,6 +325,24 @@ class ADGSpec:
         points = self.coords_to_ids(self.point_on_bulk(coords, first))
         return np.concatenate([lines, points]), np.empty(0, dtype=np.int64)
 
+    def translations(self):
+        """Generators of the translations (p, l) -> (p + t, l - t), t_1 = 0,
+        as permutations of bipartite_arrays' ids: t = b e_j for b in the
+        additive basis p^i (i < k) and j = 2..m, (m - 1) k of them yielded
+        one at a time; their point orbits are the q classes of p_1.  They
+        are automorphisms when every f_j reads only p_1 and l_1; None for
+        any other spec."""
+        if any(expr_vars(f) - {("p", 1), ("l", 1)} for f in self.fs):
+            return None
+        ctx, ns = self.ctx, self.side_size
+        coords = self.ids_to_coords(np.arange(ns))
+
+        def shifted(j, b, op):
+            return self.coords_to_ids([*coords[:j], op(coords[j], b), *coords[j + 1:]])
+
+        return (np.concatenate([shifted(j, b, ctx.add_bulk), ns + shifted(j, b, ctx.sub_bulk)])
+                for j in range(1, self.m) for b in ctx.p ** np.arange(ctx.k))
+
 
 # -- polarities ---------------------------------------------------------------
 

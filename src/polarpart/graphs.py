@@ -220,11 +220,22 @@ def arc_codes(g: Graph):
     return tails * heads.dtype.type(g.n) + heads
 
 
-def find_even_cycle(g: Graph, k: int):
-    """Witness cycle of length exactly 2k, or None: even_cycle from every
-    root, on the adjacency as a padded table (ascending rows)."""
+def is_automorphism(g: Graph, perm) -> bool:
+    """True when the permutation `perm` of 0..n-1 maps every row of the
+    padded table onto the row of its image, order kept: row perm[v] equals
+    perm of row v, pads staying -1.  Row equality gives set equality, so a
+    pass is exact; a perm that reorders some row fails.  Loops are not
+    compared (girth and the cycle searches ignore them)."""
     table = g.table
-    hit = even_cycle(np.arange(g.n), k, lambda ids: table[ids], g.n)
+    return np.array_equal(table[perm], np.append(perm, -1).astype(table.dtype)[table])
+
+
+def find_even_cycle(g: Graph, k: int, roots=None):
+    """Witness cycle of length exactly 2k, or None: even_cycle from `roots`
+    (every vertex by default), on the adjacency as a padded table
+    (ascending rows)."""
+    table = g.table
+    hit = even_cycle(np.arange(g.n) if roots is None else roots, k, lambda ids: table[ids], g.n)
     return None if hit is None else hit[1]
 
 
@@ -358,13 +369,17 @@ def _has_odd_cycle(table):
     return False
 
 
-def girth(g: Graph):
+def girth(g: Graph, roots=None):
     """Length of the shortest cycle (loops excluded); math.inf for forests.
 
     Level-synchronous BFS from blocks of roots, each (root, vertex) pair a
-    slot of one flat array.  Root r expands only neighbours above r: a
-    shortest cycle is found from its minimum vertex over G[>= r] (Itai &
-    Rodeh, 1978), and no root reports less than the girth.  Expanding level
+    slot of one flat array.  With no `roots`, every root r expands only
+    neighbours above r: a shortest cycle is found from its minimum vertex
+    over G[>= r] (Itai & Rodeh, 1978), and no root reports less than the
+    girth.  Given `roots`, each runs a plain BFS, which returns a length
+    between the girth and the shortest cycle through it; the result is
+    their minimum, the girth when some shortest cycle passes through a
+    root (as one does through each automorphism orbit).  Expanding level
     d, an arc into level d closes a cycle of length 2d+1 and a new vertex
     reached twice (found by scatter and read-back) one of length 2d+2;
     arcs back to level d - 1, the parent arcs among them, are dropped.
@@ -379,20 +394,25 @@ def girth(g: Graph):
         return math.inf
     table = g.table
     slack = 1 if _has_odd_cycle(table) else 2
-    size = min(n, max(1, GIRTH_CHUNK // n))
+    if roots is None:
+        roots = floor = np.arange(n, dtype=np.int32)
+    else:
+        roots = np.asarray(roots, dtype=np.int32)
+        floor = np.full(len(roots), -1, dtype=np.int32)
+    size = min(len(roots), max(1, GIRTH_CHUNK // n))
     level = np.full(size * n, -1, dtype=np.int32)  # BFS depth reaches n / 2
     owner = np.empty(size * n, dtype=np.int32)  # a level has under size * 2|E| < 2^31 arcs
     best, first, block = math.inf, 0, 1
-    while first < n and best > 2 + slack:
-        pos = np.arange(min(block, n - first), dtype=np.int32)
-        start, tips = first, first + pos
+    while first < len(roots) and best > 2 + slack:
+        pos = np.arange(min(block, len(roots) - first), dtype=np.int32)
+        start, tips = first, roots[first + pos]
         first, block = first + len(pos), size
         touched = [pos * n + tips]
         level[touched[0]] = 0
         d = 0
         while len(tips) and 2 * d + slack < best:
             nb = table[tips]
-            keys = ((pos * n)[:, None] + nb)[nb > (start + pos)[:, None]]  # above the root
+            keys = ((pos * n)[:, None] + nb)[nb > floor[start + pos][:, None]]  # above the floor
             seen = level[keys]  # the parent arc lands on level d - 1
             if slack == 1 and (seen == d).any():
                 best = 2 * d + 1

@@ -18,7 +18,8 @@ from . import adg, partitions as parts
 from .gf import prime_power
 from .graphs import (
     Graph, Partition, arc_codes, arcs, degree_multiset, degrees, edge_count,
-    even_cycle, find_even_cycle, girth, loop_count, materialize, pair_edge_matrix,
+    even_cycle, find_even_cycle, girth, is_automorphism, loop_count, materialize,
+    pair_edge_matrix,
 )
 
 ORACLE_MAX_N = 12
@@ -196,14 +197,16 @@ def brute_force_chi_a(g: Graph) -> int:
 # LUW relation checks (materialized graphs)
 # ---------------------------------------------------------------------------
 
-def luw_report(g_bip: Graph, gp: Graph, gp_cycles):
+def luw_report(g_bip: Graph, gp: Graph, gp_cycles, roots=None):
     """Degree relation, incidence reconciliation, cycle transfer, and girth
     halving between a bipartite graph and its polarity graph.
 
     Point v of the polarity graph is vertex v of the bipartite graph (the
     point side comes first in the id layout), and gp's loops are the
     absolute points.  `gp_cycles` maps each k of 2..kmax to
-    find_even_cycle(gp, k), which the caller has already run.
+    find_even_cycle(gp, k), which the caller has already run.  `roots`
+    (orbit_roots) are the bipartite girth and cycle searches' roots; every
+    vertex when None.
     """
     n_pi = loop_count(gp)
     expect = degrees(g_bip)[:gp.n]
@@ -218,7 +221,7 @@ def luw_report(g_bip: Graph, gp: Graph, gp_cycles):
     literal = e_gp == e_bip - n_pi
     transfers = {}
     for k, gp_witness in sorted(gp_cycles.items()):
-        bip_witness = find_even_cycle(g_bip, k)
+        bip_witness = find_even_cycle(g_bip, k, roots)
         if bip_witness is None:
             transfers[2 * k] = {
                 "bipartite_free": True,
@@ -230,7 +233,7 @@ def luw_report(g_bip: Graph, gp: Graph, gp_cycles):
                                 "witness": None}
     transfer_ok = all(t["polarity_free"] for t in transfers.values()
                       if t["bipartite_free"])
-    g_bip_girth = girth(g_bip)
+    g_bip_girth = girth(g_bip, roots)
     gp_girth = girth(gp)
     girth_ok = gp_girth >= g_bip_girth / 2
     return {
@@ -248,6 +251,19 @@ def luw_report(g_bip: Graph, gp: Graph, gp_cycles):
         "girth_halving_ok": girth_ok,
         "ok": degree_ok and reconciled and transfer_ok and girth_ok,
     }
+
+
+def orbit_roots(spec, g_bip: Graph):
+    """The q point ids t q^(m-1), one per p_1 class, when every generator of
+    spec.translations() is an automorphism of g_bip (materialized from
+    spec.bipartite_arrays); None otherwise.  Each point has a translation
+    onto its class's id, so a shortest cycle, or a 2k-cycle, passes
+    through one of them when any exists (every bipartite cycle has a point)."""
+    perms = spec.translations()
+    if perms is None or not all(is_automorphism(g_bip, s) for s in perms):
+        return None
+    q = spec.ctx.order
+    return np.arange(q) * q ** (spec.m - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +464,8 @@ def verify_family_exhaustive(bundle, *, seed=0,
     }
     if with_luw:
         g_bip = materialize(2 * spec.side_size, spec.bipartite_arrays, 4 * materialize_limit)
-        report["luw"] = luw_report(g_bip, g, {k: found[k] for k in luw_ks})
+        report["luw"] = luw_report(g_bip, g, {k: found[k] for k in luw_ks},
+                                   orbit_roots(spec, g_bip))
     else:
         report["luw"] = None
 

@@ -228,6 +228,7 @@ def test_girth_and_even_cycles_against_networkx():
         expected = nx.girth(h)
         got = girth(g)
         assert got == expected or (got == math.inf and expected == math.inf), trial
+        assert girth(g, np.arange(n)) == got, trial  # plain BFS from every root
         cycle_lengths = set()
         for c in nx.simple_cycles(h, length_bound=10):
             cycle_lengths.add(len(c))
@@ -258,6 +259,8 @@ def test_girth_matches_reference_on_random_graphs(monkeypatch):
         for chunk in [1] + _girth_block_sizes(g):
             monkeypatch.setattr(graphs, "GIRTH_CHUNK", chunk)
             assert girth(g) == expected, (trial, chunk)
+            # every vertex as an explicit root: a plain BFS, no floor
+            assert girth(g, np.arange(n)) == expected, (trial, chunk)
         monkeypatch.undo()
 
 

@@ -200,6 +200,94 @@ def test_luw_degree_witness_is_the_first_mismatch():
         True, False, False, False]
 
 
+# -- translation-orbit roots ------------------------------------------------------
+
+def _bipartite(spec):
+    return materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 5)
+
+
+ORBIT_SPECS = {
+    **{f"plane q={q}": (lambda q=q: plane_family(q)[0]) for q in (2, 3, 4, 5, 7)},
+    "gq e=0": lambda: gq_family(0, allow_small_e=True)[0],
+    "gq e=1": lambda: gq_family(1)[0],
+    "gh e=0": lambda: gh_family(0, allow_small_e=True)[0],
+}
+
+
+@pytest.mark.parametrize("name", ORBIT_SPECS)
+def test_orbit_root_girth_equals_every_root_girth(name):
+    spec = ORBIT_SPECS[name]()
+    g_bip = _bipartite(spec)
+    roots = verify.orbit_roots(spec, g_bip)
+    assert roots is not None and len(roots) == spec.ctx.order
+    assert graphs.girth(g_bip, roots) == graphs.girth(g_bip)
+
+
+@pytest.mark.parametrize("spec", [plane_family(3)[0], gq_family(1)[0]], ids=["GF(9)", "GF(8)"])
+def test_translation_orbits_are_the_first_coordinate_classes(spec):
+    """The generators' orbit closure on point ids is the p_1 classes; with
+    the +1 translations alone it would be finer over GF(9) and GF(8)."""
+    import networkx as nx
+
+    ns, q, k = spec.side_size, spec.ctx.order, spec.ctx.k
+    perms = list(spec.translations())
+    assert len(perms) == (spec.m - 1) * k > spec.m - 1
+    g_bip = _bipartite(spec)
+    for perm in perms:
+        assert sorted(perm.tolist()) == list(range(2 * ns))
+        assert graphs.is_automorphism(g_bip, perm)
+    h = nx.Graph()
+    h.add_nodes_from(range(ns))
+    h.add_edges_from((v, int(perm[v])) for perm in perms for v in range(ns))
+    orbits = sorted(sorted(c) for c in nx.connected_components(h))
+    assert orbits == [list(range(t * ns // q, (t + 1) * ns // q)) for t in range(q)]
+
+
+def test_orbit_path_refused_off_the_first_coordinates():
+    spec_orig = adg.gh_original_family(3)[0]  # f_3 reads l_2
+    assert spec_orig.translations() is None
+    assert verify.orbit_roots(spec_orig, _bipartite(spec_orig)) is None
+
+
+def test_orbit_path_refused_on_a_graph_with_two_endpoints_swapped():
+    spec = plane_family(3)[0]
+    g_bip = _bipartite(spec)
+    ns = spec.side_size
+    edges = list(g_bip.edges())  # (point, line): points come first
+    a, b = edges[0]
+    c, d = next((c, d) for c, d in edges
+                if c != a and not g_bip.has_edge(a, d) and not g_bip.has_edge(c, b))
+    swapped = set(edges) - {(a, b), (c, d)} | {(a, d), (c, b)}
+    tampered = Graph.from_edges(2 * ns, swapped)
+    assert (graphs.degrees(tampered) == graphs.degrees(g_bip)).all()
+    assert verify.orbit_roots(spec, g_bip) is not None
+    assert verify.orbit_roots(spec, tampered) is None
+
+
+def test_orbit_root_cycle_search_finds_a_c4():
+    # f_2 = p_1 + l_1 reads only the first coordinates, and its graph has C4s
+    spec = adg.ADGSpec(adg.make_field(3, 2), 2, (adg.add(adg.var_p(1), adg.var_l(1)),))
+    g_bip = _bipartite(spec)
+    roots = verify.orbit_roots(spec, g_bip)
+    assert roots is not None
+    w = find_even_cycle(g_bip, 2, roots)
+    assert w is not None and find_even_cycle(g_bip, 2) is not None
+    assert len(set(w)) == 4 and all(g_bip.has_edge(w[i - 1], w[i]) for i in range(4))
+
+
+@pytest.mark.parametrize("family,kmax", [
+    (lambda: plane_family(3), 2), (lambda: plane_family(5), 2), (lambda: gq_family(1), 3)])
+def test_orbit_roots_leave_cycle_searches_and_luw_report_unchanged(family, kmax):
+    spec, pol = family()
+    gp = materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 5)
+    g_bip = _bipartite(spec)
+    roots = verify.orbit_roots(spec, g_bip)
+    for k in range(2, kmax + 1):
+        assert find_even_cycle(g_bip, k, roots) is None is find_even_cycle(g_bip, k)
+    cycles = _gp_cycles(gp, kmax)
+    assert luw_report(g_bip, gp, cycles, roots) == luw_report(g_bip, gp, cycles)
+
+
 # -- oracles ---------------------------------------------------------------------
 
 def test_oracle_k4():
@@ -289,9 +377,9 @@ def test_verify_family_certifies_gq():
 def test_exhaustive_protocol_searches_each_graph_once(monkeypatch, family, kwargs, ks):
     searched = []  # (graph, k); holding the graphs keeps their ids distinct
 
-    def counting(g, k):
+    def counting(g, k, roots=None):
         searched.append((g, k))
-        return find_even_cycle(g, k)
+        return find_even_cycle(g, k, roots)
 
     table, tabled = Graph.table.func, []
 
