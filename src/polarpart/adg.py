@@ -468,6 +468,9 @@ FOLD_BUDGET = 1 << 18
 # a block's partial sums, in the tables' dtype, stay in cache.
 ID_BLOCK = 1 << 16
 
+# Candidates per block of PolarityGraph.absolute_ids' staged scan.
+SCAN_CHUNK = 1 << 20
+
 
 class PolarityGraph:
     """Polarity graph on the point side: p ~ r iff r lies on pi(p).
@@ -590,15 +593,15 @@ class PolarityGraph:
                 f"the absolute-point scan needs about q^(m-1) = {work:.2e} candidate "
                 f"tests, above the bound {ABSOLUTE_SCAN_LIMIT:.0e}")
 
-    def absolute_ids(self, chunk=1 << 20):
+    def absolute_ids(self):
         """Sorted int64 ids of every absolute point, by an exact scan (cached).
 
         The scan binds one point coordinate at a time in scan_stages order,
-        expanding the surviving candidates by its q values, at most `chunk`
-        candidates a block; it tests incident(p, polar(p)) one equation at
-        a time as soon as the equation's support is bound, and a candidate
-        leaves at the first equation it fails.  Unbound coordinates read 0.
-        check_scan_bound runs first.
+        expanding the surviving candidates by its q values, at most
+        SCAN_CHUNK candidates a block; it tests incident(p, polar(p)) one
+        equation at a time as soon as the equation's support is bound, and
+        a candidate leaves at the first equation it fails.  Unbound
+        coordinates read 0.  check_scan_bound runs first.
         """
         ids = getattr(self, "_absolute_ids", None)
         if ids is None:
@@ -610,8 +613,8 @@ class PolarityGraph:
             def expand(c, eqs, pv):
                 """The survivors of pv extended by coordinate c, by blocks."""
                 flat = len(pv[0]) * q
-                for lo in range(0, flat, chunk):
-                    hi = min(lo + chunk, flat)
+                for lo in range(0, flat, SCAN_CHUNK):
+                    hi = min(lo + SCAN_CHUNK, flat)
                     rows = slice(lo // q, -(-hi // q))  # the rows candidates lo..hi-1 extend
                     cut = slice(lo % q, hi - rows.start * q)
                     block = [np.repeat(x[rows], q)[cut] for x in pv]
@@ -651,10 +654,9 @@ class PolarityGraph:
         return [p for p in self.spec.all_coords() if self.is_absolute(p)]
 
 
-def build_polarity_graph(spec: ADGSpec, pol: PolaritySpec, mode="exhaustive",
-                         seed=0) -> PolarityGraph:
-    """Check the polarity, then wrap it; raises if the check fails."""
-    chk = check_polarity(spec, pol, mode=mode, seed=seed)
+def build_polarity_graph(spec: ADGSpec, pol: PolaritySpec) -> PolarityGraph:
+    """Check the polarity exhaustively, then wrap it; raises if the check fails."""
+    chk = check_polarity(spec, pol)
     if not chk.ok:
         raise ValueError(f"polarity check failed: {chk.witness}")
     pg = PolarityGraph(spec, pol)
@@ -723,9 +725,9 @@ def eval_expr_bulk(e, ctx, lv, pv):
     return {"add": ctx.add_bulk, "sub": ctx.sub_bulk, "mul": ctx.mul_bulk}[op](a, b)
 
 
-def count_absolute_bulk(pg: PolarityGraph, chunk=1 << 20) -> int:
+def count_absolute_bulk(pg: PolarityGraph) -> int:
     """Absolute-point count by PolarityGraph.absolute_ids' exact staged scan."""
-    return len(pg.absolute_ids(chunk))
+    return len(pg.absolute_ids())
 
 
 # -- the concrete families -----------------------------------------------------

@@ -69,8 +69,6 @@ def verdict(g: Graph, part: Partition):
     mat = pair_edge_matrix(g, part)
     rows, cols = np.nonzero(np.triu(mat.cross != 1, 1))  # row-major
     counts = mat.cross[rows, cols]
-    complete = bool(counts.all())
-    all_single = bool((counts <= 1).all())
     witnesses = [("missing_pair", i, j) if c == 0 else ("multi_edge_pair", i, j, c)
                  for i, j, c in zip(rows.tolist(), cols.tolist(), counts.tolist())]
     within_total = mat.total_within()
@@ -80,16 +78,21 @@ def verdict(g: Graph, part: Partition):
         i = _first((tails < heads) & (cls[tails] == cls[heads]))
         u, v = int(tails[i]), int(heads[i])
         witnesses.append(("within_edge", int(cls[u]), u, v))
-    achromatic = complete and within_total == 0
-    optimally_complete = (
-        complete and all_single and within_total == 0
-        and edge_count(g) == part.r * (part.r - 1) // 2
-    )
+    flags = _verdict_flags(bool(counts.all()), within_total == 0, edge_count(g), part.r)
+    return flags, witnesses, mat
+
+
+def _verdict_flags(complete, within_free, edges, r):
+    """complete, achromatic (complete with no edge inside a class) and
+    optimally complete (achromatic with e = C(r, 2)).  With every class
+    pair joined, no edge inside a class and C(r, 2) edges, every class
+    pair is joined by exactly one edge."""
+    achromatic = complete and within_free
     return {
         "complete": complete,
         "achromatic": achromatic,
-        "optimally_complete": optimally_complete,
-    }, witnesses, mat
+        "optimally_complete": achromatic and edges == r * (r - 1) // 2,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +306,72 @@ def family_bundle(family, *, q=None, e=None, allow_small_e=False, spec_json=None
     raise ValueError(f"unknown family {family!r}")
 
 
-def expected_degree_spectrum(scheme, q):
-    """vertex-degree -> count for the polarity graph of each family."""
-    if scheme.family == "plane":
-        return {q * q: q ** 4 - q ** 3, q * q - 1: q ** 3}
-    if scheme.family == "gq":
-        return {q: q ** 3 - q ** 2, q - 1: q ** 2}
-    if scheme.family == "gh":
-        return {q: q ** 5 - q ** 3, q - 1: q ** 3}
-    return None
+def expected_degree_spectrum(spec, scheme):
+    """vertex degree -> count for the polarity graph with one absolute point
+    per class: a polar line holds q points, q the field order, and an
+    absolute point is one of its own line's."""
+    q = spec.ctx.order
+    return {q: spec.side_size - scheme.r, q - 1: scheme.r}
+
+
+# ---------------------------------------------------------------------------
+# report sections shared by the protocols
+# ---------------------------------------------------------------------------
+
+def _report_head(bundle, mode, pol_check, seed):
+    """The sections every family report opens with; with ok false and the
+    polarity witness when the polarity check failed."""
+    spec, _, scheme, params = bundle
+    report = {
+        "family": scheme.family,
+        "params": params,
+        "mode": mode,
+        "field": spec.ctx.to_json(),
+        "polarity": pol_check.to_json(),
+        "seeds": [seed],
+        "witnesses": [],
+    }
+    if not pol_check.ok:
+        report["ok"] = False
+        report["witnesses"].append(("polarity", pol_check.witness))
+    return report
+
+
+def _counts(n, edges, loops, method):
+    """The report's counts; every loop is an absolute point."""
+    return {"n": n, "edges": edges, "loops": loops, "absolute": loops,
+            "edge_count_method": method}
+
+
+def _cycle_verdicts(report, found, passed):
+    """report["cycles"]: C2k -> `passed` for each k of `found` whose search
+    found no cycle, "fail" for one whose cycle found[k] goes to the
+    witnesses.  True when no search found a cycle."""
+    report["cycles"] = {}
+    for k, w in found.items():
+        report["cycles"][f"C{2 * k}"] = passed if w is None else "fail"
+        if w is not None:
+            report["witnesses"].append((f"C{2 * k}", list(w)))
+    return all(w is None for w in found.values())
+
+
+def _bounds(n, max_degree, edges, r, verdicts):
+    """The counting bounds and the certification rule: psi = r once the
+    partition is complete and r + 1 is ruled out, by C(r + 1, 2) > e or by
+    Proposition 1 failing at r + 1; chi_a = r when it is also achromatic."""
+    complete = verdicts["complete"]
+    bub = binom_upper_bound(edges)
+    prop_next = proposition_bound(n, max_degree, r + 1)
+    certified = complete and (bub == r or not prop_next)
+    return {
+        "binom_ub": bub,
+        "prop1_holds_at_r": proposition_bound(n, max_degree, r),
+        "prop1_fails_at_r_plus_1": not prop_next,
+        "eq6_ratio": ratio_eq6(r, edges) if complete and edges else None,
+        "psi": r if certified else None,
+        "chi_a": r if certified and verdicts["achromatic"] else None,
+        "certified": certified,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -378,24 +438,12 @@ def verify_family_exhaustive(bundle, *, seed=0,
     exhaustive check_polarity result on the bundle's spec and polarity may
     be passed as `pol_check`.
     """
-    spec, pol, scheme, params = bundle
+    spec, pol, scheme, _ = bundle
     family = scheme.family
-    ctx = spec.ctx
-    qq = params.get("q", ctx.order)
     if pol_check is None:
-        pol_check = adg.check_polarity(spec, pol, mode="exhaustive")
-    report = {
-        "family": family,
-        "params": params,
-        "mode": "exhaustive",
-        "field": ctx.to_json(),
-        "polarity": pol_check.to_json(),
-        "seeds": [seed],
-        "witnesses": [],
-    }
+        pol_check = adg.check_polarity(spec, pol)
+    report = _report_head(bundle, "exhaustive", pol_check, seed)
     if not pol_check.ok:
-        report["ok"] = False
-        report["witnesses"].append(("polarity", pol_check.witness))
         return report
 
     if graph is None:
@@ -408,20 +456,13 @@ def verify_family_exhaustive(bundle, *, seed=0,
     else:
         part = partition
 
-    n_pi = loop_count(g)
-    report["counts"] = {
-        "n": g.n,
-        "edges": edge_count(g),
-        "loops": n_pi,
-        "absolute": n_pi,
-        "edge_count_method": "exact",
-    }
+    n_pi, e_g = loop_count(g), edge_count(g)
+    report["counts"] = _counts(g.n, e_g, n_pi, "exact")
     tally = degree_multiset(g)
     report["degree_multiset"] = {str(k): v for k, v in sorted(tally.items())}
-    spectrum = expected_degree_spectrum(scheme, qq)
-    degrees_ok = spectrum is None or tally == spectrum
+    degrees_ok = tally == expected_degree_spectrum(spec, scheme)
     verd, witnesses, mat = verdict(g, part)
-    report["partition"] = {"r": part.r, "class_size": getattr(scheme, "class_size", None)}
+    report["partition"] = {"r": part.r, "class_size": scheme.class_size}
     report["verdicts"] = verd
     report["witnesses"].extend(witnesses[:20])
 
@@ -433,30 +474,8 @@ def verify_family_exhaustive(bundle, *, seed=0,
     # one search per k, shared by the forbidden-cycle checks and LUW
     luw_ks = range(2, min(max(FORBIDDEN[family], default=2), 3) + 1) if with_luw else ()
     found = {k: find_even_cycle(g, k) for k in sorted({*FORBIDDEN[family], *luw_ks})}
-    cycles = {}
-    cycles_ok = True
-    for k in FORBIDDEN[family]:
-        w = found[k]
-        cycles[f"C{2 * k}"] = "pass" if w is None else "fail"
-        if w is not None:
-            cycles_ok = False
-            report["witnesses"].append((f"C{2 * k}", list(w)))
-    report["cycles"] = cycles
-
-    e_g = edge_count(g)
-    dmax = max(tally, default=0)
-    bub = binom_upper_bound(e_g)
-    prop_next = proposition_bound(g.n, dmax, part.r + 1)
-    certified = verd["complete"] and (bub == part.r or not prop_next)
-    report["bounds"] = {
-        "binom_ub": bub,
-        "prop1_holds_at_r": proposition_bound(g.n, dmax, part.r),
-        "prop1_fails_at_r_plus_1": not prop_next,
-        "eq6_ratio": ratio_eq6(part.r, e_g) if verd["complete"] and e_g else None,
-        "psi": part.r if certified else None,
-        "chi_a": part.r if certified and verd["achromatic"] else None,
-        "certified": certified,
-    }
+    cycles_ok = _cycle_verdicts(report, {k: found[k] for k in FORBIDDEN[family]}, "pass")
+    report["bounds"] = _bounds(g.n, max(tally, default=0), e_g, part.r, verd)
     report["checks"] = {
         "degrees_ok": degrees_ok,
         "unique_edges_ok": unique_ok,
@@ -471,7 +490,7 @@ def verify_family_exhaustive(bundle, *, seed=0,
 
     ok = (
         verd["optimally_complete"] and degrees_ok and unique_ok and loops_ok
-        and cycles_ok and certified
+        and cycles_ok and report["bounds"]["certified"]
         and (report["luw"] is None or report["luw"]["ok"])
     )
     report["ok"] = ok
@@ -595,8 +614,7 @@ def verify_family_sampled(bundle, *, seed=0,
     instance whose scan PolarityGraph.check_scan_bound refuses raises
     ValueError before any check runs.
     """
-    spec, pol, scheme, params = bundle
-    family = scheme.family
+    spec, pol, scheme, _ = bundle
     pg = adg.PolarityGraph(spec, pol)
     pg.check_scan_bound()
     ctx = spec.ctx
@@ -607,18 +625,8 @@ def verify_family_sampled(bundle, *, seed=0,
 
     pol_check = adg.check_polarity(spec, pol, mode="sampled",
                                    samples=SAMPLED_INCIDENCES, seed=seed)
-    report = {
-        "family": family,
-        "params": params,
-        "mode": "sampled",
-        "field": ctx.to_json(),
-        "polarity": pol_check.to_json(),
-        "seeds": [seed],
-        "witnesses": [],
-    }
+    report = _report_head(bundle, "sampled", pol_check, seed)
     if not pol_check.ok:
-        report["ok"] = False
-        report["witnesses"].append(("polarity", pol_check.witness))
         return report
 
     n = spec.side_size
@@ -626,13 +634,7 @@ def verify_family_sampled(bundle, *, seed=0,
     absolute_ids = pg.absolute_ids()
     incidences = n * q  # each point lies on exactly q lines (forward solve)
     edges = (incidences - n_pi) // 2
-    report["counts"] = {
-        "n": n,
-        "edges": edges,
-        "loops": n_pi,
-        "absolute": n_pi,
-        "edge_count_method": "derived",
-    }
+    report["counts"] = _counts(n, edges, n_pi, "derived")
 
     # Each phase below draws all its samples first, in the order a loop
     # over samples would, checks them on the bulk kernel, and on the first
@@ -671,10 +673,11 @@ def verify_family_sampled(bundle, *, seed=0,
     sweep_ok = True
     sweeps_done = 0
     pairs, rewind = _predraw(rng, full_sweeps, (2, r))
-    for i, (c1, c2) in enumerate(pairs.tolist()):
-        if c1 == c2:
-            continue
-        expected = tuple(spec.coords_to_id(x) for x in scheme.unique_edge(c1, c2))
+    # a, b stay bound: freeing the substitution's arrays here raised the
+    # gh q=27 protocol's peak RSS by about 4 MB in half of the runs
+    at = np.flatnonzero(pairs[:, 0] != pairs[:, 1])
+    expected_edges = zip(*(x.tolist() for x in scheme.unique_edge_bulk(*pairs[at].T)))
+    for i, (c1, c2), expected in zip(at.tolist(), pairs[at].tolist(), expected_edges):
         members = scheme.class_members_bulk([c1])[0]
         nb = pg.neighbor_ids(members)
         rows, cols = np.nonzero((nb >= 0) & (scheme.class_of_ids(nb) == c2))
@@ -729,38 +732,17 @@ def verify_family_sampled(bundle, *, seed=0,
         report["witnesses"].append(("symmetry", spec.id_to_coords(int(vs[i])),
                                     spec.id_to_coords(int(uv[i]))))
 
-    cycles = {}
-    cycles_ok = True
-    for k in FORBIDDEN[family]:
+    found = {}
+    for k in FORBIDDEN[scheme.family]:
         w = _sampled_even_cycle(pg, k, cycle_roots.get(k, 1), rng)
-        cycles[f"C{2 * k}"] = "pass-sampled" if w is None else "fail"
-        if w is not None:
-            cycles_ok = False
-            report["witnesses"].append((f"C{2 * k}", [list(x) for x in w]))
-    report["cycles"] = cycles
+        found[k] = None if w is None else [list(x) for x in w]
+    cycles_ok = _cycle_verdicts(report, found, "pass-sampled")
 
-    r = scheme.r
-    bub = binom_upper_bound(edges)
-    prop_next = proposition_bound(n, q, r + 1)
-    certified = not prop_next or bub == r
     report["partition"] = {"r": r, "class_size": scheme.class_size}
-    report["verdicts"] = {
-        "complete": adjacency_ok and sweep_ok,
-        "achromatic": adjacency_ok and sweep_ok and within_ok,
-        "optimally_complete": (adjacency_ok and sweep_ok and within_ok
-                               and edges == r * (r - 1) // 2),
-        "sampled": True,
-    }
-    report["bounds"] = {
-        "binom_ub": bub,
-        "prop1_holds_at_r": proposition_bound(n, q, r),
-        "prop1_fails_at_r_plus_1": not prop_next,
-        "eq6_ratio": ratio_eq6(r, edges),
-        "psi": r if certified else None,
-        "chi_a": r if certified else None,
-        "certified": certified,
-        "max_degree_method": "structural: one line per first coordinate",
-    }
+    verd = _verdict_flags(adjacency_ok and sweep_ok, within_ok, edges, r)
+    report["verdicts"] = {**verd, "sampled": True}
+    report["bounds"] = {**_bounds(n, q, edges, r, verd),
+                        "max_degree_method": "structural: one line per first coordinate"}
     report["checks"] = {
         "substitution_pairs": substitution_checked,
         "full_sweeps": sweeps_done,
@@ -779,9 +761,8 @@ def verify_family_sampled(bundle, *, seed=0,
         "degree_relation": "sampled via degree spot checks",
     }
     report["ok"] = (
-        adjacency_ok and sweep_ok and within_ok and spectrum_ok and loops_ok
-        and loop_formula_ok and symmetry_ok and cycles_ok and certified
-        and report["verdicts"]["optimally_complete"]
+        verd["optimally_complete"] and spectrum_ok and loops_ok and loop_formula_ok
+        and symmetry_ok and cycles_ok and report["bounds"]["certified"]
     )
     return report
 
@@ -873,8 +854,7 @@ def verify_gh_original(q, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
         "params": {"q": q},
         "mode": "exhaustive",
         "field": spec_orig.ctx.to_json(),
-        "counts": {"n": 2 * ns, "edges": edges_checked, "loops": 0, "absolute": 0,
-                   "edge_count_method": "exact"},
+        "counts": _counts(2 * ns, edges_checked, 0, "exact"),
         "bijective_points": bijective_points,
         "bijective_lines": bijective_lines,
         "edges_checked": edges_checked,
@@ -918,33 +898,26 @@ def verify_bipartite_partition(spec, part: Partition, r,
 # witness ledger for the f(r, H) records
 # ---------------------------------------------------------------------------
 
-WITNESS_SHAPE = {
-    "plane": lambda q: (q ** 3, q, ["C4"]),
-    "gq": lambda q: (q ** 2, q, ["C4", "C6"]),
-    "gh": lambda q: (q ** 3, q ** 2, ["C4", "C6", "C8", "C10"]),
-}
-
-
 def witness_record(family, *, q=None, e=None, seed=0, report=None):
     """(r, k)-graph ledger entry for a family instance.
 
     Runs the family verification if no report is supplied; refuses to emit
-    a record unless the partition verified complete.  Cycle verdicts carry
-    their pass / pass-sampled flag verbatim.
+    a record unless the partition verified complete.  r and k are the
+    report's class count and class size, and the forbidden cycles its
+    cycle verdicts' lengths; the verdicts carry their pass / pass-sampled
+    flag verbatim.
     """
     if report is None:
         kwargs = {"q": q} if family == "plane" else {"e": e}
         report = verify_family(family, seed=seed, with_luw=False, **kwargs)
     if not report["verdicts"]["complete"]:
         raise ValueError("partition did not verify complete; no witness record")
-    qv = report["params"]["q"]
-    r, k, forbidden = WITNESS_SHAPE[family](qv)
     return {
         "family": family,
-        "q": qv,
-        "r": r,
-        "k": k,
-        "forbidden": forbidden,
+        "q": report["params"]["q"],
+        "r": report["partition"]["r"],
+        "k": report["partition"]["class_size"],
+        "forbidden": sorted(report["cycles"], key=lambda c: int(c[1:])),
         "cycles": report["cycles"],
         "mode": report["mode"],
         "note": "constructive witness only; no asymptotic claim",

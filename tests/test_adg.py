@@ -281,12 +281,13 @@ def test_generic_conjugation_accepts_symmetric_with_linear_terms():
     assert check_polarity(spec, pol, mode="exhaustive").ok
 
 
-def test_bulk_absolute_matches_scalar():
+def test_bulk_absolute_matches_scalar(monkeypatch):
+    monkeypatch.setattr(adg, "SCAN_CHUNK", 1000)
     for builder in (lambda: plane_family(2), lambda: plane_family(3),
                     lambda: gq_family(1), lambda: gh_family(0, allow_small_e=True)):
         spec, pol = builder()
         pg = adg.PolarityGraph(spec, pol)
-        assert count_absolute_bulk(pg, chunk=1000) == len(pg.absolute_points())
+        assert count_absolute_bulk(pg) == len(pg.absolute_points())
 
 
 def test_bulk_expression_evaluator():
@@ -678,15 +679,15 @@ def _scalar_absolute_ids(pg):
     return [pg.spec.coords_to_id(p) for p in pg.absolute_points()]
 
 
-def test_absolute_ids_match_scalar_scan():
+def test_absolute_ids_match_scalar_scan(monkeypatch):
     families = [lambda q=q: plane_family(q) for q in (2, 3, 4, 5)]
     families += [lambda: gq_family(1), lambda: gh_family(0, allow_small_e=True)]
     for make_family in families:
         spec, pol = make_family()
         expected = _scalar_absolute_ids(adg.PolarityGraph(spec, pol))
-        for chunk in (1, spec.ctx.order, 100, None):
-            pg = adg.PolarityGraph(spec, pol)
-            ids = pg.absolute_ids() if chunk is None else pg.absolute_ids(chunk)
+        for chunk in (1, spec.ctx.order, 100, 1 << 20):
+            monkeypatch.setattr(adg, "SCAN_CHUNK", chunk)
+            ids = adg.PolarityGraph(spec, pol).absolute_ids()
             assert ids.dtype == np.int64
             assert ids.tolist() == expected
 
@@ -698,7 +699,7 @@ def test_absolute_ids_match_full_scan_gh_e1():
     assert np.array_equal(ids, _reference_absolute_ids(pg))
 
 
-def test_absolute_ids_with_a_coordinate_no_equation_reads():
+def test_absolute_ids_with_a_coordinate_no_equation_reads(monkeypatch):
     # f_2 = 0 reads nothing, f_3 = p_2 l_2: once l = polar(p), no equation
     # reads p_1, so the scan binds it last and tests nothing there
     spec = ADGSpec.from_json({"field": {"p": 3, "k": 2}, "m": 3, "fs": [
@@ -707,7 +708,8 @@ def test_absolute_ids_with_a_coordinate_no_equation_reads():
     pg = adg.PolarityGraph(spec, pol)
     assert pg.scan_stages() == [(1, [0]), (2, [1]), (0, [])]
     for chunk in (1, 5, 100):
-        ids = adg.PolarityGraph(spec, pol).absolute_ids(chunk).tolist()
+        monkeypatch.setattr(adg, "SCAN_CHUNK", chunk)
+        ids = adg.PolarityGraph(spec, pol).absolute_ids().tolist()
         assert ids == _scalar_absolute_ids(pg)
     assert len(pg.absolute_points()) == 9 * 3 * 3  # p_1 free, then 3 p_2 and 3 p_3 each
 
@@ -722,7 +724,7 @@ GH_TWISTS = {
 }
 
 
-def test_absolute_ids_follow_the_polarity_twist():
+def test_absolute_ids_follow_the_polarity_twist(monkeypatch):
     spec = gh_family(0, allow_small_e=True)[0]
     orders = set()
     for name, src in GH_TWISTS.items():
@@ -730,7 +732,8 @@ def test_absolute_ids_follow_the_polarity_twist():
         pg = adg.PolarityGraph(spec, PolaritySpec(rules, rules))
         orders.add(repr(pg.scan_stages()))
         for chunk in (1, 3, 100):
-            ids = adg.PolarityGraph(spec, pg.pol).absolute_ids(chunk).tolist()
+            monkeypatch.setattr(adg, "SCAN_CHUNK", chunk)
+            ids = adg.PolarityGraph(spec, pg.pol).absolute_ids().tolist()
             assert ids == _scalar_absolute_ids(pg), (name, chunk)
     assert len(orders) == len(GH_TWISTS)
 
@@ -746,9 +749,10 @@ def test_absolute_scan_work_is_bounded(monkeypatch, chunk):
         return polar(self, ctx, pvals)
 
     monkeypatch.setattr(PolaritySpec, "polar", counting_polar)
+    monkeypatch.setattr(adg, "SCAN_CHUNK", chunk)
     pg = adg.PolarityGraph(*gh_family(1))
     assert pg.scan_stages() == [(0, []), (1, []), (3, [0, 2]), (2, []), (4, [1, 3])]
-    assert len(pg.absolute_ids(chunk)) == 27 ** 3
+    assert len(pg.absolute_ids()) == 27 ** 3
     assert sum(blocks) <= 600_000  # of 27^5 = 14,348,907 points
     assert max(blocks) <= chunk
 

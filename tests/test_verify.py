@@ -520,12 +520,47 @@ def test_gh_original_matches_scalar_reference(monkeypatch, q, tamper):
         assert expected["bijective_points"] and not expected["bijective_lines"]
 
 
-def test_witness_record_plane():
+# (r, k, forbidden) by family and q: the table witness_record read before
+# it read them from the report
+WITNESS_SHAPE = {
+    "plane": lambda q: (q ** 3, q, ["C4"]),
+    "gq": lambda q: (q ** 2, q, ["C4", "C6"]),
+    "gh": lambda q: (q ** 3, q ** 2, ["C4", "C6", "C8", "C10"]),
+}
+
+
+def test_witness_record_plane(monkeypatch):
     rec = witness_record("plane", q=2)
     assert (rec["r"], rec["k"]) == (8, 2)
     assert rec["forbidden"] == ["C4"]
     assert rec["cycles"]["C4"] == "pass"
     assert rec["mode"] == "exhaustive"
+    monkeypatch.setattr(verify, "SAMPLED_INCIDENCES", 2000)
+    monkeypatch.setattr(verify, "SAMPLED_SYMMETRY", 500)
+    gh = verify_family("gh", e=1, mode="sampled", **GOLDEN_SAMPLES)
+    records = [rec, witness_record("plane", q=3), witness_record("gq", e=1),
+               witness_record("gh", report=gh)]
+    for rec in records:
+        assert (rec["r"], rec["k"], rec["forbidden"]) == WITNESS_SHAPE[rec["family"]](rec["q"])
+    assert rec["mode"] == "sampled" and set(rec["cycles"].values()) == {"pass-sampled"}
+
+
+# vertex degree -> count by family and q: the table expected_degree_spectrum
+# replaced
+DEGREE_SPECTRUM = {
+    "plane": lambda q: {q * q: q ** 4 - q ** 3, q * q - 1: q ** 3},
+    "gq": lambda q: {q: q ** 3 - q ** 2, q - 1: q ** 2},
+    "gh": lambda q: {q: q ** 5 - q ** 3, q - 1: q ** 3},
+}
+
+
+def test_degree_spectrum_from_the_scheme_matches_the_family_table():
+    bundles = [verify.family_bundle("plane", q=q) for q in (2, 3, 4, 5)]
+    bundles += [verify.family_bundle(family, e=e, allow_small_e=True)
+                for family, es in (("gq", (0, 1, 2)), ("gh", (0, 1))) for e in es]
+    for spec, _, scheme, params in bundles:
+        expected = DEGREE_SPECTRUM[scheme.family](params["q"])
+        assert verify.expected_degree_spectrum(spec, scheme) == expected, params
 
 
 def test_witness_record_requires_complete():
@@ -811,8 +846,11 @@ GOLDEN_SAMPLES = {"class_pair_samples": 2000, "full_sweeps": 20, "within_samples
 # with the point-by-point protocol the bulk kernel replaced
 GOLDEN_DIGESTS = {
     "intact": "6f045af679aa3f9dafa1661067f3993efc2f4f1b1b0c98486d8438f911490f92",
-    "unique_edge": "f751a6cdde6f2b97b680a138ab2bce823e2eb53e314820650a0ec07deda54c3c",
-    "class_members": "2b182fa866ce32fa4916a82f6b645e800e783ccd02ff059ff0992ef3a6473324",
+    # re-recorded once the sampled report certified psi and chi_a only for
+    # a complete partition: these two reports' partitions are incomplete,
+    # and their bounds now read psi, chi_a and eq6_ratio null, certified false
+    "unique_edge": "606ff2f67b29708a129ec727f251b90bac74f06e3267702f7bf87685fa447ea8",
+    "class_members": "6495a3aaa98a1e5812945e789e42f2f3e4cbb1345807af742cbb09710606a547",
     # recorded with the symmetry samples drawn one at a time
     "neighbor_ids": "a58f2f6483a3b1874cc247e6aa769e0403b347e7c863e04dd012d01e44d67317",
 }
@@ -873,6 +911,18 @@ def test_sampled_report_golden_digest(tamper, monkeypatch):
     text = json.dumps(rep, indent=2, sort_keys=True, default=_jsonable) + "\n"
     assert rep["ok"] == (tamper == "intact")
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[tamper]
+
+
+@pytest.mark.parametrize("tamper", ["unique_edge", "class_members"])
+def test_sampled_report_certifies_no_incomplete_partition(tamper, monkeypatch):
+    monkeypatch.setattr(verify, "SAMPLED_INCIDENCES", 2000)
+    monkeypatch.setattr(verify, "SAMPLED_SYMMETRY", 500)
+    _tamper(monkeypatch, tamper)
+    rep = verify_family("gh", e=1, mode="sampled", seed=0, **GOLDEN_SAMPLES)
+    assert not rep["verdicts"]["complete"]
+    bounds = rep["bounds"]
+    assert bounds["psi"] is bounds["chi_a"] is bounds["eq6_ratio"] is None
+    assert bounds["certified"] is False
 
 
 # -- the blocked unique-edge pass against the scalar loop it replaced ----------
@@ -1039,9 +1089,10 @@ def test_verdict_matches_the_list_tally():
         assert all(type(x) is int for w in got for x in w[1:])  # JSON bytes as before
 
 
-# -- the sampled protocol on a scheme whose classes are not coordinate prefixes --
+# -- the sampled protocol against the exhaustive one, on plane, gq and gh -----
 
-@pytest.mark.parametrize("family,kwargs", [("plane", {"q": 3}), ("gq", {"e": 1})])
+@pytest.mark.parametrize("family,kwargs", [("plane", {"q": 3}), ("gq", {"e": 1}),
+                                           ("gh", {"e": 0, "allow_small_e": True})])
 def test_sampled_protocol_agrees_with_exhaustive_off_gh(family, kwargs):
     bundle = verify.family_bundle(family, **kwargs)
     sampled = verify.verify_family_sampled(
@@ -1050,4 +1101,8 @@ def test_sampled_protocol_agrees_with_exhaustive_off_gh(family, kwargs):
     exhaustive = verify_family(family, with_luw=False, **kwargs)
     assert sampled["ok"] and exhaustive["ok"]
     assert sampled["witnesses"] == [] and sampled["checks"]["full_sweeps"] > 0
-    assert {k: sampled["verdicts"][k] for k in exhaustive["verdicts"]} == exhaustive["verdicts"]
+    assert sampled["partition"] == exhaustive["partition"]
+    assert sampled["verdicts"].pop("sampled") is True
+    assert sampled["verdicts"] == exhaustive["verdicts"]
+    assert sampled["bounds"].pop("max_degree_method")
+    assert sampled["bounds"] == exhaustive["bounds"]
