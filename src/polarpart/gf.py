@@ -460,11 +460,12 @@ class QuadBasis:
         ctx = self.ctx
         return ctx.add(ctx.mul(s, self.beta), ctx.mul(t, self.beta_q))
 
-    def decompose_mu(self, u: int) -> tuple[int, int]:
-        """(s, t) in GF(q)^2 with u == s + t*mu."""
+    def decompose_mu(self, u):
+        """(s, t) in GF(q)^2 with u == s + t*mu, for an element or an
+        array of them (the results have ctx.dtype)."""
         ctx = self.ctx
-        t = ctx.mul(ctx.sub(u, self.conj(u)), self._inv_mu_diff)
-        s = ctx.sub(u, ctx.mul(t, self.mu))
+        t = ctx.mul_bulk(ctx.sub_bulk(u, ctx.frob_vector(self.sub_degree)[u]), self._inv_mu_diff)
+        s = ctx.sub_bulk(u, ctx.mul_bulk(t, self.mu))
         return s, t
 
     def recompose_mu(self, s: int, t: int) -> int:

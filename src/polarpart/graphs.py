@@ -1,6 +1,6 @@
 """Finite graph containers, degree/edge accounting, and cycle detection.
 
-Graphs are loop-aware but loops live in a separate set: degrees, edge
+Graphs are loop-aware but loops live in a separate array: degrees, edge
 counts and cycle searches all exclude them, which is the convention the
 construction arithmetic needs.  materialize builds a Graph from an array
 rule, such as adg's PolarityGraph.arrays and ADGSpec.bipartite_arrays, once
@@ -18,13 +18,15 @@ import numpy as np
 
 
 class Graph:
-    """Explicit undirected graph on vertices 0..n-1, stored as CSR arrays.
+    """Explicit undirected graph on vertices 0..n-1, stored as one padded
+    neighbour table.
 
-    Row v of the adjacency, indices[indptr[v]:indptr[v + 1]], holds v's
-    neighbours in ascending order; ids are int32 while n * n fits in one,
-    else int64.  Loops are kept in their own frozenset and never appear in
-    the rows.  The constructor checks every neighbour is in range, no row
-    holds its own vertex or a repeat, and the adjacency is symmetric.
+    Row v of `table`, an (n, max degree) array, holds v's `deg[v]`
+    neighbours in ascending order, then -1 pads; ids are int32 while
+    n * n fits in one, else int64.  Loops are kept in `loops`, one sorted
+    int64 array of distinct ids, and never appear in the rows.  The
+    constructor checks every neighbour is in range, no row holds its own
+    vertex or a repeat, and the adjacency is symmetric.
     """
 
     def __init__(self, n, adjacency, loops=()):
@@ -57,14 +59,16 @@ class Graph:
         if not np.array_equal(codes, np.sort(back)):
             i = np.isin(back, codes, invert=True).argmax()
             raise ValueError(f"asymmetric edge ({tails[i]}, {heads[i]})")
-        loop_ids = np.fromiter(loops, dtype=np.int64)
+        loop_ids = np.unique(np.fromiter(loops, dtype=np.int64))
         bad = (loop_ids < 0) | (loop_ids >= n)
         if bad.any():
             raise ValueError(f"loop vertex {loop_ids[bad.argmax()]} out of range")
         self.n = n
-        self.indptr = np.concatenate([[0], np.cumsum(deg)]).astype(np.int64)
-        self.indices = heads.astype(np.int32 if n * n < 2 ** 31 else np.int64)
-        self.loops = frozenset(loop_ids.tolist())
+        self.deg = deg
+        self.table = np.full((n, int(deg.max(initial=0))), -1,
+                             dtype=np.int32 if n * n < 2 ** 31 else np.int64)
+        self.table[np.arange(self.table.shape[1]) < deg[:, None]] = heads
+        self.loops = loop_ids
 
     @classmethod
     def from_edges(cls, n, edges, loops=()):
@@ -79,45 +83,35 @@ class Graph:
     @cached_property
     def adj(self):
         """The rows as n ascending lists: the view the small oracles read."""
-        ids, ptr = self.indices.tolist(), self.indptr.tolist()
-        return [ids[ptr[v]:ptr[v + 1]] for v in range(self.n)]
-
-    @cached_property
-    def table(self):
-        """The rows as an (n, max degree) array of the indices' dtype,
-        padded with -1: the view the cycle searches read."""
-        deg = degrees(self)
-        table = np.full((self.n, int(deg.max(initial=0))), -1, dtype=self.indices.dtype)
-        table[np.arange(table.shape[1]) < deg[:, None]] = self.indices
-        return table
+        return [row[:d] for row, d in zip(self.table.tolist(), self.deg.tolist())]
 
     def edges(self):
         """Every edge (u, v), u < v, ascending."""
-        tails, heads = arcs(self)
-        up = tails < heads
-        return zip(tails[up].tolist(), heads[up].tolist())
+        up = self.table > np.arange(self.n)[:, None]  # pads are -1
+        tails = np.repeat(np.arange(self.n), up.sum(axis=1))
+        return zip(tails.tolist(), self.table[up].tolist())
 
     def has_edge(self, u, v):
-        row = self.indices[self.indptr[u]:self.indptr[u + 1]]
+        row = self.table[u, :self.deg[u]]
         i = row.searchsorted(v)
         return bool(i < len(row) and row[i] == v)
 
 
 def degrees(g: Graph):
-    """Every vertex's degree, loops excluded, as an int64 array."""
-    return np.diff(g.indptr)
+    """Every vertex's degree, loops excluded, as a fresh int64 array."""
+    return g.deg.copy()
 
 
 def degree(g: Graph, v: int) -> int:
     """Degree of v, loops excluded."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    return int(g.indptr[v + 1] - g.indptr[v])
+    return int(g.deg[v])
 
 
 def edge_count(g: Graph) -> int:
     """Number of non-loop edges."""
-    return len(g.indices) // 2
+    return int(g.deg.sum()) // 2
 
 
 def loop_count(g: Graph) -> int:
@@ -144,26 +138,24 @@ def materialize(n: int, rule, limit: int) -> Graph:
 
 @dataclass
 class Partition:
-    """Assignment of every vertex to one of r classes (all nonempty)."""
+    """Assignment of every vertex to one of r classes (all nonempty):
+    class_of[v] is v's class, an int64 array."""
 
-    class_of: list[int]
+    class_of: np.ndarray
     r: int
 
     def __post_init__(self):
-        seen = [False] * self.r
-        for v, c in enumerate(self.class_of):
-            if not 0 <= c < self.r:
-                raise ValueError(f"vertex {v} assigned to invalid class {c}")
-            seen[c] = True
-        if not all(seen):
-            missing = seen.index(False)
-            raise ValueError(f"class {missing} is empty")
+        self.class_of = np.asarray(self.class_of, dtype=np.int64)
+        bad = (self.class_of < 0) | (self.class_of >= self.r)
+        if bad.any():
+            v = int(bad.argmax())
+            raise ValueError(f"vertex {v} assigned to invalid class {self.class_of[v]}")
+        sizes = np.bincount(self.class_of, minlength=self.r)
+        if not sizes.all():
+            raise ValueError(f"class {sizes.argmin()} is empty")
 
     def class_sizes(self):
-        sizes = [0] * self.r
-        for c in self.class_of:
-            sizes[c] += 1
-        return sizes
+        return np.bincount(self.class_of, minlength=self.r).tolist()
 
 
 @dataclass
@@ -189,14 +181,13 @@ def pair_edge_matrix(g: Graph, part: Partition) -> PairEdgeMatrix:
     within-class edge twice."""
     if len(part.class_of) != g.n:
         raise ValueError("partition does not cover the graph")
-    r = part.r
-    cls = np.asarray(part.class_of, dtype=np.int64)
-    codes = cls[g.indices]
-    codes += np.repeat(cls * r, degrees(g))
+    r, cls = part.r, part.class_of
+    codes = cls[arcs(g)[1]]
+    codes += np.repeat(cls * r, g.deg)
     cross = np.bincount(codes, minlength=r * r).reshape(r, r)
     within = np.diagonal(cross) // 2
     np.fill_diagonal(cross, 0)
-    loops_within = np.bincount(cls[sorted(g.loops)], minlength=r)
+    loops_within = np.bincount(cls[g.loops], minlength=r)
     m = PairEdgeMatrix(r, cross, within.tolist(), loops_within.tolist())
     assert m.total_cross() + m.total_within() == edge_count(g)
     return m
@@ -208,14 +199,14 @@ def pair_edge_matrix(g: Graph, part: Partition) -> PairEdgeMatrix:
 
 def arcs(g: Graph):
     """(tails, heads): every arc (u, v), both directions, ascending by
-    (u, v), of the indices' dtype."""
-    dtype = g.indices.dtype
-    return np.repeat(np.arange(g.n, dtype=dtype), degrees(g)), g.indices
+    (u, v), of the table's dtype."""
+    table = g.table
+    return np.repeat(np.arange(g.n, dtype=table.dtype), g.deg), table[table >= 0]
 
 
 def arc_codes(g: Graph):
     """Ascending codes u * n + v of every arc (u, v), both directions, of
-    the indices' dtype (int32 while n * n fits)."""
+    the table's dtype (int32 while n * n fits)."""
     tails, heads = arcs(g)
     return tails * heads.dtype.type(g.n) + heads
 
@@ -390,7 +381,7 @@ def girth(g: Graph, roots=None):
     it wrote.
     """
     n = g.n
-    if not len(g.indices):
+    if not edge_count(g):
         return math.inf
     table = g.table
     slack = 1 if _has_odd_cycle(table) else 2
@@ -440,7 +431,7 @@ def write_edge_list(g: Graph) -> str:
     """Plain-text edge list: `n m loops`, then `u v` (u < v), then `L v`."""
     lines = [f"{g.n} {edge_count(g)} {loop_count(g)}"]
     lines += [f"{u} {v}" for u, v in g.edges()]
-    lines += [f"L {v}" for v in sorted(g.loops)]
+    lines += [f"L {v}" for v in g.loops.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -491,7 +482,7 @@ def read_edge_list(text: str) -> Graph:
 
 def write_partition(part: Partition) -> str:
     """One `vertex class` pair per line, vertices ascending."""
-    lines = [f"{v} {c}" for v, c in enumerate(part.class_of)]
+    lines = [f"{v} {c}" for v, c in enumerate(part.class_of.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from .gf import FieldCtx, QuadBasis, find_normal_element
+from .gf import FieldCtx, find_normal_element
 from .graphs import Partition
 from .adg import ADGSpec, eval_expr_bulk, randrange_bulk
 
@@ -68,9 +68,9 @@ class PlaneScheme(_BulkForms):
     family = "plane"
     m = 2
 
-    def __init__(self, ctx: FieldCtx, basis: QuadBasis | None = None):
+    def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
-        self.basis = basis or find_normal_element(ctx)
+        self.basis = find_normal_element(ctx)
         self.q = self.basis.q
         self.r = ctx.order * self.q  # q^3
         self.class_size = self.q
@@ -289,7 +289,7 @@ class GHScheme(_BulkForms):
 
 def scheme_partition(scheme, spec: ADGSpec) -> Partition:
     """Materialize a family scheme as a Partition over polarity-graph ids."""
-    return Partition(scheme.class_of_ids(np.arange(spec.side_size)).tolist(), scheme.r)
+    return Partition(scheme.class_of_ids(np.arange(spec.side_size)), scheme.r)
 
 
 def class_key_sidecar(scheme):
@@ -338,13 +338,6 @@ def is_point_line_symmetric(spec: ADGSpec, seed=0):
 # general constructions for triangular systems
 # ---------------------------------------------------------------------------
 
-def _mixed_radix(coords, base):
-    n = 0
-    for c in coords:
-        n = n * base + c
-    return n
-
-
 def general_odd_partition(spec: ADGSpec, pairing=None):
     """Pair point classes (fixed odd coordinates) with line classes (fixed
     l_1 and even coordinates) into a complete partition of the bipartite
@@ -356,32 +349,19 @@ def general_odd_partition(spec: ADGSpec, pairing=None):
     m = spec.m
     if m % 2 == 0:
         raise ValueError("odd construction needs odd m")
-    q = spec.ctx.order
-    half = (m + 1) // 2
-    r = q ** half
-    point_idx = tuple(range(0, m, 2))        # p_1, p_3, ..., p_m
-    line_idx = (0,) + tuple(range(1, m - 1, 2))  # l_1, l_2, l_4, ..., l_{m-1}
-    if pairing is None:
-        pairing = list(range(r))
-    if sorted(pairing) != list(range(r)):
+    r = spec.ctx.order ** ((m + 1) // 2)
+    pairing = np.arange(r) if pairing is None else np.asarray(pairing, dtype=np.int64)
+    if not np.array_equal(np.sort(pairing), np.arange(r)):
         raise ValueError("pairing is not a bijection on class keys")
-    inverse = [0] * r
-    for pk, lk in enumerate(pairing):
-        inverse[lk] = pk
-
-    ns = spec.side_size
-    class_of = [0] * (2 * ns)
-    for v in range(ns):
-        coords = spec.id_to_coords(v)
-        class_of[v] = _mixed_radix([coords[i] for i in point_idx], q)
-    for v in range(ns):
-        coords = spec.id_to_coords(v)
-        lk = _mixed_radix([coords[i] for i in line_idx], q)
-        class_of[ns + v] = inverse[lk]
-    return Partition(class_of, r), r
+    inverse = np.empty(r, dtype=np.int64)
+    inverse[pairing] = np.arange(r)
+    coords = spec.ids_to_coords(np.arange(spec.side_size))
+    points = spec.coords_to_ids(coords[0::2])  # p_1, p_3, ..., p_m
+    lines = spec.coords_to_ids([coords[0], *coords[1:m - 1:2]])  # l_1, l_2, l_4, ..., l_{m-1}
+    return Partition(np.concatenate([points, inverse[lines]]), r), r
 
 
-def general_even_partition(spec: ADGSpec, basis: QuadBasis | None = None):
+def general_even_partition(spec: ADGSpec):
     """Complete partition of the bipartite graph for even m over GF(q^2),
     splitting the last coordinate over the {1, mu} basis.
 
@@ -392,30 +372,16 @@ def general_even_partition(spec: ADGSpec, basis: QuadBasis | None = None):
     m = spec.m
     if m % 2 != 0:
         raise ValueError("even construction needs even m")
-    ctx = spec.ctx
-    basis = basis or find_normal_element(ctx)
+    basis = find_normal_element(spec.ctx)
     q = basis.q
-    q2 = ctx.order
     r = q ** (m + 1)
-    point_idx = tuple(range(0, m - 1, 2))       # p_1, p_3, ..., p_{m-1}
-    line_idx = (0,) + tuple(range(1, m - 2, 2))  # l_1, l_2, ..., l_{m-2}
-
-    def point_key(coords):
-        s, _ = basis.decompose_mu(coords[m - 1])
-        n = _mixed_radix([coords[i] for i in point_idx], q2)
-        return n * q + basis.subfield_index(s)
-
-    def line_key(coords):
-        _, t = basis.decompose_mu(coords[m - 1])
-        n = _mixed_radix([coords[i] for i in line_idx], q2)
-        return n * q + basis.subfield_index(t)
-
-    ns = spec.side_size
-    class_of = [0] * (2 * ns)
-    for v in range(ns):
-        class_of[v] = point_key(spec.id_to_coords(v))
-        class_of[ns + v] = line_key(spec.id_to_coords(v))
-    return Partition(class_of, r), r, basis
+    index = basis.vectors()[1]
+    coords = spec.ids_to_coords(np.arange(spec.side_size))
+    s, t = basis.decompose_mu(coords[m - 1])
+    # point keys p_1, p_3, ..., p_{m-1}, s; line keys l_1, l_2, ..., l_{m-2}, t
+    points = spec.coords_to_ids(coords[0:m - 1:2]) * q + index[s]
+    lines = spec.coords_to_ids([coords[0], *coords[1:m - 2:2]]) * q + index[t]
+    return Partition(np.concatenate([points, lines]), r), r, basis
 
 
 class GeneralPolarityScheme(_BulkForms):
@@ -425,7 +391,7 @@ class GeneralPolarityScheme(_BulkForms):
 
     family = "generic"
 
-    def __init__(self, spec: ADGSpec, basis: QuadBasis | None = None):
+    def __init__(self, spec: ADGSpec):
         if spec.m % 2 != 0:
             raise ValueError("polarity construction needs even m")
         ok, witness = is_point_line_symmetric(spec)
@@ -433,7 +399,7 @@ class GeneralPolarityScheme(_BulkForms):
             raise ValueError(f"adjacency functions are not point-line-symmetric: {witness}")
         self.spec = spec
         self.ctx = spec.ctx
-        self.basis = basis or find_normal_element(spec.ctx)
+        self.basis = find_normal_element(spec.ctx)
         self.q = self.basis.q
         self.m = spec.m
         self.r = self.ctx.order * self.q ** (spec.m - 1)
@@ -463,11 +429,11 @@ class GeneralPolarityScheme(_BulkForms):
         return (cid, *ys)
 
 
-def general_polarity_partition(spec: ADGSpec, basis: QuadBasis | None = None):
+def general_polarity_partition(spec: ADGSpec):
     """Partition of the conjugation polarity graph into q^(m+1) classes of
     size q^(m-1); optimally complete by construction, verified elsewhere.
 
     Returns (Partition over point ids, scheme).
     """
-    scheme = GeneralPolarityScheme(spec, basis)
+    scheme = GeneralPolarityScheme(spec)
     return scheme_partition(scheme, spec), scheme

@@ -73,7 +73,7 @@ def verdict(g: Graph, part: Partition):
                  for i, j, c in zip(rows.tolist(), cols.tolist(), counts.tolist())]
     within_total = mat.total_within()
     if within_total:
-        cls = np.asarray(part.class_of)
+        cls = part.class_of
         tails, heads = arcs(g)
         i = _first((tails < heads) & (cls[tails] == cls[heads]))
         u, v = int(tails[i]), int(heads[i])
@@ -213,7 +213,7 @@ def luw_report(g_bip: Graph, gp: Graph, gp_cycles, roots=None):
     """
     n_pi = loop_count(gp)
     expect = degrees(g_bip)[:gp.n]
-    expect[list(gp.loops)] -= 1
+    expect[gp.loops] -= 1
     got = degrees(gp)
     v = _first(got != expect)
     degree_ok = v is None
@@ -403,13 +403,12 @@ def _check_unique_edges(g: Graph, scheme):
         return True, None  # general construction: verdicts carry the proof
     n, r = g.n, scheme.r
     arcs = arc_codes(g)
-    loops = np.array(sorted(g.loops), dtype=np.int64)
     rows = max(1, UNIQUE_EDGE_BLOCK // max(r - 1, 1))
     for lo in range(0, r, rows):
         c1 = np.arange(lo, min(lo + rows, r))
         lv = scheme.loop_vertex_bulk(c1)
         lv_class = scheme.class_of_ids(lv) != c1
-        bad_c1 = lv_class | ~_in_sorted(lv, loops)
+        bad_c1 = lv_class | ~_in_sorted(lv, g.loops)
         width = r - 1 - c1  # pairs (c1, c2 > c1) per row
         p1 = np.repeat(c1, width)
         p2 = p1 + 1 + np.arange(len(p1)) - np.repeat(np.cumsum(width) - width, width)
@@ -689,20 +688,26 @@ def verify_family_sampled(bundle, *, seed=0,
             break
         sweeps_done += 1
 
-    # within-class sampling: no non-loop edges inside a class
+    # within-class sampling: each drawn member lies in its class, and no
+    # non-loop edge joins it to another vertex of its own class
     draws, rewind = _predraw(
         rng, within_samples, lambda g: (g.randrange(r), g.randrange(scheme.class_size)))
     cids, picks = np.array(draws, dtype=np.int64).reshape(len(draws), 2).T
     vs = scheme.class_member_bulk(cids, picks)
+    own = scheme.class_of_ids(vs)
     nb = pg.neighbor_ids(vs)
-    inside = (nb >= 0) & (scheme.class_of_ids(nb) == cids[:, None])
-    i = _first(inside.any(axis=1))
+    inside = (nb >= 0) & (scheme.class_of_ids(nb) == own[:, None])
+    i = _first((own != cids) | inside.any(axis=1))
     within_ok = i is None
+    within_checked = len(draws) if within_ok else i + 1
     if not within_ok:
         rewind(i)
-        u = int(nb[i, inside[i].argmax()])
-        report["witnesses"].append(("within_edge", draws[i][0], spec.id_to_coords(int(vs[i])),
-                                    spec.id_to_coords(u)))
+        v = spec.id_to_coords(int(vs[i]))
+        if own[i] != cids[i]:
+            report["witnesses"].append(("within_member_class", draws[i][0], v, int(own[i])))
+        else:
+            u = int(nb[i, inside[i].argmax()])
+            report["witnesses"].append(("within_edge", draws[i][0], v, spec.id_to_coords(u)))
 
     # degree spot checks against the two-value spectrum
     vs, rewind = _predraw(rng, degree_samples, (m, q))
@@ -746,8 +751,8 @@ def verify_family_sampled(bundle, *, seed=0,
     report["checks"] = {
         "substitution_pairs": substitution_checked,
         "full_sweeps": sweeps_done,
-        "within_samples": within_samples,
-        "degree_samples": degree_samples,
+        "within_samples": within_checked,
+        "degree_samples": len(tallied),
         "loop_formula_all_classes": loop_formula_ok,
         "loops_match_class_count": loops_ok,
         "symmetry_ok": symmetry_ok,

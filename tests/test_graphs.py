@@ -399,10 +399,13 @@ def test_pair_edge_matrix_size_mismatch():
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition([0, 2], 3)  # class 1 empty
-    with pytest.raises(ValueError):
-        Partition([0, 5], 2)  # out of range
+    with pytest.raises(ValueError, match=r"^class 1 is empty$"):
+        Partition([0, 2], 3)
+    with pytest.raises(ValueError, match=r"^vertex 1 assigned to invalid class 5$"):
+        Partition([0, 5], 2)
+    with pytest.raises(ValueError, match=r"^vertex 2 assigned to invalid class -1$"):
+        Partition(np.array([0, 1, -1]), 2)
+    assert Partition([0, 1, 1, 0, 2], 3).class_sizes() == [2, 2, 1]
 
 
 def _rule(rows, loops=()):
@@ -424,7 +427,7 @@ def test_materialize_ceiling():
     with pytest.raises(ValueError, match="100 vertices exceed materialization ceiling 50"):
         materialize(100, rule, 50)
     g = materialize(3, _rule([[1], [0], []], [2]), 3)  # at the ceiling: built
-    assert g.adj == [[1], [0], []] and g.loops == {2}
+    assert g.adj == [[1], [0], []] and g.loops.tolist() == [2]
 
 
 def test_materialize_rejects_asymmetric_rule():
@@ -457,16 +460,26 @@ def test_graph_constructor_validates(adjacency, loops, message):
         Graph(len(adjacency), adjacency, loops)
 
 
-def test_graph_stores_ascending_csr_rows():
-    g = Graph(4, [[3, 1, 2], [0], [0, 3], (2, 0)], loops={3, 1})
-    assert g.indptr.tolist() == [0, 3, 4, 6, 8]
-    assert g.indices.tolist() == [1, 2, 3, 0, 0, 3, 0, 2]
+def test_graph_stores_ascending_padded_rows():
+    g = Graph(4, [[3, 1, 2], [0], [0, 3], (2, 0)], loops=[3, 1, 3])
+    assert g.table.tolist() == [[1, 2, 3], [0, -1, -1], [0, 3, -1], [0, 2, -1]]
+    assert g.deg.tolist() == [3, 1, 2, 2]
     assert g.adj == [[1, 2, 3], [0], [0, 3], [0, 2]]
     assert list(g.edges()) == [(0, 1), (0, 2), (0, 3), (2, 3)]
-    assert g.loops == frozenset({1, 3})
+    assert g.loops.dtype == np.int64 and g.loops.tolist() == [1, 3]
     assert [degree(g, v) for v in range(4)] == [3, 1, 2, 2]
     assert graphs.degree_multiset(g) == {1: 1, 2: 2, 3: 1}
     assert g.has_edge(2, 3) and not g.has_edge(1, 2) and not g.has_edge(3, 1)
+    # degrees() is a copy: callers may edit it in place
+    graphs.degrees(g)[:] = 0
+    assert edge_count(g) == 4
+
+
+def test_array_rule_rows_sort_ascending_with_pads_last():
+    rule = _rule([[2, 1], [-1, 0], [0, -1]])  # pads anywhere in a row
+    g = materialize(3, rule, 3)
+    assert g.table.tolist() == [[1, 2], [0, -1], [0, -1]]
+    assert graphs.arcs(g)[1].tolist() == [1, 2, 0, 0]
 
 
 @pytest.mark.parametrize("n,dtype", [(46_340, np.int32), (46_341, np.int64), (50_000, np.int64)])
@@ -475,7 +488,8 @@ def test_ids_widen_to_int64_once_n_squared_passes_int32(n, dtype):
     edges = [(0, n - 1), (n - 2, n - 1)]
     g = Graph.from_edges(n, edges)
     codes = graphs.arc_codes(g)
-    assert g.indices.dtype == codes.dtype == dtype
+    assert g.table.dtype == codes.dtype == dtype
+    assert g.table.shape == (n, 2) and g.table[n - 1].tolist() == [0, n - 2]
     arcs = edges + [(v, u) for u, v in edges]
     assert codes.tolist() == sorted(u * n + v for u, v in arcs)
 
@@ -491,7 +505,7 @@ def test_edge_list_round_trip():
     text = write_edge_list(g)
     assert text.splitlines()[0] == "5 3 2"
     h = read_edge_list(text)
-    assert h.adj == g.adj and h.loops == g.loops
+    assert h.adj == g.adj and np.array_equal(h.loops, g.loops)
     assert write_edge_list(h) == text
 
 
@@ -540,4 +554,5 @@ def test_partition_round_trip():
     part = Partition([0, 1, 1, 0, 2], 3)
     text = write_partition(part)
     back = read_partition(text)
-    assert back.class_of == part.class_of and back.r == part.r
+    assert np.array_equal(back.class_of, part.class_of) and back.r == part.r
+    assert back.class_of.dtype == np.int64

@@ -397,6 +397,92 @@ def test_general_polarity_rejects_asymmetric():
         general_polarity_partition(spec)
 
 
+# -- the general constructions' class arrays against the per-vertex loops ------
+
+def _mixed_radix(coords, base):
+    n = 0
+    for c in coords:
+        n = n * base + c
+    return n
+
+
+def _reference_odd_classes(spec, pairing=None):
+    """The per-vertex loops general_odd_partition replaced, kept as its
+    oracle: the class of every bipartite id, points first."""
+    m, q = spec.m, spec.ctx.order
+    r = q ** ((m + 1) // 2)
+    point_idx = tuple(range(0, m, 2))        # p_1, p_3, ..., p_m
+    line_idx = (0,) + tuple(range(1, m - 1, 2))  # l_1, l_2, l_4, ..., l_{m-1}
+    inverse = [0] * r
+    for pk, lk in enumerate(pairing or range(r)):
+        inverse[lk] = pk
+    ns = spec.side_size
+    class_of = [0] * (2 * ns)
+    for v in range(ns):
+        coords = spec.id_to_coords(v)
+        class_of[v] = _mixed_radix([coords[i] for i in point_idx], q)
+        class_of[ns + v] = inverse[_mixed_radix([coords[i] for i in line_idx], q)]
+    return class_of
+
+
+def _reference_even_classes(spec):
+    """The per-vertex loops general_even_partition replaced, with the
+    {1, mu} split found by search over the subfield pairs."""
+    m, ctx = spec.m, spec.ctx
+    basis = find_normal_element(ctx)
+    q = basis.q
+    split = {basis.recompose_mu(s, t): (s, t) for s in basis.subfield for t in basis.subfield}
+    point_idx = tuple(range(0, m - 1, 2))       # p_1, p_3, ..., p_{m-1}
+    line_idx = (0,) + tuple(range(1, m - 2, 2))  # l_1, l_2, ..., l_{m-2}
+    ns = spec.side_size
+    class_of = [0] * (2 * ns)
+    for v in range(ns):
+        coords = spec.id_to_coords(v)
+        s, t = split[coords[m - 1]]
+        point = _mixed_radix([coords[i] for i in point_idx], ctx.order)
+        line = _mixed_radix([coords[i] for i in line_idx], ctx.order)
+        class_of[v] = point * q + basis.subfield_index(s)
+        class_of[ns + v] = line * q + basis.subfield_index(t)
+    return class_of
+
+
+def _even_spec(p, m):
+    ctx = make_field(p, 2)
+    return ADGSpec(ctx, m, tuple(mul(var_p(j), var_l(j)) for j in range(1, m)))
+
+
+GENERAL_CASES = {
+    "odd toy": lambda: (general_odd_partition(toy_odd_spec())[0],
+                        _reference_odd_classes(toy_odd_spec())),
+    "odd toy paired": lambda: (general_odd_partition(toy_odd_spec(), [3, 2, 1, 0])[0],
+                               _reference_odd_classes(toy_odd_spec(), [3, 2, 1, 0])),
+    "odd gq e=1": lambda: (general_odd_partition(gq_family(1)[0])[0],
+                           _reference_odd_classes(gq_family(1)[0])),
+    "even GF(4) m=2": lambda: (general_even_partition(_even_spec(2, 2))[0],
+                               _reference_even_classes(_even_spec(2, 2))),
+    "even GF(9) m=2": lambda: (general_even_partition(_even_spec(3, 2))[0],
+                               _reference_even_classes(_even_spec(3, 2))),
+    "even GF(4) m=4": lambda: (general_even_partition(_even_spec(2, 4))[0],
+                               _reference_even_classes(_even_spec(2, 4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERAL_CASES))
+def test_general_class_arrays_match_the_per_vertex_loops(name):
+    part, expected = GENERAL_CASES[name]()
+    assert part.class_of.dtype == np.int64
+    assert part.class_of.tolist() == expected
+
+
+def test_mu_split_takes_arrays():
+    for p in (2, 3):
+        basis = find_normal_element(make_field(p, 2))
+        u = np.arange(basis.ctx.order)
+        s, t = basis.decompose_mu(u)
+        assert [basis.decompose_mu(int(x)) for x in u] == list(zip(s.tolist(), t.tolist()))
+        assert [basis.recompose_mu(int(a), int(b)) for a, b in zip(s, t)] == u.tolist()
+
+
 # -- bulk forms against the scalar formulas ---------------------------------------
 
 def _scheme(family, **kwargs):
@@ -482,4 +568,4 @@ def test_scheme_partition_matches_class_of_coords():
         cases.append((spec, GeneralPolarityScheme(spec)))
     for spec, scheme in cases:
         part = scheme_partition(scheme, spec)
-        assert part.class_of == [scheme.class_of_coords(c) for c in spec.all_coords()]
+        assert part.class_of.tolist() == [scheme.class_of_coords(c) for c in spec.all_coords()]

@@ -381,22 +381,13 @@ def test_exhaustive_protocol_searches_each_graph_once(monkeypatch, family, kwarg
         searched.append((g, k))
         return find_even_cycle(g, k, roots)
 
-    table, tabled = Graph.table.func, []
-
-    def counting_table(g):
-        tabled.append(g)
-        return table(g)
-
     monkeypatch.setattr(verify, "find_even_cycle", counting)
-    monkeypatch.setattr(Graph.table, "func", counting_table)
     rep = verify_family(family, with_luw=True, **kwargs)
     assert rep["ok"] and rep["luw"]["ok"]
     calls = sorted((id(g), k) for g, k in searched)
     graph_ids = sorted({g_id for g_id, _ in calls})
     assert len(graph_ids) == 2  # the polarity graph and the bipartite graph
     assert calls == [(g_id, k) for g_id in graph_ids for k in ks]
-    # one padded table per graph, shared by its cycle searches and girth
-    assert sorted(map(id, tabled)) == graph_ids
 
 
 def test_verify_family_detects_missing_edge():
@@ -850,9 +841,14 @@ GOLDEN_DIGESTS = {
     # a complete partition: these two reports' partitions are incomplete,
     # and their bounds now read psi, chi_a and eq6_ratio null, certified false
     "unique_edge": "606ff2f67b29708a129ec727f251b90bac74f06e3267702f7bf87685fa447ea8",
-    "class_members": "6495a3aaa98a1e5812945e789e42f2f3e4cbb1345807af742cbb09710606a547",
-    # recorded with the symmetry samples drawn one at a time
-    "neighbor_ids": "a58f2f6483a3b1874cc247e6aa769e0403b347e7c863e04dd012d01e44d67317",
+    # re-recorded once the within-class phase failed a drawn member outside
+    # its class: this report gains a within_member_class witness at the
+    # first sample, checks.within_samples reads 1, and the later phases
+    # draw from where that phase stopped
+    "class_members": "4487902de94ccd6a9e24eb6004b98123e9e83281e5e8c3e59a36f134d731dd2f",
+    # recorded with the symmetry samples drawn one at a time; re-recorded
+    # once checks.degree_samples counted the samples checked: 1, not 500
+    "neighbor_ids": "b83ed42458c431b98b6b02c801d40d68af893e3e9e0916db62dc72b871618fd8",
 }
 
 
@@ -923,6 +919,38 @@ def test_sampled_report_certifies_no_incomplete_partition(tamper, monkeypatch):
     bounds = rep["bounds"]
     assert bounds["psi"] is bounds["chi_a"] is bounds["eq6_ratio"] is None
     assert bounds["certified"] is False
+
+
+@pytest.mark.parametrize("tamper", sorted(GOLDEN_DIGESTS))
+def test_sampled_checks_count_the_samples_each_phase_checked(tamper, monkeypatch):
+    monkeypatch.setattr(verify, "SAMPLED_INCIDENCES", 2000)
+    monkeypatch.setattr(verify, "SAMPLED_SYMMETRY", 500)
+    _tamper(monkeypatch, tamper)
+    rep = verify_family("gh", e=1, mode="sampled", seed=0, **GOLDEN_SAMPLES)
+    checks, kinds = rep["checks"], [w[0] for w in rep["witnesses"]]
+    assert checks["degree_samples"] == sum(rep["degree_multiset"].values())
+    within_failed = "within_edge" in kinds or "within_member_class" in kinds
+    assert (checks["within_samples"] < GOLDEN_SAMPLES["within_samples"]) == within_failed
+    assert (checks["degree_samples"] < GOLDEN_SAMPLES["degree_samples"]) == ("degree" in kinds)
+    if tamper == "intact":
+        assert checks["within_samples"] == GOLDEN_SAMPLES["within_samples"]
+        assert checks["degree_samples"] == GOLDEN_SAMPLES["degree_samples"]
+
+
+def test_within_phase_fails_a_member_outside_its_class(monkeypatch):
+    """Class c's drawn members land in class c + 1: the phase must fail at
+    the first draw, not test class c + 1's members against class c."""
+    monkeypatch.setattr(verify, "SAMPLED_INCIDENCES", 2000)
+    monkeypatch.setattr(verify, "SAMPLED_SYMMETRY", 500)
+    _tamper(monkeypatch, "class_members")
+    rep = verify_family("gh", e=1, mode="sampled", seed=0, **GOLDEN_SAMPLES)
+    within = [w for w in rep["witnesses"] if w[0] == "within_member_class"]
+    assert len(within) == 1
+    _, cid, coords, own = within[0]
+    assert own == (cid + 1) % rep["partition"]["r"]
+    assert verify.family_bundle("gh", e=1)[2].class_of_coords(coords) == own
+    assert rep["checks"]["within_samples"] == 1
+    assert not rep["verdicts"]["achromatic"]
 
 
 # -- the blocked unique-edge pass against the scalar loop it replaced ----------
