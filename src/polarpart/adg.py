@@ -240,13 +240,14 @@ class ADGSpec:
         return tabs
 
     def f_bulk(self, j, lvals, pvals):
-        """fs[j] on coordinate arrays: a gather from its table where tables()
-        has one, the expression evaluator otherwise."""
+        """fs[j] on coordinate arrays: one take from its raveled table at
+        l_{a+1}*q + p_1 where tables() has one, the expression evaluator
+        otherwise."""
         tab = self.tables()[j]
         if tab is None:
             return eval_expr_bulk(self.fs[j], self.ctx, lvals, pvals)
         a, table = tab
-        return table[lvals[a], pvals[0]]
+        return table.ravel().take(np.multiply(lvals[a], self.ctx.order, dtype=np.int32) + pvals[0])
 
     def line_through_bulk(self, pvals, l1):
         """line_through on arrays; the result has the broadcast shape."""
@@ -366,11 +367,11 @@ class PolaritySpec:
 
     def polar(self, ctx, pvals):
         """apply_point on coordinate arrays."""
-        return [ctx.frob_vector(j)[pvals[src]] for src, j in self.point_to_line]
+        return [ctx.frob_vector(j).take(pvals[src]) for src, j in self.point_to_line]
 
     def polar_line(self, ctx, lvals):
         """apply_line on coordinate arrays."""
-        return [ctx.frob_vector(j)[lvals[src]] for src, j in self.line_to_point]
+        return [ctx.frob_vector(j).take(lvals[src]) for src, j in self.line_to_point]
 
     def to_json(self):
         return {
@@ -407,11 +408,12 @@ def check_polarity(spec: ADGSpec, pol: PolaritySpec, mode="exhaustive",
 
     Exhaustive mode walks every point and every incidence; sampled mode
     draws `samples` random points (seed) and one random line through each
-    (seed + 1).  Chunks of points run on the bulk kernel; the first failing
-    point in loop order gives the witness and the incidence count that the
-    point-by-point loop the tests keep as reference gives.  That loop's
-    second involution check, on the polar line, holds wherever the first
-    does, so it is not repeated.  Swapping sides is structural.
+    (seed + 1).  Blocks of about SWEEP_BLOCK incidences (whole points) run
+    on the bulk kernel; the first failing point in loop order gives the
+    witness and the incidence count that the point-by-point loop the tests
+    keep as reference gives.  That loop's second involution check, on the
+    polar line, holds wherever the first does, so it is not repeated.
+    Swapping sides is structural.
     """
     if len(pol.point_to_line) != spec.m or len(pol.line_to_point) != spec.m:
         raise ValueError("polarity dimension mismatch")
@@ -421,14 +423,16 @@ def check_polarity(spec: ADGSpec, pol: PolaritySpec, mode="exhaustive",
     q, m = ctx.order, spec.m
     if mode == "exhaustive":
         n = spec.side_size
-        step = max(1, (1 << 18) // q)
+        step = max(1, SWEEP_BLOCK // q)
         every_l1 = np.arange(q, dtype=ctx.dtype)[None, :]
         chunks = ((spec.ids_to_coords(np.arange(lo, min(lo + step, n))), every_l1)
                   for lo in range(0, n, step))
     else:
         flat = randrange_bulk(random.Random(seed), q, samples * m)[0].astype(ctx.dtype)
-        l1 = randrange_bulk(random.Random(seed + 1), q, samples)[0].astype(ctx.dtype)
-        chunks = [(list(flat.reshape(samples, m).T), l1[:, None])]
+        first = randrange_bulk(random.Random(seed + 1), q, samples)[0].astype(ctx.dtype)
+        points = flat.reshape(samples, m).T
+        chunks = ((list(points[:, lo:lo + SWEEP_BLOCK]), first[lo:lo + SWEEP_BLOCK, None])
+                  for lo in range(0, samples, SWEEP_BLOCK))
     checked = 0
     for pv, l1 in chunks:
         l_img = pol.polar(ctx, pv)
@@ -468,8 +472,14 @@ FOLD_BUDGET = 1 << 18
 # a block's partial sums, in the tables' dtype, stay in cache.
 ID_BLOCK = 1 << 16
 
-# Candidates per block of PolarityGraph.absolute_ids' staged scan.
-SCAN_CHUNK = 1 << 20
+# Elements per block of every bulk field sweep: check_polarity's
+# incidences, PolarityGraph.absolute_ids' candidates and
+# verify.verify_gh_original's incidences.  A block's operands, int32
+# indices and partial results then stay in L2.  On a 2-core host with
+# 2 MB of L2 per core, 2^14-2^16 time alike; 2^15 takes 52 ms on the
+# gh-original q=9 check (72 ms at 2^20) and 14 ms on the gh q=27 absolute
+# scan (23 ms at 2^20).
+SWEEP_BLOCK = 1 << 15
 
 
 class PolarityGraph:
@@ -523,7 +533,7 @@ class PolarityGraph:
                 if index is None:  # folded: the row of (l_a, l_{j+2})
                     term = table.take(lv[a].astype(np.intp) * q + lv[j + 1], axis=0)
                 else:
-                    term = index[lv[a]]
+                    term = index.take(lv[a], axis=0)
                     term += lv[j + 1][:, None]
                     term = table.take(term)
                 term += total
@@ -598,7 +608,7 @@ class PolarityGraph:
 
         The scan binds one point coordinate at a time in scan_stages order,
         expanding the surviving candidates by its q values, at most
-        SCAN_CHUNK candidates a block; it tests incident(p, polar(p)) one
+        SWEEP_BLOCK candidates a block; it tests incident(p, polar(p)) one
         equation at a time as soon as the equation's support is bound, and
         a candidate leaves at the first equation it fails.  Unbound
         coordinates read 0.  check_scan_bound runs first.
@@ -613,8 +623,8 @@ class PolarityGraph:
             def expand(c, eqs, pv):
                 """The survivors of pv extended by coordinate c, by blocks."""
                 flat = len(pv[0]) * q
-                for lo in range(0, flat, SCAN_CHUNK):
-                    hi = min(lo + SCAN_CHUNK, flat)
+                for lo in range(0, flat, SWEEP_BLOCK):
+                    hi = min(lo + SWEEP_BLOCK, flat)
                     rows = slice(lo // q, -(-hi // q))  # the rows candidates lo..hi-1 extend
                     cut = slice(lo % q, hi - rows.start * q)
                     block = [np.repeat(x[rows], q)[cut] for x in pv]
@@ -719,7 +729,7 @@ def eval_expr_bulk(e, ctx, lv, pv):
     if op == "neg":
         return ctx.neg_bulk(eval_expr_bulk(e[1], ctx, lv, pv))
     if op == "pow":
-        return ctx.pow_vector(e[2])[eval_expr_bulk(e[1], ctx, lv, pv)]
+        return ctx.pow_vector(e[2]).take(eval_expr_bulk(e[1], ctx, lv, pv))
     a = eval_expr_bulk(e[1], ctx, lv, pv)
     b = eval_expr_bulk(e[2], ctx, lv, pv)
     return {"add": ctx.add_bulk, "sub": ctx.sub_bulk, "mul": ctx.mul_bulk}[op](a, b)

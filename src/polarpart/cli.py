@@ -12,6 +12,7 @@ written), 2 invalid configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -26,7 +27,10 @@ from .graphs import (
 FAMILIES = ("plane", "gq", "gh", "gh-original", "generic")
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built once per process: in-process callers run
+    main many times, and a build costs about twenty parses."""
     p = argparse.ArgumentParser(
         prog="polarpart",
         description="Construct polarity graphs over finite fields, build their "

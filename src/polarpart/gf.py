@@ -140,8 +140,10 @@ class FieldCtx:
     over the B values of a block; for one-digit blocks these are views of
     vectors of 2p - 1 entries, since (x +- y) mod p depends on x +- y
     only.  A field of order at most TABLE_SIDE is one block.  Scalar
-    operations index the tables through memoryviews, the *_bulk ones as
-    arrays of `dtype`.
+    operations index the tables through memoryviews; each *_bulk operation
+    is one `take` per digit block from a flat table (a B x B block table
+    raveled, or a one-digit block's vector) at an int32 index, and mul_bulk
+    is exp.take(log.take(a) + log.take(b)).
     """
 
     def __init__(self, p, k, modulus):
@@ -163,13 +165,15 @@ class FieldCtx:
         self._block, self._blocks = p ** digits, -(-k // digits)
         if digits == 1:  # add[x, y] = vec[x + y], sub[x, y] = vec'[x + p-1 - y]
             vec = np.arange(2 * p - 1)
-            self._add = sliding_window_view((vec % p).astype(self.dtype), p)
-            self._sub = sliding_window_view(((vec - p + 1) % p).astype(self.dtype), p)[:, ::-1]
+            self._flat = (vec % p).astype(self.dtype), ((vec - p + 1) % p).astype(self.dtype)
+            self._add = sliding_window_view(self._flat[0], p)
+            self._sub = sliding_window_view(self._flat[1], p)[:, ::-1]
         else:
             d = np.arange(self._block)[:, None] // p ** np.arange(digits) % p
             weights = p ** np.arange(digits)
             self._add = ((d[:, None] + d) % p @ weights).astype(self.dtype)
             self._sub = ((d[:, None] - d) % p @ weights).astype(self.dtype)
+            self._flat = self._add.ravel(), self._sub.ravel()
         self._exp_v, self._log_v, self._neg_v, self._add_v, self._sub_v = map(
             memoryview, (exp, self._log, self._neg, self._add, self._sub))
 
@@ -270,30 +274,47 @@ class FieldCtx:
         return t
 
     # -- arithmetic on arrays -------------------------------------------------
-    # Operands are integer arrays (or scalars) that broadcast against each
-    # other; results have `dtype`.  Operands are not range-checked: numpy
-    # raises on an index past a table, and callers validate at their entry.
+    # Operands are field elements: integer arrays (or scalars) in
+    # [0, order) that broadcast against each other; results have `dtype`.
+    # Nothing here checks the range: each op is one `take` per digit block
+    # from a flat table, where an out-of-range operand can read another
+    # cell instead of raising (a B x B table's x*B + y aliases y >= B, and
+    # fields of several blocks wrap every operand through `% B`).  Values
+    # are validated where they enter: expr_from_json constants, edge
+    # lists, partitions and CLI parameters.
 
-    def _blockwise_bulk(self, t, a, b):
+    def _flat_index(self, sub, x, y):
+        """int32 positions of the digit pairs (x, y) in the flat add (sub
+        False) or sub table: x*B + y in a B x B table; x + y and x + p-1 - y
+        in a one-digit block's vectors."""
+        if self._block > self.p:
+            return np.multiply(x, self._block, dtype=np.int32) + y
+        if sub:
+            return np.add(x, self.p - 1, dtype=np.int32) - y
+        return np.add(x, y, dtype=np.int32)
+
+    def _blockwise_bulk(self, sub, a, b):
+        """add (sub False) or sub of a and b, one take per digit block."""
+        flat, size = self._flat[sub], self._block
         if self._blocks == 1:
-            return t[a, b]
-        size, r = self._block, 0
+            return flat.take(self._flat_index(sub, a, b))
+        r = 0
         for i in range(self._blocks):
             s = size ** i
-            r = r + t[a // s % size, b // s % size] * s
+            r = r + flat.take(self._flat_index(sub, a // s % size, b // s % size)) * s
         return r
 
     def add_bulk(self, a, b):
-        return self._blockwise_bulk(self._add, a, b)
+        return self._blockwise_bulk(False, a, b)
 
     def sub_bulk(self, a, b):
-        return self._blockwise_bulk(self._sub, a, b)
+        return self._blockwise_bulk(True, a, b)
 
     def neg_bulk(self, a):
-        return self._neg[a]
+        return self._neg.take(a)
 
     def mul_bulk(self, a, b):
-        return self._exp[self._log[a] + self._log[b]]
+        return self._exp.take(self._log.take(a) + self._log.take(b))
 
     def pow_vector(self, n: int):
         """Lookup array for u -> u**n, n >= 0 (cached per exponent)."""

@@ -85,11 +85,12 @@ class Graph:
         """The rows as n ascending lists: the view the small oracles read."""
         return [row[:d] for row, d in zip(self.table.tolist(), self.deg.tolist())]
 
-    def edges(self):
-        """Every edge (u, v), u < v, ascending."""
-        up = self.table > np.arange(self.n)[:, None]  # pads are -1
-        tails = np.repeat(np.arange(self.n), up.sum(axis=1))
-        return zip(tails.tolist(), self.table[up].tolist())
+    def edges(self, lo=0, hi=None):
+        """Every edge (u, v), u < v, ascending; only u in lo..hi-1 when given."""
+        rows = self.table[lo:hi]
+        ids = np.arange(lo, lo + len(rows))
+        up = rows > ids[:, None]  # pads are -1
+        return zip(np.repeat(ids, up.sum(axis=1)).tolist(), rows[up].tolist())
 
     def has_edge(self, u, v):
         row = self.table[u, :self.deg[u]]
@@ -235,8 +236,8 @@ def contains_C4(g: Graph):
     return find_even_cycle(g, 2)
 
 
-# final-layer walks per root block of even_cycle; parents expanded at a
-# time in its last layer
+# final-layer walks per root block of even_cycle; parents expanded, and
+# walk pairs compared, at a time in its last layer
 LAYER_CHUNK = 1 << 15
 
 
@@ -254,7 +255,9 @@ def even_cycle(roots, k, neighbors, n):
     cycles even faster", 1997).  Walks are numbered root by root, each
     root's depth-first over columns, so the earliest walk that closes with
     an earlier one, plus the reversed interior of its earliest partner, is
-    the depth-first witness from the first root on a cycle.
+    the depth-first witness from the first root on a cycle; pairs are
+    compared in that order, LAYER_CHUNK at a time, up to the first chunk
+    that holds a closing pair.
 
     When roots are 0..len-1, a walk keeps only neighbours above its root.
     That is exact, and keeps the witness: a 2k-cycle through roots[i] and
@@ -308,21 +311,27 @@ def even_cycle(roots, k, neighbors, n):
         walks = np.flatnonzero(np.isin(keys, shared))
         walks = walks[np.argsort(keys[walks], kind="stable")]
         group_start = np.searchsorted(keys[walks], keys[walks])
-        # pair every walk with each earlier walk of its group
-        earlier = np.arange(len(walks)) - group_start
-        later_pos = np.repeat(np.arange(len(walks)), earlier)
-        offset = np.arange(len(later_pos)) - np.repeat(np.cumsum(earlier) - earlier, earlier)
-        later, partner = walks[later_pos], walks[np.repeat(group_start, earlier) + offset]
-        inner_later = paths[parents[later], 1:]
-        inner_partner = paths[parents[partner], 1:]
-        meets = (inner_later[:, :, None] == inner_partner[:, None, :]).any(axis=(1, 2))
-        if meets.all():
-            continue
-        j = later[~meets].min()
-        i = partner[~meets & (later == j)].min()
-        walk = [int(v) for v in paths[parents[j]]] + [int(keys[j]) % n]
-        walk += [int(v) for v in paths[parents[i], :0:-1]]
-        return first + int(pos[parents[j]]), tuple(walk)
+        # each walk pairs with every earlier walk of its group; pairs run
+        # by (later walk, partner), LAYER_CHUNK at a time, so the first
+        # pair whose interiors are disjoint is the witness
+        order = np.argsort(walks)
+        earlier = (np.arange(len(walks)) - group_start)[order]
+        ends = np.cumsum(earlier)
+        for lo in range(0, int(ends[-1]), LAYER_CHUNK):
+            pair = np.arange(lo, min(lo + LAYER_CHUNK, int(ends[-1])))
+            at = np.searchsorted(ends, pair, side="right")
+            later = walks[order[at]]
+            partner = walks[group_start[order[at]] + pair - (ends[at] - earlier[at])]
+            inner_later = paths[parents[later], 1:]
+            inner_partner = paths[parents[partner], 1:]
+            meets = (inner_later[:, :, None] == inner_partner[:, None, :]).any(axis=(1, 2))
+            if meets.all():
+                continue
+            f = meets.argmin()
+            j, i = later[f], partner[f]
+            walk = [int(v) for v in paths[parents[j]]] + [int(keys[j]) % n]
+            walk += [int(v) for v in paths[parents[i], :0:-1]]
+            return first + int(pos[parents[j]]), tuple(walk)
     return None
 
 
@@ -427,12 +436,19 @@ def girth(g: Graph, roots=None):
 # text formats
 # ---------------------------------------------------------------------------
 
+# neighbour slots per block of write_edge_list: one block's line strings
+# are alive at a time, not one per edge of the graph
+EDGE_LIST_BLOCK = 1 << 16
+
+
 def write_edge_list(g: Graph) -> str:
     """Plain-text edge list: `n m loops`, then `u v` (u < v), then `L v`."""
-    lines = [f"{g.n} {edge_count(g)} {loop_count(g)}"]
-    lines += [f"{u} {v}" for u, v in g.edges()]
-    lines += [f"L {v}" for v in g.loops.tolist()]
-    return "\n".join(lines) + "\n"
+    text = [f"{g.n} {edge_count(g)} {loop_count(g)}\n"]
+    step = max(1, EDGE_LIST_BLOCK // max(1, g.table.shape[1]))
+    for lo in range(0, g.n, step):
+        text.append("".join([f"{u} {v}\n" for u, v in g.edges(lo, lo + step)]))
+    text += [f"L {v}\n" for v in g.loops.tolist()]
+    return "".join(text)
 
 
 def _ints(what, i, ln, fields, count):

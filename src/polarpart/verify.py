@@ -816,15 +816,11 @@ def verify_family(family, *, q=None, e=None, mode=None, seed=0,
 # change-of-coordinates isomorphism check (hexagon systems)
 # ---------------------------------------------------------------------------
 
-# incidences per block of verify_gh_original's edge sweep
-SWEEP_CHUNK = 1 << 18
-
-
 def verify_gh_original(q, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
     """Exhaustively confirm phi maps the cross-term hexagon system onto the
     power-form one: bijective per side, every edge preserved.
 
-    Bulk kernel, SWEEP_CHUNK incidences a block: a block marks its images
+    Bulk kernel, adg.SWEEP_BLOCK incidences a block: a block marks its images
     per side in id bitmaps; the sweep stops at the first incidence, row
     major (point id, first line coordinate), whose image is not an edge."""
     spec_orig, phi = adg.gh_original_family(q)
@@ -834,7 +830,7 @@ def verify_gh_original(q, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
         raise ValueError(f"{2 * ns} vertices exceed the ceiling for the exhaustive map check")
     images = {"P": np.zeros(ns, dtype=bool), "L": np.zeros(ns, dtype=bool)}
     first = np.arange(q, dtype=spec_orig.ctx.dtype)[None, :]
-    step = max(1, SWEEP_CHUNK // q)
+    step = max(1, adg.SWEEP_BLOCK // q)
     witness = None
     edges_checked = 0
     for lo in range(0, ns, step):

@@ -282,7 +282,7 @@ def test_generic_conjugation_accepts_symmetric_with_linear_terms():
 
 
 def test_bulk_absolute_matches_scalar(monkeypatch):
-    monkeypatch.setattr(adg, "SCAN_CHUNK", 1000)
+    monkeypatch.setattr(adg, "SWEEP_BLOCK", 1000)
     for builder in (lambda: plane_family(2), lambda: plane_family(3),
                     lambda: gq_family(1), lambda: gh_family(0, allow_small_e=True)):
         spec, pol = builder()
@@ -685,8 +685,8 @@ def test_absolute_ids_match_scalar_scan(monkeypatch):
     for make_family in families:
         spec, pol = make_family()
         expected = _scalar_absolute_ids(adg.PolarityGraph(spec, pol))
-        for chunk in (1, spec.ctx.order, 100, 1 << 20):
-            monkeypatch.setattr(adg, "SCAN_CHUNK", chunk)
+        for chunk in (1, spec.ctx.order, 100, 1 << 15, 1 << 20):
+            monkeypatch.setattr(adg, "SWEEP_BLOCK", chunk)
             ids = adg.PolarityGraph(spec, pol).absolute_ids()
             assert ids.dtype == np.int64
             assert ids.tolist() == expected
@@ -708,7 +708,7 @@ def test_absolute_ids_with_a_coordinate_no_equation_reads(monkeypatch):
     pg = adg.PolarityGraph(spec, pol)
     assert pg.scan_stages() == [(1, [0]), (2, [1]), (0, [])]
     for chunk in (1, 5, 100):
-        monkeypatch.setattr(adg, "SCAN_CHUNK", chunk)
+        monkeypatch.setattr(adg, "SWEEP_BLOCK", chunk)
         ids = adg.PolarityGraph(spec, pol).absolute_ids().tolist()
         assert ids == _scalar_absolute_ids(pg)
     assert len(pg.absolute_points()) == 9 * 3 * 3  # p_1 free, then 3 p_2 and 3 p_3 each
@@ -732,13 +732,13 @@ def test_absolute_ids_follow_the_polarity_twist(monkeypatch):
         pg = adg.PolarityGraph(spec, PolaritySpec(rules, rules))
         orders.add(repr(pg.scan_stages()))
         for chunk in (1, 3, 100):
-            monkeypatch.setattr(adg, "SCAN_CHUNK", chunk)
+            monkeypatch.setattr(adg, "SWEEP_BLOCK", chunk)
             ids = adg.PolarityGraph(spec, pg.pol).absolute_ids().tolist()
             assert ids == _scalar_absolute_ids(pg), (name, chunk)
     assert len(orders) == len(GH_TWISTS)
 
 
-@pytest.mark.parametrize("chunk", [1 << 20, 1 << 12])
+@pytest.mark.parametrize("chunk", [1 << 20, 1 << 15, 1 << 12])
 def test_absolute_scan_work_is_bounded(monkeypatch, chunk):
     # every block of candidates passes through polar once
     blocks = []
@@ -749,7 +749,7 @@ def test_absolute_scan_work_is_bounded(monkeypatch, chunk):
         return polar(self, ctx, pvals)
 
     monkeypatch.setattr(PolaritySpec, "polar", counting_polar)
-    monkeypatch.setattr(adg, "SCAN_CHUNK", chunk)
+    monkeypatch.setattr(adg, "SWEEP_BLOCK", chunk)
     pg = adg.PolarityGraph(*gh_family(1))
     assert pg.scan_stages() == [(0, []), (1, []), (3, [0, 2]), (2, []), (4, [1, 3])]
     assert len(pg.absolute_ids()) == 27 ** 3
@@ -809,6 +809,47 @@ def test_check_polarity_bulk_matches_scalar_on_broken_polarity(name, mode):
     bulk = check_polarity(spec, bad, mode, 500, 7)
     assert not bulk.ok
     assert bulk == _scalar_check_polarity(spec, bad, mode, 500, 7)
+
+
+def _late_failure_spec(q, a, b):
+    """plane q's equation p_2 + l_2 = p_1 l_1 plus 1 at the one cell p_1 = a,
+    l_1 = b^q.  The conjugation polarity maps that cell to p_1 = b,
+    l_1 = a^q, so with a != b it fails, and only on incidences through one
+    of the two cells: the first failing point has p_1 = min(a, b)."""
+    spec, pol = plane_family(q)
+    ctx = spec.ctx
+
+    def at(x, c):  # 1 where x == c, else 0
+        return sub(adg.const(1), powi(sub(x, adg.const(c)), ctx.order - 1))
+
+    cell = mul(at(var_p(1), a), at(var_l(1), ctx.pow(b, q)))
+    return ADGSpec(ctx, 2, (adg.add(spec.fs[0], cell),)), pol
+
+
+# mode -> (plane q, tampered cell): the first failure lies past point 8 * 81
+# (52,000 incidences, past a default block) in exhaustive mode, and at
+# sample 169 in sampled mode (seed 0)
+LATE_FAILURES = {"exhaustive": (9, (9, 8)), "sampled": (4, (15, 14))}
+
+
+@pytest.mark.parametrize("mode", sorted(LATE_FAILURES))
+def test_check_polarity_is_blind_to_the_block_size(monkeypatch, mode):
+    # blocks of 1 point, 7 points and the default give the same check, on
+    # the intact polarity and on a tampered spec
+    q, cell = LATE_FAILURES[mode]
+    intact, tampered = plane_family(q), _late_failure_spec(q, *cell)
+    width = intact[0].ctx.order if mode == "exhaustive" else 1
+    for spec, pol in (intact, tampered):
+        expected = check_polarity(spec, pol, mode, 500, 0)
+        for points in (1, 7):
+            monkeypatch.setattr(adg, "SWEEP_BLOCK", points * width)
+            assert check_polarity(spec, pol, mode, 500, 0) == expected
+        monkeypatch.undo()
+        assert expected.ok == (spec is intact[0])
+    assert expected.witness[0] == "adjacency"
+    assert expected.checked_incidences > 7 * width
+    if mode == "exhaustive":
+        assert expected.checked_incidences > adg.SWEEP_BLOCK
 
 
 def test_check_polarity_bulk_matches_scalar_on_intact_polarity():

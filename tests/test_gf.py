@@ -114,9 +114,10 @@ def _reference_mul(ctx, a, b):
     return ctx.encode(_poly_mod(prod, list(ctx.modulus), p))
 
 
-# one digit block up to order 512 and several above it; int16 element
-# arrays up to order 2^15 and int32 above it
-ACROSS_ORDERS = [(2, 1), (3, 3), (2, 9), (3, 7), (2, 15), (3, 10), (2, 20)]
+# a single digit block up to order 512 and several above it; int16
+# element arrays up to order 2^15 and int32 above it; blocks of a single
+# base-p digit, read from vectors (p^2 > TABLE_SIDE), at p = 23 and 29
+ACROSS_ORDERS = [(2, 1), (3, 3), (2, 9), (3, 7), (2, 15), (3, 10), (2, 20), (29, 1), (23, 2)]
 
 
 @pytest.mark.parametrize("p,k", ACROSS_ORDERS)
@@ -147,7 +148,16 @@ def test_field_axioms_and_bulk_ops_across_orders(p, k):
         assert bulk.tolist() == [getattr(ctx, op)(x, y) for x, y in zip(a, b)]
         grid = getattr(ctx, op + "_bulk")(arr_a[:30, None], arr_b[None, :40])
         assert grid.tolist() == [[getattr(ctx, op)(x, y) for y in b[:40]] for x in a[:30]]
+        # scalar operands: Python ints and numpy scalars of either width
+        for scalar in (a[0], ctx.dtype.type(a[0]), np.int64(a[0])):
+            left = getattr(ctx, op + "_bulk")(scalar, arr_b)
+            right = getattr(ctx, op + "_bulk")(arr_b, scalar)
+            assert left.dtype == right.dtype == ctx.dtype
+            assert left.tolist() == [getattr(ctx, op)(a[0], y) for y in b]
+            assert right.tolist() == [getattr(ctx, op)(y, a[0]) for y in b]
+            assert getattr(ctx, op + "_bulk")(scalar, b[1]) == getattr(ctx, op)(a[0], b[1])
     assert ctx.neg_bulk(arr_a).tolist() == [ctx.neg(x) for x in a]
+    assert ctx.neg_bulk(a[0]) == ctx.neg(a[0])
     nonzero = [x for x in a if x]
     assert ctx.pow_vector(q - 2)[nonzero].tolist() == [ctx.inv(x) for x in nonzero]
     for n in (0, 1, 2, 3, q, q + 1):

@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from polarpart import graphs
-from polarpart.adg import plane_family
+from polarpart.adg import build_polarity_graph, plane_family
 from polarpart.graphs import (
     Graph, Partition, contains_C4, degree, edge_count,
     even_cycle_free_upto, find_even_cycle, girth, loop_count, materialize,
     pair_edge_matrix, read_edge_list, read_partition, write_edge_list,
     write_partition,
 )
-from test_verify import _reference_find_even_cycle
+from test_verify import _reference_dfs, _reference_find_even_cycle
 
 
 def _reference_contains_C4(g):
@@ -194,6 +194,23 @@ def test_c6_detection_and_kmax_window():
     w = even_cycle_free_upto(g, 3)
     assert w is not None and len(w) == 6
     assert even_cycle_free_upto(g, 2) is None
+
+
+# root -> its C6 witness on plane q=9's bipartite graph, as the search
+# gave it when it paired every walk of a shared key at once
+PLANE9_BIPARTITE_C6 = {0: (0, 6642, 82, 6724, 162, 6561), 405: (405, 6647, 7, 6728, 567, 6561)}
+
+
+@pytest.mark.parametrize("root", sorted(PLANE9_BIPARTITE_C6))
+def test_bipartite_c6_root_pairs_walks_by_chunks(root):
+    # a root's 518,400 walks share 6,480 keys, about 2 * 10^7 pairs: the
+    # search stops at the first LAYER_CHUNK of pairs with a disjoint one,
+    # and keeps the witness and the DFS reference's
+    spec, _ = plane_family(9)
+    g = materialize(2 * spec.side_size, spec.bipartite_arrays, 20_000)
+    w = find_even_cycle(g, 3, roots=[root])
+    assert w == PLANE9_BIPARTITE_C6[root]
+    assert w == _reference_dfs(root, 3, lambda v: g.adj[v][::-1])
 
 
 def test_even_cycle_kmax_validation():
@@ -507,6 +524,27 @@ def test_edge_list_round_trip():
     h = read_edge_list(text)
     assert h.adj == g.adj and np.array_equal(h.loops, g.loops)
     assert write_edge_list(h) == text
+
+
+def _joined_edge_list(g):
+    """write_edge_list as one join over a string per line, as it was
+    before it formatted in blocks: the reference for its bytes."""
+    up = [(u, v) for u in range(g.n) for v in g.adj[u] if u < v]
+    lines = [f"{g.n} {len(up)} {len(g.loops)}"]
+    lines += [f"{u} {v}" for u, v in up]
+    lines += [f"L {v}" for v in g.loops.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("block", [1, 5, 64, graphs.EDGE_LIST_BLOCK])
+def test_edge_list_blocks_keep_the_bytes(monkeypatch, block):
+    spec, pol = plane_family(3)
+    pg = build_polarity_graph(spec, pol)
+    cases = [materialize(pg.n, pg.arrays, 1000), Graph(4, [[], [], [], []], loops=[1]),
+             Graph.from_edges(7, [(0, 6), (2, 3), (3, 5)])]
+    monkeypatch.setattr(graphs, "EDGE_LIST_BLOCK", block)
+    for g in cases:
+        assert write_edge_list(g) == _joined_edge_list(g)
 
 
 def test_edge_list_header_mismatch():

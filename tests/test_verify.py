@@ -499,7 +499,7 @@ def test_gh_original_matches_scalar_reference(monkeypatch, q, tamper):
     assert expected["ok"] == (tamper == "intact")
     assert verify_gh_original(q) == expected
     for points_per_block in (1, 100) if q == 3 else (100,):
-        monkeypatch.setattr(verify, "SWEEP_CHUNK", points_per_block * q)
+        monkeypatch.setattr(adg, "SWEEP_BLOCK", points_per_block * q)
         assert verify_gh_original(q) == expected
     if tamper.startswith("edge"):
         assert expected["bijective_points"] and expected["bijective_lines"]
