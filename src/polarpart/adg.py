@@ -326,23 +326,48 @@ class ADGSpec:
         points = self.coords_to_ids(self.point_on_bulk(coords, first))
         return np.concatenate([lines, points]), np.empty(0, dtype=np.int64)
 
+    def translates(self):
+        """True when every f_j reads only p_1 and l_1: then each translation
+        (p, l) -> (p + t, l - t) with t_1 = 0 preserves incidence."""
+        return not any(expr_vars(f) - {("p", 1), ("l", 1)} for f in self.fs)
+
+    def shift(self, coords, t):
+        """The ids of p + t for the points p of `coords` (ids_to_coords'
+        arrays), t a tuple of m field elements: on the coords of every id,
+        an int64 permutation of 0..q^m-1 (of line ids too)."""
+        return self.coords_to_ids([self.ctx.add_bulk(c, s) if s else c for c, s in zip(coords, t)])
+
     def translations(self):
         """Generators of the translations (p, l) -> (p + t, l - t), t_1 = 0,
         as permutations of bipartite_arrays' ids: t = b e_j for b in the
         additive basis p^i (i < k) and j = 2..m, (m - 1) k of them yielded
         one at a time; their point orbits are the q classes of p_1.  They
-        are automorphisms when every f_j reads only p_1 and l_1; None for
-        any other spec."""
-        if any(expr_vars(f) - {("p", 1), ("l", 1)} for f in self.fs):
+        are automorphisms when the spec translates(); None for any other."""
+        if not self.translates():
             return None
-        ctx, ns = self.ctx, self.side_size
+        ctx, m, ns = self.ctx, self.m, self.side_size
         coords = self.ids_to_coords(np.arange(ns))
 
-        def shifted(j, b, op):
-            return self.coords_to_ids([*coords[:j], op(coords[j], b), *coords[j + 1:]])
+        def unit(j, b):
+            return tuple(b if i == j else 0 for i in range(m))
 
-        return (np.concatenate([shifted(j, b, ctx.add_bulk), ns + shifted(j, b, ctx.sub_bulk)])
-                for j in range(1, self.m) for b in ctx.p ** np.arange(ctx.k))
+        return (np.concatenate([self.shift(coords, unit(j, b)),
+                                ns + self.shift(coords, unit(j, ctx.neg(b)))])
+                for j in range(1, m) for b in (ctx.p ** np.arange(ctx.k)).tolist())
+
+    def translation_ids(self, pol):
+        """T = {t : t_1 = 0, polar(t) = -t} for the polarity `pol`, as
+        ascending point ids, all below q^(m-1); None unless the spec
+        translates().  The polarity is additive, so polar(p + t) =
+        polar(p) - t, and the bipartite translation by t maps p ~ r to
+        p + t ~ r + t: each t in T is a translation of the polarity graph
+        onto itself, loops included."""
+        if not self.translates():
+            return None
+        ctx = self.ctx
+        coords = self.ids_to_coords(np.arange(ctx.order ** (self.m - 1)))
+        lines = pol.polar(ctx, coords)
+        return np.flatnonzero(np.all([a == ctx.neg_bulk(c) for a, c in zip(lines, coords)], axis=0))
 
 
 # -- polarities ---------------------------------------------------------------

@@ -217,9 +217,11 @@ def is_automorphism(g: Graph, perm) -> bool:
     padded table onto the row of its image, order kept: row perm[v] equals
     perm of row v, pads staying -1.  Row equality gives set equality, so a
     pass is exact; a perm that reorders some row fails.  Loops are not
-    compared (girth and the cycle searches ignore them)."""
+    compared (girth and the cycle searches ignore them).  A perm of
+    another length fails."""
     table = g.table
-    return np.array_equal(table[perm], np.append(perm, -1).astype(table.dtype)[table])
+    return len(perm) == g.n and np.array_equal(
+        table[perm], np.append(perm, -1).astype(table.dtype)[table])
 
 
 def find_even_cycle(g: Graph, k: int, roots=None):

@@ -200,7 +200,7 @@ def brute_force_chi_a(g: Graph) -> int:
 # LUW relation checks (materialized graphs)
 # ---------------------------------------------------------------------------
 
-def luw_report(g_bip: Graph, gp: Graph, gp_cycles, roots=None):
+def luw_report(g_bip: Graph, gp: Graph, gp_cycles, roots=None, gp_roots=None):
     """Degree relation, incidence reconciliation, cycle transfer, and girth
     halving between a bipartite graph and its polarity graph.
 
@@ -208,8 +208,9 @@ def luw_report(g_bip: Graph, gp: Graph, gp_cycles, roots=None):
     point side comes first in the id layout), and gp's loops are the
     absolute points.  `gp_cycles` maps each k of 2..kmax to
     find_even_cycle(gp, k), which the caller has already run.  `roots`
-    (orbit_roots) are the bipartite girth and cycle searches' roots; every
-    vertex when None.
+    (orbit_roots) are the bipartite girth and cycle searches' roots, and
+    `gp_roots` (polarity_orbit_roots) the polarity girth's; every vertex
+    when None.
     """
     n_pi = loop_count(gp)
     expect = degrees(g_bip)[:gp.n]
@@ -237,7 +238,7 @@ def luw_report(g_bip: Graph, gp: Graph, gp_cycles, roots=None):
     transfer_ok = all(t["polarity_free"] for t in transfers.values()
                       if t["bipartite_free"])
     g_bip_girth = girth(g_bip, roots)
-    gp_girth = girth(gp)
+    gp_girth = girth(gp, gp_roots)
     girth_ok = gp_girth >= g_bip_girth / 2
     return {
         "degree_relation_ok": degree_ok,
@@ -256,17 +257,48 @@ def luw_report(g_bip: Graph, gp: Graph, gp_cycles, roots=None):
     }
 
 
+def _automorphisms(g: Graph, perms):
+    """True when `perms` is not None and each of them is an automorphism of g."""
+    return perms is not None and all(is_automorphism(g, s) for s in perms)
+
+
 def orbit_roots(spec, g_bip: Graph):
     """The q point ids t q^(m-1), one per p_1 class, when every generator of
     spec.translations() is an automorphism of g_bip (materialized from
     spec.bipartite_arrays); None otherwise.  Each point has a translation
     onto its class's id, so a shortest cycle, or a 2k-cycle, passes
     through one of them when any exists (every bipartite cycle has a point)."""
-    perms = spec.translations()
-    if perms is None or not all(is_automorphism(g_bip, s) for s in perms):
+    if not _automorphisms(g_bip, spec.translations()):
         return None
     q = spec.ctx.order
     return np.arange(q) * q ** (spec.m - 1)
+
+
+def polarity_orbit_roots(spec, pol, g: Graph):
+    """The orbit minima of the translations T (ADGSpec.translation_ids) on
+    the points, the ids v with v = min over t in T of id(v + t), when the
+    shift p -> p + t by each t of a GF(p)-basis of T is an automorphism of
+    g; None otherwise, or when T is {0}.  As for orbit_roots, a shortest
+    cycle, or a 2k-cycle, of g passes through a root when any exists.
+
+    The basis is picked greedily in id order: `low` holds each vertex's
+    minimum over the span of the shifts picked so far, so low[t] = 0
+    exactly when t (an id below q^(m-1)) is in that span."""
+    ts = spec.translation_ids(pol)
+    if ts is None:
+        return None
+    low, perms = np.arange(spec.side_size), []
+    coords = spec.ids_to_coords(low)
+    for t in ts.tolist():
+        if low[t]:
+            perms.append(spec.shift(coords, spec.id_to_coords(t)))
+            layers = [low]  # low at v + c t for c = 0..p-1
+            for _ in range(spec.ctx.p - 1):
+                layers.append(layers[-1][perms[-1]])
+            low = np.minimum.reduce(layers)
+    if not perms or not _automorphisms(g, perms):
+        return None
+    return np.flatnonzero(low == np.arange(len(low)))
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +504,13 @@ def verify_family_exhaustive(bundle, *, seed=0,
 
     # one search per k, shared by the forbidden-cycle checks and LUW
     luw_ks = range(2, min(max(FORBIDDEN[family], default=2), 3) + 1) if with_luw else ()
-    found = {k: find_even_cycle(g, k) for k in sorted({*FORBIDDEN[family], *luw_ks})}
+    # exact from the orbit minima with no floor, with the every-root
+    # witness: the least vertex r on a 2k-cycle is an orbit minimum (a
+    # translate of the cycle would hold a lower one), and a walk from r
+    # through a vertex below r closes no pair, so the other walks keep
+    # their depth-first order and the first closing pair is the same
+    roots = polarity_orbit_roots(spec, pol, g)
+    found = {k: find_even_cycle(g, k, roots) for k in sorted({*FORBIDDEN[family], *luw_ks})}
     cycles_ok = _cycle_verdicts(report, {k: found[k] for k in FORBIDDEN[family]}, "pass")
     report["bounds"] = _bounds(g.n, max(tally, default=0), e_g, part.r, verd)
     report["checks"] = {
@@ -483,7 +521,7 @@ def verify_family_exhaustive(bundle, *, seed=0,
     if with_luw:
         g_bip = materialize(2 * spec.side_size, spec.bipartite_arrays, 4 * materialize_limit)
         report["luw"] = luw_report(g_bip, g, {k: found[k] for k in luw_ks},
-                                   orbit_roots(spec, g_bip))
+                                   orbit_roots(spec, g_bip), roots)
     else:
         report["luw"] = None
 

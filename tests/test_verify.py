@@ -206,6 +206,11 @@ def _bipartite(spec):
     return materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 5)
 
 
+# the generic spec of the CI report: GF(9), m = 4, f_{j+1} = p_j l_j
+GF9_M4 = {"field": {"p": 3, "k": 2}, "m": 4, "fs": [
+    ["mul", ["var", "p", 1], ["var", "l", 1]], ["mul", ["var", "p", 2], ["var", "l", 2]],
+    ["mul", ["var", "p", 3], ["var", "l", 3]]]}
+
 ORBIT_SPECS = {
     **{f"plane q={q}": (lambda q=q: plane_family(q)[0]) for q in (2, 3, 4, 5, 7)},
     "gq e=0": lambda: gq_family(0, allow_small_e=True)[0],
@@ -247,6 +252,12 @@ def test_orbit_path_refused_off_the_first_coordinates():
     spec_orig = adg.gh_original_family(3)[0]  # f_3 reads l_2
     assert spec_orig.translations() is None
     assert verify.orbit_roots(spec_orig, _bipartite(spec_orig)) is None
+    pol = gh_family(0, allow_small_e=True)[1]
+    assert spec_orig.translation_ids(pol) is None
+    spec = adg.ADGSpec.from_json(GF9_M4)  # f_3 reads p_2 and l_2
+    pol = adg.generic_conjugation_polarity(spec)
+    assert spec.translation_ids(pol) is None
+    assert verify.polarity_orbit_roots(spec, pol, _polarity_graph(spec, pol)) is None
 
 
 def test_orbit_path_refused_on_a_graph_with_two_endpoints_swapped():
@@ -286,6 +297,116 @@ def test_orbit_roots_leave_cycle_searches_and_luw_report_unchanged(family, kmax)
         assert find_even_cycle(g_bip, k, roots) is None is find_even_cycle(g_bip, k)
     cycles = _gp_cycles(gp, kmax)
     assert luw_report(g_bip, gp, cycles, roots) == luw_report(g_bip, gp, cycles)
+
+
+# -- polarity translation-orbit roots ------------------------------------------------
+
+# family -> (spec, polarity), |T|
+POLARITY_T = {
+    **{f"plane q={q}": (lambda q=q: plane_family(q), q) for q in (3, 5, 9)},
+    "gq e=1": (lambda: gq_family(1), 8),
+    "gq e=2": (lambda: gq_family(2), 32),
+}
+
+
+def _polarity_translation_scan(spec, pol):
+    """T by the scalar polarity: every t with t_1 = 0 and polar(t) = -t."""
+    ctx = spec.ctx
+    coords = (spec.id_to_coords(t) for t in range(ctx.order ** (spec.m - 1)))
+    return [spec.coords_to_id(c) for c in coords
+            if pol.apply_point(ctx, c) == tuple(ctx.neg(x) for x in c)]
+
+
+@pytest.mark.parametrize("name", POLARITY_T)
+def test_polarity_translations_match_a_scalar_scan(name, monkeypatch):
+    make, size = POLARITY_T[name]
+    spec, pol = make()
+    ts = spec.translation_ids(pol)
+    assert ts.tolist() == _polarity_translation_scan(spec, pol) and len(ts) == size
+    g = materialize(spec.side_size, adg.PolarityGraph(spec, pol).arrays, 10 ** 5)
+    checked = []
+
+    def recording(g_, perm):
+        checked.append(graphs.is_automorphism(g_, perm))
+        return checked[-1]
+
+    monkeypatch.setattr(verify, "is_automorphism", recording)
+    roots = verify.polarity_orbit_roots(spec, pol, g)
+    # a GF(p)-basis of T, each generator an automorphism of the graph
+    assert checked == [True] * round(math.log(size, spec.ctx.p))
+    assert len(roots) == g.n // size
+    if g.n <= 1000:  # the orbit minima, by scalar translation
+        ctx = spec.ctx
+        low = [min(spec.coords_to_id(tuple(map(ctx.add, spec.id_to_coords(v),
+                                                spec.id_to_coords(t)))) for t in ts.tolist())
+               for v in range(g.n)]
+        assert roots.tolist() == [v for v in range(g.n) if low[v] == v]
+
+
+# family -> (spec, polarity), the cycle lengths 2k compared, those the
+# depth-first reference runs for too (its C4 search at plane q=7 takes 5 s),
+# and the largest k for which the graph is C4-, ..., C2k-free
+ORBIT_POLARITY = {
+    **{f"plane q={q}": (lambda q=q: plane_family(q), (2, 3, 4), (2, 3, 4), 2)
+       for q in (2, 3, 4, 5)},
+    "plane q=7": (lambda: plane_family(7), (2, 3), (3,), 2),
+    "gq e=1": (lambda: gq_family(1), (2, 3, 4, 5), (2, 3, 4, 5), 3),
+    "gh e=0": (lambda: gh_family(0, allow_small_e=True), (2, 3, 4, 5), (2, 3, 4, 5), 5),
+}
+
+
+@pytest.mark.parametrize("name", ORBIT_POLARITY)
+def test_polarity_orbit_roots_agree_with_every_root_searches(name):
+    from test_graphs import _reference_girth
+
+    make, ks, reference, free = ORBIT_POLARITY[name]
+    spec, pol = make()
+    g = _polarity_graph(spec, pol)
+    roots = verify.polarity_orbit_roots(spec, pol, g)
+    assert roots is not None and len(roots) < g.n
+    for k in ks:
+        # the first vertex on a 2k-cycle is an orbit minimum, and a walk
+        # through a lower vertex closes no pair: the witnesses agree
+        w = find_even_cycle(g, k, roots)
+        assert w == find_even_cycle(g, k)
+        if k in reference:
+            assert w == _reference_find_even_cycle(g, k)
+        assert (w is None) == (k <= free)
+        if w is not None:
+            assert len(set(w)) == 2 * k
+            assert all(g.has_edge(w[i - 1], w[i]) for i in range(2 * k))
+    assert graphs.girth(g, roots) == graphs.girth(g) == _reference_girth(g)
+
+
+@pytest.mark.parametrize("family,kwargs", [
+    ("plane", {"q": 3}), ("gq", {"e": 1}), ("gh", {"e": 0, "allow_small_e": True})],
+    ids=["plane q=3", "gq e=1", "gh e=0"])
+def test_polarity_orbit_roots_leave_the_report_unchanged(monkeypatch, family, kwargs):
+    rep = verify_family(family, **kwargs)
+    assert rep["ok"]
+    monkeypatch.setattr(verify, "polarity_orbit_roots", lambda spec, pol, g: None)
+    assert verify_family(family, **kwargs) == rep
+
+
+def test_polarity_orbit_path_refused_on_a_graph_with_two_endpoints_swapped():
+    spec, pol = plane_family(3)
+    g = _polarity_graph(spec, pol)
+    edges = list(g.edges())
+    a, b = edges[0]
+    for c, d in edges:  # the first degree-keeping swap that closes a C4
+        if len({a, b, c, d}) < 4 or g.has_edge(a, d) or g.has_edge(c, b):
+            continue
+        tampered = Graph.from_edges(g.n, set(edges) - {(a, b), (c, d)} | {
+            tuple(sorted(e)) for e in ((a, d), (c, b))}, g.loops)
+        if find_even_cycle(tampered, 2) is not None:
+            break
+    assert (graphs.degrees(tampered) == graphs.degrees(g)).all()
+    assert verify.polarity_orbit_roots(spec, pol, g) is not None
+    assert verify.polarity_orbit_roots(spec, pol, tampered) is None
+    assert not graphs.is_automorphism(g, np.arange(g.n - 1))  # another length
+    rep = verify_family("plane", q=3, graph=tampered, with_luw=False)
+    witness = list(_reference_find_even_cycle(tampered, 2))
+    assert rep["cycles"] == {"C4": "fail"} and ("C4", witness) in rep["witnesses"]
 
 
 # -- oracles ---------------------------------------------------------------------
