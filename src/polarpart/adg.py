@@ -326,46 +326,21 @@ class ADGSpec:
         points = self.coords_to_ids(self.point_on_bulk(coords, first))
         return np.concatenate([lines, points]), np.empty(0, dtype=np.int64)
 
-    def translates(self):
-        """True when every f_j reads only p_1 and l_1: then each translation
-        (p, l) -> (p + t, l - t) with t_1 = 0 preserves incidence."""
-        return not any(expr_vars(f) - {("p", 1), ("l", 1)} for f in self.fs)
-
-    def shift(self, coords, t):
-        """The ids of p + t for the points p of `coords` (ids_to_coords'
-        arrays), t a tuple of m field elements: on the coords of every id,
-        an int64 permutation of 0..q^m-1 (of line ids too)."""
-        return self.coords_to_ids([self.ctx.add_bulk(c, s) if s else c for c, s in zip(coords, t)])
-
-    def translations(self):
-        """Generators of the translations (p, l) -> (p + t, l - t), t_1 = 0,
-        as permutations of bipartite_arrays' ids: t = b e_j for b in the
-        additive basis p^i (i < k) and j = 2..m, (m - 1) k of them yielded
-        one at a time; their point orbits are the q classes of p_1.  They
-        are automorphisms when the spec translates(); None for any other."""
-        if not self.translates():
-            return None
-        ctx, m, ns = self.ctx, self.m, self.side_size
-        coords = self.ids_to_coords(np.arange(ns))
-
-        def unit(j, b):
-            return tuple(b if i == j else 0 for i in range(m))
-
-        return (np.concatenate([self.shift(coords, unit(j, b)),
-                                ns + self.shift(coords, unit(j, ctx.neg(b)))])
-                for j in range(1, m) for b in (ctx.p ** np.arange(ctx.k)).tolist())
-
-    def translation_ids(self, pol):
-        """T = {t : t_1 = 0, polar(t) = -t} for the polarity `pol`, as
-        ascending point ids, all below q^(m-1); None unless the spec
-        translates().  The polarity is additive, so polar(p + t) =
-        polar(p) - t, and the bipartite translation by t maps p ~ r to
-        p + t ~ r + t: each t in T is a translation of the polarity graph
-        onto itself, loops included."""
-        if not self.translates():
+    def translation_ids(self, pol=None):
+        """T as ascending point ids, all below q^(m-1): every t with t_1 = 0,
+        or, given the polarity `pol`, those with polar(t) = -t too; None
+        when some f_j reads a coordinate other than p_1 or l_1.  Otherwise
+        each translation (p, l) -> (p + t, l - t) with t_1 = 0 preserves
+        incidence.  The polarity is additive, so polar(p + t) = polar(p) - t
+        for t in T, and p -> p + t maps the polarity graph onto itself,
+        loops included."""
+        if any(expr_vars(f) - {("p", 1), ("l", 1)} for f in self.fs):
             return None
         ctx = self.ctx
-        coords = self.ids_to_coords(np.arange(ctx.order ** (self.m - 1)))
+        ts = np.arange(ctx.order ** (self.m - 1))
+        if pol is None:
+            return ts
+        coords = self.ids_to_coords(ts)
         lines = pol.polar(ctx, coords)
         return np.flatnonzero(np.all([a == ctx.neg_bulk(c) for a, c in zip(lines, coords)], axis=0))
 

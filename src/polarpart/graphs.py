@@ -215,13 +215,12 @@ def arc_codes(g: Graph):
 def is_automorphism(g: Graph, perm) -> bool:
     """True when the permutation `perm` of 0..n-1 maps every row of the
     padded table onto the row of its image, order kept: row perm[v] equals
-    perm of row v, pads staying -1.  Row equality gives set equality, so a
-    pass is exact; a perm that reorders some row fails.  Loops are not
-    compared (girth and the cycle searches ignore them).  A perm of
-    another length fails."""
+    perm of row v, pads staying -1, and maps the loops onto the loops.
+    Row equality gives set equality, so a pass is exact; a perm that
+    reorders some row fails.  A perm of another length fails."""
     table = g.table
-    return len(perm) == g.n and np.array_equal(
-        table[perm], np.append(perm, -1).astype(table.dtype)[table])
+    return (len(perm) == g.n and np.array_equal(np.sort(np.take(perm, g.loops)), g.loops)
+            and np.array_equal(table[perm], np.append(perm, -1).astype(table.dtype)[table]))
 
 
 def find_even_cycle(g: Graph, k: int, roots=None):

@@ -208,9 +208,9 @@ def luw_report(g_bip: Graph, gp: Graph, gp_cycles, roots=None, gp_roots=None):
     point side comes first in the id layout), and gp's loops are the
     absolute points.  `gp_cycles` maps each k of 2..kmax to
     find_even_cycle(gp, k), which the caller has already run.  `roots`
-    (orbit_roots) are the bipartite girth and cycle searches' roots, and
-    `gp_roots` (polarity_orbit_roots) the polarity girth's; every vertex
-    when None.
+    (orbit_roots of g_bip) are the bipartite girth and cycle searches'
+    roots, and `gp_roots` (orbit_roots of gp) the polarity girth's; every
+    vertex when None.
     """
     n_pi = loop_count(gp)
     expect = degrees(g_bip)[:gp.n]
@@ -257,48 +257,39 @@ def luw_report(g_bip: Graph, gp: Graph, gp_cycles, roots=None, gp_roots=None):
     }
 
 
-def _automorphisms(g: Graph, perms):
-    """True when `perms` is not None and each of them is an automorphism of g."""
-    return perms is not None and all(is_automorphism(g, s) for s in perms)
+def orbit_roots(spec, g: Graph, pol=None):
+    """The orbit minima among the point ids of the translations T
+    (spec.translation_ids(pol)) on g, the polarity graph of `pol` or, with
+    no polarity, the incidence graph (spec.bipartite_arrays): the ids v
+    with v = min over t in T of id(v + t).  None when T is None, when g
+    has neither q^m nor 2 q^m vertices, or when the map (p, l) ->
+    (p + t, l - t) of some t of a GF(p)-basis of T is not an automorphism
+    of g.  Every cycle holds a point, so a shortest cycle, or a 2k-cycle,
+    passes through a root when any exists; on the incidence graph the
+    roots are the q ids t q^(m-1), one per p_1 class.
 
-
-def orbit_roots(spec, g_bip: Graph):
-    """The q point ids t q^(m-1), one per p_1 class, when every generator of
-    spec.translations() is an automorphism of g_bip (materialized from
-    spec.bipartite_arrays); None otherwise.  Each point has a translation
-    onto its class's id, so a shortest cycle, or a 2k-cycle, passes
-    through one of them when any exists (every bipartite cycle has a point)."""
-    if not _automorphisms(g_bip, spec.translations()):
-        return None
-    q = spec.ctx.order
-    return np.arange(q) * q ** (spec.m - 1)
-
-
-def polarity_orbit_roots(spec, pol, g: Graph):
-    """The orbit minima of the translations T (ADGSpec.translation_ids) on
-    the points, the ids v with v = min over t in T of id(v + t), when the
-    shift p -> p + t by each t of a GF(p)-basis of T is an automorphism of
-    g; None otherwise, or when T is {0}.  As for orbit_roots, a shortest
-    cycle, or a 2k-cycle, of g passes through a root when any exists.
-
-    The basis is picked greedily in id order: `low` holds each vertex's
-    minimum over the span of the shifts picked so far, so low[t] = 0
+    The basis is picked greedily in id order: `low` holds each point's
+    minimum over the span of the translations picked so far, so low[t] = 0
     exactly when t (an id below q^(m-1)) is in that span."""
-    ts = spec.translation_ids(pol)
-    if ts is None:
+    ts, ctx, ns = spec.translation_ids(pol), spec.ctx, spec.side_size
+    if ts is None or g.n not in (ns, 2 * ns):
         return None
-    low, perms = np.arange(spec.side_size), []
+    low = np.arange(ns)
     coords = spec.ids_to_coords(low)
     for t in ts.tolist():
         if low[t]:
-            perms.append(spec.shift(coords, spec.id_to_coords(t)))
+            step = spec.id_to_coords(t)
+            perm = spec.coords_to_ids([ctx.add_bulk(c, s) if s else c for c, s in zip(coords, step)])
+            if g.n > ns:  # the incidence graph's lines, l -> l - t
+                perm = np.concatenate([perm, ns + spec.coords_to_ids(
+                    [ctx.sub_bulk(c, s) if s else c for c, s in zip(coords, step)])])
+            if not is_automorphism(g, perm):
+                return None
             layers = [low]  # low at v + c t for c = 0..p-1
-            for _ in range(spec.ctx.p - 1):
-                layers.append(layers[-1][perms[-1]])
+            for _ in range(ctx.p - 1):
+                layers.append(layers[-1][perm[:ns]])
             low = np.minimum.reduce(layers)
-    if not perms or not _automorphisms(g, perms):
-        return None
-    return np.flatnonzero(low == np.arange(len(low)))
+    return np.flatnonzero(low == np.arange(ns))
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +500,7 @@ def verify_family_exhaustive(bundle, *, seed=0,
     # translate of the cycle would hold a lower one), and a walk from r
     # through a vertex below r closes no pair, so the other walks keep
     # their depth-first order and the first closing pair is the same
-    roots = polarity_orbit_roots(spec, pol, g)
+    roots = orbit_roots(spec, g, pol)
     found = {k: find_even_cycle(g, k, roots) for k in sorted({*FORBIDDEN[family], *luw_ks})}
     cycles_ok = _cycle_verdicts(report, {k: found[k] for k in FORBIDDEN[family]}, "pass")
     report["bounds"] = _bounds(g.n, max(tally, default=0), e_g, part.r, verd)
@@ -817,16 +808,18 @@ def choose_protocol(bundle, mode, materialize_limit):
     cannot take."""
     spec, scheme = bundle[0], bundle[2]
     fits = spec.side_size <= materialize_limit
-    if mode is None:
+    too_large = (f"{spec.side_size} vertices exceed the materialization "
+                 f"ceiling {materialize_limit}")
+    auto = mode is None
+    if auto:
         mode = "exhaustive" if fits else "sampled"
     if mode == "exhaustive" and not fits:
-        raise ValueError(
-            f"{spec.side_size} vertices exceed the materialization "
-            f"ceiling {materialize_limit}; use sampled mode")
+        raise ValueError(f"{too_large}; use sampled mode")
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and scheme.family != "gh":
-        raise ValueError(f"sampled mode is only wired for the gh family, not {scheme.family}")
+        raise ValueError(f"sampled mode is only wired for the gh family, not {scheme.family}"
+                         + (f"; auto mode picked it because {too_large}" if auto else ""))
     return mode
 
 

@@ -297,6 +297,15 @@ def test_sampled_report_off_gh_writes_nothing(tmp_path, capsys, family, args):
     assert os.listdir(out) == []
 
 
+def test_auto_mode_sampled_off_gh_names_the_ceiling(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["report", "plane", "--q", "3", "--limit", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "sampled mode is only wired for the gh family, not plane" in err
+    assert "auto mode picked it because 81 vertices exceed the materialization ceiling 0" in err
+    assert os.listdir(out) == []
+
+
 def test_generic_spec_roundtrip(tmp_path):
     spec_file = tmp_path / "toy.json"
     spec_file.write_text(json.dumps({

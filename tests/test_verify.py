@@ -224,20 +224,29 @@ def test_orbit_root_girth_equals_every_root_girth(name):
     spec = ORBIT_SPECS[name]()
     g_bip = _bipartite(spec)
     roots = verify.orbit_roots(spec, g_bip)
-    assert roots is not None and len(roots) == spec.ctx.order
+    q = spec.ctx.order  # one root per p_1 class, its other coordinates 0
+    assert roots.tolist() == (np.arange(q) * q ** (spec.m - 1)).tolist()
     assert graphs.girth(g_bip, roots) == graphs.girth(g_bip)
 
 
 @pytest.mark.parametrize("spec", [plane_family(3)[0], gq_family(1)[0]], ids=["GF(9)", "GF(8)"])
-def test_translation_orbits_are_the_first_coordinate_classes(spec):
-    """The generators' orbit closure on point ids is the p_1 classes; with
-    the +1 translations alone it would be finer over GF(9) and GF(8)."""
+def test_translation_orbits_are_the_first_coordinate_classes(spec, monkeypatch):
+    """The orbit closure on point ids of the generators orbit_roots picks on
+    the incidence graph is the p_1 classes; with the +1 translations alone
+    it would be finer over GF(9) and GF(8)."""
     import networkx as nx
 
     ns, q, k = spec.side_size, spec.ctx.order, spec.ctx.k
-    perms = list(spec.translations())
-    assert len(perms) == (spec.m - 1) * k > spec.m - 1
     g_bip = _bipartite(spec)
+    perms = []
+
+    def recording(g_, perm):
+        perms.append(perm)
+        return graphs.is_automorphism(g_, perm)
+
+    monkeypatch.setattr(verify, "is_automorphism", recording)
+    assert verify.orbit_roots(spec, g_bip) is not None
+    assert len(perms) == (spec.m - 1) * k > spec.m - 1
     for perm in perms:
         assert sorted(perm.tolist()) == list(range(2 * ns))
         assert graphs.is_automorphism(g_bip, perm)
@@ -248,31 +257,64 @@ def test_translation_orbits_are_the_first_coordinate_classes(spec):
     assert orbits == [list(range(t * ns // q, (t + 1) * ns // q)) for t in range(q)]
 
 
-def test_orbit_path_refused_off_the_first_coordinates():
+@pytest.mark.parametrize("polar", [False, True], ids=["incidence", "polarity"])
+def test_orbit_path_refused_off_the_first_coordinates(polar):
     spec_orig = adg.gh_original_family(3)[0]  # f_3 reads l_2
-    assert spec_orig.translations() is None
-    assert verify.orbit_roots(spec_orig, _bipartite(spec_orig)) is None
-    pol = gh_family(0, allow_small_e=True)[1]
+    pol = gh_family(0, allow_small_e=True)[1] if polar else None
     assert spec_orig.translation_ids(pol) is None
+    assert verify.orbit_roots(spec_orig, _bipartite(spec_orig), pol) is None
     spec = adg.ADGSpec.from_json(GF9_M4)  # f_3 reads p_2 and l_2
-    pol = adg.generic_conjugation_polarity(spec)
+    pol = adg.generic_conjugation_polarity(spec) if polar else None
+    g = _polarity_graph(spec, pol) if polar else _bipartite(spec)
     assert spec.translation_ids(pol) is None
-    assert verify.polarity_orbit_roots(spec, pol, _polarity_graph(spec, pol)) is None
+    assert verify.orbit_roots(spec, g, pol) is None
 
 
-def test_orbit_path_refused_on_a_graph_with_two_endpoints_swapped():
-    spec = plane_family(3)[0]
-    g_bip = _bipartite(spec)
-    ns = spec.side_size
-    edges = list(g_bip.edges())  # (point, line): points come first
+@pytest.mark.parametrize("polar", [False, True], ids=["incidence", "polarity"])
+def test_orbit_roots_refuse_a_graph_of_another_size(polar):
+    spec, pol = plane_family(3)
+    pol = pol if polar else None
+    ns = spec.side_size  # the translations act on q^m points and q^m lines
+    for n in (0, ns - 1, ns + 1, 2 * ns - 1, 2 * ns + 1, 3 * ns):
+        assert verify.orbit_roots(spec, Graph(n, [()] * n), pol) is None
+    g = _polarity_graph(spec, pol) if polar else _bipartite(spec)
+    assert not graphs.is_automorphism(g, np.arange(g.n - 1))  # another length
+
+
+@pytest.mark.parametrize("family,kwargs", [
+    ("plane", {"q": 3}), ("gh", {"e": 0, "allow_small_e": True})], ids=["plane q=3", "gh e=0"])
+def test_orbit_roots_refused_when_a_loop_moves(family, kwargs):
+    """T maps the absolute points onto themselves; a loop moved to a
+    non-absolute vertex breaks that, and only the loop check sees it."""
+    spec, pol = verify.family_bundle(family, **kwargs)[:2]
+    g = _polarity_graph(spec, pol)
+    loops = g.loops.tolist()
+    moved = Graph(g.n, g.table, loops[1:] + [next(v for v in range(g.n) if v not in loops)])
+    assert verify.orbit_roots(spec, g, pol) is not None
+    assert verify.orbit_roots(spec, moved, pol) is None
+
+
+@pytest.mark.parametrize("polar", [False, True], ids=["incidence", "polarity"])
+def test_orbit_path_refused_on_a_graph_with_two_endpoints_swapped(polar):
+    spec, pol = plane_family(3)
+    pol = pol if polar else None
+    g = _polarity_graph(spec, pol) if polar else _bipartite(spec)
+    edges = list(g.edges())  # (u, v), u < v: (point, line) on the incidence graph
     a, b = edges[0]
-    c, d = next((c, d) for c, d in edges
-                if c != a and not g_bip.has_edge(a, d) and not g_bip.has_edge(c, b))
-    swapped = set(edges) - {(a, b), (c, d)} | {(a, d), (c, b)}
-    tampered = Graph.from_edges(2 * ns, swapped)
-    assert (graphs.degrees(tampered) == graphs.degrees(g_bip)).all()
-    assert verify.orbit_roots(spec, g_bip) is not None
-    assert verify.orbit_roots(spec, tampered) is None
+    for c, d in edges:  # the first degree-keeping swap that closes a C4
+        if len({a, b, c, d}) < 4 or g.has_edge(a, d) or g.has_edge(c, b):
+            continue
+        tampered = Graph.from_edges(g.n, set(edges) - {(a, b), (c, d)} | {
+            tuple(sorted(e)) for e in ((a, d), (c, b))}, g.loops)
+        if find_even_cycle(tampered, 2) is not None:
+            break
+    assert (graphs.degrees(tampered) == graphs.degrees(g)).all()
+    assert verify.orbit_roots(spec, g, pol) is not None
+    assert verify.orbit_roots(spec, tampered, pol) is None
+    if polar:
+        rep = verify_family("plane", q=3, graph=tampered, with_luw=False)
+        witness = list(_reference_find_even_cycle(tampered, 2))
+        assert rep["cycles"] == {"C4": "fail"} and ("C4", witness) in rep["witnesses"]
 
 
 def test_orbit_root_cycle_search_finds_a_c4():
@@ -331,7 +373,7 @@ def test_polarity_translations_match_a_scalar_scan(name, monkeypatch):
         return checked[-1]
 
     monkeypatch.setattr(verify, "is_automorphism", recording)
-    roots = verify.polarity_orbit_roots(spec, pol, g)
+    roots = verify.orbit_roots(spec, g, pol)
     # a GF(p)-basis of T, each generator an automorphism of the graph
     assert checked == [True] * round(math.log(size, spec.ctx.p))
     assert len(roots) == g.n // size
@@ -361,21 +403,25 @@ def test_polarity_orbit_roots_agree_with_every_root_searches(name):
 
     make, ks, reference, free = ORBIT_POLARITY[name]
     spec, pol = make()
-    g = _polarity_graph(spec, pol)
-    roots = verify.polarity_orbit_roots(spec, pol, g)
-    assert roots is not None and len(roots) < g.n
-    for k in ks:
-        # the first vertex on a 2k-cycle is an orbit minimum, and a walk
-        # through a lower vertex closes no pair: the witnesses agree
-        w = find_even_cycle(g, k, roots)
-        assert w == find_even_cycle(g, k)
-        if k in reference:
-            assert w == _reference_find_even_cycle(g, k)
-        assert (w is None) == (k <= free)
-        if w is not None:
-            assert len(set(w)) == 2 * k
-            assert all(g.has_edge(w[i - 1], w[i]) for i in range(2 * k))
-    assert graphs.girth(g, roots) == graphs.girth(g) == _reference_girth(g)
+    gp = _polarity_graph(spec, pol)
+    assert graphs.girth(gp) == _reference_girth(gp)
+    # the polarity graph, then the incidence graph, which by the LUW
+    # transfer is C4-, ..., C2k-free for the same k
+    for g, g_pol in ((gp, pol), (_bipartite(spec), None)):
+        roots = verify.orbit_roots(spec, g, g_pol)
+        assert roots is not None and len(roots) < spec.side_size
+        for k in ks:
+            # the first vertex on a 2k-cycle is an orbit minimum, and a walk
+            # through a lower vertex closes no pair: the witnesses agree
+            w = find_even_cycle(g, k, roots)
+            assert w == find_even_cycle(g, k)
+            if k in reference:
+                assert w == _reference_find_even_cycle(g, k)
+            assert (w is None) == (k <= free)
+            if w is not None:
+                assert len(set(w)) == 2 * k
+                assert all(g.has_edge(w[i - 1], w[i]) for i in range(2 * k))
+        assert graphs.girth(g, roots) == graphs.girth(g)
 
 
 @pytest.mark.parametrize("family,kwargs", [
@@ -384,29 +430,8 @@ def test_polarity_orbit_roots_agree_with_every_root_searches(name):
 def test_polarity_orbit_roots_leave_the_report_unchanged(monkeypatch, family, kwargs):
     rep = verify_family(family, **kwargs)
     assert rep["ok"]
-    monkeypatch.setattr(verify, "polarity_orbit_roots", lambda spec, pol, g: None)
+    monkeypatch.setattr(verify, "orbit_roots", lambda spec, g, pol=None: None)
     assert verify_family(family, **kwargs) == rep
-
-
-def test_polarity_orbit_path_refused_on_a_graph_with_two_endpoints_swapped():
-    spec, pol = plane_family(3)
-    g = _polarity_graph(spec, pol)
-    edges = list(g.edges())
-    a, b = edges[0]
-    for c, d in edges:  # the first degree-keeping swap that closes a C4
-        if len({a, b, c, d}) < 4 or g.has_edge(a, d) or g.has_edge(c, b):
-            continue
-        tampered = Graph.from_edges(g.n, set(edges) - {(a, b), (c, d)} | {
-            tuple(sorted(e)) for e in ((a, d), (c, b))}, g.loops)
-        if find_even_cycle(tampered, 2) is not None:
-            break
-    assert (graphs.degrees(tampered) == graphs.degrees(g)).all()
-    assert verify.polarity_orbit_roots(spec, pol, g) is not None
-    assert verify.polarity_orbit_roots(spec, pol, tampered) is None
-    assert not graphs.is_automorphism(g, np.arange(g.n - 1))  # another length
-    rep = verify_family("plane", q=3, graph=tampered, with_luw=False)
-    witness = list(_reference_find_even_cycle(tampered, 2))
-    assert rep["cycles"] == {"C4": "fail"} and ("C4", witness) in rep["witnesses"]
 
 
 # -- oracles ---------------------------------------------------------------------
