@@ -34,17 +34,19 @@ class Graph:
         array of neighbour ids padded with -1 (an array rule's table)."""
         if len(adjacency) != n:
             raise ValueError("adjacency length != n")
+        dtype = np.int32 if n * n < 2 ** 31 else np.int64  # every code u * n + v fits
         if isinstance(adjacency, np.ndarray):
             keep = adjacency != -1
-            deg, heads = keep.sum(axis=1), adjacency[keep].astype(np.int64, copy=False)
+            deg, heads = keep.sum(axis=1), adjacency[keep]
         else:
             deg = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
             heads = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64,
                                 count=int(deg.sum()))
-        tails = np.repeat(np.arange(n, dtype=np.int64), deg)
+        tails = np.repeat(np.arange(n, dtype=dtype), deg)
         bad = (heads < 0) | (heads >= n)
         if bad.any():
             raise ValueError(f"neighbor of vertex {tails[bad.argmax()]} out of range 0..{n - 1}")
+        heads = heads.astype(dtype, copy=False)
         bad = heads == tails
         if bad.any():
             raise ValueError(f"loop {tails[bad.argmax()]} stored in adjacency")
@@ -65,8 +67,7 @@ class Graph:
             raise ValueError(f"loop vertex {loop_ids[bad.argmax()]} out of range")
         self.n = n
         self.deg = deg
-        self.table = np.full((n, int(deg.max(initial=0))), -1,
-                             dtype=np.int32 if n * n < 2 ** 31 else np.int64)
+        self.table = np.full((n, int(deg.max(initial=0))), -1, dtype=dtype)
         self.table[np.arange(self.table.shape[1]) < deg[:, None]] = heads
         self.loops = loop_ids
 

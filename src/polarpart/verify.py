@@ -458,10 +458,16 @@ def verify_family_exhaustive(bundle, *, seed=0,
     When graph/partition are supplied (from files) they are verified in
     place of freshly constructed ones, so tampering is detectable.  The
     exhaustive check_polarity result on the bundle's spec and polarity may
-    be passed as `pol_check`.
+    be passed as `pol_check`.  A supplied graph or partition on other than
+    the instance's vertex count raises ValueError before any check runs.
     """
     spec, pol, scheme, _ = bundle
-    family = scheme.family
+    family, ns = scheme.family, spec.side_size
+    if graph is not None and graph.n != ns:
+        raise ValueError(f"the edge list has {graph.n} vertices, the instance {ns}")
+    if partition is not None and len(partition.class_of) != ns:
+        raise ValueError(f"the partition covers {len(partition.class_of)} vertices, "
+                         f"the instance {ns}")
     if pol_check is None:
         pol_check = adg.check_polarity(spec, pol)
     report = _report_head(bundle, "exhaustive", pol_check, seed)
@@ -510,7 +516,7 @@ def verify_family_exhaustive(bundle, *, seed=0,
         "loops_one_per_class": loops_ok,
     }
     if with_luw:
-        g_bip = materialize(2 * spec.side_size, spec.bipartite_arrays, 4 * materialize_limit)
+        g_bip = materialize(2 * ns, spec.bipartite_arrays, 4 * materialize_limit)
         report["luw"] = luw_report(g_bip, g, {k: found[k] for k in luw_ks},
                                    orbit_roots(spec, g_bip), roots)
     else:
@@ -530,41 +536,25 @@ def verify_family_exhaustive(bundle, *, seed=0,
 # ---------------------------------------------------------------------------
 
 def _predraw(rng, count, draw):
-    """Draw `count` samples ahead of a phase that stops at its first
-    failure; `rewind(i)` leaves rng just after sample i, where drawing one
-    sample at a time would have left it.
+    """A phase's `count` samples, drawn up front as drawing one at a time
+    would draw them; rng ends after the last one whether or not the phase
+    stops at a failing sample.
 
     `draw` is a callable, one sample per `draw(rng)`, or (width, bound)
     for samples of `width` rng.randrange(bound) draws each, drawn by
     adg.randrange_bulk into a (count, width) int64 array.
     """
-    state = rng.getstate()
     if callable(draw):
-        samples = [draw(rng) for _ in range(count)]
-
-        def replay(i):
-            for _ in range(i + 1):
-                draw(rng)
-    else:
-        width, bound = draw
-        values, words_through = adg.randrange_bulk(rng, bound, count * width)
-        samples = values.reshape(count, width)
-
-        def replay(i):
-            rng.getrandbits(32 * int(words_through[(i + 1) * width - 1]))
-
-    def rewind(i):
-        rng.setstate(state)
-        replay(i)
-
-    return samples, rewind
+        return [draw(rng) for _ in range(count)]
+    width, bound = draw
+    return adg.randrange_bulk(rng, bound, count * width)[0].reshape(count, width)
 
 
 def _predraw_edges(rng, count, spec, absolute_ids):
     """The symmetry phase's `count` samples as drawing one at a time would
     draw them: a vertex by m rng.randrange(q), then a position among its
     neighbours by rng.randrange(q - [vertex absolute]).  Returns (vertex
-    ids, positions, rewind), rewind as in _predraw.
+    ids, positions).
 
     Every draw is read as randrange(q) by adg.randrange_bulk.  A
     randrange(q - 1) reads the same words to the same value unless the
@@ -573,9 +563,8 @@ def _predraw_edges(rng, count, spec, absolute_ids):
     position draw, draws it by randrange(q - 1), and the bulk draw resumes.
     """
     q, m = spec.ctx.order, spec.m
-    state, drawn = rng.getstate(), 0
     short = (q - 1).bit_length() < q.bit_length()
-    vs, picks, through = [], [], []  # through[i]: words drawn up to sample i
+    vs, picks = [], []
     while count:
         start = rng.getstate()
         values, words = (x.reshape(count, m + 1)
@@ -587,19 +576,11 @@ def _predraw_edges(rng, count, spec, absolute_ids):
         else:
             rng.setstate(start)
             rng.getrandbits(32 * int(words[i, m - 1]))
-            value, word = adg.randrange_bulk(rng, q - 1, 1)
-            values[i, m], words[i, m] = value[0], words[i, m - 1] + word[0]
+            values[i, m] = adg.randrange_bulk(rng, q - 1, 1)[0][0]
         vs.append(v[:i + 1])
         picks.append(values[:i + 1, m])
-        through.append(drawn + words[:i + 1, m])
-        drawn, count = int(through[-1][-1]), count - i - 1
-    through = np.concatenate(through)
-
-    def rewind(i):
-        rng.setstate(state)
-        rng.getrandbits(32 * int(through[i]))
-
-    return np.concatenate(vs), np.concatenate(picks), rewind
+        count -= i + 1
+    return np.concatenate(vs), np.concatenate(picks)
 
 
 def _first(bad):
@@ -615,12 +596,9 @@ def _sampled_even_cycle(pg: adg.PolarityGraph, k, num_roots, rng):
         # descending first coordinate: the order a stack-based DFS pops them
         return pg.neighbor_ids(ids)[:, ::-1]
 
-    roots, rewind = _predraw(rng, num_roots, (spec.m, spec.ctx.order))
+    roots = _predraw(rng, num_roots, (spec.m, spec.ctx.order))
     hit = even_cycle([spec.coords_to_id(r) for r in roots.tolist()], k, neighbors, pg.n)
-    if hit is None:
-        return None
-    rewind(hit[0])
-    return tuple(spec.id_to_coords(v) for v in hit[1])
+    return None if hit is None else tuple(spec.id_to_coords(v) for v in hit[1])
 
 
 def verify_family_sampled(bundle, *, seed=0,
@@ -664,9 +642,10 @@ def verify_family_sampled(bundle, *, seed=0,
     edges = (incidences - n_pi) // 2
     report["counts"] = _counts(n, edges, n_pi, "derived")
 
-    # Each phase below draws all its samples first, in the order a loop
-    # over samples would, checks them on the bulk kernel, and on the first
-    # failing sample rewinds rng to where that loop would have stopped.
+    # Each phase below draws its whole sample first, in the order a loop
+    # over samples would, and checks it on the bulk kernel.  A failing
+    # sample ends the phase's count but never moves rng back, so every
+    # phase draws the samples it draws in an intact run with the same seed.
     r = scheme.r
 
     # loop vertices: the formula output must be absolute, for every class
@@ -679,7 +658,7 @@ def verify_family_sampled(bundle, *, seed=0,
         report["witnesses"].append(("loop_vertex", i))
 
     # sampled unique-edge substitution
-    pairs, rewind = _predraw(rng, class_pair_samples, (2, r))
+    pairs = _predraw(rng, class_pair_samples, (2, r))
     c1, c2 = pairs.T
     formula_ok = np.zeros(len(pairs), dtype=bool)
     same = c1 == c2
@@ -692,7 +671,6 @@ def verify_family_sampled(bundle, *, seed=0,
     adjacency_ok = i is None
     substitution_checked = len(pairs) if adjacency_ok else i
     if not adjacency_ok:
-        rewind(i)
         c1, c2 = pairs[i].tolist()
         report["witnesses"].append(
             ("loop_not_absolute", c1) if c1 == c2 else ("unique_edge_formula", c1, c2))
@@ -700,12 +678,12 @@ def verify_family_sampled(bundle, *, seed=0,
     # full one-edge sweeps on a subsample of class pairs
     sweep_ok = True
     sweeps_done = 0
-    pairs, rewind = _predraw(rng, full_sweeps, (2, r))
+    pairs = _predraw(rng, full_sweeps, (2, r))
     # a, b stay bound: freeing the substitution's arrays here raised the
     # gh q=27 protocol's peak RSS by about 4 MB in half of the runs
     at = np.flatnonzero(pairs[:, 0] != pairs[:, 1])
     expected_edges = zip(*(x.tolist() for x in scheme.unique_edge_bulk(*pairs[at].T)))
-    for i, (c1, c2), expected in zip(at.tolist(), pairs[at].tolist(), expected_edges):
+    for (c1, c2), expected in zip(pairs[at].tolist(), expected_edges):
         members = scheme.class_members_bulk([c1])[0]
         nb = pg.neighbor_ids(members)
         rows, cols = np.nonzero((nb >= 0) & (scheme.class_of_ids(nb) == c2))
@@ -713,13 +691,12 @@ def verify_family_sampled(bundle, *, seed=0,
         if found != [expected]:
             sweep_ok = False
             report["witnesses"].append(("sweep_pair", c1, c2, len(found)))
-            rewind(i)
             break
         sweeps_done += 1
 
     # within-class sampling: each drawn member lies in its class, and no
     # non-loop edge joins it to another vertex of its own class
-    draws, rewind = _predraw(
+    draws = _predraw(
         rng, within_samples, lambda g: (g.randrange(r), g.randrange(scheme.class_size)))
     cids, picks = np.array(draws, dtype=np.int64).reshape(len(draws), 2).T
     vs = scheme.class_member_bulk(cids, picks)
@@ -730,7 +707,6 @@ def verify_family_sampled(bundle, *, seed=0,
     within_ok = i is None
     within_checked = len(draws) if within_ok else i + 1
     if not within_ok:
-        rewind(i)
         v = spec.id_to_coords(int(vs[i]))
         if own[i] != cids[i]:
             report["witnesses"].append(("within_member_class", draws[i][0], v, int(own[i])))
@@ -739,7 +715,7 @@ def verify_family_sampled(bundle, *, seed=0,
             report["witnesses"].append(("within_edge", draws[i][0], v, spec.id_to_coords(u)))
 
     # degree spot checks against the two-value spectrum
-    vs, rewind = _predraw(rng, degree_samples, (m, q))
+    vs = _predraw(rng, degree_samples, (m, q))
     ids = spec.coords_to_ids(vs.T)
     degrees = (pg.neighbor_ids(ids) >= 0).sum(axis=1)
     expect = q - _in_sorted(ids, absolute_ids)
@@ -748,13 +724,12 @@ def verify_family_sampled(bundle, *, seed=0,
     tallied = degrees if spectrum_ok else degrees[:i + 1]
     seen_degrees = {int(d): int(c) for d, c in zip(*np.unique(tallied, return_counts=True))}
     if not spectrum_ok:
-        rewind(i)
         report["witnesses"].append(("degree", tuple(vs[i].tolist()), int(degrees[i]),
                                     int(expect[i])))
     report["degree_multiset"] = {str(k): v for k, v in sorted(seen_degrees.items())}
 
     # sampled adjacency symmetry of the implicit graph
-    vs, pick, rewind = _predraw_edges(rng, SAMPLED_SYMMETRY, spec, absolute_ids)
+    vs, pick = _predraw_edges(rng, SAMPLED_SYMMETRY, spec, absolute_ids)
     nb = pg.neighbor_ids(vs)
     col = (np.cumsum(nb >= 0, axis=1) > pick[:, None]).argmax(axis=1)
     uv = nb[np.arange(len(col)), col]
@@ -762,7 +737,6 @@ def verify_family_sampled(bundle, *, seed=0,
     i = _first(~returns)
     symmetry_ok = i is None
     if not symmetry_ok:
-        rewind(i)
         report["witnesses"].append(("symmetry", spec.id_to_coords(int(vs[i])),
                                     spec.id_to_coords(int(uv[i]))))
 

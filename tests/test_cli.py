@@ -112,6 +112,28 @@ def test_verify_malformed_input_exits_2(tmp_path, capsys, edges, partition):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edges,partition,size", [
+    ("gq_e1.edges", "gq_e1.partition", 512),
+    ("tri.edges", "tri.partition", 3),
+    (None, "gq_e1.partition", 512),
+])
+def test_verify_refuses_files_of_the_wrong_size(tmp_path, capsys, edges, partition, size):
+    files, out = tmp_path / "files", tmp_path / "out"
+    assert run(["build", "gq", "--e", "1", "--out", str(files)]) == 0
+    assert run(["partition", "gq", "--e", "1", "--out", str(files)]) == 0
+    (files / "tri.edges").write_text("3 1 0\n0 1\n")
+    (files / "tri.partition").write_text("0 0\n1 1\n2 2\n")
+    capsys.readouterr()
+    args = ["verify", "plane", "--q", "3", "--out", str(out)]
+    args += ["--edges", str(files / edges)] if edges else []
+    args += ["--partition", str(files / partition)]
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert f"{size} vertices, the instance 81" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert os.listdir(out) == []
+
+
 GF4 = {"p": 2, "k": 2}
 P1L1 = ["mul", ["var", "p", 1], ["var", "l", 1]]
 

@@ -511,6 +511,23 @@ def test_ids_widen_to_int64_once_n_squared_passes_int32(n, dtype):
     assert codes.tolist() == sorted(u * n + v for u, v in arcs)
 
 
+def test_int32_validation_names_the_highest_ids_at_n_46340():
+    # validation runs in the table's int32, where the codes u * n + v of
+    # the top ids come within n of 2**31; a wrapped code would misname them
+    n = 46_340
+    cases = [
+        ({n - 1: [n - 2]}, rf"^asymmetric edge \({n - 1}, {n - 2}\)$"),
+        ({n - 2: [n - 1, n - 1], n - 1: [n - 2]}, rf"^duplicate neighbor at vertex {n - 2}$"),
+    ]
+    for rows, message in cases:
+        table = np.full((n, 2), -1, dtype=np.int32)
+        for v, row in rows.items():
+            table[v, :len(row)] = row
+        for adjacency in (table, [[u for u in row if u >= 0] for row in table.tolist()]):
+            with pytest.raises(ValueError, match=message):
+                Graph(n, adjacency)
+
+
 def test_graph_rejects_neighbor_out_of_range():
     for adjacency in ([[2], []], [[-1], []], [[1, 5], [0]]):
         with pytest.raises(ValueError, match="out of range"):
