@@ -134,6 +134,20 @@ def max_var_index(e):
     return max((i for _, i in expr_vars(e)), default=0)
 
 
+def _monomial(e):
+    """(a, b) when e is p_1^a l_1^b written with var, pow and mul, else None."""
+    op = e[0]
+    if op == "var":
+        return {("p", 1): (1, 0), ("l", 1): (0, 1)}.get(e[1:])
+    if op == "pow":
+        base = _monomial(e[1])
+        return None if base is None else (base[0] * e[2], base[1] * e[2])
+    if op == "mul":
+        x, y = _monomial(e[1]), _monomial(e[2])
+        return None if x is None or y is None else (x[0] + y[0], x[1] + y[1])
+    return None
+
+
 # -- specs -------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -333,7 +347,8 @@ class ADGSpec:
         each translation (p, l) -> (p + t, l - t) with t_1 = 0 preserves
         incidence.  The polarity is additive, so polar(p + t) = polar(p) - t
         for t in T, and p -> p + t maps the polarity graph onto itself,
-        loops included."""
+        loops included.  verify.orbit_roots folds T, then the scaling,
+        into orbit minima."""
         if any(expr_vars(f) - {("p", 1), ("l", 1)} for f in self.fs):
             return None
         ctx = self.ctx
@@ -343,6 +358,34 @@ class ADGSpec:
         coords = self.ids_to_coords(ts)
         lines = pol.polar(ctx, coords)
         return np.flatnonzero(np.all([a == ctx.neg_bulk(c) for a, c in zip(lines, coords)], axis=0))
+
+    def scaling(self, pol=None):
+        """(point factors, line factors) of a scaling, or None when some
+        f_j is not p_1^a l_1^b written with var, pow and mul.  Multiplying
+        each coordinate by its factor preserves incidence: p_1 by lambda,
+        the field generator, l_1 by mu, and coordinate j of both sides by
+        lambda^a mu^b.  mu is 1 on the incidence graph.  Given the polarity
+        `pol`, mu is the first element of GF(q)* for which line factor i is
+        the point factor of src to the p^j, for point_to_line[i] = (src, j),
+        so that the scaling commutes with the polarity and preserves the
+        polarity graph, loops included; None when no mu does."""
+        exps = [_monomial(f) for f in self.fs]
+        if None in exps:
+            return None
+        ctx, lam = self.ctx, self.ctx.generator
+
+        def factors(mu):
+            rest = [ctx.mul(ctx.pow(lam, a), ctx.pow(mu, b)) for a, b in exps]
+            return (lam, *rest), (mu, *rest)
+
+        if pol is None:
+            return factors(1)
+        for mu in range(1, ctx.order):
+            points, lines = factors(mu)
+            if all(d == ctx.frobenius(points[src], j)
+                   for d, (src, j) in zip(lines, pol.point_to_line)):
+                return points, lines
+        return None
 
 
 # -- polarities ---------------------------------------------------------------

@@ -155,8 +155,9 @@ class FieldCtx:
         self._pow_v = {}
         self._frob_t = {}
         n = q - 1
+        self.generator = self._find_generator()  # of the multiplicative group
         exp = self._exp = np.zeros(4 * n + 1, dtype=self.dtype)
-        exp[:n] = exp[n:2 * n] = self._powers(self._find_generator(), n)
+        exp[:n] = exp[n:2 * n] = self._powers(self.generator, n)
         self._log = np.empty(q, dtype=np.int32)
         self._log[exp[:n]] = np.arange(n)
         self._log[0] = 2 * n

@@ -215,13 +215,18 @@ def arc_codes(g: Graph):
 
 def is_automorphism(g: Graph, perm) -> bool:
     """True when the permutation `perm` of 0..n-1 maps every row of the
-    padded table onto the row of its image, order kept: row perm[v] equals
-    perm of row v, pads staying -1, and maps the loops onto the loops.
-    Row equality gives set equality, so a pass is exact; a perm that
-    reorders some row fails.  A perm of another length fails."""
+    padded table onto the row of its image as a set, and the loops onto
+    the loops.  perm of row v, sorted with its -1 pads last, must equal
+    row perm[v]; rows are ascending, so that is set equality and a pass
+    is exact, whatever order perm leaves a row in.  A perm of another
+    length fails."""
     table = g.table
-    return (len(perm) == g.n and np.array_equal(np.sort(np.take(perm, g.loops)), g.loops)
-            and np.array_equal(table[perm], np.append(perm, -1).astype(table.dtype)[table]))
+    if len(perm) != g.n or not np.array_equal(np.sort(np.take(perm, g.loops)), g.loops):
+        return False
+    image = np.append(perm, -1).astype(table.dtype)[table]
+    # sorted in place as unsigned, where -1 is the largest value
+    image.view(np.dtype(f"u{image.itemsize}")).sort(axis=1)
+    return np.array_equal(table[perm], image)
 
 
 def find_even_cycle(g: Graph, k: int, roots=None):

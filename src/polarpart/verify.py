@@ -258,38 +258,66 @@ def luw_report(g_bip: Graph, gp: Graph, gp_cycles, roots=None, gp_roots=None):
 
 
 def orbit_roots(spec, g: Graph, pol=None):
-    """The orbit minima among the point ids of the translations T
-    (spec.translation_ids(pol)) on g, the polarity graph of `pol` or, with
-    no polarity, the incidence graph (spec.bipartite_arrays): the ids v
-    with v = min over t in T of id(v + t).  None when T is None, when g
-    has neither q^m nor 2 q^m vertices, or when the map (p, l) ->
+    """The orbit minima among the point ids of the group G generated by the
+    translations T (spec.translation_ids(pol)) and the scaling S
+    (spec.scaling(pol), when not None) on g, the polarity graph of `pol`
+    or, with no polarity, the incidence graph (spec.bipartite_arrays): the
+    ids v with v = min over s in G of id(s(v)).  None when T is None, when
+    g has neither q^m nor 2 q^m vertices, or when S or the map (p, l) ->
     (p + t, l - t) of some t of a GF(p)-basis of T is not an automorphism
     of g.  Every cycle holds a point, so a shortest cycle, or a 2k-cycle,
-    passes through a root when any exists; on the incidence graph the
-    roots are the q ids t q^(m-1), one per p_1 class.
+    passes through a root when any exists.  On the incidence graph the
+    roots are 0 and q^(m-1) (p_1 = 0 and p_1 != 0), or with no S the q ids
+    t q^(m-1), one per p_1 class.
 
     The basis is picked greedily in id order: `low` holds each point's
     minimum over the span of the translations picked so far, so low[t] = 0
-    exactly when t (an id below q^(m-1)) is in that span."""
+    exactly when t (an id below q^(m-1)) is in that span.  S is linear and
+    commutes with the polarity, so it normalizes T and every element of G
+    is a translation after a power of S: folding S into the T-orbit minima
+    gives the G-orbit minima."""
     ts, ctx, ns = spec.translation_ids(pol), spec.ctx, spec.side_size
     if ts is None or g.n not in (ns, 2 * ns):
         return None
     low = np.arange(ns)
     coords = spec.ids_to_coords(low)
+
+    def point_map(op, points, lines, unit):
+        """The point part of the map c_i -> op(c_i, points[i]) on point
+        coordinates and, on the incidence graph, op(c_i, lines[i]) on line
+        coordinates; None unless the map is an automorphism of g."""
+        def ids(args):
+            return spec.coords_to_ids([c if x == unit else op(c, x) for c, x in zip(coords, args)])
+        perm = ids(points)
+        if g.n > ns:
+            perm = np.concatenate([perm, ns + ids(lines)])
+        return perm[:ns] if is_automorphism(g, perm) else None
+
     for t in ts.tolist():
         if low[t]:
             step = spec.id_to_coords(t)
-            perm = spec.coords_to_ids([ctx.add_bulk(c, s) if s else c for c, s in zip(coords, step)])
-            if g.n > ns:  # the incidence graph's lines, l -> l - t
-                perm = np.concatenate([perm, ns + spec.coords_to_ids(
-                    [ctx.sub_bulk(c, s) if s else c for c, s in zip(coords, step)])])
-            if not is_automorphism(g, perm):
+            perm = point_map(ctx.add_bulk, step, [ctx.neg(s) for s in step], 0)
+            if perm is None:
                 return None
-            layers = [low]  # low at v + c t for c = 0..p-1
-            for _ in range(ctx.p - 1):
-                layers.append(layers[-1][perm[:ns]])
-            low = np.minimum.reduce(layers)
+            low = _orbit_min(low, perm, ctx.p)
+    scaling = spec.scaling(pol)
+    if scaling is not None:
+        perm = point_map(ctx.mul_bulk, *scaling, 1)
+        if perm is None:
+            return None
+        low = _orbit_min(low, perm, ctx.order - 1)
     return np.flatnonzero(low == np.arange(ns))
+
+
+def _orbit_min(low, step, order):
+    """low[v] folded to its minimum over step^i(v), i < order, for a point
+    permutation `step` whose order divides `order`: each pass doubles the
+    powers covered, low = min(low, low[step]) with step then squared."""
+    covered = 1
+    while covered < order:
+        low = np.minimum(low, low[step])
+        step, covered = step[step], 2 * covered
+    return low
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +697,7 @@ def verify_family_sampled(bundle, *, seed=0,
         spec.ids_to_coords(b), pol.polar(ctx, spec.ids_to_coords(a)))
     i = _first(~formula_ok)
     adjacency_ok = i is None
-    substitution_checked = len(pairs) if adjacency_ok else i
+    substitution_checked = len(pairs) if adjacency_ok else i + 1
     if not adjacency_ok:
         c1, c2 = pairs[i].tolist()
         report["witnesses"].append(
@@ -688,11 +716,11 @@ def verify_family_sampled(bundle, *, seed=0,
         nb = pg.neighbor_ids(members)
         rows, cols = np.nonzero((nb >= 0) & (scheme.class_of_ids(nb) == c2))
         found = list(zip(members[rows].tolist(), nb[rows, cols].tolist()))
+        sweeps_done += 1
         if found != [expected]:
             sweep_ok = False
             report["witnesses"].append(("sweep_pair", c1, c2, len(found)))
             break
-        sweeps_done += 1
 
     # within-class sampling: each drawn member lies in its class, and no
     # non-loop edge joins it to another vertex of its own class

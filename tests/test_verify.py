@@ -224,16 +224,17 @@ def test_orbit_root_girth_equals_every_root_girth(name):
     spec = ORBIT_SPECS[name]()
     g_bip = _bipartite(spec)
     roots = verify.orbit_roots(spec, g_bip)
-    q = spec.ctx.order  # one root per p_1 class, its other coordinates 0
-    assert roots.tolist() == (np.arange(q) * q ** (spec.m - 1)).tolist()
+    # two orbits, p_1 = 0 and p_1 != 0, with minima 0 and (1, 0, ..., 0)
+    assert roots.tolist() == [0, spec.ctx.order ** (spec.m - 1)]
     assert graphs.girth(g_bip, roots) == graphs.girth(g_bip)
 
 
 @pytest.mark.parametrize("spec", [plane_family(3)[0], gq_family(1)[0]], ids=["GF(9)", "GF(8)"])
-def test_translation_orbits_are_the_first_coordinate_classes(spec, monkeypatch):
+def test_incidence_orbits_are_p1_zero_and_p1_nonzero(spec, monkeypatch):
     """The orbit closure on point ids of the generators orbit_roots picks on
-    the incidence graph is the p_1 classes; with the +1 translations alone
-    it would be finer over GF(9) and GF(8)."""
+    the incidence graph, a GF(p)-basis of T and one scaling, has two
+    classes: p_1 = 0 and p_1 != 0; with the +1 translations alone it would
+    be finer over GF(9) and GF(8)."""
     import networkx as nx
 
     ns, q, k = spec.side_size, spec.ctx.order, spec.ctx.k
@@ -246,7 +247,7 @@ def test_translation_orbits_are_the_first_coordinate_classes(spec, monkeypatch):
 
     monkeypatch.setattr(verify, "is_automorphism", recording)
     assert verify.orbit_roots(spec, g_bip) is not None
-    assert len(perms) == (spec.m - 1) * k > spec.m - 1
+    assert len(perms) == (spec.m - 1) * k + 1 > spec.m
     for perm in perms:
         assert sorted(perm.tolist()) == list(range(2 * ns))
         assert graphs.is_automorphism(g_bip, perm)
@@ -254,7 +255,7 @@ def test_translation_orbits_are_the_first_coordinate_classes(spec, monkeypatch):
     h.add_nodes_from(range(ns))
     h.add_edges_from((v, int(perm[v])) for perm in perms for v in range(ns))
     orbits = sorted(sorted(c) for c in nx.connected_components(h))
-    assert orbits == [list(range(t * ns // q, (t + 1) * ns // q)) for t in range(q)]
+    assert orbits == [list(range(ns // q)), list(range(ns // q, ns))]
 
 
 @pytest.mark.parametrize("polar", [False, True], ids=["incidence", "polarity"])
@@ -343,11 +344,14 @@ def test_orbit_roots_leave_cycle_searches_and_luw_report_unchanged(family, kmax)
 
 # -- polarity translation-orbit roots ------------------------------------------------
 
-# family -> (spec, polarity), |T|
+# family -> (spec, polarity), |T|, the number of orbit roots under T and
+# the scaling
 POLARITY_T = {
-    **{f"plane q={q}": (lambda q=q: plane_family(q), q) for q in (3, 5, 9)},
-    "gq e=1": (lambda: gq_family(1), 8),
-    "gq e=2": (lambda: gq_family(2), 32),
+    "plane q=3": (lambda: plane_family(3), 3, 5),
+    "plane q=5": (lambda: plane_family(5), 5, 7),
+    "plane q=9": (lambda: plane_family(9), 9, 11),
+    "gq e=1": (lambda: gq_family(1), 8, 10),
+    "gq e=2": (lambda: gq_family(2), 32, 34),
 }
 
 
@@ -361,7 +365,7 @@ def _polarity_translation_scan(spec, pol):
 
 @pytest.mark.parametrize("name", POLARITY_T)
 def test_polarity_translations_match_a_scalar_scan(name, monkeypatch):
-    make, size = POLARITY_T[name]
+    make, size, count = POLARITY_T[name]
     spec, pol = make()
     ts = spec.translation_ids(pol)
     assert ts.tolist() == _polarity_translation_scan(spec, pol) and len(ts) == size
@@ -374,15 +378,82 @@ def test_polarity_translations_match_a_scalar_scan(name, monkeypatch):
 
     monkeypatch.setattr(verify, "is_automorphism", recording)
     roots = verify.orbit_roots(spec, g, pol)
-    # a GF(p)-basis of T, each generator an automorphism of the graph
-    assert checked == [True] * round(math.log(size, spec.ctx.p))
-    assert len(roots) == g.n // size
-    if g.n <= 1000:  # the orbit minima, by scalar translation
+    # a GF(p)-basis of T and the scaling, each an automorphism of the graph
+    assert checked == [True] * (round(math.log(size, spec.ctx.p)) + 1)
+    assert len(roots) == count
+    if g.n <= 1000:  # the orbit minima, by scalar scaling and translation
         ctx = spec.ctx
-        low = [min(spec.coords_to_id(tuple(map(ctx.add, spec.id_to_coords(v),
-                                                spec.id_to_coords(t)))) for t in ts.tolist())
-               for v in range(g.n)]
+        factors = spec.scaling(pol)[0]
+        low = []
+        for v in range(g.n):
+            c, orbit = spec.id_to_coords(v), []
+            for _ in range(ctx.order - 1):  # c runs through the scaling's powers of v
+                orbit += [spec.coords_to_id(tuple(map(ctx.add, c, spec.id_to_coords(t))))
+                          for t in ts.tolist()]
+                c = tuple(map(ctx.mul, c, factors))
+            low.append(min(orbit))
         assert roots.tolist() == [v for v in range(g.n) if low[v] == v]
+
+
+def test_order_free_automorphism_check_takes_a_scaling():
+    """The plane q=3 scaling multiplies p_1 and so reorders rows: the
+    order-free check accepts it where comparing rows in order rejects it,
+    and a perm that sends a row onto another set fails."""
+    spec, pol = plane_family(3)
+    ctx, g = spec.ctx, _polarity_graph(spec, pol)
+    factors = spec.scaling(pol)[0]
+    coords = spec.ids_to_coords(np.arange(g.n))
+    perm = spec.coords_to_ids([ctx.mul_bulk(c, f) for c, f in zip(coords, factors)])
+    table = g.table
+    assert not np.array_equal(table[perm], np.append(perm, -1).astype(table.dtype)[table])
+    assert graphs.is_automorphism(g, perm)
+    loops = set(g.loops.tolist())
+    u, w = [v for v in range(g.n) if v not in loops][:2]
+    swap = np.arange(g.n)
+    swap[[u, w]] = w, u  # loops stay put; rows u and w hold other sets
+    assert set(g.adj[u]) != set(g.adj[w])
+    assert not graphs.is_automorphism(g, swap)
+
+
+def test_orbit_roots_refuse_a_scaling_with_the_wrong_mu(monkeypatch):
+    """mu = 1, the incidence graph's scaling, does not commute with the
+    plane q=3 polarity: its map is no automorphism of the polarity graph,
+    orbit_roots falls back to None, and the report is the every-root one."""
+    scaling = adg.ADGSpec.scaling
+    spec, pol = plane_family(3)
+    assert spec.scaling(pol)[1][0] != 1
+    monkeypatch.setattr(adg.ADGSpec, "scaling", lambda self, pol=None: scaling(self))
+    assert verify.orbit_roots(spec, _polarity_graph(spec, pol), pol) is None
+    assert verify.orbit_roots(spec, _bipartite(spec)).tolist() == [0, 9]
+    rep = verify_family("plane", q=3)
+    assert rep["ok"]
+    monkeypatch.setattr(verify, "orbit_roots", lambda spec, g, pol=None: None)
+    assert verify_family("plane", q=3) == rep
+
+
+def test_non_monomial_spec_keeps_the_translation_roots():
+    # f_2 = p_1 + l_1 reads only p_1 and l_1 but is no monomial
+    spec = adg.ADGSpec(adg.make_field(3, 2), 2, (adg.add(adg.var_p(1), adg.var_l(1)),))
+    assert spec.scaling() is None and spec.translation_ids() is not None
+    assert verify.orbit_roots(spec, _bipartite(spec)).tolist() == list(range(0, 81, 9))
+    for f in (adg.const(1), adg.neg(adg.var_p(1)), adg.mul(adg.const(2), adg.var_l(1))):
+        assert adg.ADGSpec(spec.ctx, 2, (f,)).scaling() is None
+    assert adg.gh_original_family(3)[0].scaling() is None  # f_3 reads l_2
+
+
+def test_gh_scaling_at_q27():
+    """lambda is the generator 3 of GF(27)*, and mu = 4 is the element with
+    mu = lambda^(3^2), the polarity's twist of the first coordinate; the
+    factors of coordinate j are lambda^a mu^b on both sides."""
+    spec, pol = gh_family(1)
+    ctx = spec.ctx
+    points, lines = spec.scaling(pol)
+    assert (points[0], lines[0]) == (ctx.generator, 4) == (3, ctx.frobenius(3, 2))
+    exps = [(1, 1), (2, 1), (3, 1), (3, 2)]
+    rest = tuple(ctx.mul(ctx.pow(3, a), ctx.pow(4, b)) for a, b in exps)
+    assert points[1:] == lines[1:] == rest
+    assert spec.scaling() == ((3, *[ctx.pow(3, a) for a, _ in exps]),
+                              (1, *[ctx.pow(3, a) for a, _ in exps]))
 
 
 # family -> (spec, polarity), the cycle lengths 2k compared, those the
@@ -971,20 +1042,21 @@ GOLDEN_SAMPLES = {"class_pair_samples": 2000, "full_sweeps": 20, "within_samples
                   "degree_samples": 500, "cycle_roots": {2: 10, 3: 3, 4: 1, 5: 0}}
 # SHA-256 of the report bytes (as `cli` writes them) at seed 0.  The intact
 # digest was recorded with the point-by-point protocol the bulk kernel
-# replaced; each tampered digest was last re-recorded once a phase stopped
+# replaced; each tampered digest was re-recorded once a phase stopped
 # moving rng back to its first failing sample, so the phases after the
-# first failure draw what they draw in the intact run
+# first failure draw what they draw in the intact run, and again where a
+# count moved once every checks count took in its failing sample
 GOLDEN_DIGESTS = {
     "intact": "6f045af679aa3f9dafa1661067f3993efc2f4f1b1b0c98486d8438f911490f92",
-    # the substitution phase fails first; the sweeps now draw the intact
-    # run's pairs, so checks.full_sweeps reads 1 (7 before) with a new
-    # sweep_pair witness, and the degree tally is the intact run's,
-    # {"26": 1, "27": 499} ({"27": 500} before)
-    "unique_edge": "bda7cb3d0915dd5f531d18663f67b6f8196e6a359a63c0e6eff8a695ac356505",
-    # the sweep phase fails first; the within phase now draws the intact
-    # run's members, so its within_member_class witness names another class
-    # at its first sample (checks.within_samples still reads 1)
-    "class_members": "e0d02e137d7775598473f3da80b7c5f1fca292cf5fde4083ecb93cd542150e69",
+    # the substitution phase fails first; the sweeps draw the intact run's
+    # pairs, and the degree tally is the intact run's, {"26": 1, "27": 499}.
+    # Counting the failing samples, checks.substitution_pairs reads 8 (7
+    # before) and checks.full_sweeps 2 (1 before)
+    "unique_edge": "6918275da8852a6b070eeb18ee9258c68d44eb5f9e23a8e61d55d46df7c97c98",
+    # the sweep phase fails first, at its first pair, so checks.full_sweeps
+    # reads 1 (0 before, which left the failing sweep out); the within
+    # phase draws the intact run's members and fails at its first sample
+    "class_members": "193c380eb7b5f3b7b7f10eb1e7f19a76537eea09e5094a38033c9f9adf868f1a",
     # the degree phase fails first at its first sample; the symmetry phase
     # now draws the intact run's edges, so its witness names another edge
     "neighbor_ids": "6a3db95b5709a1120626645bc0a131ac04116fa53b75f4de2e1e108b4e6a1b80",
@@ -1074,6 +1146,24 @@ def test_sampled_checks_count_the_samples_each_phase_checked(tamper, monkeypatch
     if tamper == "intact":
         assert checks["within_samples"] == GOLDEN_SAMPLES["within_samples"]
         assert checks["degree_samples"] == GOLDEN_SAMPLES["degree_samples"]
+
+
+def test_sampled_counts_end_at_the_failing_sample(monkeypatch):
+    """substitution_pairs and full_sweeps count the failing sample, as the
+    within and degree counts do: each phase's witness is the last sample
+    it counted."""
+    monkeypatch.setattr(verify, "SAMPLED_INCIDENCES", 2000)
+    monkeypatch.setattr(verify, "SAMPLED_SYMMETRY", 500)
+    _tamper(monkeypatch, "unique_edge")
+    rep = verify_family("gh", e=1, mode="sampled", seed=0, **GOLDEN_SAMPLES)
+    checks, r = rep["checks"], rep["partition"]["r"]
+    rng = random.Random(0)  # the two phases draw first, in this order
+    pairs = verify._predraw(rng, GOLDEN_SAMPLES["class_pair_samples"], (2, r)).tolist()
+    sweeps = [p for p in verify._predraw(rng, GOLDEN_SAMPLES["full_sweeps"], (2, r)).tolist()
+              if p[0] != p[1]]
+    witness = {w[0]: list(w[1:3]) for w in rep["witnesses"]}
+    assert pairs[checks["substitution_pairs"] - 1] == witness["unique_edge_formula"]
+    assert sweeps[checks["full_sweeps"] - 1] == witness["sweep_pair"]
 
 
 @pytest.mark.parametrize("tamper", ["unique_edge", "class_members"])
