@@ -242,10 +242,12 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    os.makedirs(args.out, exist_ok=True)
+    if getattr(args, "limit", 0) < 0:
+        _parser().error(f"argument --limit: must be at least 0, got {args.limit}")
     try:
+        os.makedirs(args.out, exist_ok=True)
         return COMMANDS[args.subcommand](args)
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

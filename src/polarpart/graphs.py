@@ -206,13 +206,6 @@ def arcs(g: Graph):
     return np.repeat(np.arange(g.n, dtype=table.dtype), g.deg), table[table >= 0]
 
 
-def arc_codes(g: Graph):
-    """Ascending codes u * n + v of every arc (u, v), both directions, of
-    the table's dtype (int32 while n * n fits)."""
-    tails, heads = arcs(g)
-    return tails * heads.dtype.type(g.n) + heads
-
-
 def is_automorphism(g: Graph, perm) -> bool:
     """True when the permutation `perm` of 0..n-1 maps every row of the
     padded table onto the row of its image as a set, and the loops onto

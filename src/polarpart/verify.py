@@ -17,7 +17,7 @@ import numpy as np
 from . import adg, partitions as parts
 from .gf import prime_power
 from .graphs import (
-    Graph, Partition, arc_codes, arcs, degree_multiset, degrees, edge_count,
+    Graph, Partition, arcs, degree_multiset, degrees, edge_count,
     even_cycle, find_even_cycle, girth, is_automorphism, loop_count, materialize,
     pair_edge_matrix,
 )
@@ -429,7 +429,7 @@ def _bounds(n, max_degree, edges, r, verdicts):
 # exhaustive (materialized) family verification
 # ---------------------------------------------------------------------------
 
-# class pairs per block of _check_unique_edges
+# slots of the padded table per block (whole rows) of _check_unique_edges
 UNIQUE_EDGE_BLOCK = 1 << 16
 
 
@@ -443,38 +443,43 @@ def _in_sorted(x, values):
 def _check_unique_edges(g: Graph, scheme):
     """Closed-form cross edge and loop vertex against the real graph.
 
-    One pass over the class pairs c1 < c2 in row-major order on the
-    scheme's bulk forms, whole c1 rows a block of at most UNIQUE_EDGE_BLOCK
-    pairs.  An edge is looked up among the sorted arc codes u*n + v, a loop
-    vertex among the sorted loops.  The witness is the first failure in the
-    order: for each c1, its loop vertex's class, the loop vertex being
-    absolute, then for each c2 > c1 the endpoint classes and the edge.
+    Counts, in one pass over the padded table, the arcs (u, v) with
+    class(u) < class(v) (the scheme's classes) equal to their class pair's
+    closed form: no two arcs equal one pair's form, so C(r, 2) matches
+    means every pair's form is an edge between its classes.  A failure's
+    second pass marks the matched pairs.  The witness is the first failure
+    in the order: for each c1, its loop vertex's class, the loop vertex
+    being absolute, then each unmatched (c1, c2 > c1), classes before edge.
     """
     if not hasattr(scheme, "unique_edge"):
         return True, None  # general construction: verdicts carry the proof
-    n, r = g.n, scheme.r
-    arcs = arc_codes(g)
-    rows = max(1, UNIQUE_EDGE_BLOCK // max(r - 1, 1))
-    for lo in range(0, r, rows):
-        c1 = np.arange(lo, min(lo + rows, r))
-        lv = scheme.loop_vertex_bulk(c1)
-        lv_class = scheme.class_of_ids(lv) != c1
-        bad_c1 = lv_class | ~_in_sorted(lv, g.loops)
-        width = r - 1 - c1  # pairs (c1, c2 > c1) per row
-        p1 = np.repeat(c1, width)
-        p2 = p1 + 1 + np.arange(len(p1)) - np.repeat(np.cumsum(width) - width, width)
-        a, b = scheme.unique_edge_bulk(p1, p2)
-        bad_class = (scheme.class_of_ids(a) != p1) | (scheme.class_of_ids(b) != p2)
-        on_graph = (a < n) & (b < n) & _in_sorted((a * n + b).astype(arcs.dtype), arcs)
-        bad_pair = bad_class | ~on_graph
-        i, j = _first(bad_c1), _first(bad_pair)
-        if j is not None and (i is None or p1[j] < lo + i):
-            kind = "edge_endpoint_class" if bad_class[j] else "edge_formula_not_edge"
-            return False, (kind, int(p1[j]), int(p2[j]))
-        if i is not None:
-            kind = "loop_vertex_class" if lv_class[i] else "loop_vertex_not_absolute"
-            return False, (kind, lo + i)
-    return True, None
+    r, cls = scheme.r, scheme.class_of_ids(np.arange(g.n))
+    rows = max(1, UNIQUE_EDGE_BLOCK // max(g.table.shape[1], 1))
+
+    def matches():  # (c1, c2) of every cross arc equal to its pair's form
+        for lo in range(0, g.n, rows):
+            block = g.table[lo:lo + rows]
+            u, j = np.nonzero((block >= 0) & (cls[block] > cls[lo:lo + rows, None]))
+            u, v = u + lo, block[u, j]
+            a, b = scheme.unique_edge_bulk(cls[u], cls[v])
+            hit = (a == u) & (b == v)
+            yield cls[u[hit]], cls[v[hit]]
+
+    lv = scheme.loop_vertex_bulk(np.arange(r))
+    lv_class = scheme.class_of_ids(lv) != np.arange(r)
+    i = _first(lv_class | ~_in_sorted(lv, g.loops))
+    if sum(len(c1) for c1, _ in matches()) < r * (r - 1) // 2:
+        matched = np.tri(r, dtype=bool)  # pairs c2 <= c1 are not checked
+        for c1, c2 in matches():
+            matched[c1, c2] = True
+        c1, c2 = divmod(int(matched.argmin()), r)
+        if i is None or c1 < i:
+            a, b = scheme.unique_edge_bulk(np.array([c1]), np.array([c2]))
+            bad = scheme.class_of_ids(a)[0] != c1 or scheme.class_of_ids(b)[0] != c2
+            return False, ("edge_endpoint_class" if bad else "edge_formula_not_edge", c1, c2)
+    if i is None:
+        return True, None
+    return False, ("loop_vertex_class" if lv_class[i] else "loop_vertex_not_absolute", i)
 
 
 def verify_family_exhaustive(bundle, *, seed=0,

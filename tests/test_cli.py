@@ -59,6 +59,11 @@ def test_verify_tampered_edge_list(tmp_path, capsys):
     report = json.loads((tmp_path / "plane_q2.report.json").read_text())
     assert not report["ok"]
     assert any(w[0] == "missing_pair" for w in report["witnesses"])
+    # the dropped edge 0 4 is the closed-form edge of classes 0 and 2
+    assert body[0] == "0 4"
+    assert ["edge_formula_not_edge", 0, 2] in report["witnesses"]
+    digest = hashlib.sha256((tmp_path / "plane_q2.report.json").read_bytes()).hexdigest()
+    assert digest == "fc98d1d012bf4e726f06002cad450fe435c4452ea283bbd863a8fc3a63e2c77f"
     out = capsys.readouterr().out
     assert "missing_pair" in out
 
@@ -326,6 +331,36 @@ def test_auto_mode_sampled_off_gh_names_the_ceiling(tmp_path, capsys):
     assert "sampled mode is only wired for the gh family, not plane" in err
     assert "auto mode picked it because 81 vertices exceed the materialization ceiling 0" in err
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("case", ["out_is_a_file", "out_below_a_file", "edges_is_a_dir",
+                                  "partition_is_a_dir", "spec_is_a_dir", "oracle_edges_is_a_dir"])
+def test_unusable_paths_exit_2_with_a_message(tmp_path, capsys, case):
+    afile, adir, out = tmp_path / "afile", tmp_path / "adir", str(tmp_path / "out")
+    afile.write_text("")
+    adir.mkdir()
+    argv = {
+        "out_is_a_file": ["report", "plane", "--q", "2", "--out", str(afile)],
+        "out_below_a_file": ["report", "plane", "--q", "2", "--out", str(afile / "sub")],
+        "edges_is_a_dir": ["verify", "plane", "--q", "2", "--edges", str(adir), "--out", out],
+        "partition_is_a_dir": ["verify", "plane", "--q", "2", "--partition", str(adir),
+                               "--out", out],
+        "spec_is_a_dir": ["verify", "generic", "--spec", str(adir), "--out", out],
+        "oracle_edges_is_a_dir": ["oracle", "--edges", str(adir), "--out", out],
+    }[case]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert str(afile if case.startswith("out") else adir) in captured.err
+
+
+def test_negative_limit_is_refused_by_the_parser(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(["report", "plane", "--q", "3", "--limit", "-5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --limit: must be at least 0, got -5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generic_spec_roundtrip(tmp_path):

@@ -504,7 +504,8 @@ def test_ids_widen_to_int64_once_n_squared_passes_int32(n, dtype):
     # arc codes u * n + v of the last vertex's arcs pass 2**31 from n = 46,341
     edges = [(0, n - 1), (n - 2, n - 1)]
     g = Graph.from_edges(n, edges)
-    codes = graphs.arc_codes(g)
+    tails, heads = graphs.arcs(g)
+    codes = tails * heads.dtype.type(n) + heads
     assert g.table.dtype == codes.dtype == dtype
     assert g.table.shape == (n, 2) and g.table[n - 1].tolist() == [0, n - 2]
     arcs = edges + [(v, u) for u, v in edges]

@@ -1317,8 +1317,48 @@ def test_check_unique_edges_blocks_stay_within_the_bound(monkeypatch):
     scheme.unique_edge_bulk = lambda c1, c2: sizes.append(len(c1)) or unique_edge_bulk(c1, c2)
     monkeypatch.setattr(verify, "UNIQUE_EDGE_BLOCK", 500)
     assert verify._check_unique_edges(g, scheme) == (True, None)
+    # one formula call per block of whole table rows, one id per cross edge
     assert max(sizes) <= 500 and sum(sizes) == scheme.r * (scheme.r - 1) // 2
-    assert len(sizes) == -(-scheme.r // (500 // (scheme.r - 1)))
+    assert len(sizes) == -(-g.n // (500 // g.table.shape[1]))
+
+
+def _tamper_graph(g, scheme, kind):
+    """g with the closed-form edge (a, b) of the pair (c1, c1 + 3), c1 =
+    TAMPERED_C1[0], dropped, joined by a second edge (a2, b2) between the
+    next members a2 of c1 and b2 of c1 + 3, or moved to (a2, b) or (a, b2)."""
+    c1 = np.array([TAMPERED_C1[0]])
+    a, b = scheme.unique_edge_bulk(c1, c1 + 3)
+    a2, b2 = _next_member_bulk(scheme, c1, a)[0], _next_member_bulk(scheme, c1 + 3, b)[0]
+    a, b, a2, b2 = int(a[0]), int(b[0]), int(a2), int(b2)
+    edges = set(g.edges())
+    # the intact graph joins two classes by one edge only
+    assert (min(a, b), max(a, b)) in edges
+    assert not (g.has_edge(a2, b2) or g.has_edge(a2, b) or g.has_edge(a, b2))
+    if kind != "second_edge":
+        edges.remove((min(a, b), max(a, b)))
+    new = {"drop_edge": None, "second_edge": (a2, b2), "move_a": (a2, b), "move_b": (a, b2)}[kind]
+    if new is not None:
+        edges.add((min(new), max(new)))
+    return Graph.from_edges(g.n, edges, g.loops.tolist())
+
+
+@pytest.mark.parametrize("kind", ["drop_edge", "second_edge", "move_a", "move_b"])
+@pytest.mark.parametrize("family", sorted(UNIQUE_EDGE_FAMILIES))
+def test_check_unique_edges_on_a_tampered_graph_matches_scalar_reference(monkeypatch, family,
+                                                                         kind):
+    spec, pol, scheme, _ = UNIQUE_EDGE_FAMILIES[family]()
+    g = _polarity_graph(spec, pol)
+    tampered = _tamper_graph(g, scheme, kind)
+    assert edge_count(tampered) - edge_count(g) == {"drop_edge": -1, "second_edge": 1}.get(kind, 0)
+    expected = _reference_check_unique_edges(tampered, spec, scheme)
+    c1 = TAMPERED_C1[0]
+    # an extra cross edge leaves every closed-form edge on the graph
+    assert expected == ((True, None) if kind == "second_edge"
+                        else (False, ("edge_formula_not_edge", c1, c1 + 3)))
+    assert verify._check_unique_edges(tampered, scheme) == expected
+    for rows in (1, 3):
+        monkeypatch.setattr(verify, "UNIQUE_EDGE_BLOCK", rows * tampered.table.shape[1])
+        assert verify._check_unique_edges(tampered, scheme) == expected
 
 
 # -- verdict against the per-edge loop it replaced -------------------------------
