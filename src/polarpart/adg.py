@@ -724,29 +724,74 @@ def build_polarity_graph(spec: ADGSpec, pol: PolaritySpec) -> PolarityGraph:
 # tests hold them to.
 
 def randrange_bulk(rng, n, count):
-    """`count` calls of rng.randrange(n) at once: (values, words_through),
-    int64 arrays where words_through[i] counts the 32-bit words drawn
-    through call i.  rng ends in the state the calls would leave.
+    """`count` samples of one rng.randrange(b) per bound b of n (an int or a
+    tuple) at once: (values, words_through), int64 arrays in call order,
+    words_through[i] the 32-bit words drawn through call i.  rng ends in
+    the state the calls would leave.
 
-    Exact for random.Random and 1 <= n < 2^32: its MT19937 hands each
-    randrange attempt one word, whose top n.bit_length() bits are rejected
-    while >= n, and getrandbits(32 * w) returns the next w words, first
-    word lowest.  Each round draws as many words as values are missing,
-    so no word past the last accepted one is drawn.
+    Exact for random.Random and 1 <= b < 2^32: each randrange(b) attempt
+    reads one 32-bit word and rejects its top b.bit_length() bits while
+    >= b, and rng and numpy's MT19937 are both the reference MT19937, so
+    one set to rng's 624-word key and position reads the same words.  No
+    round reads more words than calls are missing (at most SWEEP_BLOCK),
+    so none past the last accepted one; a sample a round leaves unfinished
+    is read again in the next.
     """
-    k = n.bit_length()
-    if n < 1 or k > 32:
+    bounds = n if isinstance(n, tuple) else (n,)
+    if not all(1 <= b < 1 << 32 for b in bounds):
         raise ValueError(f"bulk randrange needs 1 <= n < 2**32, got {n}")
-    values, through = [np.empty(0, dtype=np.uint32)], [np.empty(0, dtype=np.int64)]
-    drawn, need = 0, count
-    while need:
-        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"),
-                              dtype="<u4") >> (32 - k)
-        hit = np.flatnonzero(words < n)
-        values.append(words[hit])
-        through.append(drawn + 1 + hit)
-        drawn, need = drawn + need, need - len(hit)
-    return np.concatenate(values).astype(np.int64), np.concatenate(through)
+    if len(set(bounds)) == 1:
+        bounds, count = bounds[:1], count * len(bounds)
+    w = len(bounds)
+    top = np.array(bounds, dtype=np.int64)[:, None]
+    shift = np.array([[32 - b.bit_length()] for b in bounds])
+    version, key, gauss = rng.getstate()
+    mt = np.random.MT19937()
+    mt.state = {"bit_generator": "MT19937", "state": {"key": key[:-1], "pos": key[-1]}}
+    values, through = np.empty(count * w, dtype=np.int64), np.empty(count * w, dtype=np.int64)
+    words, drawn, done = np.empty(0, dtype=np.int64), 0, 0
+    while count:
+        # an unfinished sample, read again, may hold w - 1 accepted calls
+        read = mt.random_raw(min((count - 1) * w + 1, SWEEP_BLOCK)).view(np.int64)
+        words = np.concatenate([words, read])
+        ok = (words >> shift) < top
+        pos = np.flatnonzero(ok)[None] + 1 if w == 1 else _chain_samples(ok, count)
+        calls = slice(done, done + pos.size)
+        values[calls] = (words[pos - 1] >> shift).T.ravel()
+        through[calls] = (drawn + pos).T.ravel()
+        keep = pos[-1, -1] if pos.size else 0
+        words, drawn, count, done = words[keep:], drawn + keep, count - pos.shape[1], calls.stop
+    state = mt.state["state"]
+    rng.setstate((version, tuple(state["key"].tolist()) + (state["pos"],), gauss))
+    return values, through
+
+
+def _chain_samples(ok, count):
+    """pos[j, t], the position after the word that accepts sample t's call
+    j, for the samples (at most `count`) that finish within the words, on
+    ok[j, i] = whether bound j accepts word i.  Pointer doubling on where
+    a sample from each position ends finds all samples' starts at once."""
+    w, size = ok.shape
+    out = size + 1
+    # nxt[j, i]: the position after the first word >= i that bound j accepts
+    nxt = np.full((w, size + 2), out)
+    nxt[:, :size] = np.where(ok, np.arange(1, size + 1), out)
+    nxt = np.minimum.accumulate(nxt[:, ::-1], axis=1)[:, ::-1]
+    # jumps[l, i]: the position after the 2^l samples from i
+    jumps = np.empty((max(1, (count - 1).bit_length()), size + 2), dtype=np.intp)
+    jumps[0] = nxt[0]
+    for row in nxt[1:]:
+        jumps[0] = row[jumps[0]]
+    for l in range(1, len(jumps)):
+        np.take(jumps[l - 1], jumps[l - 1], out=jumps[l])
+    starts = np.zeros(1, dtype=np.intp)
+    for jump in jumps[::-1]:
+        starts = np.column_stack([starts, jump[starts]]).ravel()[:count]
+    p = starts[jumps[0, starts] <= size]
+    pos = np.empty((w, len(p)), dtype=np.intp)
+    for j in range(w):
+        p = pos[j] = nxt[j, p]
+    return pos
 
 
 def _rows_equal(a, b):

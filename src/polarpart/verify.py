@@ -568,19 +568,16 @@ def verify_family_exhaustive(bundle, *, seed=0,
 # sampled (streaming) verification for instances too large to materialize
 # ---------------------------------------------------------------------------
 
-def _predraw(rng, count, draw):
+def _predraw(rng, count, bounds):
     """A phase's `count` samples, drawn up front as drawing one at a time
     would draw them; rng ends after the last one whether or not the phase
     stops at a failing sample.
 
-    `draw` is a callable, one sample per `draw(rng)`, or (width, bound)
-    for samples of `width` rng.randrange(bound) draws each, drawn by
-    adg.randrange_bulk into a (count, width) int64 array.
+    `bounds` is a tuple: a sample is one rng.randrange(b) for each b in
+    it, in order, and the samples come from adg.randrange_bulk as a
+    (count, len(bounds)) int64 array.
     """
-    if callable(draw):
-        return [draw(rng) for _ in range(count)]
-    width, bound = draw
-    return adg.randrange_bulk(rng, bound, count * width)[0].reshape(count, width)
+    return adg.randrange_bulk(rng, bounds, count)[0].reshape(count, len(bounds))
 
 
 def _predraw_edges(rng, count, spec, absolute_ids):
@@ -629,7 +626,7 @@ def _sampled_even_cycle(pg: adg.PolarityGraph, k, num_roots, rng):
         # descending first coordinate: the order a stack-based DFS pops them
         return pg.neighbor_ids(ids)[:, ::-1]
 
-    roots = _predraw(rng, num_roots, (spec.m, spec.ctx.order))
+    roots = _predraw(rng, num_roots, (spec.ctx.order,) * spec.m)
     hit = even_cycle([spec.coords_to_id(r) for r in roots.tolist()], k, neighbors, pg.n)
     return None if hit is None else tuple(spec.id_to_coords(v) for v in hit[1])
 
@@ -691,7 +688,7 @@ def verify_family_sampled(bundle, *, seed=0,
         report["witnesses"].append(("loop_vertex", i))
 
     # sampled unique-edge substitution
-    pairs = _predraw(rng, class_pair_samples, (2, r))
+    pairs = _predraw(rng, class_pair_samples, (r, r))
     c1, c2 = pairs.T
     formula_ok = np.zeros(len(pairs), dtype=bool)
     same = c1 == c2
@@ -711,7 +708,7 @@ def verify_family_sampled(bundle, *, seed=0,
     # full one-edge sweeps on a subsample of class pairs
     sweep_ok = True
     sweeps_done = 0
-    pairs = _predraw(rng, full_sweeps, (2, r))
+    pairs = _predraw(rng, full_sweeps, (r, r))
     # a, b stay bound: freeing the substitution's arrays here raised the
     # gh q=27 protocol's peak RSS by about 4 MB in half of the runs
     at = np.flatnonzero(pairs[:, 0] != pairs[:, 1])
@@ -719,8 +716,8 @@ def verify_family_sampled(bundle, *, seed=0,
     for (c1, c2), expected in zip(pairs[at].tolist(), expected_edges):
         members = scheme.class_members_bulk([c1])[0]
         nb = pg.neighbor_ids(members)
-        rows, cols = np.nonzero((nb >= 0) & (scheme.class_of_ids(nb) == c2))
-        found = list(zip(members[rows].tolist(), nb[rows, cols].tolist()))
+        hit = np.flatnonzero((nb >= 0) & (scheme.class_of_ids(nb) == c2))
+        found = list(zip(members[hit // q].tolist(), nb.ravel()[hit].tolist()))
         sweeps_done += 1
         if found != [expected]:
             sweep_ok = False
@@ -729,26 +726,24 @@ def verify_family_sampled(bundle, *, seed=0,
 
     # within-class sampling: each drawn member lies in its class, and no
     # non-loop edge joins it to another vertex of its own class
-    draws = _predraw(
-        rng, within_samples, lambda g: (g.randrange(r), g.randrange(scheme.class_size)))
-    cids, picks = np.array(draws, dtype=np.int64).reshape(len(draws), 2).T
+    cids, picks = _predraw(rng, within_samples, (r, scheme.class_size)).T
     vs = scheme.class_member_bulk(cids, picks)
     own = scheme.class_of_ids(vs)
     nb = pg.neighbor_ids(vs)
     inside = (nb >= 0) & (scheme.class_of_ids(nb) == own[:, None])
     i = _first((own != cids) | inside.any(axis=1))
     within_ok = i is None
-    within_checked = len(draws) if within_ok else i + 1
+    within_checked = len(cids) if within_ok else i + 1
     if not within_ok:
         v = spec.id_to_coords(int(vs[i]))
         if own[i] != cids[i]:
-            report["witnesses"].append(("within_member_class", draws[i][0], v, int(own[i])))
+            report["witnesses"].append(("within_member_class", int(cids[i]), v, int(own[i])))
         else:
             u = int(nb[i, inside[i].argmax()])
-            report["witnesses"].append(("within_edge", draws[i][0], v, spec.id_to_coords(u)))
+            report["witnesses"].append(("within_edge", int(cids[i]), v, spec.id_to_coords(u)))
 
     # degree spot checks against the two-value spectrum
-    vs = _predraw(rng, degree_samples, (m, q))
+    vs = _predraw(rng, degree_samples, (q,) * m)
     ids = spec.coords_to_ids(vs.T)
     degrees = (pg.neighbor_ids(ids) >= 0).sum(axis=1)
     expect = q - _in_sorted(ids, absolute_ids)

@@ -6,6 +6,7 @@ vertex-pair sweeps at small q.
 """
 
 import gc
+import itertools
 import random
 import weakref
 
@@ -880,28 +881,43 @@ def test_check_polarity_matches_scalar_above_table_side(name):
 # -- bulk replay of random.Random's randrange --------------------------------
 
 REPLAY_BOUNDS = [1, 2, 3, 26, 27, 729, 19683, 2 ** 31, 2 ** 32 - 1]  # bit lengths 1..32
+REPLAY_MIXED = [(19683, 729), (1, 2 ** 32 - 1, 7)]  # one call per bound a sample
+
+
+def _generator(seed, gauss):
+    """random.Random(seed), with gauss_next set by one gauss() call."""
+    rng = random.Random(seed)
+    if gauss:
+        rng.gauss(0.0, 1.0)
+        assert rng.getstate()[2] is not None
+    return rng
 
 
 @pytest.mark.parametrize("seed", [0, 1, 20231117])
 def test_randrange_bulk_replays_random(seed):
-    for n in REPLAY_BOUNDS:
-        for count in (0, 1, 7, 5000):
-            rng, ref = random.Random(seed), random.Random(seed)
+    for gauss, n in itertools.product((False, True), REPLAY_BOUNDS + REPLAY_MIXED):
+        bounds = n if isinstance(n, tuple) else (n,)
+        # 70,000 draws at 27 and 19,683 read words past one draw block
+        for count in (0, 1, 7, 5000) + ((70_000,) if n in (27, 19683) else ()):
+            rng, ref = _generator(seed, gauss), _generator(seed, gauss)
             values, words_through = adg.randrange_bulk(rng, n, count)
             assert values.dtype == np.int64 and words_through.dtype == np.int64
-            assert values.tolist() == [ref.randrange(n) for _ in range(count)]
+            assert values.tolist() == [ref.randrange(b) for _ in range(count) for b in bounds]
             assert rng.getstate() == ref.getstate()
+            if count == 70_000:
+                assert words_through[-1] > adg.SWEEP_BLOCK
             # the words through call i leave the state i + 1 calls leave
-            for i in sorted({0, 1, count // 2, count - 1} & set(range(count))):
-                rng, ref = random.Random(seed), random.Random(seed)
+            calls = count * len(bounds)
+            for i in sorted({0, 1, calls // 2, calls - 1} & set(range(calls))):
+                rng, ref = _generator(seed, gauss), _generator(seed, gauss)
                 rng.getrandbits(32 * int(words_through[i]))
-                for _ in range(i + 1):
-                    ref.randrange(n)
+                for c in range(i + 1):
+                    ref.randrange(bounds[c % len(bounds)])
                 assert rng.getstate() == ref.getstate(), (n, count, i)
 
 
 def test_randrange_bulk_rejects_bounds_past_32_bits():
-    for n in (0, -3, 2 ** 32, 2 ** 32 + 1, 2 ** 40):
+    for n in (0, -3, 2 ** 32, 2 ** 32 + 1, 2 ** 40, (27, 2 ** 32), (0, 5), (7, 729, -1)):
         rng = random.Random(0)
         state = rng.getstate()
         with pytest.raises(ValueError):

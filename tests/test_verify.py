@@ -974,18 +974,25 @@ def test_sampled_even_cycle_with_repeated_roots():
     assert repeated_before_hit > 0
 
 
-@pytest.mark.parametrize("width,bound", [(1, 1), (2, 3), (5, 27), (2, 19683), (3, 2 ** 31)])
-def test_predraw_in_bulk_rewinds_like_scalar_draws(width, bound):
+# ids: width-bound for one bound, mixed-<bounds> otherwise
+PREDRAW_BOUNDS = {"1-1": (1,), "2-3": (3, 3), "5-27": (27,) * 5, "2-19683": (19683,) * 2,
+                  "3-2147483648": (2 ** 31,) * 3, "mixed-19683-729": (19683, 729),
+                  "mixed-5-3": (5, 3), "mixed-1-4294967295-7": (1, 2 ** 32 - 1, 7)}
+
+
+@pytest.mark.parametrize("bounds", PREDRAW_BOUNDS.values(), ids=PREDRAW_BOUNDS.keys())
+def test_predraw_in_bulk_rewinds_like_scalar_draws(bounds):
     def draw(g):
-        return tuple(g.randrange(bound) for _ in range(width))
+        return tuple(g.randrange(b) for b in bounds)
 
     for seed in (0, 1, 20231117):
-        count = 40
-        rng = random.Random(seed)
-        samples = verify._predraw(rng, count, (width, bound))
-        ref = random.Random(seed)
-        assert [tuple(s) for s in samples.tolist()] == [draw(ref) for _ in range(count)]
-        assert rng.getstate() == ref.getstate()
+        for count in (0, 1, 40):
+            rng = random.Random(seed)
+            samples = verify._predraw(rng, count, bounds)
+            assert samples.shape == (count, len(bounds))
+            ref = random.Random(seed)
+            assert [tuple(s) for s in samples.tolist()] == [draw(ref) for _ in range(count)]
+            assert rng.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("name,make_family,count", [
@@ -1158,8 +1165,8 @@ def test_sampled_counts_end_at_the_failing_sample(monkeypatch):
     rep = verify_family("gh", e=1, mode="sampled", seed=0, **GOLDEN_SAMPLES)
     checks, r = rep["checks"], rep["partition"]["r"]
     rng = random.Random(0)  # the two phases draw first, in this order
-    pairs = verify._predraw(rng, GOLDEN_SAMPLES["class_pair_samples"], (2, r)).tolist()
-    sweeps = [p for p in verify._predraw(rng, GOLDEN_SAMPLES["full_sweeps"], (2, r)).tolist()
+    pairs = verify._predraw(rng, GOLDEN_SAMPLES["class_pair_samples"], (r, r)).tolist()
+    sweeps = [p for p in verify._predraw(rng, GOLDEN_SAMPLES["full_sweeps"], (r, r)).tolist()
               if p[0] != p[1]]
     witness = {w[0]: list(w[1:3]) for w in rep["witnesses"]}
     assert pairs[checks["substitution_pairs"] - 1] == witness["unique_edge_formula"]
@@ -1299,13 +1306,13 @@ def test_check_unique_edges_matches_scalar_reference(monkeypatch, family, tamper
     expected = _reference_check_unique_edges(g, spec, scheme)
     if tamper == "intact":
         assert expected == (True, None)
-    else:  # the first tampered class, past the first 3-row block
+    else:  # the first tampered class names the witness
         assert expected[0] is False and expected[1][:2] == (kinds[-1], TAMPERED_C1[0])
         if kinds[-1].startswith("edge"):
             assert expected[1][2] == TAMPERED_C1[0] + 3
     assert verify._check_unique_edges(g, scheme) == expected
     for rows in (1, 3):
-        monkeypatch.setattr(verify, "UNIQUE_EDGE_BLOCK", rows * (scheme.r - 1))
+        monkeypatch.setattr(verify, "UNIQUE_EDGE_BLOCK", rows * g.table.shape[1])
         assert verify._check_unique_edges(g, scheme) == expected
 
 
