@@ -4,8 +4,8 @@ checkable claim about them."""
 
 from .gf import FieldCtx, QuadBasis, find_normal_element, make_field
 from .graphs import (
-    Graph, PairEdgeMatrix, Partition, contains_C4, degree, edge_count,
-    even_cycle_free_upto, girth, loop_count, materialize, pair_edge_matrix,
+    Graph, Partition, contains_C4, degree, edge_count, even_cycle_free_upto,
+    girth, loop_count, materialize, pair_edge_matrix,
 )
 from .adg import (
     ADGSpec, PolarityGraph, PolaritySpec, build_polarity_graph,

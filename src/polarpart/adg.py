@@ -500,9 +500,9 @@ def check_polarity(spec: ADGSpec, pol: PolaritySpec, mode="exhaustive",
 
 
 # Candidate tests PolarityGraph.absolute_ids may make.  On the hexagon spec
-# its scan makes about q^(m-1): 571,563 at q = 27, about 3.5e9 (200 s) at
-# q = 243 (e = 2), and about 2.3e13 at q = 2187 (e = 3), which would not
-# finish.
+# its scan makes about q^(m-1): 571,563 at q = 27, about 3.5e9 at q = 243
+# (e = 2), where it finds 14,348,907 absolute points in about 31 s on a
+# 2-core host, and about 2.3e13 at q = 2187 (e = 3), which would not finish.
 ABSOLUTE_SCAN_LIMIT = 10 ** 10
 
 # Entries PolarityGraph._id_kernel's folded tables may hold, about 1 MB of

@@ -16,6 +16,10 @@ from itertools import chain
 
 import numpy as np
 
+# neighbour slots (and pair_edge_matrix's class-pair bins) per block of a
+# pass over table rows: one block's arrays are alive at a time, not n rows
+ROW_BLOCK = 1 << 16
+
 
 class Graph:
     """Explicit undirected graph on vertices 0..n-1, stored as one padded
@@ -99,6 +103,14 @@ class Graph:
         return bool(i < len(row) and row[i] == v)
 
 
+def row_blocks(g: Graph):
+    """(first id, rows): g's table in blocks of whole rows, at most
+    ROW_BLOCK slots or one row each."""
+    step = max(1, ROW_BLOCK // max(1, g.table.shape[1]))
+    for lo in range(0, g.n, step):
+        yield lo, g.table[lo:lo + step]
+
+
 def degrees(g: Graph):
     """Every vertex's degree, loops excluded, as a fresh int64 array."""
     return g.deg.copy()
@@ -160,51 +172,47 @@ class Partition:
         return np.bincount(self.class_of, minlength=self.r).tolist()
 
 
-@dataclass
-class PairEdgeMatrix:
-    """Edge counts of a partitioned graph: between classes (a symmetric
-    r x r numpy array), within each class, and loops in each class."""
+def pair_edge_matrix(g: Graph, part: Partition, limit: int):
+    """The class-pair tally of a partitioned graph: (the first `limit`
+    pairs c1 < c2, row-major, not joined by exactly one edge, as (c1, c2,
+    edges) tuples; whether every pair is joined; the edges within and the
+    loops in each class, two int64 arrays).
 
-    r: int
-    cross: object
-    within: list[int]
-    loops_within: list[int]
-
-    def total_cross(self):
-        return int(self.cross.sum()) // 2
-
-    def total_within(self):
-        return sum(self.within)
-
-
-def pair_edge_matrix(g: Graph, part: Partition) -> PairEdgeMatrix:
-    """Cross/within/loop tallies: one bincount of the class-pair codes
-    class(u) * r + class(v) of every arc (u, v); the diagonal counts each
-    within-class edge twice."""
+    One pass over blocks of whole classes (members by one stable argsort
+    of class_of), each at most ROW_BLOCK bins and row slots, or one class:
+    a bincount of (class(u) - lo) * (r + 1) + class(v) over the slots
+    (u, v), a -1 pad read as class r, gives rows lo.. of the r x r tally.
+    """
     if len(part.class_of) != g.n:
         raise ValueError("partition does not cover the graph")
     r, cls = part.r, part.class_of
-    codes = cls[arcs(g)[1]]
-    codes += np.repeat(cls * r, g.deg)
-    cross = np.bincount(codes, minlength=r * r).reshape(r, r)
-    within = np.diagonal(cross) // 2
-    np.fill_diagonal(cross, 0)
-    loops_within = np.bincount(cls[g.loops], minlength=r)
-    m = PairEdgeMatrix(r, cross, within.tolist(), loops_within.tolist())
-    assert m.total_cross() + m.total_within() == edge_count(g)
-    return m
+    padded = np.append(cls, r)
+    members = np.argsort(cls, kind="stable")
+    sizes = part.class_sizes()
+    starts = np.cumsum([0] + sizes)
+    step = max(1, ROW_BLOCK // max(r + 1, max(sizes, default=1) * g.table.shape[1]))
+    pairs, joined, within = [], True, np.zeros(r, dtype=np.int64)
+    for lo in range(0, r, step):
+        hi = min(lo + step, r)
+        ids = members[starts[lo]:starts[hi]]
+        codes = (cls[ids, None] - lo) * (r + 1) + padded[g.table[ids]]
+        tally = np.bincount(codes.ravel(), minlength=(hi - lo) * (r + 1))
+        tally = tally.reshape(hi - lo, r + 1)[:, :r]
+        within[lo:hi] = tally[:, lo:hi].diagonal() // 2
+        off = tally[:, lo:] != 1  # pairs c1 < c2: columns from lo, above the diagonal
+        off[:, :hi - lo] &= ~np.tri(hi - lo, dtype=bool)
+        if off.any():
+            i, j = np.nonzero(off)  # row-major
+            counts = tally[i, lo + j]
+            joined = joined and bool(counts.all())
+            keep = slice(max(0, limit - len(pairs)))
+            pairs += zip((lo + i[keep]).tolist(), (lo + j[keep]).tolist(), counts[keep].tolist())
+    return pairs, joined, within, np.bincount(cls[g.loops], minlength=r)
 
 
 # ---------------------------------------------------------------------------
 # cycles
 # ---------------------------------------------------------------------------
-
-def arcs(g: Graph):
-    """(tails, heads): every arc (u, v), both directions, ascending by
-    (u, v), of the table's dtype."""
-    table = g.table
-    return np.repeat(np.arange(g.n, dtype=table.dtype), g.deg), table[table >= 0]
-
 
 def is_automorphism(g: Graph, perm) -> bool:
     """True when the permutation `perm` of 0..n-1 maps every row of the
@@ -436,17 +444,11 @@ def girth(g: Graph, roots=None):
 # text formats
 # ---------------------------------------------------------------------------
 
-# neighbour slots per block of write_edge_list: one block's line strings
-# are alive at a time, not one per edge of the graph
-EDGE_LIST_BLOCK = 1 << 16
-
-
 def write_edge_list(g: Graph) -> str:
     """Plain-text edge list: `n m loops`, then `u v` (u < v), then `L v`."""
     text = [f"{g.n} {edge_count(g)} {loop_count(g)}\n"]
-    step = max(1, EDGE_LIST_BLOCK // max(1, g.table.shape[1]))
-    for lo in range(0, g.n, step):
-        text.append("".join([f"{u} {v}\n" for u, v in g.edges(lo, lo + step)]))
+    for lo, rows in row_blocks(g):
+        text.append("".join([f"{u} {v}\n" for u, v in g.edges(lo, lo + len(rows))]))
     text += [f"L {v}\n" for v in g.loops.tolist()]
     return "".join(text)
 

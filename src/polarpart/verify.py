@@ -2,7 +2,7 @@
 brute-force oracles, and the per-family verification reports.
 
 Everything here distrusts the closed-form constructions: counts come from
-the graphs, verdicts from pair-edge matrices, and formulas are re-checked
+the graphs, verdicts from class-pair tallies, and formulas are re-checked
 against actual adjacency.  Large instances that cannot materialize run a
 seeded sampled protocol and say so in the report.
 """
@@ -17,13 +17,14 @@ import numpy as np
 from . import adg, partitions as parts
 from .gf import prime_power
 from .graphs import (
-    Graph, Partition, arcs, degree_multiset, degrees, edge_count,
-    even_cycle, find_even_cycle, girth, is_automorphism, loop_count, materialize,
-    pair_edge_matrix,
+    Graph, Partition, degree_multiset, degrees, edge_count, even_cycle,
+    find_even_cycle, girth, is_automorphism, loop_count, materialize,
+    pair_edge_matrix, row_blocks,
 )
 
 ORACLE_MAX_N = 12
 DEFAULT_MATERIALIZE_LIMIT = 2_000_000
+REPORT_WITNESSES = 20  # from one partition verdict
 
 # sample sizes for the streaming (non-materializable) protocol
 SAMPLED_INCIDENCES = 100_000
@@ -61,25 +62,26 @@ def ratio_eq6(psi_lower: int, edges: int) -> float:
 # ---------------------------------------------------------------------------
 
 def verdict(g: Graph, part: Partition):
-    """complete / achromatic / optimally_complete flags plus witnesses.
+    """(complete / achromatic / optimally_complete flags, witnesses, the
+    loops in each class); loops never count as within-class edges.
 
-    Loops never count as within-class edges.  Witnesses name the first
-    failing pair or within-class edge so reports stay actionable.
+    Witnesses: the first REPORT_WITNESSES class pairs not joined by one
+    edge, row-major, then the first within-class edge u < v, by u then v,
+    from a second pass over row blocks run only when a class holds one.
     """
-    mat = pair_edge_matrix(g, part)
-    rows, cols = np.nonzero(np.triu(mat.cross != 1, 1))  # row-major
-    counts = mat.cross[rows, cols]
+    pairs, joined, within, loops = pair_edge_matrix(g, part, REPORT_WITNESSES)
     witnesses = [("missing_pair", i, j) if c == 0 else ("multi_edge_pair", i, j, c)
-                 for i, j, c in zip(rows.tolist(), cols.tolist(), counts.tolist())]
-    within_total = mat.total_within()
-    if within_total:
+                 for i, j, c in pairs]
+    if within.any():
         cls = part.class_of
-        tails, heads = arcs(g)
-        i = _first((tails < heads) & (cls[tails] == cls[heads]))
-        u, v = int(tails[i]), int(heads[i])
-        witnesses.append(("within_edge", int(cls[u]), u, v))
-    flags = _verdict_flags(bool(counts.all()), within_total == 0, edge_count(g), part.r)
-    return flags, witnesses, mat
+        for lo, block in row_blocks(g):
+            # the first within-class arc (u, v) has u < v: v's row comes first otherwise
+            hit = (block >= 0) & (cls[block] == cls[lo:lo + len(block), None])
+            if hit.any():
+                i, j = divmod(int(hit.argmax()), block.shape[1])
+                witnesses.append(("within_edge", int(cls[lo + i]), lo + i, int(block[i, j])))
+                break
+    return _verdict_flags(joined, not within.any(), edge_count(g), part.r), witnesses, loops
 
 
 def _verdict_flags(complete, within_free, edges, r):
@@ -429,10 +431,6 @@ def _bounds(n, max_degree, edges, r, verdicts):
 # exhaustive (materialized) family verification
 # ---------------------------------------------------------------------------
 
-# slots of the padded table per block (whole rows) of _check_unique_edges
-UNIQUE_EDGE_BLOCK = 1 << 16
-
-
 def _in_sorted(x, values):
     """Whether each entry of x occurs in the ascending array `values`."""
     if not len(values):
@@ -445,21 +443,19 @@ def _check_unique_edges(g: Graph, scheme):
 
     Counts, in one pass over the padded table, the arcs (u, v) with
     class(u) < class(v) (the scheme's classes) equal to their class pair's
-    closed form: no two arcs equal one pair's form, so C(r, 2) matches
-    means every pair's form is an edge between its classes.  A failure's
-    second pass marks the matched pairs.  The witness is the first failure
+    closed form: no two arcs equal one pair's form, so r - 1 - c1 matches
+    per c1 mean its forms are edges between the classes.  A failure's second
+    pass marks the first short c1's pairs.  The witness is the first failure
     in the order: for each c1, its loop vertex's class, the loop vertex
     being absolute, then each unmatched (c1, c2 > c1), classes before edge.
     """
-    if not hasattr(scheme, "unique_edge"):
-        return True, None  # general construction: verdicts carry the proof
+    if not hasattr(scheme, "_unique_edge"):
+        return True, None  # no closed-form edge (general construction): verdicts carry the proof
     r, cls = scheme.r, scheme.class_of_ids(np.arange(g.n))
-    rows = max(1, UNIQUE_EDGE_BLOCK // max(g.table.shape[1], 1))
 
     def matches():  # (c1, c2) of every cross arc equal to its pair's form
-        for lo in range(0, g.n, rows):
-            block = g.table[lo:lo + rows]
-            u, j = np.nonzero((block >= 0) & (cls[block] > cls[lo:lo + rows, None]))
+        for lo, block in row_blocks(g):
+            u, j = np.nonzero((block >= 0) & (cls[block] > cls[lo:lo + len(block), None]))
             u, v = u + lo, block[u, j]
             a, b = scheme.unique_edge_bulk(cls[u], cls[v])
             hit = (a == u) & (b == v)
@@ -468,15 +464,16 @@ def _check_unique_edges(g: Graph, scheme):
     lv = scheme.loop_vertex_bulk(np.arange(r))
     lv_class = scheme.class_of_ids(lv) != np.arange(r)
     i = _first(lv_class | ~_in_sorted(lv, g.loops))
-    if sum(len(c1) for c1, _ in matches()) < r * (r - 1) // 2:
-        matched = np.tri(r, dtype=bool)  # pairs c2 <= c1 are not checked
-        for c1, c2 in matches():
-            matched[c1, c2] = True
-        c1, c2 = divmod(int(matched.argmin()), r)
-        if i is None or c1 < i:
-            a, b = scheme.unique_edge_bulk(np.array([c1]), np.array([c2]))
-            bad = scheme.class_of_ids(a)[0] != c1 or scheme.class_of_ids(b)[0] != c2
-            return False, ("edge_endpoint_class" if bad else "edge_formula_not_edge", c1, c2)
+    per_row = sum(np.bincount(c1, minlength=r) for c1, _ in matches())
+    c1 = _first(per_row < r - 1 - np.arange(r))
+    if c1 is not None and (i is None or c1 < i):
+        matched = np.arange(r) <= c1  # pairs c2 <= c1 are not checked
+        for row, c2 in matches():
+            matched[c2[row == c1]] = True
+        c2 = int(matched.argmin())
+        a, b = scheme.unique_edge_bulk(np.array([c1]), np.array([c2]))
+        bad = scheme.class_of_ids(a)[0] != c1 or scheme.class_of_ids(b)[0] != c2
+        return False, ("edge_endpoint_class" if bad else "edge_formula_not_edge", c1, c2)
     if i is None:
         return True, None
     return False, ("loop_vertex_class" if lv_class[i] else "loop_vertex_not_absolute", i)
@@ -522,15 +519,15 @@ def verify_family_exhaustive(bundle, *, seed=0,
     tally = degree_multiset(g)
     report["degree_multiset"] = {str(k): v for k, v in sorted(tally.items())}
     degrees_ok = tally == expected_degree_spectrum(spec, scheme)
-    verd, witnesses, mat = verdict(g, part)
+    verd, witnesses, class_loops = verdict(g, part)
     report["partition"] = {"r": part.r, "class_size": scheme.class_size}
     report["verdicts"] = verd
-    report["witnesses"].extend(witnesses[:20])
+    report["witnesses"].extend(witnesses[:REPORT_WITNESSES])
 
     unique_ok, unique_witness = _check_unique_edges(g, scheme)
     if not unique_ok:
         report["witnesses"].append(unique_witness)
-    loops_ok = all(c == 1 for c in mat.loops_within) and n_pi == scheme.r
+    loops_ok = bool((class_loops == 1).all()) and n_pi == scheme.r
 
     # one search per k, shared by the forbidden-cycle checks and LUW
     luw_ks = range(2, min(max(FORBIDDEN[family], default=2), 3) + 1) if with_luw else ()
@@ -915,7 +912,7 @@ def verify_bipartite_partition(spec, part: Partition, r,
     """Materialize the bipartite graph and check the partition is complete;
     reports the psi ratio from the verified counts."""
     g = materialize(2 * spec.side_size, spec.bipartite_arrays, materialize_limit)
-    verd, witnesses, mat = verdict(g, part)
+    verd, witnesses, _ = verdict(g, part)
     e_g = edge_count(g)
     return {
         "n": g.n,
@@ -923,7 +920,7 @@ def verify_bipartite_partition(spec, part: Partition, r,
         "r": r,
         "verdicts": verd,
         "eq6_ratio": ratio_eq6(r, e_g) if verd["complete"] else None,
-        "witnesses": witnesses[:20],
+        "witnesses": witnesses[:REPORT_WITNESSES],
         "ok": verd["complete"],
     }
 

@@ -390,29 +390,53 @@ def test_handshake():
 
 def test_pair_edge_matrix_triangle_singletons():
     g = cycle_graph(3)
-    mat = pair_edge_matrix(g, Partition([0, 1, 2], 3))
-    assert all(mat.cross[i][j] == 1 for i in range(3) for j in range(3) if i != j)
-    assert mat.within == [0, 0, 0]
+    pairs, joined, within, loops = pair_edge_matrix(g, Partition([0, 1, 2], 3), 10)
+    assert pairs == [] and joined  # every pair joined by one edge
+    assert within.tolist() == [0, 0, 0] and loops.tolist() == [0, 0, 0]
 
 
 def test_pair_edge_matrix_single_class():
     g = cycle_graph(4)
-    mat = pair_edge_matrix(g, Partition([0, 0, 0, 0], 1))
-    assert mat.within == [4]
-    assert mat.total_cross() == 0
+    pairs, joined, within, _ = pair_edge_matrix(g, Partition([0, 0, 0, 0], 1), 10)
+    assert within.tolist() == [4] and within.sum() == edge_count(g)  # no cross edge
+    assert pairs == [] and joined
 
 
 def test_pair_edge_matrix_loops_tally():
     g = Graph.from_edges(4, [(0, 1), (2, 3)], loops=[0, 1, 2])
-    mat = pair_edge_matrix(g, Partition([0, 0, 1, 1], 2))
-    assert mat.loops_within == [2, 1]
-    assert mat.within == [1, 1]
+    pairs, joined, within, loops = pair_edge_matrix(g, Partition([0, 0, 1, 1], 2), 10)
+    assert loops.tolist() == [2, 1]
+    assert within.tolist() == [1, 1]
+    assert pairs == [(0, 1, 0)] and not joined
+
+
+@pytest.mark.parametrize("big_class,block,blocks", [(False, 100, 9), (True, 400, 14)])
+def test_pair_edge_matrix_blocks_stay_within_the_bound(monkeypatch, big_class, block, blocks):
+    # plane q = 3 has 81 vertices and rows of 9 slots.  27 classes of 3:
+    # the bins bind, 3 classes (84 bins) a block.  14 classes, class 0 of
+    # 42 members: its 378 row slots bind, one class a block
+    spec, pol = plane_family(3)
+    pg = build_polarity_graph(spec, pol)
+    g = materialize(pg.n, pg.arrays, 1000)
+    cls = np.arange(g.n) // 3
+    if big_class:
+        cls = np.where(cls >= 13, cls - 13, 0)
+    part = Partition(cls, int(cls.max()) + 1)
+    expected = pair_edge_matrix(g, part, 10 ** 4)
+    sizes, bincount = [], np.bincount
+    monkeypatch.setattr(np, "bincount", lambda x, minlength=0: (
+        sizes.append((len(x), minlength)) or bincount(x, minlength=minlength)))
+    monkeypatch.setattr(graphs, "ROW_BLOCK", block)
+    got = pair_edge_matrix(g, part, 10 ** 4)
+    tallies = [s for s in sizes if s[1] % (part.r + 1) == 0]  # one per block
+    assert len(tallies) == blocks and all(max(s) <= block for s in tallies)
+    assert got[:2] == expected[:2] and all(np.array_equal(a, b) for a, b in zip(got[2:], expected[2:]))
 
 
 def test_pair_edge_matrix_size_mismatch():
     g = cycle_graph(3)
     with pytest.raises(ValueError):
-        pair_edge_matrix(g, Partition([0, 1], 2))
+        pair_edge_matrix(g, Partition([0, 1], 2), 10)
 
 
 def test_partition_validation():
@@ -496,7 +520,8 @@ def test_array_rule_rows_sort_ascending_with_pads_last():
     rule = _rule([[2, 1], [-1, 0], [0, -1]])  # pads anywhere in a row
     g = materialize(3, rule, 3)
     assert g.table.tolist() == [[1, 2], [0, -1], [0, -1]]
-    assert graphs.arcs(g)[1].tolist() == [1, 2, 0, 0]
+    # heads of every arc (u, v), ascending by (u, v)
+    assert g.table[g.table >= 0].tolist() == [1, 2, 0, 0]
 
 
 @pytest.mark.parametrize("n,dtype", [(46_340, np.int32), (46_341, np.int64), (50_000, np.int64)])
@@ -504,7 +529,8 @@ def test_ids_widen_to_int64_once_n_squared_passes_int32(n, dtype):
     # arc codes u * n + v of the last vertex's arcs pass 2**31 from n = 46,341
     edges = [(0, n - 1), (n - 2, n - 1)]
     g = Graph.from_edges(n, edges)
-    tails, heads = graphs.arcs(g)
+    tails = np.repeat(np.arange(n, dtype=g.table.dtype), g.deg)
+    heads = g.table[g.table >= 0]
     codes = tails * heads.dtype.type(n) + heads
     assert g.table.dtype == codes.dtype == dtype
     assert g.table.shape == (n, 2) and g.table[n - 1].tolist() == [0, n - 2]
@@ -554,13 +580,13 @@ def _joined_edge_list(g):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("block", [1, 5, 64, graphs.EDGE_LIST_BLOCK])
+@pytest.mark.parametrize("block", [1, 5, 64, graphs.ROW_BLOCK])
 def test_edge_list_blocks_keep_the_bytes(monkeypatch, block):
     spec, pol = plane_family(3)
     pg = build_polarity_graph(spec, pol)
     cases = [materialize(pg.n, pg.arrays, 1000), Graph(4, [[], [], [], []], loops=[1]),
              Graph.from_edges(7, [(0, 6), (2, 3), (3, 5)])]
-    monkeypatch.setattr(graphs, "EDGE_LIST_BLOCK", block)
+    monkeypatch.setattr(graphs, "ROW_BLOCK", block)
     for g in cases:
         assert write_edge_list(g) == _joined_edge_list(g)
 

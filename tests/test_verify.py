@@ -1312,7 +1312,7 @@ def test_check_unique_edges_matches_scalar_reference(monkeypatch, family, tamper
             assert expected[1][2] == TAMPERED_C1[0] + 3
     assert verify._check_unique_edges(g, scheme) == expected
     for rows in (1, 3):
-        monkeypatch.setattr(verify, "UNIQUE_EDGE_BLOCK", rows * g.table.shape[1])
+        monkeypatch.setattr(graphs, "ROW_BLOCK", rows * g.table.shape[1])
         assert verify._check_unique_edges(g, scheme) == expected
 
 
@@ -1322,7 +1322,7 @@ def test_check_unique_edges_blocks_stay_within_the_bound(monkeypatch):
     sizes = []
     unique_edge_bulk = scheme.unique_edge_bulk
     scheme.unique_edge_bulk = lambda c1, c2: sizes.append(len(c1)) or unique_edge_bulk(c1, c2)
-    monkeypatch.setattr(verify, "UNIQUE_EDGE_BLOCK", 500)
+    monkeypatch.setattr(graphs, "ROW_BLOCK", 500)
     assert verify._check_unique_edges(g, scheme) == (True, None)
     # one formula call per block of whole table rows, one id per cross edge
     assert max(sizes) <= 500 and sum(sizes) == scheme.r * (scheme.r - 1) // 2
@@ -1364,8 +1364,27 @@ def test_check_unique_edges_on_a_tampered_graph_matches_scalar_reference(monkeyp
                         else (False, ("edge_formula_not_edge", c1, c1 + 3)))
     assert verify._check_unique_edges(tampered, scheme) == expected
     for rows in (1, 3):
-        monkeypatch.setattr(verify, "UNIQUE_EDGE_BLOCK", rows * tampered.table.shape[1])
+        monkeypatch.setattr(graphs, "ROW_BLOCK", rows * tampered.table.shape[1])
         assert verify._check_unique_edges(tampered, scheme) == expected
+
+
+def test_check_unique_edges_reads_the_array_formula_only(monkeypatch):
+    # the closed-form schemes are told from the general construction by
+    # their array formula, so the check runs without the scalar form
+    monkeypatch.delattr(PlaneScheme, "unique_edge")
+    spec, pol, scheme, _ = UNIQUE_EDGE_FAMILIES["plane q=3"]()
+    g = _polarity_graph(spec, pol)
+    assert verify._check_unique_edges(g, scheme) == (True, None)
+    c1, unique_edge_bulk = TAMPERED_C1[0], scheme.unique_edge_bulk
+
+    def tampered(cs1, cs2):  # the pair (c1, c1 + 3) names a non-edge
+        a, b = unique_edge_bulk(cs1, cs2)
+        hit = (cs1 == c1) & (cs2 == c1 + 3)
+        return np.where(hit, _next_member_bulk(scheme, np.asarray(cs1), a), a), b
+
+    scheme.unique_edge_bulk = tampered
+    assert not hasattr(scheme, "unique_edge")
+    assert verify._check_unique_edges(g, scheme) == (False, ("edge_formula_not_edge", c1, c1 + 3))
 
 
 # -- verdict against the per-edge loop it replaced -------------------------------
@@ -1394,7 +1413,7 @@ def _reference_verdict(g, part):
     return cross, within, witnesses
 
 
-def test_verdict_matches_the_list_tally():
+def test_verdict_matches_the_list_tally(monkeypatch):
     rng = random.Random(8)
     for trial in range(60):
         n = rng.randrange(2, 30)
@@ -1402,10 +1421,76 @@ def test_verdict_matches_the_list_tally():
         r = rng.randrange(1, n + 1)
         part = Partition(list(range(r)) + [rng.randrange(r) for _ in range(n - r)], r)
         cross, within, witnesses = _reference_verdict(g, part)
-        _, got, mat = verdict(g, part)
-        assert mat.cross.tolist() == cross and mat.within == within
-        assert got == witnesses
-        assert all(type(x) is int for w in got for x in w[1:])  # JSON bytes as before
+        split = len(witnesses) - any(within)  # within_edge comes last
+        pairs, inside = witnesses[:split], witnesses[split:]
+        # default blocks and witness cap, then one class per block with
+        # every pair not joined by one edge listed
+        for block, cap in ((graphs.ROW_BLOCK, verify.REPORT_WITNESSES), (1, r * r)):
+            monkeypatch.setattr(graphs, "ROW_BLOCK", block)
+            monkeypatch.setattr(verify, "REPORT_WITNESSES", cap)
+            assert graphs.pair_edge_matrix(g, part, cap)[2].tolist() == within
+            _, got, loops = verdict(g, part)
+            assert got == pairs[:cap] + inside and loops.tolist() == [0] * r
+            assert all(type(x) is int for w in got for x in w[1:])  # JSON bytes as before
+        assert cap > r * (r - 1) // 2 and got == witnesses
+
+
+def _report_of(bundle, graph=None, partition=None):
+    report = verify.verify_family_exhaustive(bundle, graph=graph, partition=partition,
+                                             with_luw=False)
+    assert report["ok"] is False
+    return report
+
+
+@pytest.mark.parametrize("moved", [1, 6])
+def test_report_lists_the_first_twenty_verdict_witnesses(moved):
+    # each moved vertex goes into the class of its first neighbour: one
+    # vertex leaves fewer than 20 pairs off one edge, six leave more
+    bundle = verify.family_bundle("plane", q=3)
+    spec, pol, scheme, _ = bundle
+    g = _polarity_graph(spec, pol)
+    cls = scheme_partition(scheme, spec).class_of.copy()
+    for v in range(0, 9 * moved, 9):
+        cls[v] = cls[g.adj[v][0]]
+    part = Partition(cls, scheme.r)
+    expected = _reference_verdict(g, part)[2]
+    assert expected[-1][0] == "within_edge" and (len(expected) - 1 >= 20) == (moved > 1)
+    witnesses = _report_of(bundle, partition=part)["witnesses"]
+    if moved > 1:
+        assert witnesses == expected[:20]
+        assert all(w[0] != "within_edge" for w in witnesses)
+    else:
+        assert witnesses == expected  # within_edge last
+
+
+@pytest.mark.parametrize("kind", ["within_edge", "moved_cross_edge"])
+@pytest.mark.parametrize("family", sorted(UNIQUE_EDGE_FAMILIES))
+def test_report_on_a_tampered_graph_carries_the_verdict_witnesses(family, kind):
+    bundle = UNIQUE_EDGE_FAMILIES[family]()
+    spec, pol, scheme, _ = bundle
+    g = _polarity_graph(spec, pol)
+    part = scheme_partition(scheme, spec)
+    cls, edges = part.class_of, set(g.edges())
+    c1 = TAMPERED_C1[0]
+    a, b = (int(x[0]) for x in scheme.unique_edge_bulk(np.array([c1]), np.array([c1 + 3])))
+    if kind == "within_edge":  # a joined to another member of its class
+        x = int(next(m for m in scheme.class_members_bulk([c1])[0] if m != a))
+    else:  # (a, b) moved to (a, x), x the least non-neighbour of a in a third class
+        edges.remove((min(a, b), max(a, b)))
+        x = next(x for x in range(g.n) if cls[x] not in (c1, c1 + 3) and not g.has_edge(a, x))
+    new = (a, x)
+    assert not g.has_edge(*new)
+    edges.add((min(new), max(new)))
+    tampered = Graph.from_edges(g.n, edges, g.loops.tolist())
+    expected = _reference_verdict(tampered, part)[2]
+    if kind == "within_edge":
+        assert expected == [("within_edge", c1, min(new), max(new))]
+    else:  # row-major
+        pairs = [("missing_pair", c1, c1 + 3), ("multi_edge_pair", *sorted((c1, int(cls[x]))), 2)]
+        assert expected == sorted(pairs, key=lambda w: w[1:3])
+    report = _report_of(bundle, graph=tampered)
+    assert report["witnesses"][:len(expected)] == expected
+    assert not report["verdicts"]["achromatic"]
 
 
 # -- the sampled protocol against the exhaustive one, on plane, gq and gh -----
