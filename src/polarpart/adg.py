@@ -471,10 +471,9 @@ def check_polarity(spec: ADGSpec, pol: PolaritySpec, mode="exhaustive",
         chunks = ((spec.ids_to_coords(np.arange(lo, min(lo + step, n))), every_l1)
                   for lo in range(0, n, step))
     else:
-        flat = randrange_bulk(random.Random(seed), q, samples * m)[0].astype(ctx.dtype)
-        first = randrange_bulk(random.Random(seed + 1), q, samples)[0].astype(ctx.dtype)
-        points = flat.reshape(samples, m).T
-        chunks = ((list(points[:, lo:lo + SWEEP_BLOCK]), first[lo:lo + SWEEP_BLOCK, None])
+        points = randrange_bulk(random.Random(seed), (q,) * m, samples).astype(ctx.dtype).T
+        first = randrange_bulk(random.Random(seed + 1), (q,), samples).astype(ctx.dtype)
+        chunks = ((list(points[:, lo:lo + SWEEP_BLOCK]), first[lo:lo + SWEEP_BLOCK])
                   for lo in range(0, samples, SWEEP_BLOCK))
     checked = 0
     for pv, l1 in chunks:
@@ -723,11 +722,12 @@ def build_polarity_graph(spec: ADGSpec, pol: PolaritySpec) -> PolarityGraph:
 # lookup vectors, at every order.  The scalar methods are the reference the
 # tests hold them to.
 
-def randrange_bulk(rng, n, count):
-    """`count` samples of one rng.randrange(b) per bound b of n (an int or a
-    tuple) at once: (values, words_through), int64 arrays in call order,
-    words_through[i] the 32-bit words drawn through call i.  rng ends in
-    the state the calls would leave.
+def randrange_bulk(rng, bounds, count):
+    """`count` samples of one rng.randrange(b) per bound b of the tuple
+    `bounds`, at once: an int64 array of shape (count, len(bounds)), row t
+    sample t's calls in order.  rng ends in the state the calls would
+    leave, so a caller that needs the state after a prefix of the calls
+    sets rng back and draws that prefix again.
 
     Exact for random.Random and 1 <= b < 2^32: each randrange(b) attempt
     reads one 32-bit word and rejects its top b.bit_length() bits while
@@ -737,9 +737,9 @@ def randrange_bulk(rng, n, count):
     so none past the last accepted one; a sample a round leaves unfinished
     is read again in the next.
     """
-    bounds = n if isinstance(n, tuple) else (n,)
     if not all(1 <= b < 1 << 32 for b in bounds):
-        raise ValueError(f"bulk randrange needs 1 <= n < 2**32, got {n}")
+        raise ValueError(f"bulk randrange needs 1 <= b < 2**32, got {bounds}")
+    shape = (count, len(bounds))
     if len(set(bounds)) == 1:
         bounds, count = bounds[:1], count * len(bounds)
     w = len(bounds)
@@ -748,8 +748,8 @@ def randrange_bulk(rng, n, count):
     version, key, gauss = rng.getstate()
     mt = np.random.MT19937()
     mt.state = {"bit_generator": "MT19937", "state": {"key": key[:-1], "pos": key[-1]}}
-    values, through = np.empty(count * w, dtype=np.int64), np.empty(count * w, dtype=np.int64)
-    words, drawn, done = np.empty(0, dtype=np.int64), 0, 0
+    values = np.empty(count * w, dtype=np.int64)
+    words, done = np.empty(0, dtype=np.int64), 0
     while count:
         # an unfinished sample, read again, may hold w - 1 accepted calls
         read = mt.random_raw(min((count - 1) * w + 1, SWEEP_BLOCK)).view(np.int64)
@@ -758,12 +758,11 @@ def randrange_bulk(rng, n, count):
         pos = np.flatnonzero(ok)[None] + 1 if w == 1 else _chain_samples(ok, count)
         calls = slice(done, done + pos.size)
         values[calls] = (words[pos - 1] >> shift).T.ravel()
-        through[calls] = (drawn + pos).T.ravel()
         keep = pos[-1, -1] if pos.size else 0
-        words, drawn, count, done = words[keep:], drawn + keep, count - pos.shape[1], calls.stop
+        words, count, done = words[keep:], count - pos.shape[1], calls.stop
     state = mt.state["state"]
     rng.setstate((version, tuple(state["key"].tolist()) + (state["pos"],), gauss))
-    return values, through
+    return values.reshape(shape)
 
 
 def _chain_samples(ok, count):

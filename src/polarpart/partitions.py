@@ -322,8 +322,8 @@ def is_point_line_symmetric(spec: ADGSpec, seed=0):
             vals = [np.arange(q, dtype=ctx.dtype).reshape((q,) + (1,) * k) for k in range(width)]
         else:
             shape = (SYMMETRY_SAMPLES,)
-            draws = randrange_bulk(random.Random(seed), q, SYMMETRY_SAMPLES * width)[0]
-            vals = list(draws.astype(ctx.dtype).reshape(SYMMETRY_SAMPLES, width).T)
+            draws = randrange_bulk(random.Random(seed), (q,) * width, SYMMETRY_SAMPLES)
+            vals = list(draws.astype(ctx.dtype).T)
         lv, pv = vals[:nargs], vals[nargs:]
         bad = eval_expr_bulk(f, ctx, lv, pv) != eval_expr_bulk(f, ctx, pv, lv)
         bad = np.broadcast_to(bad, shape)

@@ -520,7 +520,8 @@ def verify_family_exhaustive(bundle, *, seed=0,
     report["degree_multiset"] = {str(k): v for k, v in sorted(tally.items())}
     degrees_ok = tally == expected_degree_spectrum(spec, scheme)
     verd, witnesses, class_loops = verdict(g, part)
-    report["partition"] = {"r": part.r, "class_size": scheme.class_size}
+    sizes = set(part.class_sizes())
+    report["partition"] = {"r": part.r, "class_size": sizes.pop() if len(sizes) == 1 else None}
     report["verdicts"] = verd
     report["witnesses"].extend(witnesses[:REPORT_WITNESSES])
 
@@ -565,18 +566,6 @@ def verify_family_exhaustive(bundle, *, seed=0,
 # sampled (streaming) verification for instances too large to materialize
 # ---------------------------------------------------------------------------
 
-def _predraw(rng, count, bounds):
-    """A phase's `count` samples, drawn up front as drawing one at a time
-    would draw them; rng ends after the last one whether or not the phase
-    stops at a failing sample.
-
-    `bounds` is a tuple: a sample is one rng.randrange(b) for each b in
-    it, in order, and the samples come from adg.randrange_bulk as a
-    (count, len(bounds)) int64 array.
-    """
-    return adg.randrange_bulk(rng, bounds, count)[0].reshape(count, len(bounds))
-
-
 def _predraw_edges(rng, count, spec, absolute_ids):
     """The symmetry phase's `count` samples as drawing one at a time would
     draw them: a vertex by m rng.randrange(q), then a position among its
@@ -586,24 +575,25 @@ def _predraw_edges(rng, count, spec, absolute_ids):
     Every draw is read as randrange(q) by adg.randrange_bulk.  A
     randrange(q - 1) reads the same words to the same value unless the
     word it accepts reads q - 1, or q - 1 has fewer bits than q.  At the
-    first absolute vertex where that may happen, rng goes back to its
-    position draw, draws it by randrange(q - 1), and the bulk draw resumes.
+    first absolute vertex i where that may happen, rng goes back to the
+    round's start, draws the round's prefix through sample i's vertex
+    again, draws the position by randrange(q - 1), and the bulk draw
+    resumes.
     """
     q, m = spec.ctx.order, spec.m
     short = (q - 1).bit_length() < q.bit_length()
     vs, picks = [], []
     while count:
         start = rng.getstate()
-        values, words = (x.reshape(count, m + 1)
-                         for x in adg.randrange_bulk(rng, q, count * (m + 1)))
+        values = adg.randrange_bulk(rng, (q,) * (m + 1), count)
         v = spec.coords_to_ids(values[:, :m].T)
         i = _first(_in_sorted(v, absolute_ids) & (short | (values[:, m] == q - 1)))
         if i is None:
             i = count - 1
         else:
             rng.setstate(start)
-            rng.getrandbits(32 * int(words[i, m - 1]))
-            values[i, m] = adg.randrange_bulk(rng, q - 1, 1)[0][0]
+            adg.randrange_bulk(rng, (q,), i * (m + 1) + m)
+            values[i, m] = adg.randrange_bulk(rng, (q - 1,), 1)[0, 0]
         vs.append(v[:i + 1])
         picks.append(values[:i + 1, m])
         count -= i + 1
@@ -623,7 +613,7 @@ def _sampled_even_cycle(pg: adg.PolarityGraph, k, num_roots, rng):
         # descending first coordinate: the order a stack-based DFS pops them
         return pg.neighbor_ids(ids)[:, ::-1]
 
-    roots = _predraw(rng, num_roots, (spec.ctx.order,) * spec.m)
+    roots = adg.randrange_bulk(rng, (spec.ctx.order,) * spec.m, num_roots)
     hit = even_cycle([spec.coords_to_id(r) for r in roots.tolist()], k, neighbors, pg.n)
     return None if hit is None else tuple(spec.id_to_coords(v) for v in hit[1])
 
@@ -679,17 +669,18 @@ def verify_family_sampled(bundle, *, seed=0,
     loops_ok = n_pi == r
     cids = np.arange(r)
     lv = scheme.loop_vertex_bulk(cids)
-    i = _first((scheme.class_of_ids(lv) != cids) | ~_in_sorted(lv, absolute_ids))
+    loop_absolute = _in_sorted(lv, absolute_ids)
+    i = _first((scheme.class_of_ids(lv) != cids) | ~loop_absolute)
     loop_formula_ok = i is None
     if not loop_formula_ok:
         report["witnesses"].append(("loop_vertex", i))
 
     # sampled unique-edge substitution
-    pairs = _predraw(rng, class_pair_samples, (r, r))
+    pairs = adg.randrange_bulk(rng, (r, r), class_pair_samples)
     c1, c2 = pairs.T
     formula_ok = np.zeros(len(pairs), dtype=bool)
     same = c1 == c2
-    formula_ok[same] = _in_sorted(scheme.loop_vertex_bulk(c1[same]), absolute_ids)
+    formula_ok[same] = loop_absolute[c1[same]]
     a, b = scheme.unique_edge_bulk(c1[~same], c2[~same])
     in_class = (scheme.class_of_ids(a) == c1[~same]) & (scheme.class_of_ids(b) == c2[~same])
     formula_ok[~same] = in_class & spec.incident_bulk(
@@ -705,7 +696,7 @@ def verify_family_sampled(bundle, *, seed=0,
     # full one-edge sweeps on a subsample of class pairs
     sweep_ok = True
     sweeps_done = 0
-    pairs = _predraw(rng, full_sweeps, (r, r))
+    pairs = adg.randrange_bulk(rng, (r, r), full_sweeps)
     # a, b stay bound: freeing the substitution's arrays here raised the
     # gh q=27 protocol's peak RSS by about 4 MB in half of the runs
     at = np.flatnonzero(pairs[:, 0] != pairs[:, 1])
@@ -723,7 +714,7 @@ def verify_family_sampled(bundle, *, seed=0,
 
     # within-class sampling: each drawn member lies in its class, and no
     # non-loop edge joins it to another vertex of its own class
-    cids, picks = _predraw(rng, within_samples, (r, scheme.class_size)).T
+    cids, picks = adg.randrange_bulk(rng, (r, scheme.class_size), within_samples).T
     vs = scheme.class_member_bulk(cids, picks)
     own = scheme.class_of_ids(vs)
     nb = pg.neighbor_ids(vs)
@@ -740,7 +731,7 @@ def verify_family_sampled(bundle, *, seed=0,
             report["witnesses"].append(("within_edge", int(cids[i]), v, spec.id_to_coords(u)))
 
     # degree spot checks against the two-value spectrum
-    vs = _predraw(rng, degree_samples, (q,) * m)
+    vs = adg.randrange_bulk(rng, (q,) * m, degree_samples)
     ids = spec.coords_to_ids(vs.T)
     degrees = (pg.neighbor_ids(ids) >= 0).sum(axis=1)
     expect = q - _in_sorted(ids, absolute_ids)
@@ -933,16 +924,18 @@ def witness_record(family, *, q=None, e=None, seed=0, report=None):
     """(r, k)-graph ledger entry for a family instance.
 
     Runs the family verification if no report is supplied; refuses to emit
-    a record unless the partition verified complete.  r and k are the
-    report's class count and class size, and the forbidden cycles its
-    cycle verdicts' lengths; the verdicts carry their pass / pass-sampled
-    flag verbatim.
+    a record unless the partition verified complete, with classes of one
+    size.  r and k are the report's class count and class size, and the
+    forbidden cycles its cycle verdicts' lengths; the verdicts carry their
+    pass / pass-sampled flag verbatim.
     """
     if report is None:
         kwargs = {"q": q} if family == "plane" else {"e": e}
         report = verify_family(family, seed=seed, with_luw=False, **kwargs)
     if not report["verdicts"]["complete"]:
         raise ValueError("partition did not verify complete; no witness record")
+    if report["partition"]["class_size"] is None:
+        raise ValueError("partition classes differ in size; no witness record")
     return {
         "family": family,
         "q": report["params"]["q"],

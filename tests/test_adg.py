@@ -8,6 +8,7 @@ vertex-pair sweeps at small q.
 import gc
 import itertools
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -900,24 +901,29 @@ def test_randrange_bulk_replays_random(seed):
         # 70,000 draws at 27 and 19,683 read words past one draw block
         for count in (0, 1, 7, 5000) + ((70_000,) if n in (27, 19683) else ()):
             rng, ref = _generator(seed, gauss), _generator(seed, gauss)
-            values, words_through = adg.randrange_bulk(rng, n, count)
-            assert values.dtype == np.int64 and words_through.dtype == np.int64
-            assert values.tolist() == [ref.randrange(b) for _ in range(count) for b in bounds]
+            values = adg.randrange_bulk(rng, bounds, count)
+            assert values.dtype == np.int64 and values.shape == (count, len(bounds))
+            assert values.ravel().tolist() == [ref.randrange(b) for _ in range(count)
+                                               for b in bounds]
             assert rng.getstate() == ref.getstate()
-            if count == 70_000:
-                assert words_through[-1] > adg.SWEEP_BLOCK
-            # the words through call i leave the state i + 1 calls leave
-            calls = count * len(bounds)
-            for i in sorted({0, 1, calls // 2, calls - 1} & set(range(calls))):
-                rng, ref = _generator(seed, gauss), _generator(seed, gauss)
-                rng.getrandbits(32 * int(words_through[i]))
-                for c in range(i + 1):
-                    ref.randrange(bounds[c % len(bounds)])
-                assert rng.getstate() == ref.getstate(), (n, count, i)
+
+
+def test_randrange_bulk_peak_is_its_result():
+    """No array as long as the draws besides the result: the traced peak
+    of a 500,000-draw call stays under twice the result's bytes."""
+    adg.randrange_bulk(random.Random(0), (27,), 1)  # imports numpy.random
+    tracemalloc.start()
+    try:
+        values = adg.randrange_bulk(random.Random(0), (27,) * 5, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * values.nbytes, (peak, values.nbytes)
 
 
 def test_randrange_bulk_rejects_bounds_past_32_bits():
-    for n in (0, -3, 2 ** 32, 2 ** 32 + 1, 2 ** 40, (27, 2 ** 32), (0, 5), (7, 729, -1)):
+    for n in ((0,), (-3,), (2 ** 32,), (2 ** 32 + 1,), (2 ** 40,), (27, 2 ** 32), (0, 5),
+              (7, 729, -1)):
         rng = random.Random(0)
         state = rng.getstate()
         with pytest.raises(ValueError):

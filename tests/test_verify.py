@@ -988,7 +988,7 @@ def test_predraw_in_bulk_rewinds_like_scalar_draws(bounds):
     for seed in (0, 1, 20231117):
         for count in (0, 1, 40):
             rng = random.Random(seed)
-            samples = verify._predraw(rng, count, bounds)
+            samples = adg.randrange_bulk(rng, bounds, count)
             assert samples.shape == (count, len(bounds))
             ref = random.Random(seed)
             assert [tuple(s) for s in samples.tolist()] == [draw(ref) for _ in range(count)]
@@ -1165,8 +1165,8 @@ def test_sampled_counts_end_at_the_failing_sample(monkeypatch):
     rep = verify_family("gh", e=1, mode="sampled", seed=0, **GOLDEN_SAMPLES)
     checks, r = rep["checks"], rep["partition"]["r"]
     rng = random.Random(0)  # the two phases draw first, in this order
-    pairs = verify._predraw(rng, GOLDEN_SAMPLES["class_pair_samples"], (r, r)).tolist()
-    sweeps = [p for p in verify._predraw(rng, GOLDEN_SAMPLES["full_sweeps"], (r, r)).tolist()
+    pairs = adg.randrange_bulk(rng, (r, r), GOLDEN_SAMPLES["class_pair_samples"]).tolist()
+    sweeps = [p for p in adg.randrange_bulk(rng, (r, r), GOLDEN_SAMPLES["full_sweeps"]).tolist()
               if p[0] != p[1]]
     witness = {w[0]: list(w[1:3]) for w in rep["witnesses"]}
     assert pairs[checks["substitution_pairs"] - 1] == witness["unique_edge_formula"]
@@ -1440,6 +1440,21 @@ def _report_of(bundle, graph=None, partition=None):
                                              with_luw=False)
     assert report["ok"] is False
     return report
+
+
+def test_report_class_size_is_the_verified_partitions():
+    """A supplied partition reports its own common class size, or null when
+    its classes differ in size; witness_record refuses the null one."""
+    bundle = verify.family_bundle("plane", q=3)
+    spec, _, scheme, _ = bundle
+    cls = scheme_partition(scheme, spec).class_of
+    merged = _report_of(bundle, partition=Partition(np.maximum(cls - 2, 0), 25))
+    assert merged["verdicts"]["complete"]
+    assert merged["partition"] == {"r": 25, "class_size": None}
+    with pytest.raises(ValueError, match="differ in size"):
+        witness_record("plane", report=merged)
+    uniform = _report_of(bundle, partition=Partition(cls // 3, 9))
+    assert uniform["partition"] == {"r": 9, "class_size": 9}
 
 
 @pytest.mark.parametrize("moved", [1, 6])
