@@ -213,13 +213,6 @@ class ADGSpec:
             pv.append(ctx_sub(fn(lvals, pv), lvals[j + 1]))
         return tuple(pv)
 
-    def neighbors_of_point(self, pvals):
-        """All q lines through a point, by ascending first coordinate."""
-        return [self.line_through(pvals, l1) for l1 in range(self.ctx.order)]
-
-    def neighbors_of_line(self, lvals):
-        return [self.point_on(lvals, p1) for p1 in range(self.ctx.order)]
-
     def incident(self, pvals, lvals):
         ctx = self.ctx
         for j, fn in enumerate(self.compiled()):
@@ -325,10 +318,6 @@ class ADGSpec:
     def side_size(self):
         return self.ctx.order ** self.m
 
-    def all_coords(self):
-        for n in range(self.side_size):
-            yield self.id_to_coords(n)
-
     def bipartite_arrays(self):
         """The incidence graph's array rule (graphs.materialize): point ids
         0..q^m-1, then line ids, each row by ascending first coordinate of
@@ -405,15 +394,12 @@ class PolaritySpec:
     def apply_point(self, ctx, pvals):
         return tuple(ctx.frob_table(j)[pvals[src]] for src, j in self.point_to_line)
 
-    def apply_line(self, ctx, lvals):
-        return tuple(ctx.frob_table(j)[lvals[src]] for src, j in self.line_to_point)
-
     def polar(self, ctx, pvals):
         """apply_point on coordinate arrays."""
         return [ctx.frob_vector(j).take(pvals[src]) for src, j in self.point_to_line]
 
     def polar_line(self, ctx, lvals):
-        """apply_line on coordinate arrays."""
+        """The inverse direction, line_to_point, on coordinate arrays."""
         return [ctx.frob_vector(j).take(lvals[src]) for src, j in self.line_to_point]
 
     def to_json(self):
@@ -540,7 +526,8 @@ class PolarityGraph:
 
     def neighbors_coords(self, pvals):
         lv = self.pol.apply_point(self.spec.ctx, pvals)
-        return [r for r in self.spec.neighbors_of_line(lv) if r != pvals]
+        points = (self.spec.point_on(lv, p1) for p1 in range(self.spec.ctx.order))
+        return [r for r in points if r != pvals]
 
     def is_absolute(self, pvals):
         lv = self.pol.apply_point(self.spec.ctx, pvals)
@@ -693,17 +680,10 @@ class PolarityGraph:
             ids = self._absolute_ids = np.sort(np.concatenate(found))
         return ids
 
-    def degree_of(self, pvals):
-        return len(self.neighbors_coords(pvals))
-
     def arrays(self):
         """The polarity graph's array rule (graphs.materialize): every
         vertex's neighbor_ids row, and the absolute points as loops."""
         return self.neighbor_ids(np.arange(self.n)), self.absolute_ids()
-
-    def absolute_points(self):
-        """Exhaustive absolute-point scan; only sensible when n is small."""
-        return [p for p in self.spec.all_coords() if self.is_absolute(p)]
 
 
 def build_polarity_graph(spec: ADGSpec, pol: PolaritySpec) -> PolarityGraph:
@@ -899,18 +879,11 @@ def gh_family(e: int, allow_small_e=False):
 
 class CoordinateMap:
     """A change of coordinates written per side as expression trees over
-    var_p: phi(side, coords) maps one tuple, phi.bulk(side, coords) maps
-    coordinate arrays."""
+    var_p: phi.bulk(side, coords) maps coordinate arrays."""
 
     def __init__(self, ctx: FieldCtx, points: tuple, lines: tuple):
         self.ctx = ctx
         self.exprs = {"P": points, "L": lines}
-        self._fns = {side: [compile_expr(e, ctx) for e in es] for side, es in self.exprs.items()}
-
-    def __call__(self, side, coords):
-        if side not in self._fns:
-            raise ValueError(f"side must be 'P' or 'L', got {side!r}")
-        return tuple(f((), coords) for f in self._fns[side])
 
     def bulk(self, side, coords):
         return [eval_expr_bulk(e, self.ctx, (), coords) for e in self.exprs[side]]

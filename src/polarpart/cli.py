@@ -36,32 +36,33 @@ def _parser():
         description="Construct polarity graphs over finite fields, build their "
                     "complete partitions in closed form, and verify every claim.")
     sub = p.add_subparsers(dest="subcommand", required=True)
-    p.set_defaults(edges_path=None, partition_path=None)  # report calls cmd_verify too
+    # report calls cmd_verify, and build checks gh-original's arguments
+    p.set_defaults(edges_path=None, partition_path=None, mode=None)
 
-    def add_common(sp):
+    def add_common(name):
+        sp = sub.add_parser(name)
         sp.add_argument("family", choices=FAMILIES)
         sp.add_argument("--q", type=int, help="prime power parameter (plane, gh-original)")
         sp.add_argument("--e", type=int, help="exponent parameter (gq: q=2^(2e+1), gh: q=3^(2e+1))")
-        sp.add_argument("--mode", choices=("exhaustive", "sampled"),
-                        help="verification mode; default picks by instance size")
-        sp.add_argument("--seed", type=int, default=0, help="seed for all sampling")
+        if name in ("report", "verify"):
+            sp.add_argument("--mode", choices=("exhaustive", "sampled"),
+                            help="verification mode; default picks by instance size")
+            sp.add_argument("--seed", type=int, default=0, help="seed for all sampling")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--spec", dest="spec_path", help="JSON spec file (generic family)")
         sp.add_argument("--override-small-e", action="store_true",
                         help="allow e=0 for gq/gh; the polarity check still runs and is reported")
         sp.add_argument("--limit", type=int, default=ver.DEFAULT_MATERIALIZE_LIMIT,
                         help="materialization ceiling in vertices")
+        return sp
 
     for name in ("build", "partition", "report"):
-        add_common(sub.add_parser(name))
-    spv = sub.add_parser("verify")
-    add_common(spv)
+        add_common(name)
+    spv = add_common("verify")
     spv.add_argument("--edges", dest="edges_path", help="verify this edge list instead of constructing")
     spv.add_argument("--partition", dest="partition_path", help="verify this partition file")
     spo = sub.add_parser("oracle")
     spo.add_argument("--edges", dest="edges_path", required=True)
-    spo.add_argument("--out", default=".")
-    spo.add_argument("--seed", type=int, default=0)
     return p
 
 
@@ -112,8 +113,13 @@ def _jsonable(x):
 
 
 def _gh_original_q(args) -> int:
+    """--q for gh-original, whose only check is the exhaustive map check
+    on its own construction: it refuses files and sampled mode."""
     if args.q is None:
         raise ConfigError("gh-original needs --q")
+    if args.edges_path or args.partition_path or args.mode == "sampled":
+        raise ConfigError("gh-original is verified exhaustively from its construction; "
+                          "it takes no --edges, --partition or --mode sampled")
     return args.q
 
 
@@ -245,7 +251,8 @@ def main(argv=None) -> int:
     if getattr(args, "limit", 0) < 0:
         _parser().error(f"argument --limit: must be at least 0, got {args.limit}")
     try:
-        os.makedirs(args.out, exist_ok=True)
+        if args.subcommand != "oracle":
+            os.makedirs(args.out, exist_ok=True)
         return COMMANDS[args.subcommand](args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -200,15 +200,14 @@ class FieldCtx:
             raise ValueError("coefficients must be residues mod p")
         return _poly_to_int(coeffs, self.p)
 
-    def elements(self):
-        return range(self.order)
-
     # -- arithmetic ---------------------------------------------------------
-
-    def _chk(self, *els):
-        for u in els:
-            if not 0 <= u < self.order:
-                raise ValueError(f"element {u} out of range for {self!r}")
+    # Operands are field elements, ints in [0, order), and neither these
+    # scalar ops nor the *_bulk ops below check their range: an
+    # out-of-range operand can read another table cell instead of raising
+    # (a B x B table's x*B + y aliases y >= B, fields of several blocks wrap
+    # every operand through `% B`, and a negative index counts from the
+    # end).  Values are validated where they enter: encode and decode,
+    # check_expr's constants, edge lists, partitions and CLI parameters.
 
     def _blockwise(self, t, a, b):
         """t applied to each digit block of a and b."""
@@ -220,41 +219,30 @@ class FieldCtx:
             scale *= size
         return r
 
-    # the binary ops test the range inline: they run millions of times in
-    # the scalar reference paths, and _chk only raises the error
     def add(self, a: int, b: int) -> int:
-        if not (0 <= a < self.order and 0 <= b < self.order):
-            self._chk(a, b)
         if self._blocks == 1:
             return self._add_v[a, b]
         return self._blockwise(self._add_v, a, b)
 
     def sub(self, a: int, b: int) -> int:
-        if not (0 <= a < self.order and 0 <= b < self.order):
-            self._chk(a, b)
         if self._blocks == 1:
             return self._sub_v[a, b]
         return self._blockwise(self._sub_v, a, b)
 
     def neg(self, a: int) -> int:
-        self._chk(a)
         return self._neg_v[a]
 
     def mul(self, a: int, b: int) -> int:
-        if not (0 <= a < self.order and 0 <= b < self.order):
-            self._chk(a, b)
         log = self._log_v
         return self._exp_v[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
-        self._chk(a)
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return self._exp_v[-self._log_v[a] % (self.order - 1)]
 
     def pow(self, a: int, n: int) -> int:
         """a**n; negative n inverts first."""
-        self._chk(a)
         if n < 0:
             a = self.inv(a)
             n = -n
@@ -264,7 +252,6 @@ class FieldCtx:
 
     def frobenius(self, a: int, j: int) -> int:
         """a**(p**j)."""
-        self._chk(a)
         return self.frob_table(j)[a]
 
     def frob_table(self, j: int):
@@ -275,14 +262,9 @@ class FieldCtx:
         return t
 
     # -- arithmetic on arrays -------------------------------------------------
-    # Operands are field elements: integer arrays (or scalars) in
-    # [0, order) that broadcast against each other; results have `dtype`.
-    # Nothing here checks the range: each op is one `take` per digit block
-    # from a flat table, where an out-of-range operand can read another
-    # cell instead of raising (a B x B table's x*B + y aliases y >= B, and
-    # fields of several blocks wrap every operand through `% B`).  Values
-    # are validated where they enter: expr_from_json constants, edge
-    # lists, partitions and CLI parameters.
+    # Operands are field elements as integer arrays (or scalars) that
+    # broadcast against each other; results have `dtype`.  Each op is one
+    # `take` per digit block from a flat table.
 
     def _flat_index(self, sub, x, y):
         """int32 positions of the digit pairs (x, y) in the flat add (sub
@@ -434,14 +416,6 @@ class QuadBasis:
     _dec_c2: int
     _inv_mu_diff: int
 
-    def subfield_index(self, u: int) -> int:
-        """Position of a subfield element in the sorted subfield tuple."""
-        cache = getattr(self, "_idx", None)
-        if cache is None:
-            cache = {v: i for i, v in enumerate(self.subfield)}
-            object.__setattr__(self, "_idx", cache)
-        return cache[u]
-
     def vectors(self):
         """(subfield, index, decompose, recompose) as lookup arrays of
         ctx.dtype, built on first use.  subfield[i] is the i-th subfield
@@ -489,10 +463,6 @@ class QuadBasis:
         t = ctx.mul_bulk(ctx.sub_bulk(u, ctx.frob_vector(self.sub_degree)[u]), self._inv_mu_diff)
         s = ctx.sub_bulk(u, ctx.mul_bulk(t, self.mu))
         return s, t
-
-    def recompose_mu(self, s: int, t: int) -> int:
-        ctx = self.ctx
-        return ctx.add(s, ctx.mul(t, self.mu))
 
 
 def find_normal_element(ctx: FieldCtx) -> QuadBasis:

@@ -79,6 +79,8 @@ class Graph:
     def from_edges(cls, n, edges, loops=()):
         adjacency = [set() for _ in range(n)]
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range 0..{n - 1}")
             if u == v:
                 raise ValueError("loops must be passed separately")
             adjacency[u].add(v)
@@ -96,11 +98,6 @@ class Graph:
         ids = np.arange(lo, lo + len(rows))
         up = rows > ids[:, None]  # pads are -1
         return zip(np.repeat(ids, up.sum(axis=1)).tolist(), rows[up].tolist())
-
-    def has_edge(self, u, v):
-        row = self.table[u, :self.deg[u]]
-        i = row.searchsorted(v)
-        return bool(i < len(row) and row[i] == v)
 
 
 def row_blocks(g: Graph):

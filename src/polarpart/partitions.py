@@ -75,11 +75,6 @@ class PlaneScheme(_BulkForms):
         self.r = ctx.order * self.q  # q^3
         self.class_size = self.q
 
-    def class_of_coords(self, coords):
-        x, u = coords
-        _, t = self.basis.decompose_beta(u)
-        return x * self.q + self.basis.subfield_index(t)
-
     def class_key(self, cid):
         return (cid // self.q, self.basis.subfield[cid % self.q])
 
@@ -154,9 +149,6 @@ class GQScheme(_BulkForms):
         self.r = self.q ** 2
         self.class_size = self.q
 
-    def class_of_coords(self, coords):
-        return coords[0] * self.q + coords[1]
-
     def class_key(self, cid):
         return (cid // self.q, cid % self.q)
 
@@ -218,10 +210,6 @@ class GHScheme(_BulkForms):
         self.q = ctx.order
         self.r = self.q ** 3
         self.class_size = self.q ** 2
-
-    def class_of_coords(self, coords):
-        q = self.q
-        return (coords[0] * q + coords[1]) * q + coords[2]
 
     def class_key(self, cid):
         q = self.q
@@ -404,13 +392,6 @@ class GeneralPolarityScheme(_BulkForms):
         self.m = spec.m
         self.r = self.ctx.order * self.q ** (spec.m - 1)
         self.class_size = self.q ** (spec.m - 1)
-
-    def class_of_coords(self, coords):
-        n = coords[0]
-        for u in coords[1:]:
-            _, t = self.basis.decompose_beta(u)
-            n = n * self.q + self.basis.subfield_index(t)
-        return n
 
     def _class_of_ids(self, ids):
         _, _, decompose, _ = self.basis.vectors()

@@ -15,7 +15,6 @@ import random
 import numpy as np
 
 from . import adg, partitions as parts
-from .gf import prime_power
 from .graphs import (
     Graph, Partition, degree_multiset, degrees, edge_count, even_cycle,
     find_even_cycle, girth, is_automorphism, loop_count, materialize,

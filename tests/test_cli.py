@@ -309,6 +309,46 @@ def test_sampled_verify_refuses_supplied_files(tmp_path, capsys, extra, option):
     assert os.listdir(tmp_path / "out") == []
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("verify", ["--edges", "{bad}"]),
+    ("verify", ["--partition", "{bad}"]),
+    ("verify", ["--mode", "sampled"]),
+    ("report", ["--mode", "sampled"]),
+])
+def test_gh_original_refuses_files_and_sampled_mode(tmp_path, capsys, command, extra):
+    # gh-original's only check reads its own construction, so a file or a
+    # sampled run would pass without being checked
+    bad, out = tmp_path / "bad", tmp_path / "out"
+    bad.write_text("garbage\n")
+    argv = [command, "gh-original", "--q", "3", *[a.format(bad=bad) for a in extra]]
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: gh-original is verified exhaustively") and "Traceback" not in err
+    assert os.listdir(out) == []
+
+
+def test_gh_original_accepts_a_seed(tmp_path):
+    assert run(["verify", "gh-original", "--q", "3", "--seed", "5", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "gh-original_q3.report.json").read_text())["ok"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "plane", "--q", "3", "--seed", "1"],
+    ["build", "plane", "--q", "3", "--mode", "exhaustive"],
+    ["partition", "plane", "--q", "3", "--seed", "1"],
+    ["partition", "plane", "--q", "3", "--mode", "exhaustive"],
+    ["oracle", "--edges", "g.edges", "--seed", "1"],
+    ["oracle", "--edges", "g.edges", "--out", "d"],
+], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+def test_flags_a_subcommand_never_reads_are_refused(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("family,args", [
     ("plane", ["--q", "2"]),
     ("gq", ["--e", "1"]),
@@ -346,7 +386,7 @@ def test_unusable_paths_exit_2_with_a_message(tmp_path, capsys, case):
         "partition_is_a_dir": ["verify", "plane", "--q", "2", "--partition", str(adir),
                                "--out", out],
         "spec_is_a_dir": ["verify", "generic", "--spec", str(adir), "--out", out],
-        "oracle_edges_is_a_dir": ["oracle", "--edges", str(adir), "--out", out],
+        "oracle_edges_is_a_dir": ["oracle", "--edges", str(adir)],
     }[case]
     assert run(argv) == 2
     captured = capsys.readouterr()

@@ -9,6 +9,7 @@ from polarpart.gf import (
     TABLE_SIDE, FieldCtx, find_normal_element, is_prime, make_field, prime_power,
     _poly_mod, _int_to_poly,
 )
+from test_adg import _recompose_mu
 
 
 def brute_force_irreducible(modulus, p):
@@ -70,7 +71,7 @@ def test_gf4_multiplication():
 def test_identities_all_small_fields():
     for p, k in ((2, 2), (3, 2), (2, 3), (5, 1)):
         ctx = make_field(p, k)
-        for u in ctx.elements():
+        for u in range(ctx.order):
             assert ctx.add(u, 0) == u
             assert ctx.mul(u, 1) == u
             if u:
@@ -81,7 +82,7 @@ def test_identities_all_small_fields():
 def test_field_axioms_exhaustive_small():
     for p, k in ((2, 2), (3, 2), (2, 3)):
         ctx = make_field(p, k)
-        els = list(ctx.elements())
+        els = list(range(ctx.order))
         for a in els:
             for b in els:
                 assert ctx.add(a, b) == ctx.add(b, a)
@@ -173,18 +174,19 @@ def test_inv_zero_raises():
 
 
 def test_out_of_range_raises():
+    # field values are range-checked where they enter, not by each op
     ctx = make_field(2, 2)
     with pytest.raises(ValueError):
-        ctx.add(4, 0)
-    with pytest.raises(ValueError):
         ctx.decode(-1)
+    with pytest.raises(ValueError):
+        ctx.encode((2, 0))
 
 
 def test_frobenius_basics():
     ctx = make_field(2, 2)
     assert ctx.frobenius(2, 1) == 3  # omega -> omega^2 = omega + 1
     # squaring twice is the identity on GF(4)
-    for u in ctx.elements():
+    for u in range(ctx.order):
         assert ctx.frobenius(ctx.frobenius(u, 1), 1) == u
 
 
@@ -192,8 +194,8 @@ def test_frobenius_is_ring_homomorphism():
     for p, k in ((2, 2), (3, 2), (2, 3), (3, 3)):
         ctx = make_field(p, k)
         for j in range(1, k + 1):
-            for u in ctx.elements():
-                for v in ctx.elements():
+            for u in range(ctx.order):
+                for v in range(ctx.order):
                     assert ctx.frobenius(ctx.add(u, v), j) == \
                         ctx.add(ctx.frobenius(u, j), ctx.frobenius(v, j))
                     assert ctx.frobenius(ctx.mul(u, v), j) == \
@@ -206,7 +208,7 @@ def test_frobenius_fixed_field():
         ctx = make_field(p, k)
         for j in range(1, k + 1):
             d = math.gcd(j, k)
-            fixed = {u for u in ctx.elements() if ctx.frobenius(u, j) == u}
+            fixed = {u for u in range(ctx.order) if ctx.frobenius(u, j) == u}
             assert fixed == set(ctx.subfield_elements(d))
 
 
@@ -214,7 +216,7 @@ def test_encode_decode_bijection():
     for p, k in ((2, 2), (3, 2), (5, 2), (3, 3)):
         ctx = make_field(p, k)
         assert ctx.decode(0) == (0,) * k
-        for n in ctx.elements():
+        for n in range(ctx.order):
             assert ctx.encode(ctx.decode(n)) == n
 
 
@@ -268,7 +270,7 @@ def test_decompose_norm_has_equal_coordinates():
     for p in (2, 3, 5):
         ctx = make_field(p, 2)
         b = find_normal_element(ctx)
-        for x in ctx.elements():
+        for x in range(ctx.order):
             s, t = b.decompose_beta(ctx.pow(x, b.q + 1))
             assert s == t
 
@@ -277,13 +279,13 @@ def test_decompose_round_trip_exhaustive():
     for p in (2, 3):
         ctx = make_field(p, 2)
         b = find_normal_element(ctx)
-        for u in ctx.elements():
+        for u in range(ctx.order):
             s, t = b.decompose_beta(u)
             assert s in b.subfield and t in b.subfield
             assert b.recompose_beta(s, t) == u
             s2, t2 = b.decompose_mu(u)
             assert s2 in b.subfield and t2 in b.subfield
-            assert b.recompose_mu(s2, t2) == u
+            assert _recompose_mu(b, s2, t2) == u
 
 
 def test_decompose_round_trip_random_f25_f81():

@@ -111,7 +111,7 @@ def test_k22_contains_c4():
     assert w is not None
     a, b, c, d = w
     for u, v in ((a, b), (b, c), (c, d), (d, a)):
-        assert g.has_edge(u, v)
+        assert v in g.adj[u]
 
 
 def _check_c4(g):
@@ -257,7 +257,7 @@ def test_girth_and_even_cycles_against_networkx():
             if w is not None:
                 assert len(w) == 2 * k
                 for i in range(2 * k):
-                    assert g.has_edge(w[i], w[(i + 1) % (2 * k)])
+                    assert w[(i + 1) % (2 * k)] in g.adj[w[i]]
                 assert len(set(w)) == 2 * k
 
 
@@ -510,7 +510,7 @@ def test_graph_stores_ascending_padded_rows():
     assert g.loops.dtype == np.int64 and g.loops.tolist() == [1, 3]
     assert [degree(g, v) for v in range(4)] == [3, 1, 2, 2]
     assert graphs.degree_multiset(g) == {1: 1, 2: 2, 3: 1}
-    assert g.has_edge(2, 3) and not g.has_edge(1, 2) and not g.has_edge(3, 1)
+    assert 3 in g.adj[2] and 2 not in g.adj[1] and 1 not in g.adj[3]
     # degrees() is a copy: callers may edit it in place
     graphs.degrees(g)[:] = 0
     assert edge_count(g) == 4
@@ -559,6 +559,12 @@ def test_graph_rejects_neighbor_out_of_range():
     for adjacency in ([[2], []], [[-1], []], [[1, 5], [0]]):
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, adjacency)
+
+
+@pytest.mark.parametrize("edge", [(0, 5), (5, 0), (-1, 1), (2, -3)])
+def test_from_edges_rejects_an_endpoint_out_of_range(edge):
+    with pytest.raises(ValueError, match=rf"^edge \({edge[0]}, {edge[1]}\) out of range 0\.\.2$"):
+        Graph.from_edges(3, [(0, 1), edge])
 
 
 def test_edge_list_round_trip():

@@ -19,6 +19,7 @@ from polarpart.partitions import (
     is_point_line_symmetric, scheme_partition,
 )
 from polarpart.verify import family_bundle, verdict
+from test_adg import _absolute_points, _all_coords, _class_of_coords, _recompose_mu
 
 
 def brute_force_cross_edges(g, spec, scheme, cid1, cid2):
@@ -27,7 +28,7 @@ def brute_force_cross_edges(g, spec, scheme, cid1, cid2):
     for a in scheme.class_members(cid1):
         for b in scheme.class_members(cid2):
             ida, idb = spec.coords_to_id(a), spec.coords_to_id(b)
-            if ida != idb and g.has_edge(ida, idb):
+            if ida != idb and idb in g.adj[ida]:
                 found.append((a, b))
     return found
 
@@ -47,17 +48,17 @@ def test_plane_class_of_pure_beta_q_vertex():
     spec, _ = plane_family(2)
     scheme = PlaneScheme(spec.ctx)
     b = scheme.basis
-    for x in spec.ctx.elements():
+    for x in range(spec.ctx.order):
         for y in b.subfield:
             u = b.recompose_beta(0, y)  # a = 0
-            cid = scheme.class_of_coords((x, u))
+            cid = _class_of_coords(scheme, (x, u))
             assert scheme.class_key(cid) == (x, y)
 
 
 def test_plane_loop_vertex_zero_class():
     spec, _ = plane_family(2)
     scheme = PlaneScheme(spec.ctx)
-    cid = scheme.class_of_coords((0, 0))
+    cid = _class_of_coords(scheme, (0, 0))
     assert scheme.class_key(cid) == (0, 0)
     assert scheme.loop_vertex(cid) == (0, 0)
     assert scheme.unique_edge(cid, cid) == (0, 0)
@@ -87,8 +88,8 @@ def test_plane_unique_edge_endpoint_membership():
         if c1 == c2:
             continue
         a, b = scheme.unique_edge(c1, c2)
-        assert scheme.class_of_coords(a) == c1
-        assert scheme.class_of_coords(b) == c2
+        assert _class_of_coords(scheme, a) == c1
+        assert _class_of_coords(scheme, b) == c2
 
 
 def test_plane_loops_one_per_class():
@@ -139,7 +140,7 @@ def test_gq_loop_vertices_are_the_absolute_points():
     scheme = GQScheme(spec.ctx, 1)
     pg = build_polarity_graph(spec, pol)
     loops = {scheme.loop_vertex(cid) for cid in range(scheme.r)}
-    assert loops == set(pg.absolute_points())
+    assert loops == set(_absolute_points(pg))
 
 
 # -- gh -----------------------------------------------------------------------
@@ -202,8 +203,8 @@ def test_gh_unique_edge_is_edge_at_q27():
         if c1 == c2:
             continue
         a, b = scheme.unique_edge(c1, c2)
-        assert scheme.class_of_coords(a) == c1
-        assert scheme.class_of_coords(b) == c2
+        assert _class_of_coords(scheme, a) == c1
+        assert _class_of_coords(scheme, b) == c2
         lv = pol.apply_point(ctx, a)
         assert spec.incident(b, lv)
         assert b in pg.neighbors_coords(a)
@@ -353,9 +354,9 @@ def test_general_even_m2():
 def test_mu_split_round_trip():
     ctx = make_field(3, 2)
     basis = find_normal_element(ctx)
-    for u in ctx.elements():
+    for u in range(ctx.order):
         s, t = basis.decompose_mu(u)
-        assert basis.recompose_mu(s, t) == u
+        assert _recompose_mu(basis, s, t) == u
 
 
 def test_general_polarity_matches_plane_partition():
@@ -430,7 +431,7 @@ def _reference_even_classes(spec):
     m, ctx = spec.m, spec.ctx
     basis = find_normal_element(ctx)
     q = basis.q
-    split = {basis.recompose_mu(s, t): (s, t) for s in basis.subfield for t in basis.subfield}
+    split = {_recompose_mu(basis, s, t): (s, t) for s in basis.subfield for t in basis.subfield}
     point_idx = tuple(range(0, m - 1, 2))       # p_1, p_3, ..., p_{m-1}
     line_idx = (0,) + tuple(range(1, m - 2, 2))  # l_1, l_2, ..., l_{m-2}
     ns = spec.side_size
@@ -440,8 +441,8 @@ def _reference_even_classes(spec):
         s, t = split[coords[m - 1]]
         point = _mixed_radix([coords[i] for i in point_idx], ctx.order)
         line = _mixed_radix([coords[i] for i in line_idx], ctx.order)
-        class_of[v] = point * q + basis.subfield_index(s)
-        class_of[ns + v] = line * q + basis.subfield_index(t)
+        class_of[v] = point * q + basis.subfield.index(s)
+        class_of[ns + v] = line * q + basis.subfield.index(t)
     return class_of
 
 
@@ -479,7 +480,7 @@ def test_mu_split_takes_arrays():
         u = np.arange(basis.ctx.order)
         s, t = basis.decompose_mu(u)
         assert [basis.decompose_mu(int(x)) for x in u] == list(zip(s.tolist(), t.tolist()))
-        assert [basis.recompose_mu(int(a), int(b)) for a, b in zip(s, t)] == u.tolist()
+        assert [_recompose_mu(basis, int(a), int(b)) for a, b in zip(s, t)] == u.tolist()
 
 
 # -- bulk forms against the scalar formulas ---------------------------------------
@@ -505,7 +506,7 @@ def _ids(spec, vertices):
 
 def _assert_bulk_matches_scalar(spec, scheme, ids, cids, c1, c2):
     assert scheme.class_of_ids(ids).tolist() == [
-        scheme.class_of_coords(spec.id_to_coords(v)) for v in ids.tolist()]
+        _class_of_coords(scheme, spec.id_to_coords(v)) for v in ids.tolist()]
     assert scheme.class_members_bulk(cids).tolist() == [
         _ids(spec, scheme.class_members(c)) for c in cids.tolist()]
     picks = (cids * 7 + 3) % scheme.class_size
@@ -567,4 +568,4 @@ def test_scheme_partition_matches_class_of_coords():
         cases.append((spec, GeneralPolarityScheme(spec)))
     for spec, scheme in cases:
         part = scheme_partition(scheme, spec)
-        assert part.class_of.tolist() == [scheme.class_of_coords(c) for c in spec.all_coords()]
+        assert part.class_of.tolist() == [_class_of_coords(scheme, c) for c in _all_coords(spec)]

@@ -26,7 +26,9 @@ from polarpart.verify import (
     chromatic_number, luw_report, proposition_bound, ratio_eq6, verdict,
     verify_family, verify_gh_original, witness_record, _psi_chi_a,
 )
-from test_adg import _scalar_bipartite_rows
+from test_adg import (
+    _all_coords, _class_of_coords, _coordinate_map, _neighbors_of_point, _scalar_bipartite_rows,
+)
 
 
 def cycle_graph(n):
@@ -303,7 +305,7 @@ def test_orbit_path_refused_on_a_graph_with_two_endpoints_swapped(polar):
     edges = list(g.edges())  # (u, v), u < v: (point, line) on the incidence graph
     a, b = edges[0]
     for c, d in edges:  # the first degree-keeping swap that closes a C4
-        if len({a, b, c, d}) < 4 or g.has_edge(a, d) or g.has_edge(c, b):
+        if len({a, b, c, d}) < 4 or d in g.adj[a] or b in g.adj[c]:
             continue
         tampered = Graph.from_edges(g.n, set(edges) - {(a, b), (c, d)} | {
             tuple(sorted(e)) for e in ((a, d), (c, b))}, g.loops)
@@ -326,7 +328,7 @@ def test_orbit_root_cycle_search_finds_a_c4():
     assert roots is not None
     w = find_even_cycle(g_bip, 2, roots)
     assert w is not None and find_even_cycle(g_bip, 2) is not None
-    assert len(set(w)) == 4 and all(g_bip.has_edge(w[i - 1], w[i]) for i in range(4))
+    assert len(set(w)) == 4 and all(w[i] in g_bip.adj[w[i - 1]] for i in range(4))
 
 
 @pytest.mark.parametrize("family,kmax", [
@@ -491,7 +493,7 @@ def test_polarity_orbit_roots_agree_with_every_root_searches(name):
             assert (w is None) == (k <= free)
             if w is not None:
                 assert len(set(w)) == 2 * k
-                assert all(g.has_edge(w[i - 1], w[i]) for i in range(2 * k))
+                assert all(w[i] in g.adj[w[i - 1]] for i in range(2 * k))
         assert graphs.girth(g, roots) == graphs.girth(g)
 
 
@@ -637,20 +639,21 @@ def _reference_verify_gh_original(q, materialize_limit=verify.DEFAULT_MATERIALIZ
     """The scalar loop that verify_gh_original replaced: image sets per
     side, then every incidence through phi, point by point."""
     spec_orig, phi = adg.gh_original_family(q)
+    phi = _coordinate_map(phi)
     spec_gh = adg.gh_adjacency_spec(q)
     ns = spec_orig.side_size
     point_images = set()
     line_images = set()
-    for coords in spec_orig.all_coords():
+    for coords in _all_coords(spec_orig):
         point_images.add(phi("P", coords))
         line_images.add(phi("L", coords))
     bijective = len(point_images) == ns and len(line_images) == ns
     preserved = True
     witness = None
     edges_checked = 0
-    for p in spec_orig.all_coords():
+    for p in _all_coords(spec_orig):
         fp = phi("P", p)
-        for lv in spec_orig.neighbors_of_point(p):
+        for lv in _neighbors_of_point(spec_orig, p):
             if not spec_gh.incident(fp, phi("L", lv)):
                 preserved = False
                 witness = (p, lv)
@@ -1199,7 +1202,7 @@ def test_within_phase_fails_a_member_outside_its_class(monkeypatch):
     assert len(within) == 1
     _, cid, coords, own = within[0]
     assert own == (cid + 1) % rep["partition"]["r"]
-    assert verify.family_bundle("gh", e=1)[2].class_of_coords(coords) == own
+    assert _class_of_coords(verify.family_bundle("gh", e=1)[2], coords) == own
     assert rep["checks"]["within_samples"] == 1
     assert not rep["verdicts"]["achromatic"]
 
@@ -1213,15 +1216,15 @@ def _reference_check_unique_edges(g, spec, scheme):
     r = scheme.r
     for c1 in range(r):
         lv = scheme.loop_vertex(c1)
-        if scheme.class_of_coords(lv) != c1:
+        if _class_of_coords(scheme, lv) != c1:
             return False, ("loop_vertex_class", c1)
         if spec.coords_to_id(lv) not in g.loops:
             return False, ("loop_vertex_not_absolute", c1)
         for c2 in range(c1 + 1, r):
             a, b = scheme.unique_edge(c1, c2)
-            if scheme.class_of_coords(a) != c1 or scheme.class_of_coords(b) != c2:
+            if _class_of_coords(scheme, a) != c1 or _class_of_coords(scheme, b) != c2:
                 return False, ("edge_endpoint_class", c1, c2)
-            if not g.has_edge(spec.coords_to_id(a), spec.coords_to_id(b)):
+            if spec.coords_to_id(b) not in g.adj[spec.coords_to_id(a)]:
                 return False, ("edge_formula_not_edge", c1, c2)
     return True, None
 
@@ -1340,7 +1343,7 @@ def _tamper_graph(g, scheme, kind):
     edges = set(g.edges())
     # the intact graph joins two classes by one edge only
     assert (min(a, b), max(a, b)) in edges
-    assert not (g.has_edge(a2, b2) or g.has_edge(a2, b) or g.has_edge(a, b2))
+    assert not (b2 in g.adj[a2] or b in g.adj[a2] or b2 in g.adj[a])
     if kind != "second_edge":
         edges.remove((min(a, b), max(a, b)))
     new = {"drop_edge": None, "second_edge": (a2, b2), "move_a": (a2, b), "move_b": (a, b2)}[kind]
@@ -1492,9 +1495,9 @@ def test_report_on_a_tampered_graph_carries_the_verdict_witnesses(family, kind):
         x = int(next(m for m in scheme.class_members_bulk([c1])[0] if m != a))
     else:  # (a, b) moved to (a, x), x the least non-neighbour of a in a third class
         edges.remove((min(a, b), max(a, b)))
-        x = next(x for x in range(g.n) if cls[x] not in (c1, c1 + 3) and not g.has_edge(a, x))
+        x = next(x for x in range(g.n) if cls[x] not in (c1, c1 + 3) and x not in g.adj[a])
     new = (a, x)
-    assert not g.has_edge(*new)
+    assert new[1] not in g.adj[new[0]]
     edges.add((min(new), max(new)))
     tampered = Graph.from_edges(g.n, edges, g.loops.tolist())
     expected = _reference_verdict(tampered, part)[2]
