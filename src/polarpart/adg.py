@@ -227,8 +227,8 @@ class ADGSpec:
         with F[u, t] = fs[j] at l_{a+1} = u, p_1 = t, for an equation that
         reads p_1 and at most one line coordinate (the families' form
         p_{j+2} + l_{j+2} = f(p_1, l_a)); None for any other equation, and
-        for every equation when q > TABLE_SIDE, which f_bulk hands to the
-        expression evaluator."""
+        for every equation when q > TABLE_SIDE, which solve_bulk hands to
+        the expression evaluator."""
         tabs = getattr(self, "_tables", None)
         if tabs is None:
             q, dtype = self.ctx.order, self.ctx.dtype
@@ -246,21 +246,41 @@ class ADGSpec:
             object.__setattr__(self, "_tables", tabs)
         return tabs
 
-    def f_bulk(self, j, lvals, pvals):
-        """fs[j] on coordinate arrays: one take from its raveled table at
-        l_{a+1}*q + p_1 where tables() has one, the expression evaluator
-        otherwise."""
-        tab = self.tables()[j]
+    def solves(self):
+        """Per-equation solve tables, built on first use from tables():
+        entry j is (a, S), S the raveled S[u, t, x] = F_j[u, t] - x in
+        ctx.dtype, so that S at (l_{a+1}, p_1, p_{j+2}) is l_{j+2} and S at
+        (l_{a+1}, p_1, l_{j+2}) is p_{j+2}; None where tables() has none or
+        q^3 > FOLD_BUDGET."""
+        solves = getattr(self, "_solves", None)
+        if solves is None:
+            grid = np.arange(self.ctx.order, dtype=self.ctx.dtype)
+            solves = [None if tab is None or self.ctx.order ** 3 > FOLD_BUDGET
+                      else (tab[0], self.ctx.sub_bulk(tab[1][:, :, None], grid).ravel())
+                      for tab in self.tables()]
+            object.__setattr__(self, "_solves", solves)
+        return solves
+
+    def solve_bulk(self, j, lvals, pvals, x):
+        """fs[j] - x on coordinate arrays: one take from solves()[j] at
+        l_{a+1}*q^2 + p_1*q + x where it exists; otherwise fs[j], from its
+        tables() entry at l_{a+1}*q + p_1 or the expression evaluator,
+        minus x."""
+        q, solve, tab = self.ctx.order, self.solves()[j], self.tables()[j]
+        if solve is not None:
+            return solve[1].take(np.multiply(lvals[solve[0]], q * q, dtype=np.int32)
+                                 + (np.multiply(pvals[0], q, dtype=np.int32) + x))
         if tab is None:
-            return eval_expr_bulk(self.fs[j], self.ctx, lvals, pvals)
-        a, table = tab
-        return table.ravel().take(np.multiply(lvals[a], self.ctx.order, dtype=np.int32) + pvals[0])
+            f = eval_expr_bulk(self.fs[j], self.ctx, lvals, pvals)
+        else:
+            f = tab[1].ravel().take(np.multiply(lvals[tab[0]], q, dtype=np.int32) + pvals[0])
+        return self.ctx.sub_bulk(f, x)
 
     def line_through_bulk(self, pvals, l1):
         """line_through on arrays; the result has the broadcast shape."""
         lv = [l1]
         for j in range(self.m - 1):
-            lv.append(self.ctx.sub_bulk(self.f_bulk(j, lv, pvals), pvals[j + 1]))
+            lv.append(self.solve_bulk(j, lv, pvals, pvals[j + 1]))
         return np.broadcast_arrays(*lv)
 
     def point_on_bulk(self, lvals, p1):
@@ -268,15 +288,14 @@ class ADGSpec:
         lines lvals, as m arrays of the broadcast shape."""
         pv = [p1]
         for j in range(self.m - 1):
-            pv.append(self.ctx.sub_bulk(self.f_bulk(j, lvals, pv), lvals[j + 1]))
+            pv.append(self.solve_bulk(j, lvals, pv, lvals[j + 1]))
         return np.broadcast_arrays(*pv)
 
     def incident_bulk(self, pvals, lvals):
         """incident on arrays: a bool array of the broadcast shape."""
         ok = True
         for j in range(self.m - 1):
-            ok = ok & (self.ctx.add_bulk(lvals[j + 1], pvals[j + 1])
-                       == self.f_bulk(j, lvals, pvals))
+            ok = ok & (lvals[j + 1] == self.solve_bulk(j, lvals, pvals, pvals[j + 1]))
         return ok
 
     # -- vertex ids: mixed radix, big-endian, points before lines ------------
@@ -490,25 +509,24 @@ def check_polarity(spec: ADGSpec, pol: PolaritySpec, mode="exhaustive",
 # 2-core host, and about 2.3e13 at q = 2187 (e = 3), which would not finish.
 ABSOLUTE_SCAN_LIMIT = 10 ** 10
 
-# Entries PolarityGraph._id_kernel's folded tables may hold, about 1 MB of
-# int32.  Above it (plane q >= 9, gq e >= 3, gh e >= 2) the tables keep the
-# q x q form: at m = 2 the folded table would hold q^3 = n*q entries, as
-# many as the whole neighbour table.
+# Entries each ADGSpec.solves() table may hold, and so each of
+# PolarityGraph._id_kernel's folded tables, about 1 MB of int32.  Above it
+# (plane q >= 9, gq e >= 3, gh e >= 2) solve_bulk subtracts by sub_bulk,
+# and the id tables keep the q x q form: at m = 2 the folded table would
+# hold q^3 = n*q entries, as many as the whole neighbour table.
 FOLD_BUDGET = 1 << 18
 
 # Neighbour slots per block of PolarityGraph.neighbor_ids, few enough that
 # a block's partial sums, in the tables' dtype, stay in cache.
 ID_BLOCK = 1 << 16
 
-# Elements per block of every bulk field sweep: check_polarity's
-# incidences, PolarityGraph.absolute_ids' candidates and
-# verify.verify_gh_original's incidences.  A block's operands, int32
-# indices and partial results then stay in L2.  On a 2-core host with
-# 2 MB of L2 per core, 2^14-2^16 time alike; 2^15 takes 52 ms on the
-# gh-original q=9 check (72 ms at 2^20) and 14 ms on the gh q=27 absolute
-# scan (23 ms at 2^20).
+# Elements per block of the bulk field sweeps: check_polarity's
+# incidences and PolarityGraph.absolute_ids' candidates.  A block's
+# operands, int32 indices and partial results then stay in L2.  On a
+# 2-core host 2^15 takes 4.3 ms on plane q=9's exhaustive polarity check
+# (4.9 ms at 2^14, 7.9 ms at 2^16) and 8.1 ms on the gh q=27 absolute scan
+# (6.8 ms at 2^14).  The gh-original check takes verify.GH_ORIGINAL_BLOCK.
 SWEEP_BLOCK = 1 << 15
-
 
 class PolarityGraph:
     """Polarity graph on the point side: p ~ r iff r lies on pi(p).
@@ -577,27 +595,27 @@ class PolarityGraph:
         equation has a table F_j, reading l_{a+1} (spec.tables()).  Table
         entries are int32 while ids are, int64 otherwise.
 
-        Folded, while the (m-1)*q^3 entries fit FOLD_BUDGET, index is None
-        and table[l_a*q + l_{j+2}, t] = sub[F_j[l_a, t], l_{j+2}]*q^(m-2-j).
-        Otherwise index is F_j*q as int32 and table the q x q subtraction
-        table, flattened and scaled by q^(m-2-j).
+        Folded, where every equation has a solve table S_j (spec.solves()),
+        index is None and table[l_a*q + l_{j+2}, t] = S_j[l_a, t, l_{j+2}]
+        * q^(m-2-j).  Otherwise index is F_j*q as int32 and table the q x q
+        subtraction table, flattened and scaled by q^(m-2-j).
         """
         if not hasattr(self, "_kernel"):
-            ctx, m, tabs = self.spec.ctx, self.spec.m, self.spec.tables()
-            q = ctx.order
+            spec, ctx = self.spec, self.spec.ctx
+            q, m, tabs, solves = ctx.order, spec.m, spec.tables(), spec.solves()
             self._kernel = None
             if None not in tabs:
                 grid = np.arange(q)
                 dtype = np.int32 if q ** m <= 2 ** 31 else np.int64
-                sub = ctx.sub_bulk(grid[:, None], grid[None, :]).astype(dtype)
+                sub = ctx.sub_bulk(grid[:, None], grid[None, :]).astype(dtype).ravel()
                 self._kernel = []
-                for j, (a, table) in enumerate(tabs):
-                    scaled = sub * dtype(q ** (m - 2 - j))
-                    if (m - 1) * q ** 3 <= FOLD_BUDGET:  # [u, l, t] -> scaled[F_j[u, t], l]
-                        rows = scaled[table[:, None, :], grid[:, None]].reshape(q * q, q)
-                        self._kernel.append((a, None, rows))
+                for j, ((a, table), solve) in enumerate(zip(tabs, solves)):
+                    scale = dtype(q ** (m - 2 - j))
+                    if None not in solves:  # S_j[u, t, l] -> [u*q + l, t]
+                        rows = solve[1].reshape(q, q, q).transpose(0, 2, 1).reshape(q * q, q)
+                        self._kernel.append((a, None, rows.astype(dtype) * scale))
                     else:
-                        self._kernel.append((a, table.astype(np.int32) * q, scaled.ravel()))
+                        self._kernel.append((a, table.astype(np.int32) * q, sub * scale))
         return self._kernel
 
     def scan_stages(self):
@@ -660,7 +678,7 @@ class PolarityGraph:
                     block[c] = np.tile(values, rows.stop - rows.start)[cut]
                     lv = self.pol.polar(ctx, block)
                     for j in eqs:
-                        keep = ctx.add_bulk(lv[j + 1], block[j + 1]) == spec.f_bulk(j, lv, block)
+                        keep = lv[j + 1] == spec.solve_bulk(j, lv, block, block[j + 1])
                         block = [x[keep] for x in block]
                         lv = [x[keep] for x in lv]
                     yield block

@@ -96,6 +96,8 @@ def _bundle(args):
 
 
 def _write(path, text):
+    """Write text to path, making its directory (--out) at the first write."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
 
@@ -251,8 +253,6 @@ def main(argv=None) -> int:
     if getattr(args, "limit", 0) < 0:
         _parser().error(f"argument --limit: must be at least 0, got {args.limit}")
     try:
-        if args.subcommand != "oracle":
-            os.makedirs(args.out, exist_ok=True)
         return COMMANDS[args.subcommand](args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -577,22 +577,25 @@ def _predraw_edges(rng, count, spec, absolute_ids):
     first absolute vertex i where that may happen, rng goes back to the
     round's start, draws the round's prefix through sample i's vertex
     again, draws the position by randrange(q - 1), and the bulk draw
-    resumes.
+    resumes.  Rounds hold about twice the expected samples between two
+    such vertices, so a replay redraws a short round, not all samples left.
     """
     q, m = spec.ctx.order, spec.m
     short = (q - 1).bit_length() < q.bit_length()
+    gap = spec.side_size / max(1, len(absolute_ids)) * (1 if short else q)
+    size = max(64, int(2 * gap))
     vs, picks = [], []
     while count:
         start = rng.getstate()
-        values = adg.randrange_bulk(rng, (q,) * (m + 1), count)
+        values = adg.randrange_bulk(rng, (q,) * (m + 1), min(count, size))
         v = spec.coords_to_ids(values[:, :m].T)
         i = _first(_in_sorted(v, absolute_ids) & (short | (values[:, m] == q - 1)))
         if i is None:
-            i = count - 1
+            i = len(v) - 1
         else:
             rng.setstate(start)
             adg.randrange_bulk(rng, (q,), i * (m + 1) + m)
-            values[i, m] = adg.randrange_bulk(rng, (q - 1,), 1)[0, 0]
+            values[i, m] = rng.randrange(q - 1)
         vs.append(v[:i + 1])
         picks.append(values[:i + 1, m])
         count -= i + 1
@@ -836,11 +839,18 @@ def verify_family(family, *, q=None, e=None, mode=None, seed=0,
 # change-of-coordinates isomorphism check (hexagon systems)
 # ---------------------------------------------------------------------------
 
+# Incidences per block of verify_gh_original.  Its takes copy their int32
+# indices to intp, 128 KiB at 2^14, which glibc keeps on the heap: on a
+# 2-core host the q=9 check takes 21 ms with no minor fault, where at 2^15
+# it took 18.5-21.3 ms and 0-2,900 faults a call by what ran before it.
+GH_ORIGINAL_BLOCK = 1 << 14
+
+
 def verify_gh_original(q, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
     """Exhaustively confirm phi maps the cross-term hexagon system onto the
     power-form one: bijective per side, every edge preserved.
 
-    Bulk kernel, adg.SWEEP_BLOCK incidences a block: a block marks its images
+    Bulk kernel, GH_ORIGINAL_BLOCK incidences a block: a block marks its images
     per side in id bitmaps; the sweep stops at the first incidence, row
     major (point id, first line coordinate), whose image is not an edge."""
     spec_orig, phi = adg.gh_original_family(q)
@@ -850,7 +860,7 @@ def verify_gh_original(q, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
         raise ValueError(f"{2 * ns} vertices exceed the ceiling for the exhaustive map check")
     images = {"P": np.zeros(ns, dtype=bool), "L": np.zeros(ns, dtype=bool)}
     first = np.arange(q, dtype=spec_orig.ctx.dtype)[None, :]
-    step = max(1, adg.SWEEP_BLOCK // q)
+    step = max(1, GH_ORIGINAL_BLOCK // q)
     witness = None
     edges_checked = 0
     for lo in range(0, ns, step):

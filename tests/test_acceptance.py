@@ -5,7 +5,6 @@ budget it must meet.  The heavyweight family reports (gq, gh) are built
 once per session and shared between the criteria that consume them.
 """
 
-import json
 import math
 import random
 import time
@@ -20,18 +19,15 @@ from polarpart.adg import (
 from polarpart.cli import main as cli_main
 from polarpart.gf import make_field
 from polarpart.graphs import (
-    Graph, Partition, contains_C4, degree_multiset, edge_count,
-    find_even_cycle, girth, loop_count, materialize,
+    Graph, Partition, contains_C4, edge_count, find_even_cycle, materialize,
 )
 from polarpart.partitions import (
-    PlaneScheme, general_even_partition, general_odd_partition,
-    general_polarity_partition, scheme_partition,
+    general_even_partition, general_odd_partition, general_polarity_partition,
 )
 from polarpart.verify import (
     _psi_chi_a, binom_upper_bound, brute_force_chi_a, brute_force_psi,
-    chromatic_number, luw_report, proposition_bound, ratio_eq6, verdict,
-    verify_bipartite_partition, verify_family, verify_gh_original,
-    witness_record,
+    chromatic_number, luw_report, ratio_eq6, verdict, verify_bipartite_partition,
+    verify_family, verify_gh_original, witness_record,
 )
 
 RESULTS = []

@@ -22,9 +22,7 @@ from polarpart.adg import (
     gh_original_family, gq_family, mul, plane_family, powi, sub, var_l, var_p,
 )
 from polarpart.gf import make_field
-from polarpart.graphs import (
-    Graph, degree_multiset, edge_count, girth, loop_count, materialize,
-)
+from polarpart.graphs import Graph, girth, materialize
 
 
 def test_expr_json_round_trip():
@@ -335,6 +333,8 @@ def test_degree_relation_exhaustive_plane_and_gq():
 
 # -- bulk kernel against the scalar reference ---------------------------------
 
+FOLD_BUDGET_ABOVE_ALL = 1 << 30
+
 BULK_FAMILIES = {
     "plane q=3": lambda: plane_family(3),
     "plane q=23": lambda: plane_family(23),  # GF(529): two digit blocks, no tables()
@@ -456,7 +456,8 @@ def test_equation_tables_match_the_evaluator(name, make_spec, rows):
         lv[a], pv[0] = u, t
         assert np.array_equal(table, np.broadcast_to(eval_expr_bulk(f, spec.ctx, lv, pv),
                                                      (q, q)))
-        assert np.array_equal(spec.f_bulk(j, lv, pv), table)
+        x = rng.integers(0, q, (q, q)).astype(np.int16)
+        assert np.array_equal(spec.solve_bulk(j, lv, pv, x), spec.ctx.sub_bulk(table, x))
     assert spec.tables() is spec.tables()  # built once
 
 
@@ -472,9 +473,6 @@ def test_neighbor_ids_match_scalar_on_every_id(name):
     assert nb.tolist() == [_scalar_neighbor_ids(pg, p) for p in _all_coords(spec)]
 
 
-FOLD_BUDGET_ABOVE_ALL = 1 << 30
-
-
 @pytest.mark.parametrize("name,make_family,samples", [
     *[(f"plane q={q}", lambda q=q: plane_family(q), None) for q in (2, 3, 4, 5)],
     ("gq e=1", lambda: gq_family(1), None),
@@ -482,23 +480,35 @@ FOLD_BUDGET_ABOVE_ALL = 1 << 30
     ("gh e=1", lambda: gh_family(1), 20_000),
 ])
 def test_folded_and_square_id_kernels_agree(name, make_family, samples, monkeypatch):
-    spec, pol = make_family()
-    q, n = spec.ctx.order, spec.side_size
-    ids = np.arange(n) if samples is None else np.random.default_rng(7).integers(0, n, samples)
+    """Every bulk path reads the same with and without solve tables, and
+    so with the folded and the square id kernel."""
     out = {}
     for budget, folded in ((0, False), (FOLD_BUDGET_ABOVE_ALL, True)):
         monkeypatch.setattr(adg, "FOLD_BUDGET", budget)
+        spec, pol = make_family()  # fresh: solves() is cached on the spec
+        q, n = spec.ctx.order, spec.side_size
+        assert (None not in spec.solves()) == folded
         pg = adg.PolarityGraph(spec, pol)
-        kernel = pg._id_kernel()
-        for _, index, table in kernel:
+        for _, index, table in pg._id_kernel():
             assert table.dtype == np.int32
             if folded:
                 assert index is None and table.shape == (q * q, q)
             else:
                 assert index.shape == (q, q) and table.shape == (q * q,)
-        out[folded] = pg.neighbor_ids(ids)
-    assert out[True].dtype == out[False].dtype == np.int64
-    assert np.array_equal(out[True], out[False])
+        ids = np.arange(n) if samples is None else np.random.default_rng(7).integers(0, n, samples)
+        coords = [c[:, None] for c in spec.ids_to_coords(ids)]
+        every = np.arange(q, dtype=spec.ctx.dtype)[None, :]
+        lines = spec.line_through_bulk(coords, every)
+        out[folded] = [
+            pg.neighbor_ids(ids), *lines, *spec.point_on_bulk(coords, every),
+            spec.incident_bulk(coords, [*lines[:-1], np.roll(lines[-1], 1, axis=1)]),
+            pg.absolute_ids(),
+            check_polarity(spec, pol, mode="sampled", samples=2000, seed=3).to_json(),
+        ]
+    assert out[True][0].dtype == out[False][0].dtype == np.int64
+    for bulk, square in zip(out[True], out[False]):
+        assert np.array_equal(bulk, square) if isinstance(bulk, np.ndarray) else bulk == square
+    assert out[True][-3].any() and not out[True][-3].all()
 
 
 @pytest.mark.parametrize("name,make_family,folds", [
@@ -562,8 +572,16 @@ def test_no_neighbour_row_holds_its_own_id(name, make_family, samples):
 
 
 @pytest.mark.parametrize("family", sorted(BULK_FAMILIES))
-def test_incident_bulk_matches_scalar(family):
-    spec, pol = BULK_FAMILIES[family]()
+def test_incident_bulk_matches_scalar(family, monkeypatch):
+    for budget in (0, FOLD_BUDGET_ABOVE_ALL):  # without and with solve tables
+        monkeypatch.setattr(adg, "FOLD_BUDGET", budget)
+        spec, pol = BULK_FAMILIES[family]()  # fresh: solves() is cached on the spec
+        assert [s is not None for s in spec.solves()] == \
+            [budget > 0 and t is not None for t in spec.tables()]
+        _check_incidence_bulk_against_scalar(spec, pol)
+
+
+def _check_incidence_bulk_against_scalar(spec, pol):
     pg = adg.PolarityGraph(spec, pol)
     ctx = spec.ctx
     q = ctx.order
@@ -586,10 +604,29 @@ def test_incident_bulk_matches_scalar(family):
     through = spec.line_through_bulk(pv, l1)
     assert [adg._row(through, i) for i in range(len(points))] == \
         [spec.line_through(p, lv_[0]) for p, lv_ in zip(points, lines)]
+    on = spec.point_on_bulk(lv, pv[0])
+    assert [adg._row(on, i) for i in range(len(points))] == \
+        [spec.point_on(lv_, p[0]) for p, lv_ in zip(points, lines)]
     bulk = spec.incident_bulk(pv, lv).tolist()
     scalar = [spec.incident(p, lv_) for p, lv_ in zip(points, lines)]
     assert bulk == scalar
     assert True in scalar and False in scalar
+
+
+def test_a_tampered_solve_entry_fails_incidence():
+    spec, pol = gq_family(1)
+    q = spec.ctx.order
+    p = (3, 5, 6)
+    line = spec.line_through(p, 2)
+    pv, lv = _arrays([p]), _arrays([line])
+    assert spec.incident_bulk(pv, lv).tolist() == [True]
+    a, table = spec.solves()[1]
+    at = (line[a] * q + p[0]) * q + p[2]  # S_1 at (l_{a+1}, p_1, p_3): l_3
+    assert table[at] == line[2]
+    table[at] = (table[at] + 1) % q
+    assert spec.incident_bulk(pv, lv).tolist() == [False]
+    assert spec.incident(p, line)  # the scalar closures read no solve table
+    assert not check_polarity(spec, pol).ok
 
 
 def _scalar_polarity_rows(pg):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polarpart.gf import (
-    TABLE_SIDE, FieldCtx, find_normal_element, is_prime, make_field, prime_power,
+    TABLE_SIDE, find_normal_element, is_prime, make_field, prime_power,
     _poly_mod, _int_to_poly,
 )
 from test_adg import _recompose_mu

@@ -12,7 +12,7 @@ from polarpart.adg import (
     plane_family, powi, var_l, var_p,
 )
 from polarpart.gf import find_normal_element, make_field
-from polarpart.graphs import Partition, edge_count, materialize, pair_edge_matrix
+from polarpart.graphs import materialize, pair_edge_matrix
 from polarpart.partitions import (
     GHScheme, GQScheme, GeneralPolarityScheme, PlaneScheme,
     general_even_partition, general_odd_partition, general_polarity_partition,

@@ -20,14 +20,15 @@ from polarpart.cli import _jsonable
 from polarpart.graphs import (
     Graph, Partition, degree, edge_count, even_cycle, find_even_cycle, materialize,
 )
-from polarpart.partitions import GHScheme, GQScheme, PlaneScheme, scheme_partition
+from polarpart.partitions import GHScheme, PlaneScheme, scheme_partition
 from polarpart.verify import (
     _sampled_even_cycle, binom_upper_bound, brute_force_chi_a, brute_force_psi,
     chromatic_number, luw_report, proposition_bound, ratio_eq6, verdict,
     verify_family, verify_gh_original, witness_record, _psi_chi_a,
 )
 from test_adg import (
-    _all_coords, _class_of_coords, _coordinate_map, _neighbors_of_point, _scalar_bipartite_rows,
+    FOLD_BUDGET_ABOVE_ALL, _all_coords, _class_of_coords, _coordinate_map, _neighbors_of_point,
+    _scalar_bipartite_rows,
 )
 
 
@@ -717,9 +718,11 @@ def test_gh_original_matches_scalar_reference(monkeypatch, q, tamper):
         _tampered_phi(monkeypatch, PHI_TAMPERS[tamper])
     expected = _reference_verify_gh_original(q)
     assert expected["ok"] == (tamper == "intact")
-    assert verify_gh_original(q) == expected
+    for budget in (0, FOLD_BUDGET_ABOVE_ALL):  # without and with solve tables
+        monkeypatch.setattr(adg, "FOLD_BUDGET", budget)
+        assert verify_gh_original(q) == expected
     for points_per_block in (1, 100) if q == 3 else (100,):
-        monkeypatch.setattr(adg, "SWEEP_BLOCK", points_per_block * q)
+        monkeypatch.setattr(verify, "GH_ORIGINAL_BLOCK", points_per_block * q)
         assert verify_gh_original(q) == expected
     if tamper.startswith("edge"):
         assert expected["bijective_points"] and expected["bijective_lines"]
