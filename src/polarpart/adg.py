@@ -8,11 +8,12 @@ lies on exactly q lines (and dually), which is what makes implicit neighbor
 enumeration cheap.
 
 Adjacency functions are small expression trees (not opaque callables) so
-specs serialize into reports and symmetry checks can sweep their domain.
+specs load from JSON and symmetry checks can sweep their domain.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -60,10 +61,6 @@ def neg(a):
 
 def powi(a, n):
     return ("pow", a, n)
-
-
-def expr_to_json(e):
-    return list(e[:1]) + [expr_to_json(x) if isinstance(x, tuple) else x for x in e[1:]]
 
 
 def expr_from_json(obj):
@@ -175,16 +172,10 @@ class ADGSpec:
             object.__setattr__(self, "_fns", fns)
         return fns
 
-    def to_json(self):
-        return {
-            "field": self.ctx.to_json(),
-            "m": self.m,
-            "fs": [expr_to_json(f) for f in self.fs],
-        }
-
     @classmethod
     def from_json(cls, obj):
-        """Inverse of to_json; malformed input raises ValueError."""
+        """The spec {"field": {"p", "k"}, "m", "fs"}, each f an expression
+        tree as nested lists; malformed input raises ValueError."""
         try:
             p, k, m, fs = obj["field"]["p"], obj["field"]["k"], obj["m"], obj["fs"]
         except (KeyError, TypeError):
@@ -300,23 +291,8 @@ class ADGSpec:
 
     # -- vertex ids: mixed radix, big-endian, points before lines ------------
 
-    def coords_to_id(self, coords):
-        q = self.ctx.order
-        n = 0
-        for c in coords:
-            n = n * q + c
-        return n
-
-    def id_to_coords(self, n):
-        q = self.ctx.order
-        out = [0] * self.m
-        for i in range(self.m - 1, -1, -1):
-            out[i] = n % q
-            n //= q
-        return tuple(out)
-
     def coords_to_ids(self, coords):
-        """coords_to_id on arrays: m coordinate arrays -> int64 ids."""
+        """m coordinate arrays -> int64 ids."""
         q = self.ctx.order
         ids = np.zeros(np.shape(coords[0]), dtype=np.int64)
         for c in coords:
@@ -324,7 +300,7 @@ class ADGSpec:
         return ids
 
     def ids_to_coords(self, ids):
-        """id_to_coords on arrays: int ids -> m coordinate arrays of ctx.dtype."""
+        """int ids -> m coordinate arrays of ctx.dtype."""
         q = self.ctx.order
         rest = np.asarray(ids, dtype=np.int64)
         out = [None] * self.m
@@ -421,12 +397,6 @@ class PolaritySpec:
         """The inverse direction, line_to_point, on coordinate arrays."""
         return [ctx.frob_vector(j).take(lvals[src]) for src, j in self.line_to_point]
 
-    def to_json(self):
-        return {
-            "point_to_line": [list(r) for r in self.point_to_line],
-            "line_to_point": [list(r) for r in self.line_to_point],
-        }
-
 
 @dataclass
 class PolarityCheck:
@@ -503,10 +473,10 @@ def check_polarity(spec: ADGSpec, pol: PolaritySpec, mode="exhaustive",
     return PolarityCheck(True, mode, True, True, True, checked, None)
 
 
-# Candidate tests PolarityGraph.absolute_ids may make.  On the hexagon spec
-# its scan makes about q^(m-1): 571,563 at q = 27, about 3.5e9 at q = 243
-# (e = 2), where it finds 14,348,907 absolute points in about 31 s on a
-# 2-core host, and about 2.3e13 at q = 2187 (e = 3), which would not finish.
+# Candidate tests PolarityGraph.absolute_ids may make (check_scan_bound).
+# On the hexagon spec its scan makes 571,563 at q = 27, 3,515,541,507 at
+# q = 243 (e = 2), where it finds 14,348,907 absolute points in about 31 s
+# on a 2-core host, and about 2.3e13 at q = 2187 (e = 3), too many to run.
 ABSOLUTE_SCAN_LIMIT = 10 ** 10
 
 # Entries each ADGSpec.solves() table may hold, and so each of
@@ -532,15 +502,13 @@ class PolarityGraph:
     """Polarity graph on the point side: p ~ r iff r lies on pi(p).
 
     The self-incidence (absolute point) is excluded from neighbor lists
-    and recorded as a loop instead.  `check` is the PolarityCheck that
-    build_polarity_graph ran, None when the graph was built without it.
+    and recorded as a loop instead.
     """
 
     def __init__(self, spec: ADGSpec, pol: PolaritySpec):
         self.spec = spec
         self.pol = pol
         self.n = spec.side_size
-        self.check = None
 
     def neighbors_coords(self, pvals):
         lv = self.pol.apply_point(self.spec.ctx, pvals)
@@ -629,9 +597,8 @@ class PolarityGraph:
         ties by index; each equation is listed at the step that completes
         its support.  Coordinates no equation reads come last.
         """
-        src = [s for s, _ in self.pol.point_to_line]
-        supports = [{i - 1 if side == "p" else src[i - 1] for side, i in expr_vars(f)}
-                    | {j + 1, src[j + 1]} for j, f in enumerate(self.spec.fs)]
+        src, reads = self._reads()
+        supports = [reads[j] | {j + 1, src[j + 1]} for j in range(len(reads))]
         bound, stages, pending = set(), [], list(range(len(supports)))
         while pending:
             _, c = min((len(supports[j] - bound), i) for j in pending for i in supports[j] - bound)
@@ -640,15 +607,31 @@ class PolarityGraph:
             pending = [j for j in pending if j not in stages[-1][1]]
         return stages + [(c, []) for c in range(self.spec.m) if c not in bound]
 
+    def _reads(self):
+        """(src, reads): l_i is p_{src[i-1]+1} once l = polar(p), and
+        reads[j] holds the point coordinates behind fs[j], 0-based."""
+        src = [s for s, _ in self.pol.point_to_line]
+        return src, [{i - 1 if side == "p" else src[i - 1] for side, i in expr_vars(f)}
+                     for f in self.spec.fs]
+
     def check_scan_bound(self):
-        """Raise ValueError when absolute_ids could not finish: its scan makes
-        about q^(m-1) candidate tests on the hexagon spec, and this refuses
-        more than ABSOLUTE_SCAN_LIMIT of them."""
-        work = self.spec.ctx.order ** (self.spec.m - 1)
+        """The candidates absolute_ids' scan tests, ValueError above
+        ABSOLUTE_SCAN_LIMIT: each stage tests the live ones times q, and a
+        q-th live on where an equation j completed there reads the stage's
+        coordinate once, as p_{j+2} or as the source of l_{j+2}, and not in
+        fs[j].  Exact on the families; an upper bound where more are cut."""
+        q, (src, reads) = self.spec.ctx.order, self._reads()
+        live, work = 1, 0
+        for c, eqs in self.scan_stages():
+            live *= q
+            work += live
+            if any((j + 1 == c) != (src[j + 1] == c) and c not in reads[j] for j in eqs):
+                live //= q
         if work > ABSOLUTE_SCAN_LIMIT:
             raise ValueError(
-                f"the absolute-point scan needs about q^(m-1) = {work:.2e} candidate "
-                f"tests, above the bound {ABSOLUTE_SCAN_LIMIT:.0e}")
+                f"the absolute-point scan needs {work:.2e} candidate tests, "
+                f"above the bound {ABSOLUTE_SCAN_LIMIT:.0e}")
+        return work
 
     def absolute_ids(self):
         """Sorted int64 ids of every absolute point, by an exact scan (cached).
@@ -709,9 +692,7 @@ def build_polarity_graph(spec: ADGSpec, pol: PolaritySpec) -> PolarityGraph:
     chk = check_polarity(spec, pol)
     if not chk.ok:
         raise ValueError(f"polarity check failed: {chk.witness}")
-    pg = PolarityGraph(spec, pol)
-    pg.check = chk
-    return pg
+    return PolarityGraph(spec, pol)
 
 
 # -- bulk (vectorized) incidence kernel ----------------------------------------
@@ -744,7 +725,7 @@ def randrange_bulk(rng, bounds, count):
     top = np.array(bounds, dtype=np.int64)[:, None]
     shift = np.array([[32 - b.bit_length()] for b in bounds])
     version, key, gauss = rng.getstate()
-    mt = np.random.MT19937()
+    mt = _mt19937()
     mt.state = {"bit_generator": "MT19937", "state": {"key": key[:-1], "pos": key[-1]}}
     values = np.empty(count * w, dtype=np.int64)
     words, done = np.empty(0, dtype=np.int64), 0
@@ -761,6 +742,13 @@ def randrange_bulk(rng, bounds, count):
     state = mt.state["state"]
     rng.setstate((version, tuple(state["key"].tolist()) + (state["pos"],), gauss))
     return values.reshape(shape)
+
+
+@functools.cache
+def _mt19937():
+    """randrange_bulk's generator, one per process, built at its first call:
+    a new one reads OS entropy (about 85 us), and numpy.random loads."""
+    return np.random.MT19937()
 
 
 def _chain_samples(ok, count):

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
 
 from . import adg, partitions as parts, verify as ver
 from .graphs import (
@@ -24,7 +25,13 @@ from .graphs import (
     write_partition,
 )
 
-FAMILIES = ("plane", "gq", "gh", "gh-original", "generic")
+# The family settings (argparse dests) each family reads, its parameter
+# first; main refuses any other one, exit 2, before a file is opened.
+# gh-original is checked on its own construction: no file and no mode.
+_VERIFY = ("mode", "edges", "partition")
+FAMILY_SETTINGS = {"plane": ("q", *_VERIFY), "gq": ("e", "override_small_e", *_VERIFY),
+                   "gh": ("e", "override_small_e", *_VERIFY), "gh-original": ("q",),
+                   "generic": ("spec", *_VERIFY)}
 
 
 @functools.cache
@@ -36,12 +43,12 @@ def _parser():
         description="Construct polarity graphs over finite fields, build their "
                     "complete partitions in closed form, and verify every claim.")
     sub = p.add_subparsers(dest="subcommand", required=True)
-    # report calls cmd_verify, and build checks gh-original's arguments
-    p.set_defaults(edges_path=None, partition_path=None, mode=None)
+    # report calls cmd_verify, and main checks every family's settings
+    p.set_defaults(edges=None, partition=None, mode=None)
 
     def add_common(name):
         sp = sub.add_parser(name)
-        sp.add_argument("family", choices=FAMILIES)
+        sp.add_argument("family", choices=FAMILY_SETTINGS)
         sp.add_argument("--q", type=int, help="prime power parameter (plane, gh-original)")
         sp.add_argument("--e", type=int, help="exponent parameter (gq: q=2^(2e+1), gh: q=3^(2e+1))")
         if name in ("report", "verify"):
@@ -49,8 +56,8 @@ def _parser():
                             help="verification mode; default picks by instance size")
             sp.add_argument("--seed", type=int, default=0, help="seed for all sampling")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--spec", dest="spec_path", help="JSON spec file (generic family)")
-        sp.add_argument("--override-small-e", action="store_true",
+        sp.add_argument("--spec", help="JSON spec file (generic family)")
+        sp.add_argument("--override-small-e", action="store_true", default=None,
                         help="allow e=0 for gq/gh; the polarity check still runs and is reported")
         sp.add_argument("--limit", type=int, default=ver.DEFAULT_MATERIALIZE_LIMIT,
                         help="materialization ceiling in vertices")
@@ -59,40 +66,33 @@ def _parser():
     for name in ("build", "partition", "report"):
         add_common(name)
     spv = add_common("verify")
-    spv.add_argument("--edges", dest="edges_path", help="verify this edge list instead of constructing")
-    spv.add_argument("--partition", dest="partition_path", help="verify this partition file")
+    spv.add_argument("--edges", help="verify this edge list instead of constructing")
+    spv.add_argument("--partition", help="verify this partition file")
     spo = sub.add_parser("oracle")
-    spo.add_argument("--edges", dest="edges_path", required=True)
+    spo.add_argument("--edges", required=True)
     return p
 
 
+def _check_settings(args):
+    """Refuse a setting the family does not read (unset is None), or a missing parameter."""
+    takes = FAMILY_SETTINGS[args.family]
+    for name in ("q", "e", "override_small_e", "spec", *_VERIFY):
+        if name not in takes and getattr(args, name) is not None:
+            raise ValueError(f"{args.family} takes no --{name.replace('_', '-')}")
+    if getattr(args, takes[0]) is None:
+        raise ValueError(f"{args.family} needs --{takes[0]}")
+
+
 def _stem(args) -> str:
-    if args.family == "plane":
-        return f"plane_q{args.q}"
-    if args.family in ("gq", "gh"):
-        return f"{args.family}_e{args.e}"
-    if args.family == "gh-original":
-        return f"gh-original_q{args.q}"
-    return "generic"
-
-
-class ConfigError(Exception):
-    pass
+    name = FAMILY_SETTINGS[args.family][0]
+    return "generic" if name == "spec" else f"{args.family}_{name}{getattr(args, name)}"
 
 
 def _bundle(args):
-    """family_bundle for a family subcommand's arguments."""
-    kw = {"allow_small_e": args.override_small_e}
-    if args.family == "plane":
-        kw["q"] = args.q
-    elif args.family in ("gq", "gh"):
-        kw["e"] = args.e
-    elif args.family == "generic":
-        if args.spec_path is None:
-            raise ConfigError("generic family needs --spec")
-        with open(args.spec_path) as fh:
-            kw["spec_json"] = json.load(fh)
-    return ver.family_bundle(args.family, **kw)
+    """family_bundle for the arguments, unread settings refused by _check_settings."""
+    spec_json = None if args.spec is None else json.loads(Path(args.spec).read_text())
+    return ver.family_bundle(args.family, q=args.q, e=args.e,
+                             allow_small_e=bool(args.override_small_e), spec_json=spec_json)
 
 
 def _write(path, text):
@@ -114,26 +114,18 @@ def _jsonable(x):
     raise TypeError(f"not JSON-serializable: {x!r}")
 
 
-def _gh_original_q(args) -> int:
-    """--q for gh-original, whose only check is the exhaustive map check
-    on its own construction: it refuses files and sampled mode."""
-    if args.q is None:
-        raise ConfigError("gh-original needs --q")
-    if args.edges_path or args.partition_path or args.mode == "sampled":
-        raise ConfigError("gh-original is verified exhaustively from its construction; "
-                          "it takes no --edges, --partition or --mode sampled")
-    return args.q
-
-
 def _polarity_graph(args, bundle):
     """Refuse an instance above the ceiling, else check the bundle's
-    polarity exhaustively and materialize its graph: (graph, the
-    PolarityCheck)."""
+    polarity exhaustively and, when it holds, materialize its graph:
+    (the graph or None, the PolarityCheck)."""
     spec, pol, _, _ = bundle
     if spec.side_size > args.limit:
-        raise ConfigError(f"{spec.side_size} vertices exceed materialization ceiling {args.limit}")
-    pg = adg.build_polarity_graph(spec, pol)
-    return materialize(pg.n, pg.arrays, args.limit), pg.check
+        raise ValueError(f"{spec.side_size} vertices exceed materialization ceiling {args.limit}")
+    check = adg.check_polarity(spec, pol)
+    if not check.ok:
+        return None, check
+    pg = adg.PolarityGraph(spec, pol)
+    return materialize(pg.n, pg.arrays, args.limit), check
 
 
 def _write_graph(args, g):
@@ -146,7 +138,7 @@ def _write_partition(args, bundle):
     """The scheme's partition, written with its class-key sidecar."""
     spec, _, scheme, _ = bundle
     if spec.side_size > args.limit:
-        raise ConfigError(
+        raise ValueError(
             f"{spec.side_size} vertices exceed the ceiling {args.limit}; "
             "the partition file would not be writable at desk scale")
     part = parts.scheme_partition(scheme, spec)
@@ -171,17 +163,19 @@ def _write_report(args, report) -> int:
 
 def cmd_build(args) -> int:
     if args.family == "gh-original":
-        spec, _ = adg.gh_original_family(_gh_original_q(args))
+        spec, _ = adg.gh_original_family(args.q)
         g = materialize(2 * spec.side_size, spec.bipartite_arrays, args.limit)
     else:
-        g = _polarity_graph(args, _bundle(args))[0]
+        g, check = _polarity_graph(args, _bundle(args))
+        if g is None:
+            raise ValueError(f"polarity check failed: {check.witness}")
     _write_graph(args, g)
     return 0
 
 
 def cmd_partition(args) -> int:
     if args.family == "gh-original":
-        raise ConfigError(f"family {args.family} has no vertex partition")
+        raise ValueError(f"family {args.family} has no vertex partition")
     _write_partition(args, _bundle(args))
     return 0
 
@@ -190,15 +184,10 @@ def cmd_verify(args, bundle=None) -> int:
     """Verify a family instance; `bundle` is a family_bundle result already
     built for args, or None to build it."""
     if args.family == "gh-original":
-        report = ver.verify_gh_original(_gh_original_q(args), materialize_limit=args.limit)
+        report = ver.verify_gh_original(args.q, materialize_limit=args.limit)
     else:
-        graph = partition = None
-        if args.edges_path:
-            with open(args.edges_path) as fh:
-                graph = read_edge_list(fh.read())
-        if args.partition_path:
-            with open(args.partition_path) as fh:
-                partition = read_partition(fh.read())
+        graph = read_edge_list(Path(args.edges).read_text()) if args.edges else None
+        partition = read_partition(Path(args.partition).read_text()) if args.partition else None
         report = ver.verify_family(args.family, mode=args.mode, seed=args.seed,
                                    materialize_limit=args.limit, graph=graph,
                                    partition=partition, bundle=bundle or _bundle(args))
@@ -206,9 +195,9 @@ def cmd_verify(args, bundle=None) -> int:
 
 
 def cmd_report(args) -> int:
-    """build, partition and verify, each object built once: the bundle,
-    the polarity graph and the partition are written, then verified with
-    the polarity check that built the graph."""
+    """build, partition and verify, each object built once: the bundle, the
+    polarity graph and the partition are written, then verified with the
+    polarity check that built the graph; only the report if it failed."""
     if args.family == "gh-original":
         return cmd_build(args) or cmd_verify(args)
     bundle = _bundle(args)
@@ -217,8 +206,10 @@ def cmd_report(args) -> int:
         print(f"{_stem(args)}: instance too large to materialize; verification only")
         return cmd_verify(args, bundle)
     g, pol_check = _polarity_graph(args, bundle)
-    _write_graph(args, g)
-    part = _write_partition(args, bundle)
+    part = None
+    if g is not None:
+        _write_graph(args, g)
+        part = _write_partition(args, bundle)
     if mode == "sampled":
         return cmd_verify(args, bundle)
     return _write_report(args, ver.verify_family_exhaustive(
@@ -227,10 +218,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    with open(args.edges_path) as fh:
-        g = read_edge_list(fh.read())
+    g = read_edge_list(Path(args.edges).read_text())
     if g.n > ver.ORACLE_MAX_N:
-        raise ConfigError(f"oracle ceiling is {ver.ORACLE_MAX_N} vertices, got {g.n}")
+        raise ValueError(f"oracle ceiling is {ver.ORACLE_MAX_N} vertices, got {g.n}")
     psi, chi_a = ver._psi_chi_a(g)
     chi = ver.chromatic_number(g)
     print(f"psi {psi}")
@@ -253,8 +243,10 @@ def main(argv=None) -> int:
     if getattr(args, "limit", 0) < 0:
         _parser().error(f"argument --limit: must be at least 0, got {args.limit}")
     try:
+        if args.subcommand != "oracle":
+            _check_settings(args)
         return COMMANDS[args.subcommand](args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

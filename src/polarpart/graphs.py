@@ -173,12 +173,14 @@ def pair_edge_matrix(g: Graph, part: Partition, limit: int):
     """The class-pair tally of a partitioned graph: (the first `limit`
     pairs c1 < c2, row-major, not joined by exactly one edge, as (c1, c2,
     edges) tuples; whether every pair is joined; the edges within and the
-    loops in each class, two int64 arrays).
+    loops in each class, two int64 arrays; the least arc (u, v) within a
+    class, which has u < v, or None).
 
     One pass over blocks of whole classes (members by one stable argsort
     of class_of), each at most ROW_BLOCK bins and row slots, or one class:
     a bincount of (class(u) - lo) * (r + 1) + class(v) over the slots
     (u, v), a -1 pad read as class r, gives rows lo.. of the r x r tally.
+    A block whose diagonal is nonzero also gives its least within arc.
     """
     if len(part.class_of) != g.n:
         raise ValueError("partition does not cover the graph")
@@ -188,14 +190,18 @@ def pair_edge_matrix(g: Graph, part: Partition, limit: int):
     sizes = part.class_sizes()
     starts = np.cumsum([0] + sizes)
     step = max(1, ROW_BLOCK // max(r + 1, max(sizes, default=1) * g.table.shape[1]))
-    pairs, joined, within = [], True, np.zeros(r, dtype=np.int64)
+    pairs, joined, within, first = [], True, np.zeros(r, dtype=np.int64), g.n * g.n
     for lo in range(0, r, step):
         hi = min(lo + step, r)
         ids = members[starts[lo]:starts[hi]]
-        codes = (cls[ids, None] - lo) * (r + 1) + padded[g.table[ids]]
+        heads = padded[g.table[ids]]
+        codes = (cls[ids, None] - lo) * (r + 1) + heads
         tally = np.bincount(codes.ravel(), minlength=(hi - lo) * (r + 1))
         tally = tally.reshape(hi - lo, r + 1)[:, :r]
         within[lo:hi] = tally[:, lo:hi].diagonal() // 2
+        if within[lo:hi].any():
+            i, j = np.nonzero(heads == cls[ids, None])
+            first = min(first, int((ids[i] * g.n + g.table[ids[i], j]).min()))  # u * n + v
         off = tally[:, lo:] != 1  # pairs c1 < c2: columns from lo, above the diagonal
         off[:, :hi - lo] &= ~np.tri(hi - lo, dtype=bool)
         if off.any():
@@ -204,7 +210,8 @@ def pair_edge_matrix(g: Graph, part: Partition, limit: int):
             joined = joined and bool(counts.all())
             keep = slice(max(0, limit - len(pairs)))
             pairs += zip((lo + i[keep]).tolist(), (lo + j[keep]).tolist(), counts[keep].tolist())
-    return pairs, joined, within, np.bincount(cls[g.loops], minlength=r)
+    first = divmod(first, g.n) if first < g.n * g.n else None
+    return pairs, joined, within, np.bincount(cls[g.loops], minlength=r), first
 
 
 # ---------------------------------------------------------------------------

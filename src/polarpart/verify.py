@@ -65,21 +65,14 @@ def verdict(g: Graph, part: Partition):
     loops in each class); loops never count as within-class edges.
 
     Witnesses: the first REPORT_WITNESSES class pairs not joined by one
-    edge, row-major, then the first within-class edge u < v, by u then v,
-    from a second pass over row blocks run only when a class holds one.
+    edge, row-major, then the first within-class edge u < v, by u then v.
     """
-    pairs, joined, within, loops = pair_edge_matrix(g, part, REPORT_WITNESSES)
+    pairs, joined, within, loops, first = pair_edge_matrix(g, part, REPORT_WITNESSES)
     witnesses = [("missing_pair", i, j) if c == 0 else ("multi_edge_pair", i, j, c)
                  for i, j, c in pairs]
-    if within.any():
-        cls = part.class_of
-        for lo, block in row_blocks(g):
-            # the first within-class arc (u, v) has u < v: v's row comes first otherwise
-            hit = (block >= 0) & (cls[block] == cls[lo:lo + len(block), None])
-            if hit.any():
-                i, j = divmod(int(hit.argmax()), block.shape[1])
-                witnesses.append(("within_edge", int(cls[lo + i]), lo + i, int(block[i, j])))
-                break
+    if first is not None:
+        u, v = first
+        witnesses.append(("within_edge", int(part.class_of[u]), u, v))
     return _verdict_flags(joined, not within.any(), edge_count(g), part.r), witnesses, loops
 
 
@@ -101,8 +94,6 @@ def _verdict_flags(complete, within_free, edges, r):
 # ---------------------------------------------------------------------------
 
 def chromatic_number(g: Graph) -> int:
-    if g.n == 0:
-        return 0
     order = sorted(range(g.n), key=lambda v: -len(g.adj[v]))
     colors = {}
 
@@ -121,11 +112,10 @@ def chromatic_number(g: Graph) -> int:
                 del colors[v]
         return False
 
-    for k in range(1, g.n + 1):
+    for k in range(g.n + 1):  # n colours always suffice
         colors.clear()
         if rec(0, k):
             return k
-    return g.n
 
 
 def _psi_chi_a(g: Graph):
@@ -134,8 +124,6 @@ def _psi_chi_a(g: Graph):
     n = g.n
     if n > ORACLE_MAX_N:
         raise ValueError(f"oracle ceiling is {ORACLE_MAX_N} vertices, got {n}")
-    if n == 0:
-        return 0, 0
     e = edge_count(g)
     cap = min(n, binom_upper_bound(e))
     adj = g.adj
@@ -296,7 +284,7 @@ def orbit_roots(spec, g: Graph, pol=None):
 
     for t in ts.tolist():
         if low[t]:
-            step = spec.id_to_coords(t)
+            step = adg._row(coords, t)
             perm = point_map(ctx.add_bulk, step, [ctx.neg(s) for s in step], 0)
             if perm is None:
                 return None
@@ -616,8 +604,8 @@ def _sampled_even_cycle(pg: adg.PolarityGraph, k, num_roots, rng):
         return pg.neighbor_ids(ids)[:, ::-1]
 
     roots = adg.randrange_bulk(rng, (spec.ctx.order,) * spec.m, num_roots)
-    hit = even_cycle([spec.coords_to_id(r) for r in roots.tolist()], k, neighbors, pg.n)
-    return None if hit is None else tuple(spec.id_to_coords(v) for v in hit[1])
+    hit = even_cycle(spec.coords_to_ids(roots.T), k, neighbors, pg.n)
+    return None if hit is None else tuple(zip(*(c.tolist() for c in spec.ids_to_coords(hit[1]))))
 
 
 def verify_family_sampled(bundle, *, seed=0,
@@ -725,12 +713,12 @@ def verify_family_sampled(bundle, *, seed=0,
     within_ok = i is None
     within_checked = len(cids) if within_ok else i + 1
     if not within_ok:
-        v = spec.id_to_coords(int(vs[i]))
+        v = adg._row(spec.ids_to_coords(vs), i)
         if own[i] != cids[i]:
             report["witnesses"].append(("within_member_class", int(cids[i]), v, int(own[i])))
         else:
-            u = int(nb[i, inside[i].argmax()])
-            report["witnesses"].append(("within_edge", int(cids[i]), v, spec.id_to_coords(u)))
+            u = adg._row(spec.ids_to_coords(nb[i]), inside[i].argmax())
+            report["witnesses"].append(("within_edge", int(cids[i]), v, u))
 
     # degree spot checks against the two-value spectrum
     vs = adg.randrange_bulk(rng, (q,) * m, degree_samples)
@@ -755,8 +743,8 @@ def verify_family_sampled(bundle, *, seed=0,
     i = _first(~returns)
     symmetry_ok = i is None
     if not symmetry_ok:
-        report["witnesses"].append(("symmetry", spec.id_to_coords(int(vs[i])),
-                                    spec.id_to_coords(int(uv[i]))))
+        report["witnesses"].append(
+            ("symmetry", adg._row(spec.ids_to_coords(vs), i), adg._row(spec.ids_to_coords(uv), i)))
 
     found = {}
     for k in FORBIDDEN[scheme.family]:

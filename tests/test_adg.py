@@ -17,7 +17,7 @@ import pytest
 from polarpart import adg
 from polarpart.adg import (
     ADGSpec, PolaritySpec, build_polarity_graph, check_polarity,
-    count_absolute_bulk, eval_expr_bulk, expr_from_json, expr_to_json,
+    count_absolute_bulk, eval_expr_bulk, expr_from_json,
     generic_conjugation_polarity, gh_adjacency_spec, gh_family,
     gh_original_family, gq_family, mul, plane_family, powi, sub, var_l, var_p,
 )
@@ -25,9 +25,10 @@ from polarpart.gf import make_field
 from polarpart.graphs import Graph, girth, materialize
 
 
-def test_expr_json_round_trip():
-    e = sub(mul(powi(var_p(1), 3), var_l(1)), mul(var_p(2), var_l(2)))
-    assert expr_from_json(expr_to_json(e)) == e
+def test_expr_from_json():
+    obj = ["sub", ["mul", ["pow", ["var", "p", 1], 3], ["var", "l", 1]],
+           ["mul", ["var", "p", 2], ["var", "l", 2]]]
+    assert expr_from_json(obj) == sub(mul(powi(var_p(1), 3), var_l(1)), mul(var_p(2), var_l(2)))
 
 
 def test_spec_rejects_forward_references():
@@ -138,9 +139,9 @@ def test_plane_polarity_adjacency_closed_form():
         g = materialize(pg.n, pg.arrays, 10 ** 5)
         frob = ctx.frob_table(d)
         for pid in range(g.n):
-            p = spec.id_to_coords(pid)
+            p = _id_to_coords(spec, pid)
             for rid in range(g.n):
-                r = spec.id_to_coords(rid)
+                r = _id_to_coords(spec, rid)
                 closed = ctx.add(p[1], frob[r[1]]) == ctx.mul(p[0], frob[r[0]])
                 if pid == rid:
                     assert closed == (pid in g.loops)
@@ -161,8 +162,8 @@ def test_gq_polarity_adjacency_closed_form():
     for _ in range(20_000):
         pid = rng.randrange(g.n)
         rid = rng.randrange(g.n)
-        p = spec.id_to_coords(pid)
-        r = spec.id_to_coords(rid)
+        p = _id_to_coords(spec, pid)
+        r = _id_to_coords(spec, rid)
         t = fe1[r[0]]
         closed = (ctx.add(p[1], fe[r[2]]) == ctx.mul(p[0], t)
                   and ctx.add(p[2], fe1[r[1]]) == ctx.mul(ctx.mul(p[0], p[0]), t))
@@ -185,8 +186,8 @@ def test_gh_polarity_adjacency_closed_form_small():
     for _ in range(30_000):
         pid = rng.randrange(g.n)
         rid = rng.randrange(g.n)
-        p = spec.id_to_coords(pid)
-        r = spec.id_to_coords(rid)
+        p = _id_to_coords(spec, pid)
+        r = _id_to_coords(spec, rid)
         t = fe1[r[0]]
         p1sq = ctx.mul(p[0], p[0])
         p1cu = ctx.mul(p1sq, p[0])
@@ -380,7 +381,7 @@ def _scalar_neighbor_ids(pg, p):
     """neighbor_ids' row for point p from the scalar neighbors_coords: the
     vertex itself has first coordinate p_1 on its polar line, so an
     absolute point's -1 sits at position p_1."""
-    row = [pg.spec.coords_to_id(r) for r in pg.neighbors_coords(p)]
+    row = [_coords_to_id(pg.spec, r) for r in pg.neighbors_coords(p)]
     if pg.is_absolute(p):
         row.insert(p[0], -1)
     return row
@@ -394,7 +395,7 @@ def test_neighbors_bulk_matches_scalar(family):
     points = _sample_points(pg, 200, seed=3)
     pv = _arrays(points)
     ids = spec.coords_to_ids(pv)
-    assert ids.tolist() == [spec.coords_to_id(p) for p in points]
+    assert ids.tolist() == [sum(c * q ** (spec.m - 1 - i) for i, c in enumerate(p)) for p in points]
     assert [c.tolist() for c in spec.ids_to_coords(ids)] == [c.tolist() for c in pv]
     nb = pg.neighbor_ids(ids)
     assert nb.dtype == np.int64 and nb.shape == (len(points), q)
@@ -632,7 +633,7 @@ def test_a_tampered_solve_entry_fails_incidence():
 def _scalar_polarity_rows(pg):
     """The polarity graph's rows and loops from the scalar closures."""
     spec, points = pg.spec, list(_all_coords(pg.spec))
-    rows = [[spec.coords_to_id(r) for r in pg.neighbors_coords(p)] for p in points]
+    rows = [[_coords_to_id(spec, r) for r in pg.neighbors_coords(p)] for p in points]
     return rows, [v for v, p in enumerate(points) if pg.is_absolute(p)]
 
 
@@ -640,8 +641,8 @@ def _scalar_bipartite_rows(spec):
     """The incidence graph's rows (points, then lines) from the scalar
     closures; it has no loops."""
     ns, coords = spec.side_size, list(_all_coords(spec))
-    rows = [[ns + spec.coords_to_id(lv) for lv in _neighbors_of_point(spec, c)] for c in coords]
-    rows += [[spec.coords_to_id(p) for p in _neighbors_of_line(spec, c)] for c in coords]
+    rows = [[ns + _coords_to_id(spec, lv) for lv in _neighbors_of_point(spec, c)] for c in coords]
+    rows += [[_coords_to_id(spec, p) for p in _neighbors_of_line(spec, c)] for c in coords]
     return rows, []
 
 
@@ -717,7 +718,7 @@ def _reference_absolute_ids(pg, chunk=1 << 20):
 
 
 def _scalar_absolute_ids(pg):
-    return [pg.spec.coords_to_id(p) for p in _absolute_points(pg)]
+    return [_coords_to_id(pg.spec, p) for p in _absolute_points(pg)]
 
 
 def test_absolute_ids_match_scalar_scan(monkeypatch):
@@ -798,6 +799,25 @@ def test_absolute_scan_work_is_bounded(monkeypatch, chunk):
     assert max(blocks) <= chunk
 
 
+@pytest.mark.parametrize("make_family,count", [
+    (lambda: gh_family(0, allow_small_e=True), 147),
+    (lambda: gh_family(1), 571_563),
+    (lambda: gq_family(1), 584),
+    (lambda: gq_family(2), 33_824),
+    (lambda: plane_family(5), 650),
+    (lambda: plane_family(9), 6_642),
+], ids=["gh e=0", "gh e=1", "gq e=1", "gq e=2", "plane q=5", "plane q=9"])
+def test_check_scan_bound_counts_the_candidates_the_scan_tests(monkeypatch, make_family, count):
+    blocks = []
+    polar = PolaritySpec.polar
+    monkeypatch.setattr(PolaritySpec, "polar", lambda self, ctx, pvals: (
+        blocks.append(len(pvals[0])) or polar(self, ctx, pvals)))
+    pg = adg.PolarityGraph(*make_family())
+    assert pg.check_scan_bound() == count
+    pg.absolute_ids()
+    assert sum(blocks) == count
+
+
 BROKEN_POLARITIES = {
     # twists that are not involutions (the witness kind differs by mode)
     "gq twisted": (lambda: gq_family(1)[0],
@@ -813,9 +833,19 @@ BROKEN_POLARITIES = {
 # -- the scalar reference layer: the coordinate-tuple forms the bulk kernels
 # replaced, kept here as the oracle the tests hold those kernels to --------
 
+def _coords_to_id(spec, coords):
+    """One coordinate tuple's vertex id, by the array codec."""
+    return int(spec.coords_to_ids(coords))
+
+
+def _id_to_coords(spec, n):
+    """Vertex id n's coordinate tuple, by the array codec."""
+    return tuple(int(c) for c in spec.ids_to_coords(n))
+
+
 def _all_coords(spec):
     """Every coordinate tuple of one side, in id order."""
-    return map(spec.id_to_coords, range(spec.side_size))
+    return (_id_to_coords(spec, v) for v in range(spec.side_size))
 
 
 def _neighbors_of_point(spec, pvals):

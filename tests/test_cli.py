@@ -187,6 +187,13 @@ def test_oracle_ceiling(tmp_path, capsys):
     assert run(["oracle", "--edges", str(edges)]) == 2
 
 
+def test_oracle_on_a_graph_with_no_vertices(tmp_path, capsys):
+    edges = tmp_path / "empty.txt"
+    edges.write_text("0 0 0\n")
+    assert run(["oracle", "--edges", str(edges)]) == 0
+    assert capsys.readouterr().out == "psi 0\nchi_a 0\nchi 0\n"
+
+
 def test_invalid_family_parameter(tmp_path):
     # plane without --q
     assert run(["verify", "plane", "--out", str(tmp_path)]) == 2
@@ -205,6 +212,15 @@ def test_build_refuses_oversize(tmp_path, monkeypatch, capsys):
     assert checks == []  # refused before any polarity check
     assert "14348907 vertices exceed materialization ceiling" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_partition_refuses_an_instance_above_the_ceiling(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["partition", "plane", "--q", "3", "--limit", "80", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 81 vertices exceed the ceiling 80; "
+        "the partition file would not be writable at desk scale\n")
+    assert not out.exists()
 
 
 def test_partition_gq(tmp_path):
@@ -323,8 +339,64 @@ def test_gh_original_refuses_files_and_sampled_mode(tmp_path, capsys, command, e
     argv = [command, "gh-original", "--q", "3", *[a.format(bad=bad) for a in extra]]
     assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: gh-original is verified exhaustively") and "Traceback" not in err
+    assert err == f"error: gh-original takes no {extra[0]}\n"
     assert not out.exists()
+
+
+# every family setting a family does not read, with a value it would take
+UNREAD_SETTINGS = [
+    ("plane", ["--q", "3"], ["--e", "1"]),
+    ("plane", ["--q", "3"], ["--spec", "{missing}"]),
+    ("plane", ["--q", "3"], ["--override-small-e"]),
+    ("gq", ["--e", "1"], ["--q", "3"]),
+    ("gq", ["--e", "1"], ["--spec", "{missing}"]),
+    ("gh", ["--e", "0", "--override-small-e"], ["--q", "3"]),
+    ("gh", ["--e", "0", "--override-small-e"], ["--spec", "{missing}"]),
+    ("gh-original", ["--q", "3"], ["--e", "0"]),
+    ("gh-original", ["--q", "3"], ["--spec", "{missing}"]),
+    ("gh-original", ["--q", "3"], ["--override-small-e"]),
+    ("gh-original", ["--q", "3"], ["--mode", "exhaustive"]),
+    ("generic", ["--spec", "{missing}"], ["--q", "0"]),
+    ("generic", ["--spec", "{missing}"], ["--e", "1"]),
+    ("generic", ["--spec", "{missing}"], ["--override-small-e"]),
+]
+
+
+@pytest.mark.parametrize("family,params,extra", UNREAD_SETTINGS,
+                         ids=[f"{f} {x[0]}" for f, _, x in UNREAD_SETTINGS])
+def test_settings_a_family_does_not_read_are_refused(tmp_path, capsys, family, params, extra):
+    # refused before the spec file (which does not exist) is opened and
+    # before --out is made, by every subcommand that has the flag
+    missing, out = tmp_path / "missing.json", tmp_path / "out"
+    argv = [a.format(missing=missing) for a in [family, *params, *extra, "--out", str(out)]]
+    commands = ["build", "partition", "verify", "report"]
+    for command in commands[2:] if extra[0] == "--mode" else commands:  # --mode: verify, report
+        assert run([command, *argv]) == 2
+        assert capsys.readouterr().err == f"error: {family} takes no {extra[0]}\n"
+        assert not out.exists()
+
+
+# GF(9), m = 2, f = 3 p_1 l_1: point-line symmetric, but its constant lies
+# outside GF(3), so the conjugation polarity breaks adjacency
+BAD_POLARITY_SPEC = {"field": {"p": 3, "k": 2}, "m": 2,
+                     "fs": [["mul", ["const", 3], ["mul", ["var", "p", 1], ["var", "l", 1]]]]}
+BAD_POLARITY_REPORT = "20abc41fb6c8d06867f620ee502fc58bc67e2fe48bd1142215ba0d011f149bee"
+
+
+def test_a_failing_polarity_writes_the_failing_report(tmp_path, capsys):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps(BAD_POLARITY_SPEC))
+    for command in ("verify", "report"):
+        out = tmp_path / command
+        assert run([command, "generic", "--spec", str(spec), "--out", str(out)]) == 1
+        assert os.listdir(out) == ["generic.report.json"]  # no edge list, no partition
+        text = (out / "generic.report.json").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == BAD_POLARITY_REPORT
+        assert json.loads(text)["witnesses"][0][0] == "polarity"
+    assert "FAIL generic" in capsys.readouterr().out
+    assert run(["build", "generic", "--spec", str(spec), "--out", str(tmp_path / "b")]) == 2
+    assert capsys.readouterr().err.startswith("error: polarity check failed")
+    assert not (tmp_path / "b").exists()
 
 
 def test_gh_original_accepts_a_seed(tmp_path):

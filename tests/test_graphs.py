@@ -390,23 +390,23 @@ def test_handshake():
 
 def test_pair_edge_matrix_triangle_singletons():
     g = cycle_graph(3)
-    pairs, joined, within, loops = pair_edge_matrix(g, Partition([0, 1, 2], 3), 10)
+    pairs, joined, within, loops, first = pair_edge_matrix(g, Partition([0, 1, 2], 3), 10)
     assert pairs == [] and joined  # every pair joined by one edge
-    assert within.tolist() == [0, 0, 0] and loops.tolist() == [0, 0, 0]
+    assert within.tolist() == [0, 0, 0] and loops.tolist() == [0, 0, 0] and first is None
 
 
 def test_pair_edge_matrix_single_class():
     g = cycle_graph(4)
-    pairs, joined, within, _ = pair_edge_matrix(g, Partition([0, 0, 0, 0], 1), 10)
+    pairs, joined, within, _, first = pair_edge_matrix(g, Partition([0, 0, 0, 0], 1), 10)
     assert within.tolist() == [4] and within.sum() == edge_count(g)  # no cross edge
-    assert pairs == [] and joined
+    assert pairs == [] and joined and first == (0, 1)
 
 
 def test_pair_edge_matrix_loops_tally():
     g = Graph.from_edges(4, [(0, 1), (2, 3)], loops=[0, 1, 2])
-    pairs, joined, within, loops = pair_edge_matrix(g, Partition([0, 0, 1, 1], 2), 10)
+    pairs, joined, within, loops, first = pair_edge_matrix(g, Partition([0, 0, 1, 1], 2), 10)
     assert loops.tolist() == [2, 1]
-    assert within.tolist() == [1, 1]
+    assert within.tolist() == [1, 1] and first == (0, 1)
     assert pairs == [(0, 1, 0)] and not joined
 
 
@@ -430,7 +430,10 @@ def test_pair_edge_matrix_blocks_stay_within_the_bound(monkeypatch, big_class, b
     got = pair_edge_matrix(g, part, 10 ** 4)
     tallies = [s for s in sizes if s[1] % (part.r + 1) == 0]  # one per block
     assert len(tallies) == blocks and all(max(s) <= block for s in tallies)
-    assert got[:2] == expected[:2] and all(np.array_equal(a, b) for a, b in zip(got[2:], expected[2:]))
+    assert got[:2] == expected[:2]
+    assert all(np.array_equal(a, b) for a, b in zip(got[2:4], expected[2:4]))
+    # the least within-class arc, found across blocks
+    assert got[4] == expected[4] == min((u, v) for u, v in g.edges() if cls[u] == cls[v])
 
 
 def test_pair_edge_matrix_size_mismatch():

@@ -19,7 +19,9 @@ from polarpart.partitions import (
     is_point_line_symmetric, scheme_partition,
 )
 from polarpart.verify import family_bundle, verdict
-from test_adg import _absolute_points, _all_coords, _class_of_coords, _recompose_mu
+from test_adg import (
+    _absolute_points, _all_coords, _class_of_coords, _coords_to_id, _id_to_coords, _recompose_mu,
+)
 
 
 def brute_force_cross_edges(g, spec, scheme, cid1, cid2):
@@ -27,7 +29,7 @@ def brute_force_cross_edges(g, spec, scheme, cid1, cid2):
     found = []
     for a in scheme.class_members(cid1):
         for b in scheme.class_members(cid2):
-            ida, idb = spec.coords_to_id(a), spec.coords_to_id(b)
+            ida, idb = _coords_to_id(spec, a), _coords_to_id(spec, b)
             if ida != idb and idb in g.adj[ida]:
                 found.append((a, b))
     return found
@@ -101,7 +103,7 @@ def test_plane_loops_one_per_class():
     assert pair_edge_matrix(g, part, 20)[3].tolist() == [1] * scheme.r
     for cid in range(scheme.r):
         lv = scheme.loop_vertex(cid)
-        assert spec.coords_to_id(lv) in g.loops
+        assert _coords_to_id(spec, lv) in g.loops
 
 
 # -- gq -----------------------------------------------------------------------
@@ -419,7 +421,7 @@ def _reference_odd_classes(spec, pairing=None):
     ns = spec.side_size
     class_of = [0] * (2 * ns)
     for v in range(ns):
-        coords = spec.id_to_coords(v)
+        coords = _id_to_coords(spec, v)
         class_of[v] = _mixed_radix([coords[i] for i in point_idx], q)
         class_of[ns + v] = inverse[_mixed_radix([coords[i] for i in line_idx], q)]
     return class_of
@@ -437,7 +439,7 @@ def _reference_even_classes(spec):
     ns = spec.side_size
     class_of = [0] * (2 * ns)
     for v in range(ns):
-        coords = spec.id_to_coords(v)
+        coords = _id_to_coords(spec, v)
         s, t = split[coords[m - 1]]
         point = _mixed_radix([coords[i] for i in point_idx], ctx.order)
         line = _mixed_radix([coords[i] for i in line_idx], ctx.order)
@@ -501,17 +503,18 @@ BULK_SCHEMES = {
 
 
 def _ids(spec, vertices):
-    return [spec.coords_to_id(v) for v in vertices]
+    return [_coords_to_id(spec, v) for v in vertices]
 
 
 def _assert_bulk_matches_scalar(spec, scheme, ids, cids, c1, c2):
     assert scheme.class_of_ids(ids).tolist() == [
-        _class_of_coords(scheme, spec.id_to_coords(v)) for v in ids.tolist()]
+        _class_of_coords(scheme, _id_to_coords(spec, v)) for v in ids.tolist()]
     assert scheme.class_members_bulk(cids).tolist() == [
         _ids(spec, scheme.class_members(c)) for c in cids.tolist()]
     picks = (cids * 7 + 3) % scheme.class_size
     assert scheme.class_member_bulk(cids, picks).tolist() == [
-        spec.coords_to_id(scheme.class_members(c)[i]) for c, i in zip(cids.tolist(), picks.tolist())]
+        _coords_to_id(spec, scheme.class_members(c)[i])
+        for c, i in zip(cids.tolist(), picks.tolist())]
     assert scheme.loop_vertex_bulk(cids).tolist() == _ids(
         spec, [scheme.unique_edge(c, c) for c in cids.tolist()])
     a, b = scheme.unique_edge_bulk(c1, c2)

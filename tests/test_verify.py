@@ -27,8 +27,8 @@ from polarpart.verify import (
     verify_family, verify_gh_original, witness_record, _psi_chi_a,
 )
 from test_adg import (
-    FOLD_BUDGET_ABOVE_ALL, _all_coords, _class_of_coords, _coordinate_map, _neighbors_of_point,
-    _scalar_bipartite_rows,
+    FOLD_BUDGET_ABOVE_ALL, _all_coords, _class_of_coords, _coordinate_map, _coords_to_id,
+    _id_to_coords, _neighbors_of_point, _scalar_bipartite_rows,
 )
 
 
@@ -172,6 +172,17 @@ def test_luw_catches_tampering():
     rep = luw_report(g_bip, tampered, _gp_cycles(tampered, 2))
     assert not rep["ok"]
     assert not rep["degree_relation_ok"] or not rep["reconciled_ok"]
+
+
+def test_luw_names_no_transfer_from_a_bipartite_graph_with_the_cycle():
+    # a 2k-cycle in the bipartite graph proves nothing about the polarity graph
+    gp = Graph.from_edges(2, [(0, 1)])
+    rep = luw_report(cycle_graph(4), gp, {2: None, 3: None})
+    assert rep["cycle_transfer"] == {
+        4: {"bipartite_free": False, "polarity_free": None, "witness": None},
+        6: {"bipartite_free": True, "polarity_free": True, "witness": None},
+    }
+    assert rep["cycle_transfer_ok"]
 
 
 def _reference_degree_witness(g_bip, gp):
@@ -361,8 +372,8 @@ POLARITY_T = {
 def _polarity_translation_scan(spec, pol):
     """T by the scalar polarity: every t with t_1 = 0 and polar(t) = -t."""
     ctx = spec.ctx
-    coords = (spec.id_to_coords(t) for t in range(ctx.order ** (spec.m - 1)))
-    return [spec.coords_to_id(c) for c in coords
+    coords = (_id_to_coords(spec, t) for t in range(ctx.order ** (spec.m - 1)))
+    return [_coords_to_id(spec, c) for c in coords
             if pol.apply_point(ctx, c) == tuple(ctx.neg(x) for x in c)]
 
 
@@ -389,9 +400,9 @@ def test_polarity_translations_match_a_scalar_scan(name, monkeypatch):
         factors = spec.scaling(pol)[0]
         low = []
         for v in range(g.n):
-            c, orbit = spec.id_to_coords(v), []
+            c, orbit = _id_to_coords(spec, v), []
             for _ in range(ctx.order - 1):  # c runs through the scaling's powers of v
-                orbit += [spec.coords_to_id(tuple(map(ctx.add, c, spec.id_to_coords(t))))
+                orbit += [_coords_to_id(spec, tuple(map(ctx.add, c, _id_to_coords(spec, t))))
                           for t in ts.tolist()]
                 c = tuple(map(ctx.mul, c, factors))
             low.append(min(orbit))
@@ -953,13 +964,13 @@ class _StoredPolarityGraph:
         self.n, self.adj, self.table = g.n, g.adj, _neighbor_table(g)
         self.spec = types.SimpleNamespace(
             ctx=types.SimpleNamespace(order=q), m=2,
-            coords_to_id=lambda c: c[0] * q + c[1], id_to_coords=lambda v: divmod(v, q))
+            coords_to_ids=lambda c: c[0] * q + c[1], ids_to_coords=lambda v: np.divmod(v, q))
 
     def neighbor_ids(self, ids):
         return self.table[ids]
 
     def neighbors_coords(self, coords):
-        return [self.spec.id_to_coords(u) for u in self.adj[self.spec.coords_to_id(coords)]]
+        return [_id_to_coords(self.spec, u) for u in self.adj[_coords_to_id(self.spec, coords)]]
 
 
 def test_sampled_even_cycle_with_repeated_roots():
@@ -1017,7 +1028,7 @@ def test_predraw_edges_match_scalar_draws_and_rewind(name, make_family, count):
         vs, picks = verify._predraw_edges(rng, count, spec, absolute_ids)
         draws = []
         for _ in range(count):  # the scalar draw_edge loop, with a probe
-            v = spec.coords_to_id([ref.randrange(q) for _ in range(spec.m)])
+            v = _coords_to_id(spec, [ref.randrange(q) for _ in range(spec.m)])
             probe = random.Random()
             probe.setstate(ref.getstate())
             # where a randrange(q) would read the word apart
@@ -1210,6 +1221,53 @@ def test_within_phase_fails_a_member_outside_its_class(monkeypatch):
     assert not rep["verdicts"]["achromatic"]
 
 
+def test_within_phase_names_an_edge_inside_a_class(monkeypatch):
+    """Every row gains a member of its own vertex's class in its last slot:
+    the within phase fails at its first sample, naming that member."""
+    monkeypatch.setattr(verify, "SAMPLED_INCIDENCES", 2000)
+    monkeypatch.setattr(verify, "SAMPLED_SYMMETRY", 500)
+    scheme, neighbor_ids = verify.family_bundle("gh", e=1)[2], adg.PolarityGraph.neighbor_ids
+
+    def joined_to_its_class(self, ids):
+        nb, ids = neighbor_ids(self, ids), np.asarray(ids)
+        cls = scheme.class_of_ids(ids)
+        first, second = (scheme.class_member_bulk(cls, np.full(len(ids), i)) for i in (0, 1))
+        nb[:, -1] = np.where(first == ids, second, first)
+        return nb
+
+    monkeypatch.setattr(adg.PolarityGraph, "neighbor_ids", joined_to_its_class)
+    rep = verify_family("gh", e=1, mode="sampled", seed=0, **GOLDEN_SAMPLES)
+    within = [w for w in rep["witnesses"] if w[0] == "within_edge"]
+    assert len(within) == 1 and rep["checks"]["within_samples"] == 1
+    _, cid, v, u = within[0]
+    assert v != u and _class_of_coords(scheme, v) == _class_of_coords(scheme, u) == cid
+    assert not rep["verdicts"]["achromatic"] and not rep["ok"]
+
+
+def test_sampled_loop_formula_names_the_class(monkeypatch):
+    """Class 3's loop vertex formula gives class 4's: the loop phase names
+    class 3, while the vertex it gives is still absolute."""
+    monkeypatch.setattr(verify, "SAMPLED_INCIDENCES", 2000)
+    monkeypatch.setattr(verify, "SAMPLED_SYMMETRY", 500)
+    loop_vertex_bulk = GHScheme.loop_vertex_bulk
+    monkeypatch.setattr(GHScheme, "loop_vertex_bulk", lambda self, cids: loop_vertex_bulk(
+        self, np.where(np.asarray(cids) == 3, 4, cids)))
+    rep = verify_family("gh", e=1, mode="sampled", seed=0, **GOLDEN_SAMPLES)
+    assert [w for w in rep["witnesses"] if w[0] == "loop_vertex"] == [("loop_vertex", 3)]
+    assert rep["checks"]["loop_formula_all_classes"] is False and not rep["ok"]
+
+
+def test_a_failing_polarity_ends_both_protocols_at_the_report_head():
+    # the identity map is an involution that breaks adjacency
+    spec, pol, scheme, params = verify.family_bundle("gh", e=0, allow_small_e=True)
+    identity = adg.PolaritySpec(tuple((i, 0) for i in range(5)), tuple((i, 0) for i in range(5)))
+    for protocol in (verify.verify_family_exhaustive, verify.verify_family_sampled):
+        rep = protocol((spec, identity, scheme, params), seed=0)
+        assert not rep["ok"] and not rep["polarity"]["ok"]
+        assert rep["witnesses"] == [("polarity", tuple(rep["polarity"]["witness"]))]
+        assert "counts" not in rep and "verdicts" not in rep
+
+
 # -- the blocked unique-edge pass against the scalar loop it replaced ----------
 
 def _reference_check_unique_edges(g, spec, scheme):
@@ -1221,13 +1279,13 @@ def _reference_check_unique_edges(g, spec, scheme):
         lv = scheme.loop_vertex(c1)
         if _class_of_coords(scheme, lv) != c1:
             return False, ("loop_vertex_class", c1)
-        if spec.coords_to_id(lv) not in g.loops:
+        if _coords_to_id(spec, lv) not in g.loops:
             return False, ("loop_vertex_not_absolute", c1)
         for c2 in range(c1 + 1, r):
             a, b = scheme.unique_edge(c1, c2)
             if _class_of_coords(scheme, a) != c1 or _class_of_coords(scheme, b) != c2:
                 return False, ("edge_endpoint_class", c1, c2)
-            if spec.coords_to_id(b) not in g.adj[spec.coords_to_id(a)]:
+            if _coords_to_id(spec, b) not in g.adj[_coords_to_id(spec, a)]:
                 return False, ("edge_formula_not_edge", c1, c2)
     return True, None
 
