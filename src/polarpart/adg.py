@@ -615,11 +615,12 @@ class PolarityGraph:
                      for f in self.spec.fs]
 
     def check_scan_bound(self):
-        """The candidates absolute_ids' scan tests, ValueError above
-        ABSOLUTE_SCAN_LIMIT: each stage tests the live ones times q, and a
-        q-th live on where an equation j completed there reads the stage's
-        coordinate once, as p_{j+2} or as the source of l_{j+2}, and not in
-        fs[j].  Exact on the families; an upper bound where more are cut."""
+        """An upper bound on the candidates absolute_ids' scan tests,
+        ValueError above ABSOLUTE_SCAN_LIMIT: each stage tests the live ones
+        times q, and a q-th live on where an equation j completed there
+        reads the stage's coordinate once, as p_{j+2} or as the source of
+        l_{j+2}, and not in fs[j].  Exact on the families; the scan tests
+        fewer where a stage's equations cut more."""
         q, (src, reads) = self.spec.ctx.order, self._reads()
         live, work = 1, 0
         for c, eqs in self.scan_stages():
@@ -629,8 +630,8 @@ class PolarityGraph:
                 live //= q
         if work > ABSOLUTE_SCAN_LIMIT:
             raise ValueError(
-                f"the absolute-point scan needs {work:.2e} candidate tests, "
-                f"above the bound {ABSOLUTE_SCAN_LIMIT:.0e}")
+                f"the absolute-point scan may test up to {work:.2e} candidates, "
+                f"above the limit {ABSOLUTE_SCAN_LIMIT:.0e}")
         return work
 
     def absolute_ids(self):
@@ -705,8 +706,7 @@ def randrange_bulk(rng, bounds, count):
     """`count` samples of one rng.randrange(b) per bound b of the tuple
     `bounds`, at once: an int64 array of shape (count, len(bounds)), row t
     sample t's calls in order.  rng ends in the state the calls would
-    leave, so a caller that needs the state after a prefix of the calls
-    sets rng back and draws that prefix again.
+    leave.
 
     Exact for random.Random and 1 <= b < 2^32: each randrange(b) attempt
     reads one 32-bit word and rejects its top b.bit_length() bits while

@@ -161,10 +161,14 @@ def _write_report(args, report) -> int:
     return 0 if ok else 1
 
 
+def _gh_original_graph(args):
+    spec, _ = adg.gh_original_family(args.q)
+    return materialize(2 * spec.side_size, spec.bipartite_arrays, args.limit)
+
+
 def cmd_build(args) -> int:
     if args.family == "gh-original":
-        spec, _ = adg.gh_original_family(args.q)
-        g = materialize(2 * spec.side_size, spec.bipartite_arrays, args.limit)
+        g = _gh_original_graph(args)
     else:
         g, check = _polarity_graph(args, _bundle(args))
         if g is None:
@@ -180,9 +184,7 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def cmd_verify(args, bundle=None) -> int:
-    """Verify a family instance; `bundle` is a family_bundle result already
-    built for args, or None to build it."""
+def cmd_verify(args) -> int:
     if args.family == "gh-original":
         report = ver.verify_gh_original(args.q, materialize_limit=args.limit)
     else:
@@ -190,28 +192,31 @@ def cmd_verify(args, bundle=None) -> int:
         partition = read_partition(Path(args.partition).read_text()) if args.partition else None
         report = ver.verify_family(args.family, mode=args.mode, seed=args.seed,
                                    materialize_limit=args.limit, graph=graph,
-                                   partition=partition, bundle=bundle or _bundle(args))
+                                   partition=partition, bundle=_bundle(args))
     return _write_report(args, report)
 
 
 def cmd_report(args) -> int:
-    """build, partition and verify, each object built once: the bundle, the
-    polarity graph and the partition are written, then verified with the
-    polarity check that built the graph; only the report if it failed."""
+    """build, partition and verify, each object built once and the protocol
+    picked once: the bundle, the graph and the partition are written, then
+    verified with the polarity check that built the graph; only the report
+    if it failed."""
     if args.family == "gh-original":
-        return cmd_build(args) or cmd_verify(args)
+        g = _gh_original_graph(args)
+        _write_graph(args, g)
+        return _write_report(args, ver.verify_gh_original(args.q, args.limit, graph=g))
     bundle = _bundle(args)
     mode = ver.choose_protocol(bundle, args.mode, args.limit)  # before any file is written
     if bundle[0].side_size > args.limit:
         print(f"{_stem(args)}: instance too large to materialize; verification only")
-        return cmd_verify(args, bundle)
+        return _write_report(args, ver.verify_family_sampled(bundle, seed=args.seed))
     g, pol_check = _polarity_graph(args, bundle)
     part = None
     if g is not None:
         _write_graph(args, g)
         part = _write_partition(args, bundle)
     if mode == "sampled":
-        return cmd_verify(args, bundle)
+        return _write_report(args, ver.verify_family_sampled(bundle, seed=args.seed))
     return _write_report(args, ver.verify_family_exhaustive(
         bundle, seed=args.seed, materialize_limit=args.limit, graph=g,
         partition=part, pol_check=pol_check))

@@ -553,43 +553,6 @@ def verify_family_exhaustive(bundle, *, seed=0,
 # sampled (streaming) verification for instances too large to materialize
 # ---------------------------------------------------------------------------
 
-def _predraw_edges(rng, count, spec, absolute_ids):
-    """The symmetry phase's `count` samples as drawing one at a time would
-    draw them: a vertex by m rng.randrange(q), then a position among its
-    neighbours by rng.randrange(q - [vertex absolute]).  Returns (vertex
-    ids, positions).
-
-    Every draw is read as randrange(q) by adg.randrange_bulk.  A
-    randrange(q - 1) reads the same words to the same value unless the
-    word it accepts reads q - 1, or q - 1 has fewer bits than q.  At the
-    first absolute vertex i where that may happen, rng goes back to the
-    round's start, draws the round's prefix through sample i's vertex
-    again, draws the position by randrange(q - 1), and the bulk draw
-    resumes.  Rounds hold about twice the expected samples between two
-    such vertices, so a replay redraws a short round, not all samples left.
-    """
-    q, m = spec.ctx.order, spec.m
-    short = (q - 1).bit_length() < q.bit_length()
-    gap = spec.side_size / max(1, len(absolute_ids)) * (1 if short else q)
-    size = max(64, int(2 * gap))
-    vs, picks = [], []
-    while count:
-        start = rng.getstate()
-        values = adg.randrange_bulk(rng, (q,) * (m + 1), min(count, size))
-        v = spec.coords_to_ids(values[:, :m].T)
-        i = _first(_in_sorted(v, absolute_ids) & (short | (values[:, m] == q - 1)))
-        if i is None:
-            i = len(v) - 1
-        else:
-            rng.setstate(start)
-            adg.randrange_bulk(rng, (q,), i * (m + 1) + m)
-            values[i, m] = rng.randrange(q - 1)
-        vs.append(v[:i + 1])
-        picks.append(values[:i + 1, m])
-        count -= i + 1
-    return np.concatenate(vs), np.concatenate(picks)
-
-
 def _first(bad):
     """Index of the first True, or None."""
     return int(bad.argmax()) if bad.any() else None
@@ -734,17 +697,20 @@ def verify_family_sampled(bundle, *, seed=0,
                                     int(expect[i])))
     report["degree_multiset"] = {str(k): v for k, v in sorted(seen_degrees.items())}
 
-    # sampled adjacency symmetry of the implicit graph
-    vs, pick = _predraw_edges(rng, SAMPLED_SYMMETRY, spec, absolute_ids)
-    nb = pg.neighbor_ids(vs)
-    col = (np.cumsum(nb >= 0, axis=1) > pick[:, None]).argmax(axis=1)
-    uv = nb[np.arange(len(col)), col]
-    returns = (pg.neighbor_ids(uv) == vs[:, None]).any(axis=1)
-    i = _first(~returns)
+    # sampled adjacency symmetry: slot t of v's row is -1 exactly where v
+    # is absolute and t = v_1, and otherwise a u whose row holds v
+    draws = adg.randrange_bulk(rng, (q,) * (m + 1), SAMPLED_SYMMETRY)
+    vs, t = spec.coords_to_ids(draws[:, :m].T), draws[:, m]
+    uv = pg.neighbor_ids(vs)[np.arange(len(vs)), t]
+    ok = (uv < 0) == ((t == draws[:, 0]) & _in_sorted(vs, absolute_ids))
+    back = ok & (uv >= 0)
+    ok[back] = (pg.neighbor_ids(uv[back]) == vs[back, None]).any(axis=1)
+    i = _first(~ok)
     symmetry_ok = i is None
     if not symmetry_ok:
-        report["witnesses"].append(
-            ("symmetry", adg._row(spec.ids_to_coords(vs), i), adg._row(spec.ids_to_coords(uv), i)))
+        v = tuple(draws[i, :m].tolist())
+        report["witnesses"].append(("symmetry", v, int(t[i])) if uv[i] < 0 else
+                                   ("symmetry", v, adg._row(spec.ids_to_coords(uv), i)))
 
     found = {}
     for k in FORBIDDEN[scheme.family]:
@@ -834,9 +800,11 @@ def verify_family(family, *, q=None, e=None, mode=None, seed=0,
 GH_ORIGINAL_BLOCK = 1 << 14
 
 
-def verify_gh_original(q, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
+def verify_gh_original(q, materialize_limit=DEFAULT_MATERIALIZE_LIMIT, graph=None):
     """Exhaustively confirm phi maps the cross-term hexagon system onto the
-    power-form one: bijective per side, every edge preserved.
+    power-form one: bijective per side, every edge preserved.  Where it has
+    at most 1000 vertices, the report carries the girth of the cross-term
+    incidence graph: `graph`, or materialized before the sweep.
 
     Bulk kernel, GH_ORIGINAL_BLOCK incidences a block: a block marks its images
     per side in id bitmaps; the sweep stops at the first incidence, row
@@ -846,6 +814,8 @@ def verify_gh_original(q, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
     ns = spec_orig.side_size
     if 2 * ns > 2 * materialize_limit:
         raise ValueError(f"{2 * ns} vertices exceed the ceiling for the exhaustive map check")
+    if graph is None and 2 * ns <= 1000:
+        graph = materialize(2 * ns, spec_orig.bipartite_arrays, materialize_limit)
     images = {"P": np.zeros(ns, dtype=bool), "L": np.zeros(ns, dtype=bool)}
     first = np.arange(q, dtype=spec_orig.ctx.dtype)[None, :]
     step = max(1, GH_ORIGINAL_BLOCK // q)
@@ -883,8 +853,7 @@ def verify_gh_original(q, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
         "seeds": [],
     }
     if 2 * ns <= 1000:
-        g = materialize(2 * ns, spec_orig.bipartite_arrays, materialize_limit)
-        gv = girth(g)
+        gv = girth(graph)
         report["girth"] = gv if gv != math.inf else "inf"
     report["ok"] = (bijective_points and bijective_lines and witness is None
                     and edges_checked == q ** 6)

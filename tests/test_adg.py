@@ -818,6 +818,26 @@ def test_check_scan_bound_counts_the_candidates_the_scan_tests(monkeypatch, make
     assert sum(blocks) == count
 
 
+def test_check_scan_bound_is_at_least_the_scan_on_every_twist(monkeypatch):
+    # exact on the family's own twist; the others complete equations that
+    # cut more than a q-th, so the scan tests fewer than the bound counts
+    spec = gh_family(0, allow_small_e=True)[0]
+    blocks = []
+    polar = PolaritySpec.polar
+    monkeypatch.setattr(PolaritySpec, "polar", lambda self, ctx, pvals: (
+        blocks.append(len(pvals[0])) or polar(self, ctx, pvals)))
+    scans = {}
+    for name, src in GH_TWISTS.items():
+        rules = tuple((s, j % 2) for j, s in enumerate(src))
+        pg = adg.PolarityGraph(spec, PolaritySpec(rules, rules))
+        blocks.clear()
+        pg.absolute_ids()
+        scans[name] = (pg.check_scan_bound(), sum(blocks))
+    assert all(bound >= tested for bound, tested in scans.values())
+    assert scans["gh"] == (147, 147)
+    assert scans["identity"] == (363, 39) and scans["reversed"] == (363, 27)
+
+
 BROKEN_POLARITIES = {
     # twists that are not involutions (the witness kind differs by mode)
     "gq twisted": (lambda: gq_family(1)[0],

@@ -168,7 +168,9 @@ def test_verify_gh_e3_is_refused_before_the_scan(tmp_path, capsys):
     start = time.perf_counter()
     assert run(["verify", "gh", "--e", "3", "--out", str(tmp_path)]) == 2
     assert time.perf_counter() - start < 10
-    assert "above the bound" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: the absolute-point scan may test up to 2.29e+13 candidates, "
+        "above the limit 1e+10\n")
     adg.PolarityGraph(*adg.gh_family(2)).check_scan_bound()  # q = 243 is allowed
 
 
@@ -238,9 +240,15 @@ def test_gh_original_verify(tmp_path):
     assert report["ok"] and report["girth"] == 12
 
 
-def test_report_gh_original_builds_then_verifies(tmp_path, capsys):
+def test_report_gh_original_builds_then_verifies(tmp_path, monkeypatch):
     rep, ver = tmp_path / "report", tmp_path / "verify"
+    sizes = []
+    for module in (cli, verify):
+        monkeypatch.setattr(module, "materialize", lambda n, *a, _m=module.materialize: (
+            sizes.append(n) or _m(n, *a)))
     assert run(["report", "gh-original", "--q", "3", "--out", str(rep)]) == 0
+    assert sizes == [486]  # one graph: the edge list's, whose girth the report carries
+    monkeypatch.undo()
     assert run(["verify", "gh-original", "--q", "3", "--out", str(ver)]) == 0
     name = "gh-original_q3.report.json"
     assert (rep / name).read_bytes() == (ver / name).read_bytes()
@@ -260,6 +268,17 @@ def test_gh_original_refusals_exit_2(tmp_path, capsys):
     assert run(["partition", "gh-original", "--q", "3", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: family gh-original has no vertex partition\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("limit", [243, 300, 485])
+def test_gh_original_refuses_a_low_ceiling_before_the_map_sweep(tmp_path, capsys, monkeypatch,
+                                                                 limit):
+    # 486 vertices: the girth's graph does not fit, and phi is never applied
+    monkeypatch.setattr(adg.CoordinateMap, "bulk", lambda *a: pytest.fail("the sweep ran"))
+    argv = ["verify", "gh-original", "--q", "3", "--limit", str(limit), "--out", str(tmp_path)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: 486 vertices exceed materialization ceiling {limit}\n"
     assert os.listdir(tmp_path) == []
 
 
@@ -295,16 +314,18 @@ def test_report_builds_each_object_once(tmp_path, monkeypatch):
                          ids=["too large to materialize", "sampled mode"])
 def test_sampled_report_builds_the_bundle_once(tmp_path, monkeypatch, extra):
     calls = []
-    family_bundle = verify.family_bundle
 
-    def counting_bundle(*args, **kwargs):
-        calls.append(args)
-        return family_bundle(*args, **kwargs)
+    def count(name):
+        original = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args, **kwargs: (
+            calls.append((name, *args[:1])) or original(*args, **kwargs)))
 
-    monkeypatch.setattr(verify, "family_bundle", counting_bundle)
+    count("family_bundle")
+    count("choose_protocol")
     argv = ["report", "gh", "--e", "0", "--override-small-e"] + extra
     assert run(argv + ["--out", str(tmp_path / "r")]) == 0
-    assert calls == [("gh",)]
+    assert [c[0] for c in calls] == ["family_bundle", "choose_protocol"]
+    assert calls[0] == ("family_bundle", "gh")
     monkeypatch.undo()
     assert run(["verify", "gh", "--e", "0", "--override-small-e", "--mode", "sampled",
                 "--out", str(tmp_path / "v")]) == 0

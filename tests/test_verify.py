@@ -1012,31 +1012,107 @@ def test_predraw_in_bulk_rewinds_like_scalar_draws(bounds):
             assert rng.getstate() == ref.getstate()
 
 
-@pytest.mark.parametrize("name,make_family,count", [
-    ("gh e=1", lambda: gh_family(1), 20_000),
-    ("gq e=1", lambda: gq_family(1), 2000),  # q = 8: every absolute vertex replays
-    ("plane q=3", lambda: plane_family(3), 2000),
-])
-def test_predraw_edges_match_scalar_draws_and_rewind(name, make_family, count):
-    spec, pol = make_family()
-    q, absolute_ids = spec.ctx.order, adg.PolarityGraph(spec, pol).absolute_ids()
-    absolute = set(absolute_ids.tolist())
-    short = (q - 1).bit_length() < q.bit_length()
-    replayed = 0
+# the sampled protocol's other phases, cut down to leave the symmetry phase
+FEW_SAMPLES = {"class_pair_samples": 100, "full_sweeps": 2, "within_samples": 100,
+               "degree_samples": 100, "cycle_roots": {2: 0, 3: 0, 4: 0, 5: 0}}
+
+
+def _symmetry_draws(monkeypatch, bundle, seed=0):
+    """The sampled protocol's symmetry draw on `bundle`: (rng state before,
+    the (SAMPLED_SYMMETRY, m + 1) sample matrix, rng state after)."""
+    spec, calls = bundle[0], []
+    bounds = (spec.ctx.order,) * (spec.m + 1)
+    randrange_bulk = adg.randrange_bulk
+
+    def recording(rng, b, count):
+        start = rng.getstate()
+        out = randrange_bulk(rng, b, count)
+        calls.append((b, count, start, out, rng.getstate()))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(adg, "randrange_bulk", recording)
+        verify.verify_family_sampled(bundle, seed=seed, **FEW_SAMPLES)
+    (draw,) = [c[2:] for c in calls if c[:2] == (bounds, verify.SAMPLED_SYMMETRY)]
+    return draw
+
+
+@pytest.mark.parametrize("family,count", [
+    (("gh", {"e": 1}), 20_000),
+    (("gq", {"e": 1}), 2000),
+    (("plane", {"q": 3}), 2000),
+], ids=["gh e=1", "gq e=1", "plane q=3"])
+def test_symmetry_draws_match_scalar_draws(monkeypatch, family, count):
+    """The symmetry phase draws each incidence (v, t) as the scalar loop
+    does, m rng.randrange(q) for v's coordinates and one for the slot t,
+    and leaves rng where the loop leaves it.  Slot t of v's intact row is
+    -1 exactly where v is absolute and t = v_1."""
+    monkeypatch.setattr(verify, "SAMPLED_SYMMETRY", count)
+    bundle = verify.family_bundle(family[0], **family[1])
+    spec = bundle[0]
+    q, m = spec.ctx.order, spec.m
+    pg = adg.PolarityGraph(*bundle[:2])
+    absolute = set(pg.absolute_ids().tolist())
+    self_slots = 0
     for seed in (0, 1, 20231117):
-        rng, ref = random.Random(seed), random.Random(seed)
-        vs, picks = verify._predraw_edges(rng, count, spec, absolute_ids)
-        draws = []
-        for _ in range(count):  # the scalar draw_edge loop, with a probe
-            v = _coords_to_id(spec, [ref.randrange(q) for _ in range(spec.m)])
-            probe = random.Random()
-            probe.setstate(ref.getstate())
-            # where a randrange(q) would read the word apart
-            replayed += v in absolute and (short or probe.randrange(q) == q - 1)
-            draws.append((v, ref.randrange(q - (v in absolute))))
-        assert list(zip(vs.tolist(), picks.tolist())) == draws
-        assert rng.getstate() == ref.getstate()
-    assert replayed  # some sample exercises the q - 1 redraw
+        start, draws, end = _symmetry_draws(monkeypatch, bundle, seed)
+        ref = random.Random()
+        ref.setstate(start)
+        samples = [[ref.randrange(q) for _ in range(m)] + [ref.randrange(q)] for _ in range(count)]
+        assert draws.tolist() == samples
+        assert end == ref.getstate()
+        vs = spec.coords_to_ids(draws[:, :m].T)
+        marked = pg.neighbor_ids(vs)[np.arange(count), draws[:, m]] < 0
+        assert marked.tolist() == [v in absolute and s[m] == s[0]
+                                   for v, s in zip(vs.tolist(), samples)]
+        self_slots += marked.sum()
+    assert self_slots  # some sample draws an absolute vertex's own slot
+
+
+def _intact_symmetry_sample(monkeypatch):
+    """gh e=0's bundle and its sampled protocol's symmetry incidences at
+    seed 0: vertex ids, slots, the vertices' intact rows, absolute ids."""
+    bundle = verify.family_bundle("gh", e=0, allow_small_e=True)
+    spec = bundle[0]
+    draws = _symmetry_draws(monkeypatch, bundle)[1]
+    vs = spec.coords_to_ids(draws[:, :spec.m].T)
+    pg = adg.PolarityGraph(*bundle[:2])
+    return bundle, vs, draws[:, spec.m], pg.neighbor_ids(vs), pg.absolute_ids()
+
+
+def _symmetry_witnesses(monkeypatch, bundle, rewrite):
+    """The failing protocol's symmetry witnesses, each neighbor_ids row
+    rewritten by rewrite(ids as a column, intact rows)."""
+    neighbor_ids = adg.PolarityGraph.neighbor_ids
+    monkeypatch.setattr(adg.PolarityGraph, "neighbor_ids", lambda self, ids: rewrite(
+        np.asarray(ids, dtype=np.int64)[:, None], neighbor_ids(self, ids)))
+    rep = verify.verify_family_sampled(bundle, seed=0, **FEW_SAMPLES)
+    assert rep["checks"]["symmetry_ok"] is False and not rep["ok"]
+    return [w for w in rep["witnesses"] if w[0] == "symmetry"]
+
+
+def test_symmetry_phase_fails_a_pair_blanked_in_both_rows(monkeypatch):
+    """Dropping the edge {v, u} from both rows keeps adjacency symmetric,
+    but v's slot for u reads -1 where v is not: the phase fails at the
+    first sample that reads the edge, and names that incidence (v, t)."""
+    bundle, vs, slots, rows, _ = _intact_symmetry_sample(monkeypatch)
+    i = int((rows[np.arange(len(vs)), slots] >= 0).argmax())
+    v, u = vs[i], rows[i, slots[i]]
+    witnesses = _symmetry_witnesses(monkeypatch, bundle, lambda ids, nb: np.where(
+        ((ids == v) & (nb == u)) | ((ids == u) & (nb == v)), -1, nb))
+    assert witnesses == [("symmetry", _id_to_coords(bundle[0], int(v)), int(slots[i]))]
+
+
+def test_symmetry_phase_fails_an_unmarked_self_slot(monkeypatch):
+    """An absolute vertex w whose row names w itself at slot w_1 passes a
+    row-holds-v check; the phase fails it, naming (w, w)."""
+    bundle, vs, slots, rows, absolute_ids = _intact_symmetry_sample(monkeypatch)
+    own = np.isin(vs, absolute_ids) & (rows[np.arange(len(vs)), slots] < 0)
+    w = vs[own.argmax()]
+    witnesses = _symmetry_witnesses(monkeypatch, bundle, lambda ids, nb: np.where(
+        (ids == w) & (nb < 0), w, nb))
+    coords = _id_to_coords(bundle[0], int(w))
+    assert witnesses == [("symmetry", coords, coords)]
 
 
 def test_one_c10_root_at_q27_is_bounded():
