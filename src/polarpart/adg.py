@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import TABLE_SIDE, FieldCtx, make_field, prime_power
+from .gf import FieldCtx, make_field, prime_power
 
 # -- expression trees --------------------------------------------------------
 # ("var", "p"|"l", i)   1-based coordinate reference
@@ -29,6 +29,11 @@ from .gf import TABLE_SIDE, FieldCtx, make_field, prime_power
 # ("pow", a, n)         integer n >= 0
 
 ARITY = {"var": 2, "const": 1, "add": 2, "sub": 2, "mul": 2, "neg": 1, "pow": 2}
+
+# Levels of lists and objects a JSON spec may nest (a family's spec nests
+# 5), so that the walks over a tree, which recurse once a level, stay far
+# below the interpreter's recursion limit.
+MAX_SPEC_DEPTH = 100
 
 
 def var_p(i):
@@ -65,6 +70,18 @@ def powi(a, n):
 
 def expr_from_json(obj):
     return tuple(map(expr_from_json, obj)) if isinstance(obj, list) else obj
+
+
+def _nesting(obj):
+    """The depth of nested lists and objects in JSON data, walked with a
+    stack of its own."""
+    depth, stack = 0, [(obj, 0)]
+    while stack:
+        x, d = stack.pop()
+        if isinstance(x, (list, dict)):
+            depth = max(depth, d + 1)
+            stack += [(y, d + 1) for y in (x.values() if isinstance(x, dict) else x)]
+    return depth
 
 
 def _is_int(x):
@@ -176,6 +193,8 @@ class ADGSpec:
     def from_json(cls, obj):
         """The spec {"field": {"p", "k"}, "m", "fs"}, each f an expression
         tree as nested lists; malformed input raises ValueError."""
+        if _nesting(obj) > MAX_SPEC_DEPTH:
+            raise ValueError(f"spec nests deeper than {MAX_SPEC_DEPTH} levels")
         try:
             p, k, m, fs = obj["field"]["p"], obj["field"]["k"], obj["m"], obj["fs"]
         except (KeyError, TypeError):
@@ -214,12 +233,13 @@ class ADGSpec:
     # -- bulk incidence: coordinates are m arrays of ctx.dtype that broadcast -
 
     def tables(self):
-        """Per-equation lookup tables, built on first use: entry j is (a, F)
-        with F[u, t] = fs[j] at l_{a+1} = u, p_1 = t, for an equation that
-        reads p_1 and at most one line coordinate (the families' form
-        p_{j+2} + l_{j+2} = f(p_1, l_a)); None for any other equation, and
-        for every equation when q > TABLE_SIDE, which solve_bulk hands to
-        the expression evaluator."""
+        """Per-equation lookup tables, built on first use: entry j is
+        (a, F, S) for an equation that reads p_1 and at most one line
+        coordinate l_{a+1} (the families' form), where q^2 <= TABLE_BUDGET,
+        else None.  F[u, t] = fs[j] at l_{a+1} = u, p_1 = t, and S[u*q + x,
+        t] = F[u, t] - x where q^3 <= FOLD_BUDGET, else None, in ctx.dtype:
+        S's row (l_{a+1}, p_{j+2}) is l_{j+2}, its row (l_{a+1}, l_{j+2})
+        p_{j+2}."""
         tabs = getattr(self, "_tables", None)
         if tabs is None:
             q, dtype = self.ctx.order, self.ctx.dtype
@@ -228,44 +248,30 @@ class ADGSpec:
             tabs = []
             for f in self.fs:
                 reads = expr_vars(f) - {("p", 1)}
-                if q > TABLE_SIDE or len(reads) > 1 or any(side == "p" for side, _ in reads):
+                if q * q > TABLE_BUDGET or len(reads) > 1 or any(side == "p" for side, _ in reads):
                     tabs.append(None)
                     continue
                 a = next(iter(reads))[1] - 1 if reads else 0
-                tabs.append((a, np.broadcast_to(eval_expr_bulk(f, self.ctx, lv, pv),
-                                                (q, q)).astype(dtype)))
+                F = np.broadcast_to(eval_expr_bulk(f, self.ctx, lv, pv), (q, q)).astype(dtype)
+                S = (None if q ** 3 > FOLD_BUDGET else
+                     self.ctx.sub_bulk(F[:, None, :], grid[None, :, None]).reshape(q * q, q))
+                tabs.append((a, F, S))
             object.__setattr__(self, "_tables", tabs)
         return tabs
 
-    def solves(self):
-        """Per-equation solve tables, built on first use from tables():
-        entry j is (a, S), S the raveled S[u, t, x] = F_j[u, t] - x in
-        ctx.dtype, so that S at (l_{a+1}, p_1, p_{j+2}) is l_{j+2} and S at
-        (l_{a+1}, p_1, l_{j+2}) is p_{j+2}; None where tables() has none or
-        q^3 > FOLD_BUDGET."""
-        solves = getattr(self, "_solves", None)
-        if solves is None:
-            grid = np.arange(self.ctx.order, dtype=self.ctx.dtype)
-            solves = [None if tab is None or self.ctx.order ** 3 > FOLD_BUDGET
-                      else (tab[0], self.ctx.sub_bulk(tab[1][:, :, None], grid).ravel())
-                      for tab in self.tables()]
-            object.__setattr__(self, "_solves", solves)
-        return solves
-
     def solve_bulk(self, j, lvals, pvals, x):
-        """fs[j] - x on coordinate arrays: one take from solves()[j] at
-        l_{a+1}*q^2 + p_1*q + x where it exists; otherwise fs[j], from its
-        tables() entry at l_{a+1}*q + p_1 or the expression evaluator,
-        minus x."""
-        q, solve, tab = self.ctx.order, self.solves()[j], self.tables()[j]
-        if solve is not None:
-            return solve[1].take(np.multiply(lvals[solve[0]], q * q, dtype=np.int32)
-                                 + (np.multiply(pvals[0], q, dtype=np.int32) + x))
+        """fs[j] - x on coordinate arrays: one take from tables()[j]'s S at
+        (l_{a+1}*q + x)*q + p_1 where it exists; otherwise fs[j], from its
+        F at l_{a+1}*q + p_1 or the expression evaluator, minus x."""
+        q, tab = self.ctx.order, self.tables()[j]
         if tab is None:
-            f = eval_expr_bulk(self.fs[j], self.ctx, lvals, pvals)
-        else:
-            f = tab[1].ravel().take(np.multiply(lvals[tab[0]], q, dtype=np.int32) + pvals[0])
-        return self.ctx.sub_bulk(f, x)
+            return self.ctx.sub_bulk(eval_expr_bulk(self.fs[j], self.ctx, lvals, pvals), x)
+        a, F, S = tab
+        if S is not None:
+            return S.ravel().take(np.multiply(lvals[a], q * q, dtype=np.int32)
+                                  + (np.multiply(x, q, dtype=np.int32) + pvals[0]))
+        return self.ctx.sub_bulk(F.ravel().take(np.multiply(lvals[a], q, dtype=np.int32)
+                                                + pvals[0]), x)
 
     def line_through_bulk(self, pvals, l1):
         """line_through on arrays; the result has the broadcast shape."""
@@ -313,16 +319,56 @@ class ADGSpec:
     def side_size(self):
         return self.ctx.order ** self.m
 
+    def point_ids(self, lines):
+        """The (N, q) ids, in the id kernel's dtype, of the q points on
+        each line of m coordinate arrays of shape (N,), by ascending first
+        coordinate t: t*q^(m-1) + sum_j (f_j - l_{j+2})*q^(m-2-j).  With
+        id_kernel() each term is one gather, else point_on_bulk solves."""
+        q, m, kernel = self.ctx.order, self.m, self.id_kernel()
+        if kernel is None:
+            t = np.arange(q, dtype=self.ctx.dtype)[None, :]
+            return self.coords_to_ids(self.point_on_bulk([c[:, None] for c in lines], t))
+        total = np.arange(0, q ** m, q ** (m - 1), dtype=kernel[0][2].dtype)  # t*q^(m-1)
+        for j, (a, index, table) in enumerate(kernel):
+            if index is None:  # folded: the row of (l_a, l_{j+2})
+                term = table.take(lines[a].astype(np.intp) * q + lines[j + 1], axis=0)
+            else:
+                term = index.take(lines[a], axis=0)
+                term += lines[j + 1][:, None]
+                term = table.take(term)
+            term += total
+            total = term
+        return total
+
+    def id_kernel(self):
+        """Per equation j, (a, index, table), built on first use; None
+        unless every equation has a table.  Entries are int32 while ids
+        are, int64 otherwise, and scaled by q^(m-2-j).  Folded, where S
+        exists, index is None and table is S_j, whose row l_{a+1}*q +
+        l_{j+2} holds term j for every t; otherwise index is F_j*q as int32
+        and table the flattened q x q subtraction table."""
+        if not hasattr(self, "_kernel"):
+            q, m, tabs = self.ctx.order, self.m, self.tables()
+            kernel = None
+            if None not in tabs:
+                grid = np.arange(q)
+                dtype = np.int32 if q ** m <= 2 ** 31 else np.int64
+                sub = self.ctx.sub_bulk(grid[:, None], grid[None, :]).astype(dtype).ravel()
+                kernel = [(a, None, S * dtype(q ** (m - 2 - j))) if S is not None else
+                          (a, F.astype(np.int32) * q, sub * dtype(q ** (m - 2 - j)))
+                          for j, (a, F, S) in enumerate(tabs)]
+            object.__setattr__(self, "_kernel", kernel)
+        return self._kernel
+
     def bipartite_arrays(self):
         """The incidence graph's array rule (graphs.materialize): point ids
         0..q^m-1, then line ids, each row by ascending first coordinate of
         the neighbour; no loops."""
         ns = self.side_size
-        coords = [c[:, None] for c in self.ids_to_coords(np.arange(ns))]
+        coords = self.ids_to_coords(np.arange(ns))
         first = np.arange(self.ctx.order, dtype=self.ctx.dtype)[None, :]
-        lines = ns + self.coords_to_ids(self.line_through_bulk(coords, first))
-        points = self.coords_to_ids(self.point_on_bulk(coords, first))
-        return np.concatenate([lines, points]), np.empty(0, dtype=np.int64)
+        lines = ns + self.coords_to_ids(self.line_through_bulk([c[:, None] for c in coords], first))
+        return np.concatenate([lines, self.point_ids(coords)]), np.empty(0, dtype=np.int64)
 
     def translation_ids(self, pol=None):
         """T as ascending point ids, all below q^(m-1): every t with t_1 = 0,
@@ -479,11 +525,16 @@ def check_polarity(spec: ADGSpec, pol: PolaritySpec, mode="exhaustive",
 # on a 2-core host, and about 2.3e13 at q = 2187 (e = 3), too many to run.
 ABSOLUTE_SCAN_LIMIT = 10 ** 10
 
-# Entries each ADGSpec.solves() table may hold, and so each of
-# PolarityGraph._id_kernel's folded tables, about 1 MB of int32.  Above it
-# (plane q >= 9, gq e >= 3, gh e >= 2) solve_bulk subtracts by sub_bulk,
-# and the id tables keep the q x q form: at m = 2 the folded table would
-# hold q^3 = n*q entries, as many as the whole neighbour table.
+# Entries each equation table F of ADGSpec.tables() may hold, 8 MB of
+# int16: orders up to 2048 (plane q <= 45, gq e <= 5, gh e <= 2).  Above
+# it (gh e = 3) every equation goes to the expression evaluator.
+TABLE_BUDGET = 1 << 22
+
+# Entries each solve table S of ADGSpec.tables() may hold, and so each of
+# the folded id-kernel tables, about 1 MB of int32.  Above it (plane
+# q >= 9, gq e >= 3, gh e >= 2) solve_bulk subtracts by sub_bulk, and the
+# id kernel keeps the q x q form: at m = 2 a folded table would hold
+# q^3 = n*q entries, as many as the whole neighbour table.
 FOLD_BUDGET = 1 << 18
 
 # Neighbour slots per block of PolarityGraph.neighbor_ids, few enough that
@@ -521,70 +572,20 @@ class PolarityGraph:
 
     def neighbor_ids(self, ids):
         """neighbors_coords on int ids: the (N, q) int64 ids of the points
-        on each vertex's polar line l, by ascending first coordinate t, with
-        -1 where that point is the vertex itself, which can only be at t = p_1.
-
-        Point t on l has id t*q^(m-1) + sum_j sub[f_j, l_{j+2}]*q^(m-2-j).
-        When every equation has a table (spec.tables()), f_j for all q
-        values of t is the table row F_j[l_a], so each term is a gather
-        from _id_kernel's tables and no coordinates are built.  Otherwise
-        point_on_bulk solves the points on coordinates.  Vertices go in
-        blocks of ID_BLOCK // q.
+        on each vertex's polar line (spec.point_ids), by ascending first
+        coordinate t, with -1 where that point is the vertex itself, which
+        can only be at t = p_1.  Vertices go in blocks of ID_BLOCK // q.
         """
-        spec, ctx = self.spec, self.spec.ctx
-        q, m = ctx.order, spec.m
+        spec, q = self.spec, self.spec.ctx.order
         ids = np.asarray(ids, dtype=np.int64)
-        kernel = self._id_kernel()
         nb = np.empty((len(ids), q), dtype=np.int64)
         step = max(1, ID_BLOCK // q)
         for lo in range(0, len(ids), step):
-            lv = self.pol.polar(ctx, spec.ids_to_coords(ids[lo:lo + step]))
-            if kernel is None:
-                t = np.arange(q, dtype=ctx.dtype)[None, :]
-                nb[lo:lo + step] = spec.coords_to_ids(spec.point_on_bulk([c[:, None] for c in lv], t))
-                continue
-            total = np.arange(0, q ** m, q ** (m - 1), dtype=kernel[0][2].dtype)  # t*q^(m-1)
-            for j, (a, index, table) in enumerate(kernel):
-                if index is None:  # folded: the row of (l_a, l_{j+2})
-                    term = table.take(lv[a].astype(np.intp) * q + lv[j + 1], axis=0)
-                else:
-                    term = index.take(lv[a], axis=0)
-                    term += lv[j + 1][:, None]
-                    term = table.take(term)
-                term += total
-                total = term
-            nb[lo:lo + step] = total
-        at = np.arange(0, nb.size, q) + ids // q ** (m - 1)
+            lv = self.pol.polar(spec.ctx, spec.ids_to_coords(ids[lo:lo + step]))
+            nb[lo:lo + step] = spec.point_ids(lv)
+        at = np.arange(0, nb.size, q) + ids // q ** (spec.m - 1)
         np.put(nb, at[nb.take(at) == ids], -1)
         return nb
-
-    def _id_kernel(self):
-        """Per equation j, (a, index, table), cached; None unless every
-        equation has a table F_j, reading l_{a+1} (spec.tables()).  Table
-        entries are int32 while ids are, int64 otherwise.
-
-        Folded, where every equation has a solve table S_j (spec.solves()),
-        index is None and table[l_a*q + l_{j+2}, t] = S_j[l_a, t, l_{j+2}]
-        * q^(m-2-j).  Otherwise index is F_j*q as int32 and table the q x q
-        subtraction table, flattened and scaled by q^(m-2-j).
-        """
-        if not hasattr(self, "_kernel"):
-            spec, ctx = self.spec, self.spec.ctx
-            q, m, tabs, solves = ctx.order, spec.m, spec.tables(), spec.solves()
-            self._kernel = None
-            if None not in tabs:
-                grid = np.arange(q)
-                dtype = np.int32 if q ** m <= 2 ** 31 else np.int64
-                sub = ctx.sub_bulk(grid[:, None], grid[None, :]).astype(dtype).ravel()
-                self._kernel = []
-                for j, ((a, table), solve) in enumerate(zip(tabs, solves)):
-                    scale = dtype(q ** (m - 2 - j))
-                    if None not in solves:  # S_j[u, t, l] -> [u*q + l, t]
-                        rows = solve[1].reshape(q, q, q).transpose(0, 2, 1).reshape(q * q, q)
-                        self._kernel.append((a, None, rows.astype(dtype) * scale))
-                    else:
-                        self._kernel.append((a, table.astype(np.int32) * q, sub * scale))
-        return self._kernel
 
     def scan_stages(self):
         """The absolute-point scan's order: (coordinate index, equations)

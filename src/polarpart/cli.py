@@ -90,7 +90,10 @@ def _stem(args) -> str:
 
 def _bundle(args):
     """family_bundle for the arguments, unread settings refused by _check_settings."""
-    spec_json = None if args.spec is None else json.loads(Path(args.spec).read_text())
+    try:
+        spec_json = None if args.spec is None else json.loads(Path(args.spec).read_text())
+    except RecursionError:  # the parser recurses once a level
+        raise ValueError(f"spec nests deeper than {adg.MAX_SPEC_DEPTH} levels") from None
     return ver.family_bundle(args.family, q=args.q, e=args.e,
                              allow_small_e=bool(args.override_small_e), spec_json=spec_json)
 
@@ -188,7 +191,7 @@ def cmd_verify(args) -> int:
     if args.family == "gh-original":
         report = ver.verify_gh_original(args.q, materialize_limit=args.limit)
     else:
-        graph = read_edge_list(Path(args.edges).read_text()) if args.edges else None
+        graph = read_edge_list(Path(args.edges).read_text(), args.limit) if args.edges else None
         partition = read_partition(Path(args.partition).read_text()) if args.partition else None
         report = ver.verify_family(args.family, mode=args.mode, seed=args.seed,
                                    materialize_limit=args.limit, graph=graph,
@@ -223,9 +226,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    g = read_edge_list(Path(args.edges).read_text())
-    if g.n > ver.ORACLE_MAX_N:
-        raise ValueError(f"oracle ceiling is {ver.ORACLE_MAX_N} vertices, got {g.n}")
+    g = read_edge_list(Path(args.edges).read_text(), ver.ORACLE_MAX_N)
     psi, chi_a = ver._psi_chi_a(g)
     chi = ver.chromatic_number(g)
     print(f"psi {psi}")

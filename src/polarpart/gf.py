@@ -23,9 +23,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# Side of the largest square lookup table any layer builds: a digit
-# block's add/sub tables, ADGSpec.tables() and the neighbour-id kernel stay
-# within TABLE_SIDE**2 cells at every order.
+# Side of a digit block's add/sub tables, which stay within TABLE_SIDE**2
+# cells at every order.  A spec's equation tables have their own budget,
+# adg.TABLE_BUDGET.
 TABLE_SIDE = 512
 
 # Hard ceiling on p^k (well above the 3^10 the constructions need).

@@ -468,14 +468,18 @@ def _ints(what, i, ln, fields, count):
     return vals
 
 
-def read_edge_list(text: str) -> Graph:
+def read_edge_list(text: str, limit: int) -> Graph:
     """Parse write_edge_list's format strictly: every vertex in 0..n-1, no
-    repeated edge or loop line, and the header's counts match the body."""
+    repeated edge or loop line, and the header's counts match the body.  A
+    header n above the caller's ceiling `limit` is refused before the graph
+    is built."""
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("edge list is empty")
     i, ln = lines[0]
     n, m, nloops = _ints("edge list", i, ln, ln.split(), 3)
+    if n > limit:
+        raise ValueError(f"edge list line {i}: {n} vertices exceed the ceiling {limit}: {ln!r}")
     edges, loops, seen = [], [], set()
     for i, ln in lines[1:]:
         fields = ln.split()
@@ -510,7 +514,8 @@ def write_partition(part: Partition) -> str:
 
 def read_partition(text: str) -> Partition:
     """Parse write_partition's format strictly: each vertex of 0..N-1 on
-    exactly one line, N the number of lines, classes non-negative."""
+    exactly one line, N the number of lines, classes in 0..N-1 (a class at
+    N or above would leave some class empty)."""
     class_of, line_of = {}, {}
     for i, ln in enumerate(text.splitlines(), 1):
         if ln.strip():
@@ -526,4 +531,6 @@ def read_partition(text: str) -> Partition:
     for v, i in line_of.items():
         if not 0 <= v < n:
             raise ValueError(f"partition line {i}: vertex {v} outside 0..{n - 1} ({n} lines)")
+        if class_of[v] >= n:
+            raise ValueError(f"partition line {i}: class {class_of[v]} at or above the line count {n}")
     return Partition([class_of[v] for v in range(n)], max(class_of.values()) + 1)

@@ -334,11 +334,13 @@ def test_degree_relation_exhaustive_plane_and_gq():
 
 # -- bulk kernel against the scalar reference ---------------------------------
 
-FOLD_BUDGET_ABOVE_ALL = 1 << 30
+# above q^3 of every family the tests fold, up to plane q=9 (order 81);
+# plane q=23's q^3 = 1.5e8 stays above it, its solve tables would take 300 MB
+FOLD_BUDGET_ABOVE_ALL = 1 << 22
 
 BULK_FAMILIES = {
     "plane q=3": lambda: plane_family(3),
-    "plane q=23": lambda: plane_family(23),  # GF(529): two digit blocks, no tables()
+    "plane q=23": lambda: plane_family(23),  # GF(529): two digit blocks
     "gq e=1": lambda: gq_family(1),
     "gh e=1": lambda: gh_family(1),
 }
@@ -449,7 +451,7 @@ def test_equation_tables_match_the_evaluator(name, make_spec, rows):
     for j, (f, tab) in enumerate(zip(spec.fs, spec.tables())):
         if tab is None:
             continue
-        a, table = tab
+        a, table, _ = tab
         assert table.dtype == np.int16 and table.shape == (q, q)
         # every other coordinate random: the table may not depend on it
         lv = [rng.integers(0, q, (q, q)).astype(np.int16) for _ in range(spec.m)]
@@ -468,7 +470,7 @@ def test_neighbor_ids_match_scalar_on_every_id(name):
     spec, pol = make_family()
     assert [tab is not None for tab in spec.tables()] == tabulated
     pg = adg.PolarityGraph(spec, pol)
-    assert (pg._id_kernel() is None) == (not all(tabulated))
+    assert (spec.id_kernel() is None) == (not all(tabulated))
     nb = pg.neighbor_ids(np.arange(pg.n))
     assert nb.shape == (pg.n, spec.ctx.order)
     assert nb.tolist() == [_scalar_neighbor_ids(pg, p) for p in _all_coords(spec)]
@@ -486,11 +488,11 @@ def test_folded_and_square_id_kernels_agree(name, make_family, samples, monkeypa
     out = {}
     for budget, folded in ((0, False), (FOLD_BUDGET_ABOVE_ALL, True)):
         monkeypatch.setattr(adg, "FOLD_BUDGET", budget)
-        spec, pol = make_family()  # fresh: solves() is cached on the spec
+        spec, pol = make_family()  # fresh: tables() is cached on the spec
         q, n = spec.ctx.order, spec.side_size
-        assert (None not in spec.solves()) == folded
+        assert all(S is not None for _, _, S in spec.tables()) == folded
         pg = adg.PolarityGraph(spec, pol)
-        for _, index, table in pg._id_kernel():
+        for _, index, table in spec.id_kernel():
             assert table.dtype == np.int32
             if folded:
                 assert index is None and table.shape == (q * q, q)
@@ -518,8 +520,32 @@ def test_folded_and_square_id_kernels_agree(name, make_family, samples, monkeypa
     ("plane q=9", lambda: plane_family(9), False),
 ])
 def test_which_specs_fold_their_id_tables(name, make_family, folds):
-    kernel = adg.PolarityGraph(*make_family())._id_kernel()
+    kernel = make_family()[0].id_kernel()
     assert [index is None for _, index, _ in kernel] == [folds] * len(kernel)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FAMILIES) + ["plane q=23"])
+def test_point_ids_match_the_coordinate_path(name):
+    """point_ids (bipartite_arrays' line rows and neighbor_ids' kernel),
+    neighbor_ids and absolute_ids against the coordinate path, on every id
+    or, at plane q=23 (order 529, tabulated), on sampled ones."""
+    if name == "plane q=23":
+        spec, pol = plane_family(23)
+        ids = np.random.default_rng(23).integers(0, spec.side_size, 5000)
+        assert spec.id_kernel() is not None
+    else:
+        spec, pol = KERNEL_FAMILIES[name][0]()
+        ids = np.arange(spec.side_size)
+    coords = spec.ids_to_coords(ids)
+    every = np.arange(spec.ctx.order, dtype=spec.ctx.dtype)[None, :]
+    rows = spec.coords_to_ids(spec.point_on_bulk([c[:, None] for c in coords], every))
+    assert np.array_equal(spec.point_ids(coords), rows)
+    if name != "plane q=23":
+        assert np.array_equal(spec.bipartite_arrays()[0][spec.side_size:], rows)
+    pg = adg.PolarityGraph(spec, pol)
+    nbs, not_self = _reference_neighbors_bulk(pg, coords)
+    assert np.array_equal(pg.neighbor_ids(ids), np.where(not_self, spec.coords_to_ids(nbs), -1))
+    assert np.array_equal(pg.absolute_ids(), _reference_absolute_ids(pg))
 
 
 def test_absolute_scan_leaves_no_reference_cycle():
@@ -576,9 +602,9 @@ def test_no_neighbour_row_holds_its_own_id(name, make_family, samples):
 def test_incident_bulk_matches_scalar(family, monkeypatch):
     for budget in (0, FOLD_BUDGET_ABOVE_ALL):  # without and with solve tables
         monkeypatch.setattr(adg, "FOLD_BUDGET", budget)
-        spec, pol = BULK_FAMILIES[family]()  # fresh: solves() is cached on the spec
-        assert [s is not None for s in spec.solves()] == \
-            [budget > 0 and t is not None for t in spec.tables()]
+        spec, pol = BULK_FAMILIES[family]()  # fresh: tables() is cached on the spec
+        assert [t is not None and t[2] is not None for t in spec.tables()] == \
+            [t is not None and spec.ctx.order ** 3 <= budget for t in spec.tables()]
         _check_incidence_bulk_against_scalar(spec, pol)
 
 
@@ -621,8 +647,8 @@ def test_a_tampered_solve_entry_fails_incidence():
     line = spec.line_through(p, 2)
     pv, lv = _arrays([p]), _arrays([line])
     assert spec.incident_bulk(pv, lv).tolist() == [True]
-    a, table = spec.solves()[1]
-    at = (line[a] * q + p[0]) * q + p[2]  # S_1 at (l_{a+1}, p_1, p_3): l_3
+    a, _, table = spec.tables()[1]
+    at = line[a] * q + p[2], p[0]  # S_1 at row (l_{a+1}, p_3), column p_1: l_3
     assert table[at] == line[2]
     table[at] = (table[at] + 1) % q
     assert spec.incident_bulk(pv, lv).tolist() == [False]
@@ -692,11 +718,14 @@ def test_plane_q7_girths():
 
 
 def test_fields_above_table_side_keep_the_array_rules():
-    # materializing plane q=23 needs more than 1 GB, so only the kernels'
-    # fallback is checked here
-    spec, pol = plane_family(23)  # GF(529): q > TABLE_SIDE
-    pg = adg.PolarityGraph(spec, pol)
-    assert spec.tables() == [None] and pg._id_kernel() is None
+    # gh e=3 has 2187^2 > TABLE_BUDGET, and too many vertices to
+    # materialize, so only the kernels' fallback is checked here
+    spec = gh_adjacency_spec(2187)
+    assert spec.ctx.order ** 2 > adg.TABLE_BUDGET
+    assert spec.tables() == [None] * 4 and spec.id_kernel() is None
+    lines = spec.ids_to_coords(np.random.default_rng(1).integers(0, spec.side_size, 3))
+    for line, row in zip(zip(*(c.tolist() for c in lines)), spec.point_ids(lines).tolist()):
+        assert row == [_coords_to_id(spec, spec.point_on(line, t)) for t in range(2187)]
 
 
 def _reference_absolute_ids(pg, chunk=1 << 20):

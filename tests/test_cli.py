@@ -94,7 +94,7 @@ def test_verify_edge_list_with_a_c4_closing_edge(tmp_path, q):
     assert report["cycles"] == {"C4": "fail"}
     assert ["C4", witness] in report["witnesses"]
     assert hashlib.sha256(text).hexdigest() == digest
-    g = read_edge_list(tampered.read_text())
+    g = read_edge_list(tampered.read_text(), 10 ** 6)
     assert list(_reference_find_even_cycle(g, 2)) == witness
 
 
@@ -189,6 +189,51 @@ def test_oracle_ceiling(tmp_path, capsys):
     assert run(["oracle", "--edges", str(edges)]) == 2
 
 
+# oversized inputs, each of which sized an allocation before it was checked:
+# (flag, file text, message)
+OVERSIZED_FILES = {
+    "edge list header 10^9": ("--edges", "999999999 0 0\n",
+                              "edge list line 1: 999999999 vertices exceed the ceiling"),
+    "partition class 10^9": ("--partition", "0 999999999\n",
+                             "partition line 1: class 999999999 at or above the line count 1"),
+    "partition class 10^20": ("--partition", "0 99999999999999999999\n",
+                              "partition line 1: class 99999999999999999999 at or above"),
+}
+
+
+def test_oracle_refuses_an_oversized_header_before_building(tmp_path, capsys):
+    edges = tmp_path / "huge.edges"
+    edges.write_text(OVERSIZED_FILES["edge list header 10^9"][1])
+    assert run(["oracle", "--edges", str(edges)]) == 2
+    assert capsys.readouterr().err == (
+        "error: edge list line 1: 999999999 vertices exceed the ceiling 12: '999999999 0 0'\n")
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED_FILES))
+def test_verify_refuses_oversized_files_before_building(tmp_path, capsys, name):
+    flag, text, message = OVERSIZED_FILES[name]
+    (tmp_path / "huge").write_text(text)
+    argv = ["verify", "plane", "--q", "3", flag, str(tmp_path / "huge"), "--out", str(tmp_path / "o")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("levels", [96, 97, 950, 5000])
+def test_verify_refuses_a_deeply_nested_spec(tmp_path, capsys, levels):
+    # f_2 = p_1 l_1 under `levels` negations nests levels + 4 deep with the
+    # spec object and its fs list; 950 levels overflowed the recursive tree
+    # walks, and 5000 the JSON parser
+    path = tmp_path / "deep.json"
+    expr = '["neg", ' * levels + '["mul", ["var", "p", 1], ["var", "l", 1]]' + "]" * levels
+    path.write_text('{"field": {"p": 3, "k": 2}, "m": 2, "fs": [%s]}' % expr)
+    rc = run(["verify", "generic", "--spec", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if levels + 4 <= adg.MAX_SPEC_DEPTH:
+        assert rc == 0 and err == ""
+    else:
+        assert rc == 2 and err == f"error: spec nests deeper than {adg.MAX_SPEC_DEPTH} levels\n"
+
+
 def test_oracle_on_a_graph_with_no_vertices(tmp_path, capsys):
     edges = tmp_path / "empty.txt"
     edges.write_text("0 0 0\n")
@@ -252,7 +297,7 @@ def test_report_gh_original_builds_then_verifies(tmp_path, monkeypatch):
     assert run(["verify", "gh-original", "--q", "3", "--out", str(ver)]) == 0
     name = "gh-original_q3.report.json"
     assert (rep / name).read_bytes() == (ver / name).read_bytes()
-    g = read_edge_list((rep / "gh-original_q3.edges").read_text())
+    g = read_edge_list((rep / "gh-original_q3.edges").read_text(), 486)
     assert (g.n, len(list(g.edges()))) == (486, 729)
     spec = gh_original_family(3)[0]
     assert g.adj == materialize(g.n, spec.bipartite_arrays, g.n).adj

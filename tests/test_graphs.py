@@ -574,7 +574,7 @@ def test_edge_list_round_trip():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 4)], loops=[2, 3])
     text = write_edge_list(g)
     assert text.splitlines()[0] == "5 3 2"
-    h = read_edge_list(text)
+    h = read_edge_list(text, 5)
     assert h.adj == g.adj and np.array_equal(h.loops, g.loops)
     assert write_edge_list(h) == text
 
@@ -602,7 +602,7 @@ def test_edge_list_blocks_keep_the_bytes(monkeypatch, block):
 
 def test_edge_list_header_mismatch():
     with pytest.raises(ValueError):
-        read_edge_list("2 1 0\n")
+        read_edge_list("2 1 0\n", 2)
 
 
 MALFORMED_EDGE_LISTS = {
@@ -616,6 +616,7 @@ MALFORMED_EDGE_LISTS = {
     "three fields": ("3 1 0\n0 1 2\n", "line 2"),
     "not a number": ("3 1 0\n0 x\n", "line 2"),
     "short header": ("3 1\n0 1\n", "line 1"),
+    "header above the ceiling": ("999999999 0 0\n", "line 1: 999999999 vertices exceed the ceiling 3"),
 }
 
 
@@ -623,7 +624,7 @@ MALFORMED_EDGE_LISTS = {
 def test_edge_list_rejects_malformed_line(name):
     text, where = MALFORMED_EDGE_LISTS[name]
     with pytest.raises(ValueError, match=where):
-        read_edge_list(text)
+        read_edge_list(text, 3)
 
 
 MALFORMED_PARTITIONS = {
@@ -631,6 +632,9 @@ MALFORMED_PARTITIONS = {
     "repeated vertex": ("0 0\n1 0\n1 1\n", "line 3"),
     "negative class": ("0 0\n1 -1\n", "line 2"),
     "one field": ("0 0\n1\n", "line 2"),
+    "class at the line count": ("0 0\n1 2\n", "line 2: class 2 at or above the line count 2"),
+    "class 10^9": ("0 999999999\n", "line 1: class 999999999 at or above"),
+    "class 10^20": ("0 99999999999999999999\n", "line 1: class 99999999999999999999 at or above"),
 }
 
 
