@@ -191,17 +191,24 @@ class ADGSpec:
 
     @classmethod
     def from_json(cls, obj):
-        """The spec {"field": {"p", "k"}, "m", "fs"}, each f an expression
-        tree as nested lists; malformed input raises ValueError."""
+        """The spec {"field": {"p", "k", "modulus"?}, "m", "fs"}, each f an
+        expression tree as nested lists; malformed input raises ValueError."""
         if _nesting(obj) > MAX_SPEC_DEPTH:
             raise ValueError(f"spec nests deeper than {MAX_SPEC_DEPTH} levels")
         try:
-            p, k, m, fs = obj["field"]["p"], obj["field"]["k"], obj["m"], obj["fs"]
+            field, m, fs = obj["field"], obj["m"], obj["fs"]
+            p, k = field["p"], field["k"]
+            unknown = sorted({*obj} - {"field", "m", "fs"} | {*field} - {"p", "k", "modulus"})
         except (KeyError, TypeError):
             raise ValueError('a spec is an object {"field": {"p", "k"}, "m", "fs"}') from None
+        if unknown:
+            raise ValueError(f"unknown spec key {unknown[0]!r}")
         if not (_is_int(p) and _is_int(k) and isinstance(fs, list)):
             raise ValueError("spec field p and k must be ints and fs a list")
-        return cls(make_field(p, k), m, tuple(map(expr_from_json, fs)))
+        ctx = make_field(p, k)
+        if field.get("modulus", list(ctx.modulus)) != list(ctx.modulus):
+            raise ValueError(f"modulus {field['modulus']}: GF({ctx.order}) has {[*ctx.modulus]}")
+        return cls(ctx, m, tuple(map(expr_from_json, fs)))
 
     # -- incidence ----------------------------------------------------------
 
@@ -546,7 +553,7 @@ ID_BLOCK = 1 << 16
 # operands, int32 indices and partial results then stay in L2.  On a
 # 2-core host 2^15 takes 4.3 ms on plane q=9's exhaustive polarity check
 # (4.9 ms at 2^14, 7.9 ms at 2^16) and 8.1 ms on the gh q=27 absolute scan
-# (6.8 ms at 2^14).  The gh-original check takes verify.GH_ORIGINAL_BLOCK.
+# (6.8 ms at 2^14).  verify_gh_original's grid slabs take GH_ORIGINAL_BLOCK.
 SWEEP_BLOCK = 1 << 15
 
 class PolarityGraph:

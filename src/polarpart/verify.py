@@ -9,6 +9,7 @@ seeded sampled protocol and say so in the report.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -793,50 +794,72 @@ def verify_family(family, *, q=None, e=None, mode=None, seed=0,
 # change-of-coordinates isomorphism check (hexagon systems)
 # ---------------------------------------------------------------------------
 
-# Incidences per block of verify_gh_original.  Its takes copy their int32
-# indices to intp, 128 KiB at 2^14, which glibc keeps on the heap: on a
-# 2-core host the q=9 check takes 21 ms with no minor fault, where at 2^15
-# it took 18.5-21.3 ms and 0-2,900 faults a call by what ran before it.
-GH_ORIGINAL_BLOCK = 1 << 14
+# Points per image block and per support-grid slab of verify_gh_original.
+# On a 2-core host the check takes 15-16 ms at q=9, at a 0.59 MB traced
+# peak (1.0 MB at 2^14, which raised the process peak), and 2.8 s at q=27.
+GH_ORIGINAL_BLOCK = 1 << 13
+
+
+def _equation_supports(spec, phi, target):
+    """S_j per equation j of target: the variables ("p", i) and ("l", 1), l_1
+    last, of an incidence (p, spec.line_through(p, l_1)) that its image reads."""
+    def reads(e, support):
+        return set().union(*(support[v] for v in adg.expr_vars(e)))
+    orig = {("p", i): {("p", i)} for i in range(1, spec.m + 1)} | {("l", 1): {("l", 1)}}
+    for i, f in enumerate(spec.fs):
+        orig["l", i + 2] = reads(f, orig) | {("p", i + 2)}
+    line = {("p", i): orig["l", i] for i in range(1, spec.m + 1)}  # phi's var_p on a line
+    image = {(s.lower(), i + 1): reads(e, orig if s == "P" else line)
+             for s in "PL" for i, e in enumerate(phi.exprs[s])}
+    return [sorted(reads(f, image) | image["p", j + 2] | image["l", j + 2],
+                   key=lambda v: (v[0] == "l", v[1])) for j, f in enumerate(target.fs)]
 
 
 def verify_gh_original(q, materialize_limit=DEFAULT_MATERIALIZE_LIMIT, graph=None):
     """Exhaustively confirm phi maps the cross-term hexagon system onto the
-    power-form one: bijective per side, every edge preserved.  Where it has
-    at most 1000 vertices, the report carries the girth of the cross-term
-    incidence graph: `graph`, or materialized before the sweep.
+    power-form one: bijective per side (id bitmaps), every edge preserved.
+    Where it has at most 1000 vertices, the report carries the girth of the
+    cross-term incidence graph: `graph`, or materialized first.
 
-    Bulk kernel, GH_ORIGINAL_BLOCK incidences a block: a block marks its images
-    per side in id bitmaps; the sweep stops at the first incidence, row
-    major (point id, first line coordinate), whose image is not an edge."""
+    Equation j of an incidence's image is constant outside its support S_j,
+    so S_j's grid, the rest at 0, covers every incidence, and zeroing lowers
+    id(p)*q + l_1: the least failing grid point over all j is the least
+    failing incidence, row major; edges_checked is its index, else q^6."""
     spec_orig, phi = adg.gh_original_family(q)
     spec_gh = adg.gh_adjacency_spec(q)
-    ns = spec_orig.side_size
-    if 2 * ns > 2 * materialize_limit:
-        raise ValueError(f"{2 * ns} vertices exceed the ceiling for the exhaustive map check")
+    ns, m, dtype = spec_orig.side_size, spec_orig.m, spec_orig.ctx.dtype
+    if ns > materialize_limit:
+        raise ValueError(f"{ns} points a side exceed the map check ceiling {materialize_limit}")
     if graph is None and 2 * ns <= 1000:
         graph = materialize(2 * ns, spec_orig.bipartite_arrays, materialize_limit)
     images = {"P": np.zeros(ns, dtype=bool), "L": np.zeros(ns, dtype=bool)}
-    first = np.arange(q, dtype=spec_orig.ctx.dtype)[None, :]
-    step = max(1, GH_ORIGINAL_BLOCK // q)
+    for lo in range(0, ns, GH_ORIGINAL_BLOCK):
+        coords = spec_orig.ids_to_coords(np.arange(lo, min(lo + GH_ORIGINAL_BLOCK, ns)))
+        for side in "PL":
+            images[side][spec_gh.coords_to_ids(phi.bulk(side, coords))] = True
+    edges_checked, zero = q ** 6, dtype.type(0)
+    for j, support in enumerate(_equation_supports(spec_orig, phi, spec_gh)):
+        # a slab: the leading variables fixed, `span` values of the next, all of the tail
+        k = len(support)
+        tail = max(t for t in range(k) if q ** t <= GH_ORIGINAL_BLOCK)
+        span = min(q, GH_ORIGINAL_BLOCK // q ** tail)
+        grid = [a.ravel() for a in np.indices((span,) + (q,) * tail, dtype=dtype)]
+        for *head, v0 in itertools.product(*[range(q)] * (k - 1 - tail), range(0, q, span)):
+            size = min(span, q - v0) * q ** tail
+            var = dict(zip(support, [*map(dtype.type, head), grid[0][:size] + dtype.type(v0),
+                                     *(a[:size] for a in grid[1:])]))
+            pv, l1 = [var.get(("p", i), zero) for i in range(1, m + 1)], var.get(("l", 1), zero)
+            fp, fl = phi.bulk("P", pv), phi.bulk("L", spec_orig.line_through_bulk(pv, l1))
+            bad = np.flatnonzero(fl[j + 1] != spec_gh.solve_bulk(j, fl, fp, fp[j + 1]))
+            if bad.size:  # the slab's least failure, as id(p)*q + l_1
+                at = [np.broadcast_to(x, (size,))[bad[0]] for x in (*pv, l1)]
+                edges_checked = min(edges_checked, int(np.ravel_multi_index(at, (q,) * (m + 1))))
+                break
     witness = None
-    edges_checked = 0
-    for lo in range(0, ns, step):
-        coords = spec_orig.ids_to_coords(np.arange(lo, min(lo + step, ns)))
-        fp = phi.bulk("P", coords)
-        images["P"][spec_gh.coords_to_ids(fp)] = True
-        images["L"][spec_gh.coords_to_ids(phi.bulk("L", coords))] = True
-        if witness is not None:
-            continue
-        lines = spec_orig.line_through_bulk([c[:, None] for c in coords], first)
-        ok = spec_gh.incident_bulk([c[:, None] for c in fp], phi.bulk("L", lines)).ravel()
-        j = int(ok.argmin())
-        if ok[j]:
-            edges_checked += ok.size
-            continue
-        edges_checked += j
-        i, l1 = divmod(j, q)
-        witness = (adg._row(coords, i), tuple(int(c[i, l1]) for c in lines))
+    if edges_checked < q ** 6:
+        p = spec_orig.ids_to_coords([edges_checked // q])
+        line = spec_orig.line_through_bulk(p, np.array([edges_checked % q], dtype))
+        witness = (adg._row(p, 0), adg._row(line, 0))
     bijective_points, bijective_lines = (bool(images[s].all()) for s in "PL")
     report = {
         "family": "gh-original",

@@ -156,6 +156,11 @@ P1L1 = ["mul", ["var", "p", 1], ["var", "l", 1]]
     ("var side x", {"field": GF4, "m": 2, "fs": [["mul", ["var", "x", 1], ["var", "l", 1]]]},
      "bad coordinate"),
     ("const outside the field", {"field": GF4, "m": 2, "fs": [["const", 4]]}, "not an element"),
+    ("modulus other than make_field's", {"field": {"p": 3, "k": 2, "modulus": [2, 1, 1]}, "m": 2,
+                                         "fs": [P1L1]}, "modulus [2, 1, 1]: GF(9) has [1, 0, 1]"),
+    ("unknown top-level key", {"field": GF4, "M": 3, "m": 2, "fs": [P1L1]}, "unknown spec key 'M'"),
+    ("unknown field key", {"field": {**GF4, "mod": [1, 1, 1]}, "m": 2, "fs": [P1L1]},
+     "unknown spec key 'mod'"),
 ])
 def test_verify_malformed_spec_exits_2(tmp_path, capsys, name, spec, message):
     path = tmp_path / "bad.json"
@@ -325,6 +330,14 @@ def test_gh_original_refuses_a_low_ceiling_before_the_map_sweep(tmp_path, capsys
     assert run(argv) == 2
     assert capsys.readouterr().err == f"error: 486 vertices exceed materialization ceiling {limit}\n"
     assert os.listdir(tmp_path) == []
+
+
+def test_gh_original_names_the_map_check_ceiling(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["verify", "gh-original", "--q", "27", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 14348907 points a side exceed the map check ceiling 2000000\n")
+    assert not out.exists()
 
 
 def test_report_builds_each_object_once(tmp_path, monkeypatch):

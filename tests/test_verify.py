@@ -696,51 +696,123 @@ def _reference_verify_gh_original(q, materialize_limit=verify.DEFAULT_MATERIALIZ
     return report
 
 
-def _tampered_phi(monkeypatch, tamper):
-    """Make gh_original_family return phi with its expressions tampered."""
+def _tampered_family(monkeypatch, tamper):
+    """Make gh_original_family return its spec's fs and phi's expressions
+    tampered: tamper(fs, P, L) -> (fs, P, L)."""
     family = adg.gh_original_family
 
     def tampered(q):
         spec, phi = family(q)
-        points, lines = tamper(phi.exprs["P"], phi.exprs["L"])
-        return spec, adg.CoordinateMap(spec.ctx, points, lines)
+        fs, points, lines = tamper(spec.fs, phi.exprs["P"], phi.exprs["L"])
+        return adg.ADGSpec(spec.ctx, spec.m, fs), adg.CoordinateMap(spec.ctx, points, lines)
 
     monkeypatch.setattr(adg, "gh_original_family", tampered)
 
 
 c1, c2, c3, c4, c5 = (adg.var_p(i) for i in range(1, 6))
-PHI_TAMPERS = {
+GH_ORIGINAL_TAMPERS = {
     "intact": None,
     # shifts the point image's fifth coordinate where c1 c2 c4 != 0: still
     # bijective, and the first broken edge is far into the sweep
-    "edge": lambda P, L: (P[:4] + (adg.add(P[4], adg.mul(adg.mul(c1, c2), c4)),), L),
+    "edge": lambda fs, P, L: (fs, P[:4] + (adg.add(P[4], adg.mul(adg.mul(c1, c2), c4)),), L),
     # shifts the line image's fifth coordinate where l1 != 0: still
     # bijective, and the first broken edge is the second line through 0
-    "edge-line": lambda P, L: (P, L[:4] + (adg.add(L[4], adg.mul(c1, c1)),)),
+    "edge-line": lambda fs, P, L: (fs, P, L[:4] + (adg.add(L[4], adg.mul(c1, c1)),)),
     # drops c5 from the line image's fifth coordinate: not bijective on lines
-    "bijective": lambda P, L: (P, L[:4] + (adg.mul(c2, c3),)),
+    "bijective": lambda fs, P, L: (fs, P, L[:4] + (adg.mul(c2, c3),)),
+    # shifts the line image's third coordinate by l1 l4: still bijective,
+    # breaks equation 1 only, and widens its support by p4
+    "equation-1": lambda fs, P, L: (fs, P, L[:2] + (adg.add(L[2], adg.mul(c1, c4)),) + L[3:]),
+    # shifts the point image's fourth coordinate by c1 c5: still bijective
+    # (c5 comes from the fifth), breaks equation 2 only, and widens its support by p5
+    "equation-2": lambda fs, P, L: (fs, P[:3] + (adg.add(P[3], adg.mul(c1, c5)),) + P[4:], L),
+    # adds p4 l1 to the cross-term spec's f_3, the fifth line coordinate's
+    # equation: phi is intact, but no longer maps this system onto the power form
+    "spec-f3": lambda fs, P, L: (fs[:3] + (adg.add(fs[3], adg.mul(c4, adg.var_l(1))),), P, L),
+    # the equation-1 and edge tampers at once: equation 1 fails first, at
+    # a lower incidence than equation 3's first failure
+    "two-equations": lambda fs, P, L: GH_ORIGINAL_TAMPERS["edge"](
+        *GH_ORIGINAL_TAMPERS["equation-1"](fs, P, L)),
 }
+# (equation, point coordinate) pairs each tamper adds to the supports at q=9
+WIDENED = {"edge": [(3, 4)], "equation-1": [(1, 4)], "equation-2": [(2, 5)], "spec-f3": [(3, 4)],
+           "two-equations": [(1, 4), (3, 4)]}
 
 
-@pytest.mark.parametrize("tamper", sorted(PHI_TAMPERS))
+def _support_grid(*points):
+    return [("p", i) for i in points] + [("l", 1)]
+
+
+def _gh_original_supports(q):
+    spec, phi = adg.gh_original_family(q)
+    return verify._equation_supports(spec, phi, adg.gh_adjacency_spec(q))
+
+
+def test_equation_supports_pin_each_grid(monkeypatch):
+    intact = [_support_grid(1, 2), _support_grid(1, 2, 3), _support_grid(1, 2, 3, 4),
+              _support_grid(1, 2, 3, 5)]
+    assert _gh_original_supports(9) == intact
+    assert sum(9 ** len(s) for s in intact) == 125_388  # against 4 * 9^6 = 2,125,764
+    for tamper in sorted(set(GH_ORIGINAL_TAMPERS) - {"intact"}):
+        _tampered_family(monkeypatch, GH_ORIGINAL_TAMPERS[tamper])
+        expected = [list(s) for s in intact]
+        for j, i in WIDENED.get(tamper, []):  # a new variable widens only its own S_j
+            expected[j] = _support_grid(*sorted({i, *(k for _, k in intact[j][:-1])}))
+        assert _gh_original_supports(9) == expected, tamper
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("q,blocks", [(3, (1, 2, 4, 10, 100, 1 << 14)),
+                                      (9, (900, 1 << 13, 1 << 14))])
+def test_gh_original_slabs_cover_each_grid_point_once(monkeypatch, q, blocks):
+    spec = adg.gh_original_family(q)[0]
+    graph = materialize(2 * spec.side_size, spec.bipartite_arrays, 1000) if q == 3 else None
+    grid = sum(q ** len(s) for s in _gh_original_supports(q))
+    sizes = []
+    through = adg.ADGSpec.line_through_bulk
+    monkeypatch.setattr(adg.ADGSpec, "line_through_bulk", lambda self, pv, l1: (
+        sizes.append(np.broadcast(*pv, l1).size) or through(self, pv, l1)))
+    for block in blocks:
+        monkeypatch.setattr(verify, "GH_ORIGINAL_BLOCK", block)
+        sizes.clear()
+        assert verify_gh_original(q, graph=graph)["ok"]
+        assert max(sizes) <= block and sum(sizes) == grid
+
+
+def _failing_equations(q, witness):
+    """The equations of the power-form system that the image of the
+    witness incidence (p, line) breaks, by the scalar path."""
+    phi = _coordinate_map(adg.gh_original_family(q)[1])
+    fp, fl = phi("P", witness[0]), phi("L", witness[1])
+    target = adg.gh_adjacency_spec(q)
+    return [j for j, fn in enumerate(target.compiled())
+            if target.ctx.add(fl[j + 1], fp[j + 1]) != fn(fl, fp)]
+
+
+@pytest.mark.parametrize("tamper", sorted(GH_ORIGINAL_TAMPERS))
 @pytest.mark.parametrize("q", [3, 9])
 def test_gh_original_matches_scalar_reference(monkeypatch, q, tamper):
-    if PHI_TAMPERS[tamper] is not None:
-        _tampered_phi(monkeypatch, PHI_TAMPERS[tamper])
+    if GH_ORIGINAL_TAMPERS[tamper] is not None:
+        _tampered_family(monkeypatch, GH_ORIGINAL_TAMPERS[tamper])
     expected = _reference_verify_gh_original(q)
     assert expected["ok"] == (tamper == "intact")
     for budget in (0, FOLD_BUDGET_ABOVE_ALL):  # without and with solve tables
         monkeypatch.setattr(adg, "FOLD_BUDGET", budget)
         assert verify_gh_original(q) == expected
-    for points_per_block in (1, 100) if q == 3 else (100,):
+    for points_per_block in (1, 2, 100) if q == 3 else (100,):
         monkeypatch.setattr(verify, "GH_ORIGINAL_BLOCK", points_per_block * q)
         assert verify_gh_original(q) == expected
-    if tamper.startswith("edge"):
+    if tamper.startswith(("edge", "equation", "spec", "two")):
         assert expected["bijective_points"] and expected["bijective_lines"]
     if tamper == "edge":
         assert expected["edges_checked"] == q * (q ** 4 + q ** 3 + q)  # point (1, 1, 0, 1, 0)
     if tamper == "edge-line":
         assert expected["edges_checked"] == 1
+    if tamper.startswith("equation"):
+        assert _failing_equations(q, expected["witnesses"][0][1]) == [int(tamper[-1])]
+    if tamper == "two-equations":  # the least failure over both equations
+        assert _failing_equations(q, expected["witnesses"][0][1]) == [1]
+        assert expected["edges_checked"] < q * (q ** 4 + q ** 3 + q)
     if tamper == "bijective":
         assert expected["bijective_points"] and not expected["bijective_lines"]
 
