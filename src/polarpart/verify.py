@@ -34,6 +34,10 @@ SAMPLED_WITHIN = 10_000
 SAMPLED_DEGREES = 10_000
 SAMPLED_SYMMETRY = 10_000
 SAMPLED_CYCLE_ROOTS = {2: 200, 3: 30, 4: 3, 5: 1}
+# Last-layer keys one root of a sampled 2k-cycle search may hold, d^k at
+# degree d: gh q=27's C10 keeps 27^5 = 1.4e7; gh q=243's C8 would keep
+# 243^4 = 3.5e9, and ran out of memory.
+CYCLE_KEY_LIMIT = 10 ** 8
 
 
 def binom_upper_bound(edges: int) -> int:
@@ -585,10 +589,14 @@ def verify_family_sampled(bundle, *, seed=0,
     sampled class pairs plus full one-edge sweeps on a subsample; within-
     class, degree and adjacency-symmetry checks are sampled, and even
     cycles are searched from sampled roots.  The absolute-point count is
-    exact, from PolarityGraph.absolute_ids' staged scan.  Every phase reads
-    neighbours as ids from PolarityGraph.neighbor_ids and classes from the
-    scheme's class_of_ids; coordinates are built only for witnesses.  An
-    instance whose scan PolarityGraph.check_scan_bound refuses raises
+    exact, from PolarityGraph.absolute_ids' staged scan.  Every phase but
+    the substitution reads neighbours as ids from PolarityGraph.neighbor_ids
+    and classes from the scheme's class_of_ids, and builds coordinates only
+    for witnesses.  The substitution decodes the ids of its unique edges
+    (about 2e5) and tests them with incident_bulk, on purpose: an incidence
+    check that does not go through the id kernel.  An instance whose scan
+    PolarityGraph.check_scan_bound refuses, or a cycle length with roots
+    whose search would keep more than CYCLE_KEY_LIMIT keys a root, raises
     ValueError before any check runs.
     """
     spec, pol, scheme, _ = bundle
@@ -599,6 +607,11 @@ def verify_family_sampled(bundle, *, seed=0,
     m = spec.m
     rng = random.Random(seed)
     cycle_roots = dict(SAMPLED_CYCLE_ROOTS if cycle_roots is None else cycle_roots)
+    for k in FORBIDDEN[scheme.family]:
+        if cycle_roots.get(k, 1) and q ** k > CYCLE_KEY_LIMIT:
+            raise ValueError(
+                f"the C{2 * k} search may keep {q}^{k} = {q ** k:.2e} last-layer keys a root, "
+                f"above the limit CYCLE_KEY_LIMIT = {CYCLE_KEY_LIMIT:.0e}")
 
     pol_check = adg.check_polarity(spec, pol, mode="sampled",
                                    samples=SAMPLED_INCIDENCES, seed=seed)

@@ -492,7 +492,7 @@ def test_folded_and_square_id_kernels_agree(name, make_family, samples, monkeypa
         q, n = spec.ctx.order, spec.side_size
         assert all(S is not None for _, _, S in spec.tables()) == folded
         pg = adg.PolarityGraph(spec, pol)
-        for _, index, table in spec.id_kernel():
+        for _, _, index, table in spec.id_kernel(pol.point_to_line):
             assert table.dtype == np.int32
             if folded:
                 assert index is None and table.shape == (q * q, q)
@@ -521,7 +521,7 @@ def test_folded_and_square_id_kernels_agree(name, make_family, samples, monkeypa
 ])
 def test_which_specs_fold_their_id_tables(name, make_family, folds):
     kernel = make_family()[0].id_kernel()
-    assert [index is None for _, index, _ in kernel] == [folds] * len(kernel)
+    assert [index is None for _, _, index, _ in kernel] == [folds] * len(kernel)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_FAMILIES) + ["plane q=23"])
@@ -539,7 +539,7 @@ def test_point_ids_match_the_coordinate_path(name):
     coords = spec.ids_to_coords(ids)
     every = np.arange(spec.ctx.order, dtype=spec.ctx.dtype)[None, :]
     rows = spec.coords_to_ids(spec.point_on_bulk([c[:, None] for c in coords], every))
-    assert np.array_equal(spec.point_ids(coords), rows)
+    assert np.array_equal(spec.point_ids(coords, spec.id_kernel()), rows)
     if name != "plane q=23":
         assert np.array_equal(spec.bipartite_arrays()[0][spec.side_size:], rows)
     pg = adg.PolarityGraph(spec, pol)
@@ -570,6 +570,64 @@ def test_neighbor_ids_match_coordinate_kernel_gh_e1():
     nb = pg.neighbor_ids(ids)
     assert np.array_equal(nb, np.where(not_self, pg.spec.coords_to_ids(nbs), -1))
     assert (nb == -1).sum() >= 100
+
+
+def _twisted_polarities():
+    """PolaritySpecs for the kernel's composition, not all of them
+    polarities: each GH_TWISTS permutation with coordinate j twisted by
+    Frobenius^(j mod 2), as the scan tests build them, and by
+    Frobenius^((j + 1) mod 2), which twists the l_1 every equation reads.
+    The twists move elements of GF(27), not of GF(3)."""
+    return {(name, shift): PolaritySpec(*[tuple((s, (j + shift) % 2) for j, s in enumerate(src))] * 2)
+            for name, src in GH_TWISTS.items() for shift in (0, 1)}
+
+
+@pytest.mark.parametrize("budget", [0, FOLD_BUDGET_ABOVE_ALL], ids=["square", "folded"])
+@pytest.mark.parametrize("e", [0, 1], ids=["gh e=0", "gh e=1"])
+def test_neighbor_ids_compose_any_polarity_with_the_kernel(monkeypatch, budget, e):
+    """The id kernel is built per coordinate map: under every GH_TWISTS
+    rule set on one spec, neighbor_ids reads the twisted digits it should,
+    on every id of gh e=0 and on sampled gh e=1 ids."""
+    monkeypatch.setattr(adg, "FOLD_BUDGET", budget)
+    spec = gh_family(e, allow_small_e=True)[0]  # fresh: tables() is cached on the spec
+    ids = (np.arange(spec.side_size) if e == 0 else
+           np.random.default_rng(5).integers(0, spec.side_size, 2000))
+    coords = spec.ids_to_coords(ids)
+    for twist, pol in _twisted_polarities().items():
+        pg = adg.PolarityGraph(spec, pol)
+        assert all((index is None) == bool(budget) for _, _, index, _ in
+                   spec.id_kernel(pol.point_to_line))
+        nbs, not_self = _reference_neighbors_bulk(pg, coords)
+        assert np.array_equal(pg.neighbor_ids(ids),
+                              np.where(not_self, spec.coords_to_ids(nbs), -1)), twist
+
+
+@pytest.mark.parametrize("e,dtype", [(1, np.int32), (2, np.int64)])
+def test_id_codec_round_trips_at_the_int32_boundary(e, dtype):
+    """ids_to_coords divides in int32 while q^m <= 2^31 (gh e=1, n =
+    27^5) and in int64 above (gh e=2, n = 243^5 ~ 8.5e11)."""
+    spec = gh_family(e)[0]
+    q, n = spec.ctx.order, spec.side_size
+    assert (n <= 2 ** 31) == (dtype == np.int32)
+    ids = [0, 1, q ** (spec.m - 1), n - 1] + ([2 ** 31 - 1, 2 ** 31] if n > 2 ** 31 else [])
+    coords = spec.ids_to_coords(np.array(ids))
+    assert all(c.dtype == spec.ctx.dtype for c in coords)
+    assert [_coords_to_id(spec, p) for p in zip(*(c.tolist() for c in coords))] == ids
+    assert spec.coords_to_ids(coords).tolist() == ids
+
+
+def test_neighbor_ids_match_the_coordinate_path_gh_e2():
+    """gh e=2 (q = 243) runs the square kernel in int64: 243^3 is above
+    FOLD_BUDGET and 243^5 above 2^31."""
+    pg = adg.PolarityGraph(*gh_family(2))
+    kernel = pg.spec.id_kernel(pg.pol.point_to_line)
+    assert all(index is not None and table.dtype == np.int64 for _, _, index, table in kernel)
+    ids = np.random.default_rng(243).integers(0, pg.n, 2000)
+    ids[-1] = pg.n - 1
+    nbs, not_self = _reference_neighbors_bulk(pg, pg.spec.ids_to_coords(ids))
+    nb = pg.neighbor_ids(ids)
+    assert nb.dtype == np.int64 and nb.max() >= 2 ** 31
+    assert np.array_equal(nb, np.where(not_self, pg.spec.coords_to_ids(nbs), -1))
 
 
 def _holds_own_id(ids, rows):
@@ -724,7 +782,7 @@ def test_fields_above_table_side_keep_the_array_rules():
     assert spec.ctx.order ** 2 > adg.TABLE_BUDGET
     assert spec.tables() == [None] * 4 and spec.id_kernel() is None
     lines = spec.ids_to_coords(np.random.default_rng(1).integers(0, spec.side_size, 3))
-    for line, row in zip(zip(*(c.tolist() for c in lines)), spec.point_ids(lines).tolist()):
+    for line, row in zip(zip(*(c.tolist() for c in lines)), spec.point_ids(lines, None).tolist()):
         assert row == [_coords_to_id(spec, spec.point_on(line, t)) for t in range(2187)]
 
 

@@ -179,6 +179,22 @@ def test_verify_gh_e3_is_refused_before_the_scan(tmp_path, capsys):
     adg.PolarityGraph(*adg.gh_family(2)).check_scan_bound()  # q = 243 is allowed
 
 
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_gh_e2_is_refused_by_the_cycle_budget(tmp_path, capsys, command):
+    """The sampled C8 search at degree 243 would keep 243^4 keys a root
+    (it ran out of memory after 85 s); it is refused before any check
+    runs, and nothing is written.  gh q=27's default C10 root fits."""
+    assert 27 ** 5 <= verify.CYCLE_KEY_LIMIT < 243 ** 4
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert run([command, "gh", "--e", "2", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: the C8 search may keep 243^4 = 3.49e+09 last-layer keys a root, "
+        "above the limit CYCLE_KEY_LIMIT = 1e+08\n")
+    assert not out.exists()
+
+
 def test_oracle_c4(tmp_path, capsys):
     edges = tmp_path / "c4.txt"
     edges.write_text("4 4 0\n0 1\n1 2\n2 3\n0 3\n")
