@@ -264,12 +264,15 @@ def even_cycle(roots, k, neighbors, n):
     only in a block where two keys match), keyed by root position and
     endpoint; two walks of a key close a 2k-cycle when their interiors are
     disjoint (meet in the middle, after Yuster & Zwick, "Finding even
-    cycles even faster", 1997).  Walks are numbered root by root, each
-    root's depth-first over columns, so the earliest walk that closes with
-    an earlier one, plus the reversed interior of its earliest partner, is
-    the depth-first witness from the first root on a cycle; pairs are
-    compared in that order, LAYER_CHUNK at a time, up to the first chunk
-    that holds a closing pair.
+    cycles even faster", 1997).  The last layer's keys are held once and
+    sorted in place: one chunk's array, or every chunk written into one
+    array.  Only when two keys match (on a graph with the cycle) is the
+    layer rebuilt in walk order to find the pair.  Walks are numbered root
+    by root, each root's depth-first over columns, so the earliest walk
+    that closes with an earlier one, plus the reversed interior of its
+    earliest partner, is the depth-first witness from the first root on a
+    cycle; pairs are compared in that order, LAYER_CHUNK at a time, up to
+    the first chunk that holds a closing pair.
 
     When roots are 0..len-1, a walk keeps only neighbours above its root.
     That is exact, and keeps the witness: a 2k-cycle through roots[i] and
@@ -306,18 +309,33 @@ def even_cycle(roots, k, neighbors, n):
         if not len(paths):
             continue
         base = pos.astype(key_dtype) * key_dtype(n)
-        keys, counts = [], []  # keys: root position * n + endpoint
-        for lo in range(0, len(paths), LAYER_CHUNK):
-            c, tips = step(paths[lo:lo + LAYER_CHUNK], floor[first + pos[lo:lo + LAYER_CHUNK]])
-            keys.append(np.repeat(base[lo:lo + LAYER_CHUNK], c) + tips)
-            counts.append(c)
-        keys = np.concatenate(keys)
 
-        sorted_keys = np.sort(keys)
-        shared = sorted_keys[1:][sorted_keys[1:] == sorted_keys[:-1]]
-        del sorted_keys
+        def last_layer(counts):
+            """The last layer's keys, root position * n + endpoint, in walk
+            order: one chunk's array, or the chunks written into one array;
+            each chunk's extension counts go to `counts`."""
+            keys = np.empty(len(paths) * width, key_dtype) if len(paths) > LAYER_CHUNK else None
+            end = 0
+            for lo in range(0, len(paths), LAYER_CHUNK):
+                c, tips = step(paths[lo:lo + LAYER_CHUNK], floor[first + pos[lo:lo + LAYER_CHUNK]])
+                counts.append(c)
+                chunk = np.repeat(base[lo:lo + LAYER_CHUNK], c)
+                chunk += tips
+                if keys is None:
+                    return chunk
+                keys[end:end + len(chunk)] = chunk
+                end += len(chunk)
+            return keys[:end]
+
+        keys = last_layer([])
+        keys.sort()
+        shared = keys[1:][keys[1:] == keys[:-1]]
         if not len(shared):
             continue
+        # rebuilt in walk order: the sort kept no walk's position
+        counts = []
+        del keys
+        keys = last_layer(counts)
         parents = np.repeat(np.arange(len(paths), dtype=dtype), np.concatenate(counts))
         # walks whose key is shared, grouped by key, in walk order
         walks = np.flatnonzero(np.isin(keys, shared))

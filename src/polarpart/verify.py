@@ -563,13 +563,36 @@ def _first(bad):
     return int(bad.argmax()) if bad.any() else None
 
 
+def _first_failure(rng, bounds, count, size, check):
+    """Index of the first failing sample of randrange_bulk(rng, bounds,
+    count), or None.  The samples are drawn `size` at a time, and
+    check(block) returns its block's first failing index or None.  Blocks
+    after a failure are drawn unchecked, so rng ends where an intact run
+    leaves it, and one block's arrays are alive at a time."""
+    failed, lo = None, 0
+    for block in adg.sample_blocks(rng, bounds, count, size):
+        if failed is None and (i := check(block)) is not None:
+            failed = lo + i
+        lo += len(block)
+    return failed
+
+
 def _sampled_even_cycle(pg: adg.PolarityGraph, k, num_roots, rng):
-    """2k-cycle search through randomly chosen roots, on the bulk kernel."""
+    """2k-cycle search through randomly chosen roots, on the bulk kernel.
+    Each block of neighbor_ids rows is written straight into the search's
+    table, in its id dtype: no int64 table of a whole last-layer chunk is
+    held, and the search casts nothing."""
     spec = pg.spec
+    step = max(1, adg.ID_BLOCK // spec.ctx.order)
+    width = pg.neighbor_ids(np.zeros(0, dtype=np.int64)).shape[1]
+    dtype = np.int32 if pg.n < 2 ** 31 else np.int64  # even_cycle's
 
     def neighbors(ids):
         # descending first coordinate: the order a stack-based DFS pops them
-        return pg.neighbor_ids(ids)[:, ::-1]
+        rows = np.empty((len(ids), width), dtype=dtype)
+        for lo in range(0, len(ids), step):
+            rows[lo:lo + step] = pg.neighbor_ids(ids[lo:lo + step])[:, ::-1]
+        return rows
 
     roots = adg.randrange_bulk(rng, (spec.ctx.order,) * spec.m, num_roots)
     hit = even_cycle(spec.coords_to_ids(roots.T), k, neighbors, pg.n)
@@ -593,11 +616,18 @@ def verify_family_sampled(bundle, *, seed=0,
     the substitution reads neighbours as ids from PolarityGraph.neighbor_ids
     and classes from the scheme's class_of_ids, and builds coordinates only
     for witnesses.  The substitution decodes the ids of its unique edges
-    (about 2e5) and tests them with incident_bulk, on purpose: an incidence
-    check that does not go through the id kernel.  An instance whose scan
-    PolarityGraph.check_scan_bound refuses, or a cycle length with roots
-    whose search would keep more than CYCLE_KEY_LIMIT keys a root, raises
-    ValueError before any check runs.
+    and tests them with incident_bulk, on purpose: an incidence check that
+    does not go through the id kernel.
+
+    Each phase draws its samples a block at a time, adg.SWEEP_BLOCK for the
+    substitution and adg.ID_BLOCK // q where a check reads neighbour rows,
+    so the working set follows the block sizes, not the sample counts.
+    After a phase's first failing sample the rest of its blocks are drawn
+    but not checked: every phase draws what it draws in an intact run.
+    An instance whose scan PolarityGraph.check_scan_bound refuses, a sample
+    count or cycle_roots value that is not an integer >= 0, or a cycle
+    length with roots whose search would keep more than CYCLE_KEY_LIMIT
+    keys a root, raises ValueError before any check runs.
     """
     spec, pol, scheme, _ = bundle
     pg = adg.PolarityGraph(spec, pol)
@@ -607,6 +637,9 @@ def verify_family_sampled(bundle, *, seed=0,
     m = spec.m
     rng = random.Random(seed)
     cycle_roots = dict(SAMPLED_CYCLE_ROOTS if cycle_roots is None else cycle_roots)
+    adg.check_counts(class_pair_samples=class_pair_samples, full_sweeps=full_sweeps,
+                     within_samples=within_samples, degree_samples=degree_samples,
+                     **{f"cycle_roots[{k}]": v for k, v in cycle_roots.items()})
     for k in FORBIDDEN[scheme.family]:
         if cycle_roots.get(k, 1) and q ** k > CYCLE_KEY_LIMIT:
             raise ValueError(
@@ -626,11 +659,10 @@ def verify_family_sampled(bundle, *, seed=0,
     edges = (incidences - n_pi) // 2
     report["counts"] = _counts(n, edges, n_pi, "derived")
 
-    # Each phase below draws its whole sample first, in the order a loop
-    # over samples would, and checks it on the bulk kernel.  A failing
-    # sample ends the phase's count but never moves rng back, so every
-    # phase draws the samples it draws in an intact run with the same seed.
+    # The sampled phases draw in blocks through _first_failure: a failing
+    # sample ends a phase's count, never its draws.
     r = scheme.r
+    rows = max(1, adg.ID_BLOCK // q)  # samples a block where a check reads rows
 
     # loop vertices: the formula output must be absolute, for every class
     loops_ok = n_pi == r
@@ -643,29 +675,30 @@ def verify_family_sampled(bundle, *, seed=0,
         report["witnesses"].append(("loop_vertex", i))
 
     # sampled unique-edge substitution
-    pairs = adg.randrange_bulk(rng, (r, r), class_pair_samples)
-    c1, c2 = pairs.T
-    formula_ok = np.zeros(len(pairs), dtype=bool)
-    same = c1 == c2
-    formula_ok[same] = loop_absolute[c1[same]]
-    a, b = scheme.unique_edge_bulk(c1[~same], c2[~same])
-    in_class = (scheme.class_of_ids(a) == c1[~same]) & (scheme.class_of_ids(b) == c2[~same])
-    formula_ok[~same] = in_class & spec.incident_bulk(
-        spec.ids_to_coords(b), pol.polar(ctx, spec.ids_to_coords(a)))
-    i = _first(~formula_ok)
+    def substitution(pairs):
+        c1, c2 = pairs.T
+        formula_ok = np.zeros(len(pairs), dtype=bool)
+        same = c1 == c2
+        formula_ok[same] = loop_absolute[c1[same]]
+        a, b = scheme.unique_edge_bulk(c1[~same], c2[~same])
+        in_class = (scheme.class_of_ids(a) == c1[~same]) & (scheme.class_of_ids(b) == c2[~same])
+        formula_ok[~same] = in_class & spec.incident_bulk(
+            spec.ids_to_coords(b), pol.polar(ctx, spec.ids_to_coords(a)))
+        i = _first(~formula_ok)
+        if i is not None:
+            c1, c2 = pairs[i].tolist()
+            report["witnesses"].append(
+                ("loop_not_absolute", c1) if c1 == c2 else ("unique_edge_formula", c1, c2))
+        return i
+
+    i = _first_failure(rng, (r, r), class_pair_samples, adg.SWEEP_BLOCK, substitution)
     adjacency_ok = i is None
-    substitution_checked = len(pairs) if adjacency_ok else i + 1
-    if not adjacency_ok:
-        c1, c2 = pairs[i].tolist()
-        report["witnesses"].append(
-            ("loop_not_absolute", c1) if c1 == c2 else ("unique_edge_formula", c1, c2))
+    substitution_checked = class_pair_samples if adjacency_ok else i + 1
 
     # full one-edge sweeps on a subsample of class pairs
     sweep_ok = True
     sweeps_done = 0
     pairs = adg.randrange_bulk(rng, (r, r), full_sweeps)
-    # a, b stay bound: freeing the substitution's arrays here raised the
-    # gh q=27 protocol's peak RSS by about 4 MB in half of the runs
     at = np.flatnonzero(pairs[:, 0] != pairs[:, 1])
     expected_edges = zip(*(x.tolist() for x in scheme.unique_edge_bulk(*pairs[at].T)))
     for (c1, c2), expected in zip(pairs[at].tolist(), expected_edges):
@@ -681,50 +714,60 @@ def verify_family_sampled(bundle, *, seed=0,
 
     # within-class sampling: each drawn member lies in its class, and no
     # non-loop edge joins it to another vertex of its own class
-    cids, picks = adg.randrange_bulk(rng, (r, scheme.class_size), within_samples).T
-    vs = scheme.class_member_bulk(cids, picks)
-    own = scheme.class_of_ids(vs)
-    nb = pg.neighbor_ids(vs)
-    inside = (nb >= 0) & (scheme.class_of_ids(nb) == own[:, None])
-    i = _first((own != cids) | inside.any(axis=1))
-    within_ok = i is None
-    within_checked = len(cids) if within_ok else i + 1
-    if not within_ok:
-        v = adg._row(spec.ids_to_coords(vs), i)
-        if own[i] != cids[i]:
-            report["witnesses"].append(("within_member_class", int(cids[i]), v, int(own[i])))
-        else:
-            u = adg._row(spec.ids_to_coords(nb[i]), inside[i].argmax())
-            report["witnesses"].append(("within_edge", int(cids[i]), v, u))
+    def within(draws):
+        cids, picks = draws.T
+        vs = scheme.class_member_bulk(cids, picks)
+        own = scheme.class_of_ids(vs)
+        nb = pg.neighbor_ids(vs)
+        inside = (nb >= 0) & (scheme.class_of_ids(nb) == own[:, None])
+        i = _first((own != cids) | inside.any(axis=1))
+        if i is not None:
+            v = adg._row(spec.ids_to_coords(vs), i)
+            if own[i] != cids[i]:
+                report["witnesses"].append(("within_member_class", int(cids[i]), v, int(own[i])))
+            else:
+                u = adg._row(spec.ids_to_coords(nb[i]), inside[i].argmax())
+                report["witnesses"].append(("within_edge", int(cids[i]), v, u))
+        return i
 
-    # degree spot checks against the two-value spectrum
-    vs = adg.randrange_bulk(rng, (q,) * m, degree_samples)
-    ids = spec.coords_to_ids(vs.T)
-    degrees = (pg.neighbor_ids(ids) >= 0).sum(axis=1)
-    expect = q - _in_sorted(ids, absolute_ids)
-    i = _first(degrees != expect)
-    spectrum_ok = i is None
-    tallied = degrees if spectrum_ok else degrees[:i + 1]
-    seen_degrees = {int(d): int(c) for d, c in zip(*np.unique(tallied, return_counts=True))}
-    if not spectrum_ok:
-        report["witnesses"].append(("degree", tuple(vs[i].tolist()), int(degrees[i]),
-                                    int(expect[i])))
-    report["degree_multiset"] = {str(k): v for k, v in sorted(seen_degrees.items())}
+    i = _first_failure(rng, (r, scheme.class_size), within_samples, rows, within)
+    within_ok = i is None
+    within_checked = within_samples if within_ok else i + 1
+
+    # degree spot checks against the two-value spectrum, tallied up to
+    # the first failing sample
+    tally = np.zeros(q + 1, dtype=np.int64)
+
+    def degree(vs):
+        ids = spec.coords_to_ids(vs.T)
+        degrees = (pg.neighbor_ids(ids) >= 0).sum(axis=1)
+        expect = q - _in_sorted(ids, absolute_ids)
+        i = _first(degrees != expect)
+        tally[:] += np.bincount(degrees if i is None else degrees[:i + 1], minlength=q + 1)
+        if i is not None:
+            report["witnesses"].append(("degree", tuple(vs[i].tolist()), int(degrees[i]),
+                                        int(expect[i])))
+        return i
+
+    spectrum_ok = _first_failure(rng, (q,) * m, degree_samples, rows, degree) is None
+    report["degree_multiset"] = {str(d): int(c) for d, c in enumerate(tally.tolist()) if c}
 
     # sampled adjacency symmetry: slot t of v's row is -1 exactly where v
     # is absolute and t = v_1, and otherwise a u whose row holds v
-    draws = adg.randrange_bulk(rng, (q,) * (m + 1), SAMPLED_SYMMETRY)
-    vs, t = spec.coords_to_ids(draws[:, :m].T), draws[:, m]
-    uv = pg.neighbor_ids(vs)[np.arange(len(vs)), t]
-    ok = (uv < 0) == ((t == draws[:, 0]) & _in_sorted(vs, absolute_ids))
-    back = ok & (uv >= 0)
-    ok[back] = (pg.neighbor_ids(uv[back]) == vs[back, None]).any(axis=1)
-    i = _first(~ok)
-    symmetry_ok = i is None
-    if not symmetry_ok:
-        v = tuple(draws[i, :m].tolist())
-        report["witnesses"].append(("symmetry", v, int(t[i])) if uv[i] < 0 else
-                                   ("symmetry", v, adg._row(spec.ids_to_coords(uv), i)))
+    def symmetry(draws):
+        vs, t = spec.coords_to_ids(draws[:, :m].T), draws[:, m]
+        uv = pg.neighbor_ids(vs)[np.arange(len(vs)), t]
+        ok = (uv < 0) == ((t == draws[:, 0]) & _in_sorted(vs, absolute_ids))
+        back = ok & (uv >= 0)
+        ok[back] = (pg.neighbor_ids(uv[back]) == vs[back, None]).any(axis=1)
+        i = _first(~ok)
+        if i is not None:
+            v = tuple(draws[i, :m].tolist())
+            report["witnesses"].append(("symmetry", v, int(t[i])) if uv[i] < 0 else
+                                       ("symmetry", v, adg._row(spec.ids_to_coords(uv), i)))
+        return i
+
+    symmetry_ok = _first_failure(rng, (q,) * (m + 1), SAMPLED_SYMMETRY, rows, symmetry) is None
 
     found = {}
     for k in FORBIDDEN[scheme.family]:
@@ -741,7 +784,7 @@ def verify_family_sampled(bundle, *, seed=0,
         "substitution_pairs": substitution_checked,
         "full_sweeps": sweeps_done,
         "within_samples": within_checked,
-        "degree_samples": len(tallied),
+        "degree_samples": int(tally.sum()),
         "loop_formula_all_classes": loop_formula_ok,
         "loops_match_class_count": loops_ok,
         "symmetry_ok": symmetry_ok,

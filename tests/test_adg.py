@@ -1159,6 +1159,40 @@ def test_randrange_bulk_peak_is_its_result():
     assert peak < 2 * values.nbytes, (peak, values.nbytes)
 
 
+@pytest.mark.parametrize("size", [1, 7, 4096])
+def test_sample_blocks_draw_the_one_call_samples(size):
+    """Blocks of `size` samples concatenate to randrange_bulk's matrix, and
+    rng ends where that call leaves it (70,000 draws of 27 read past one
+    round of words)."""
+    for bounds in ((27,), (27,) * 5, (19683, 729), (5, 3), (1, 2 ** 32 - 1, 7)):
+        for count in (0, 1, 7, 500) + ((5000, 70_000) if size > 7 and bounds == (27,) else ()):
+            rng, ref = random.Random(count), random.Random(count)
+            blocks = list(adg.sample_blocks(rng, bounds, count, size))
+            assert [len(b) for b in blocks] == [min(size, count - lo)
+                                                for lo in range(0, count, size)]
+            expected = adg.randrange_bulk(ref, bounds, count)
+            assert np.concatenate(blocks or [expected]).tolist() == expected.tolist()
+            assert rng.getstate() == ref.getstate()
+
+
+def test_sample_blocks_interleave_with_each_other():
+    """Two draws in progress at once (sampled check_polarity's points and
+    lines) each read their own generator's words, block by block."""
+    draws = [adg.sample_blocks(random.Random(seed), bounds, 1000, 64)
+             for seed, bounds in ((0, (27,) * 5), (1, (27,)))]
+    blocks = list(zip(*draws))
+    for seed, bounds, got in zip((0, 1), ((27,) * 5, (27,)), zip(*blocks)):
+        assert np.concatenate(got).tolist() == \
+            adg.randrange_bulk(random.Random(seed), bounds, 1000).tolist()
+
+
+@pytest.mark.parametrize("samples", [-1, 2.5, "100"])
+def test_check_polarity_refuses_a_bad_sample_count(samples):
+    spec, pol = gh_family(0, allow_small_e=True)
+    with pytest.raises(ValueError, match="samples must be a non-negative integer"):
+        check_polarity(spec, pol, "sampled", samples)
+
+
 def test_randrange_bulk_rejects_bounds_past_32_bits():
     for n in ((0,), (-3,), (2 ** 32,), (2 ** 32 + 1,), (2 ** 40,), (27, 2 ** 32), (0, 5),
               (7, 729, -1)):

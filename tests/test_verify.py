@@ -5,9 +5,11 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import types
 
 import numpy as np
@@ -963,10 +965,27 @@ def test_layered_cycle_search_matches_dfs_on_every_root(name):
     assert on_cycle > 0 or name == "gh e=0"
 
 
+def _witness_chunks(g, k, w, layer_chunk):
+    """The last-layer chunks of find_even_cycle's root block that hold the
+    two walks whose shared key closes witness w: the walks root..v_{k-1}
+    of the block's roots, each over neighbours above its root, numbered
+    root by root, depth first over the ascending rows."""
+    size = max(1, layer_chunk // max(len(a) for a in g.adj) ** k)  # roots a block
+    first = w[0] // size * size
+    walks = []
+    for root in range(first, min(first + size, g.n)):
+        layer = [(root,)]
+        for _ in range(k - 1):
+            layer = [p + (v,) for p in layer for v in g.adj[p[-1]] if v > root and v not in p]
+        walks += layer
+    later, partner = w[:k], (w[0],) + w[:k:-1]
+    return walks.index(later) // layer_chunk, walks.index(partner) // layer_chunk
+
+
 @pytest.mark.parametrize("layer_chunk", [1, 50, graphs.LAYER_CHUNK])
 def test_find_even_cycle_matches_dfs_reference(layer_chunk, monkeypatch):
     monkeypatch.setattr(graphs, "LAYER_CHUNK", layer_chunk)
-    later_block = 0
+    later_block = spanning = 0
     cases = [(g, k) for g in _networkx_test_graphs() for k in (2, 3, 4, 5)]
     cases += [(make(), k) for make in CYCLE_GRAPHS.values() for k in (2, 3, 4)]
     for g, k in cases:
@@ -975,9 +994,14 @@ def test_find_even_cycle_matches_dfs_reference(layer_chunk, monkeypatch):
         if w is not None:  # witnesses start at their root
             width = max(len(a) for a in g.adj)
             later_block += w[0] >= max(1, layer_chunk // width ** k)
+            later, partner = _witness_chunks(g, k, w, layer_chunk)
+            spanning += later != partner
     # small chunks split the roots into blocks, and some first cycle roots
-    # then lie past block 0
+    # then lie past block 0; they split last layers too, and some witnesses
+    # join walks of two chunks, found again in the layer rebuilt in walk
+    # order after the in-place sort
     assert later_block > 0 or layer_chunk == graphs.LAYER_CHUNK
+    assert spanning > 0 or layer_chunk == graphs.LAYER_CHUNK
 
 
 def test_every_root_search_walks_only_above_its_root():
@@ -1018,7 +1042,7 @@ def test_sampled_even_cycle_matches_dfs_reference(make_family, k):
 
 @pytest.mark.parametrize("k,num_roots", [(2, 5), (3, 2)])
 def test_sampled_even_cycle_matches_dfs_reference_at_q27(k, num_roots):
-    # n = 27^5: the reversed neighbor_ids view, narrowed from int64 to int32
+    # n = 27^5: neighbor_ids rows written reversed into the search's int32 table
     pg = adg.PolarityGraph(*gh_family(1))
     for seed in (0, 1):
         rng, ref_rng = random.Random(seed), random.Random(seed)
@@ -1091,22 +1115,23 @@ FEW_SAMPLES = {"class_pair_samples": 100, "full_sweeps": 2, "within_samples": 10
 
 def _symmetry_draws(monkeypatch, bundle, seed=0):
     """The sampled protocol's symmetry draw on `bundle`: (rng state before,
-    the (SAMPLED_SYMMETRY, m + 1) sample matrix, rng state after)."""
+    the (SAMPLED_SYMMETRY, m + 1) sample matrix, rng state after).  The
+    phase draws it in blocks from one adg.sample_blocks generator."""
     spec, calls = bundle[0], []
     bounds = (spec.ctx.order,) * (spec.m + 1)
-    randrange_bulk = adg.randrange_bulk
+    sample_blocks = adg.sample_blocks
 
-    def recording(rng, b, count):
+    def recording(rng, b, count, size):
         start = rng.getstate()
-        out = randrange_bulk(rng, b, count)
-        calls.append((b, count, start, out, rng.getstate()))
-        return out
+        blocks = list(sample_blocks(rng, b, count, size))
+        calls.append((b, count, start, blocks, rng.getstate()))
+        yield from blocks
 
     with monkeypatch.context() as m:
-        m.setattr(adg, "randrange_bulk", recording)
+        m.setattr(adg, "sample_blocks", recording)
         verify.verify_family_sampled(bundle, seed=seed, **FEW_SAMPLES)
     (draw,) = [c[2:] for c in calls if c[:2] == (bounds, verify.SAMPLED_SYMMETRY)]
-    return draw
+    return draw[0], np.concatenate(draw[1]), draw[2]
 
 
 @pytest.mark.parametrize("family,count", [
@@ -1189,16 +1214,21 @@ def test_symmetry_phase_fails_an_unmarked_self_slot(monkeypatch):
 
 def test_one_c10_root_at_q27_is_bounded():
     # the child's own high-water mark: its ru_maxrss would start at the
-    # peak of the pytest process that started it
+    # peak of the pytest process that started it.  The traced peak holds
+    # the last layer's 1.2e7 keys once (int32, about 49 MB), sorted in place
     code = textwrap.dedent("""
-        import random, re, time
+        import random, re, time, tracemalloc
         from polarpart import adg, verify
         pg = adg.PolarityGraph(*adg.gh_family(1))
+        pg.neighbor_ids([0])  # the id kernel's tables
         t0 = time.monotonic()
+        tracemalloc.start()
         w = verify._sampled_even_cycle(pg, 5, 1, random.Random(0))
+        traced_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        tracemalloc.stop()
         with open("/proc/self/status") as f:
             peak_mb = int(re.search(r"VmHWM:\\s+(\\d+) kB", f.read()).group(1)) / 1024
-        print(w is None, time.monotonic() - t0, peak_mb)
+        print(w is None, time.monotonic() - t0, peak_mb, traced_mb)
     """)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(polarpart.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -1206,6 +1236,7 @@ def test_one_c10_root_at_q27_is_bounded():
     assert out[0] == "True"
     assert float(out[1]) < 30.0
     assert float(out[2]) < 500.0
+    assert float(out[3]) < 100.0, out
 
 
 # -- golden report digests of the sampled protocol ----------------------------
@@ -1403,6 +1434,119 @@ def test_sampled_loop_formula_names_the_class(monkeypatch):
     rep = verify_family("gh", e=1, mode="sampled", seed=0, **GOLDEN_SAMPLES)
     assert [w for w in rep["witnesses"] if w[0] == "loop_vertex"] == [("loop_vertex", 3)]
     assert rep["checks"]["loop_formula_all_classes"] is False and not rep["ok"]
+
+
+# -- the sampled protocol's blocks ---------------------------------------------
+
+@pytest.mark.parametrize("name", ["class_pair_samples", "full_sweeps", "within_samples",
+                                  "degree_samples", "cycle_roots"])
+@pytest.mark.parametrize("value", [-1, 1.5])
+def test_sampled_protocol_refuses_a_bad_count_before_any_check(monkeypatch, name, value):
+    """A negative or non-integer sample count is refused by name, before
+    the polarity check or the absolute scan runs."""
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(adg, "check_polarity", no_check)
+    monkeypatch.setattr(adg.PolarityGraph, "absolute_ids", no_check)
+    bundle = verify.family_bundle("gh", e=0, allow_small_e=True)
+    kwargs = {name: {3: value} if name == "cycle_roots" else value}
+    label = "cycle_roots[3]" if name == "cycle_roots" else name
+    with pytest.raises(ValueError, match=rf"^{re.escape(label)} must be a non-negative integer"):
+        verify.verify_family_sampled(bundle, seed=0, **kwargs)
+
+
+def _report_text(rep):
+    return json.dumps(rep, indent=2, sort_keys=True, default=_jsonable) + "\n"
+
+
+def _gh0_sampled_reports(monkeypatch):
+    """tamper -> gh e=0's sampled report text at seed 0, on small counts."""
+    monkeypatch.setattr(verify, "SAMPLED_INCIDENCES", 300)
+    monkeypatch.setattr(verify, "SAMPLED_SYMMETRY", 60)
+    bundle = verify.family_bundle("gh", e=0, allow_small_e=True)
+    reports = {}
+    for tamper in sorted(GOLDEN_DIGESTS):
+        with monkeypatch.context() as m:
+            _tamper(m, tamper)
+            reports[tamper] = _report_text(verify.verify_family_sampled(
+                bundle, seed=0, class_pair_samples=300, full_sweeps=5, within_samples=60,
+                degree_samples=60, cycle_roots={2: 3, 3: 2, 4: 1, 5: 1}))
+    return reports
+
+
+@pytest.mark.parametrize("size", [1, 7, 4096])
+def test_block_sizes_change_no_report_byte(monkeypatch, size):
+    """adg.SWEEP_BLOCK and adg.ID_BLOCK set the sampled phases' blocks (and
+    the draw rounds): at blocks of one sample, of 7, and of 4096 (gh e=0,
+    q = 3: up to 1365 rows a block), intact and tampered reports keep
+    every byte, where a failure lies past the first block too."""
+    expected = _gh0_sampled_reports(monkeypatch)
+    monkeypatch.setattr(adg, "SWEEP_BLOCK", size)
+    monkeypatch.setattr(adg, "ID_BLOCK", size)
+    assert _gh0_sampled_reports(monkeypatch) == expected
+    # failures past the first block: the substitution's 4th pair, the
+    # degree phase's 22nd vertex (2 rows a block at ID_BLOCK = 7)
+    checks = {t: json.loads(text)["checks"] for t, text in expected.items()}
+    assert checks["unique_edge"]["substitution_pairs"] == 4
+    assert checks["neighbor_ids"]["degree_samples"] == 22
+
+
+@pytest.mark.parametrize("tamper", sorted(GOLDEN_DIGESTS))
+def test_golden_digests_at_4096_sample_blocks(tamper, monkeypatch):
+    monkeypatch.setattr(adg, "SWEEP_BLOCK", 4096)
+    monkeypatch.setattr(adg, "ID_BLOCK", 4096)  # 151 rows a block at q = 27
+    monkeypatch.setattr(verify, "SAMPLED_INCIDENCES", 2000)
+    monkeypatch.setattr(verify, "SAMPLED_SYMMETRY", 500)
+    _tamper(monkeypatch, tamper)
+    rep = verify_family("gh", e=1, mode="sampled", seed=0, **GOLDEN_SAMPLES)
+    assert hashlib.sha256(_report_text(rep).encode()).hexdigest() == GOLDEN_DIGESTS[tamper]
+
+
+def test_a_failure_in_a_later_block_still_draws_the_rest(monkeypatch):
+    """The within phase fails at a sample past its first block (151 rows at
+    q = 27 with ID_BLOCK = 4096): it counts up to that sample, and the
+    degree phase after it tallies what the intact run tallies."""
+    monkeypatch.setattr(adg, "ID_BLOCK", 4096)
+    monkeypatch.setattr(verify, "SAMPLED_INCIDENCES", 2000)
+    monkeypatch.setattr(verify, "SAMPLED_SYMMETRY", 500)
+    intact = verify_family("gh", e=1, mode="sampled", seed=0, **GOLDEN_SAMPLES)
+    scheme = verify.family_bundle("gh", e=1)[2]
+    r, k = scheme.r, scheme.class_size
+    rng = random.Random(0)  # the substitution, sweeps and within draws, in order
+    adg.randrange_bulk(rng, (r, r), GOLDEN_SAMPLES["class_pair_samples"])
+    adg.randrange_bulk(rng, (r, r), GOLDEN_SAMPLES["full_sweeps"])
+    cids = adg.randrange_bulk(rng, (r, k), GOLDEN_SAMPLES["within_samples"])[:, 0].tolist()
+    i = next(i for i in range(200, len(cids)) if cids[i] not in cids[:i])
+    class_member_bulk = GHScheme.class_member_bulk
+    monkeypatch.setattr(GHScheme, "class_member_bulk", lambda self, c, picks: class_member_bulk(
+        self, np.where(np.asarray(c) == cids[i], (cids[i] + 1) % self.r, c), picks))
+    rep = verify_family("gh", e=1, mode="sampled", seed=0, **GOLDEN_SAMPLES)
+    assert rep["checks"]["within_samples"] == i + 1
+    assert [w[:2] for w in rep["witnesses"]] == [("within_member_class", cids[i])]
+    assert rep["degree_multiset"] == intact["degree_multiset"]
+    assert rep["checks"]["degree_samples"] == GOLDEN_SAMPLES["degree_samples"]
+
+
+def test_sampled_protocol_memory_does_not_grow_with_the_counts():
+    """Ten times the default substitution, within and degree samples trace
+    within 1 MB of the default run's peak at gh e=1 (cycle searches off)."""
+    bundle = verify.family_bundle("gh", e=1)
+    off = {"cycle_roots": {2: 0, 3: 0, 4: 0, 5: 0}}
+    verify.verify_family_sampled(bundle, seed=0, **off)  # tables, numpy.random
+    peaks = []
+    for scale in (1, 10):
+        tracemalloc.start()
+        try:
+            rep = verify.verify_family_sampled(
+                bundle, seed=0, class_pair_samples=scale * verify.SAMPLED_CLASS_PAIRS,
+                within_samples=scale * verify.SAMPLED_WITHIN,
+                degree_samples=scale * verify.SAMPLED_DEGREES, **off)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rep["ok"] and rep["checks"]["substitution_pairs"] == scale * verify.SAMPLED_CLASS_PAIRS
+    assert peaks[1] < peaks[0] + 2 ** 20, peaks
 
 
 def test_a_failing_polarity_ends_both_protocols_at_the_report_head():
