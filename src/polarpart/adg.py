@@ -17,6 +17,7 @@ import ctypes
 import functools
 import numbers
 import random
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,6 +165,11 @@ def _monomial(e):
     return None
 
 
+def _swap_sides(e):
+    """e with p and l swapped in every coordinate reference (no op is named p or l)."""
+    return tuple(map(_swap_sides, e)) if isinstance(e, tuple) else {"p": "l", "l": "p"}.get(e, e)
+
+
 # -- specs -------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -241,14 +247,23 @@ class ADGSpec:
 
     # -- bulk incidence: coordinates are m arrays of ctx.dtype that broadcast -
 
+    def dual(self):
+        """The spec with p and l swapped in every f_j, whose points are lines;
+        cached, by a closure here and by a weak reference back on the dual."""
+        dual = getattr(self, "_dual", lambda: None)()
+        if dual is None:
+            dual = ADGSpec(self.ctx, self.m, tuple(map(_swap_sides, self.fs)))
+            object.__setattr__(dual, "_dual", weakref.ref(self))
+            object.__setattr__(self, "_dual", lambda: dual)
+        return dual
+
     def tables(self):
         """Per-equation lookup tables, built on first use: entry j is
-        (a, F, S) for an equation that reads p_1 and at most one line
-        coordinate l_{a+1} (the families' form), where q^2 <= TABLE_BUDGET,
-        else None.  F[u, t] = fs[j] at l_{a+1} = u, p_1 = t, and S[u*q + x,
-        t] = F[u, t] - x where q^3 <= FOLD_BUDGET, else None, in ctx.dtype:
-        S's row (l_{a+1}, p_{j+2}) is l_{j+2}, its row (l_{a+1}, l_{j+2})
-        p_{j+2}."""
+        (a, b, F, S) for an equation that reads at most one line coordinate
+        l_{a+1} and one point coordinate p_{b+1} (0 where none), while q^2 <=
+        TABLE_BUDGET, else None; so dual() swaps a and b and transposes F.
+        F[u, t] = fs[j] at l_{a+1} = u, p_{b+1} = t, and S[u*q + x, t] = F[u,
+        t] - x (p_{j+2} at x = l_{j+2}) where q^3 <= FOLD_BUDGET, else None, in ctx.dtype."""
         tabs = getattr(self, "_tables", None)
         if tabs is None:
             q, dtype = self.ctx.order, self.ctx.dtype
@@ -256,38 +271,31 @@ class ADGSpec:
             lv, pv = [grid[:, None]] * self.m, [grid[None, :]] * self.m
             tabs = []
             for f in self.fs:
-                reads = expr_vars(f) - {("p", 1)}
-                if q * q > TABLE_BUDGET or len(reads) > 1 or any(side == "p" for side, _ in reads):
+                reads = [[i - 1 for s, i in expr_vars(f) if s == side] for side in "lp"]
+                if q * q > TABLE_BUDGET or max(map(len, reads)) > 1:
                     tabs.append(None)
                     continue
-                a = next(iter(reads))[1] - 1 if reads else 0
+                a, b = (max(r, default=0) for r in reads)
                 F = np.broadcast_to(eval_expr_bulk(f, self.ctx, lv, pv), (q, q)).astype(dtype)
                 S = (None if q ** 3 > FOLD_BUDGET else
                      self.ctx.sub_bulk(F[:, None, :], grid[None, :, None]).reshape(q * q, q))
-                tabs.append((a, F, S))
+                tabs.append((a, b, F, S))
             object.__setattr__(self, "_tables", tabs)
         return tabs
 
     def solve_bulk(self, j, lvals, pvals, x):
         """fs[j] - x on coordinate arrays: one take from tables()[j]'s S at
-        (l_{a+1}*q + x)*q + p_1 where it exists; otherwise fs[j], from its
-        F at l_{a+1}*q + p_1 or the expression evaluator, minus x."""
+        (l_{a+1}*q + x)*q + p_{b+1} where it exists; otherwise fs[j], from
+        its F at l_{a+1}*q + p_{b+1} or the expression evaluator, minus x."""
         q, tab = self.ctx.order, self.tables()[j]
         if tab is None:
             return self.ctx.sub_bulk(eval_expr_bulk(self.fs[j], self.ctx, lvals, pvals), x)
-        a, F, S = tab
+        a, b, F, S = tab
         if S is not None:
             return S.ravel().take(np.multiply(lvals[a], q * q, dtype=np.int32)
-                                  + (np.multiply(x, q, dtype=np.int32) + pvals[0]))
+                                  + (np.multiply(x, q, dtype=np.int32) + pvals[b]))
         return self.ctx.sub_bulk(F.ravel().take(np.multiply(lvals[a], q, dtype=np.int32)
-                                                + pvals[0]), x)
-
-    def line_through_bulk(self, pvals, l1):
-        """line_through on arrays; the result has the broadcast shape."""
-        lv = [l1]
-        for j in range(self.m - 1):
-            lv.append(self.solve_bulk(j, lv, pvals, pvals[j + 1]))
-        return np.broadcast_arrays(*lv)
+                                                + pvals[b]), x)
 
     def point_on_bulk(self, lvals, p1):
         """point_on on arrays: the points with first coordinate p1 on the
@@ -298,11 +306,8 @@ class ADGSpec:
         return np.broadcast_arrays(*pv)
 
     def incident_bulk(self, pvals, lvals):
-        """incident on arrays: a bool array of the broadcast shape."""
-        ok = True
-        for j in range(self.m - 1):
-            ok = ok & (lvals[j + 1] == self.solve_bulk(j, lvals, pvals, pvals[j + 1]))
-        return ok
+        """incident on arrays: whether point_on_bulk at p_1 gives the point."""
+        return _rows_equal(self.point_on_bulk(lvals, pvals[0])[1:], pvals[1:])
 
     # -- vertex ids: mixed radix, big-endian, points before lines ------------
 
@@ -331,16 +336,17 @@ class ADGSpec:
     def side_size(self):
         return self.ctx.order ** self.m
 
-    def point_ids(self, digits, kernel):
-        """The (N, q) ids, in the kernel's dtype, of the q points on each
-        of N lines, by ascending first coordinate t: t*q^(m-1) + sum_j
-        (f_j - l_{j+2})*q^(m-2-j).  `digits` are m arrays of shape (N,):
-        the digits id_kernel(coords) reads the lines from, one gather a
-        term, or with kernel None the lines, solved by point_on_bulk."""
-        q, m = self.ctx.order, self.m
+    def point_ids(self, digits, coords=None):
+        """The (N, q) ids of the q points on each of N lines, by ascending first
+        coordinate t: t*q^(m-1) + sum_j (f_j - l_{j+2})*q^(m-2-j), the lines read
+        from the m (N,) arrays `digits` by the map `coords` of id_kernel: one
+        gather a term of its kernel, in its dtype, or else point_on_bulk, in int64."""
+        q, m, kernel = self.ctx.order, self.m, self.id_kernel(coords)
         if kernel is None:
+            lines = digits if coords is None else [
+                self.ctx.frob_vector(r).take(digits[src]) for src, r in coords]
             t = np.arange(q, dtype=self.ctx.dtype)[None, :]
-            return self.coords_to_ids(self.point_on_bulk([c[:, None] for c in digits], t))
+            return self.coords_to_ids(self.point_on_bulk([c[:, None] for c in lines], t))
         for j, (x, y, index, table) in enumerate(kernel):
             if index is None:  # folded: the row of the digit pair
                 term = table.take(np.multiply(digits[x], q, dtype=np.intp) + digits[y], axis=0)
@@ -356,7 +362,7 @@ class ADGSpec:
     def id_kernel(self, coords=None):
         """Per equation j, (x, y, index, table) for the map `coords`
         (default the identity), built on first use per map; None unless
-        every equation has a table.  coords[i] = (src, r), as in
+        every equation has a table with b = 0.  coords[i] = (src, r), as in
         point_to_line, reads line coordinate i as digit src to the p^r, so
         term j reads digits x and y, the sources of l_{a+1} and l_{j+2}.
         Entries, scaled by q^(m-2-j), are int32 while ids are, else int64.
@@ -369,13 +375,13 @@ class ADGSpec:
         if coords not in kernels:
             q, m, tabs, frob = self.ctx.order, self.m, self.tables(), self.ctx.frob_vector
             kernel = None
-            if None not in tabs:
+            if None not in tabs and not any(tab[1] for tab in tabs):
                 grid = np.arange(q)
                 dtype = np.int32 if q ** m <= 2 ** 31 else np.int64
                 sub = self.ctx.sub_bulk(grid[:, None], grid[None, :]).astype(dtype)
                 first = np.arange(0, q ** m, q ** (m - 1), dtype=dtype)  # t*q^(m-1)
                 kernel = []
-                for j, (a, F, S) in enumerate(tabs):
+                for j, (a, _, F, S) in enumerate(tabs):
                     (x, rx), (y, ry) = coords[a], coords[j + 1]
                     u, w, scale = frob(rx), frob(ry), dtype(q ** (m - 2 - j))
                     if S is None:
@@ -389,13 +395,13 @@ class ADGSpec:
     def bipartite_arrays(self):
         """The incidence graph's array rule (graphs.materialize): point ids
         0..q^m-1, then line ids, each row by ascending first coordinate of
-        the neighbour; no loops."""
+        the neighbour, by point_ids, on the dual for the points; no loops."""
         ns = self.side_size
         coords = self.ids_to_coords(np.arange(ns))
-        first = np.arange(self.ctx.order, dtype=self.ctx.dtype)[None, :]
-        lines = ns + self.coords_to_ids(self.line_through_bulk([c[:, None] for c in coords], first))
-        points = self.point_ids(coords, self.id_kernel())
-        return np.concatenate([lines, points]), np.empty(0, dtype=np.int64)
+        rows = np.empty((2 * ns, self.ctx.order), dtype=np.int64)
+        np.add(self.dual().point_ids(coords), np.int64(ns), out=rows[:ns])
+        rows[ns:] = self.point_ids(coords)
+        return rows, np.empty(0, dtype=np.int64)
 
     def translation_ids(self, pol=None):
         """T as ascending point ids, all below q^(m-1): every t with t_1 = 0,
@@ -500,13 +506,12 @@ def check_polarity(spec: ADGSpec, pol: PolaritySpec, mode="exhaustive",
     Exhaustive mode walks every point and every incidence; sampled mode
     draws `samples` random points (seed) and one random line through each
     (seed + 1), both SWEEP_BLOCK samples at a time.  Blocks of about
-    SWEEP_BLOCK incidences (whole points) run on the bulk kernel, and a
-    ValueError refuses a negative or non-integer `samples` before any
-    draw; the first failing point in loop order gives the
-    witness and the incidence count that the point-by-point loop the tests
-    keep as reference gives.  That loop's second involution check, on the
-    polar line, holds wherever the first does, so it is not repeated.
-    Swapping sides is structural.
+    SWEEP_BLOCK incidences (whole points, their lines solved on the dual)
+    run on the bulk kernel; a ValueError refuses a negative or non-integer
+    `samples` before any draw.  The first failing point in loop order gives
+    the witness and the incidence count of the point-by-point loop the
+    tests keep as reference; that loop's second involution check, on the
+    polar line, holds wherever the first does.  Swapping sides is structural.
     """
     if len(pol.point_to_line) != spec.m or len(pol.line_to_point) != spec.m:
         raise ValueError("polarity dimension mismatch")
@@ -528,9 +533,8 @@ def check_polarity(spec: ADGSpec, pol: PolaritySpec, mode="exhaustive",
     checked = 0
     for pv, l1 in chunks:
         l_img = pol.polar(ctx, pv)
-        back = pol.polar_line(ctx, l_img)
-        involution = _rows_equal(back, pv)
-        lines = spec.line_through_bulk([c[:, None] for c in pv], l1)
+        involution = _rows_equal(pol.polar_line(ctx, l_img), pv)
+        lines = spec.dual().point_on_bulk([c[:, None] for c in pv], l1)
         preserves = spec.incident_bulk(pol.polar_line(ctx, lines), [c[:, None] for c in l_img])
         bad = ~(involution & preserves.all(axis=1))
         width = preserves.shape[1]
@@ -603,20 +607,16 @@ class PolarityGraph:
         """neighbors_coords on int ids: the (N, q) int64 ids of the points
         on each vertex's polar line, by ascending first coordinate t, with
         -1 where that point is the vertex itself, which can only be at t =
-        p_1.  spec.point_ids reads the rows from the vertices' digits with
-        the id kernel of point_to_line, or without one from the polar
-        lines.  Vertices go in blocks of ID_BLOCK // q.
-        """
+        p_1: spec.point_ids of the vertices' digits through point_to_line,
+        in blocks of ID_BLOCK // q vertices."""
         spec, q = self.spec, self.spec.ctx.order
-        kernel = spec.id_kernel(self.pol.point_to_line)
         ids = np.asarray(ids, dtype=np.int64)
         nb = np.empty((len(ids), q), dtype=np.int64)
         step = max(1, ID_BLOCK // q)
         for lo in range(0, len(ids), step):
             block = ids[lo:lo + step]
             digits = spec.ids_to_coords(block)
-            lines = self.pol.polar(spec.ctx, digits) if kernel is None else digits
-            rows = spec.point_ids(lines, kernel)
+            rows = spec.point_ids(digits, self.pol.point_to_line)
             at = np.arange(0, rows.size, q) + digits[0]
             np.put(rows, at[rows.take(at) == block], -1)
             nb[lo:lo + step] = rows
@@ -733,10 +733,10 @@ def build_polarity_graph(spec: ADGSpec, pol: PolaritySpec) -> PolarityGraph:
 
 
 # -- bulk (vectorized) incidence kernel ----------------------------------------
-# The *_bulk methods above, polar/polar_line and absolute_ids evaluate many
-# points at once on numpy arrays, through the field's *_bulk operations and
-# lookup vectors, at every order.  The scalar methods are the reference the
-# tests hold them to.
+# The *_bulk methods, point_ids, polar/polar_line and absolute_ids answer many
+# points at once through ADGSpec.tables() and the field's *_bulk operations;
+# lines through points are the dual spec's points on them.  The scalar
+# methods are the reference the tests hold them to.
 
 def randrange_bulk(rng, bounds, count):
     """`count` samples of one rng.randrange(b) per bound b of the tuple

@@ -788,7 +788,7 @@ def verify_family_sampled(bundle, *, seed=0,
         "loop_formula_all_classes": loop_formula_ok,
         "loops_match_class_count": loops_ok,
         "symmetry_ok": symmetry_ok,
-        "cycle_roots": {f"C{2 * k}": v for k, v in sorted(cycle_roots.items())},
+        "cycle_roots": {f"C{2 * k}": cycle_roots.get(k, 1) for k in FORBIDDEN[scheme.family]},
     }
     report["luw"] = {
         "incidences": incidences,
@@ -905,7 +905,7 @@ def verify_gh_original(q, materialize_limit=DEFAULT_MATERIALIZE_LIMIT, graph=Non
             var = dict(zip(support, [*map(dtype.type, head), grid[0][:size] + dtype.type(v0),
                                      *(a[:size] for a in grid[1:])]))
             pv, l1 = [var.get(("p", i), zero) for i in range(1, m + 1)], var.get(("l", 1), zero)
-            fp, fl = phi.bulk("P", pv), phi.bulk("L", spec_orig.line_through_bulk(pv, l1))
+            fp, fl = phi.bulk("P", pv), phi.bulk("L", spec_orig.dual().point_on_bulk(pv, l1))
             bad = np.flatnonzero(fl[j + 1] != spec_gh.solve_bulk(j, fl, fp, fp[j + 1]))
             if bad.size:  # the slab's least failure, as id(p)*q + l_1
                 at = [np.broadcast_to(x, (size,))[bad[0]] for x in (*pv, l1)]
@@ -914,7 +914,7 @@ def verify_gh_original(q, materialize_limit=DEFAULT_MATERIALIZE_LIMIT, graph=Non
     witness = None
     if edges_checked < q ** 6:
         p = spec_orig.ids_to_coords([edges_checked // q])
-        line = spec_orig.line_through_bulk(p, np.array([edges_checked % q], dtype))
+        line = spec_orig.dual().point_on_bulk(p, np.array([edges_checked % q], dtype))
         witness = (adg._row(p, 0), adg._row(line, 0))
     bijective_points, bijective_lines = (bool(images[s].all()) for s in "PL")
     report = {

@@ -413,50 +413,50 @@ def test_neighbors_bulk_matches_scalar(family):
 
 
 # the m=4 toy of acceptance criterion 7 over GF(4) (f_3 = p_2 l_2 and
-# f_4 = p_3 l_3 read a point coordinate past p_1), and a GF(9) spec whose
-# f_2 = 0 has a table and whose f_3 = p_2 l_2 has none
+# f_4 = p_3 l_3 read a point coordinate past p_1), and a GF(9) spec with
+# f_2 = 0 and f_3 = p_2 l_2: every equation has a table, but those that
+# read p_2 or p_3 leave the spec without an id kernel
 GF4_TOY = ADGSpec(make_field(2, 2), 4, (mul(var_p(1), var_l(1)), mul(var_p(2), var_l(2)),
                                         mul(var_p(3), var_l(3))))
 GF9_SPEC = ADGSpec.from_json({"field": {"p": 3, "k": 2}, "m": 3, "fs": [
     ["const", 0], ["mul", ["var", "p", 2], ["var", "l", 2]]]})
 
-# name -> (family, which equations have a table)
+# name -> (family, whether the spec has an id kernel)
 KERNEL_FAMILIES = {
-    **{f"plane q={q}": (lambda q=q: plane_family(q), [True]) for q in (2, 3, 4, 5)},
-    "gq e=1": (lambda: gq_family(1), [True] * 2),
-    "gh e=0": (lambda: gh_family(0, allow_small_e=True), [True] * 4),
-    "GF(4) m=4 toy": (lambda: (GF4_TOY, generic_conjugation_polarity(GF4_TOY)),
-                      [True, False, False]),
-    "GF(9) f_3 = p_2 l_2": (lambda: (GF9_SPEC, generic_conjugation_polarity(GF9_SPEC)),
-                            [True, False]),
+    **{f"plane q={q}": (lambda q=q: plane_family(q), True) for q in (2, 3, 4, 5)},
+    "gq e=1": (lambda: gq_family(1), True),
+    "gh e=0": (lambda: gh_family(0, allow_small_e=True), True),
+    "GF(4) m=4 toy": (lambda: (GF4_TOY, generic_conjugation_polarity(GF4_TOY)), False),
+    "GF(9) f_3 = p_2 l_2": (lambda: (GF9_SPEC, generic_conjugation_polarity(GF9_SPEC)), False),
 }
 
 
+# (a, b) per equation: the table reads l_{a+1} and p_{b+1}
 @pytest.mark.parametrize("name,make_spec,rows", [
-    ("plane q=3", lambda: plane_family(3)[0], [0]),
-    ("gq e=1", lambda: gq_family(1)[0], [0, 0]),
-    ("gh q=27", lambda: gh_adjacency_spec(27), [0] * 4),
+    ("plane q=3", lambda: plane_family(3)[0], [(0, 0)]),
+    ("gq e=1", lambda: gq_family(1)[0], [(0, 0)] * 2),
+    ("gh q=27", lambda: gh_adjacency_spec(27), [(0, 0)] * 4),
     # the cross term p_2 l_3 - p_3 l_2 has no table
-    ("gh-original q=9", lambda: gh_original_family(9)[0], [0, 1, 2, None]),
-    ("GF(4) m=4 toy", lambda: GF4_TOY, [0, None, None]),
-    ("GF(9) f_3 = p_2 l_2", lambda: GF9_SPEC, [0, None]),
+    ("gh-original q=9", lambda: gh_original_family(9)[0], [(0, 0), (1, 0), (2, 0), None]),
+    ("GF(4) m=4 toy", lambda: GF4_TOY, [(0, 0), (1, 1), (2, 2)]),
+    ("GF(9) f_3 = p_2 l_2", lambda: GF9_SPEC, [(0, 0), (1, 1)]),
 ])
 def test_equation_tables_match_the_evaluator(name, make_spec, rows):
     spec = make_spec()
     q = spec.ctx.order
-    assert [None if tab is None else tab[0] for tab in spec.tables()] == rows
+    assert [None if tab is None else tab[:2] for tab in spec.tables()] == rows
     u, t = np.meshgrid(np.arange(q, dtype=np.int16), np.arange(q, dtype=np.int16),
                        indexing="ij")
     rng = np.random.default_rng(0)
     for j, (f, tab) in enumerate(zip(spec.fs, spec.tables())):
         if tab is None:
             continue
-        a, table, _ = tab
+        a, b, table, _ = tab
         assert table.dtype == np.int16 and table.shape == (q, q)
         # every other coordinate random: the table may not depend on it
         lv = [rng.integers(0, q, (q, q)).astype(np.int16) for _ in range(spec.m)]
         pv = [rng.integers(0, q, (q, q)).astype(np.int16) for _ in range(spec.m)]
-        lv[a], pv[0] = u, t
+        lv[a], pv[b] = u, t
         assert np.array_equal(table, np.broadcast_to(eval_expr_bulk(f, spec.ctx, lv, pv),
                                                      (q, q)))
         x = rng.integers(0, q, (q, q)).astype(np.int16)
@@ -464,13 +464,27 @@ def test_equation_tables_match_the_evaluator(name, make_spec, rows):
     assert spec.tables() is spec.tables()  # built once
 
 
+@pytest.mark.parametrize("name", sorted(KERNEL_FAMILIES) + ["gh-original q=9"])
+def test_the_dual_tabulates_the_transposed_equations(name):
+    """The table rule is self-dual: the dual, the spec with p and l
+    swapped, tabulates the same equations, (a, b) swapped and each F
+    transposed, and its own dual is the spec."""
+    spec = (gh_original_family(9) if name == "gh-original q=9" else KERNEL_FAMILIES[name][0]())[0]
+    dual = spec.dual()
+    assert dual is spec.dual() and dual.dual() is spec and dual != spec
+    for tab, dual_tab in zip(spec.tables(), dual.tables(), strict=True):
+        assert (tab is None) == (dual_tab is None)
+        if tab is not None:
+            assert dual_tab[:2] == tab[1::-1] and np.array_equal(dual_tab[2], tab[2].T)
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_FAMILIES))
 def test_neighbor_ids_match_scalar_on_every_id(name):
-    make_family, tabulated = KERNEL_FAMILIES[name]
+    make_family, kernel = KERNEL_FAMILIES[name]
     spec, pol = make_family()
-    assert [tab is not None for tab in spec.tables()] == tabulated
+    assert None not in spec.tables()
     pg = adg.PolarityGraph(spec, pol)
-    assert (spec.id_kernel() is None) == (not all(tabulated))
+    assert (spec.id_kernel() is None) == (not kernel)
     nb = pg.neighbor_ids(np.arange(pg.n))
     assert nb.shape == (pg.n, spec.ctx.order)
     assert nb.tolist() == [_scalar_neighbor_ids(pg, p) for p in _all_coords(spec)]
@@ -490,7 +504,7 @@ def test_folded_and_square_id_kernels_agree(name, make_family, samples, monkeypa
         monkeypatch.setattr(adg, "FOLD_BUDGET", budget)
         spec, pol = make_family()  # fresh: tables() is cached on the spec
         q, n = spec.ctx.order, spec.side_size
-        assert all(S is not None for _, _, S in spec.tables()) == folded
+        assert all(S is not None for *_, S in spec.tables()) == folded
         pg = adg.PolarityGraph(spec, pol)
         for _, _, index, table in spec.id_kernel(pol.point_to_line):
             assert table.dtype == np.int32
@@ -501,7 +515,7 @@ def test_folded_and_square_id_kernels_agree(name, make_family, samples, monkeypa
         ids = np.arange(n) if samples is None else np.random.default_rng(7).integers(0, n, samples)
         coords = [c[:, None] for c in spec.ids_to_coords(ids)]
         every = np.arange(q, dtype=spec.ctx.dtype)[None, :]
-        lines = spec.line_through_bulk(coords, every)
+        lines = spec.dual().point_on_bulk(coords, every)
         out[folded] = [
             pg.neighbor_ids(ids), *lines, *spec.point_on_bulk(coords, every),
             spec.incident_bulk(coords, [*lines[:-1], np.roll(lines[-1], 1, axis=1)]),
@@ -524,24 +538,32 @@ def test_which_specs_fold_their_id_tables(name, make_family, folds):
     assert [index is None for _, _, index, _ in kernel] == [folds] * len(kernel)
 
 
-@pytest.mark.parametrize("name", sorted(KERNEL_FAMILIES) + ["plane q=23"])
+@pytest.mark.parametrize("name", sorted(KERNEL_FAMILIES) + ["plane q=23", "gh-original q=3"])
 def test_point_ids_match_the_coordinate_path(name):
-    """point_ids (bipartite_arrays' line rows and neighbor_ids' kernel),
+    """point_ids (both halves of bipartite_arrays, and neighbor_ids),
     neighbor_ids and absolute_ids against the coordinate path, on every id
-    or, at plane q=23 (order 529, tabulated), on sampled ones."""
+    or, at plane q=23 (order 529, tabulated), on sampled ones; both halves
+    of bipartite_arrays against the scalar point_on and line_through, with
+    and without an id kernel (GF(4), GF(9) and gh-original have none)."""
     if name == "plane q=23":
         spec, pol = plane_family(23)
         ids = np.random.default_rng(23).integers(0, spec.side_size, 5000)
         assert spec.id_kernel() is not None
+    elif name == "gh-original q=3":
+        (spec, _), pol = gh_original_family(3), None
+        ids = np.arange(spec.side_size)
+        assert spec.id_kernel() is spec.dual().id_kernel() is None
     else:
         spec, pol = KERNEL_FAMILIES[name][0]()
         ids = np.arange(spec.side_size)
     coords = spec.ids_to_coords(ids)
     every = np.arange(spec.ctx.order, dtype=spec.ctx.dtype)[None, :]
     rows = spec.coords_to_ids(spec.point_on_bulk([c[:, None] for c in coords], every))
-    assert np.array_equal(spec.point_ids(coords, spec.id_kernel()), rows)
+    assert np.array_equal(spec.point_ids(coords), rows)
     if name != "plane q=23":
-        assert np.array_equal(spec.bipartite_arrays()[0][spec.side_size:], rows)
+        assert spec.bipartite_arrays()[0].tolist() == _scalar_bipartite_rows(spec)[0]
+    if pol is None:
+        return
     pg = adg.PolarityGraph(spec, pol)
     nbs, not_self = _reference_neighbors_bulk(pg, coords)
     assert np.array_equal(pg.neighbor_ids(ids), np.where(not_self, spec.coords_to_ids(nbs), -1))
@@ -549,14 +571,17 @@ def test_point_ids_match_the_coordinate_path(name):
 
 
 def test_absolute_scan_leaves_no_reference_cycle():
+    # nor does the dual that the polarity check solves lines on: it holds
+    # its spec by a weak reference
     enabled = gc.isenabled()
     gc.disable()
     try:
-        pg = adg.PolarityGraph(*plane_family(3))
+        pg = build_polarity_graph(*plane_family(3))
         assert len(pg.absolute_ids()) == 27
-        ref = weakref.ref(pg)
+        ref, spec_ref, dual = weakref.ref(pg), weakref.ref(pg.spec), pg.spec.dual()
         del pg
-        assert ref() is None
+        assert ref() is None and spec_ref() is None
+        assert dual.dual().dual() is dual  # rebuilt once its spec is gone
     finally:
         if enabled:
             gc.enable()
@@ -658,11 +683,16 @@ def test_no_neighbour_row_holds_its_own_id(name, make_family, samples):
 
 @pytest.mark.parametrize("family", sorted(BULK_FAMILIES))
 def test_incident_bulk_matches_scalar(family, monkeypatch):
-    for budget in (0, FOLD_BUDGET_ABOVE_ALL):  # without and with solve tables
+    # the evaluator (no tables), the square form (no solve tables) and the
+    # folded one where q^3 fits, on the spec and on its dual alike
+    tables = adg.TABLE_BUDGET
+    for tables, budget in ((0, 0), (tables, 0), (tables, FOLD_BUDGET_ABOVE_ALL)):
+        monkeypatch.setattr(adg, "TABLE_BUDGET", tables)
         monkeypatch.setattr(adg, "FOLD_BUDGET", budget)
         spec, pol = BULK_FAMILIES[family]()  # fresh: tables() is cached on the spec
-        assert [t is not None and t[2] is not None for t in spec.tables()] == \
-            [t is not None and spec.ctx.order ** 3 <= budget for t in spec.tables()]
+        forms = [None if t is None else t[3] is not None
+                 for t in spec.tables() + spec.dual().tables()]
+        assert forms == [spec.ctx.order ** 3 <= budget if tables else None] * 2 * (spec.m - 1)
         _check_incidence_bulk_against_scalar(spec, pol)
 
 
@@ -686,7 +716,7 @@ def _check_incidence_bulk_against_scalar(spec, pol):
     assert [adg._row(pol.polar_line(ctx, lv), i) for i in range(len(lines))] == \
         [_apply_line(pol, ctx, lv_) for lv_ in lines]
     l1 = _arrays([(lv_[0],) for lv_ in lines])[0]
-    through = spec.line_through_bulk(pv, l1)
+    through = spec.dual().point_on_bulk(pv, l1)
     assert [adg._row(through, i) for i in range(len(points))] == \
         [spec.line_through(p, lv_[0]) for p, lv_ in zip(points, lines)]
     on = spec.point_on_bulk(lv, pv[0])
@@ -699,19 +729,29 @@ def _check_incidence_bulk_against_scalar(spec, pol):
 
 
 def test_a_tampered_solve_entry_fails_incidence():
-    spec, pol = gq_family(1)
-    q = spec.ctx.order
-    p = (3, 5, 6)
-    line = spec.line_through(p, 2)
-    pv, lv = _arrays([p]), _arrays([line])
-    assert spec.incident_bulk(pv, lv).tolist() == [True]
-    a, _, table = spec.tables()[1]
-    at = line[a] * q + p[2], p[0]  # S_1 at row (l_{a+1}, p_3), column p_1: l_3
-    assert table[at] == line[2]
-    table[at] = (table[at] + 1) % q
-    assert spec.incident_bulk(pv, lv).tolist() == [False]
-    assert spec.incident(p, line)  # the scalar closures read no solve table
-    assert not check_polarity(spec, pol).ok
+    """One wrong entry of the spec's S_1, which incident_bulk solves points
+    by, or of its dual's, which check_polarity solves lines by, fails the
+    exhaustive polarity check; the scalar closures read no solve table."""
+    p, l1 = (3, 5, 6), 2
+    for side in ("spec", "dual"):
+        spec, pol = gq_family(1)  # fresh: tables() is cached on the spec
+        q, line = spec.ctx.order, spec.line_through(p, l1)
+        pv, lv = _arrays([p]), _arrays([line])
+        assert spec.incident_bulk(pv, lv).tolist() == [True]
+        if side == "spec":  # S_1 at row (l_{a+1}, l_3), column p_{b+1}: p_3
+            a, b, _, table = spec.tables()[1]
+            at, solved = (line[a] * q + line[2], p[b]), p[2]
+        else:  # the dual's S_1 at row (p_{a+1}, p_3), column l_{b+1}: l_3
+            a, b, _, table = spec.dual().tables()[1]
+            at, solved = (p[a] * q + p[2], line[b]), line[2]
+        assert table[at] == solved
+        table[at] = (table[at] + 1) % q
+        if side == "spec":
+            assert spec.incident_bulk(pv, lv).tolist() == [False]
+        else:
+            assert adg._row(spec.dual().point_on_bulk(pv, _arrays([(l1,)])[0]), 0) != line
+        assert spec.incident(p, line) and spec.line_through(p, l1) == line
+        assert not check_polarity(spec, pol).ok, side
 
 
 def _scalar_polarity_rows(pg):
@@ -782,7 +822,7 @@ def test_fields_above_table_side_keep_the_array_rules():
     assert spec.ctx.order ** 2 > adg.TABLE_BUDGET
     assert spec.tables() == [None] * 4 and spec.id_kernel() is None
     lines = spec.ids_to_coords(np.random.default_rng(1).integers(0, spec.side_size, 3))
-    for line, row in zip(zip(*(c.tolist() for c in lines)), spec.point_ids(lines, None).tolist()):
+    for line, row in zip(zip(*(c.tolist() for c in lines)), spec.point_ids(lines).tolist()):
         assert row == [_coords_to_id(spec, spec.point_on(line, t)) for t in range(2187)]
 
 

@@ -771,9 +771,10 @@ def test_gh_original_slabs_cover_each_grid_point_once(monkeypatch, q, blocks):
     graph = materialize(2 * spec.side_size, spec.bipartite_arrays, 1000) if q == 3 else None
     grid = sum(q ** len(s) for s in _gh_original_supports(q))
     sizes = []
-    through = adg.ADGSpec.line_through_bulk
-    monkeypatch.setattr(adg.ADGSpec, "line_through_bulk", lambda self, pv, l1: (
-        sizes.append(np.broadcast(*pv, l1).size) or through(self, pv, l1)))
+    # the dual's point_on_bulk solves each slab's lines, and no other call makes one
+    on = adg.ADGSpec.point_on_bulk
+    monkeypatch.setattr(adg.ADGSpec, "point_on_bulk", lambda self, pv, l1: (
+        sizes.append(np.broadcast(*pv, l1).size) or on(self, pv, l1)))
     for block in blocks:
         monkeypatch.setattr(verify, "GH_ORIGINAL_BLOCK", block)
         sizes.clear()
@@ -1876,8 +1877,20 @@ def test_sampled_protocol_agrees_with_exhaustive_off_gh(family, kwargs):
     exhaustive = verify_family(family, with_luw=False, **kwargs)
     assert sampled["ok"] and exhaustive["ok"]
     assert sampled["witnesses"] == [] and sampled["checks"]["full_sweeps"] > 0
+    assert sampled["checks"]["cycle_roots"] == {
+        f"C{2 * k}": verify.SAMPLED_CYCLE_ROOTS[k] for k in verify.FORBIDDEN[family]}
     assert sampled["partition"] == exhaustive["partition"]
     assert sampled["verdicts"].pop("sampled") is True
     assert sampled["verdicts"] == exhaustive["verdicts"]
     assert sampled["bounds"].pop("max_degree_method")
     assert sampled["bounds"] == exhaustive["bounds"]
+
+
+def test_sampled_report_lists_the_cycle_lengths_it_searched():
+    """checks.cycle_roots names each forbidden length with the roots its
+    search drew, 1 where the caller gave none, and no other length."""
+    rep = verify.verify_family_sampled(
+        verify.family_bundle("gq", e=1), class_pair_samples=100, full_sweeps=5,
+        within_samples=50, degree_samples=50, cycle_roots={3: 2, 5: 9})
+    assert rep["ok"] and rep["checks"]["cycle_roots"] == {"C4": 1, "C6": 2}
+    assert list(rep["cycles"]) == ["C4", "C6"]
