@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import FieldCtx, make_field, prime_power
+from .graphs import Graph
 
 # -- expression trees --------------------------------------------------------
 # ("var", "p"|"l", i)   1-based coordinate reference
@@ -392,16 +393,13 @@ class ADGSpec:
             kernels[coords] = kernel
         return kernels[coords]
 
-    def bipartite_arrays(self):
-        """The incidence graph's array rule (graphs.materialize): point ids
-        0..q^m-1, then line ids, each row by ascending first coordinate of
-        the neighbour, by point_ids, on the dual for the points; no loops."""
-        ns = self.side_size
-        coords = self.ids_to_coords(np.arange(ns))
-        rows = np.empty((2 * ns, self.ctx.order), dtype=np.int64)
-        np.add(self.dual().point_ids(coords), np.int64(ns), out=rows[:ns])
-        rows[ns:] = self.point_ids(coords)
-        return rows, np.empty(0, dtype=np.int64)
+    def incidence_graph(self, limit):
+        """The incidence graph, proven by _proven_graph: point ids 0..q^m-1,
+        then line ids; a line's row is point_ids of its coordinates, a
+        point's is the lines through it, point_ids on the dual.  No loops."""
+        return _proven_graph(self, [lambda ids: self.dual().point_ids(self.ids_to_coords(ids)),
+                                    lambda ids: self.point_ids(self.ids_to_coords(ids))],
+                             lambda: np.zeros(0, dtype=np.int64), limit)
 
     def translation_ids(self, pol=None):
         """T as ascending point ids, all below q^(m-1): every t with t_1 = 0,
@@ -718,10 +716,10 @@ class PolarityGraph:
             ids = self._absolute_ids = np.sort(np.concatenate(found))
         return ids
 
-    def arrays(self):
-        """The polarity graph's array rule (graphs.materialize): every
-        vertex's neighbor_ids row, and the absolute points as loops."""
-        return self.neighbor_ids(np.arange(self.n)), self.absolute_ids()
+    def graph(self, limit):
+        """The polarity graph, proven by _proven_graph: every vertex's
+        neighbor_ids row, and the absolute points as loops."""
+        return _proven_graph(self.spec, [self.neighbor_ids], self.absolute_ids, limit)
 
 
 def build_polarity_graph(spec: ADGSpec, pol: PolaritySpec) -> PolarityGraph:
@@ -730,6 +728,56 @@ def build_polarity_graph(spec: ADGSpec, pol: PolaritySpec) -> PolarityGraph:
     if not chk.ok:
         raise ValueError(f"polarity check failed: {chk.witness}")
     return PolarityGraph(spec, pol)
+
+
+def _proven_graph(spec: ADGSpec, sides, loops, limit):
+    """The graphs.Graph on n = len(sides) * q^m ids, refused above `limit`
+    before a row is read.  sides[s](ids) maps N ids of side s (ids s*q^m..,
+    less s*q^m) to their neighbours on side s + 1 (mod the sides), less its
+    first id: slot t the one of first coordinate t, or -1.  ID_BLOCK // q
+    rows at a time go into one table, int32 while n < 2^31, and are proven
+    there, else ValueError names the vertex: slot t of row u holds -1 or a
+    vertex w != u of the side with first coordinate t; the rows holding a
+    -1 are exactly loops(), sorted ids; and, with every row in, slot
+    first(u) of w's row holds u, one gather an arc, which with the slots
+    proves symmetry.  Then each loop row's -1 moves last: rows ascend."""
+    ns, q = spec.side_size, spec.ctx.order
+    n = len(sides) * ns
+    if n > limit:
+        raise ValueError(f"{n} vertices exceed materialization ceiling {limit}")
+    loop_ids = loops()
+    table = np.empty((n, q), dtype=np.int32 if n < 2 ** 31 else np.int64)
+    high, step = ns // q, max(1, ID_BLOCK // q)  # first coordinate: id // high, mod q
+    low = np.arange(q) * high
+
+    def check(bad, message):
+        """ValueError message(row, slot) at the first True of bad, row major."""
+        if bad.any():
+            raise ValueError(message(*divmod(int(bad.argmax()), bad.shape[1])))
+
+    for s, rows in enumerate(sides):
+        other = (s + 1) % len(sides) * ns
+        for lo in range(s * ns, (s + 1) * ns, step):
+            u = np.arange(lo, min(lo + step, (s + 1) * ns))
+            block, loop = rows(u - s * ns), np.isin(u, loop_ids)
+            empty = block == -1
+            outside = (block < low) | (block >= low + high) | (block == u[:, None] - other)
+            check(outside & ~empty, lambda i, t: f"slot {t} of vertex {u[i]} holds "
+                  f"{block[i, t] + other}, not another vertex of first coordinate {t}")
+            check((empty.any(axis=1) != loop)[:, None], lambda i, t: (
+                f"vertex {u[i]} is {'a loop with no' if loop[i] else 'no loop but has an'} empty slot"))
+            table[lo:lo + len(u)] = np.where(empty, -1, block + other)
+    flat = table.ravel()
+    for lo in range(0, n, step):
+        u, w = np.arange(lo, min(lo + step, n)), table[lo:lo + step]
+        back = flat.take(np.multiply(w, q, dtype=np.intp) + (u // high % q)[:, None])
+        check((back != u[:, None]) & (w >= 0), lambda i, t: f"asymmetric edge ({u[i]}, {w[i, t]})")
+    rows = table[loop_ids]
+    rows.view(f"u{rows.itemsize}").sort(axis=1)  # unsigned: each -1 last
+    table[loop_ids] = rows
+    deg = np.full(n, q, dtype=np.int64)
+    deg[loop_ids] = (rows >= 0).sum(axis=1)
+    return Graph.proven(table, deg, loop_ids)
 
 
 # -- bulk (vectorized) incidence kernel ----------------------------------------

@@ -21,8 +21,7 @@ from pathlib import Path
 
 from . import adg, partitions as parts, verify as ver
 from .graphs import (
-    edge_count, materialize, read_edge_list, read_partition, write_edge_list,
-    write_partition,
+    edge_count, read_edge_list, read_partition, write_edge_list, write_partition,
 )
 
 # The family settings (argparse dests) each family reads, its parameter
@@ -98,10 +97,17 @@ def _bundle(args):
                              allow_small_e=bool(args.override_small_e), spec_json=spec_json)
 
 
-def _write(path, text):
-    """Write text to path, making its directory (--out) at the first write."""
+def _open(path):
+    """path opened to write text, its directory (--out) made at the first write."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
+    return open(path, "w", newline="\n")
+
+
+def _write(path, text):
+    """Write text to path, or to `path` itself, a file _open opened."""
+    if not isinstance(path, str):
+        return path.write(text)
+    with _open(path) as fh:
         fh.write(text)
 
 
@@ -119,7 +125,7 @@ def _jsonable(x):
 
 def _polarity_graph(args, bundle):
     """Refuse an instance above the ceiling, else check the bundle's
-    polarity exhaustively and, when it holds, materialize its graph:
+    polarity exhaustively and, when it holds, build its proven graph:
     (the graph or None, the PolarityCheck)."""
     spec, pol, _, _ = bundle
     if spec.side_size > args.limit:
@@ -127,13 +133,14 @@ def _polarity_graph(args, bundle):
     check = adg.check_polarity(spec, pol)
     if not check.ok:
         return None, check
-    pg = adg.PolarityGraph(spec, pol)
-    return materialize(pg.n, pg.arrays, args.limit), check
+    return adg.PolarityGraph(spec, pol).graph(args.limit), check
 
 
 def _write_graph(args, g):
     path = os.path.join(args.out, _stem(args) + ".edges")
-    _write(path, write_edge_list(g))
+    with _open(path) as fh:
+        for text in write_edge_list(g):
+            _write(fh, text)
     print(f"wrote {path} ({g.n} vertices, {edge_count(g)} edges)")
 
 
@@ -164,14 +171,9 @@ def _write_report(args, report) -> int:
     return 0 if ok else 1
 
 
-def _gh_original_graph(args):
-    spec, _ = adg.gh_original_family(args.q)
-    return materialize(2 * spec.side_size, spec.bipartite_arrays, args.limit)
-
-
 def cmd_build(args) -> int:
     if args.family == "gh-original":
-        g = _gh_original_graph(args)
+        g = adg.gh_original_family(args.q)[0].incidence_graph(args.limit)
     else:
         g, check = _polarity_graph(args, _bundle(args))
         if g is None:
@@ -205,7 +207,7 @@ def cmd_report(args) -> int:
     verified with the polarity check that built the graph; only the report
     if it failed."""
     if args.family == "gh-original":
-        g = _gh_original_graph(args)
+        g = adg.gh_original_family(args.q)[0].incidence_graph(args.limit)
         _write_graph(args, g)
         return _write_report(args, ver.verify_gh_original(args.q, args.limit, graph=g))
     bundle = _bundle(args)

@@ -2,9 +2,9 @@
 
 Graphs are loop-aware but loops live in a separate array: degrees, edge
 counts and cycle searches all exclude them, which is the convention the
-construction arithmetic needs.  materialize builds a Graph from an array
-rule, such as adg's PolarityGraph.arrays and ADGSpec.bipartite_arrays, once
-the vertex count is under a ceiling.
+construction arithmetic needs.  Graph() validates outside input (edge
+lists, array rules through materialize); adg's builders prove the tables
+their id kernel writes and wrap them with Graph.proven.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ class Graph:
     neighbour table.
 
     Row v of `table`, an (n, max degree) array, holds v's `deg[v]`
-    neighbours in ascending order, then -1 pads; ids are int32 while
-    n * n fits in one, else int64.  Loops are kept in `loops`, one sorted
-    int64 array of distinct ids, and never appear in the rows.  The
-    constructor checks every neighbour is in range, no row holds its own
-    vertex or a repeat, and the adjacency is symmetric.
+    neighbours in ascending order, then -1 pads; Graph() stores int32 ids
+    while its arc codes u * n + v fit, else int64.  Loops are kept in
+    `loops`, one sorted int64 array of distinct ids, and never appear in
+    the rows.  The constructor checks every neighbour is in range, no row
+    holds its own vertex or a repeat, and the adjacency is symmetric.
     """
 
     def __init__(self, n, adjacency, loops=()):
@@ -74,6 +74,14 @@ class Graph:
         self.table = np.full((n, int(deg.max(initial=0))), -1, dtype=dtype)
         self.table[np.arange(self.table.shape[1]) < deg[:, None]] = heads
         self.loops = loop_ids
+
+    @classmethod
+    def proven(cls, table, deg, loops):
+        """The graph of a table in this layout, its degrees and loops, kept as
+        given (adg's kernel tables, int32 while n < 2^31): their builder proved them."""
+        g = cls.__new__(cls)
+        g.n, g.table, g.deg, g.loops = len(table), table, deg, loops
+        return g
 
     @classmethod
     def from_edges(cls, n, edges, loops=()):
@@ -466,13 +474,13 @@ def girth(g: Graph, roots=None):
 # text formats
 # ---------------------------------------------------------------------------
 
-def write_edge_list(g: Graph) -> str:
-    """Plain-text edge list: `n m loops`, then `u v` (u < v), then `L v`."""
-    text = [f"{g.n} {edge_count(g)} {loop_count(g)}\n"]
+def write_edge_list(g: Graph):
+    """Plain-text edge list: `n m loops`, then `u v` (u < v), then `L v`,
+    yielded as the header, a block per row_blocks block, then the loops."""
+    yield f"{g.n} {edge_count(g)} {loop_count(g)}\n"
     for lo, rows in row_blocks(g):
-        text.append("".join([f"{u} {v}\n" for u, v in g.edges(lo, lo + len(rows))]))
-    text += [f"L {v}\n" for v in g.loops.tolist()]
-    return "".join(text)
+        yield "".join([f"{u} {v}\n" for u, v in g.edges(lo, lo + len(rows))])
+    yield "".join([f"L {v}\n" for v in g.loops.tolist()])
 
 
 def _ints(what, i, ln, fields, count):

@@ -18,8 +18,8 @@ import numpy as np
 from . import adg, partitions as parts
 from .graphs import (
     Graph, Partition, degree_multiset, degrees, edge_count, even_cycle,
-    find_even_cycle, girth, is_automorphism, loop_count, materialize,
-    pair_edge_matrix, row_blocks,
+    find_even_cycle, girth, is_automorphism, loop_count, pair_edge_matrix,
+    row_blocks,
 )
 
 ORACLE_MAX_N = 12
@@ -255,7 +255,7 @@ def orbit_roots(spec, g: Graph, pol=None):
     """The orbit minima among the point ids of the group G generated by the
     translations T (spec.translation_ids(pol)) and the scaling S
     (spec.scaling(pol), when not None) on g, the polarity graph of `pol`
-    or, with no polarity, the incidence graph (spec.bipartite_arrays): the
+    or, with no polarity, the incidence graph (spec.incidence_graph): the
     ids v with v = min over s in G of id(s(v)).  None when T is None, when
     g has neither q^m nor 2 q^m vertices, or when S or the map (p, l) ->
     (p + t, l - t) of some t of a GF(p)-basis of T is not an automorphism
@@ -496,11 +496,7 @@ def verify_family_exhaustive(bundle, *, seed=0,
     if not pol_check.ok:
         return report
 
-    if graph is None:
-        pg = adg.PolarityGraph(spec, pol)
-        g = materialize(pg.n, pg.arrays, materialize_limit)
-    else:
-        g = graph
+    g = adg.PolarityGraph(spec, pol).graph(materialize_limit) if graph is None else graph
     if partition is None:
         part = parts.scheme_partition(scheme, spec)
     else:
@@ -539,7 +535,7 @@ def verify_family_exhaustive(bundle, *, seed=0,
         "loops_one_per_class": loops_ok,
     }
     if with_luw:
-        g_bip = materialize(2 * ns, spec.bipartite_arrays, 4 * materialize_limit)
+        g_bip = spec.incidence_graph(4 * materialize_limit)
         report["luw"] = luw_report(g_bip, g, {k: found[k] for k in luw_ks},
                                    orbit_roots(spec, g_bip), roots)
     else:
@@ -887,7 +883,7 @@ def verify_gh_original(q, materialize_limit=DEFAULT_MATERIALIZE_LIMIT, graph=Non
     if ns > materialize_limit:
         raise ValueError(f"{ns} points a side exceed the map check ceiling {materialize_limit}")
     if graph is None and 2 * ns <= 1000:
-        graph = materialize(2 * ns, spec_orig.bipartite_arrays, materialize_limit)
+        graph = spec_orig.incidence_graph(materialize_limit)
     images = {"P": np.zeros(ns, dtype=bool), "L": np.zeros(ns, dtype=bool)}
     for lo in range(0, ns, GH_ORIGINAL_BLOCK):
         coords = spec_orig.ids_to_coords(np.arange(lo, min(lo + GH_ORIGINAL_BLOCK, ns)))
@@ -945,9 +941,9 @@ def verify_gh_original(q, materialize_limit=DEFAULT_MATERIALIZE_LIMIT, graph=Non
 
 def verify_bipartite_partition(spec, part: Partition, r,
                                materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
-    """Materialize the bipartite graph and check the partition is complete;
+    """Build the proven incidence graph and check the partition is complete;
     reports the psi ratio from the verified counts."""
-    g = materialize(2 * spec.side_size, spec.bipartite_arrays, materialize_limit)
+    g = spec.incidence_graph(materialize_limit)
     verd, witnesses, _ = verdict(g, part)
     e_g = edge_count(g)
     return {

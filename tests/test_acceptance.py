@@ -18,9 +18,7 @@ from polarpart.adg import (
 )
 from polarpart.cli import main as cli_main
 from polarpart.gf import make_field
-from polarpart.graphs import (
-    Graph, Partition, contains_C4, edge_count, find_even_cycle, materialize,
-)
+from polarpart.graphs import Graph, Partition, contains_C4, edge_count, find_even_cycle
 from polarpart.partitions import (
     general_even_partition, general_odd_partition, general_polarity_partition,
 )
@@ -78,7 +76,7 @@ def test_criterion_2_plane_q3():
     t0 = time.monotonic()
     rep = verify_family("plane", q=3, with_luw=False)
     spec, pol = plane_family(3)
-    g = materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 5)
+    g = build_polarity_graph(spec, pol).graph(10 ** 5)
     ok = (
         rep["counts"]["n"] == 81
         and rep["counts"]["edges"] == 351 == 27 * 26 // 2
@@ -152,8 +150,8 @@ def test_criterion_6_luw():
                           (lambda: plane_family(3), 2),
                           (lambda: gq_family(1), 3)):
         spec, pol = builder()
-        gp = materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 6)
-        g_bip = materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 6)
+        gp = build_polarity_graph(spec, pol).graph(10 ** 6)
+        g_bip = spec.incidence_graph(10 ** 6)
         rep = luw_report(g_bip, gp, {k: find_even_cycle(gp, k) for k in range(2, kmax + 1)})
         ok = ok and rep["ok"] and rep["degree_relation_ok"] and rep["reconciled_ok"]
         ok = ok and rep["polarity_girth"] >= rep["bipartite_girth"] / 2
@@ -191,7 +189,7 @@ def test_criterion_7_theorem5():
     ]
     for tspec in toys:
         pol = adg.generic_conjugation_polarity(tspec)
-        g = materialize(tspec.side_size, build_polarity_graph(tspec, pol).arrays, 10 ** 5)
+        g = build_polarity_graph(tspec, pol).graph(10 ** 5)
         tpart, tscheme = general_polarity_partition(tspec)
         verd, _, _ = verdict(g, tpart)
         ok = ok and verd["optimally_complete"]

@@ -5,9 +5,11 @@ independent closed forms (the displayed two-variable equations) on full
 vertex-pair sweeps at small q.
 """
 
+import functools
 import gc
 import itertools
 import random
+import re
 import tracemalloc
 import weakref
 
@@ -22,7 +24,7 @@ from polarpart.adg import (
     gh_original_family, gq_family, mul, plane_family, powi, sub, var_l, var_p,
 )
 from polarpart.gf import make_field
-from polarpart.graphs import Graph, girth, materialize
+from polarpart.graphs import Graph, girth
 
 
 def test_expr_from_json():
@@ -136,7 +138,7 @@ def test_plane_polarity_adjacency_closed_form():
         ctx = spec.ctx
         d = ctx.k // 2
         pg = build_polarity_graph(spec, pol)
-        g = materialize(pg.n, pg.arrays, 10 ** 5)
+        g = pg.graph(10 ** 5)
         frob = ctx.frob_table(d)
         for pid in range(g.n):
             p = _id_to_coords(spec, pid)
@@ -155,7 +157,7 @@ def test_gq_polarity_adjacency_closed_form():
     spec, pol = gq_family(e)
     ctx = spec.ctx
     pg = build_polarity_graph(spec, pol)
-    g = materialize(pg.n, pg.arrays, 10 ** 5)
+    g = pg.graph(10 ** 5)
     fe = ctx.frob_table(e)
     fe1 = ctx.frob_table(e + 1)
     rng = random.Random(5)
@@ -179,7 +181,7 @@ def test_gh_polarity_adjacency_closed_form_small():
     spec, pol = gh_family(e, allow_small_e=True)
     ctx = spec.ctx
     pg = build_polarity_graph(spec, pol)
-    g = materialize(pg.n, pg.arrays, 10 ** 5)
+    g = pg.graph(10 ** 5)
     fe = ctx.frob_table(e)
     fe1 = ctx.frob_table(e + 1)
     rng = random.Random(6)
@@ -264,8 +266,8 @@ def test_generic_conjugation_reproduces_plane():
     pol = generic_conjugation_polarity(spec)
     ref_spec, ref_pol = plane_family(2)
     assert pol.point_to_line == ref_pol.point_to_line
-    g = materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 4)
-    h = materialize(ref_spec.side_size, build_polarity_graph(ref_spec, ref_pol).arrays, 10 ** 4)
+    g = build_polarity_graph(spec, pol).graph(10 ** 4)
+    h = build_polarity_graph(ref_spec, ref_pol).graph(10 ** 4)
     assert g.adj == h.adj and np.array_equal(g.loops, h.loops)
 
 
@@ -540,10 +542,10 @@ def test_which_specs_fold_their_id_tables(name, make_family, folds):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_FAMILIES) + ["plane q=23", "gh-original q=3"])
 def test_point_ids_match_the_coordinate_path(name):
-    """point_ids (both halves of bipartite_arrays, and neighbor_ids),
+    """point_ids (both halves of incidence_graph, and neighbor_ids),
     neighbor_ids and absolute_ids against the coordinate path, on every id
     or, at plane q=23 (order 529, tabulated), on sampled ones; both halves
-    of bipartite_arrays against the scalar point_on and line_through, with
+    of incidence_graph against the scalar point_on and line_through, with
     and without an id kernel (GF(4), GF(9) and gh-original have none)."""
     if name == "plane q=23":
         spec, pol = plane_family(23)
@@ -561,7 +563,7 @@ def test_point_ids_match_the_coordinate_path(name):
     rows = spec.coords_to_ids(spec.point_on_bulk([c[:, None] for c in coords], every))
     assert np.array_equal(spec.point_ids(coords), rows)
     if name != "plane q=23":
-        assert spec.bipartite_arrays()[0].tolist() == _scalar_bipartite_rows(spec)[0]
+        assert spec.incidence_graph(10 ** 4).adj == _scalar_bipartite_rows(spec)[0]
     if pol is None:
         return
     pg = adg.PolarityGraph(spec, pol)
@@ -678,7 +680,7 @@ def test_no_neighbour_row_holds_its_own_id(name, make_family, samples):
     assert (nb == -1).any()  # absolute points: their own slot is written -1
     assert not _holds_own_id(ids, nb).any()
     if samples is None:
-        assert not _holds_own_id(ids, materialize(pg.n, pg.arrays, pg.n).table).any()
+        assert not _holds_own_id(ids, pg.graph(pg.n).table).any()
 
 
 @pytest.mark.parametrize("family", sorted(BULK_FAMILIES))
@@ -763,22 +765,31 @@ def _scalar_polarity_rows(pg):
 
 def _scalar_bipartite_rows(spec):
     """The incidence graph's rows (points, then lines) from the scalar
-    closures; it has no loops."""
-    ns, coords = spec.side_size, list(_all_coords(spec))
-    rows = [[ns + _coords_to_id(spec, lv) for lv in _neighbors_of_point(spec, c)] for c in coords]
-    rows += [[_coords_to_id(spec, p) for p in _neighbors_of_line(spec, c)] for c in coords]
+    closures, ids by a Python codec (coordinates big-endian, as in
+    itertools.product); it has no loops."""
+    q, ns = spec.ctx.order, spec.side_size
+    coords = list(itertools.product(range(q), repeat=spec.m))  # id order
+
+    def ident(c):
+        return functools.reduce(lambda v, x: v * q + x, c)
+
+    rows = [[ns + ident(lv) for lv in _neighbors_of_point(spec, c)] for c in coords]
+    rows += [[ident(p) for p in _neighbors_of_line(spec, c)] for c in coords]
     return rows, []
 
 
-def _materialize_both_ways(n, rule, scalar_rows):
-    """(by the array rule, by the scalar rows); the array rule's padded
-    table must be the one the list constructor builds from the scalar rows."""
-    bulk = materialize(n, rule, n)
+def _materialize_both_ways(bulk, scalar_rows):
+    """(the builder's proven graph, Graph() over the scalar rows); its
+    padded table must be the one the list constructor builds from the
+    scalar rows, in int32 ids, which Graph() widens to int64 once n * n
+    passes 2^31, with the same degrees, loops and adjacency lists."""
+    n = bulk.n
     rows, loops = scalar_rows
     scalar = Graph(n, rows, loops)
-    assert bulk.table.dtype == scalar.table.dtype
+    assert bulk.table.dtype == (scalar.table.dtype if n * n < 2 ** 31 else np.int32)
     assert np.array_equal(bulk.table, scalar.table)
-    assert np.array_equal(bulk.deg, scalar.deg)
+    assert bulk.deg.dtype == scalar.deg.dtype and np.array_equal(bulk.deg, scalar.deg)
+    assert bulk.loops.dtype == scalar.loops.dtype and np.array_equal(bulk.loops, scalar.loops)
     assert bulk.adj == [sorted(row) for row in rows]
     return bulk, scalar
 
@@ -788,10 +799,12 @@ def _materialize_both_ways(n, rule, scalar_rows):
     ("plane q=3", lambda: plane_family(3)),
     ("gq e=1", lambda: gq_family(1)),
     ("gh e=0", lambda: gh_family(0, allow_small_e=True)),
+    ("GF(4) m=4 toy", KERNEL_FAMILIES["GF(4) m=4 toy"][0]),
+    ("GF(9) f_3 = p_2 l_2", KERNEL_FAMILIES["GF(9) f_3 = p_2 l_2"][0]),
 ])
 def test_materialize_by_array_rule_matches_scalar_rule(name, make_family):
     pg = adg.PolarityGraph(*make_family())
-    bulk, scalar = _materialize_both_ways(pg.n, pg.arrays, _scalar_polarity_rows(pg))
+    bulk, scalar = _materialize_both_ways(pg.graph(pg.n), _scalar_polarity_rows(pg))
     assert np.array_equal(bulk.loops, scalar.loops) and len(bulk.loops) > 0
 
 
@@ -801,18 +814,76 @@ def test_materialize_by_array_rule_matches_scalar_rule(name, make_family):
     ("gq e=1", lambda: gq_family(1)[0]),
     ("gh e=0", lambda: gh_family(0, allow_small_e=True)[0]),
     ("gh-original q=3", lambda: gh_original_family(3)[0]),
+    ("GF(4) m=4 toy", lambda: GF4_TOY),
+    ("GF(9) f_3 = p_2 l_2", lambda: GF9_SPEC),
+    # n = 65,536: n * n passes 2^31, the ids stay int32
+    ("gq e=2", lambda: gq_family(2)[0]),
 ])
 def test_bipartite_array_rule_matches_scalar_rule(name, make_spec):
     spec = make_spec()
-    bulk, scalar = _materialize_both_ways(2 * spec.side_size, spec.bipartite_arrays,
+    bulk, scalar = _materialize_both_ways(spec.incidence_graph(2 * spec.side_size),
                                           _scalar_bipartite_rows(spec))
     assert len(bulk.loops) == len(scalar.loops) == 0
 
 
+# One tampered slot per clause of the builders' proof: family -> (method
+# whose rows are tampered, vertex, slot, value written there, the message
+# the proof raises).  Plane q=3's polarity graph reads neighbor_ids
+# (absolute points 0, 3, 6, ..., row 1 = 2, 11, 20, ..., classes of 9
+# and 11 are 3 and 4); gh-original q=3's incidence graph reads its point
+# rows from the dual's point_ids, in line ids less 243: point 0 lies on
+# lines 243, 324 and 405, not on 244.
+PROOF_TAMPERS = {
+    "an arc moved to a lower class in one row":
+        ("plane", "neighbor_ids", 1, 1, 9, "asymmetric edge (1, 9)"),
+    "a vertex's own id left in its row":
+        ("plane", "neighbor_ids", 0, 0, 0,
+         "slot 0 of vertex 0 holds 0, not another vertex of first coordinate 0"),
+    "a -1 in a row that is not absolute":
+        ("plane", "neighbor_ids", 1, 0, -1, "vertex 1 is no loop but has an empty slot"),
+    "an absolute row with no -1":
+        ("plane", "neighbor_ids", 0, 0, 1, "vertex 0 is a loop with no empty slot"),
+    "a slot holding another first coordinate":
+        ("plane", "neighbor_ids", 1, 1, 20,
+         "slot 1 of vertex 1 holds 20, not another vertex of first coordinate 1"),
+    "a point row naming a line that lacks the point":
+        ("gh-original", "point_ids", 0, 0, 1, "asymmetric edge (0, 244)"),
+}
+
+
+def tamper_rows(monkeypatch, case):
+    """Patch PROOF_TAMPERS[case]'s method to write its value into its slot
+    of its vertex's row (point_ids: only the dual's, the point rows);
+    returns its family and message."""
+    family, name, vertex, slot, value, message = PROOF_TAMPERS[case]
+    owner = adg.PolarityGraph if name == "neighbor_ids" else adg.ADGSpec
+    original, dual_fs = getattr(owner, name), gh_original_family(3)[0].dual().fs
+
+    def rows(self, arg, *rest):
+        out = original(self, arg, *rest)
+        if owner is adg.PolarityGraph:  # arg: vertex ids
+            out[np.asarray(arg) == vertex, slot] = value
+        elif self.fs == dual_fs:  # the point rows; arg: their digits
+            out[self.coords_to_ids(arg) == vertex, slot] = value
+        return out
+    monkeypatch.setattr(owner, name, rows)
+    return family, message
+
+
+@pytest.mark.parametrize("case", sorted(PROOF_TAMPERS))
+def test_the_builders_proof_refuses_a_tampered_row(monkeypatch, case):
+    family, message = tamper_rows(monkeypatch, case)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if family == "plane":
+            adg.PolarityGraph(*plane_family(3)).graph(81)
+        else:
+            gh_original_family(3)[0].incidence_graph(486)
+
+
 def test_plane_q7_girths():
     spec, pol = plane_family(7)
-    assert girth(materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 4)) == 6
-    assert girth(materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 4)) == 3
+    assert girth(spec.incidence_graph(10 ** 4)) == 6
+    assert girth(build_polarity_graph(spec, pol).graph(10 ** 4)) == 3
 
 
 def test_fields_above_table_side_keep_the_array_rules():

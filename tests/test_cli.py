@@ -7,10 +7,11 @@ import time
 
 import pytest
 
-from polarpart import adg, cli, partitions, verify
+from polarpart import adg, partitions, verify
 from polarpart.adg import gh_original_family
 from polarpart.cli import main
-from polarpart.graphs import materialize, read_edge_list
+from polarpart.graphs import read_edge_list
+from test_adg import PROOF_TAMPERS, tamper_rows
 from test_verify import _reference_find_even_cycle
 
 
@@ -309,9 +310,9 @@ def test_gh_original_verify(tmp_path):
 def test_report_gh_original_builds_then_verifies(tmp_path, monkeypatch):
     rep, ver = tmp_path / "report", tmp_path / "verify"
     sizes = []
-    for module in (cli, verify):
-        monkeypatch.setattr(module, "materialize", lambda n, *a, _m=module.materialize: (
-            sizes.append(n) or _m(n, *a)))
+    build = adg.ADGSpec.incidence_graph
+    monkeypatch.setattr(adg.ADGSpec, "incidence_graph", lambda spec, limit: (
+        sizes.append(2 * spec.side_size) or build(spec, limit)))
     assert run(["report", "gh-original", "--q", "3", "--out", str(rep)]) == 0
     assert sizes == [486]  # one graph: the edge list's, whose girth the report carries
     monkeypatch.undo()
@@ -321,10 +322,19 @@ def test_report_gh_original_builds_then_verifies(tmp_path, monkeypatch):
     g = read_edge_list((rep / "gh-original_q3.edges").read_text(), 486)
     assert (g.n, len(list(g.edges()))) == (486, 729)
     spec = gh_original_family(3)[0]
-    assert g.adj == materialize(g.n, spec.bipartite_arrays, g.n).adj
+    assert g.adj == spec.incidence_graph(g.n).adj
     assert run(["build", "gh-original", "--q", "3", "--out", str(tmp_path / "b")]) == 0
     assert (tmp_path / "b" / "gh-original_q3.edges").read_bytes() == \
         (rep / "gh-original_q3.edges").read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(PROOF_TAMPERS))
+def test_build_names_the_vertex_of_a_tampered_row(tmp_path, capsys, monkeypatch, case):
+    family, message = tamper_rows(monkeypatch, case)
+    out = tmp_path / "out"
+    assert run(["build", family, "--q", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_gh_original_refusals_exit_2(tmp_path, capsys):
@@ -363,12 +373,13 @@ def test_report_builds_each_object_once(tmp_path, monkeypatch):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls.append((name, args[0]) if name == "materialize" else name)
-            return original(*args, **kwargs)
+            result = original(*args, **kwargs)
+            calls.append((name, result.n) if name in ("graph", "incidence_graph") else name)
+            return result
         monkeypatch.setattr(module, name, wrapper)
 
-    for module in (cli, verify):
-        count(module, "materialize")
+    count(adg.PolarityGraph, "graph")
+    count(adg.ADGSpec, "incidence_graph")
     count(verify, "family_bundle")
     count(partitions, "scheme_partition")
     count(adg, "check_polarity")
@@ -376,7 +387,7 @@ def test_report_builds_each_object_once(tmp_path, monkeypatch):
     # one bundle, one polarity check, one partition, the polarity graph (81)
     # and the LUW bipartite graph (162)
     assert sorted(map(str, calls)) == [
-        "('materialize', 162)", "('materialize', 81)", "check_polarity", "family_bundle",
+        "('graph', 81)", "('incidence_graph', 162)", "check_polarity", "family_bundle",
         "scheme_partition"]
     monkeypatch.undo()
     assert run(["verify", "plane", "--q", "3", "--out", str(tmp_path / "v")]) == 0

@@ -207,7 +207,7 @@ def test_bipartite_c6_root_pairs_walks_by_chunks(root):
     # search stops at the first LAYER_CHUNK of pairs with a disjoint one,
     # and keeps the witness and the DFS reference's
     spec, _ = plane_family(9)
-    g = materialize(2 * spec.side_size, spec.bipartite_arrays, 20_000)
+    g = spec.incidence_graph(20_000)
     w = find_even_cycle(g, 3, roots=[root])
     assert w == PLANE9_BIPARTITE_C6[root]
     assert w == _reference_dfs(root, 3, lambda v: g.adj[v][::-1])
@@ -361,7 +361,7 @@ def _pruned_bfs(g):
 
 def test_every_girth_root_reads_only_rows_above_it(monkeypatch):
     spec = plane_family(3)[0]
-    g = materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 4)
+    g = spec.incidence_graph(10 ** 4)
     expected, frontiers = _pruned_bfs(g)
     assert all(min(rows) >= root for root, rows in frontiers)
     # one root per block, and the parity pass reads the plain table
@@ -417,7 +417,7 @@ def test_pair_edge_matrix_blocks_stay_within_the_bound(monkeypatch, big_class, b
     # 42 members: its 378 row slots bind, one class a block
     spec, pol = plane_family(3)
     pg = build_polarity_graph(spec, pol)
-    g = materialize(pg.n, pg.arrays, 1000)
+    g = pg.graph(1000)
     cls = np.arange(g.n) // 3
     if big_class:
         cls = np.where(cls >= 13, cls - 13, 0)
@@ -572,16 +572,16 @@ def test_from_edges_rejects_an_endpoint_out_of_range(edge):
 
 def test_edge_list_round_trip():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 4)], loops=[2, 3])
-    text = write_edge_list(g)
+    text = "".join(write_edge_list(g))
     assert text.splitlines()[0] == "5 3 2"
     h = read_edge_list(text, 5)
     assert h.adj == g.adj and np.array_equal(h.loops, g.loops)
-    assert write_edge_list(h) == text
+    assert "".join(write_edge_list(h)) == text
 
 
 def _joined_edge_list(g):
-    """write_edge_list as one join over a string per line, as it was
-    before it formatted in blocks: the reference for its bytes."""
+    """write_edge_list's text as one join over a string per line, as it
+    was before it formatted in blocks: the reference for its bytes."""
     up = [(u, v) for u in range(g.n) for v in g.adj[u] if u < v]
     lines = [f"{g.n} {len(up)} {len(g.loops)}"]
     lines += [f"{u} {v}" for u, v in up]
@@ -593,11 +593,14 @@ def _joined_edge_list(g):
 def test_edge_list_blocks_keep_the_bytes(monkeypatch, block):
     spec, pol = plane_family(3)
     pg = build_polarity_graph(spec, pol)
-    cases = [materialize(pg.n, pg.arrays, 1000), Graph(4, [[], [], [], []], loops=[1]),
+    cases = [pg.graph(1000), Graph(4, [[], [], [], []], loops=[1]),
              Graph.from_edges(7, [(0, 6), (2, 3), (3, 5)])]
     monkeypatch.setattr(graphs, "ROW_BLOCK", block)
     for g in cases:
-        assert write_edge_list(g) == _joined_edge_list(g)
+        blocks = list(write_edge_list(g))
+        assert "".join(blocks) == _joined_edge_list(g)
+        # the header, one block per row block, the loops
+        assert len(blocks) == 2 + len(list(graphs.row_blocks(g)))
 
 
 def test_edge_list_header_mismatch():

@@ -12,7 +12,7 @@ from polarpart.adg import (
     plane_family, powi, var_l, var_p,
 )
 from polarpart.gf import find_normal_element, make_field
-from polarpart.graphs import materialize, pair_edge_matrix
+from polarpart.graphs import pair_edge_matrix
 from polarpart.partitions import (
     GHScheme, GQScheme, GeneralPolarityScheme, PlaneScheme,
     general_even_partition, general_odd_partition, general_polarity_partition,
@@ -71,7 +71,7 @@ def test_plane_unique_edge_matches_exhaustive_scan():
         spec, pol = plane_family(q)
         scheme = PlaneScheme(spec.ctx)
         pg = build_polarity_graph(spec, pol)
-        g = materialize(pg.n, pg.arrays, 10 ** 5)
+        g = pg.graph(10 ** 5)
         for cid1 in range(scheme.r):
             for cid2 in range(scheme.r):
                 if cid1 == cid2:
@@ -98,7 +98,7 @@ def test_plane_loops_one_per_class():
     spec, pol = plane_family(3)
     scheme = PlaneScheme(spec.ctx)
     pg = build_polarity_graph(spec, pol)
-    g = materialize(pg.n, pg.arrays, 10 ** 5)
+    g = pg.graph(10 ** 5)
     part = scheme_partition(scheme, spec)
     assert pair_edge_matrix(g, part, 20)[3].tolist() == [1] * scheme.r
     for cid in range(scheme.r):
@@ -126,7 +126,7 @@ def test_gq_unique_edge_matches_exhaustive_scan():
     spec, pol = gq_family(1)
     scheme = GQScheme(spec.ctx, 1)
     pg = build_polarity_graph(spec, pol)
-    g = materialize(pg.n, pg.arrays, 10 ** 5)
+    g = pg.graph(10 ** 5)
     rng = random.Random(1)
     pairs = {(rng.randrange(64), rng.randrange(64)) for _ in range(120)}
     for cid1, cid2 in pairs:
@@ -184,7 +184,7 @@ def test_gh_unique_edge_matches_exhaustive_scan_small():
     spec, pol = gh_family(0, allow_small_e=True)
     scheme = GHScheme(spec.ctx, 0)
     pg = build_polarity_graph(spec, pol)
-    g = materialize(pg.n, pg.arrays, 10 ** 5)
+    g = pg.graph(10 ** 5)
     for cid1 in range(scheme.r):
         for cid2 in range(scheme.r):
             if cid1 == cid2:
@@ -306,7 +306,7 @@ def test_general_odd_toy_exhaustive():
     spec = toy_odd_spec()
     part, r = general_odd_partition(spec)
     assert r == 4
-    g = materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 4)
+    g = spec.incidence_graph(10 ** 4)
     verd, witnesses, mat = verdict(g, part)
     assert verd["complete"]
     assert part.class_sizes() == [4] * 4
@@ -317,7 +317,7 @@ def test_general_odd_gq_spec():
     part, r = general_odd_partition(spec)
     assert r == 64
     assert part.class_sizes() == [16] * 64
-    g = materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 5)
+    g = spec.incidence_graph(10 ** 5)
     verd, _, _ = verdict(g, part)
     assert verd["complete"]
 
@@ -331,7 +331,7 @@ def test_general_odd_pairing_validation():
 def test_general_odd_nontrivial_pairing():
     spec = toy_odd_spec()
     part, r = general_odd_partition(spec, pairing=[3, 2, 1, 0])
-    g = materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 4)
+    g = spec.incidence_graph(10 ** 4)
     assert verdict(g, part)[0]["complete"]
 
 
@@ -348,7 +348,7 @@ def test_general_even_m2():
         spec = ADGSpec(ctx, 2, (mul(var_p(1), var_l(1)),))
         part, r, basis = general_even_partition(spec)
         assert r == expected_r
-        g = materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 4)
+        g = spec.incidence_graph(10 ** 4)
         verd, _, _ = verdict(g, part)
         assert verd["complete"]
 
@@ -384,7 +384,7 @@ def test_general_polarity_m4_toy():
     ))
     pol = adg.generic_conjugation_polarity(spec)
     pg = build_polarity_graph(spec, pol)
-    g = materialize(pg.n, pg.arrays, 10 ** 4)
+    g = pg.graph(10 ** 4)
     part, scheme = general_polarity_partition(spec)
     assert scheme.r == 32
     assert part.class_sizes() == [8] * 32

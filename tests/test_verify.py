@@ -53,7 +53,7 @@ def seeded_gnp(n, prob, seed):
 
 def test_verdict_plane_q2():
     spec, pol = plane_family(2)
-    g = materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 4)
+    g = build_polarity_graph(spec, pol).graph(10 ** 4)
     part = scheme_partition(PlaneScheme(spec.ctx), spec)
     verd, witnesses, mat = verdict(g, part)
     assert verd == {"complete": True, "achromatic": True, "optimally_complete": True}
@@ -132,8 +132,8 @@ def _gp_cycles(gp, kmax):
 
 def test_luw_plane_q2():
     spec, pol = plane_family(2)
-    gp = materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 4)
-    g_bip = materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 4)
+    gp = build_polarity_graph(spec, pol).graph(10 ** 4)
+    g_bip = spec.incidence_graph(10 ** 4)
     rep = luw_report(g_bip, gp, _gp_cycles(gp, 2))
     assert rep["ok"]
     assert rep["incidences"] == 64 and rep["polarity_edges"] == 28 and rep["absolute"] == 8
@@ -144,8 +144,8 @@ def test_luw_plane_q2():
 
 def test_luw_gq():
     spec, pol = gq_family(1)
-    gp = materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 5)
-    g_bip = materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 5)
+    gp = build_polarity_graph(spec, pol).graph(10 ** 5)
+    g_bip = spec.incidence_graph(10 ** 5)
     rep = luw_report(g_bip, gp, _gp_cycles(gp, 3))
     assert rep["ok"]
     assert rep["bipartite_girth"] == 8
@@ -157,8 +157,8 @@ def test_luw_gq():
 
 def test_luw_degree_relation_plane_q3():
     spec, pol = plane_family(3)
-    gp = materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 4)
-    g_bip = materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 4)
+    gp = build_polarity_graph(spec, pol).graph(10 ** 4)
+    g_bip = spec.incidence_graph(10 ** 4)
     rep = luw_report(g_bip, gp, _gp_cycles(gp, 2))
     assert rep["degree_relation_ok"]
     assert rep["ok"]
@@ -166,8 +166,8 @@ def test_luw_degree_relation_plane_q3():
 
 def test_luw_catches_tampering():
     spec, pol = plane_family(2)
-    gp = materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 4)
-    g_bip = materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 4)
+    gp = build_polarity_graph(spec, pol).graph(10 ** 4)
+    g_bip = spec.incidence_graph(10 ** 4)
     # drop one polarity edge: degree relation and reconciliation both break
     edges = list(gp.edges())[1:]
     tampered = Graph.from_edges(gp.n, edges, gp.loops)
@@ -198,8 +198,8 @@ def _reference_degree_witness(g_bip, gp):
 
 def test_luw_degree_witness_is_the_first_mismatch():
     spec, pol = gq_family(1)
-    gp = materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 4)
-    g_bip = materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 4)
+    gp = build_polarity_graph(spec, pol).graph(10 ** 4)
+    g_bip = spec.incidence_graph(10 ** 4)
     edges = list(gp.edges())
     loops = sorted(gp.loops)
     cases = [
@@ -219,7 +219,7 @@ def test_luw_degree_witness_is_the_first_mismatch():
 # -- translation-orbit roots ------------------------------------------------------
 
 def _bipartite(spec):
-    return materialize(2 * spec.side_size, spec.bipartite_arrays, 10 ** 5)
+    return spec.incidence_graph(10 ** 5)
 
 
 # the generic spec of the CI report: GF(9), m = 4, f_{j+1} = p_j l_j
@@ -349,7 +349,7 @@ def test_orbit_root_cycle_search_finds_a_c4():
     (lambda: plane_family(3), 2), (lambda: plane_family(5), 2), (lambda: gq_family(1), 3)])
 def test_orbit_roots_leave_cycle_searches_and_luw_report_unchanged(family, kmax):
     spec, pol = family()
-    gp = materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 5)
+    gp = build_polarity_graph(spec, pol).graph(10 ** 5)
     g_bip = _bipartite(spec)
     roots = verify.orbit_roots(spec, g_bip)
     for k in range(2, kmax + 1):
@@ -385,7 +385,7 @@ def test_polarity_translations_match_a_scalar_scan(name, monkeypatch):
     spec, pol = make()
     ts = spec.translation_ids(pol)
     assert ts.tolist() == _polarity_translation_scan(spec, pol) and len(ts) == size
-    g = materialize(spec.side_size, adg.PolarityGraph(spec, pol).arrays, 10 ** 5)
+    g = adg.PolarityGraph(spec, pol).graph(10 ** 5)
     checked = []
 
     def recording(g_, perm):
@@ -625,7 +625,7 @@ def test_exhaustive_protocol_searches_each_graph_once(monkeypatch, family, kwarg
 
 def test_verify_family_detects_missing_edge():
     spec, pol = plane_family(2)
-    g = materialize(spec.side_size, build_polarity_graph(spec, pol).arrays, 10 ** 4)
+    g = build_polarity_graph(spec, pol).graph(10 ** 4)
     edges = list(g.edges())
     tampered = Graph.from_edges(g.n, edges[1:], g.loops)
     rep = verify_family("plane", q=2, graph=tampered, with_luw=False)
@@ -768,7 +768,7 @@ def test_equation_supports_pin_each_grid(monkeypatch):
                                       (9, (900, 1 << 13, 1 << 14))])
 def test_gh_original_slabs_cover_each_grid_point_once(monkeypatch, q, blocks):
     spec = adg.gh_original_family(q)[0]
-    graph = materialize(2 * spec.side_size, spec.bipartite_arrays, 1000) if q == 3 else None
+    graph = spec.incidence_graph(1000) if q == 3 else None
     grid = sum(q ** len(s) for s in _gh_original_supports(q))
     sizes = []
     # the dual's point_on_bulk solves each slab's lines, and no other call makes one
@@ -915,7 +915,7 @@ def _reference_sampled_even_cycle(pg, k, num_roots, rng):
 
 
 def _polarity_graph(spec, pol):
-    return materialize(spec.side_size, adg.PolarityGraph(spec, pol).arrays, 10 ** 4)
+    return adg.PolarityGraph(spec, pol).graph(10 ** 4)
 
 
 def _neighbor_table(g):
