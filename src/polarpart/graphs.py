@@ -229,17 +229,24 @@ def pair_edge_matrix(g: Graph, part: Partition, limit: int):
 def is_automorphism(g: Graph, perm) -> bool:
     """True when the permutation `perm` of 0..n-1 maps every row of the
     padded table onto the row of its image as a set, and the loops onto
-    the loops.  perm of row v, sorted with its -1 pads last, must equal
-    row perm[v]; rows are ascending, so that is set equality and a pass
-    is exact, whatever order perm leaves a row in.  A perm of another
-    length fails."""
+    the loops.  Rows go by row_blocks: perm of the rows v of a block, in
+    their own order, is compared with the rows perm[v]; only a block that
+    differs is sorted, -1 pads last, and compared again.  Rows are
+    ascending, so either match is set equality and a pass is exact,
+    whatever order perm leaves a row in (a translation keeps p_1 and so
+    each row's order).  A perm of another length fails."""
     table = g.table
     if len(perm) != g.n or not np.array_equal(np.sort(np.take(perm, g.loops)), g.loops):
         return False
-    image = np.append(perm, -1).astype(table.dtype)[table]
-    # sorted in place as unsigned, where -1 is the largest value
-    image.view(np.dtype(f"u{image.itemsize}")).sort(axis=1)
-    return np.array_equal(table[perm], image)
+    images = np.append(perm, -1).astype(table.dtype)
+    for lo, rows in row_blocks(g):
+        image, target = images.take(rows), table.take(perm[lo:lo + len(rows)], axis=0)
+        if not np.array_equal(image, target):
+            # sorted in place as unsigned, where -1 is the largest value
+            image.view(np.dtype(f"u{image.itemsize}")).sort(axis=1)
+            if not np.array_equal(image, target):
+                return False
+    return True
 
 
 def find_even_cycle(g: Graph, k: int, roots=None):

@@ -10,6 +10,7 @@ formulas; it checks them against the graphs.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 import numpy as np
 
@@ -26,39 +27,44 @@ SYMMETRY_SAMPLES = 100_000
 # ---------------------------------------------------------------------------
 
 class _BulkForms:
-    """A family scheme's closed forms on int64 arrays of ids.
+    """A family scheme's closed forms on arrays of ids.
 
     Class ids and vertex ids (the spec's mixed-radix ids over `m`
-    coordinates) go in and out as int64 arrays.  Each form is the scheme's
-    array formula (`_class_of_ids`, `_unique_edge`, `_loop_vertex`,
-    `_class_member`) on the field's bulk operations; the scalar formulas
-    are the oracle the tests hold them to.
+    coordinates) go in as integer arrays and come out in one id dtype:
+    int32 input stays int32 while the scheme's r * class_size ids fit it
+    (n < 2^31, so a kernel table's ids go in as they are), and every other
+    input becomes int64.  Each form is the scheme's array formula
+    (`_class_of_ids`, `_unique_edge`, `_loop_vertex`, `_class_member`) on
+    the field's bulk operations; the scalar formulas are the oracle the
+    tests hold them to.
     """
+
+    def _ids(self, values):
+        values = np.asarray(values)
+        int32 = values.dtype == np.int32 and self.r * self.class_size < 2 ** 31
+        return values.astype(np.int32 if int32 else np.int64, copy=False)
 
     def class_of_ids(self, ids):
         """Class id of every vertex id, in the shape of `ids`."""
-        return self._class_of_ids(_int64(ids))
+        return self._class_of_ids(self._ids(ids))
 
     def unique_edge_bulk(self, c1, c2):
         """(a ids, b ids): unique_edge(c1[i], c2[i]) for classes c1[i] != c2[i]."""
-        return self._unique_edge(_int64(c1), _int64(c2))
+        return self._unique_edge(self._ids(c1), self._ids(c2))
 
     def loop_vertex_bulk(self, cids):
         """Vertex id of loop_vertex(c) for every class id c."""
-        return self._loop_vertex(_int64(cids))
+        return self._loop_vertex(self._ids(cids))
 
     def class_member_bulk(self, cids, picks):
         """Vertex id of member picks[i] of class cids[i], in class_members
         order; cids and picks broadcast."""
-        return self._class_member(_int64(cids), _int64(picks))
+        return self._class_member(self._ids(cids), self._ids(picks))
 
     def class_members_bulk(self, cids):
         """(len(cids), class_size) vertex ids, each row in class_members order."""
-        return self._class_member(_int64(cids)[:, None], np.arange(self.class_size))
-
-
-def _int64(values):
-    return np.asarray(values, dtype=np.int64)
+        cids = self._ids(cids)
+        return self._class_member(cids[:, None], np.arange(self.class_size, dtype=cids.dtype))
 
 
 class PlaneScheme(_BulkForms):
@@ -124,16 +130,29 @@ class PlaneScheme(_BulkForms):
         a = index[self.ctx.sub_bulk(s_x, subfield[y])]
         return x * self.ctx.order + recompose[a * self.q + y]
 
-    def _unique_edge(self, c1, c2):
-        subfield, index, decompose, recompose = self.basis.vectors()
-        ctx, q, order = self.ctx, self.q, self.ctx.order
+    @cached_property
+    def _edge_tables(self):
+        """_unique_edge's gather tables: x and y of every class id x q + y
+        (r entries); s q and t q of decompose(x conj z) = s q + t at
+        x * order + z (order^2 entries, as many as vertices); index(s - w) q
+        at s q + w (q^2 entries).  No table is int64, so ids keep the dtype
+        of c1 and c2."""
+        subfield, index, decompose, _ = self.basis.vectors()
+        ctx, q, u = self.ctx, self.q, np.arange(self.ctx.order)
         conj = ctx.frob_vector(self.basis.sub_degree)
-        x, y = divmod(c1, q)
-        z, w = divmod(c2, q)
-        s, t = divmod(decompose[ctx.mul_bulk(x, conj[z])], q)
-        a = index[ctx.sub_bulk(subfield[s], subfield[w])]
-        b = index[ctx.sub_bulk(subfield[t], subfield[y])]
-        return x * order + recompose[a * q + y], z * order + recompose[b * q + w]
+        s, t = divmod(decompose[ctx.mul_bulk(u[:, None], conj[u]).ravel()], q)
+        diff = index[ctx.sub_bulk(subfield[:, None], subfield).ravel()] * q
+        return (*divmod(np.arange(self.r, dtype=np.int32), q), s * q, t * q, diff)
+
+    def _unique_edge(self, c1, c2):
+        recompose = self.basis.vectors()[3]
+        x, y, sq, tq, diff = self._edge_tables
+        y1, y2 = y.take(c1), y.take(c2)
+        base1 = (c1 - y1) * self.q  # x * order
+        xz = base1 + x.take(c2)
+        a = diff.take(sq.take(xz) + y2)
+        b = diff.take(tq.take(xz) + y1)
+        return base1 + recompose.take(a + y1), (c2 - y2) * self.q + recompose.take(b + y2)
 
 
 class GQScheme(_BulkForms):

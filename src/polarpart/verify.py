@@ -433,25 +433,31 @@ def _in_sorted(x, values):
 def _check_unique_edges(g: Graph, scheme):
     """Closed-form cross edge and loop vertex against the real graph.
 
-    Counts, in one pass over the padded table, the arcs (u, v) with
-    class(u) < class(v) (the scheme's classes) equal to their class pair's
-    closed form: no two arcs equal one pair's form, so r - 1 - c1 matches
-    per c1 mean its forms are edges between the classes.  A failure's second
-    pass marks the first short c1's pairs.  The witness is the first failure
-    in the order: for each c1, its loop vertex's class, the loop vertex
-    being absolute, then each unmatched (c1, c2 > c1), classes before edge.
+    Counts, in one pass over the padded table's row blocks, the arcs (u,
+    v) with class(u) < class(v) (the scheme's classes, read by one take a
+    block in the table's dtype and picked by one mask) equal to their
+    class pair's closed form: no two arcs equal one pair's form, so
+    r - 1 - c1 matches per c1 mean its forms are edges between the
+    classes.  A failure's second pass marks the first short c1's pairs.
+    The witness is the first failure in the order: for each c1, its loop
+    vertex's class, the loop vertex being absolute, then each unmatched
+    (c1, c2 > c1), classes before edge.
     """
     if not hasattr(scheme, "_unique_edge"):
         return True, None  # no closed-form edge (general construction): verdicts carry the proof
-    r, cls = scheme.r, scheme.class_of_ids(np.arange(g.n))
+    r, dtype = scheme.r, g.table.dtype
+    cls = np.append(scheme.class_of_ids(np.arange(g.n, dtype=dtype)), -1).astype(dtype)
 
     def matches():  # (c1, c2) of every cross arc equal to its pair's form
         for lo, block in row_blocks(g):
-            u, j = np.nonzero((block >= 0) & (cls[block] > cls[lo:lo + len(block), None]))
-            u, v = u + lo, block[u, j]
-            a, b = scheme.unique_edge_bulk(cls[u], cls[v])
+            heads = cls.take(block)  # a -1 pad reads class -1
+            rows = cls[lo:lo + len(block), None]
+            cross = heads > rows
+            ids = np.arange(lo, lo + len(block), dtype=dtype)[:, None]
+            c1, u, v, c2 = (np.broadcast_to(x, block.shape)[cross] for x in (rows, ids, block, heads))
+            a, b = scheme.unique_edge_bulk(c1, c2)
             hit = (a == u) & (b == v)
-            yield cls[u[hit]], cls[v[hit]]
+            yield c1[hit], c2[hit]
 
     lv = scheme.loop_vertex_bulk(np.arange(r))
     lv_class = scheme.class_of_ids(lv) != np.arange(r)

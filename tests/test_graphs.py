@@ -11,7 +11,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from polarpart import graphs
+from polarpart import adg, graphs
 from polarpart.adg import build_polarity_graph, plane_family
 from polarpart.graphs import (
     Graph, Partition, contains_C4, degree, edge_count,
@@ -434,6 +434,58 @@ def test_pair_edge_matrix_blocks_stay_within_the_bound(monkeypatch, big_class, b
     assert all(np.array_equal(a, b) for a, b in zip(got[2:4], expected[2:4]))
     # the least within-class arc, found across blocks
     assert got[4] == expected[4] == min((u, v) for u, v in g.edges() if cls[u] == cls[v])
+
+
+def _sorted_automorphism(g, perm):
+    """The check is_automorphism replaced, kept as its oracle: every image
+    row sorted, -1 pads last, against the whole table[perm] at once."""
+    table = g.table
+    if len(perm) != g.n or not np.array_equal(np.sort(np.take(perm, g.loops)), g.loops):
+        return False
+    image = np.append(perm, -1).astype(table.dtype)[table]
+    image.view(np.dtype(f"u{image.itemsize}")).sort(axis=1)
+    return np.array_equal(table[perm], image)
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+def test_is_automorphism_across_row_blocks(monkeypatch, rows):
+    """Blocks of 1 and 5 rows of plane q=3's polarity graph: the scaling
+    (rows out of order) and a translation (rows in order, one comparison a
+    block, no sort) are accepted; a swap of the last two non-loop rows and
+    a perm that moves a loop are rejected, the latter before any block."""
+    spec, pol = plane_family(3)
+    g = build_polarity_graph(spec, pol).graph(1000)
+    ctx, table = spec.ctx, g.table
+    monkeypatch.setattr(graphs, "ROW_BLOCK", rows * table.shape[1])
+    blocks = len(list(graphs.row_blocks(g)))
+    assert blocks == -(-g.n // rows)
+    coords = spec.ids_to_coords(np.arange(g.n))
+    scaling = spec.coords_to_ids([ctx.mul_bulk(c, f) for c, f in zip(coords, spec.scaling(pol)[0])])
+    t = int(spec.translation_ids(pol)[1])
+    translation = spec.coords_to_ids([ctx.add_bulk(c, s) for c, s in zip(coords, adg._row(coords, t))])
+    loops = set(g.loops.tolist())
+    u, w = [v for v in range(g.n) if v not in loops][-2:]
+    swap = np.arange(g.n)
+    swap[[u, w]] = w, u
+    loop_move = np.arange(g.n)
+    loop_move[[g.loops[0], u]] = u, g.loops[0]
+    # the scaling leaves rows out of order; the translation keeps each row's
+    assert (np.append(scaling, -1)[table] != table[scaling]).any(axis=1).all()
+    assert np.array_equal(np.append(translation, -1)[table], table[translation])
+    compared, array_equal = [], np.array_equal
+    for perm, accepted, comparisons in ((scaling, True, 1 + 2 * blocks),
+                                        (translation, True, 1 + blocks),
+                                        (swap, False, None)):
+        assert _sorted_automorphism(g, perm) is accepted
+        compared.clear()
+        monkeypatch.setattr(np, "array_equal", lambda a, b: compared.append(1) or array_equal(a, b))
+        assert graphs.is_automorphism(g, perm) is accepted
+        monkeypatch.setattr(np, "array_equal", array_equal)
+        if comparisons is not None:  # the loops, then each block once, or twice when sorted
+            assert len(compared) == comparisons
+    assert not _sorted_automorphism(g, loop_move)
+    monkeypatch.setattr(graphs, "row_blocks", lambda g_: pytest.fail("a block ran"))
+    assert not graphs.is_automorphism(g, loop_move)
 
 
 def test_pair_edge_matrix_size_mismatch():

@@ -531,6 +531,44 @@ def test_bulk_forms_match_scalar_on_every_pair(name):
                                 np.arange(scheme.r), c1, c2)
 
 
+@pytest.mark.parametrize("name", sorted(BULK_SCHEMES))
+def test_bulk_forms_keep_int32_ids_below_2_31(name):
+    """int32 ids stay int32 while n < 2^31 and name the int64 input's ids,
+    over every class pair, class and vertex."""
+    spec, scheme = BULK_SCHEMES[name]()
+    c1, c2 = np.nonzero(~np.eye(scheme.r, dtype=bool))
+    cases = ((lambda a, b: scheme.unique_edge_bulk(a, b), (c1, c2)),
+             (lambda c: (scheme.loop_vertex_bulk(c),), (np.arange(scheme.r),)),
+             (lambda v: (scheme.class_of_ids(v),), (np.arange(spec.side_size),)))
+    for form, args in cases:
+        wide = form(*(x.astype(np.int64) for x in args))
+        narrow = form(*(x.astype(np.int32) for x in args))
+        for w, n in zip(wide, narrow):
+            assert w.dtype == np.int64 and n.dtype == np.int32
+            assert np.array_equal(w, n)
+
+
+def test_bulk_forms_widen_ids_past_2_31():
+    """gh e=2 has n = 243^5 > 2^31 ids: int64 and int32 class ids alike give
+    int64 ids, equal to the scalar forms on 300 seeded pairs."""
+    spec, scheme = _scheme("gh", e=2)
+    assert scheme.r * scheme.class_size == spec.side_size == 243 ** 5 > 2 ** 31
+    rng = np.random.default_rng(11)
+    c1, c2 = rng.integers(0, scheme.r, size=(2, 300))
+    c2 = np.where(c1 == c2, (c2 + 1) % scheme.r, c2)
+    edges = [scheme.unique_edge(x, y) for x, y in zip(c1.tolist(), c2.tolist())]
+    loops = _ids(spec, [scheme.loop_vertex(c) for c in c1.tolist()])
+    for dtype in (np.int64, np.int32):
+        a, b = scheme.unique_edge_bulk(c1.astype(dtype), c2.astype(dtype))
+        lv = scheme.loop_vertex_bulk(c1.astype(dtype))
+        assert a.dtype == b.dtype == lv.dtype == np.int64
+        assert a.tolist() == _ids(spec, [e[0] for e in edges])
+        assert b.tolist() == _ids(spec, [e[1] for e in edges])
+        assert lv.tolist() == loops
+        assert scheme.class_of_ids(a).tolist() == scheme.class_of_ids(lv).tolist() == c1.tolist()
+    assert max(a.max(), b.max()) >= 2 ** 31  # ids an int32 path would wrap
+
+
 def _assert_bulk_matches_scalar_on_samples(spec, scheme, pairs, ids, classes):
     rng = np.random.default_rng(5)
     c1, c2 = rng.integers(0, scheme.r, size=(2, pairs))

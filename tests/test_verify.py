@@ -1676,14 +1676,17 @@ def test_check_unique_edges_matches_scalar_reference(monkeypatch, family, tamper
 def test_check_unique_edges_blocks_stay_within_the_bound(monkeypatch):
     spec, pol, scheme, _ = verify.family_bundle("gq", e=1)
     g = _polarity_graph(spec, pol)
-    sizes = []
+    sizes, dtypes = [], set()
     unique_edge_bulk = scheme.unique_edge_bulk
-    scheme.unique_edge_bulk = lambda c1, c2: sizes.append(len(c1)) or unique_edge_bulk(c1, c2)
+    scheme.unique_edge_bulk = lambda c1, c2: (sizes.append(len(c1)) or dtypes.add((c1.dtype, c2.dtype))
+                                              or unique_edge_bulk(c1, c2))
     monkeypatch.setattr(graphs, "ROW_BLOCK", 500)
     assert verify._check_unique_edges(g, scheme) == (True, None)
     # one formula call per block of whole table rows, one id per cross edge
     assert max(sizes) <= 500 and sum(sizes) == scheme.r * (scheme.r - 1) // 2
     assert len(sizes) == -(-g.n // (500 // g.table.shape[1]))
+    # classes go in in the kernel table's dtype, not widened to int64
+    assert g.table.dtype == np.int32 and dtypes == {(np.dtype(np.int32),) * 2}
 
 
 def _tamper_graph(g, scheme, kind):
