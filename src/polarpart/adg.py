@@ -501,7 +501,10 @@ def check_polarity(spec: ADGSpec, pol: PolaritySpec, mode="exhaustive",
                    samples=100_000, seed=0) -> PolarityCheck:
     """Verify pi swaps sides, squares to the identity, preserves adjacency.
 
-    Exhaustive mode walks every point and every incidence; sampled mode
+    Exhaustive mode first tries _table_certificate, which proves all n*q
+    incidences from the q x q equation tables and, when it holds, returns
+    the sweep's passing result.  Otherwise, on other shapes and to name a
+    witness, it walks every point and every incidence; sampled mode
     draws `samples` random points (seed) and one random line through each
     (seed + 1), both SWEEP_BLOCK samples at a time.  Blocks of about
     SWEEP_BLOCK incidences (whole points, their lines solved on the dual)
@@ -520,6 +523,8 @@ def check_polarity(spec: ADGSpec, pol: PolaritySpec, mode="exhaustive",
     q, m = ctx.order, spec.m
     if mode == "exhaustive":
         n = spec.side_size
+        if _table_certificate(spec, pol):
+            return PolarityCheck(True, mode, True, True, True, n * q, None)
         step = max(1, SWEEP_BLOCK // q)
         every_l1 = np.arange(q, dtype=ctx.dtype)[None, :]
         chunks = ((spec.ids_to_coords(np.arange(lo, min(lo + step, n))), every_l1)
@@ -548,6 +553,42 @@ def check_polarity(spec: ADGSpec, pol: PolaritySpec, mode="exhaustive",
         witness = ("adjacency", p, _row([c[i] for c in lines], j))
         return PolarityCheck(False, mode, True, True, False, checked + j + 1, witness)
     return PolarityCheck(True, mode, True, True, True, checked, None)
+
+
+def _table_certificate(spec: ADGSpec, pol: PolaritySpec):
+    """Whether pol is a polarity of spec, from (m-1) q^2 table entries
+    instead of n q incidences; False where the shape does not fit.
+
+    Shape: every f_j reads only l_1 and p_1 and has a table, on the spec
+    and its dual; point_to_line[0] = (0, a), line_to_point[0] = (0, b), and
+    point_to_line[i] == line_to_point[i] = (c_i, r_i) with c_i >= 1.  Then
+    the polarity squares to the identity when each coordinate's two maps
+    compose to it, and maps an incidence, p_{c+1} + l_{c+1} =
+    F_{c-1}[l_1, p_1] for every c, to one exactly when, for (c, r) =
+    point_to_line[j+1], Frob^r(F_{c-1}[u, t]) = F_j[Frob^a t, Frob^b u]
+    on every (u, t), since each (l_1, p_1) = (u, t) lies in some incidence
+    (Lazebnik & Woldar, J. Graph Theory 38, 2001).  The cached tables of
+    the spec and the dual, which the sweep's solves read, must first equal
+    tables built again from the expressions, so the certificate rests on
+    the spec."""
+    ctx, m = spec.ctx, spec.m
+    ptl, ltp = pol.point_to_line, pol.line_to_point
+    sides = (spec, spec.dual())
+    if not (ptl[0][0] == ltp[0][0] == 0 and ptl[1:] == ltp[1:] and all(1 <= c < m for c, _ in ptl[1:])
+            and all(tab is not None and tab[:2] == (0, 0) for s in sides for tab in s.tables())):
+        return False
+    grid = np.arange(ctx.order, dtype=ctx.dtype)
+    for i, (d, s) in enumerate(ltp):
+        c, r = ptl[d]
+        if c != i or not np.array_equal(ctx.frob_vector(s).take(ctx.frob_vector(r)), grid):
+            return False
+    fresh = ADGSpec(ctx, m, spec.fs)
+    if not all(new is not None and all(map(np.array_equal, tab, new))  # a, b, F and S (None on both)
+               for s, t in zip(sides, (fresh, fresh.dual())) for tab, new in zip(s.tables(), t.tables())):
+        return False
+    a, b, F = ctx.frob_vector(ptl[0][1]), ctx.frob_vector(ltp[0][1]), [tab[2] for tab in spec.tables()]
+    return all(np.array_equal(ctx.frob_vector(r).take(F[c - 1]), F[j][a[None, :], b[:, None]])
+               for j, (c, r) in enumerate(ptl[1:]))
 
 
 # Candidate tests PolarityGraph.absolute_ids may make (check_scan_bound).
@@ -795,10 +836,12 @@ def randrange_bulk(rng, bounds, count):
     Exact for random.Random and 1 <= b < 2^32: each randrange(b) attempt
     reads one 32-bit word and rejects its top b.bit_length() bits while
     >= b, and rng and numpy's MT19937 are both the reference MT19937, so
-    one set to rng's 624-word key and position reads the same words.  No
-    round reads more words than calls are missing (at most SWEEP_BLOCK),
-    so none past the last accepted one; a sample a round leaves unfinished
-    is read again in the next.
+    one set to rng's 624-word key and position reads the same words.  Each
+    round reads the words the missing samples take on average plus 4
+    standard deviations, at most SWEEP_BLOCK; a sample a round leaves
+    unfinished is read again in the next.  Every word read before the last
+    round is used, so after it the generator goes back to its state before
+    that round and reads again only the words used.
     """
     if not all(1 <= b < 1 << 32 for b in bounds):
         raise ValueError(f"bulk randrange needs 1 <= b < 2**32, got {bounds}")
@@ -808,21 +851,27 @@ def randrange_bulk(rng, bounds, count):
     w = len(bounds)
     top = np.array(bounds, dtype=np.int64)[:, None]
     shift = np.array([[32 - b.bit_length()] for b in bounds])
+    # a call to b takes a geometric number of words, of mean o = 2^bits / b
+    # and variance o^2 - o
+    per_call = [(1 << b.bit_length()) / b for b in bounds]
+    mean, var = sum(per_call), sum(o * o - o for o in per_call)
     version, key, gauss = rng.getstate()
     mt, state = _mt19937()
     mt.state = {"bit_generator": "MT19937", "state": {"key": key[:-1], "pos": key[-1]}}
     values = np.empty(count * w, dtype=np.int64)
     words, done = np.empty(0, dtype=np.int64), 0
     while count:
-        # an unfinished sample, read again, may hold w - 1 accepted calls
-        read = mt.random_raw(min((count - 1) * w + 1, SWEEP_BLOCK)).view(np.int64)
-        words = np.concatenate([words, read])
+        start, size = state.copy(), min(int(count * mean + 4 * (count * var) ** 0.5) + 1, SWEEP_BLOCK)
+        words = np.concatenate([words, mt.random_raw(size).view(np.int64)])
         ok = (words >> shift) < top
-        pos = np.flatnonzero(ok)[None] + 1 if w == 1 else _chain_samples(ok, count)
+        pos = np.flatnonzero(ok)[None, :count] + 1 if w == 1 else _chain_samples(ok, count)
         calls = slice(done, done + pos.size)
         values[calls] = (words[pos - 1] >> shift).T.ravel()
         keep = pos[-1, -1] if pos.size else 0
         words, count, done = words[keep:], count - pos.shape[1], calls.stop
+    if len(words):  # read past the last call
+        state[:] = start
+        mt.random_raw(size - len(words))
     rng.setstate((version, tuple(state.tolist()), gauss))
     return values.reshape(shape)
 

@@ -483,11 +483,14 @@ def girth(g: Graph, roots=None):
 
 def write_edge_list(g: Graph):
     """Plain-text edge list: `n m loops`, then `u v` (u < v), then `L v`,
-    yielded as the header, a block per row_blocks block, then the loops."""
+    yielded as the header, a block per row_blocks block, then the loops,
+    each block one %-format of its numbers."""
     yield f"{g.n} {edge_count(g)} {loop_count(g)}\n"
     for lo, rows in row_blocks(g):
-        yield "".join([f"{u} {v}\n" for u, v in g.edges(lo, lo + len(rows))])
-    yield "".join([f"L {v}\n" for v in g.loops.tolist()])
+        flat = [x for edge in g.edges(lo, lo + len(rows)) for x in edge]
+        yield "%d %d\n" * (len(flat) // 2) % tuple(flat)
+    loops = g.loops.tolist()
+    yield "L %d\n" * len(loops) % tuple(loops)
 
 
 def _ints(what, i, ln, fields, count):

@@ -730,10 +730,11 @@ def _check_incidence_bulk_against_scalar(spec, pol):
     assert True in scalar and False in scalar
 
 
-def test_a_tampered_solve_entry_fails_incidence():
+def test_a_tampered_solve_entry_fails_incidence(monkeypatch):
     """One wrong entry of the spec's S_1, which incident_bulk solves points
     by, or of its dual's, which check_polarity solves lines by, fails the
-    exhaustive polarity check; the scalar closures read no solve table."""
+    exhaustive polarity check, the table certificate and then the sweep,
+    with the sweep's witness; the scalar closures read no solve table."""
     p, l1 = (3, 5, 6), 2
     for side in ("spec", "dual"):
         spec, pol = gq_family(1)  # fresh: tables() is cached on the spec
@@ -753,7 +754,9 @@ def test_a_tampered_solve_entry_fails_incidence():
         else:
             assert adg._row(spec.dual().point_on_bulk(pv, _arrays([(l1,)])[0]), 0) != line
         assert spec.incident(p, line) and spec.line_through(p, l1) == line
-        assert not check_polarity(spec, pol).ok, side
+        assert not adg._table_certificate(spec, pol), side
+        chk = check_polarity(spec, pol)
+        assert not chk.ok and chk == _swept(monkeypatch, spec, pol), side
 
 
 def _scalar_polarity_rows(pg):
@@ -1226,6 +1229,149 @@ def test_check_polarity_matches_scalar_above_table_side(name):
         chk = check_polarity(spec, p, "sampled", 300, 3)
         assert chk.ok == ok
         assert chk == _scalar_check_polarity(spec, p, "sampled", 300, 3)
+
+
+# -- the table certificate: the exhaustive check's result without its sweep --
+
+def _swept(monkeypatch, spec, pol):
+    """check_polarity(spec, pol) with the table certificate refused: the
+    exhaustive sweep's result."""
+    with monkeypatch.context() as patch:
+        patch.setattr(adg, "_table_certificate", lambda spec, pol: False)
+        return check_polarity(spec, pol)
+
+
+# every family instance up to plane q=9, gq e=1 and gh e=0
+CERTIFIED_FAMILIES = {
+    **{f"plane q={q}": functools.partial(plane_family, q) for q in (2, 3, 4, 5, 7, 8, 9)},
+    **{f"gq e={e}": functools.partial(gq_family, e, allow_small_e=True) for e in (0, 1)},
+    "gh e=0": functools.partial(gh_family, 0, allow_small_e=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_FAMILIES))
+def test_the_certificate_passes_every_family_as_the_sweep_does(monkeypatch, name):
+    spec, pol = CERTIFIED_FAMILIES[name]()
+    assert adg._table_certificate(spec, pol)
+    chk = check_polarity(spec, pol)
+    assert chk.ok and chk.checked_incidences == spec.side_size * spec.ctx.order
+    assert chk == _swept(monkeypatch, spec, pol)
+
+
+def _random_polarities(count, seed):
+    """(spec, polarity) pairs, `count` seeded draws on the small families:
+    half the family's own polarity with one or two entries redrawn (the
+    source kept half the time), half a random permutation of coordinates
+    1..m-1, alike on both sides, behind coordinate 0.  Twists run below 2k,
+    so some name a map the family's twist names (Frob^k is the identity)."""
+    rng = random.Random(seed)
+    names = ["plane q=2", "plane q=3", "plane q=4", "gq e=0", "gq e=1", "gh e=0"]
+    for _ in range(count):
+        spec, pol = CERTIFIED_FAMILIES[rng.choice(names)]()
+        m, k = spec.m, spec.ctx.k
+        if rng.random() < 0.5:
+            sides = [list(pol.point_to_line), list(pol.line_to_point)]
+            for _ in range(rng.randint(1, 2)):
+                side, i = rng.choice(sides), rng.randrange(m)
+                side[i] = (side[i][0] if rng.random() < 0.5 else rng.randrange(m), rng.randrange(2 * k))
+        else:
+            rest = [(c, rng.randrange(2 * k)) for c in rng.sample(range(1, m), m - 1)]
+            sides = [[(0, rng.randrange(2 * k))] + rest, [(0, rng.randrange(2 * k))] + rest]
+        yield spec, PolaritySpec(*map(tuple, sides))
+
+
+def test_the_certificate_agrees_with_the_sweep_on_random_polarities(monkeypatch):
+    """On 300 seeded polarities check_polarity returns the sweep's result,
+    witness included; the certificate never passes a polarity the sweep
+    fails, and passes every one the sweep passes inside its shape (each
+    family spec's equations read only p_1 and l_1)."""
+    verdicts = []
+    for spec, pol in _random_polarities(300, 20231117):
+        swept = _swept(monkeypatch, spec, pol)
+        assert check_polarity(spec, pol) == swept, pol
+        (a, *ptl), (b, *ltp) = pol.point_to_line, pol.line_to_point
+        in_shape = a[0] == b[0] == 0 and ptl == ltp and all(c >= 1 for c, _ in ptl)
+        certified = adg._table_certificate(spec, pol)
+        assert certified == (swept.ok and in_shape), pol
+        verdicts.append((certified, swept.ok))
+    counts = {v: verdicts.count(v) for v in set(verdicts)}
+    assert counts[True, True] >= 20 and counts[False, False] >= 150 and counts[False, True] >= 5, counts
+
+
+def _tampered_f(monkeypatch, fold):
+    """gq e=1 with F_1[3, 5] flipped: read by the sweep's solves only
+    without the S tables (fold 0); the certificate holds F to the spec."""
+    monkeypatch.setattr(adg, "FOLD_BUDGET", fold)
+    spec, pol = gq_family(1)  # fresh: tables() is cached on the spec
+    F = spec.tables()[1][2]
+    F[3, 5] = (F[3, 5] + 1) % spec.ctx.order
+    return spec, pol
+
+
+def _gf9_m4():
+    """The GF(9), m=4 spec f_{j+1} = p_j l_j, with its conjugation polarity."""
+    spec = ADGSpec(make_field(3, 2), 4, tuple(mul(var_p(i), var_l(i)) for i in (1, 2, 3)))
+    return spec, generic_conjugation_polarity(spec)
+
+
+def _twisted(family, side, entry, shift):
+    """The family's polarity with one side's twist at `entry` moved."""
+    spec, pol = family()
+    sides = [list(pol.point_to_line), list(pol.line_to_point)]
+    src, twist = sides[side][entry]
+    sides[side][entry] = (src, twist + shift)
+    return spec, PolaritySpec(*map(tuple, sides))
+
+
+# name -> (build(monkeypatch) -> (spec, polarity), whether the sweep passes):
+# each fails the certificate, and check_polarity returns the sweep's result
+CERTIFICATE_REFUSALS = {
+    "F entry flipped, solved by F": (lambda mp: _tampered_f(mp, 0), False),
+    "F entry flipped, solved by S": (lambda mp: _tampered_f(mp, adg.FOLD_BUDGET), True),
+    "wrong twist a (plane q=3)": (lambda mp: _twisted(lambda: plane_family(3), 0, 0, 1), False),
+    "wrong twist b (gq e=1)": (lambda mp: _twisted(lambda: gq_family(1), 1, 0, 1), False),
+    "wrong twist a (gq e=1)": (lambda mp: _twisted(lambda: gq_family(1), 0, 0, 2), False),
+    # adjacency kept and only the involution broken: Frob^2 is not the
+    # identity on GF(16); a 3-cycle of coordinates, where every f is p_1 l_1
+    "twists squaring to Frob^2 (plane q=4)": (lambda mp: (
+        plane_family(4)[0], PolaritySpec(*[((0, 1), (1, 1))] * 2)), False),
+    "a 3-cycle of coordinates (GF(4), m=4, every f = p_1 l_1)": (lambda mp: (
+        ADGSpec(make_field(2, 2), 4, (mul(var_p(1), var_l(1)),) * 3),
+        PolaritySpec(*[((0, 0), (2, 0), (3, 0), (1, 0))] * 2)), False),
+    "outside the shape: line_to_point[1]'s twist + k names the same map": (
+        lambda mp: _twisted(lambda: gq_family(1), 1, 1, 3), True),
+    "outside the shape: coordinate 0 from coordinate 1": (lambda mp: (
+        plane_family(3)[0], PolaritySpec(*[((1, 1), (0, 1))] * 2)), False),
+    "adjacency broken: the identity on gh e=0": (lambda mp: (
+        gh_family(0, allow_small_e=True)[0], PolaritySpec(*[tuple((i, 0) for i in range(5))] * 2)), False),
+    "outside the shape: equations reading p_2 (GF(9), m=4)": (lambda mp: _gf9_m4(), True),
+    "TABLE_BUDGET 0: no tables": (lambda mp: mp.setattr(adg, "TABLE_BUDGET", 0) or plane_family(3), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_REFUSALS))
+def test_a_refused_certificate_leaves_the_sweep_result(monkeypatch, name):
+    build, sweep_ok = CERTIFICATE_REFUSALS[name]
+    spec, pol = build(monkeypatch)
+    assert not adg._table_certificate(spec, pol)
+    swept = _swept(monkeypatch, spec, pol)
+    assert swept.ok == sweep_ok and (swept.witness is None) == sweep_ok
+    assert check_polarity(spec, pol) == swept
+
+
+@pytest.mark.parametrize("entries", [[(0, 0)], [(1, 0)], [(0, 1), (1, 1)]],
+                         ids=["point_to_line[0]", "line_to_point[0]", "entry 1 of both"])
+def test_a_negative_twist_raises_as_the_sweep_does(monkeypatch, entries):
+    """(side, entry) pairs twisted by -1: the polarity stays inside the
+    certificate's shape only when entry 1 of both sides moves."""
+    spec, pol = gq_family(1)
+    sides = [list(pol.point_to_line), list(pol.line_to_point)]
+    for side, entry in entries:
+        sides[side][entry] = (sides[side][entry][0], -1)
+    bad = PolaritySpec(*map(tuple, sides))
+    for check in (check_polarity, functools.partial(_swept, monkeypatch)):
+        with pytest.raises(ValueError, match="frobenius exponent must be >= 0"):
+            check(spec, bad)
 
 
 # -- bulk replay of random.Random's randrange --------------------------------
