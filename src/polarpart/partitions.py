@@ -1,9 +1,12 @@
 """Closed-form complete partitions of the polarity graphs and the general
 odd/even/polarity constructions for arbitrary triangular systems.
 
-Every family scheme knows three things in closed form: which class a
-vertex belongs to, the unique cross edge between two distinct classes, and
-the loop vertex inside a single class.  Verification never trusts these
+Every family scheme knows two things in closed form: its class layout
+(which class a vertex belongs to, and the members of a class) and the
+unique edge between two classes, whose diagonal (a class with itself) is
+the loop vertex inside the class.  Two layouts serve the four schemes: gq
+and gh fix a prefix of the coordinates, and plane and the general even-m
+construction fix conjugation components.  Verification never trusts these
 formulas; it checks them against the graphs.
 """
 
@@ -26,17 +29,14 @@ SYMMETRY_SAMPLES = 100_000
 # family schemes
 # ---------------------------------------------------------------------------
 
-class _BulkForms:
-    """A family scheme's closed forms on arrays of ids.
+class _Classes:
+    """A scheme's class layout on arrays of ids.
 
     Class ids and vertex ids (the spec's mixed-radix ids over `m`
     coordinates) go in as integer arrays and come out in one id dtype:
     int32 input stays int32 while the scheme's r * class_size ids fit it
     (n < 2^31, so a kernel table's ids go in as they are), and every other
-    input becomes int64.  Each form is the scheme's array formula
-    (`_class_of_ids`, `_unique_edge`, `_loop_vertex`, `_class_member`) on
-    the field's bulk operations; the scalar formulas are the oracle the
-    tests hold them to.
+    input becomes int64.
     """
 
     def _ids(self, values):
@@ -48,41 +48,66 @@ class _BulkForms:
         """Class id of every vertex id, in the shape of `ids`."""
         return self._class_of_ids(self._ids(ids))
 
+
+class _BulkForms(_Classes):
+    """A family scheme's closed forms on arrays of ids: its layout's
+    `_class_member` and its family's `_unique_edge`, on the field's bulk
+    operations.  The scalar formulas are the oracle the tests hold them
+    to."""
+
     def unique_edge_bulk(self, c1, c2):
-        """(a ids, b ids): unique_edge(c1[i], c2[i]) for classes c1[i] != c2[i]."""
+        """(a ids, b ids): unique_edge(c1[i], c2[i]) for classes c1[i] != c2[i];
+        c1[i] == c2[i] gives the loop vertex twice."""
         return self._unique_edge(self._ids(c1), self._ids(c2))
 
     def loop_vertex_bulk(self, cids):
-        """Vertex id of loop_vertex(c) for every class id c."""
-        return self._loop_vertex(self._ids(cids))
+        """Vertex id of loop_vertex(c) for every class id c: the diagonal
+        of unique_edge_bulk."""
+        return self.unique_edge_bulk(cids, cids)[0]
 
     def class_member_bulk(self, cids, picks):
         """Vertex id of member picks[i] of class cids[i], in class_members
         order; cids and picks broadcast."""
         return self._class_member(self._ids(cids), self._ids(picks))
 
-    def class_members_bulk(self, cids):
-        """(len(cids), class_size) vertex ids, each row in class_members order."""
-        cids = self._ids(cids)
-        return self._class_member(cids[:, None], np.arange(self.class_size, dtype=cids.dtype))
 
-
-class PlaneScheme(_BulkForms):
-    """Classes keyed by (x, y): x in GF(q^2), y in GF(q); the class holds
-    the q vertices (x, a*beta + y*beta^q)."""
-
-    family = "plane"
-    m = 2
+class _ConjugationClasses(_Classes):
+    """Classes of the even-m conjugation construction: key (x_1, y_2, ...,
+    y_m), y_i the beta^q component of x_i over the basis (beta, beta^q);
+    class id x_1 * q^(m-1) + the index in basis.subfield of each y_i, in
+    base q."""
 
     def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
         self.basis = find_normal_element(ctx)
         self.q = self.basis.q
-        self.r = ctx.order * self.q  # q^3
-        self.class_size = self.q
+        self.class_size = self.q ** (self.m - 1)
+        self.r = ctx.order * self.class_size
+
+    def _class_of_ids(self, ids):
+        _, _, decompose, _ = self.basis.vectors()
+        order = self.ctx.order
+        cids = ids // order ** (self.m - 1)
+        for i in range(self.m - 2, -1, -1):
+            cids = cids * self.q + decompose[ids // order ** i % order] % self.q
+        return cids
 
     def class_key(self, cid):
-        return (cid // self.q, self.basis.subfield[cid % self.q])
+        ys = []
+        for _ in range(self.m - 1):
+            ys.append(self.basis.subfield[cid % self.q])
+            cid //= self.q
+        ys.reverse()
+        return (cid, *ys)
+
+
+class PlaneScheme(_ConjugationClasses, _BulkForms):
+    """Classes keyed by (x, y): x in GF(q^2), y in GF(q); the class holds
+    the q vertices (x, a*beta + y*beta^q).  The conjugation construction
+    at m = 2."""
+
+    family = "plane"
+    m = 2
 
     def class_members(self, cid):
         x, y = self.class_key(cid)
@@ -113,22 +138,10 @@ class PlaneScheme(_BulkForms):
     # basis.subfield; u = subfield[i]*beta + subfield[j]*beta^q has
     # decompose[u] = i*q + j and recompose[i*q + j] = u (QuadBasis.vectors).
 
-    def _class_of_ids(self, ids):
-        _, _, decompose, _ = self.basis.vectors()
-        x, u = divmod(ids, self.ctx.order)
-        return x * self.q + decompose[u] % self.q
-
     def _class_member(self, cids, picks):
         _, _, _, recompose = self.basis.vectors()
         x, y = divmod(cids, self.q)
         return x * self.ctx.order + recompose[picks * self.q + y]
-
-    def _loop_vertex(self, cids):
-        subfield, index, decompose, recompose = self.basis.vectors()
-        x, y = divmod(cids, self.q)
-        s_x = subfield[decompose[self.ctx.pow_vector(self.q + 1)[x]] // self.q]
-        a = index[self.ctx.sub_bulk(s_x, subfield[y])]
-        return x * self.ctx.order + recompose[a * self.q + y]
 
     @cached_property
     def _edge_tables(self):
@@ -145,6 +158,8 @@ class PlaneScheme(_BulkForms):
         return (*divmod(np.arange(self.r, dtype=np.int32), q), s * q, t * q, diff)
 
     def _unique_edge(self, c1, c2):
+        # x conj(x) lies in GF(q), so on the diagonal s = t and both ends
+        # are the loop vertex
         recompose = self.basis.vectors()[3]
         x, y, sq, tq, diff = self._edge_tables
         y1, y2 = y.take(c1), y.take(c2)
@@ -155,21 +170,35 @@ class PlaneScheme(_BulkForms):
         return base1 + recompose.take(a + y1), (c2 - y2) * self.q + recompose.take(b + y2)
 
 
-class GQScheme(_BulkForms):
-    """Classes keyed by (p1, p2), each holding the q vertices (p1, p2, a)."""
-
-    family = "gq"
-    m = 3
+class _CoordinatePrefix(_BulkForms):
+    """Classes fix the first `key_len` coordinates: class id = those
+    coordinates in base q, vertex id = class id * class_size + pick, pick
+    the other m - key_len coordinates in base q."""
 
     def __init__(self, ctx: FieldCtx, e: int):
         self.ctx = ctx
         self.e = e
         self.q = ctx.order
-        self.r = self.q ** 2
-        self.class_size = self.q
+        self.r = self.q ** self.key_len
+        self.class_size = self.q ** (self.m - self.key_len)
 
     def class_key(self, cid):
-        return (cid // self.q, cid % self.q)
+        q = self.q
+        return tuple(int(cid) // q ** i % q for i in range(self.key_len - 1, -1, -1))
+
+    def _class_of_ids(self, ids):
+        return ids // self.class_size
+
+    def _class_member(self, cids, picks):
+        return cids * self.class_size + picks
+
+
+class GQScheme(_CoordinatePrefix):
+    """Classes keyed by (p1, p2), each holding the q vertices (p1, p2, a)."""
+
+    family = "gq"
+    m = 3
+    key_len = 2
 
     def class_members(self, cid):
         p1, p2 = self.class_key(cid)
@@ -193,20 +222,8 @@ class GQScheme(_BulkForms):
         b = ctx.add(ctx.mul(fe1[p1], ctx.mul(r1, r1)), fe1[p2])
         return ((p1, p2, a), (r1, r2, b))
 
-    # array formulas: vertex id = class id * q + a
-
-    def _class_of_ids(self, ids):
-        return ids // self.q
-
-    def _class_member(self, cids, picks):
-        return cids * self.q + picks
-
-    def _loop_vertex(self, cids):
-        ctx, fe1 = self.ctx, self.ctx.frob_vector(self.e + 1)
-        p1, p2 = divmod(cids, self.q)
-        return cids * self.q + ctx.add_bulk(ctx.mul_bulk(fe1[p1], ctx.mul_bulk(p1, p1)), fe1[p2])
-
     def _unique_edge(self, c1, c2):
+        # on the diagonal both ends are the loop's F(p1) p1^2 + F(p2), F = Frob^(e+1)
         fe1 = self.ctx.frob_vector(self.e + 1)
         add, mul = self.ctx.add_bulk, self.ctx.mul_bulk
         p1, p2 = divmod(c1, self.q)
@@ -216,23 +233,13 @@ class GQScheme(_BulkForms):
         return c1 * self.q + a, c2 * self.q + b
 
 
-class GHScheme(_BulkForms):
+class GHScheme(_CoordinatePrefix):
     """Classes keyed by (p1, p2, p3), each holding the q^2 vertices
     (p1, p2, p3, a, b)."""
 
     family = "gh"
     m = 5
-
-    def __init__(self, ctx: FieldCtx, e: int):
-        self.ctx = ctx
-        self.e = e
-        self.q = ctx.order
-        self.r = self.q ** 3
-        self.class_size = self.q ** 2
-
-    def class_key(self, cid):
-        q = self.q
-        return (cid // (q * q), (cid // q) % q, cid % q)
+    key_len = 3
 
     def class_members(self, cid):
         p1, p2, p3 = self.class_key(cid)
@@ -264,24 +271,9 @@ class GHScheme(_BulkForms):
         d = fe1[ctx.sub(ctx.mul(ctx.mul(p1, p1), t), p3)]
         return ((p1, p2, p3, a, b), (r1, r2, r3, c, d))
 
-    # array formulas: vertex id = (class id * q + a) * q + b
-
-    def _class_of_ids(self, ids):
-        return ids // self.class_size
-
-    def _class_member(self, cids, picks):
-        return cids * self.class_size + picks
-
-    def _loop_vertex(self, cids):
-        ctx, fe1, q = self.ctx, self.ctx.frob_vector(self.e + 1), self.q
-        sub, mul = ctx.sub_bulk, ctx.mul_bulk
-        p1, p2, p3 = cids // (q * q), cids // q % q, cids % q
-        p13, f = ctx.pow_vector(3)[p1], fe1[p1]
-        a = sub(mul(p13, f), fe1[p2])
-        b = sub(mul(p13, mul(f, f)), fe1[p3])
-        return (cids * q + a) * q + b
-
     def _unique_edge(self, c1, c2):
+        # F = Frob^(e+1) squares to cubing on GF(3^(2e+1)), so on the
+        # diagonal c = F(p1 F(p1) - p2) = a and likewise d = b
         ctx, fe1, q = self.ctx, self.ctx.frob_vector(self.e + 1), self.q
         sub, mul = ctx.sub_bulk, ctx.mul_bulk
         p1, p2, p3 = c1 // (q * q), c1 // q % q, c1 % q
@@ -391,10 +383,10 @@ def general_even_partition(spec: ADGSpec):
     return Partition(np.concatenate([points, lines]), r), r, basis
 
 
-class GeneralPolarityScheme(_BulkForms):
+class GeneralPolarityScheme(_ConjugationClasses):
     """Theorem-style classes on the polarity graph of a point-line-symmetric
-    even-m system: key (x_1, y_2, ..., y_m) with y_i the beta^q coordinate.
-    It has class_of_ids but no edge or loop-vertex formulas."""
+    even-m system.  It has class_of_ids and class_key but no member, edge
+    or loop-vertex formulas."""
 
     family = "generic"
 
@@ -405,28 +397,8 @@ class GeneralPolarityScheme(_BulkForms):
         if not ok:
             raise ValueError(f"adjacency functions are not point-line-symmetric: {witness}")
         self.spec = spec
-        self.ctx = spec.ctx
-        self.basis = find_normal_element(spec.ctx)
-        self.q = self.basis.q
         self.m = spec.m
-        self.r = self.ctx.order * self.q ** (spec.m - 1)
-        self.class_size = self.q ** (spec.m - 1)
-
-    def _class_of_ids(self, ids):
-        _, _, decompose, _ = self.basis.vectors()
-        order = self.ctx.order
-        cids = ids // order ** (self.m - 1)
-        for i in range(self.m - 2, -1, -1):
-            cids = cids * self.q + decompose[ids // order ** i % order] % self.q
-        return cids
-
-    def class_key(self, cid):
-        ys = []
-        for _ in range(self.m - 1):
-            ys.append(self.basis.subfield[cid % self.q])
-            cid //= self.q
-        ys.reverse()
-        return (cid, *ys)
+        super().__init__(spec.ctx)
 
 
 def general_polarity_partition(spec: ADGSpec):

@@ -704,7 +704,7 @@ def verify_family_sampled(bundle, *, seed=0,
     at = np.flatnonzero(pairs[:, 0] != pairs[:, 1])
     expected_edges = zip(*(x.tolist() for x in scheme.unique_edge_bulk(*pairs[at].T)))
     for (c1, c2), expected in zip(pairs[at].tolist(), expected_edges):
-        members = scheme.class_members_bulk([c1])[0]
+        members = scheme.class_member_bulk(c1, np.arange(scheme.class_size))
         nb = pg.neighbor_ids(members)
         hit = np.flatnonzero((nb >= 0) & (scheme.class_of_ids(nb) == c2))
         found = list(zip(members[hit // q].tolist(), nb.ravel()[hit].tolist()))

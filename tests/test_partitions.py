@@ -509,7 +509,7 @@ def _ids(spec, vertices):
 def _assert_bulk_matches_scalar(spec, scheme, ids, cids, c1, c2):
     assert scheme.class_of_ids(ids).tolist() == [
         _class_of_coords(scheme, _id_to_coords(spec, v)) for v in ids.tolist()]
-    assert scheme.class_members_bulk(cids).tolist() == [
+    assert scheme.class_member_bulk(cids[:, None], np.arange(scheme.class_size)).tolist() == [
         _ids(spec, scheme.class_members(c)) for c in cids.tolist()]
     picks = (cids * 7 + 3) % scheme.class_size
     assert scheme.class_member_bulk(cids, picks).tolist() == [
@@ -592,11 +592,59 @@ def test_bulk_forms_match_scalar_above_table_side(name):
     _assert_bulk_matches_scalar_on_samples(*ABOVE_TABLE_SIDE[name](), 2000, 1000, 20)
 
 
+def _assert_diagonal_is_the_loop_vertex(spec, scheme, cids):
+    """unique_edge_bulk(c, c) gives the scalar loop_vertex(c) at both ends,
+    from int32 and int64 class ids alike."""
+    loops = _ids(spec, [scheme.loop_vertex(c) for c in cids.tolist()])
+    for dtype in (np.int32, np.int64):
+        a, b = scheme.unique_edge_bulk(cids.astype(dtype), cids.astype(dtype))
+        assert a.tolist() == b.tolist() == loops
+
+
+@pytest.mark.parametrize("name", sorted(BULK_SCHEMES))
+def test_the_unique_edge_diagonal_is_the_loop_vertex(name):
+    spec, scheme = BULK_SCHEMES[name]()
+    _assert_diagonal_is_the_loop_vertex(spec, scheme, np.arange(scheme.r))
+
+
+@pytest.mark.parametrize("name", sorted(ABOVE_TABLE_SIDE))
+def test_the_unique_edge_diagonal_is_the_loop_vertex_above_table_side(name):
+    spec, scheme = ABOVE_TABLE_SIDE[name]()
+    cids = np.random.default_rng(5).integers(0, scheme.r, size=2000)
+    _assert_diagonal_is_the_loop_vertex(spec, scheme, cids)
+
+
+def test_the_unique_edge_diagonal_is_the_loop_vertex_past_2_31():
+    spec, scheme = _scheme("gh", e=2)
+    cids = np.random.default_rng(11).integers(0, scheme.r, size=300)
+    _assert_diagonal_is_the_loop_vertex(spec, scheme, cids)
+    assert scheme.unique_edge_bulk(cids.astype(np.int32), cids.astype(np.int32))[0].dtype == np.int64
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_the_plane_scheme_is_the_conjugation_construction_at_m_2(q):
+    """PlaneScheme's classes are GeneralPolarityScheme's on the plane spec,
+    and equal x q + the beta^q index of u for every vertex (x, u); the
+    general scheme has no member, edge or loop-vertex forms."""
+    spec, _ = plane_family(q)
+    plane, general = PlaneScheme(spec.ctx), GeneralPolarityScheme(spec)
+    assert (plane.r, plane.class_size) == (general.r, general.class_size)
+    ids = np.arange(spec.side_size)
+    x, u = divmod(ids, spec.ctx.order)
+    expected = x * q + plane.basis.vectors()[2][u] % q
+    assert plane.class_of_ids(ids).tolist() == general.class_of_ids(ids).tolist() == expected.tolist()
+    assert [plane.class_key(c) for c in range(plane.r)] == [general.class_key(c)
+                                                           for c in range(general.r)]
+    for name in ("unique_edge_bulk", "loop_vertex_bulk", "class_member_bulk"):
+        assert not hasattr(general, name)
+
+
 def test_bulk_forms_keep_the_shape_of_their_input():
     spec, scheme = _scheme("plane", q=3)
     ids = np.arange(spec.side_size).reshape(9, 9)
     assert scheme.class_of_ids(ids).shape == (9, 9)
-    assert scheme.class_members_bulk(np.arange(4)).shape == (4, scheme.class_size)
+    assert scheme.class_member_bulk(np.arange(4)[:, None],
+                                    np.arange(scheme.class_size)).shape == (4, scheme.class_size)
     empty = np.zeros(0, dtype=np.int64)
     assert [len(x) for x in scheme.unique_edge_bulk(empty, empty)] == [0, 0]
 

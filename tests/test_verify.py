@@ -1273,8 +1273,8 @@ def _tamper(monkeypatch, method):
     graph but not u from v's, so that the report carries first-failure
     witnesses."""
     unique_edge, class_members = GHScheme.unique_edge, GHScheme.class_members
-    unique_edge_bulk, class_members_bulk = GHScheme.unique_edge_bulk, GHScheme.class_members_bulk
-    class_member_bulk, neighbor_ids = GHScheme.class_member_bulk, adg.PolarityGraph.neighbor_ids
+    unique_edge_bulk, class_member_bulk = GHScheme.unique_edge_bulk, GHScheme.class_member_bulk
+    neighbor_ids = adg.PolarityGraph.neighbor_ids
 
     def bad_unique_edge(self, c1, c2):
         out = unique_edge(self, c1, c2)
@@ -1291,9 +1291,6 @@ def _tamper(monkeypatch, method):
     def bad_class_members(self, cid):
         return class_members(self, (cid + 1) % self.r)
 
-    def bad_class_members_bulk(self, cids):
-        return class_members_bulk(self, (np.asarray(cids) + 1) % self.r)
-
     def bad_class_member_bulk(self, cids, picks):
         return class_member_bulk(self, (np.asarray(cids) + 1) % self.r, picks)
 
@@ -1307,7 +1304,6 @@ def _tamper(monkeypatch, method):
         monkeypatch.setattr(GHScheme, "unique_edge_bulk", bad_unique_edge_bulk)
     elif method == "class_members":
         monkeypatch.setattr(GHScheme, "class_members", bad_class_members)
-        monkeypatch.setattr(GHScheme, "class_members_bulk", bad_class_members_bulk)
         monkeypatch.setattr(GHScheme, "class_member_bulk", bad_class_member_bulk)
     elif method == "neighbor_ids":
         monkeypatch.setattr(adg.PolarityGraph, "neighbor_ids", hiding_neighbor_ids)
@@ -1594,7 +1590,7 @@ def _next_member(scheme, cid, v):
 
 
 def _next_member_bulk(scheme, cids, ids):
-    members = scheme.class_members_bulk(cids)
+    members = scheme.class_member_bulk(cids[:, None], np.arange(scheme.class_size))
     at = (members == ids[:, None]).argmax(axis=1)
     return members[np.arange(len(ids)), (at + 1) % members.shape[1]]
 
@@ -1625,8 +1621,8 @@ def _tamper_scheme(scheme, kind):
             return _next_member(scheme, c1, a)  # edge_formula_not_edge
 
         def bad_a_bulk(c1, c2, a):
-            if kind == "edge_endpoint_class":
-                return scheme.loop_vertex_bulk(c2)
+            if kind == "edge_endpoint_class":  # the intact form's loop vertex of c2
+                return unique_edge_bulk(c2, c2)[0]
             return _next_member_bulk(scheme, c1, a)
 
         def tampered(c1, c2):
@@ -1676,12 +1672,21 @@ def test_check_unique_edges_matches_scalar_reference(monkeypatch, family, tamper
 def test_check_unique_edges_blocks_stay_within_the_bound(monkeypatch):
     spec, pol, scheme, _ = verify.family_bundle("gq", e=1)
     g = _polarity_graph(spec, pol)
-    sizes, dtypes = [], set()
+    sizes, dtypes, diagonal = [], set(), []
     unique_edge_bulk = scheme.unique_edge_bulk
-    scheme.unique_edge_bulk = lambda c1, c2: (sizes.append(len(c1)) or dtypes.add((c1.dtype, c2.dtype))
-                                              or unique_edge_bulk(c1, c2))
+
+    def counted(c1, c2):
+        if len(c1) and np.array_equal(c1, c2):  # the loop vertices, counted apart
+            diagonal.append(len(c1))
+        else:
+            sizes.append(len(c1))
+            dtypes.add((c1.dtype, c2.dtype))
+        return unique_edge_bulk(c1, c2)
+
+    scheme.unique_edge_bulk = counted
     monkeypatch.setattr(graphs, "ROW_BLOCK", 500)
     assert verify._check_unique_edges(g, scheme) == (True, None)
+    assert diagonal == [scheme.r]  # one call for every class's loop vertex
     # one formula call per block of whole table rows, one id per cross edge
     assert max(sizes) <= 500 and sum(sizes) == scheme.r * (scheme.r - 1) // 2
     assert len(sizes) == -(-g.n // (500 // g.table.shape[1]))
@@ -1745,6 +1750,40 @@ def test_check_unique_edges_reads_the_array_formula_only(monkeypatch):
     scheme.unique_edge_bulk = tampered
     assert not hasattr(scheme, "unique_edge")
     assert verify._check_unique_edges(g, scheme) == (False, ("edge_formula_not_edge", c1, c1 + 3))
+
+
+def _tamper_diagonal(scheme, c):
+    """The unique edge of class c with itself names another member of c at
+    both ends, as the loop_vertex_not_absolute tamper does; every other
+    pair keeps its form.  The loop vertex has no formula of its own."""
+    unique_edge_bulk = scheme.unique_edge_bulk
+    loop = unique_edge_bulk(np.array([c]), np.array([c]))[0]
+    other = _next_member_bulk(scheme, np.array([c]), loop)[0]
+
+    def tampered(c1, c2):
+        a, b = unique_edge_bulk(c1, c2)
+        hit = (np.asarray(c1) == c) & (np.asarray(c2) == c)
+        return np.where(hit, other, a), np.where(hit, other, b)
+
+    scheme.unique_edge_bulk = tampered
+
+
+@pytest.mark.parametrize("family", sorted(UNIQUE_EDGE_FAMILIES))
+def test_a_tampered_diagonal_fails_the_exhaustive_protocol(family):
+    bundle, c = UNIQUE_EDGE_FAMILIES[family](), TAMPERED_C1[0]
+    _tamper_diagonal(bundle[2], c)
+    rep = verify.verify_family_exhaustive(bundle)
+    assert rep["witnesses"] == [("loop_vertex_not_absolute", c)] and not rep["ok"]
+
+
+def test_a_tampered_diagonal_fails_the_sampled_protocol(monkeypatch):
+    monkeypatch.setattr(verify, "SAMPLED_INCIDENCES", 300)
+    monkeypatch.setattr(verify, "SAMPLED_SYMMETRY", 60)
+    bundle, c = verify.family_bundle("gh", e=0, allow_small_e=True), TAMPERED_C1[0]
+    _tamper_diagonal(bundle[2], c)
+    rep = verify.verify_family_sampled(bundle, seed=0, **FEW_SAMPLES)
+    assert ("loop_vertex", c) in rep["witnesses"] and not rep["ok"]
+    assert rep["checks"]["loop_formula_all_classes"] is False
 
 
 # -- verdict against the per-edge loop it replaced -------------------------------
@@ -1849,7 +1888,7 @@ def test_report_on_a_tampered_graph_carries_the_verdict_witnesses(family, kind):
     c1 = TAMPERED_C1[0]
     a, b = (int(x[0]) for x in scheme.unique_edge_bulk(np.array([c1]), np.array([c1 + 3])))
     if kind == "within_edge":  # a joined to another member of its class
-        x = int(next(m for m in scheme.class_members_bulk([c1])[0] if m != a))
+        x = int(next(m for m in scheme.class_member_bulk(c1, np.arange(scheme.class_size)) if m != a))
     else:  # (a, b) moved to (a, x), x the least non-neighbour of a in a third class
         edges.remove((min(a, b), max(a, b)))
         x = next(x for x in range(g.n) if cls[x] not in (c1, c1 + 3) and x not in g.adj[a])
